@@ -20,13 +20,25 @@ use fairkm::synth::planted::{PlantedConfig, PlantedGenerator};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-/// One run to pin: live assignments (slot ids + clusters) and the full
-/// objective trace.
+/// One run to pin: live assignments (slot ids + clusters), the full
+/// objective trace and, for single-node streaming runs, digests of the
+/// on-disk snapshot bytes and the shard replica bytes. A run whose digests
+/// are `None` leaves those fields unchecked (the sharded runs reuse the
+/// single-node files and only verify them).
 struct GoldenRun {
     name: &'static str,
     slots: Vec<usize>,
     assignments: Vec<usize>,
     trace: Vec<f64>,
+    snapshot: Option<u64>,
+    replica: Option<u64>,
+}
+
+/// 64-bit FNV-1a: a stable, dependency-free digest of wire bytes.
+fn digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 fn golden_dir() -> PathBuf {
@@ -61,6 +73,11 @@ fn render(run: &GoldenRun) -> String {
         join(&mut run.trace.iter().map(|v| format!("{:016x}", v.to_bits())))
     )
     .unwrap();
+    for (key, value) in [("snapshot", run.snapshot), ("replica", run.replica)] {
+        if let Some(d) = value {
+            writeln!(s, "{key} {d:016x}").unwrap();
+        }
+    }
     s
 }
 
@@ -74,6 +91,13 @@ fn field<'a>(stored: &'a str, key: &str) -> &'a str {
 fn check(run: GoldenRun) {
     let path = golden_dir().join(format!("{}.golden", run.name));
     if std::env::var("FAIRKM_BLESS").is_ok_and(|v| v == "1") {
+        let pinned = std::fs::read_to_string(&path)
+            .is_ok_and(|s| s.lines().any(|l| l.starts_with("snapshot ")));
+        if run.snapshot.is_none() && pinned {
+            // A sharded run must not drop the digests its single-node
+            // counterpart blesses into the same file.
+            return;
+        }
         std::fs::create_dir_all(golden_dir()).unwrap();
         std::fs::write(&path, render(&run)).unwrap();
         eprintln!("blessed {}", path.display());
@@ -135,6 +159,17 @@ fn check(run: GoldenRun) {
             run.name
         );
     }
+
+    for (key, value) in [("snapshot", run.snapshot), ("replica", run.replica)] {
+        if let Some(live) = value {
+            let gold = u64::from_str_radix(field(&stored, key), 16).unwrap();
+            assert_eq!(
+                live, gold,
+                "{}: {key} bytes digest {live:016x} vs {gold:016x}; {bless_hint}",
+                run.name
+            );
+        }
+    }
 }
 
 fn planted(n: usize, seed: u64) -> Dataset {
@@ -178,13 +213,17 @@ fn batch_run_with(
         slots: (0..data.n_rows()).collect(),
         assignments: model.assignments().to_vec(),
         trace: model.objective_trace().to_vec(),
+        snapshot: None,
+        replica: None,
     }
 }
 
 /// The full streaming lifecycle under a given objective: bootstrap on the
 /// first 240 of 360 planted rows, stream the remaining 120 in batches of
 /// 40, evict the 60 oldest — pins ingest scoring, drift-triggered reopts
-/// and eviction deltas, not just the batch optimizer.
+/// and eviction deltas, not just the batch optimizer. The end state's
+/// snapshot bytes and shard replica bytes are pinned by digest, so a
+/// refactor that changes either on-disk encoding fails here.
 fn streaming_run(name: &'static str, objective: ObjectiveKind) -> GoldenRun {
     let data = planted(360, 0xCAFE);
     let boot_idx: Vec<usize> = (0..240).collect();
@@ -211,11 +250,15 @@ fn streaming_run(name: &'static str, objective: ObjectiveKind) -> GoldenRun {
         .iter()
         .map(|&s| stream.assignment_of(s).unwrap())
         .collect();
+    let snapshot = digest(&stream.to_snapshot_bytes());
+    let replica = digest(&stream.clone().into_shard_parts().model.to_bytes());
     GoldenRun {
         name,
         slots,
         assignments,
         trace: stream.trace().to_vec(),
+        snapshot: Some(snapshot),
+        replica: Some(replica),
     }
 }
 
@@ -342,6 +385,8 @@ fn sharded_streaming_run(name: &'static str, objective: ObjectiveKind, shards: u
         slots,
         assignments,
         trace: stream.trace().to_vec(),
+        snapshot: None,
+        replica: None,
     }
 }
 
