@@ -1,40 +1,32 @@
-//! Shard-support primitives: additive per-cluster aggregate deltas, a
-//! serializable **rowless replica** of the cached scoring engine, and the
-//! per-slot payloads the shard protocol moves around.
+//! Shard-support primitives: additive per-cluster aggregate deltas, the
+//! per-slot payloads the shard protocol moves around, and the wire
+//! encoding of the objective kind.
 //!
 //! The FairKM objective is a function of purely additive per-cluster
 //! aggregates — `Σx`, `Σ‖x‖²`, per-group member counts, numeric value sums
 //! — which is what makes a sharded optimizer possible at all. Correctness
 //! of the sharded engine, however, is **bitwise**: the workspace-wide
 //! determinism contract says thread counts and shard counts may change
-//! wall-clock time, never a single bit of the clustering. Two pieces here
-//! make that hold:
+//! wall-clock time, never a single bit of the clustering. [`AggregateDelta`]
+//! is the exact per-chunk partial the single-node rebuild folds: deltas
+//! built row-by-row in slot order and merged in **chunk-index order from a
+//! zeroed identity** reproduce the single-node aggregate floats bit for
+//! bit, because `fairkm_parallel::fold_chunks` uses a thread-independent
+//! chunk decomposition and a left-fold merge. A distributed rebuild that
+//! chains each chunk's fold through the shards owning its slots (in slot
+//! order) and merges completed chunks in chunk order is therefore
+//! indistinguishable from the single-node rebuild.
 //!
-//! * [`AggregateDelta`] is the exact per-chunk partial the single-node
-//!   `State::rebuild` (crate-private) folds: deltas built
-//!   row-by-row in slot order and merged in **chunk-index order from a
-//!   zeroed identity** reproduce the single-node aggregate floats bit for
-//!   bit, because `fairkm_parallel::fold_chunks` uses a thread-independent
-//!   chunk decomposition and a left-fold merge. A distributed rebuild that
-//!   chains each chunk's fold through the shards owning its slots (in slot
-//!   order) and merges completed chunks in chunk order is therefore
-//!   indistinguishable from the single-node rebuild.
-//! * [`ShardModel`] replays the cached engine's float arithmetic —
-//!   refresh, insert/remove/move deltas, insertion scoring, move proposal
-//!   — operation for operation, against rows carried **inline** in
-//!   protocol messages (crate-private `PointRef::Row` resolution)
-//!   instead of stored attribute columns. Its caches are derived from the
-//!   aggregates by the same refresh computation `State` runs, so a replica
-//!   that applied the same ordered operation log holds the same bits.
-//!
-//! Snapshots ([`ShardModel::to_bytes`] / [`AggregateDelta::to_bytes`]) are
-//! bit-exact little-endian encodings (see [`crate::wire`]): a shard that
-//! crashes and rejoins from a snapshot plus a log suffix converges to the
-//! same bitwise state as one that never crashed.
+//! Shard replicas run the single-node aggregate engine itself
+//! ([`crate::ClusterModel`]), fed the [`SlotRow`]s carried inline in
+//! protocol messages, so a replica that applied the same ordered operation
+//! log holds the same bits. Snapshots ([`AggregateDelta::to_bytes`],
+//! [`SlotRow::to_bytes`]) are bit-exact little-endian encodings (see
+//! [`crate::wire`]): a shard that crashes and rejoins from a snapshot plus
+//! a log suffix converges to the same bitwise state as one that never
+//! crashed.
 
 use crate::config::ObjectiveKind;
-use crate::objective::{FairView, Objective, PointRef};
-use crate::state::{CatAttr, NumAttr};
 use crate::wire::{self, Reader, WireError};
 
 /// Acceptance threshold shared by every optimizer path: a staged move (or
@@ -44,15 +36,15 @@ use crate::wire::{self, Reader, WireError};
 pub const MOVE_EPS: f64 = 1e-10;
 
 /// Cluster sentinel for a backing-store slot that is not part of the
-/// clustering (never ingested or already evicted) — the shard-protocol
-/// mirror of the engine-internal `UNASSIGNED`.
+/// clustering (never ingested or already evicted). Every scan — rebuild,
+/// scoring, the K-Means term — skips such slots.
 pub const TOMBSTONE: usize = usize::MAX;
 
 /// One backing-store slot's full payload: task row, sensitive values
 /// (categorical then numeric, in attribute order), the cached `‖x‖²`, and
 /// the current cluster ([`TOMBSTONE`] when evicted). This is what a shard
 /// stores for the slots it owns, and what protocol messages carry so
-/// rowless replicas can evaluate deltas for non-owned points.
+/// replicas can evaluate deltas for non-owned points.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SlotRow {
     /// Task-matrix row.
@@ -96,8 +88,8 @@ impl SlotRow {
 /// `Σ‖x‖²`. This is both the *partial* of a chunked rebuild and the
 /// *snapshot* of a replica's aggregate state (the live count is `Σ size`).
 ///
-/// [`AggregateDelta::add_row`] performs exactly the per-row operations of
-/// the single-node rebuild, and [`AggregateDelta::merge`] is its
+/// [`AggregateDelta::add_row`] is the per-row step of the single-node
+/// rebuild, and [`AggregateDelta::merge`] is its
 /// component-wise left-fold — folding rows in slot order within chunks and
 /// chunks in chunk-index order from [`AggregateDelta::zeroed`] reproduces
 /// the single-node aggregates bitwise (module docs).
@@ -246,554 +238,4 @@ pub(crate) fn decode_kind(r: &mut Reader<'_>) -> Result<ObjectiveKind, WireError
             })
         }
     })
-}
-
-/// A **rowless replica** of the cached scoring engine: the per-cluster
-/// aggregates, the frozen fairness reference (dataset distributions,
-/// value scales, means, weights), the active objective, and the scoring
-/// caches — but no point storage. Every operation takes the affected
-/// point's row/values inline, which is how shard replicas evaluate deltas
-/// for points they don't own.
-///
-/// Every method replays the corresponding single-node `State` computation
-/// float-operation for float-operation (the sharded determinism matrix
-/// pins this bitwise), so a replica that applies the same ordered
-/// operation log as the single-node engine holds identical aggregates,
-/// caches, and objective values.
-#[derive(Clone, Debug)]
-pub struct ShardModel {
-    k: usize,
-    dim: usize,
-    live: usize,
-    size: Vec<usize>,
-    centroid_sum: Vec<f64>,
-    /// Frozen categorical reference; `values` is intentionally empty.
-    cat: Vec<CatAttr>,
-    cat_counts: Vec<Vec<i64>>,
-    /// Frozen numeric reference; `values` is intentionally empty.
-    num: Vec<NumAttr>,
-    num_sums: Vec<Vec<f64>>,
-    member_sqnorm: Vec<f64>,
-    objective: Objective,
-    /// Retained for serialization: the objective is reconstructed from the
-    /// kind against the frozen reference on decode.
-    kind: ObjectiveKind,
-    proto: Vec<f64>,
-    proto_sqnorm: Vec<f64>,
-    fair_cache: Vec<f64>,
-    dirty: Vec<bool>,
-    dirty_list: Vec<usize>,
-}
-
-impl ShardModel {
-    /// Assemble a replica from frozen attribute references (whose `values`
-    /// are ignored and cleared), the objective kind, and an aggregate
-    /// snapshot. Caches are derived by a full refresh — the same
-    /// computation the single-node engine runs after a rebuild, so they
-    /// carry the same bits as a freshly-rebuilt `State` over the same
-    /// aggregates.
-    pub(crate) fn assemble(
-        k: usize,
-        dim: usize,
-        mut cat: Vec<CatAttr>,
-        mut num: Vec<NumAttr>,
-        kind: ObjectiveKind,
-        agg: AggregateDelta,
-    ) -> Self {
-        for attr in &mut cat {
-            attr.values = Vec::new();
-        }
-        for attr in &mut num {
-            attr.values = Vec::new();
-        }
-        let objective = Objective::from_kind(kind, &cat, &num);
-        let mut model = Self {
-            k,
-            dim,
-            live: 0,
-            size: vec![0; k],
-            centroid_sum: vec![0.0; k * dim],
-            cat_counts: cat.iter().map(|a| vec![0i64; k * a.t]).collect(),
-            num_sums: num.iter().map(|_| vec![0.0; k]).collect(),
-            cat,
-            num,
-            member_sqnorm: vec![0.0; k],
-            objective,
-            kind,
-            proto: vec![0.0; k * dim],
-            proto_sqnorm: vec![0.0; k],
-            fair_cache: vec![0.0; k],
-            dirty: vec![false; k],
-            dirty_list: Vec::with_capacity(k),
-        };
-        model.install(agg);
-        model
-    }
-
-    /// Number of clusters.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Task-space dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Live (assigned) point count `|X|`.
-    pub fn live(&self) -> usize {
-        self.live
-    }
-
-    /// Per-cluster member counts.
-    pub fn size(&self) -> &[usize] {
-        &self.size
-    }
-
-    /// Cached per-cluster fairness contributions (requires a fresh cache).
-    pub fn fairness_contribs(&self) -> &[f64] {
-        debug_assert!(self.cache_is_fresh());
-        &self.fair_cache
-    }
-
-    /// Per-attribute categorical cardinalities (shape of the aggregates).
-    pub fn cat_ts(&self) -> Vec<usize> {
-        self.cat.iter().map(|a| a.t).collect()
-    }
-
-    /// Number of numeric sensitive attributes.
-    pub fn n_num(&self) -> usize {
-        self.num.len()
-    }
-
-    /// A zeroed [`AggregateDelta`] shaped like this model's aggregates.
-    pub fn zeroed_delta(&self) -> AggregateDelta {
-        AggregateDelta::zeroed(self.k, self.dim, &self.cat_ts(), self.num.len())
-    }
-
-    /// Snapshot the aggregates (the live count is `Σ size`; caches are
-    /// derived state and re-derived on [`Self::install`]).
-    pub fn snapshot(&self) -> AggregateDelta {
-        AggregateDelta {
-            size: self.size.clone(),
-            centroid_sum: self.centroid_sum.clone(),
-            cat_counts: self.cat_counts.clone(),
-            num_sums: self.num_sums.clone(),
-            member_sqnorm: self.member_sqnorm.clone(),
-        }
-    }
-
-    /// Replace the aggregates wholesale and re-derive every cache entry —
-    /// the replica-side equivalent of the single-node rebuild's
-    /// install-and-refresh tail. Applying the delta produced by an ordered
-    /// chunked rebuild makes the replica bitwise-identical to a rebuilt
-    /// single-node engine.
-    pub fn install(&mut self, agg: AggregateDelta) {
-        debug_assert_eq!(agg.size.len(), self.k);
-        debug_assert_eq!(agg.centroid_sum.len(), self.k * self.dim);
-        self.size = agg.size;
-        self.centroid_sum = agg.centroid_sum;
-        self.cat_counts = agg.cat_counts;
-        self.num_sums = agg.num_sums;
-        self.member_sqnorm = agg.member_sqnorm;
-        self.live = self.size.iter().sum();
-        self.mark_all_dirty();
-        self.refresh_cache();
-    }
-
-    #[inline]
-    fn fair_view(&self) -> FairView<'_> {
-        FairView {
-            size: &self.size,
-            live: self.live,
-            cat: &self.cat,
-            cat_counts: &self.cat_counts,
-            num: &self.num,
-            num_sums: &self.num_sums,
-        }
-    }
-
-    fn mark_dirty(&mut self, c: usize) {
-        if !self.dirty[c] {
-            self.dirty[c] = true;
-            self.dirty_list.push(c);
-        }
-    }
-
-    fn mark_all_dirty(&mut self) {
-        for c in 0..self.k {
-            self.mark_dirty(c);
-        }
-    }
-
-    /// Whether every cache entry is current.
-    pub fn cache_is_fresh(&self) -> bool {
-        self.dirty_list.is_empty()
-    }
-
-    /// Re-derive the cache entries of every dirty cluster — the exact
-    /// refresh arithmetic of the single-node engine.
-    pub fn refresh_cache(&mut self) {
-        while let Some(c) = self.dirty_list.pop() {
-            self.dirty[c] = false;
-            self.fair_cache[c] =
-                self.objective
-                    .contrib_adjusted(&self.fair_view(), c, PointRef::None, 0);
-            let span = c * self.dim..(c + 1) * self.dim;
-            if self.size[c] == 0 {
-                self.proto[span].fill(0.0);
-                self.proto_sqnorm[c] = 0.0;
-            } else {
-                let inv = 1.0 / self.size[c] as f64;
-                let mut sqnorm = 0.0;
-                for (p, s) in self.proto[span.clone()]
-                    .iter_mut()
-                    .zip(&self.centroid_sum[span])
-                {
-                    let v = s * inv;
-                    *p = v;
-                    sqnorm += v * v;
-                }
-                self.proto_sqnorm[c] = sqnorm;
-            }
-        }
-    }
-
-    /// Insert a point into cluster `c` (aggregate side of the single-node
-    /// streaming insert; assignment bookkeeping lives with the caller).
-    pub fn insert_row(
-        &mut self,
-        c: usize,
-        row: &[f64],
-        cat_vals: &[u32],
-        num_vals: &[f64],
-        sqnorm: f64,
-    ) {
-        debug_assert!(c < self.k);
-        self.size[c] += 1;
-        self.live += 1;
-        let dst = &mut self.centroid_sum[c * self.dim..(c + 1) * self.dim];
-        for (d, v) in dst.iter_mut().zip(row) {
-            *d += v;
-        }
-        for ((attr, counts), &v) in self.cat.iter().zip(&mut self.cat_counts).zip(cat_vals) {
-            counts[c * attr.t + v as usize] += 1;
-        }
-        for (sums, &v) in self.num_sums.iter_mut().zip(num_vals) {
-            sums[c] += v;
-        }
-        self.member_sqnorm[c] += sqnorm;
-        if self.objective.dirties_all_on_live_change() {
-            self.mark_all_dirty();
-        } else {
-            self.mark_dirty(c);
-        }
-    }
-
-    /// Remove a point from cluster `c` (inverse of [`Self::insert_row`]).
-    pub fn remove_row(
-        &mut self,
-        c: usize,
-        row: &[f64],
-        cat_vals: &[u32],
-        num_vals: &[f64],
-        sqnorm: f64,
-    ) {
-        debug_assert!(self.size[c] > 0);
-        self.size[c] -= 1;
-        self.live -= 1;
-        let dst = &mut self.centroid_sum[c * self.dim..(c + 1) * self.dim];
-        for (d, v) in dst.iter_mut().zip(row) {
-            *d -= v;
-        }
-        for ((attr, counts), &v) in self.cat.iter().zip(&mut self.cat_counts).zip(cat_vals) {
-            counts[c * attr.t + v as usize] -= 1;
-        }
-        for (sums, &v) in self.num_sums.iter_mut().zip(num_vals) {
-            sums[c] -= v;
-        }
-        self.member_sqnorm[c] -= sqnorm;
-        if self.objective.dirties_all_on_live_change() {
-            self.mark_all_dirty();
-        } else {
-            self.mark_dirty(c);
-        }
-    }
-
-    /// Move a point `from → to` — the exact fused-update arithmetic of the
-    /// single-node `apply_move` (one `-=`/`+=` pair per centroid
-    /// component), so the drifted float sums match bit for bit.
-    pub fn move_row(
-        &mut self,
-        from: usize,
-        to: usize,
-        row: &[f64],
-        cat_vals: &[u32],
-        num_vals: &[f64],
-        sqnorm: f64,
-    ) {
-        debug_assert_ne!(from, to);
-        debug_assert!(self.size[from] > 0);
-        self.size[from] -= 1;
-        self.size[to] += 1;
-        {
-            let (lo, hi, from_first) = if from < to {
-                (from, to, true)
-            } else {
-                (to, from, false)
-            };
-            let (head, tail) = self.centroid_sum.split_at_mut(hi * self.dim);
-            let lo_slice = &mut head[lo * self.dim..(lo + 1) * self.dim];
-            let hi_slice = &mut tail[..self.dim];
-            let (from_slice, to_slice) = if from_first {
-                (lo_slice, hi_slice)
-            } else {
-                (hi_slice, lo_slice)
-            };
-            for ((f, t), v) in from_slice.iter_mut().zip(to_slice).zip(row) {
-                *f -= v;
-                *t += v;
-            }
-        }
-        for ((attr, counts), &val) in self.cat.iter().zip(&mut self.cat_counts).zip(cat_vals) {
-            let v = val as usize;
-            counts[from * attr.t + v] -= 1;
-            counts[to * attr.t + v] += 1;
-        }
-        for (sums, &v) in self.num_sums.iter_mut().zip(num_vals) {
-            sums[from] -= v;
-            sums[to] += v;
-        }
-        self.member_sqnorm[from] -= sqnorm;
-        self.member_sqnorm[to] += sqnorm;
-        if self.objective.dirties_all_on_move() {
-            self.mark_all_dirty();
-        } else {
-            self.mark_dirty(from);
-            self.mark_dirty(to);
-        }
-    }
-
-    /// Squared distance from an external row to cluster `c`'s prototype in
-    /// the cached dot-product form; `f64::INFINITY` for an empty cluster.
-    #[inline]
-    pub fn sq_dist_row_cached(&self, row: &[f64], sqnorm: f64, c: usize) -> f64 {
-        debug_assert!(!self.dirty[c], "scoring against a stale prototype cache");
-        if self.size[c] == 0 {
-            return f64::INFINITY;
-        }
-        let proto = &self.proto[c * self.dim..(c + 1) * self.dim];
-        let mut dot = 0.0;
-        for (v, p) in row.iter().zip(proto) {
-            dot += v * p;
-        }
-        (sqnorm - 2.0 * dot + self.proto_sqnorm[c]).max(0.0)
-    }
-
-    /// The K-Means term from the cache in O(k) (single-node identity
-    /// `SSE_c = Σ‖x‖² − |c|·‖μ_c‖²`, clamped per cluster).
-    pub fn kmeans_term_cached(&self) -> f64 {
-        debug_assert!(self.cache_is_fresh());
-        (0..self.k)
-            .map(|c| (self.member_sqnorm[c] - self.size[c] as f64 * self.proto_sqnorm[c]).max(0.0))
-            .sum()
-    }
-
-    /// The fairness term from the cache in O(k).
-    pub fn fairness_term_cached(&self) -> f64 {
-        debug_assert!(self.cache_is_fresh());
-        self.objective.assemble(&self.fair_cache)
-    }
-
-    /// Full objective `kmeans + λ·fairness` from the cache in O(k).
-    pub fn objective_cached(&self, lambda: f64) -> f64 {
-        self.kmeans_term_cached() + lambda * self.fairness_term_cached()
-    }
-
-    /// Write cluster `c`'s prototype (mean) into `out`; zeros if empty —
-    /// identical arithmetic to the single-node accessor.
-    pub fn prototype_into(&self, c: usize, out: &mut [f64]) {
-        let src = &self.centroid_sum[c * self.dim..(c + 1) * self.dim];
-        if self.size[c] == 0 {
-            out.fill(0.0);
-            return;
-        }
-        let inv = 1.0 / self.size[c] as f64;
-        for (o, s) in out.iter_mut().zip(src) {
-            *o = s * inv;
-        }
-    }
-
-    fn insertion_delta_with_total(
-        &self,
-        c: usize,
-        row: &[f64],
-        cat_vals: &[u32],
-        num_vals: &[f64],
-        lambda: f64,
-        fair_total: f64,
-    ) -> f64 {
-        debug_assert!(self.cache_is_fresh());
-        let s = self.size[c];
-        let d_km = if s > 0 {
-            let proto = &self.proto[c * self.dim..(c + 1) * self.dim];
-            let mut dot = 0.0;
-            let mut row_sqnorm = 0.0;
-            for (v, p) in row.iter().zip(proto) {
-                dot += v * p;
-                row_sqnorm += v * v;
-            }
-            let d = (row_sqnorm - 2.0 * dot + self.proto_sqnorm[c]).max(0.0);
-            (s as f64 / (s as f64 + 1.0)) * d
-        } else {
-            0.0
-        };
-        let live = self.live as f64;
-        let shrink = self.objective.insertion_rescale(live);
-        let new_fair = self
-            .objective
-            .insertion_contrib(&self.fair_view(), c, cat_vals, num_vals)
-            + (fair_total - self.fair_cache[c]) * shrink;
-        d_km + lambda * (new_fair - fair_total)
-    }
-
-    /// Frozen-prototype assignment of an external point — the exact
-    /// single-node arrival-scoring scan (fairness total hoisted once,
-    /// strict-improvement candidate loop, ties to the lowest index).
-    pub fn score_insertion(
-        &self,
-        row: &[f64],
-        cat_vals: &[u32],
-        num_vals: &[f64],
-        lambda: f64,
-    ) -> (usize, f64) {
-        let fair_total: f64 = self.fair_cache.iter().sum();
-        let mut best = 0usize;
-        let mut best_delta = f64::INFINITY;
-        for c in 0..self.k {
-            let delta =
-                self.insertion_delta_with_total(c, row, cat_vals, num_vals, lambda, fair_total);
-            if delta < best_delta {
-                best_delta = delta;
-                best = c;
-            }
-        }
-        (best, best_delta)
-    }
-
-    /// Best-move proposal for a live point currently in `from` — the exact
-    /// single-node incremental-engine proposal (outbound distance and
-    /// origin contributions hoisted, strict-improvement candidate loop).
-    /// Returns `(best_to, best_delta)`; `best_to == from` when no
-    /// candidate improves the objective.
-    pub fn propose_move_row(
-        &self,
-        from: usize,
-        row: &[f64],
-        cat_vals: &[u32],
-        num_vals: &[f64],
-        sqnorm: f64,
-        lambda: f64,
-    ) -> (usize, f64) {
-        let mut best_to = from;
-        let mut best_delta = 0.0f64;
-        let s_from = self.size[from];
-        let d_out = if s_from > 1 {
-            let d = self.sq_dist_row_cached(row, sqnorm, from);
-            -(s_from as f64 / (s_from as f64 - 1.0)) * d
-        } else {
-            // removing the last member: that cluster's SSE was 0
-            0.0
-        };
-        let p = PointRef::Row(cat_vals, num_vals);
-        let out_new = self
-            .objective
-            .contrib_adjusted(&self.fair_view(), from, p, -1);
-        let out_old = self.fair_cache[from];
-        for to in 0..self.k {
-            if to == from {
-                continue;
-            }
-            let s_to = self.size[to];
-            let d_in = if s_to > 0 {
-                let d = self.sq_dist_row_cached(row, sqnorm, to);
-                (s_to as f64 / (s_to as f64 + 1.0)) * d
-            } else {
-                0.0 // singleton in an empty cluster has SSE 0
-            };
-            let d_km = d_out + d_in;
-            let in_new = self.objective.contrib_adjusted(&self.fair_view(), to, p, 1);
-            let in_old = self.fair_cache[to];
-            let d_fair = (out_new + in_new) - (out_old + in_old);
-            let delta = d_km + lambda * d_fair;
-            if delta < best_delta {
-                best_delta = delta;
-                best_to = to;
-            }
-        }
-        (best_to, best_delta)
-    }
-
-    /// Serialize the full replica: frozen reference, objective kind, and
-    /// aggregates. Caches are derived state and are re-derived bitwise on
-    /// decode (a refreshed cache is a pure function of the aggregates).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        wire::put_usize(&mut out, self.k);
-        wire::put_usize(&mut out, self.dim);
-        wire::put_usize(&mut out, self.cat.len());
-        for attr in &self.cat {
-            wire::put_usize(&mut out, attr.t);
-            wire::put_f64s(&mut out, &attr.dist);
-            wire::put_f64s(&mut out, &attr.value_scale);
-            wire::put_f64(&mut out, attr.weight);
-        }
-        wire::put_usize(&mut out, self.num.len());
-        for attr in &self.num {
-            wire::put_f64(&mut out, attr.mean);
-            wire::put_f64(&mut out, attr.weight);
-        }
-        encode_kind(&mut out, self.kind);
-        self.snapshot().to_bytes(&mut out);
-        out
-    }
-
-    /// Decode a replica serialized by [`Self::to_bytes`]; a typed error
-    /// on a truncated or malformed buffer.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(bytes);
-        let model = Self::from_reader(&mut r)?;
-        r.expect_empty()?;
-        Ok(model)
-    }
-
-    /// Decode a replica from a sequential reader (for embedding inside
-    /// larger snapshots); a typed error on truncated or malformed bytes.
-    pub fn from_reader(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let k = r.get_usize()?;
-        let dim = r.get_usize()?;
-        let n_cat = r.get_len(8)?;
-        let mut cat = Vec::with_capacity(n_cat);
-        for _ in 0..n_cat {
-            cat.push(CatAttr {
-                values: Vec::new(),
-                t: r.get_usize()?,
-                dist: r.get_f64s()?,
-                value_scale: r.get_f64s()?,
-                weight: r.get_f64()?,
-            });
-        }
-        let n_num = r.get_len(8)?;
-        let mut num = Vec::with_capacity(n_num);
-        for _ in 0..n_num {
-            num.push(NumAttr {
-                values: Vec::new(),
-                mean: r.get_f64()?,
-                weight: r.get_f64()?,
-            });
-        }
-        let kind = decode_kind(r)?;
-        let agg = AggregateDelta::from_reader(r)?;
-        Ok(Self::assemble(k, dim, cat, num, kind, agg))
-    }
 }

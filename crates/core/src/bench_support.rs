@@ -13,6 +13,7 @@ use crate::state::State;
 use fairkm_data::{NumericMatrix, SensitiveSpace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
 /// A frozen scoring problem: one `State` built from a seeded random
 /// assignment, plus the λ the scan weights fairness with.
@@ -57,7 +58,7 @@ impl<'a> ScoringFixture<'a> {
         let assignment = (0..matrix.rows()).map(|_| rng.gen_range(0..k)).collect();
         let weights = vec![1.0; space.n_attrs()];
         let state = State::with_norm(
-            matrix,
+            Cow::Borrowed(matrix),
             space,
             &weights,
             k,
@@ -92,18 +93,18 @@ impl<'a> ScoringFixture<'a> {
             .map(|x| {
                 let from = state.assignment[x];
                 let mut best = 0.0f64;
-                for to in 0..state.k {
+                for to in 0..state.model.k() {
                     if to == from {
                         continue;
                     }
-                    let s_from = state.size[from];
+                    let s_from = state.model.size()[from];
                     let d_out = if s_from > 1 {
                         let d = state.sq_dist_to_prototype(x, from);
                         -(s_from as f64 / (s_from as f64 - 1.0)) * d
                     } else {
                         0.0
                     };
-                    let s_to = state.size[to];
+                    let s_to = state.model.size()[to];
                     let d_in = if s_to > 0 {
                         let d = state.sq_dist_to_prototype(x, to);
                         (s_to as f64 / (s_to as f64 + 1.0)) * d

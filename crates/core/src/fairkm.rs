@@ -1,15 +1,16 @@
 //! The FairKM algorithm (Algorithm 1 of the paper).
 
 use crate::config::{DeltaEngine, FairKmConfig, FairKmError, FairKmInit, UpdateSchedule};
-use crate::state::{State, UNASSIGNED};
+use crate::state::State;
 use fairkm_data::{Dataset, NumericMatrix, Partition, SensitiveSpace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
 // Accept a move only if it improves the objective by more than this —
 // guards against float-noise oscillation between equal-objective states
 // (shared with the sharded coordinator, so both apply the same filter).
-use crate::agg::MOVE_EPS;
+use crate::agg::{MOVE_EPS, TOMBSTONE};
 
 /// A fitted FairKM model.
 #[derive(Debug, Clone)]
@@ -200,7 +201,7 @@ impl FairKm {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let assignment = initial_assignment(matrix, k, self.config.init, &mut rng, threads);
         let mut state = State::with_norm(
-            matrix,
+            Cow::Borrowed(matrix),
             space,
             &weights,
             k,
@@ -215,8 +216,8 @@ impl FairKm {
         // trace seed) uses the cached form for consistency; the per-move
         // schedule keeps the literal scan form it recomputes each pass.
         let mut objective = match self.config.schedule {
-            UpdateSchedule::PerMove => state.kmeans_term() + lambda * state.fairness_term(),
-            UpdateSchedule::MiniBatch(_) => state.objective_cached(lambda),
+            UpdateSchedule::PerMove => state.kmeans_term() + lambda * state.model.fairness_term(),
+            UpdateSchedule::MiniBatch(_) => state.model.objective_cached(lambda),
         };
         let mut trace = vec![objective];
         let mut total_moves = 0usize;
@@ -231,7 +232,7 @@ impl FairKm {
                     // Per-move passes update the running sums incrementally;
                     // rebuild once per pass to cancel floating-point drift.
                     state.rebuild();
-                    objective = state.kmeans_term() + lambda * state.fairness_term();
+                    objective = state.kmeans_term() + lambda * state.model.fairness_term();
                     moved
                 }
                 UpdateSchedule::MiniBatch(batch) => {
@@ -253,7 +254,7 @@ impl FairKm {
                         // (never per window) so drift stays bounded by a
                         // single pass's moves instead of the whole fit.
                         state.rebuild();
-                        objective = state.objective_cached(lambda);
+                        objective = state.model.objective_cached(lambda);
                     }
                     moved
                 }
@@ -269,15 +270,15 @@ impl FairKm {
         let mut prototypes = Vec::with_capacity(k);
         let mut buf = vec![0.0; matrix.cols()];
         for c in 0..k {
-            if state.size[c] == 0 {
+            if state.model.size()[c] == 0 {
                 prototypes.push(None);
             } else {
-                state.prototype_into(c, &mut buf);
+                state.model.prototype_into(c, &mut buf);
                 prototypes.push(Some(buf.clone()));
             }
         }
         let kmeans_term = state.kmeans_term();
-        let fairness_term = state.fairness_term();
+        let fairness_term = state.model.fairness_term();
         Ok(FairKmModel {
             partition: Partition::new(state.assignment, k).expect("assignments < k"),
             prototypes,
@@ -298,15 +299,12 @@ impl FairKm {
 /// `(best_to, best_delta)`; `best_to == from` when no candidate improves
 /// the objective.
 ///
-/// Everything that depends only on the origin cluster is hoisted out of
-/// the candidate loop — the outbound K-Means delta (one cached distance
-/// instead of one per candidate), the origin's adjusted fairness
-/// contribution, and both "old" contributions, which come straight from
-/// `fair_cache` instead of being recomputed per pair. The remaining
-/// per-candidate work is one cached dot-product distance plus one adjusted
-/// fairness contribution. The per-candidate arithmetic associates exactly
-/// like [`State::delta_kmeans_incremental`] + [`State::delta_fairness`],
-/// so the scores are bit-for-bit what the unhoisted forms produce.
+/// The incremental engine is [`crate::ClusterModel::propose_move_row`]
+/// over the slot's row slices — the hoisted hot loop every shard replica
+/// runs too. The literal engine scores each candidate with the paper's
+/// Eqs. 11–14 K-Means delta plus the Eq. 19 fairness delta. With a fresh
+/// cache the latter recomputes exactly the bits `fair_cache` holds, so
+/// both engines share the fairness arithmetic bit for bit.
 ///
 /// Reads shared state only, so windows of proposals can be evaluated
 /// concurrently with results identical to a sequential scan.
@@ -317,53 +315,32 @@ pub(crate) fn propose_move(
     engine: DeltaEngine,
 ) -> (usize, f64) {
     let from = state.assignment[x];
-    if from == UNASSIGNED {
+    if from == TOMBSTONE {
         // Tombstoned streaming slot: not part of the clustering, no move to
         // propose. Callers skip the slot because `best_to == from`.
         return (from, 0.0);
     }
-    let mut best_to = from;
-    let mut best_delta = 0.0f64;
-    let s_from = state.size[from];
-    // Only the incremental engine consumes the hoisted outbound distance;
-    // the literal engine recomputes both sides per candidate by design.
-    let d_out = match engine {
-        DeltaEngine::Incremental if s_from > 1 => {
-            let d = state.sq_dist_to_prototype_cached(x, from);
-            -(s_from as f64 / (s_from as f64 - 1.0)) * d
-        }
-        // removing the last member: that cluster's SSE was 0
-        DeltaEngine::Incremental | DeltaEngine::Literal => 0.0,
-    };
-    let out_new = state.fairness_contrib_adjusted(from, x, -1);
-    let out_old = state.fair_cache[from];
-    for to in 0..state.k {
-        if to == from {
-            continue;
-        }
-        let d_km = match engine {
-            DeltaEngine::Incremental => {
-                let s_to = state.size[to];
-                let d_in = if s_to > 0 {
-                    let d = state.sq_dist_to_prototype_cached(x, to);
-                    (s_to as f64 / (s_to as f64 + 1.0)) * d
-                } else {
-                    0.0 // singleton in an empty cluster has SSE 0
-                };
-                d_out + d_in
+    match engine {
+        DeltaEngine::Incremental => state.model.propose_move_row(
+            from,
+            state.matrix.row(x),
+            state.cat_row(x),
+            state.num_row(x),
+            state.point_sqnorm[x],
+            lambda,
+        ),
+        DeltaEngine::Literal => {
+            let mut best = (from, 0.0f64);
+            for to in (0..state.model.k()).filter(|&to| to != from) {
+                let delta = state.delta_kmeans_literal(x, from, to)
+                    + lambda * state.delta_fairness(x, from, to);
+                if delta < best.1 {
+                    best = (to, delta);
+                }
             }
-            DeltaEngine::Literal => state.delta_kmeans_literal(x, from, to),
-        };
-        let in_new = state.fairness_contrib_adjusted(to, x, 1);
-        let in_old = state.fair_cache[to];
-        let d_fair = (out_new + in_new) - (out_old + in_old);
-        let delta = d_km + lambda * d_fair;
-        if delta < best_delta {
-            best_delta = delta;
-            best_to = to;
+            best
         }
     }
-    (best_to, best_delta)
 }
 
 /// One sequential scan of `range` with per-move aggregate updates
@@ -383,7 +360,7 @@ fn per_move_scan(
         let (best_to, best_delta) = propose_move(state, x, lambda, engine);
         if best_to != from && best_delta < -MOVE_EPS {
             state.apply_move(x, from, best_to);
-            state.refresh_cache();
+            state.model.refresh_cache();
             moved += 1;
         }
     }
@@ -464,8 +441,8 @@ pub(crate) fn windowed_pass(
             for &(x, from, to) in &staged {
                 state.apply_move(x, from, to);
             }
-            state.refresh_cache();
-            let after = state.objective_cached(lambda);
+            state.model.refresh_cache();
+            let after = state.model.objective_cached(lambda);
             state.debug_validate_cache(lambda);
             if after < current - MOVE_EPS {
                 moved += staged.len();
@@ -483,7 +460,7 @@ pub(crate) fn windowed_pass(
                 state.rebuild();
                 let fallback_moves = per_move_scan(state, lambda, engine, start..end);
                 if fallback_moves > 0 {
-                    current = state.objective_cached(lambda);
+                    current = state.model.objective_cached(lambda);
                 }
                 moved += fallback_moves;
             }
@@ -831,7 +808,7 @@ mod tests {
             }
             if !staged.is_empty() {
                 state.rebuild();
-                let after = state.kmeans_term() + lambda * state.fairness_term();
+                let after = state.kmeans_term() + lambda * state.model.fairness_term();
                 if after < current - MOVE_EPS {
                     moved += staged.len();
                     current = after;
@@ -843,7 +820,7 @@ mod tests {
                     let fallback_moves = per_move_scan(state, lambda, engine, start..end);
                     if fallback_moves > 0 {
                         state.rebuild();
-                        current = state.kmeans_term() + lambda * state.fairness_term();
+                        current = state.kmeans_term() + lambda * state.model.fairness_term();
                     }
                     moved += fallback_moves;
                 }
@@ -862,9 +839,9 @@ mod tests {
         reference: bool,
     ) -> (Vec<f64>, usize) {
         let mut objective = if reference {
-            state.kmeans_term() + lambda * state.fairness_term()
+            state.kmeans_term() + lambda * state.model.fairness_term()
         } else {
-            state.objective_cached(lambda)
+            state.model.objective_cached(lambda)
         };
         let mut trace = vec![objective];
         let mut moves = 0usize;
@@ -909,7 +886,7 @@ mod tests {
         let init: Vec<usize> = (0..matrix.rows()).map(|_| rng.gen_range(0..k)).collect();
         let build = |assignment: Vec<usize>| {
             State::with_norm(
-                &matrix,
+                Cow::Borrowed(&matrix),
                 &space,
                 &weights,
                 k,

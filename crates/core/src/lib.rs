@@ -65,7 +65,7 @@ mod state;
 pub mod streaming;
 pub use fairkm_data::wire;
 
-pub use agg::{AggregateDelta, ShardModel, SlotRow, MOVE_EPS, TOMBSTONE};
+pub use agg::{AggregateDelta, SlotRow, MOVE_EPS, TOMBSTONE};
 pub use config::{
     DeltaEngine, FairKmConfig, FairKmError, FairKmInit, FairnessNorm, Lambda, ObjectiveKind,
     UpdateSchedule,
@@ -73,6 +73,8 @@ pub use config::{
 pub use fairkm::{FairKm, FairKmModel};
 pub use minibatch::MiniBatchFairKm;
 pub use objective::bounded_exact_assignment;
+pub use state::ClusterModel;
 pub use streaming::{
-    EvictReport, IngestReport, ServingView, ShardParts, StreamingConfig, StreamingFairKm,
+    resolve_sensitive, EvictReport, IngestReport, ServingView, ShardParts, StreamingConfig,
+    StreamingFairKm,
 };

@@ -1,6 +1,6 @@
 //! Pluggable fairness objectives: the cached-engine contract that
-//! [`State`](crate::state::State) optimizes against, extracted behind the
-//! [`FairnessObjective`] trait.
+//! [`ClusterModel`](crate::ClusterModel) optimizes against, extracted
+//! behind the [`FairnessObjective`] trait.
 //!
 //! The contract has four parts, mirroring what the scoring cache needs:
 //!
@@ -36,8 +36,8 @@ use crate::state::{CatAttr, NumAttr};
 use fairkm_flow::{BoundedFlowError, BoundedMinCostFlow};
 
 /// Borrowed view of the running aggregates an objective evaluates against:
-/// everything [`crate::state::State`] delta-maintains, minus the task
-/// matrix (objectives see sensitive aggregates only).
+/// everything [`crate::ClusterModel`] delta-maintains, minus the task
+/// sums (objectives see sensitive aggregates only).
 pub(crate) struct FairView<'s> {
     /// Per-cluster member counts `|C|`.
     pub size: &'s [usize],
@@ -53,19 +53,14 @@ pub(crate) struct FairView<'s> {
     pub num_sums: &'s [Vec<f64>],
 }
 
-/// How the adjusted point of [`FairnessObjective::contrib_adjusted`] is
-/// addressed. `Slot` resolves sensitive values through the attribute
-/// columns (the batch/streaming engine, which stores every point);
-/// `Row` carries the values inline (the sharded replica, whose attribute
-/// columns are empty — it only ever sees rows inside protocol messages).
-/// Both resolve to the same `u32`/`f64`, so the arithmetic downstream is
-/// identical either way.
+/// The adjusted point of [`FairnessObjective::contrib_adjusted`]. The
+/// model stores no per-point columns, so a point's sensitive values always
+/// travel inline: a slot's row slices on the single-node engine, the row
+/// inside a protocol message on a shard replica.
 #[derive(Clone, Copy)]
 pub(crate) enum PointRef<'p> {
     /// No adjusted point (`delta = 0`): the unadjusted cached contribution.
     None,
-    /// A stored slot: values live in `CatAttr::values` / `NumAttr::values`.
-    Slot(usize),
     /// Inline sensitive values, indexed by attribute position.
     Row(&'p [u32], &'p [f64]),
 }
@@ -73,20 +68,18 @@ pub(crate) enum PointRef<'p> {
 impl PointRef<'_> {
     /// Categorical value of attribute `a` for the adjusted point.
     #[inline]
-    fn cat(self, a: usize, attr: &CatAttr) -> u32 {
+    fn cat(self, a: usize) -> u32 {
         match self {
             PointRef::None => unreachable!("PointRef::None consulted with nonzero delta"),
-            PointRef::Slot(x) => attr.values[x],
             PointRef::Row(cat_vals, _) => cat_vals[a],
         }
     }
 
     /// Numeric value of attribute `a` for the adjusted point.
     #[inline]
-    fn num(self, a: usize, attr: &NumAttr) -> f64 {
+    fn num(self, a: usize) -> f64 {
         match self {
             PointRef::None => unreachable!("PointRef::None consulted with nonzero delta"),
-            PointRef::Slot(x) => attr.values[x],
             PointRef::Row(_, num_vals) => num_vals[a],
         }
     }
@@ -174,7 +167,7 @@ impl FairnessObjective for Representativity {
             }
             let base = c * attr.t;
             let moved = if delta != 0 {
-                p.cat(a, attr) as usize
+                p.cat(a) as usize
             } else {
                 usize::MAX
             };
@@ -195,7 +188,7 @@ impl FairnessObjective for Representativity {
             }
             let mut sum = sums[c];
             if delta != 0 {
-                sum += delta as f64 * p.num(a, attr);
+                sum += delta as f64 * p.num(a);
             }
             let diff = sum * inv_size - attr.mean;
             dev += attr.weight * diff * diff;
@@ -329,7 +322,7 @@ impl FairnessObjective for BoundedRep {
             v.live as f64,
             |a, s| {
                 let mut count = v.cat_counts[a][c * v.cat[a].t + s];
-                if delta != 0 && p.cat(a, &v.cat[a]) as usize == s {
+                if delta != 0 && p.cat(a) as usize == s {
                     count += delta;
                 }
                 count
@@ -337,7 +330,7 @@ impl FairnessObjective for BoundedRep {
             |a| {
                 let mut sum = v.num_sums[a][c];
                 if delta != 0 {
-                    sum += delta as f64 * p.num(a, &v.num[a]);
+                    sum += delta as f64 * p.num(a);
                 }
                 sum
             },
@@ -461,7 +454,7 @@ impl FairnessObjective for GroupLoss {
             |a, s| {
                 let attr = &v.cat[a];
                 let mut count = v.cat_counts[a][c * attr.t + s];
-                if delta != 0 && p.cat(a, attr) as usize == s {
+                if delta != 0 && p.cat(a) as usize == s {
                     count += delta;
                 }
                 count
@@ -469,7 +462,7 @@ impl FairnessObjective for GroupLoss {
             |a| {
                 let mut sum = v.num_sums[a][c];
                 if delta != 0 {
-                    sum += delta as f64 * p.num(a, &v.num[a]);
+                    sum += delta as f64 * p.num(a);
                 }
                 sum
             },
@@ -692,18 +685,10 @@ mod tests {
                 .map(|row| row.iter().sum::<i64>() as usize)
                 .collect();
             let live = size.iter().sum();
-            let values: Vec<u32> = counts
-                .iter()
-                .flat_map(|row| {
-                    std::iter::repeat_n(0u32, row[0] as usize)
-                        .chain(std::iter::repeat_n(1u32, row[1] as usize))
-                })
-                .collect();
             Self {
                 size,
                 live,
                 cat: vec![CatAttr {
-                    values,
                     t: 2,
                     dist: vec![0.5, 0.5],
                     value_scale: vec![0.5, 0.5],
@@ -711,7 +696,6 @@ mod tests {
                 }],
                 cat_counts: vec![counts.iter().flatten().copied().collect()],
                 num: vec![NumAttr {
-                    values: vec![0.0; live],
                     mean: 0.0,
                     weight: num_weight,
                 }],

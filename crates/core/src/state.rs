@@ -1,63 +1,67 @@
-//! Mutable optimization state: cluster sizes, prototype sums, per-attribute
-//! value counts, the δ computations of §4.2, and the scoring caches the
-//! hot loop runs against.
+//! The aggregate engine and the optimization state built on it.
 //!
-//! The state maintains, per cluster: its size, the component-wise sum of
-//! its members' task vectors (prototype = sum / size), and for every
-//! sensitive attribute the per-value member counts (categorical) or value
-//! sum (numeric). All of Eqs. 7, 11–19 and 22 are evaluated against these
-//! running aggregates; a full [`State::rebuild`] recomputes them from the
-//! assignment vector.
+//! The FairKM objective is a function of additive per-cluster aggregates
+//! alone: cluster sizes, the component-wise sums of the members' task
+//! vectors (prototype = sum / size), per-value member counts of every
+//! categorical sensitive attribute (the Eqs. 20–21 fraction updates),
+//! per-cluster value sums of every numeric one, and `Σ‖x‖²`. Bera et al.
+//! (*Fair Algorithms for Clustering*) build on the same split. That is
+//! what this module says, in one place:
+//!
+//! * [`ClusterModel`] holds the k-indexed aggregates, the scoring caches,
+//!   the frozen per-attribute fairness reference (no per-point columns)
+//!   and the active [`Objective`]. Every operation — refresh, dirty-set
+//!   tracking, insert/remove/move deltas, insertion scoring and the
+//!   incremental move proposal — takes the affected point's row inline.
+//!   It is the single implementation of that arithmetic: the batch and
+//!   streaming engine, every serving view, the shard coordinator and every
+//!   shard replica run this same code.
+//! * `State` is a `ClusterModel` plus the slot rows it is fed from: the
+//!   task matrix, the row-major sensitive codes and numeric values, the
+//!   assignment and the per-point `‖x‖²`. Its mutators resolve a slot to
+//!   its row slices and call the model. All of Eqs. 7, 11–19 and 22 are
+//!   evaluated against the model's running aggregates; a full
+//!   `State::rebuild` recomputes them from the assignment vector.
 //!
 //! ## Scoring caches and invalidation
 //!
-//! On top of the running aggregates the state materializes a **scoring
+//! On top of the running aggregates the model materializes a **scoring
 //! cache** so the per-point per-cluster scan (Eqs. 1, 7, 22) does no
 //! per-pair division and no redundant fairness recomputation:
 //!
-//! * [`State::proto`] — the `k×dim` prototypes (`centroid_sum / size`);
-//! * [`State::proto_sqnorm`] — per-cluster `‖μ_c‖²`;
-//! * [`State::point_sqnorm`] — per-point `‖x_i‖²`, computed once (points
-//!   never change);
-//! * [`State::member_sqnorm`] — per-cluster `Σ_{i∈c} ‖x_i‖²`, delta-
-//!   maintained by [`State::apply_move`], which together with the norms
-//!   above yields the cluster SSE in O(1) via
-//!   `SSE_c = Σ‖x‖² − |c|·‖μ_c‖²`;
-//! * [`State::fair_cache`] — per-cluster fairness contributions (the Eq. 7
+//! * `proto` — the `k×dim` prototypes (`centroid_sum / size`);
+//! * `proto_sqnorm` — per-cluster `‖μ_c‖²`;
+//! * `member_sqnorm` — per-cluster `Σ_{i∈c} ‖x_i‖²`, delta-maintained by
+//!   the row mutators, which together with `‖μ_c‖²` yields the cluster SSE
+//!   in O(1) via `SSE_c = Σ‖x‖² − |c|·‖μ_c‖²`;
+//! * `fair_cache` — per-cluster fairness contributions (the Eq. 7
 //!   summands plus the Eq. 22 numeric terms).
 //!
-//! [`State::sq_dist_to_prototype_cached`] evaluates the point-to-prototype
+//! [`ClusterModel::sq_dist_row_cached`] evaluates the point-to-prototype
 //! distance in the vectorizable dot-product form `‖x‖² − 2·x·μ + ‖μ‖²`.
-//! [`State::apply_move`] / [`State::revert_move`] update every running
-//! aggregate in O(dim + Σ|Values(S)|) and only mark the two touched
-//! clusters dirty; [`State::refresh_cache`] re-derives the cache entries
-//! of dirty clusters and leaves every other cluster's entries untouched.
-//! [`State::debug_validate_cache`] (debug builds) cross-checks the
-//! delta-maintained aggregates against a from-scratch recomputation.
+//! [`ClusterModel::move_row`] and its insert/remove siblings update every
+//! running aggregate in O(dim + Σ|Values(S)|) and mark only the clusters
+//! the objective's dirty-set rules name; [`ClusterModel::refresh_cache`]
+//! re-derives the cache entries of dirty clusters and leaves every other
+//! cluster's entries untouched. `State::debug_validate_cache` (debug
+//! builds) cross-checks the delta-maintained aggregates against a
+//! from-scratch recomputation.
 //!
-//! Aggregate recomputation ([`State::rebuild`]) and the K-Means term
-//! ([`State::kmeans_term`]) run on the `fairkm-parallel` engine: fixed
+//! Aggregate recomputation (`State::rebuild`) and the K-Means term
+//! (`State::kmeans_term`) run on the `fairkm-parallel` engine: fixed
 //! chunks of rows build partial aggregates that are merged in chunk order,
 //! so the result is bitwise-identical for any thread count.
 
-use crate::agg::AggregateDelta;
+use crate::agg::{decode_kind, encode_kind, AggregateDelta, TOMBSTONE};
 use crate::config::{FairnessNorm, ObjectiveKind};
 use crate::objective::{FairView, Objective, PointRef};
 use crate::wire::{self, Reader, WireError};
 use fairkm_data::{sq_euclidean, NumericMatrix, SensitiveSpace};
 use std::borrow::Cow;
 
-/// Assignment sentinel for a backing-store slot that is not currently part
-/// of the clustering — never ingested into a cluster, or already evicted.
-/// Every scan (rebuild, scoring, K-Means term) skips such slots; streaming
-/// insert/remove toggles slots between live and unassigned.
-pub(crate) const UNASSIGNED: usize = usize::MAX;
-
-/// One categorical sensitive attribute, flattened for the hot loop.
+/// One categorical sensitive attribute's frozen fairness reference.
 #[derive(Clone, Debug)]
 pub(crate) struct CatAttr {
-    /// Per-object value index.
-    pub values: Vec<u32>,
     /// Domain cardinality `|Values(S)|`.
     pub t: usize,
     /// Dataset-level fractional representation `Fr_X^S`.
@@ -87,64 +91,706 @@ fn value_scales(dist: &[f64], n: usize, norm: FairnessNorm) -> Vec<f64> {
     }
 }
 
-/// One numeric sensitive attribute (Eq. 22).
+/// One numeric sensitive attribute's frozen fairness reference (Eq. 22).
 #[derive(Clone, Debug)]
 pub(crate) struct NumAttr {
-    pub values: Vec<f64>,
     /// Dataset mean `X̄.S`.
     pub mean: f64,
+    /// Fairness weight `w_S` (Eq. 23).
     pub weight: f64,
 }
 
-/// The mutable fit state. Batch fits borrow the task matrix
-/// ([`State::with_norm`]); the streaming driver owns a growable copy
-/// ([`State::with_norm_owned`], `'a = 'static`) so rows can be appended.
-/// Sensitive columns are always owned copies (flattened for cache-friendly
-/// access).
-#[derive(Clone)]
-pub(crate) struct State<'a> {
-    pub matrix: Cow<'a, NumericMatrix>,
-    /// Backing-store slots (matrix rows), including unassigned ones.
-    pub n: usize,
+/// The aggregate engine: the per-cluster aggregates, the frozen fairness
+/// reference (dataset distributions, value scales, means, weights), the
+/// active objective and the scoring caches — but no point storage. Every
+/// operation takes the affected point's row and sensitive values inline.
+///
+/// This is the only implementation of the cached FairKM arithmetic. The
+/// single-node engine feeds it slot rows, a serving view is a clone of it,
+/// and a shard replica feeds it the rows carried in protocol messages. A
+/// replica that applies the same ordered operation log therefore holds the
+/// same aggregates, caches and objective values bit for bit.
+#[derive(Clone, Debug)]
+pub struct ClusterModel {
+    k: usize,
+    dim: usize,
     /// Live (assigned) points — the `|X|` of the fairness term (Eq. 7).
-    /// Equal to `n` for batch fits; diverges under streaming insert/remove.
-    pub live: usize,
-    pub k: usize,
-    pub dim: usize,
-    /// Cluster per slot; [`UNASSIGNED`] marks slots outside the clustering.
-    pub assignment: Vec<usize>,
-    pub size: Vec<usize>,
-    /// Flat k×dim prototype sums.
-    pub centroid_sum: Vec<f64>,
-    pub cat: Vec<CatAttr>,
-    /// Per categorical attribute: flat k×t counts.
-    pub cat_counts: Vec<Vec<i64>>,
-    pub num: Vec<NumAttr>,
-    /// Per numeric attribute: per-cluster value sums.
-    pub num_sums: Vec<Vec<f64>>,
+    live: usize,
+    /// The running per-cluster aggregates: member counts `|C|`, flat k×dim
+    /// prototype sums, per-attribute k×t categorical counts, per-cluster
+    /// numeric value sums and `Σ_{i∈c} ‖x_i‖²`.
+    pub(crate) agg: AggregateDelta,
+    /// Frozen categorical reference.
+    pub(crate) cat: Vec<CatAttr>,
+    /// Frozen numeric reference.
+    pub(crate) num: Vec<NumAttr>,
     /// The fairness objective every contribution/delta evaluation routes
     /// through (enum-dispatched, monomorphized — see [`crate::objective`]).
-    pub objective: Objective,
-    /// Worker threads for rebuild / K-Means-term evaluation (≥ 1). The
-    /// chunk layout is independent of this, so it never changes results.
-    pub threads: usize,
+    objective: Objective,
+    /// The configured objective, retained for serialization: the objective
+    /// is re-instantiated from it against the frozen reference on decode.
+    pub(crate) kind: ObjectiveKind,
     /// Scoring cache: flat k×dim materialized prototypes (zeros for empty
     /// clusters). Valid for clusters not marked dirty.
-    pub proto: Vec<f64>,
+    proto: Vec<f64>,
     /// Scoring cache: per-cluster `‖μ_c‖²` (0 for empty clusters).
-    pub proto_sqnorm: Vec<f64>,
-    /// Per-point `‖x_i‖²`, computed once at construction.
-    pub point_sqnorm: Vec<f64>,
-    /// Per-cluster `Σ_{i∈c} ‖x_i‖²`, delta-maintained by moves.
-    pub member_sqnorm: Vec<f64>,
+    proto_sqnorm: Vec<f64>,
     /// Cached per-cluster fairness contribution (Eq. 7 summand + Eq. 22
     /// terms). Valid for clusters not marked dirty.
-    pub fair_cache: Vec<f64>,
+    pub(crate) fair_cache: Vec<f64>,
     /// Clusters whose `proto` / `proto_sqnorm` / `fair_cache` entries are
     /// stale relative to the running aggregates.
     dirty: Vec<bool>,
     /// Insertion-ordered list of the dirty clusters (mirrors `dirty`).
     dirty_list: Vec<usize>,
+}
+
+impl ClusterModel {
+    /// Assemble a model from the frozen reference, the objective kind and
+    /// an aggregate snapshot, deriving every cache entry by a full refresh.
+    /// Every decoder goes through here: shapes that disagree with each
+    /// other (a corruption the checksums missed, or a foreign buffer) are
+    /// a [`WireError::Invalid`], never a panic in the refresh.
+    pub(crate) fn new(
+        k: usize,
+        dim: usize,
+        cat: Vec<CatAttr>,
+        num: Vec<NumAttr>,
+        kind: ObjectiveKind,
+        agg: AggregateDelta,
+    ) -> Result<Self, WireError> {
+        let invalid = |what: &'static str| Err(WireError::Invalid { what });
+        if agg.size.len() != k
+            || Some(agg.centroid_sum.len()) != k.checked_mul(dim)
+            || agg.member_sqnorm.len() != k
+        {
+            return invalid("aggregate shape");
+        }
+        if agg.cat_counts.len() != cat.len() || agg.num_sums.len() != num.len() {
+            return invalid("sensitive attribute count");
+        }
+        for (attr, counts) in cat.iter().zip(&agg.cat_counts) {
+            if attr.dist.len() != attr.t || attr.value_scale.len() != attr.t {
+                return invalid("categorical attribute shape");
+            }
+            if Some(counts.len()) != k.checked_mul(attr.t) {
+                return invalid("categorical count shape");
+            }
+        }
+        if agg.num_sums.iter().any(|sums| sums.len() != k) {
+            return invalid("numeric attribute shape");
+        }
+        let Some(live) = agg
+            .size
+            .iter()
+            .try_fold(0usize, |total, &s| total.checked_add(s))
+        else {
+            return invalid("cluster sizes");
+        };
+        let mut model = Self {
+            k,
+            dim,
+            live,
+            agg,
+            objective: Objective::from_kind(kind, &cat, &num),
+            cat,
+            num,
+            kind,
+            proto: vec![0.0; k * dim],
+            proto_sqnorm: vec![0.0; k],
+            fair_cache: vec![0.0; k],
+            dirty: vec![false; k],
+            dirty_list: Vec::with_capacity(k),
+        };
+        model.mark_all_dirty();
+        model.refresh_cache();
+        Ok(model)
+    }
+
+    /// The configured fairness objective.
+    pub(crate) fn kind(&self) -> ObjectiveKind {
+        self.kind
+    }
+
+    /// Number of clusters.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Task-space dimensionality.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Live (assigned) point count `|X|`.
+    pub fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Per-cluster member counts.
+    pub fn size(&self) -> &[usize] {
+        &self.agg.size
+    }
+
+    /// Cached per-cluster fairness contributions (requires a fresh cache).
+    pub fn fairness_contribs(&self) -> &[f64] {
+        debug_assert!(self.cache_is_fresh());
+        &self.fair_cache
+    }
+
+    /// Per-attribute categorical cardinalities (shape of the aggregates).
+    pub fn cat_ts(&self) -> Vec<usize> {
+        self.cat.iter().map(|a| a.t).collect()
+    }
+
+    /// Number of numeric sensitive attributes.
+    pub fn n_num(&self) -> usize {
+        self.num.len()
+    }
+
+    /// A zeroed [`AggregateDelta`] shaped like this model's aggregates.
+    pub fn zeroed_delta(&self) -> AggregateDelta {
+        AggregateDelta::zeroed(self.k, self.dim, &self.cat_ts(), self.num.len())
+    }
+
+    /// Snapshot the aggregates (the live count is `Σ size`; caches are
+    /// derived state and re-derived on [`Self::install`]).
+    pub fn snapshot(&self) -> AggregateDelta {
+        self.agg.clone()
+    }
+
+    /// Replace the aggregates wholesale and re-derive every cache entry —
+    /// the install-and-refresh tail of a rebuild. Installing the delta an
+    /// ordered chunked rebuild produced makes a replica bitwise-identical
+    /// to a rebuilt single-node engine.
+    pub fn install(&mut self, agg: AggregateDelta) {
+        debug_assert_eq!(agg.size.len(), self.k);
+        debug_assert_eq!(agg.centroid_sum.len(), self.k * self.dim);
+        self.live = agg.size.iter().sum();
+        self.agg = agg;
+        self.mark_all_dirty();
+        self.refresh_cache();
+    }
+
+    /// The aggregate view the pluggable objective evaluates against.
+    #[inline]
+    fn fair_view(&self) -> FairView<'_> {
+        FairView {
+            size: &self.agg.size,
+            live: self.live,
+            cat: &self.cat,
+            cat_counts: &self.agg.cat_counts,
+            num: &self.num,
+            num_sums: &self.agg.num_sums,
+        }
+    }
+
+    /// Cluster `c`'s fairness contribution evaluated as if point `p` were
+    /// added to (`delta = +1`) or removed from (`delta = -1`) it; pass
+    /// `PointRef::None, 0` for the unadjusted value.
+    ///
+    /// This realizes Eqs. 16–18 by exact local recomputation in
+    /// O(Σ_S |Values(S)|) — the same asymptotic cost as the paper's
+    /// expanded algebraic forms, with no room for sign errors. The actual
+    /// arithmetic lives in the active [`Objective`]; dispatch is one
+    /// predicted branch, with each arm monomorphized.
+    #[inline]
+    pub(crate) fn contrib_adjusted(&self, c: usize, p: PointRef<'_>, delta: i64) -> f64 {
+        self.objective
+            .contrib_adjusted(&self.fair_view(), c, p, delta)
+    }
+
+    /// Fairness contribution of cluster `c` (one summand of Eq. 7 plus the
+    /// Eq. 22 numeric terms, with Eq. 23 weights):
+    /// `(|C|/|X|)² · [ Σ_S w_S Σ_s (Fr_C(s) − Fr_X(s))²/|Values(S)|
+    ///               + Σ_S w_S (C.S̄ − X.S̄)² ]`,
+    /// recomputed from the aggregates (never read from the cache).
+    pub(crate) fn fairness_contrib(&self, c: usize) -> f64 {
+        self.contrib_adjusted(c, PointRef::None, 0)
+    }
+
+    /// The full fairness term `deviation_S(C, X)` (Eq. 7 / 22 / 23),
+    /// assembled from freshly computed per-cluster contributions by the
+    /// active objective.
+    pub(crate) fn fairness_term(&self) -> f64 {
+        let contribs: Vec<f64> = (0..self.k).map(|c| self.fairness_contrib(c)).collect();
+        self.objective.assemble(&contribs)
+    }
+
+    /// Mark cluster `c`'s cache entries stale (idempotent).
+    fn mark_dirty(&mut self, c: usize) {
+        if !self.dirty[c] {
+            self.dirty[c] = true;
+            self.dirty_list.push(c);
+        }
+    }
+
+    /// Mark every cluster's cache entry stale. Insert/remove deltas change
+    /// the live count `|X|`, which enters every cluster's Eq. 7 weight
+    /// `(|C|/|X|)²` — so unlike a move, they invalidate all fairness
+    /// contributions, not just the touched cluster's.
+    fn mark_all_dirty(&mut self) {
+        for c in 0..self.k {
+            self.mark_dirty(c);
+        }
+    }
+
+    /// Mark the clusters an insert/remove at `c` invalidates, under the
+    /// objective's declared dirty-set rule.
+    fn mark_live_change(&mut self, c: usize) {
+        if self.objective.dirties_all_on_live_change() {
+            self.mark_all_dirty();
+        } else {
+            self.mark_dirty(c);
+        }
+    }
+
+    /// Whether every cache entry is current (no dirty clusters).
+    pub fn cache_is_fresh(&self) -> bool {
+        self.dirty_list.is_empty()
+    }
+
+    /// Re-derive the cache entries (prototype, `‖μ‖²`, fairness
+    /// contribution) of every dirty cluster from the running aggregates.
+    /// O(dirty · (dim + Σ_S |Values(S)|)); clean clusters are untouched.
+    pub fn refresh_cache(&mut self) {
+        while let Some(c) = self.dirty_list.pop() {
+            self.dirty[c] = false;
+            self.fair_cache[c] = self.fairness_contrib(c);
+            let span = c * self.dim..(c + 1) * self.dim;
+            if self.agg.size[c] == 0 {
+                self.proto[span].fill(0.0);
+                self.proto_sqnorm[c] = 0.0;
+            } else {
+                let inv = 1.0 / self.agg.size[c] as f64;
+                let mut sqnorm = 0.0;
+                for (p, s) in self.proto[span.clone()]
+                    .iter_mut()
+                    .zip(&self.agg.centroid_sum[span])
+                {
+                    let v = s * inv;
+                    *p = v;
+                    sqnorm += v * v;
+                }
+                self.proto_sqnorm[c] = sqnorm;
+            }
+        }
+    }
+
+    /// Insert a point into cluster `c`, delta-updating every running
+    /// aggregate in O(dim + Σ|Values(S)|) with the rebuild's own per-row
+    /// fold. The live count changes, so every shipped objective marks all
+    /// clusters dirty.
+    pub fn insert_row(
+        &mut self,
+        c: usize,
+        row: &[f64],
+        cat_vals: &[u32],
+        num_vals: &[f64],
+        sqnorm: f64,
+    ) {
+        self.agg.add_row(c, row, cat_vals, num_vals, sqnorm);
+        self.live += 1;
+        self.mark_live_change(c);
+    }
+
+    /// Remove a point from cluster `c` (inverse of [`Self::insert_row`]).
+    pub fn remove_row(
+        &mut self,
+        c: usize,
+        row: &[f64],
+        cat_vals: &[u32],
+        num_vals: &[f64],
+        sqnorm: f64,
+    ) {
+        debug_assert!(self.agg.size[c] > 0);
+        self.agg.size[c] -= 1;
+        self.live -= 1;
+        let dst = &mut self.agg.centroid_sum[c * self.dim..(c + 1) * self.dim];
+        for (d, v) in dst.iter_mut().zip(row) {
+            *d -= v;
+        }
+        for ((attr, counts), &v) in self.cat.iter().zip(&mut self.agg.cat_counts).zip(cat_vals) {
+            counts[c * attr.t + v as usize] -= 1;
+        }
+        for (sums, &v) in self.agg.num_sums.iter_mut().zip(num_vals) {
+            sums[c] -= v;
+        }
+        self.agg.member_sqnorm[c] -= sqnorm;
+        self.mark_live_change(c);
+    }
+
+    /// Move a point `from → to` (steps 6–7 of Algorithm 1; Eqs. 20–21 for
+    /// the fractions) with one fused `-=`/`+=` pair per centroid component.
+    /// The objective declares the dirty set: every shipped one confines it
+    /// to the two touched clusters (`live` is unchanged).
+    pub fn move_row(
+        &mut self,
+        from: usize,
+        to: usize,
+        row: &[f64],
+        cat_vals: &[u32],
+        num_vals: &[f64],
+        sqnorm: f64,
+    ) {
+        debug_assert_ne!(from, to);
+        debug_assert!(self.agg.size[from] > 0);
+        self.agg.size[from] -= 1;
+        self.agg.size[to] += 1;
+        {
+            let (lo, hi, from_first) = if from < to {
+                (from, to, true)
+            } else {
+                (to, from, false)
+            };
+            let (head, tail) = self.agg.centroid_sum.split_at_mut(hi * self.dim);
+            let lo_slice = &mut head[lo * self.dim..(lo + 1) * self.dim];
+            let hi_slice = &mut tail[..self.dim];
+            let (from_slice, to_slice) = if from_first {
+                (lo_slice, hi_slice)
+            } else {
+                (hi_slice, lo_slice)
+            };
+            for ((f, t), v) in from_slice.iter_mut().zip(to_slice).zip(row) {
+                *f -= v;
+                *t += v;
+            }
+        }
+        for ((attr, counts), &val) in self.cat.iter().zip(&mut self.agg.cat_counts).zip(cat_vals) {
+            let v = val as usize;
+            counts[from * attr.t + v] -= 1;
+            counts[to * attr.t + v] += 1;
+        }
+        for (sums, &v) in self.agg.num_sums.iter_mut().zip(num_vals) {
+            sums[from] -= v;
+            sums[to] += v;
+        }
+        self.agg.member_sqnorm[from] -= sqnorm;
+        self.agg.member_sqnorm[to] += sqnorm;
+        if self.objective.dirties_all_on_move() {
+            self.mark_all_dirty();
+        } else {
+            self.mark_dirty(from);
+            self.mark_dirty(to);
+        }
+    }
+
+    /// Squared distance from a row to cluster `c`'s prototype in the
+    /// cached dot-product form `‖x‖² − 2·x·μ_c + ‖μ_c‖²`: one fused
+    /// multiply-add pass over the row, no per-pair division, both norms
+    /// read from the cache. Clamped at 0 (the expansion can go marginally
+    /// negative under cancellation); `f64::INFINITY` for an empty cluster.
+    ///
+    /// Requires cluster `c`'s cache entry to be fresh (debug-asserted).
+    #[inline]
+    pub fn sq_dist_row_cached(&self, row: &[f64], sqnorm: f64, c: usize) -> f64 {
+        debug_assert!(!self.dirty[c], "scoring against a stale prototype cache");
+        if self.agg.size[c] == 0 {
+            return f64::INFINITY;
+        }
+        let proto = &self.proto[c * self.dim..(c + 1) * self.dim];
+        let mut dot = 0.0;
+        for (v, p) in row.iter().zip(proto) {
+            dot += v * p;
+        }
+        (sqnorm - 2.0 * dot + self.proto_sqnorm[c]).max(0.0)
+    }
+
+    /// The K-Means term from the cache in O(k), via the identity
+    /// `SSE_c = Σ_{i∈c} ‖x_i‖² − |c|·‖μ_c‖²` (clamped at 0 per cluster
+    /// against cancellation). Requires a fresh cache.
+    pub fn kmeans_term_cached(&self) -> f64 {
+        debug_assert!(self.cache_is_fresh(), "cached K-Means term needs a refresh");
+        (0..self.k)
+            .map(|c| {
+                (self.agg.member_sqnorm[c] - self.agg.size[c] as f64 * self.proto_sqnorm[c])
+                    .max(0.0)
+            })
+            .sum()
+    }
+
+    /// The fairness term from the cache in O(k), assembled by the active
+    /// objective. Requires a fresh cache; each cached entry is
+    /// bitwise-identical to a fresh contribution (the refresh runs the
+    /// very same computation).
+    pub fn fairness_term_cached(&self) -> f64 {
+        debug_assert!(
+            self.cache_is_fresh(),
+            "cached fairness term needs a refresh"
+        );
+        self.objective.assemble(&self.fair_cache)
+    }
+
+    /// Full objective `kmeans + λ·fairness` from the cache in O(k).
+    pub fn objective_cached(&self, lambda: f64) -> f64 {
+        self.kmeans_term_cached() + lambda * self.fairness_term_cached()
+    }
+
+    /// Write cluster `c`'s prototype (mean) into `out`; zeros if empty.
+    pub fn prototype_into(&self, c: usize, out: &mut [f64]) {
+        let src = &self.agg.centroid_sum[c * self.dim..(c + 1) * self.dim];
+        if self.agg.size[c] == 0 {
+            out.fill(0.0);
+            return;
+        }
+        let inv = 1.0 / self.agg.size[c] as f64;
+        for (o, s) in out.iter_mut().zip(src) {
+            *o = s * inv;
+        }
+    }
+
+    /// Exact objective change of inserting an external point (task row +
+    /// sensitive values) into cluster `c`, against the current caches:
+    ///
+    /// * K-Means side: the Hartigan–Wong insertion form
+    ///   `|C|/(|C|+1)·‖x−μ_C‖²` over the cached dot-product kernel (zero
+    ///   for an empty cluster — a singleton has no SSE);
+    /// * fairness side: cluster `c`'s contribution recomputed with the
+    ///   point added and `|X|+1` live points, **plus** every other
+    ///   cluster's cached contribution rescaled by `(|X|/(|X|+1))²` — the
+    ///   global re-weighting an insertion causes — minus the current total.
+    ///
+    /// Requires a fresh cache. O(dim + Σ|Values(S)| + k).
+    ///
+    /// The serve path ([`Self::score_insertion`]) uses the `_with_total`
+    /// form with the fairness total hoisted out of the candidate loop; this
+    /// uncomposed form is the reference the brute-force proptests exercise.
+    #[cfg(test)]
+    pub(crate) fn insertion_delta(
+        &self,
+        c: usize,
+        row: &[f64],
+        cat_vals: &[u32],
+        num_vals: &[f64],
+        lambda: f64,
+    ) -> f64 {
+        let fair_total: f64 = self.fair_cache.iter().sum();
+        self.insertion_delta_with_total(c, row, cat_vals, num_vals, lambda, fair_total)
+    }
+
+    /// `insertion_delta` with the current fairness total passed in, so a
+    /// full [`Self::score_insertion`] scan sums `fair_cache` once instead
+    /// of once per candidate.
+    fn insertion_delta_with_total(
+        &self,
+        c: usize,
+        row: &[f64],
+        cat_vals: &[u32],
+        num_vals: &[f64],
+        lambda: f64,
+        fair_total: f64,
+    ) -> f64 {
+        debug_assert!(
+            self.cache_is_fresh(),
+            "insertion scoring needs a fresh cache"
+        );
+        let s = self.agg.size[c];
+        let d_km = if s > 0 {
+            let proto = &self.proto[c * self.dim..(c + 1) * self.dim];
+            let mut dot = 0.0;
+            let mut row_sqnorm = 0.0;
+            for (v, p) in row.iter().zip(proto) {
+                dot += v * p;
+                row_sqnorm += v * v;
+            }
+            let d = (row_sqnorm - 2.0 * dot + self.proto_sqnorm[c]).max(0.0);
+            (s as f64 / (s as f64 + 1.0)) * d
+        } else {
+            0.0
+        };
+        let live = self.live as f64;
+        let shrink = self.objective.insertion_rescale(live);
+        let new_fair = self
+            .objective
+            .insertion_contrib(&self.fair_view(), c, cat_vals, num_vals)
+            + (fair_total - self.fair_cache[c]) * shrink;
+        d_km + lambda * (new_fair - fair_total)
+    }
+
+    /// Frozen-prototype assignment of an external point: the cluster
+    /// minimizing the exact insertion delta (fairness total hoisted once,
+    /// strict-improvement candidate loop, ties to the lowest index), plus
+    /// that delta. Read-only, so batches of arrivals can be scored
+    /// concurrently against caches frozen at batch start.
+    pub fn score_insertion(
+        &self,
+        row: &[f64],
+        cat_vals: &[u32],
+        num_vals: &[f64],
+        lambda: f64,
+    ) -> (usize, f64) {
+        let fair_total: f64 = self.fair_cache.iter().sum();
+        let mut best = 0usize;
+        let mut best_delta = f64::INFINITY;
+        for c in 0..self.k {
+            let delta =
+                self.insertion_delta_with_total(c, row, cat_vals, num_vals, lambda, fair_total);
+            if delta < best_delta {
+                best_delta = delta;
+                best = c;
+            }
+        }
+        (best, best_delta)
+    }
+
+    /// Best move for a live point currently in `from`: the candidate target
+    /// minimizing δO = δKM + λ·δfair (Algorithm 1, steps 3–5). Returns
+    /// `(best_to, best_delta)`; `best_to == from` when no candidate
+    /// improves the objective.
+    ///
+    /// Everything that depends only on the origin cluster is hoisted out of
+    /// the candidate loop — the outbound Hartigan–Wong K-Means delta (one
+    /// cached distance instead of one per candidate), the origin's adjusted
+    /// fairness contribution, and both "old" contributions, which come
+    /// straight from `fair_cache`. The remaining per-candidate work is one
+    /// cached dot-product distance plus one adjusted fairness contribution,
+    /// associated exactly like the unhoisted reference forms
+    /// (`State::delta_kmeans_incremental` + `State::delta_fairness`).
+    ///
+    /// Read-only, so windows of proposals can be evaluated concurrently
+    /// with results identical to a sequential scan.
+    pub fn propose_move_row(
+        &self,
+        from: usize,
+        row: &[f64],
+        cat_vals: &[u32],
+        num_vals: &[f64],
+        sqnorm: f64,
+        lambda: f64,
+    ) -> (usize, f64) {
+        let mut best_to = from;
+        let mut best_delta = 0.0f64;
+        let s_from = self.agg.size[from];
+        let d_out = if s_from > 1 {
+            let d = self.sq_dist_row_cached(row, sqnorm, from);
+            -(s_from as f64 / (s_from as f64 - 1.0)) * d
+        } else {
+            // removing the last member: that cluster's SSE was 0
+            0.0
+        };
+        let p = PointRef::Row(cat_vals, num_vals);
+        let out_new = self.contrib_adjusted(from, p, -1);
+        let out_old = self.fair_cache[from];
+        for to in 0..self.k {
+            if to == from {
+                continue;
+            }
+            let s_to = self.agg.size[to];
+            let d_in = if s_to > 0 {
+                let d = self.sq_dist_row_cached(row, sqnorm, to);
+                (s_to as f64 / (s_to as f64 + 1.0)) * d
+            } else {
+                0.0 // singleton in an empty cluster has SSE 0
+            };
+            let d_km = d_out + d_in;
+            let in_new = self.contrib_adjusted(to, p, 1);
+            let in_old = self.fair_cache[to];
+            let d_fair = (out_new + in_new) - (out_old + in_old);
+            let delta = d_km + lambda * d_fair;
+            if delta < best_delta {
+                best_delta = delta;
+                best_to = to;
+            }
+        }
+        (best_to, best_delta)
+    }
+
+    /// Serialize the full model: frozen reference, objective kind, and
+    /// aggregates. Caches are derived state and are re-derived bitwise on
+    /// decode (a refreshed cache is a pure function of the aggregates).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        wire::put_usize(&mut out, self.k);
+        wire::put_usize(&mut out, self.dim);
+        wire::put_usize(&mut out, self.cat.len());
+        for attr in &self.cat {
+            wire::put_usize(&mut out, attr.t);
+            wire::put_f64s(&mut out, &attr.dist);
+            wire::put_f64s(&mut out, &attr.value_scale);
+            wire::put_f64(&mut out, attr.weight);
+        }
+        wire::put_usize(&mut out, self.num.len());
+        for attr in &self.num {
+            wire::put_f64(&mut out, attr.mean);
+            wire::put_f64(&mut out, attr.weight);
+        }
+        encode_kind(&mut out, self.kind);
+        self.snapshot().to_bytes(&mut out);
+        out
+    }
+
+    /// Decode a model serialized by [`Self::to_bytes`]; a typed error on a
+    /// truncated, malformed or inconsistently shaped buffer.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+        let mut r = Reader::new(bytes);
+        let model = Self::from_reader(&mut r)?;
+        r.expect_empty()?;
+        Ok(model)
+    }
+
+    /// Decode a model from a sequential reader (for embedding inside
+    /// larger snapshots); a typed error on truncated, malformed or
+    /// inconsistently shaped bytes.
+    pub fn from_reader(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let k = r.get_usize()?;
+        let dim = r.get_usize()?;
+        let n_cat = r.get_len(8)?;
+        let mut cat = Vec::with_capacity(n_cat);
+        for _ in 0..n_cat {
+            cat.push(CatAttr {
+                t: r.get_usize()?,
+                dist: r.get_f64s()?,
+                value_scale: r.get_f64s()?,
+                weight: r.get_f64()?,
+            });
+        }
+        let n_num = r.get_len(8)?;
+        let mut num = Vec::with_capacity(n_num);
+        for _ in 0..n_num {
+            num.push(NumAttr {
+                mean: r.get_f64()?,
+                weight: r.get_f64()?,
+            });
+        }
+        let kind = decode_kind(r)?;
+        let agg = AggregateDelta::from_reader(r)?;
+        Self::new(k, dim, cat, num, kind, agg)
+    }
+}
+
+/// The slot range of `x` in a row-major array of `width` values per slot.
+#[inline]
+fn slot_span<T>(values: &[T], width: usize, x: usize) -> &[T] {
+    &values[x * width..(x + 1) * width]
+}
+
+/// The mutable fit state: a [`ClusterModel`] plus the slot rows it is fed
+/// from. Batch fits borrow the task matrix; the streaming driver owns a
+/// growable copy so rows can be appended ([`State::with_norm`]). Sensitive
+/// values are always owned, row-major copies, so a slot's codes are one
+/// contiguous slice.
+#[derive(Clone)]
+pub(crate) struct State<'a> {
+    /// The aggregate engine every mutation and score runs through.
+    pub model: ClusterModel,
+    pub matrix: Cow<'a, NumericMatrix>,
+    /// Backing-store slots (matrix rows), including unassigned ones.
+    pub n: usize,
+    /// Cluster per slot; [`TOMBSTONE`] marks slots outside the clustering
+    /// (never ingested into a cluster, or already evicted). Every scan
+    /// skips such slots; streaming insert/remove toggles slots between
+    /// live and tombstoned.
+    pub assignment: Vec<usize>,
+    /// Row-major categorical codes, one per categorical attribute per slot.
+    cat_codes: Vec<u32>,
+    /// Row-major numeric sensitive values, one per numeric attribute per
+    /// slot.
+    num_values: Vec<f64>,
+    /// Per-point `‖x_i‖²`, computed once per slot (points never change).
+    pub point_sqnorm: Vec<f64>,
+    /// Worker threads for rebuild / K-Means-term evaluation (≥ 1). The
+    /// chunk layout is independent of this, so it never changes results.
+    pub threads: usize,
     /// Number of full [`State::rebuild`] calls (including the one in the
     /// constructor). Diagnostic: the windowed accept path is rebuild-free,
     /// and the regression tests pin that down through this counter.
@@ -167,7 +813,7 @@ impl<'a> State<'a> {
         assignment: Vec<usize>,
     ) -> Self {
         Self::with_norm(
-            matrix,
+            Cow::Borrowed(matrix),
             space,
             weights,
             k,
@@ -179,58 +825,12 @@ impl<'a> State<'a> {
     }
 
     /// Like [`Self::new`] with an explicit deviation normalization,
-    /// fairness objective, and worker-thread count.
+    /// fairness objective, and worker-thread count. Batch fits borrow the
+    /// task matrix; the streaming driver hands over an owned one
+    /// (`'a = 'static`) so the state can outlive its construction site and
+    /// grow ([`Self::push_row`]).
     #[allow(clippy::too_many_arguments)]
     pub fn with_norm(
-        matrix: &'a NumericMatrix,
-        space: &SensitiveSpace,
-        weights: &[f64],
-        k: usize,
-        assignment: Vec<usize>,
-        norm: FairnessNorm,
-        objective: ObjectiveKind,
-        threads: usize,
-    ) -> Self {
-        Self::build(
-            Cow::Borrowed(matrix),
-            space,
-            weights,
-            k,
-            assignment,
-            norm,
-            objective,
-            threads,
-        )
-    }
-
-    /// Like [`Self::with_norm`] but owning the matrix, so the state can
-    /// outlive its construction site and grow ([`Self::push_row`]) — the
-    /// form the streaming driver holds long-term.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_norm_owned(
-        matrix: NumericMatrix,
-        space: &SensitiveSpace,
-        weights: &[f64],
-        k: usize,
-        assignment: Vec<usize>,
-        norm: FairnessNorm,
-        objective: ObjectiveKind,
-        threads: usize,
-    ) -> State<'static> {
-        State::build(
-            Cow::Owned(matrix),
-            space,
-            weights,
-            k,
-            assignment,
-            norm,
-            objective,
-            threads,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
         matrix: Cow<'a, NumericMatrix>,
         space: &SensitiveSpace,
         weights: &[f64],
@@ -249,7 +849,6 @@ impl<'a> State<'a> {
             .iter()
             .zip(weights)
             .map(|(a, &w)| CatAttr {
-                values: a.values().to_vec(),
                 t: a.cardinality(),
                 dist: a.dataset_dist().to_vec(),
                 value_scale: value_scales(a.dataset_dist(), n, norm),
@@ -261,10 +860,15 @@ impl<'a> State<'a> {
             .iter()
             .zip(&weights[space.categorical().len()..])
             .map(|(a, &w)| NumAttr {
-                values: a.values().to_vec(),
                 mean: a.dataset_mean(),
                 weight: w,
             })
+            .collect();
+        let cat_codes = (0..n)
+            .flat_map(|i| space.categorical().iter().map(move |a| a.value(i)))
+            .collect();
+        let num_values = (0..n)
+            .flat_map(|i| space.numeric().iter().map(move |a| a.value(i)))
             .collect();
         let threads = threads.max(1);
         // Point norms never change, so they are computed exactly once.
@@ -273,31 +877,21 @@ impl<'a> State<'a> {
         let point_sqnorm = fairkm_parallel::map_indexed(threads, 0..n, |i| {
             matrix.row(i).iter().map(|v| v * v).sum::<f64>()
         });
+        let cat_ts: Vec<usize> = cat.iter().map(|a| a.t).collect();
+        let zeroed = AggregateDelta::zeroed(k, dim, &cat_ts, num.len());
         // The objective is instantiated against the frozen sensitive
         // reference (dataset distributions/means inside the attributes).
-        let objective = Objective::from_kind(objective, &cat, &num);
+        let model = ClusterModel::new(k, dim, cat, num, objective, zeroed)
+            .expect("zeroed aggregates are shaped like the model");
         let mut state = Self {
+            model,
             matrix,
             n,
-            live: 0, // set by the rebuild below
-            k,
-            dim,
             assignment,
-            size: vec![0; k],
-            centroid_sum: vec![0.0; k * dim],
-            cat_counts: cat.iter().map(|a| vec![0i64; k * a.t]).collect(),
-            num_sums: num.iter().map(|_| vec![0.0; k]).collect(),
-            cat,
-            num,
-            objective,
-            threads,
-            proto: vec![0.0; k * dim],
-            proto_sqnorm: vec![0.0; k],
+            cat_codes,
+            num_values,
             point_sqnorm,
-            member_sqnorm: vec![0.0; k],
-            fair_cache: vec![0.0; k],
-            dirty: vec![false; k],
-            dirty_list: Vec::with_capacity(k),
+            threads,
             rebuilds: 0,
             fallbacks: 0,
         };
@@ -305,10 +899,16 @@ impl<'a> State<'a> {
         state
     }
 
-    /// A zeroed partial shaped like this state's aggregates.
-    fn zeroed_partial(&self) -> AggregateDelta {
-        let cat_ts: Vec<usize> = self.cat.iter().map(|a| a.t).collect();
-        AggregateDelta::zeroed(self.k, self.dim, &cat_ts, self.num.len())
+    /// Slot `x`'s categorical codes, by attribute position.
+    #[inline]
+    pub fn cat_row(&self, x: usize) -> &[u32] {
+        slot_span(&self.cat_codes, self.model.cat.len(), x)
+    }
+
+    /// Slot `x`'s numeric sensitive values, by attribute position.
+    #[inline]
+    pub fn num_row(&self, x: usize) -> &[f64] {
+        slot_span(&self.num_values, self.model.num.len(), x)
     }
 
     /// Aggregate one chunk of rows into a fresh partial (steps of
@@ -316,25 +916,18 @@ impl<'a> State<'a> {
     /// chunks can be computed concurrently — and the same per-row fold a
     /// shard replays over its owned slots during a distributed rebuild.
     fn rebuild_partial(&self, range: std::ops::Range<usize>) -> AggregateDelta {
-        let mut part = self.zeroed_partial();
+        let mut part = self.model.zeroed_delta();
         for i in range {
             let c = self.assignment[i];
-            if c == UNASSIGNED {
-                continue;
+            if c != TOMBSTONE {
+                part.add_row(
+                    c,
+                    self.matrix.row(i),
+                    self.cat_row(i),
+                    self.num_row(i),
+                    self.point_sqnorm[i],
+                );
             }
-            part.size[c] += 1;
-            let row = self.matrix.row(i);
-            let dst = &mut part.centroid_sum[c * self.dim..(c + 1) * self.dim];
-            for (d, v) in dst.iter_mut().zip(row) {
-                *d += v;
-            }
-            for (attr, counts) in self.cat.iter().zip(&mut part.cat_counts) {
-                counts[c * attr.t + attr.values[i] as usize] += 1;
-            }
-            for (attr, sums) in self.num.iter().zip(&mut part.num_sums) {
-                sums[c] += attr.values[i];
-            }
-            part.member_sqnorm[c] += self.point_sqnorm[i];
         }
         part
     }
@@ -348,74 +941,12 @@ impl<'a> State<'a> {
         let total = fairkm_parallel::fold_chunks(
             self.threads,
             self.n,
-            self.zeroed_partial(),
+            self.model.zeroed_delta(),
             |range| self.rebuild_partial(range),
             AggregateDelta::merge,
         );
-        self.size = total.size;
-        self.centroid_sum = total.centroid_sum;
-        self.cat_counts = total.cat_counts;
-        self.num_sums = total.num_sums;
-        self.member_sqnorm = total.member_sqnorm;
-        self.live = self.size.iter().sum();
-        for c in 0..self.k {
-            self.mark_dirty(c);
-        }
-        self.refresh_cache();
+        self.model.install(total);
         self.rebuilds += 1;
-    }
-
-    /// Mark cluster `c`'s cache entries stale (idempotent).
-    fn mark_dirty(&mut self, c: usize) {
-        if !self.dirty[c] {
-            self.dirty[c] = true;
-            self.dirty_list.push(c);
-        }
-    }
-
-    /// Re-derive the cache entries (prototype, `‖μ‖²`, fairness
-    /// contribution) of every dirty cluster from the running aggregates.
-    /// O(dirty · (dim + Σ_S |Values(S)|)); clean clusters are untouched.
-    pub fn refresh_cache(&mut self) {
-        while let Some(c) = self.dirty_list.pop() {
-            self.dirty[c] = false;
-            self.fair_cache[c] = self.fairness_contrib_adjusted(c, usize::MAX, 0);
-            let span = c * self.dim..(c + 1) * self.dim;
-            if self.size[c] == 0 {
-                self.proto[span].fill(0.0);
-                self.proto_sqnorm[c] = 0.0;
-            } else {
-                let inv = 1.0 / self.size[c] as f64;
-                let mut sqnorm = 0.0;
-                for (p, s) in self.proto[span.clone()]
-                    .iter_mut()
-                    .zip(&self.centroid_sum[span])
-                {
-                    let v = s * inv;
-                    *p = v;
-                    sqnorm += v * v;
-                }
-                self.proto_sqnorm[c] = sqnorm;
-            }
-        }
-    }
-
-    /// Whether every cache entry is current (no dirty clusters).
-    pub fn cache_is_fresh(&self) -> bool {
-        self.dirty_list.is_empty()
-    }
-
-    /// Write cluster `c`'s prototype (mean) into `out`; zeros if empty.
-    pub fn prototype_into(&self, c: usize, out: &mut [f64]) {
-        let src = &self.centroid_sum[c * self.dim..(c + 1) * self.dim];
-        if self.size[c] == 0 {
-            out.fill(0.0);
-            return;
-        }
-        let inv = 1.0 / self.size[c] as f64;
-        for (o, s) in out.iter_mut().zip(src) {
-            *o = s * inv;
-        }
     }
 
     /// Squared distance from point `x` to cluster `c`'s prototype;
@@ -424,17 +955,18 @@ impl<'a> State<'a> {
     /// This is the literal per-pair form (derive the prototype from the
     /// running sum, subtract, square): it reads only the aggregates, so it
     /// never depends on cache freshness. The hot loop uses
-    /// [`Self::sq_dist_to_prototype_cached`] instead; this form remains the
+    /// [`ClusterModel::sq_dist_row_cached`] instead; this form remains the
     /// reference kernel for [`Self::kmeans_term`], the `scoring_cache`
     /// bench baseline, and the kernel-equivalence tests.
     #[inline]
     pub fn sq_dist_to_prototype(&self, x: usize, c: usize) -> f64 {
-        let s = self.size[c];
+        let s = self.model.agg.size[c];
         if s == 0 {
             return f64::INFINITY;
         }
         let inv = 1.0 / s as f64;
-        let sums = &self.centroid_sum[c * self.dim..(c + 1) * self.dim];
+        let dim = self.model.dim;
+        let sums = &self.model.agg.centroid_sum[c * dim..(c + 1) * dim];
         let row = self.matrix.row(x);
         let mut acc = 0.0;
         for (v, sum) in row.iter().zip(sums) {
@@ -442,28 +974,6 @@ impl<'a> State<'a> {
             acc += d * d;
         }
         acc
-    }
-
-    /// Squared distance from point `x` to cluster `c`'s prototype in the
-    /// cached dot-product form `‖x‖² − 2·x·μ_c + ‖μ_c‖²`: one fused
-    /// multiply-add pass over the row, no per-pair division, both norms
-    /// read from the cache. Clamped at 0 (the expansion can go marginally
-    /// negative under cancellation); `f64::INFINITY` for an empty cluster.
-    ///
-    /// Requires cluster `c`'s cache entry to be fresh (debug-asserted).
-    #[inline]
-    pub fn sq_dist_to_prototype_cached(&self, x: usize, c: usize) -> f64 {
-        debug_assert!(!self.dirty[c], "scoring against a stale prototype cache");
-        if self.size[c] == 0 {
-            return f64::INFINITY;
-        }
-        let proto = &self.proto[c * self.dim..(c + 1) * self.dim];
-        let row = self.matrix.row(x);
-        let mut dot = 0.0;
-        for (v, p) in row.iter().zip(proto) {
-            dot += v * p;
-        }
-        (self.point_sqnorm[x] - 2.0 * dot + self.proto_sqnorm[c]).max(0.0)
     }
 
     /// The K-Means term of the objective (Eq. 1, left): total
@@ -474,7 +984,7 @@ impl<'a> State<'a> {
             let mut total = 0.0;
             for i in range {
                 let c = self.assignment[i];
-                if c != UNASSIGNED && self.size[c] > 0 {
+                if c != TOMBSTONE && self.model.agg.size[c] > 0 {
                     total += self.sq_dist_to_prototype(i, c);
                 }
             }
@@ -482,92 +992,17 @@ impl<'a> State<'a> {
         })
     }
 
-    /// The K-Means term from the cache in O(k), via the identity
-    /// `SSE_c = Σ_{i∈c} ‖x_i‖² − |c|·‖μ_c‖²` (clamped at 0 per cluster
-    /// against cancellation). Requires a fresh cache.
-    pub fn kmeans_term_cached(&self) -> f64 {
-        debug_assert!(self.cache_is_fresh(), "cached K-Means term needs a refresh");
-        (0..self.k)
-            .map(|c| (self.member_sqnorm[c] - self.size[c] as f64 * self.proto_sqnorm[c]).max(0.0))
-            .sum()
-    }
-
-    /// The fairness term from the cache in O(k), assembled by the active
-    /// objective. Requires a fresh cache; each cached entry is
-    /// bitwise-identical to [`Self::fairness_contrib`] (the refresh runs
-    /// the very same computation).
-    pub fn fairness_term_cached(&self) -> f64 {
-        debug_assert!(
-            self.cache_is_fresh(),
-            "cached fairness term needs a refresh"
-        );
-        self.objective.assemble(&self.fair_cache)
-    }
-
-    /// Full objective `kmeans + λ·fairness` from the cache in O(k).
-    pub fn objective_cached(&self, lambda: f64) -> f64 {
-        self.kmeans_term_cached() + lambda * self.fairness_term_cached()
-    }
-
-    /// Fairness contribution of cluster `c` (one summand of Eq. 7 plus the
-    /// Eq. 22 numeric terms, with Eq. 23 weights):
-    /// `(|C|/|X|)² · [ Σ_S w_S Σ_s (Fr_C(s) − Fr_X(s))²/|Values(S)|
-    ///               + Σ_S w_S (C.S̄ − X.S̄)² ]`.
-    pub fn fairness_contrib(&self, c: usize) -> f64 {
-        self.fairness_contrib_adjusted(c, usize::MAX, 0)
-    }
-
-    /// The aggregate view the pluggable objective evaluates against
-    /// (everything but the task matrix).
-    #[inline]
-    fn fair_view(&self) -> FairView<'_> {
-        FairView {
-            size: &self.size,
-            live: self.live,
-            cat: &self.cat,
-            cat_counts: &self.cat_counts,
-            num: &self.num,
-            num_sums: &self.num_sums,
-        }
-    }
-
-    /// Like [`Self::fairness_contrib`] but evaluated as if object `x` were
-    /// added to (`delta = +1`) or removed from (`delta = -1`) cluster `c`.
-    /// Pass `x = usize::MAX, delta = 0` for the unadjusted value.
-    ///
-    /// This realizes Eqs. 16–18 by exact local recomputation in
-    /// O(Σ_S |Values(S)|) — the same asymptotic cost as the paper's
-    /// expanded algebraic forms, with no room for sign errors. The actual
-    /// arithmetic lives in the active [`Objective`]; dispatch is one
-    /// predicted branch, with each arm monomorphized.
-    #[inline]
-    pub fn fairness_contrib_adjusted(&self, c: usize, x: usize, delta: i64) -> f64 {
-        let p = if delta == 0 {
-            PointRef::None
-        } else {
-            PointRef::Slot(x)
-        };
-        self.objective
-            .contrib_adjusted(&self.fair_view(), c, p, delta)
-    }
-
-    /// The full fairness term `deviation_S(C, X)` (Eq. 7 / 22 / 23),
-    /// assembled from freshly scanned per-cluster contributions by the
-    /// active objective.
-    pub fn fairness_term(&self) -> f64 {
-        let contribs: Vec<f64> = (0..self.k).map(|c| self.fairness_contrib(c)).collect();
-        self.objective.assemble(&contribs)
-    }
-
-    /// Change in the fairness term if `x` moved `from → to` (Eq. 19).
+    /// Change in the fairness term if `x` moved `from → to` (Eq. 19),
+    /// with every contribution recomputed from the aggregates.
     pub fn delta_fairness(&self, x: usize, from: usize, to: usize) -> f64 {
         if from == to {
             return 0.0;
         }
-        let out_new = self.fairness_contrib_adjusted(from, x, -1);
-        let in_new = self.fairness_contrib_adjusted(to, x, 1);
-        let out_old = self.fairness_contrib(from);
-        let in_old = self.fairness_contrib(to);
+        let p = PointRef::Row(self.cat_row(x), self.num_row(x));
+        let out_new = self.model.contrib_adjusted(from, p, -1);
+        let in_new = self.model.contrib_adjusted(to, p, 1);
+        let out_old = self.model.fairness_contrib(from);
+        let in_old = self.model.fairness_contrib(to);
         (out_new + in_new) - (out_old + in_old)
     }
 
@@ -576,24 +1011,25 @@ impl<'a> State<'a> {
     /// `μ_from` includes `x`; `μ_to` does not. Requires a fresh cache for
     /// both clusters.
     ///
-    /// The hot loop (`propose_move`) inlines this arithmetic with the
-    /// origin terms hoisted; this form is the uncomposed reference the
-    /// δ-equivalence tests exercise.
+    /// The hot loop ([`ClusterModel::propose_move_row`]) inlines this
+    /// arithmetic with the origin terms hoisted; this form is the
+    /// uncomposed reference the δ-equivalence tests exercise.
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn delta_kmeans_incremental(&self, x: usize, from: usize, to: usize) -> f64 {
         if from == to {
             return 0.0;
         }
-        let s_from = self.size[from];
+        let (row, sqnorm) = (self.matrix.row(x), self.point_sqnorm[x]);
+        let s_from = self.model.agg.size[from];
         let d_out = if s_from > 1 {
-            let d = self.sq_dist_to_prototype_cached(x, from);
+            let d = self.model.sq_dist_row_cached(row, sqnorm, from);
             -(s_from as f64 / (s_from as f64 - 1.0)) * d
         } else {
             0.0 // removing the last member: that cluster's SSE was 0
         };
-        let s_to = self.size[to];
+        let s_to = self.model.agg.size[to];
         let d_in = if s_to > 0 {
-            let d = self.sq_dist_to_prototype_cached(x, to);
+            let d = self.model.sq_dist_row_cached(row, sqnorm, to);
             (s_to as f64 / (s_to as f64 + 1.0)) * d
         } else {
             0.0 // singleton in an empty cluster has SSE 0
@@ -608,16 +1044,16 @@ impl<'a> State<'a> {
         if from == to {
             return 0.0;
         }
-        let dim = self.dim;
+        let dim = self.model.dim;
         let mut mu_from_old = vec![0.0; dim];
         let mut mu_to_old = vec![0.0; dim];
-        self.prototype_into(from, &mut mu_from_old);
-        self.prototype_into(to, &mut mu_to_old);
+        self.model.prototype_into(from, &mut mu_from_old);
+        self.model.prototype_into(to, &mut mu_to_old);
         let row_x = self.matrix.row(x);
 
         // Eq. 11: the origin prototype after excluding x.
-        let s_from = self.size[from] as f64;
-        let mu_from_new: Vec<f64> = if self.size[from] > 1 {
+        let s_from = self.model.agg.size[from] as f64;
+        let mu_from_new: Vec<f64> = if self.model.agg.size[from] > 1 {
             mu_from_old
                 .iter()
                 .zip(row_x)
@@ -627,7 +1063,7 @@ impl<'a> State<'a> {
             vec![0.0; dim] // cluster empties out; no members remain
         };
         // Eq. 13: the target prototype after including x.
-        let s_to = self.size[to] as f64;
+        let s_to = self.model.agg.size[to] as f64;
         let mu_to_new: Vec<f64> = mu_to_old
             .iter()
             .zip(row_x)
@@ -656,53 +1092,14 @@ impl<'a> State<'a> {
         d_out + d_in
     }
 
-    /// Apply the move `x: from → to`, updating every running aggregate
-    /// (steps 6–7 of Algorithm 1; Eqs. 20–21 for the fractions).
+    /// Apply the move `x: from → to` to the assignment and, through
+    /// [`ClusterModel::move_row`], to every running aggregate.
     pub fn apply_move(&mut self, x: usize, from: usize, to: usize) {
-        debug_assert_ne!(from, to);
-        debug_assert!(self.size[from] > 0);
         self.assignment[x] = to;
-        self.size[from] -= 1;
-        self.size[to] += 1;
-        let row = self.matrix.row(x);
-        {
-            let (lo, hi, from_first) = if from < to {
-                (from, to, true)
-            } else {
-                (to, from, false)
-            };
-            let (head, tail) = self.centroid_sum.split_at_mut(hi * self.dim);
-            let lo_slice = &mut head[lo * self.dim..(lo + 1) * self.dim];
-            let hi_slice = &mut tail[..self.dim];
-            let (from_slice, to_slice) = if from_first {
-                (lo_slice, hi_slice)
-            } else {
-                (hi_slice, lo_slice)
-            };
-            for ((f, t), v) in from_slice.iter_mut().zip(to_slice).zip(row) {
-                *f -= v;
-                *t += v;
-            }
-        }
-        for (attr, counts) in self.cat.iter().zip(&mut self.cat_counts) {
-            let v = attr.values[x] as usize;
-            counts[from * attr.t + v] -= 1;
-            counts[to * attr.t + v] += 1;
-        }
-        for (attr, sums) in self.num.iter().zip(&mut self.num_sums) {
-            sums[from] -= attr.values[x];
-            sums[to] += attr.values[x];
-        }
-        self.member_sqnorm[from] -= self.point_sqnorm[x];
-        self.member_sqnorm[to] += self.point_sqnorm[x];
-        // The objective declares its move dirty-set: every shipped one
-        // confines it to the two touched clusters (`live` is unchanged).
-        if self.objective.dirties_all_on_move() {
-            self.mark_all_dirty();
-        } else {
-            self.mark_dirty(from);
-            self.mark_dirty(to);
-        }
+        let cat = slot_span(&self.cat_codes, self.model.cat.len(), x);
+        let num = slot_span(&self.num_values, self.model.num.len(), x);
+        self.model
+            .move_row(from, to, self.matrix.row(x), cat, num, self.point_sqnorm[x]);
     }
 
     /// Undo [`Self::apply_move`]`(x, from, to)`: restores the assignment
@@ -721,118 +1118,67 @@ impl<'a> State<'a> {
         self.apply_move(x, to, from);
     }
 
-    /// Mark every cluster's cache entry stale. Insert/remove deltas change
-    /// the live count `|X|`, which enters every cluster's Eq. 7 weight
-    /// `(|C|/|X|)²` — so unlike a move, they invalidate all fairness
-    /// contributions, not just the touched cluster's.
-    fn mark_all_dirty(&mut self) {
-        for c in 0..self.k {
-            self.mark_dirty(c);
-        }
-    }
-
     /// Append a backing-store slot for a new point: task row, sensitive
     /// values (categorical first, numeric second — the attribute order of
     /// the construction-time space), `‖x‖²`. The slot starts
-    /// [`UNASSIGNED`]; activate it with [`Self::insert_point`]. Returns the
-    /// slot index. Requires an owned matrix ([`Self::with_norm_owned`]).
+    /// [`TOMBSTONE`]; activate it with [`Self::insert_point`]. Returns the
+    /// slot index. Requires an owned matrix.
     pub fn push_row(&mut self, row: &[f64], cat_vals: &[u32], num_vals: &[f64]) -> usize {
-        debug_assert_eq!(row.len(), self.dim);
-        debug_assert_eq!(cat_vals.len(), self.cat.len());
-        debug_assert_eq!(num_vals.len(), self.num.len());
+        debug_assert_eq!(row.len(), self.model.dim);
+        debug_assert_eq!(cat_vals.len(), self.model.cat.len());
+        debug_assert_eq!(num_vals.len(), self.model.num.len());
         let slot = self.n;
         self.matrix.to_mut().push_row(row);
         self.point_sqnorm
             .push(row.iter().map(|v| v * v).sum::<f64>());
-        for (attr, &v) in self.cat.iter_mut().zip(cat_vals) {
-            debug_assert!((v as usize) < attr.t, "sensitive value outside domain");
-            attr.values.push(v);
-        }
-        for (attr, &v) in self.num.iter_mut().zip(num_vals) {
-            attr.values.push(v);
-        }
-        self.assignment.push(UNASSIGNED);
+        self.cat_codes.extend_from_slice(cat_vals);
+        self.num_values.extend_from_slice(num_vals);
+        self.assignment.push(TOMBSTONE);
         self.n += 1;
         slot
     }
 
-    /// Insert the unassigned point `x` into cluster `c`, delta-updating
-    /// every running aggregate exactly like [`Self::apply_move`] does for
-    /// the target side of a move: O(dim + Σ|Values(S)|). All clusters are
-    /// marked dirty (the live count changed — see [`Self::mark_all_dirty`]).
+    /// Insert the tombstoned point `x` into cluster `c` through
+    /// [`ClusterModel::insert_row`].
     pub fn insert_point(&mut self, x: usize, c: usize) {
-        debug_assert_eq!(self.assignment[x], UNASSIGNED, "inserting a live point");
-        debug_assert!(c < self.k);
+        debug_assert_eq!(self.assignment[x], TOMBSTONE, "inserting a live point");
         self.assignment[x] = c;
-        self.size[c] += 1;
-        self.live += 1;
-        let row = self.matrix.row(x);
-        let dst = &mut self.centroid_sum[c * self.dim..(c + 1) * self.dim];
-        for (d, v) in dst.iter_mut().zip(row) {
-            *d += v;
-        }
-        for (attr, counts) in self.cat.iter().zip(&mut self.cat_counts) {
-            counts[c * attr.t + attr.values[x] as usize] += 1;
-        }
-        for (attr, sums) in self.num.iter().zip(&mut self.num_sums) {
-            sums[c] += attr.values[x];
-        }
-        self.member_sqnorm[c] += self.point_sqnorm[x];
-        if self.objective.dirties_all_on_live_change() {
-            self.mark_all_dirty();
-        } else {
-            self.mark_dirty(c);
-        }
+        let cat = slot_span(&self.cat_codes, self.model.cat.len(), x);
+        let num = slot_span(&self.num_values, self.model.num.len(), x);
+        self.model
+            .insert_row(c, self.matrix.row(x), cat, num, self.point_sqnorm[x]);
     }
 
-    /// Remove the live point `x` from its cluster (streaming eviction),
-    /// delta-updating every running aggregate by the inverse of
-    /// [`Self::insert_point`]. The slot stays in the backing store as a
-    /// tombstone until [`Self::compact`]. Returns the cluster it left.
+    /// Remove the live point `x` from its cluster (streaming eviction)
+    /// through [`ClusterModel::remove_row`]. The slot stays in the backing
+    /// store as a tombstone until [`Self::compact`]. Returns the cluster it
+    /// left.
     pub fn remove_point(&mut self, x: usize) -> usize {
         let c = self.assignment[x];
-        debug_assert_ne!(c, UNASSIGNED, "removing an unassigned point");
-        debug_assert!(self.size[c] > 0);
-        self.assignment[x] = UNASSIGNED;
-        self.size[c] -= 1;
-        self.live -= 1;
-        let row = self.matrix.row(x);
-        let dst = &mut self.centroid_sum[c * self.dim..(c + 1) * self.dim];
-        for (d, v) in dst.iter_mut().zip(row) {
-            *d -= v;
-        }
-        for (attr, counts) in self.cat.iter().zip(&mut self.cat_counts) {
-            counts[c * attr.t + attr.values[x] as usize] -= 1;
-        }
-        for (attr, sums) in self.num.iter().zip(&mut self.num_sums) {
-            sums[c] -= attr.values[x];
-        }
-        self.member_sqnorm[c] -= self.point_sqnorm[x];
-        if self.objective.dirties_all_on_live_change() {
-            self.mark_all_dirty();
-        } else {
-            self.mark_dirty(c);
-        }
+        debug_assert_ne!(c, TOMBSTONE, "removing an unassigned point");
+        self.assignment[x] = TOMBSTONE;
+        let cat = slot_span(&self.cat_codes, self.model.cat.len(), x);
+        let num = slot_span(&self.num_values, self.model.num.len(), x);
+        self.model
+            .remove_row(c, self.matrix.row(x), cat, num, self.point_sqnorm[x]);
         c
     }
 
     /// Drop every tombstoned slot from the backing store, renumbering the
     /// survivors. Returns the old slot indices that were kept, in order
     /// (new slot `i` held old slot `kept[i]`) so callers can renumber
-    /// parallel stores. The frozen fairness reference (dataset
-    /// distributions, means, value scales) is untouched. Requires an owned
-    /// matrix.
+    /// parallel stores. Requires an owned matrix.
     ///
-    /// The per-cluster aggregates and caches are preserved **verbatim**:
-    /// they are cluster-indexed and reference no slot ids, so renumbering
-    /// the points cannot change them. Re-deriving them here (a `rebuild`)
-    /// would sum the same members in a different op order than the
-    /// incremental add/remove history and perturb the low bits — breaking
-    /// the contract that compaction is bitwise transparent to the stream
-    /// (pinned by `tests/compact_regression.rs`).
+    /// The model — aggregates, caches and frozen reference — is preserved
+    /// **verbatim**: it is cluster-indexed and references no slot ids, so
+    /// renumbering the points cannot change it. Re-deriving the aggregates
+    /// here (a `rebuild`) would sum the same members in a different op
+    /// order than the incremental add/remove history and perturb the low
+    /// bits — breaking the contract that compaction is bitwise transparent
+    /// to the stream (pinned by `tests/compact_regression.rs`).
     pub fn compact(&mut self) -> Vec<usize> {
         let kept: Vec<usize> = (0..self.n)
-            .filter(|&i| self.assignment[i] != UNASSIGNED)
+            .filter(|&i| self.assignment[i] != TOMBSTONE)
             .collect();
         if kept.len() == self.n {
             return kept;
@@ -840,117 +1186,20 @@ impl<'a> State<'a> {
         let compacted = self.matrix.select_rows(&kept);
         *self.matrix.to_mut() = compacted;
         self.point_sqnorm = kept.iter().map(|&i| self.point_sqnorm[i]).collect();
-        for attr in &mut self.cat {
-            attr.values = kept.iter().map(|&i| attr.values[i]).collect();
-        }
-        for attr in &mut self.num {
-            attr.values = kept.iter().map(|&i| attr.values[i]).collect();
-        }
+        self.cat_codes = kept
+            .iter()
+            .flat_map(|&i| self.cat_row(i))
+            .copied()
+            .collect();
+        self.num_values = kept
+            .iter()
+            .flat_map(|&i| self.num_row(i))
+            .copied()
+            .collect();
         self.assignment = kept.iter().map(|&i| self.assignment[i]).collect();
         self.n = kept.len();
-        debug_assert_eq!(self.live, self.n, "every surviving slot is live");
+        debug_assert_eq!(self.model.live, self.n, "every surviving slot is live");
         kept
-    }
-
-    /// Exact objective change of inserting an external point (task row +
-    /// sensitive values) into cluster `c`, against the current caches:
-    ///
-    /// * K-Means side: the Hartigan–Wong insertion form
-    ///   `|C|/(|C|+1)·‖x−μ_C‖²` over the cached dot-product kernel (zero
-    ///   for an empty cluster — a singleton has no SSE);
-    /// * fairness side: cluster `c`'s contribution recomputed with the
-    ///   point added and `|X|+1` live points, **plus** every other
-    ///   cluster's cached contribution rescaled by `(|X|/(|X|+1))²` — the
-    ///   global re-weighting an insertion causes — minus the current total.
-    ///
-    /// Requires a fresh cache. O(dim + Σ|Values(S)| + k).
-    ///
-    /// The serve path ([`Self::score_insertion`]) uses the `_with_total`
-    /// form with the fairness total hoisted out of the candidate loop; this
-    /// uncomposed form is the reference the brute-force proptests exercise.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn insertion_delta(
-        &self,
-        c: usize,
-        row: &[f64],
-        cat_vals: &[u32],
-        num_vals: &[f64],
-        lambda: f64,
-    ) -> f64 {
-        let fair_total: f64 = self.fair_cache.iter().sum();
-        self.insertion_delta_with_total(c, row, cat_vals, num_vals, lambda, fair_total)
-    }
-
-    /// [`Self::insertion_delta`] with the current fairness total passed in,
-    /// so a full [`Self::score_insertion`] scan sums `fair_cache` once
-    /// instead of once per candidate.
-    fn insertion_delta_with_total(
-        &self,
-        c: usize,
-        row: &[f64],
-        cat_vals: &[u32],
-        num_vals: &[f64],
-        lambda: f64,
-        fair_total: f64,
-    ) -> f64 {
-        debug_assert!(
-            self.cache_is_fresh(),
-            "insertion scoring needs a fresh cache"
-        );
-        let s = self.size[c];
-        let d_km = if s > 0 {
-            let proto = &self.proto[c * self.dim..(c + 1) * self.dim];
-            let mut dot = 0.0;
-            let mut row_sqnorm = 0.0;
-            for (v, p) in row.iter().zip(proto) {
-                dot += v * p;
-                row_sqnorm += v * v;
-            }
-            let d = (row_sqnorm - 2.0 * dot + self.proto_sqnorm[c]).max(0.0);
-            (s as f64 / (s as f64 + 1.0)) * d
-        } else {
-            0.0
-        };
-        let live = self.live as f64;
-        let shrink = self.objective.insertion_rescale(live);
-        let new_fair = self.insertion_contrib(c, cat_vals, num_vals)
-            + (fair_total - self.fair_cache[c]) * shrink;
-        d_km + lambda * (new_fair - fair_total)
-    }
-
-    /// Cluster `c`'s fairness contribution as if the external point joined
-    /// it, with `|X| + 1` live points — the insertion analogue of
-    /// [`Self::fairness_contrib_adjusted`], taking the sensitive values
-    /// directly instead of a slot index.
-    #[inline]
-    fn insertion_contrib(&self, c: usize, cat_vals: &[u32], num_vals: &[f64]) -> f64 {
-        self.objective
-            .insertion_contrib(&self.fair_view(), c, cat_vals, num_vals)
-    }
-
-    /// Frozen-prototype assignment of an external point: the cluster
-    /// minimizing [`Self::insertion_delta`] (ties break to the lowest
-    /// index), plus that delta. Read-only, so batches of arrivals can be
-    /// scored concurrently against caches frozen at batch start.
-    pub fn score_insertion(
-        &self,
-        row: &[f64],
-        cat_vals: &[u32],
-        num_vals: &[f64],
-        lambda: f64,
-    ) -> (usize, f64) {
-        let fair_total: f64 = self.fair_cache.iter().sum();
-        let mut best = 0usize;
-        let mut best_delta = f64::INFINITY;
-        for c in 0..self.k {
-            let delta =
-                self.insertion_delta_with_total(c, row, cat_vals, num_vals, lambda, fair_total);
-            if delta < best_delta {
-                best_delta = delta;
-                best = c;
-            }
-        }
-        (best, best_delta)
     }
 
     /// Debug-build cross-check of the delta-maintained state against a
@@ -962,32 +1211,33 @@ impl<'a> State<'a> {
     pub fn debug_validate_cache(&self, lambda: f64) {
         #[cfg(debug_assertions)]
         {
+            let m = &self.model;
             let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()));
             let fresh = self.rebuild_partial(0..self.n);
-            assert_eq!(self.size, fresh.size, "delta-maintained sizes diverged");
+            assert_eq!(m.agg.size, fresh.size, "delta-maintained sizes diverged");
             assert_eq!(
-                self.live,
+                m.live,
                 fresh.size.iter().sum::<usize>(),
                 "delta-maintained live count diverged"
             );
             assert_eq!(
-                self.cat_counts, fresh.cat_counts,
+                m.agg.cat_counts, fresh.cat_counts,
                 "delta-maintained categorical counts diverged"
             );
-            for (a, b) in self.centroid_sum.iter().zip(&fresh.centroid_sum) {
+            for (a, b) in m.agg.centroid_sum.iter().zip(&fresh.centroid_sum) {
                 assert!(close(*a, *b), "centroid sum diverged: {a} vs {b}");
             }
-            for (ours, theirs) in self.num_sums.iter().zip(&fresh.num_sums) {
+            for (ours, theirs) in m.agg.num_sums.iter().zip(&fresh.num_sums) {
                 for (a, b) in ours.iter().zip(theirs) {
                     assert!(close(*a, *b), "numeric sum diverged: {a} vs {b}");
                 }
             }
-            for (a, b) in self.member_sqnorm.iter().zip(&fresh.member_sqnorm) {
+            for (a, b) in m.agg.member_sqnorm.iter().zip(&fresh.member_sqnorm) {
                 assert!(close(*a, *b), "member ‖x‖² sum diverged: {a} vs {b}");
             }
-            if self.cache_is_fresh() {
-                let cached = self.objective_cached(lambda);
-                let scanned = self.kmeans_term() + lambda * self.fairness_term();
+            if m.cache_is_fresh() {
+                let cached = m.objective_cached(lambda);
+                let scanned = self.kmeans_term() + lambda * m.fairness_term();
                 assert!(
                     close(cached, scanned),
                     "cached objective diverged: {cached} vs {scanned}"
@@ -1003,13 +1253,15 @@ impl<'a> State<'a> {
     /// float aggregates **verbatim**. A rebuild-from-assignment would
     /// recompute sums in a different operation order and land on different
     /// bits; serializing the running aggregates is what makes restore
-    /// reproduce the uninterrupted run exactly. Caches (`proto`,
-    /// `proto_sqnorm`, `fair_cache`) are excluded: they are pure per-cluster
-    /// functions of the aggregates and are re-derived on decode by the same
-    /// `refresh_cache` computation that produced them.
+    /// reproduce the uninterrupted run exactly. Caches are excluded: they
+    /// are pure per-cluster functions of the aggregates and are re-derived
+    /// on decode by the same `refresh_cache` computation that produced
+    /// them. Sensitive values are written one column per attribute,
+    /// gathered from the row-major slot codes.
     pub fn write_snapshot(&self, out: &mut Vec<u8>) {
+        let m = &self.model;
         debug_assert!(
-            self.cache_is_fresh(),
+            m.cache_is_fresh(),
             "snapshotting with stale caches: restore would silently refresh them"
         );
         wire::put_usize(out, self.matrix.rows());
@@ -1018,40 +1270,63 @@ impl<'a> State<'a> {
             wire::put_str(out, name);
         }
         wire::put_f64s(out, self.matrix.as_slice());
-        wire::put_usize(out, self.live);
-        wire::put_usize(out, self.k);
+        wire::put_usize(out, m.live);
+        wire::put_usize(out, m.k);
         wire::put_usizes(out, &self.assignment);
-        wire::put_usizes(out, &self.size);
-        wire::put_f64s(out, &self.centroid_sum);
-        wire::put_usize(out, self.cat.len());
-        for (attr, counts) in self.cat.iter().zip(&self.cat_counts) {
-            wire::put_u32s(out, &attr.values);
+        wire::put_usizes(out, &m.agg.size);
+        wire::put_f64s(out, &m.agg.centroid_sum);
+        wire::put_usize(out, m.cat.len());
+        for (a, (attr, counts)) in m.cat.iter().zip(&m.agg.cat_counts).enumerate() {
+            // The column `put_u32s` would write, gathered in place.
+            wire::put_usize(out, self.n);
+            for x in 0..self.n {
+                wire::put_u32(out, self.cat_row(x)[a]);
+            }
             wire::put_usize(out, attr.t);
             wire::put_f64s(out, &attr.dist);
             wire::put_f64s(out, &attr.value_scale);
             wire::put_f64(out, attr.weight);
             wire::put_i64s(out, counts);
         }
-        wire::put_usize(out, self.num.len());
-        for (attr, sums) in self.num.iter().zip(&self.num_sums) {
-            wire::put_f64s(out, &attr.values);
+        wire::put_usize(out, m.num.len());
+        for (a, (attr, sums)) in m.num.iter().zip(&m.agg.num_sums).enumerate() {
+            wire::put_usize(out, self.n);
+            for x in 0..self.n {
+                wire::put_f64(out, self.num_row(x)[a]);
+            }
             wire::put_f64(out, attr.mean);
             wire::put_f64(out, attr.weight);
             wire::put_f64s(out, sums);
         }
         wire::put_f64s(out, &self.point_sqnorm);
-        wire::put_f64s(out, &self.member_sqnorm);
+        wire::put_f64s(out, &m.agg.member_sqnorm);
         wire::put_usize(out, self.rebuilds);
         wire::put_usize(out, self.fallbacks);
     }
 
+    /// An upper bound on the bytes [`Self::write_snapshot`] appends,
+    /// counting every value as one 8-byte word: the fixed fields, the
+    /// length prefixes, and the per-slot, per-cluster and per-attribute
+    /// vectors.
+    pub fn snapshot_len_bound(&self) -> usize {
+        let m = &self.model;
+        let names: usize = self.matrix.col_names().iter().map(|c| 8 + c.len()).sum();
+        let sum_t: usize = m.cat.iter().map(|a| a.t).sum();
+        let per_slot = m.dim + 2 + m.cat.len() + m.num.len();
+        let per_cluster = 2 + m.dim + sum_t + m.num.len();
+        let reference = 6 * m.cat.len() + 2 * sum_t + 4 * m.num.len();
+        names + 8 * (self.n * per_slot + m.k * per_cluster + reference + 16)
+    }
+
     /// Decode a state written by [`Self::write_snapshot`]. Shape mismatches
     /// between the decoded vectors (a corruption the checksums missed, or a
-    /// foreign snapshot) surface as [`WireError::Invalid`] — never a panic.
-    /// The scoring caches are re-derived from the decoded aggregates, and
-    /// `threads` comes from the *restoring* configuration: the worker-pool
-    /// width never changes result bits, so a snapshot can be restored on a
-    /// machine with a different thread count.
+    /// foreign snapshot) surface as [`WireError::Invalid`] — never a panic:
+    /// the slot-row shapes are checked here, the aggregate shapes by
+    /// [`ClusterModel::new`]. The scoring caches are re-derived from the
+    /// decoded aggregates, and `threads` comes from the *restoring*
+    /// configuration: the worker-pool width never changes result bits, so
+    /// a snapshot can be restored on a machine with a different thread
+    /// count.
     pub fn read_snapshot(
         r: &mut Reader<'_>,
         kind: ObjectiveKind,
@@ -1071,100 +1346,86 @@ impl<'a> State<'a> {
         let live = r.get_usize()?;
         let k = r.get_usize()?;
         let assignment = r.get_usizes()?;
-        let size = r.get_usizes()?;
-        let centroid_sum = r.get_f64s()?;
-        if assignment.len() != n || size.len() != k || centroid_sum.len() != k * dim {
-            return Err(invalid("aggregate shape"));
+        if assignment.len() != n {
+            return Err(invalid("assignment shape"));
         }
-        if assignment.iter().any(|&c| c != UNASSIGNED && c >= k) {
+        if assignment.iter().any(|&c| c != TOMBSTONE && c >= k) {
             return Err(invalid("assignment cluster"));
         }
-        if live != size.iter().sum::<usize>() {
-            return Err(invalid("live count"));
-        }
+        let size = r.get_usizes()?;
+        let centroid_sum = r.get_f64s()?;
         // Each categorical attribute costs at least its values length prefix.
         let n_cat = r.get_len(8)?;
         let mut cat = Vec::with_capacity(n_cat);
+        let mut cat_columns = Vec::with_capacity(n_cat);
         let mut cat_counts = Vec::with_capacity(n_cat);
         for _ in 0..n_cat {
             let values = r.get_u32s()?;
-            let t = r.get_usize()?;
-            let dist = r.get_f64s()?;
-            let value_scale = r.get_f64s()?;
-            let weight = r.get_f64()?;
-            let counts = r.get_i64s()?;
-            if values.len() != n || dist.len() != t || value_scale.len() != t {
-                return Err(invalid("categorical attribute shape"));
+            let attr = CatAttr {
+                t: r.get_usize()?,
+                dist: r.get_f64s()?,
+                value_scale: r.get_f64s()?,
+                weight: r.get_f64()?,
+            };
+            if values.len() != n || values.iter().any(|&v| v as usize >= attr.t) {
+                return Err(invalid("categorical values"));
             }
-            if Some(counts.len()) != k.checked_mul(t) {
-                return Err(invalid("categorical count shape"));
-            }
-            if values.iter().any(|&v| v as usize >= t) {
-                return Err(invalid("categorical value index"));
-            }
-            cat.push(CatAttr {
-                values,
-                t,
-                dist,
-                value_scale,
-                weight,
-            });
-            cat_counts.push(counts);
+            cat_counts.push(r.get_i64s()?);
+            cat.push(attr);
+            cat_columns.push(values);
         }
         let n_num = r.get_len(8)?;
         let mut num = Vec::with_capacity(n_num);
+        let mut num_columns = Vec::with_capacity(n_num);
         let mut num_sums = Vec::with_capacity(n_num);
         for _ in 0..n_num {
             let values = r.get_f64s()?;
-            let mean = r.get_f64()?;
-            let weight = r.get_f64()?;
-            let sums = r.get_f64s()?;
-            if values.len() != n || sums.len() != k {
-                return Err(invalid("numeric attribute shape"));
+            if values.len() != n {
+                return Err(invalid("numeric values"));
             }
             num.push(NumAttr {
-                values,
-                mean,
-                weight,
+                mean: r.get_f64()?,
+                weight: r.get_f64()?,
             });
-            num_sums.push(sums);
+            num_sums.push(r.get_f64s()?);
+            num_columns.push(values);
         }
         let point_sqnorm = r.get_f64s()?;
-        let member_sqnorm = r.get_f64s()?;
-        if point_sqnorm.len() != n || member_sqnorm.len() != k {
+        if point_sqnorm.len() != n {
             return Err(invalid("norm cache shape"));
         }
+        let member_sqnorm = r.get_f64s()?;
         let rebuilds = r.get_usize()?;
         let fallbacks = r.get_usize()?;
-        let objective = Objective::from_kind(kind, &cat, &num);
-        let mut state = State {
-            matrix: Cow::Owned(matrix),
-            n,
-            live,
-            k,
-            dim,
-            assignment,
+        let agg = AggregateDelta {
             size,
             centroid_sum,
-            cat,
             cat_counts,
-            num,
             num_sums,
-            objective,
-            threads: threads.max(1),
-            proto: vec![0.0; k * dim],
-            proto_sqnorm: vec![0.0; k],
-            point_sqnorm,
             member_sqnorm,
-            fair_cache: vec![0.0; k],
-            dirty: vec![false; k],
-            dirty_list: Vec::with_capacity(k),
+        };
+        let model = ClusterModel::new(k, dim, cat, num, kind, agg)?;
+        if model.live != live {
+            return Err(invalid("live count"));
+        }
+        let cat_codes = (0..n)
+            .flat_map(|x| cat_columns.iter().map(move |col| col[x]))
+            .collect();
+        let num_values = (0..n)
+            .flat_map(|x| num_columns.iter().map(move |col| col[x]))
+            .collect();
+        Ok(State {
+            model,
+            matrix: Cow::Owned(matrix),
+            n,
+            assignment,
+            cat_codes,
+            num_values,
+            point_sqnorm,
+            threads: threads.max(1),
             rebuilds,
             fallbacks,
-        };
-        state.mark_all_dirty();
-        state.refresh_cache();
-        Ok(state)
+        })
     }
 }
 
@@ -1203,7 +1464,7 @@ mod tests {
 
     /// Brute-force objective recomputation used as ground truth.
     fn objective_brute(st: &State<'_>, lambda: f64) -> f64 {
-        st.kmeans_term() + lambda * st.fairness_term()
+        st.kmeans_term() + lambda * st.model.fairness_term()
     }
 
     #[test]
@@ -1212,17 +1473,17 @@ mod tests {
         let mut st = state(&m, &s, vec![0, 0, 1, 1, 0, 1]);
         st.apply_move(0, 0, 1);
         st.apply_move(3, 1, 0);
-        let sizes = st.size.clone();
-        let sums = st.centroid_sum.clone();
-        let cats = st.cat_counts.clone();
-        let nums = st.num_sums.clone();
+        let sizes = st.model.agg.size.clone();
+        let sums = st.model.agg.centroid_sum.clone();
+        let cats = st.model.agg.cat_counts.clone();
+        let nums = st.model.agg.num_sums.clone();
         st.rebuild();
-        assert_eq!(st.size, sizes);
-        for (a, b) in st.centroid_sum.iter().zip(&sums) {
+        assert_eq!(st.model.agg.size, sizes);
+        for (a, b) in st.model.agg.centroid_sum.iter().zip(&sums) {
             assert!((a - b).abs() < 1e-9);
         }
-        assert_eq!(st.cat_counts, cats);
-        for (av, bv) in st.num_sums.iter().zip(&nums) {
+        assert_eq!(st.model.agg.cat_counts, cats);
+        for (av, bv) in st.model.agg.num_sums.iter().zip(&nums) {
             for (a, b) in av.iter().zip(bv) {
                 assert!((a - b).abs() < 1e-9);
             }
@@ -1276,8 +1537,8 @@ mod tests {
         assert!(delta_km.is_finite());
         assert!(delta_fair.is_finite());
         st.apply_move(0, 0, 1);
-        assert_eq!(st.size[0], 0);
-        assert_eq!(st.fairness_contrib(0), 0.0);
+        assert_eq!(st.model.agg.size[0], 0);
+        assert_eq!(st.model.fairness_contrib(0), 0.0);
         assert!(st.kmeans_term().is_finite());
     }
 
@@ -1295,9 +1556,9 @@ mod tests {
         let m = d.task_matrix(fairkm_data::Normalization::None).unwrap();
         let s = d.sensitive_space().unwrap();
         let st = State::new(&m, &s, &[1.0], 2, vec![0, 0, 1, 1]);
-        assert!(st.fairness_term().abs() < 1e-15);
+        assert!(st.model.fairness_term().abs() < 1e-15);
         let st2 = State::new(&m, &s, &[1.0], 2, vec![0, 1, 0, 1]);
-        assert!(st2.fairness_term() > 0.01);
+        assert!(st2.model.fairness_term() > 0.01);
     }
 
     #[test]
@@ -1307,8 +1568,8 @@ mod tests {
         let full = State::new(&m, &s, &[1.0, 1.0], 2, assignment.clone());
         let cat_only = State::new(&m, &s, &[1.0, 0.0], 2, assignment.clone());
         let none = State::new(&m, &s, &[0.0, 0.0], 2, assignment);
-        assert!(full.fairness_term() > cat_only.fairness_term());
-        assert_eq!(none.fairness_term(), 0.0);
+        assert!(full.model.fairness_term() > cat_only.model.fairness_term());
+        assert_eq!(none.model.fairness_term(), 0.0);
     }
 
     #[test]
@@ -1317,7 +1578,7 @@ mod tests {
         let assignment = vec![0, 1, 0, 1, 0, 1];
         let base = State::new(&m, &s, &[1.0, 0.0], 2, assignment.clone());
         let heavy = State::new(&m, &s, &[3.0, 0.0], 2, assignment);
-        assert!((heavy.fairness_term() - 3.0 * base.fairness_term()).abs() < 1e-12);
+        assert!((heavy.model.fairness_term() - 3.0 * base.model.fairness_term()).abs() < 1e-12);
     }
 
     #[test]
@@ -1326,8 +1587,60 @@ mod tests {
         // is 0 because its distribution IS the dataset distribution.
         let (m, s) = fixture();
         let st = state(&m, &s, vec![0; 6]);
-        assert!(st.fairness_contrib(0).abs() < 1e-15);
-        assert_eq!(st.fairness_contrib(1), 0.0);
+        assert!(st.model.fairness_contrib(0).abs() < 1e-15);
+        assert_eq!(st.model.fairness_contrib(1), 0.0);
+    }
+
+    #[test]
+    fn snapshot_len_bound_covers_the_encoding() {
+        let (m, s) = fixture();
+        let mut st = State::with_norm(
+            Cow::Owned(m),
+            &s,
+            &[1.0, 1.0],
+            2,
+            vec![0, 0, 1, 1, 0, 1],
+            FairnessNorm::DomainCardinality,
+            ObjectiveKind::bounded(),
+            1,
+        );
+        st.remove_point(2);
+        st.model.refresh_cache();
+        let mut out = Vec::new();
+        st.write_snapshot(&mut out);
+        let bound = st.snapshot_len_bound();
+        assert!(
+            out.len() <= bound,
+            "{} bytes over the bound {bound}",
+            out.len()
+        );
+    }
+
+    #[test]
+    fn inconsistent_replica_bytes_are_typed_errors() {
+        // Well-framed model bytes whose shapes disagree must decode to a
+        // typed error, not panic in the cache refresh.
+        let (m, s) = fixture();
+        let st = state(&m, &s, vec![0, 0, 1, 1, 0, 1]);
+        let bytes = st.model.to_bytes();
+        let back = ClusterModel::from_bytes(&bytes).unwrap();
+        assert_eq!(back.to_bytes(), bytes);
+        let bumped = |offset: usize| {
+            let mut b = bytes.clone();
+            let v = u64::from_le_bytes(b[offset..offset + 8].try_into().unwrap());
+            b[offset..offset + 8].copy_from_slice(&(v + 1).to_le_bytes());
+            ClusterModel::from_bytes(&b)
+        };
+        // Layout: k, dim, the categorical attribute count, then the first
+        // categorical attribute's cardinality t.
+        assert!(
+            matches!(bumped(0), Err(WireError::Invalid { .. })),
+            "k bumped by one"
+        );
+        assert!(
+            matches!(bumped(24), Err(WireError::Invalid { .. })),
+            "wrong t"
+        );
     }
 }
 
@@ -1405,7 +1718,7 @@ mod proptests {
             let from = st.assignment[inst.x];
             prop_assume!(from != inst.to);
 
-            let before = st.kmeans_term() + inst.lambda * st.fairness_term();
+            let before = st.kmeans_term() + inst.lambda * st.model.fairness_term();
             let d_inc = st.delta_kmeans_incremental(inst.x, from, inst.to);
             let d_lit = st.delta_kmeans_literal(inst.x, from, inst.to);
             let d_fair = st.delta_fairness(inst.x, from, inst.to);
@@ -1416,7 +1729,7 @@ mod proptests {
 
             st.apply_move(inst.x, from, inst.to);
             st.rebuild(); // brute-force ground truth uses fresh aggregates
-            let after = st.kmeans_term() + inst.lambda * st.fairness_term();
+            let after = st.kmeans_term() + inst.lambda * st.model.fairness_term();
 
             // ...and with the true objective change.
             let predicted = d_inc + inst.lambda * d_fair;
@@ -1436,11 +1749,11 @@ mod proptests {
             prop_assume!(from != inst.to);
             st.apply_move(inst.x, from, inst.to);
 
-            let counts = st.cat_counts[0].clone();
-            let sums = st.num_sums[0].clone();
+            let counts = st.model.agg.cat_counts[0].clone();
+            let sums = st.model.agg.num_sums[0].clone();
             st.rebuild();
-            prop_assert_eq!(&counts, &st.cat_counts[0]);
-            for (a, b) in sums.iter().zip(&st.num_sums[0]) {
+            prop_assert_eq!(&counts, &st.model.agg.cat_counts[0]);
+            for (a, b) in sums.iter().zip(&st.model.agg.num_sums[0]) {
                 prop_assert!((a - b).abs() < 1e-9);
             }
         }
@@ -1475,28 +1788,28 @@ mod proptests {
                     undo.push((x, from, to));
                 }
             }
-            st.refresh_cache();
+            st.model.refresh_cache();
             st.debug_validate_cache(inst.lambda);
 
             let fresh = State::new(&matrix, &space, &[1.0, 1.0], inst.k, st.assignment.clone());
             let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()));
-            prop_assert_eq!(&st.size, &fresh.size);
-            for (ours, theirs) in st.cat_counts.iter().zip(&fresh.cat_counts) {
+            prop_assert_eq!(&st.model.agg.size, &fresh.model.agg.size);
+            for (ours, theirs) in st.model.agg.cat_counts.iter().zip(&fresh.model.agg.cat_counts) {
                 prop_assert_eq!(ours, theirs);
             }
-            for (a, b) in st.centroid_sum.iter().zip(&fresh.centroid_sum) {
+            for (a, b) in st.model.agg.centroid_sum.iter().zip(&fresh.model.agg.centroid_sum) {
                 prop_assert!(close(*a, *b), "centroid sum {a} vs {b}");
             }
-            for (ours, theirs) in st.num_sums.iter().zip(&fresh.num_sums) {
+            for (ours, theirs) in st.model.agg.num_sums.iter().zip(&fresh.model.agg.num_sums) {
                 for (a, b) in ours.iter().zip(theirs) {
                     prop_assert!(close(*a, *b), "numeric sum {a} vs {b}");
                 }
             }
-            for (a, b) in st.member_sqnorm.iter().zip(&fresh.member_sqnorm) {
+            for (a, b) in st.model.agg.member_sqnorm.iter().zip(&fresh.model.agg.member_sqnorm) {
                 prop_assert!(close(*a, *b), "member sqnorm {a} vs {b}");
             }
-            let cached = st.objective_cached(inst.lambda);
-            let scanned = fresh.kmeans_term() + inst.lambda * fresh.fairness_term();
+            let cached = st.model.objective_cached(inst.lambda);
+            let scanned = fresh.kmeans_term() + inst.lambda * fresh.model.fairness_term();
             prop_assert!(close(cached, scanned),
                 "cached objective {cached} vs from-scratch {scanned}");
         }
@@ -1510,13 +1823,13 @@ mod proptests {
             // remove_point (eviction), insert_point (re-ingestion) — must
             // leave every running aggregate, the live count, and the cache
             // equal to a state rebuilt from scratch over the final
-            // assignment (UNASSIGNED tombstones included): integers
+            // assignment (TOMBSTONE tombstones included): integers
             // exactly, float sums within rounding tolerance. This is the
             // streaming analogue of
             // `move_sequences_match_from_scratch_rebuild`.
             let (matrix, space) = build(&inst);
-            let mut st = State::with_norm_owned(
-                matrix.clone(),
+            let mut st = State::with_norm(
+                Cow::Owned(matrix.clone()),
                 &space,
                 &[1.0, 1.0],
                 inst.k,
@@ -1532,48 +1845,48 @@ mod proptests {
                     // moves (2 in 5) on live points
                     0 | 1 => {
                         let from = st.assignment[x];
-                        if from != UNASSIGNED && from != to {
+                        if from != TOMBSTONE && from != to {
                             st.apply_move(x, from, to);
                         }
                     }
                     // eviction (2 in 5) of live points
                     2 | 3 => {
-                        if st.assignment[x] != UNASSIGNED {
+                        if st.assignment[x] != TOMBSTONE {
                             st.remove_point(x);
                         }
                     }
                     // re-insertion of tombstoned points
                     _ => {
-                        if st.assignment[x] == UNASSIGNED {
+                        if st.assignment[x] == TOMBSTONE {
                             st.insert_point(x, to);
                         }
                     }
                 }
             }
-            st.refresh_cache();
+            st.model.refresh_cache();
             st.debug_validate_cache(inst.lambda);
 
             let fresh = State::new(&matrix, &space, &[1.0, 1.0], inst.k, st.assignment.clone());
             let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()));
-            prop_assert_eq!(&st.size, &fresh.size);
-            prop_assert_eq!(st.live, fresh.live);
-            prop_assert_eq!(st.live, st.size.iter().sum::<usize>());
-            for (ours, theirs) in st.cat_counts.iter().zip(&fresh.cat_counts) {
+            prop_assert_eq!(&st.model.agg.size, &fresh.model.agg.size);
+            prop_assert_eq!(st.model.live, fresh.model.live);
+            prop_assert_eq!(st.model.live, st.model.agg.size.iter().sum::<usize>());
+            for (ours, theirs) in st.model.agg.cat_counts.iter().zip(&fresh.model.agg.cat_counts) {
                 prop_assert_eq!(ours, theirs);
             }
-            for (a, b) in st.centroid_sum.iter().zip(&fresh.centroid_sum) {
+            for (a, b) in st.model.agg.centroid_sum.iter().zip(&fresh.model.agg.centroid_sum) {
                 prop_assert!(close(*a, *b), "centroid sum {} vs {}", a, b);
             }
-            for (ours, theirs) in st.num_sums.iter().zip(&fresh.num_sums) {
+            for (ours, theirs) in st.model.agg.num_sums.iter().zip(&fresh.model.agg.num_sums) {
                 for (a, b) in ours.iter().zip(theirs) {
                     prop_assert!(close(*a, *b), "numeric sum {} vs {}", a, b);
                 }
             }
-            for (a, b) in st.member_sqnorm.iter().zip(&fresh.member_sqnorm) {
+            for (a, b) in st.model.agg.member_sqnorm.iter().zip(&fresh.model.agg.member_sqnorm) {
                 prop_assert!(close(*a, *b), "member sqnorm {} vs {}", a, b);
             }
-            let cached = st.objective_cached(inst.lambda);
-            let scanned = fresh.kmeans_term() + inst.lambda * fresh.fairness_term();
+            let cached = st.model.objective_cached(inst.lambda);
+            let scanned = fresh.kmeans_term() + inst.lambda * fresh.model.fairness_term();
             prop_assert!(close(cached, scanned),
                 "cached objective {} vs from-scratch {}", cached, scanned);
         }
@@ -1584,8 +1897,8 @@ mod proptests {
             // putting it back into ANY cluster must equal the brute-force
             // objective difference (rebuild + full scan before vs after).
             let (matrix, space) = build(&inst);
-            let mut st = State::with_norm_owned(
-                matrix.clone(),
+            let mut st = State::with_norm(
+                Cow::Owned(matrix.clone()),
                 &space,
                 &[1.0, 1.0],
                 inst.k,
@@ -1596,22 +1909,22 @@ mod proptests {
             );
             let x = inst.x;
             st.remove_point(x);
-            st.refresh_cache();
-            let before = st.kmeans_term() + inst.lambda * st.fairness_term();
+            st.model.refresh_cache();
+            let before = st.kmeans_term() + inst.lambda * st.model.fairness_term();
             let row = st.matrix.row(x).to_vec();
             let cat_vals = [inst.cat_values[x]];
             let num_vals = [inst.num_values[x]];
             let (best, best_delta) =
-                st.score_insertion(&row, &cat_vals, &num_vals, inst.lambda);
+                st.model.score_insertion(&row, &cat_vals, &num_vals, inst.lambda);
             // All predictions against the same frozen caches (the later
             // insert/rebuild cycles perturb float sums in the last bits).
             let deltas: Vec<f64> = (0..inst.k)
-                .map(|c| st.insertion_delta(c, &row, &cat_vals, &num_vals, inst.lambda))
+                .map(|c| st.model.insertion_delta(c, &row, &cat_vals, &num_vals, inst.lambda))
                 .collect();
             for (c, &predicted) in deltas.iter().enumerate() {
                 st.insert_point(x, c);
                 st.rebuild();
-                let after = st.kmeans_term() + inst.lambda * st.fairness_term();
+                let after = st.kmeans_term() + inst.lambda * st.model.fairness_term();
                 st.remove_point(x);
                 st.rebuild();
                 let actual = after - before;
@@ -1643,8 +1956,8 @@ mod proptests {
                 ObjectiveKind::Egalitarian,
             ] {
                 let (matrix, space) = build(&inst);
-                let mut st = State::with_norm_owned(
-                    matrix.clone(),
+                let mut st = State::with_norm(
+                    Cow::Owned(matrix.clone()),
                     &space,
                     &[1.0, 1.0],
                     inst.k,
@@ -1659,27 +1972,27 @@ mod proptests {
                     match op {
                         0 | 1 => {
                             let from = st.assignment[x];
-                            if from != UNASSIGNED && from != to {
+                            if from != TOMBSTONE && from != to {
                                 st.apply_move(x, from, to);
                             }
                         }
                         2 | 3 => {
-                            if st.assignment[x] != UNASSIGNED {
+                            if st.assignment[x] != TOMBSTONE {
                                 st.remove_point(x);
                             }
                         }
                         _ => {
-                            if st.assignment[x] == UNASSIGNED {
+                            if st.assignment[x] == TOMBSTONE {
                                 st.insert_point(x, to);
                             }
                         }
                     }
                 }
-                st.refresh_cache();
+                st.model.refresh_cache();
                 st.debug_validate_cache(inst.lambda);
 
                 let fresh = State::with_norm(
-                    &matrix,
+                    Cow::Borrowed(&matrix),
                     &space,
                     &[1.0, 1.0],
                     inst.k,
@@ -1689,17 +2002,17 @@ mod proptests {
                     1,
                 );
                 let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()));
-                prop_assert_eq!(&st.size, &fresh.size);
-                prop_assert_eq!(st.live, fresh.live);
-                for (ours, theirs) in st.cat_counts.iter().zip(&fresh.cat_counts) {
+                prop_assert_eq!(&st.model.agg.size, &fresh.model.agg.size);
+                prop_assert_eq!(st.model.live, fresh.model.live);
+                for (ours, theirs) in st.model.agg.cat_counts.iter().zip(&fresh.model.agg.cat_counts) {
                     prop_assert_eq!(ours, theirs);
                 }
-                for (c, (a, b)) in st.fair_cache.iter().zip(&fresh.fair_cache).enumerate() {
+                for (c, (a, b)) in st.model.fair_cache.iter().zip(&fresh.model.fair_cache).enumerate() {
                     prop_assert!(close(*a, *b),
                         "{:?} cluster {} contribution {} vs from-scratch {}", kind, c, a, b);
                 }
-                let cached = st.objective_cached(inst.lambda);
-                let scanned = fresh.kmeans_term() + inst.lambda * fresh.fairness_term();
+                let cached = st.model.objective_cached(inst.lambda);
+                let scanned = fresh.kmeans_term() + inst.lambda * fresh.model.fairness_term();
                 prop_assert!(close(cached, scanned),
                     "{:?} cached objective {} vs from-scratch {}", kind, cached, scanned);
             }
@@ -1719,8 +2032,8 @@ mod proptests {
                 ObjectiveKind::Egalitarian,
             ] {
                 let (matrix, space) = build(&inst);
-                let mut st = State::with_norm_owned(
-                    matrix.clone(),
+                let mut st = State::with_norm(
+                    Cow::Owned(matrix.clone()),
                     &space,
                     &[1.0, 1.0],
                     inst.k,
@@ -1731,18 +2044,18 @@ mod proptests {
                 );
                 let x = inst.x;
                 st.remove_point(x);
-                st.refresh_cache();
-                let before = st.kmeans_term() + inst.lambda * st.fairness_term();
+                st.model.refresh_cache();
+                let before = st.kmeans_term() + inst.lambda * st.model.fairness_term();
                 let row = st.matrix.row(x).to_vec();
                 let cat_vals = [inst.cat_values[x]];
                 let num_vals = [inst.num_values[x]];
                 let deltas: Vec<f64> = (0..inst.k)
-                    .map(|c| st.insertion_delta(c, &row, &cat_vals, &num_vals, inst.lambda))
+                    .map(|c| st.model.insertion_delta(c, &row, &cat_vals, &num_vals, inst.lambda))
                     .collect();
                 for (c, &predicted) in deltas.iter().enumerate() {
                     st.insert_point(x, c);
                     st.rebuild();
-                    let after = st.kmeans_term() + inst.lambda * st.fairness_term();
+                    let after = st.kmeans_term() + inst.lambda * st.model.fairness_term();
                     st.remove_point(x);
                     st.rebuild();
                     let actual = after - before;
@@ -1761,7 +2074,7 @@ mod proptests {
             // penalty is never negative.
             let (matrix, space) = build(&inst);
             let wide = State::with_norm(
-                &matrix,
+                Cow::Borrowed(&matrix),
                 &space,
                 &[1.0, 0.0], // numeric attr muted: pure categorical view
                 inst.k,
@@ -1770,11 +2083,11 @@ mod proptests {
                 ObjectiveKind::BoundedRepresentation { lower: 0.0, upper: 1.0 / f64::EPSILON },
                 1,
             );
-            prop_assert!(wide.fairness_term().abs() == 0.0,
-                "wide-open band must cost nothing, got {}", wide.fairness_term());
+            prop_assert!(wide.model.fairness_term().abs() == 0.0,
+                "wide-open band must cost nothing, got {}", wide.model.fairness_term());
 
             let tight = State::with_norm(
-                &matrix,
+                Cow::Borrowed(&matrix),
                 &space,
                 &[1.0, 1.0],
                 inst.k,
@@ -1783,18 +2096,18 @@ mod proptests {
                 ObjectiveKind::BoundedRepresentation { lower: 1.0, upper: 1.0 },
                 1,
             );
-            prop_assert!(tight.fairness_term() >= 0.0);
+            prop_assert!(tight.model.fairness_term() >= 0.0);
         }
 
         #[test]
         fn fairness_term_is_nonnegative_and_zero_only_at_parity(inst in instance()) {
             let (matrix, space) = build(&inst);
             let st = State::new(&matrix, &space, &[1.0, 1.0], inst.k, inst.assignment.clone());
-            let dev = st.fairness_term();
+            let dev = st.model.fairness_term();
             prop_assert!(dev >= 0.0);
             // Single-cluster configurations mirror the dataset exactly.
             let st_one = State::new(&matrix, &space, &[1.0, 1.0], inst.k, vec![0; inst.n]);
-            prop_assert!(st_one.fairness_term().abs() < 1e-12);
+            prop_assert!(st_one.model.fairness_term().abs() < 1e-12);
         }
     }
 }

@@ -18,7 +18,7 @@
 //! 2. **Frozen-prototype serving.** Assignment of a new point never
 //!    triggers optimization: it is one read-only pass over the cached
 //!    prototypes plus an exact Eq. 7 insertion delta
-//!    (`State::insertion_delta`). Bera et al. (*Fair Algorithms for
+//!    (`ClusterModel::score_insertion`). Bera et al. (*Fair Algorithms for
 //!    Clustering*) justify exactly this split — fairness-aware decisions
 //!    survive in the assignment phase alone — so the serve path stays
 //!    O(k·(dim + Σ|Values(S)|)) per point.
@@ -45,10 +45,11 @@
 //! index order, and the whole ingest/evict/reoptimize trace is
 //! bitwise-identical for any thread count.
 
+use crate::agg::{SlotRow, TOMBSTONE};
 use crate::config::{DeltaEngine, FairKmConfig, FairKmError, ObjectiveKind, UpdateSchedule};
 use crate::fairkm::{initial_assignment, resolve_weights, windowed_pass};
 use crate::minibatch::MiniBatchFairKm;
-use crate::state::{State, UNASSIGNED};
+use crate::state::{ClusterModel, State};
 use fairkm_data::{
     AttrId, Dataset, FrozenEncoder, NumericMatrix, Partition, Role, Schema, SensitiveSpace, Value,
 };
@@ -146,9 +147,9 @@ pub struct EvictReport {
 
 /// Everything a sharded deployment needs to take over from a bootstrapped
 /// single-node streaming engine: the frozen validation/encoding front-end,
-/// a rowless replica of the cached scoring engine, the per-slot payloads
-/// to distribute across shards, and the driver's frozen parameters and
-/// counters. Produced by [`StreamingFairKm::into_shard_parts`].
+/// the aggregate engine, the per-slot payloads to distribute across
+/// shards, and the driver's frozen parameters and counters. Produced by
+/// [`StreamingFairKm::into_shard_parts`].
 #[derive(Debug)]
 pub struct ShardParts {
     /// Mirror of every ingested row (the coordinator's durable master
@@ -156,11 +157,11 @@ pub struct ShardParts {
     pub mirror: Dataset,
     /// Frozen arrival validation/encoding transforms.
     pub encoder: FrozenEncoder,
-    /// Rowless replica of the cached scoring engine at hand-off.
-    pub model: crate::agg::ShardModel,
-    /// Per-slot payloads `0..n_slots`, cluster [`crate::agg::TOMBSTONE`]
-    /// for evicted slots — these get partitioned across shards.
-    pub slots: Vec<crate::agg::SlotRow>,
+    /// The aggregate engine at hand-off (every replica starts from a copy).
+    pub model: ClusterModel,
+    /// Per-slot payloads `0..n_slots`, cluster [`TOMBSTONE`] for evicted
+    /// slots — these get partitioned across shards.
+    pub slots: Vec<SlotRow>,
     /// Frozen fairness trade-off λ.
     pub lambda: f64,
     /// Resolved worker-pool width.
@@ -243,7 +244,6 @@ pub struct StreamingFairKm {
     /// `None` auto-sizes from the current slot count.
     window: Option<usize>,
     engine: DeltaEngine,
-    objective_kind: ObjectiveKind,
     drift_threshold: f64,
     reopt_passes: usize,
     objective: f64,
@@ -268,11 +268,46 @@ impl std::fmt::Debug for State<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("State")
             .field("n", &self.n)
-            .field("live", &self.live)
-            .field("k", &self.k)
-            .field("dim", &self.dim)
+            .field("live", &self.model.live())
+            .field("k", &self.model.k())
+            .field("dim", &self.model.dim())
             .finish_non_exhaustive()
     }
+}
+
+/// Resolve a row's sensitive values — categorical indices first, numeric
+/// second, the attribute order the engine expects — with full validation:
+/// the row's arity against `schema`, then every sensitive cell against its
+/// attribute. `n_slots` is the current slot count, which numeric
+/// resolution reports in its errors. The single-node engine, every serving
+/// view and the sharded coordinator all resolve arrivals through this one
+/// function, so they accept and reject exactly the same rows.
+pub fn resolve_sensitive(
+    schema: &Schema,
+    sens_cat_ids: &[AttrId],
+    sens_num_ids: &[AttrId],
+    row: &[Value],
+    n_slots: usize,
+) -> Result<(Vec<u32>, Vec<f64>), FairKmError> {
+    if row.len() != schema.len() {
+        return Err(FairKmError::Data(fairkm_data::DataError::RowArity {
+            expected: schema.len(),
+            got: row.len(),
+        }));
+    }
+    let mut cat_vals = Vec::with_capacity(sens_cat_ids.len());
+    for &id in sens_cat_ids {
+        cat_vals.push(schema.attr(id)?.resolve_categorical(&row[id.index()])?);
+    }
+    let mut num_vals = Vec::with_capacity(sens_num_ids.len());
+    for &id in sens_num_ids {
+        num_vals.push(
+            schema
+                .attr(id)?
+                .resolve_numeric(&row[id.index()], n_slots)?,
+        );
+    }
+    Ok((cat_vals, num_vals))
 }
 
 /// Retained objective-trace ceiling. A long-lived stream pushes one entry
@@ -316,7 +351,7 @@ fn run_windowed_passes(
             // Same drift-cancelling rebuild cadence as the batch fit:
             // once per pass, never per window.
             state.rebuild();
-            objective = state.objective_cached(lambda);
+            objective = state.model.objective_cached(lambda);
         }
         push_trace_bounded(trace, objective);
         total_moves += moved;
@@ -357,8 +392,8 @@ impl StreamingFairKm {
         let threads = fairkm_parallel::resolve_threads(base.threads);
         let mut rng = StdRng::seed_from_u64(base.seed);
         let assignment = initial_assignment(&matrix, k, base.init, &mut rng, threads);
-        let mut state = State::with_norm_owned(
-            matrix,
+        let mut state = State::with_norm(
+            std::borrow::Cow::Owned(matrix),
             &space,
             &weights,
             k,
@@ -372,7 +407,7 @@ impl StreamingFairKm {
             UpdateSchedule::PerMove => None,
         };
         let engine = base.delta_engine;
-        let objective = state.objective_cached(lambda);
+        let objective = state.model.objective_cached(lambda);
         let mut trace = vec![objective];
         let (objective, _) = run_windowed_passes(
             &mut state,
@@ -395,7 +430,7 @@ impl StreamingFairKm {
                 }
             }
         }
-        let baseline_per_point = objective / state.live as f64;
+        let baseline_per_point = objective / state.model.live() as f64;
         Ok(Self {
             mirror: dataset,
             encoder,
@@ -404,7 +439,6 @@ impl StreamingFairKm {
             threads,
             window,
             engine,
-            objective_kind: base.objective,
             drift_threshold: config.drift_threshold,
             reopt_passes: config.reopt_passes,
             objective,
@@ -428,6 +462,7 @@ impl StreamingFairKm {
         let (cat_vals, num_vals) = self.resolve_sensitive(row)?;
         Ok(self
             .state
+            .model
             .score_insertion(&task, &cat_vals, &num_vals, self.lambda)
             .0)
     }
@@ -437,31 +472,17 @@ impl StreamingFairKm {
     /// engine. A serving layer publishes one behind an `Arc` after each
     /// mutation so reads never block behind writes; [`ServingView::assign`]
     /// reproduces `assign_frozen`'s result bitwise for the state at capture
-    /// time.
+    /// time. The model is a clone of the engine's aggregates, caches and
+    /// frozen reference: O(k·(dim + Σ|Values(S)|)), independent of the
+    /// number of points.
     pub fn serving_view(&self) -> ServingView {
-        debug_assert!(self.state.cache_is_fresh());
-        let state = &self.state;
-        let model = crate::agg::ShardModel::assemble(
-            state.k,
-            state.dim,
-            state.cat.clone(),
-            state.num.clone(),
-            self.objective_kind,
-            crate::agg::AggregateDelta {
-                size: state.size.clone(),
-                centroid_sum: state.centroid_sum.clone(),
-                cat_counts: state.cat_counts.clone(),
-                num_sums: state.num_sums.clone(),
-                member_sqnorm: state.member_sqnorm.clone(),
-            },
-        );
+        debug_assert!(self.state.model.cache_is_fresh());
         ServingView {
             schema: self.mirror.schema().clone(),
             encoder: self.encoder.clone(),
-            model,
+            model: self.state.model.clone(),
             lambda: self.lambda,
-            n_slots: state.n,
-            live: state.live,
+            n_slots: self.state.n,
             objective: self.objective,
             sens_cat_ids: self.sens_cat_ids.clone(),
             sens_num_ids: self.sens_num_ids.clone(),
@@ -496,13 +517,13 @@ impl StreamingFairKm {
         self.mirror.append_rows(rows.to_vec())?;
 
         // Frozen-prototype assignment for the whole batch.
-        debug_assert!(self.state.cache_is_fresh());
-        let state = &self.state;
+        let model = &self.state.model;
+        debug_assert!(model.cache_is_fresh());
         let lambda = self.lambda;
         let clusters: Vec<usize> =
             fairkm_parallel::map_indexed(self.threads, 0..encoded.len(), |i| {
                 let (task, cat_vals, num_vals) = &encoded[i];
-                state.score_insertion(task, cat_vals, num_vals, lambda).0
+                model.score_insertion(task, cat_vals, num_vals, lambda).0
             });
 
         // Delta-apply in arrival order.
@@ -510,8 +531,8 @@ impl StreamingFairKm {
             let slot = self.state.push_row(task, cat_vals, num_vals);
             self.state.insert_point(slot, c);
         }
-        self.state.refresh_cache();
-        self.objective = self.state.objective_cached(self.lambda);
+        self.state.model.refresh_cache();
+        self.objective = self.state.model.objective_cached(self.lambda);
         self.state.debug_validate_cache(self.lambda);
         push_trace_bounded(&mut self.trace, self.objective);
         self.inserted += rows.len();
@@ -553,8 +574,8 @@ impl StreamingFairKm {
         for &slot in slots {
             self.state.remove_point(slot);
         }
-        self.state.refresh_cache();
-        self.objective = self.state.objective_cached(self.lambda);
+        self.state.model.refresh_cache();
+        self.objective = self.state.model.objective_cached(self.lambda);
         self.state.debug_validate_cache(self.lambda);
         push_trace_bounded(&mut self.trace, self.objective);
         self.evicted += slots.len();
@@ -605,8 +626,8 @@ impl StreamingFairKm {
         );
         self.objective = objective;
         self.reopts += 1;
-        if self.state.live > 0 {
-            self.baseline_per_point = self.objective / self.state.live as f64;
+        if self.state.model.live() > 0 {
+            self.baseline_per_point = self.objective / self.state.model.live() as f64;
         }
         total_moves
     }
@@ -618,7 +639,7 @@ impl StreamingFairKm {
     pub fn compact(&mut self) -> Result<Vec<usize>, FairKmError> {
         let kept = self.state.compact();
         self.mirror = self.mirror.select_rows(&kept)?;
-        self.objective = self.state.objective_cached(self.lambda);
+        self.objective = self.state.model.objective_cached(self.lambda);
         self.oldest_hint = 0;
         Ok(kept)
     }
@@ -636,41 +657,28 @@ impl StreamingFairKm {
         let matrix = self.state.matrix.select_rows(&slots);
         let space = self.mirror.select_rows(&slots)?.sensitive_space()?;
         let clusters: Vec<usize> = slots.iter().map(|&s| self.state.assignment[s]).collect();
-        let partition = Partition::new(clusters, self.state.k)?;
+        let partition = Partition::new(clusters, self.state.model.k())?;
         Ok((matrix, space, partition, slots))
     }
 
-    /// Resolve a row's sensitive values (categorical indices first, numeric
-    /// second — the attribute order the state expects) with full
-    /// validation, without touching the mirror.
+    /// [`resolve_sensitive`] against this engine's frozen schema.
     fn resolve_sensitive(&self, row: &[Value]) -> Result<(Vec<u32>, Vec<f64>), FairKmError> {
-        let schema = self.mirror.schema();
-        if row.len() != schema.len() {
-            return Err(FairKmError::Data(fairkm_data::DataError::RowArity {
-                expected: schema.len(),
-                got: row.len(),
-            }));
-        }
-        let mut cat_vals = Vec::with_capacity(self.sens_cat_ids.len());
-        for &id in &self.sens_cat_ids {
-            let attr = schema.attr(id)?;
-            cat_vals.push(attr.resolve_categorical(&row[id.index()])?);
-        }
-        let mut num_vals = Vec::with_capacity(self.sens_num_ids.len());
-        for &id in &self.sens_num_ids {
-            let attr = schema.attr(id)?;
-            num_vals.push(attr.resolve_numeric(&row[id.index()], self.state.n)?);
-        }
-        Ok((cat_vals, num_vals))
+        resolve_sensitive(
+            self.mirror.schema(),
+            &self.sens_cat_ids,
+            &self.sens_num_ids,
+            row,
+            self.state.n,
+        )
     }
 
     /// Re-optimize when the per-live-point objective has drifted past the
     /// threshold relative to the post-optimization baseline.
     fn maybe_reoptimize(&mut self) -> (bool, usize) {
-        if self.state.live == 0 || self.reopt_passes == 0 {
+        if self.state.model.live() == 0 || self.reopt_passes == 0 {
             return (false, 0);
         }
-        let per_point = self.objective / self.state.live as f64;
+        let per_point = self.objective / self.state.model.live() as f64;
         let scale = self.baseline_per_point.abs().max(f64::EPSILON);
         let drift = (per_point - self.baseline_per_point) / scale;
         if drift <= self.drift_threshold {
@@ -682,7 +690,7 @@ impl StreamingFairKm {
 
     /// Number of live (assigned) points.
     pub fn live(&self) -> usize {
-        self.state.live
+        self.state.model.live()
     }
 
     /// Total backing-store slots, tombstones included.
@@ -692,7 +700,7 @@ impl StreamingFairKm {
 
     /// Whether a slot currently holds a live point.
     pub fn is_live(&self, slot: usize) -> bool {
-        slot < self.state.n && self.state.assignment[slot] != UNASSIGNED
+        slot < self.state.n && self.state.assignment[slot] != TOMBSTONE
     }
 
     /// Cluster of a slot, `None` for tombstones and out-of-range slots.
@@ -701,7 +709,7 @@ impl StreamingFairKm {
             .assignment
             .get(slot)
             .copied()
-            .filter(|&c| c != UNASSIGNED)
+            .filter(|&c| c != TOMBSTONE)
     }
 
     /// Live slot ids in ascending (arrival) order.
@@ -711,7 +719,7 @@ impl StreamingFairKm {
 
     /// Number of clusters `k`.
     pub fn k(&self) -> usize {
-        self.state.k
+        self.state.model.k()
     }
 
     /// The frozen λ of the stream (resolved once at bootstrap).
@@ -721,7 +729,7 @@ impl StreamingFairKm {
 
     /// The fairness objective the stream was configured with.
     pub fn objective_kind(&self) -> ObjectiveKind {
-        self.objective_kind
+        self.state.model.kind()
     }
 
     /// The active objective's per-cluster cached fairness contributions —
@@ -729,8 +737,7 @@ impl StreamingFairKm {
     /// [`Self::fairness_term`]. Every public mutation leaves the scoring
     /// cache fresh, so this is a plain read; index `c` is cluster `c`.
     pub fn fairness_contributions(&self) -> Vec<f64> {
-        debug_assert!(self.state.cache_is_fresh());
-        self.state.fair_cache.clone()
+        self.state.model.fairness_contribs().to_vec()
     }
 
     /// The active objective's assembled fairness term over the live
@@ -738,7 +745,7 @@ impl StreamingFairKm {
     /// configured — Eq. 7 representativity, the bounded-representation
     /// penalty, or a group-welfare variant).
     pub fn fairness_term(&self) -> f64 {
-        self.state.fairness_term_cached()
+        self.state.model.fairness_term_cached()
     }
 
     /// Current objective `kmeans + λ·fairness` over the live partition.
@@ -776,58 +783,45 @@ impl StreamingFairKm {
     /// arithmetic, so it is directly comparable bitwise across single-node
     /// and sharded runs.
     pub fn prototypes(&self) -> Vec<Vec<f64>> {
-        (0..self.state.k)
+        let model = &self.state.model;
+        (0..model.k())
             .map(|c| {
-                let mut out = vec![0.0; self.state.dim];
-                self.state.prototype_into(c, &mut out);
+                let mut out = vec![0.0; model.dim()];
+                model.prototype_into(c, &mut out);
                 out
             })
             .collect()
     }
 
     /// Decompose a bootstrapped engine into [`ShardParts`] — the frozen
-    /// front-end, a rowless [`crate::agg::ShardModel`] replica carrying
-    /// the exact aggregate and cache bits, per-slot payloads to partition
-    /// across shards, and the driver's frozen parameters and counters. The
-    /// sharded coordinator resumes from these parts bitwise where the
-    /// single-node engine left off.
+    /// front-end, the [`ClusterModel`] carrying the exact aggregate and
+    /// cache bits, per-slot payloads to partition across shards, and the
+    /// driver's frozen parameters and counters. The sharded coordinator
+    /// resumes from these parts bitwise where the single-node engine left
+    /// off.
     pub fn into_shard_parts(mut self) -> ShardParts {
-        self.state.refresh_cache();
+        self.state.model.refresh_cache();
         let state = &self.state;
         let slots = (0..state.n)
-            .map(|i| crate::agg::SlotRow {
+            .map(|i| SlotRow {
                 row: state.matrix.row(i).to_vec(),
-                cat: state.cat.iter().map(|a| a.values[i]).collect(),
-                num: state.num.iter().map(|a| a.values[i]).collect(),
+                cat: state.cat_row(i).to_vec(),
+                num: state.num_row(i).to_vec(),
                 sqnorm: state.point_sqnorm[i],
-                // `UNASSIGNED` and `TOMBSTONE` are the same sentinel.
                 cluster: state.assignment[i],
             })
             .collect();
-        let model = crate::agg::ShardModel::assemble(
-            state.k,
-            state.dim,
-            state.cat.clone(),
-            state.num.clone(),
-            self.objective_kind,
-            crate::agg::AggregateDelta {
-                size: state.size.clone(),
-                centroid_sum: state.centroid_sum.clone(),
-                cat_counts: state.cat_counts.clone(),
-                num_sums: state.num_sums.clone(),
-                member_sqnorm: state.member_sqnorm.clone(),
-            },
-        );
+        let objective_kind = self.objective_kind();
         ShardParts {
             mirror: self.mirror,
             encoder: self.encoder,
-            model,
+            model: self.state.model,
             slots,
             lambda: self.lambda,
             threads: self.threads,
             window: self.window,
             engine: self.engine,
-            objective_kind: self.objective_kind,
+            objective_kind,
             drift_threshold: self.drift_threshold,
             reopt_passes: self.reopt_passes,
             objective: self.objective,
@@ -850,14 +844,24 @@ impl StreamingFairKm {
     /// scoring caches are re-derived on decode by the same pure computation
     /// that produced them.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
         let mirror = self.mirror.to_wire_bytes();
+        let encoder = self.encoder.to_wire_bytes();
+        // Sized once: a buffer grown by doubling holds the old and the new
+        // allocation while it copies, and that copy is the serving
+        // process's peak memory. 256 bytes cover the fixed-width fields.
+        let ids = self.sens_cat_ids.len() + self.sens_num_ids.len();
+        let mut out = Vec::with_capacity(
+            mirror.len()
+                + encoder.len()
+                + 8 * (self.trace.len() + ids)
+                + 256
+                + self.state.snapshot_len_bound(),
+        );
         crate::wire::put_usize(&mut out, mirror.len());
         out.extend_from_slice(&mirror);
-        let encoder = self.encoder.to_wire_bytes();
         crate::wire::put_usize(&mut out, encoder.len());
         out.extend_from_slice(&encoder);
-        crate::agg::encode_kind(&mut out, self.objective_kind);
+        crate::agg::encode_kind(&mut out, self.objective_kind());
         crate::wire::put_f64(&mut out, self.lambda);
         match self.window {
             None => out.push(0),
@@ -973,7 +977,9 @@ impl StreamingFairKm {
         if encoder.arity() != schema_len {
             return Err(invalid("encoder arity"));
         }
-        if sens_cat_ids.len() != state.cat.len() || sens_num_ids.len() != state.num.len() {
+        if sens_cat_ids.len() != state.model.cat_ts().len()
+            || sens_num_ids.len() != state.model.n_num()
+        {
             return Err(invalid("sensitive attribute count"));
         }
         Ok(Self {
@@ -984,7 +990,6 @@ impl StreamingFairKm {
             threads,
             window,
             engine,
-            objective_kind,
             drift_threshold,
             reopt_passes,
             objective,
@@ -1001,9 +1006,9 @@ impl StreamingFairKm {
 }
 
 /// An immutable snapshot of the frozen serving path, captured by
-/// [`StreamingFairKm::serving_view`]: the frozen schema + encoder, a
-/// rowless [`crate::agg::ShardModel`] replica carrying the exact aggregate
-/// and cache bits, and the frozen λ. [`Self::assign`] reproduces
+/// [`StreamingFairKm::serving_view`]: the frozen schema + encoder, a clone
+/// of the engine's [`ClusterModel`] carrying the exact aggregate and cache
+/// bits, and the frozen λ. [`Self::assign`] reproduces
 /// [`StreamingFairKm::assign_frozen`] bitwise for the captured state
 /// without touching the live engine — the read path a server swaps behind
 /// an `Arc` on every successful mutation.
@@ -1011,10 +1016,9 @@ impl StreamingFairKm {
 pub struct ServingView {
     schema: Schema,
     encoder: FrozenEncoder,
-    model: crate::agg::ShardModel,
+    model: ClusterModel,
     lambda: f64,
     n_slots: usize,
-    live: usize,
     objective: f64,
     sens_cat_ids: Vec<AttrId>,
     sens_num_ids: Vec<AttrId>,
@@ -1033,32 +1037,16 @@ impl ServingView {
     /// useful for serving responses that expose the score.
     pub fn assign_scored(&self, row: &[Value]) -> Result<(usize, f64), FairKmError> {
         let task = self.encoder.encode_row(row)?;
-        let (cat_vals, num_vals) = self.resolve_sensitive(row)?;
+        let (cat_vals, num_vals) = resolve_sensitive(
+            &self.schema,
+            &self.sens_cat_ids,
+            &self.sens_num_ids,
+            row,
+            self.n_slots,
+        )?;
         Ok(self
             .model
             .score_insertion(&task, &cat_vals, &num_vals, self.lambda))
-    }
-
-    /// Same resolution order and validation as the engine's private
-    /// `resolve_sensitive`: categorical indices first, numeric second.
-    fn resolve_sensitive(&self, row: &[Value]) -> Result<(Vec<u32>, Vec<f64>), FairKmError> {
-        if row.len() != self.schema.len() {
-            return Err(FairKmError::Data(fairkm_data::DataError::RowArity {
-                expected: self.schema.len(),
-                got: row.len(),
-            }));
-        }
-        let mut cat_vals = Vec::with_capacity(self.sens_cat_ids.len());
-        for &id in &self.sens_cat_ids {
-            let attr = self.schema.attr(id)?;
-            cat_vals.push(attr.resolve_categorical(&row[id.index()])?);
-        }
-        let mut num_vals = Vec::with_capacity(self.sens_num_ids.len());
-        for &id in &self.sens_num_ids {
-            let attr = self.schema.attr(id)?;
-            num_vals.push(attr.resolve_numeric(&row[id.index()], self.n_slots)?);
-        }
-        Ok((cat_vals, num_vals))
     }
 
     /// The frozen schema rows are validated against.
@@ -1073,7 +1061,7 @@ impl ServingView {
 
     /// Live point count at capture time.
     pub fn live(&self) -> usize {
-        self.live
+        self.model.live()
     }
 
     /// Total backing-store slots at capture time.
@@ -1234,7 +1222,7 @@ mod tests {
         s.evict(&[2, 3, 30]).unwrap();
         let cached = s.objective();
         s.state.rebuild();
-        let rebuilt = s.state.objective_cached(s.lambda());
+        let rebuilt = s.state.model.objective_cached(s.lambda());
         assert!(
             (cached - rebuilt).abs() <= 1e-9 * (1.0 + cached.abs().max(rebuilt.abs())),
             "delta objective {cached} vs from-scratch {rebuilt}"

@@ -10,10 +10,10 @@
 //!
 //! - **Lock-free read path.** Every successful (journaled) mutation
 //!   captures a [`fairkm_core::streaming::ServingView`] — frozen encoder +
-//!   rowless aggregate replica — and swaps it behind an `Arc`. `assign`
-//!   requests clone the `Arc` and score without touching the writer lock,
-//!   so reads never block behind writes and always see a fully acked
-//!   state.
+//!   a clone of the engine's aggregate model — and swaps it behind an
+//!   `Arc`. `assign` requests clone the `Arc` and score without touching
+//!   the writer lock, so reads never block behind writes and always see a
+//!   fully acked state.
 //! - **Journal-then-ack write path.** Mutations go through the tenant's
 //!   `DurableStream`: applied in memory, appended to the WAL, fsynced —
 //!   only then acked and republished. A journal failure wedges the tenant

@@ -7,9 +7,9 @@
 //! windowed accept/fallback optimizer, the rebuild cadence, drift-triggered
 //! re-optimization, trace bookkeeping — is replayed here with the same
 //! float arithmetic, with the compute legs scattered to shards. The
-//! coordinator also maintains its own full replica (a rowless
-//! [`ShardModel`]) so objectives and accept tests are evaluated locally at
-//! the exact bits every shard holds.
+//! coordinator also maintains its own full replica (the single-node
+//! [`ClusterModel`] itself) so objectives and accept tests are evaluated
+//! locally at the exact bits every shard holds.
 //!
 //! ## Invariants the protocol's determinism rests on
 //!
@@ -43,8 +43,8 @@ use crate::ShardError;
 use fairkm_core::streaming::push_trace_bounded;
 use fairkm_core::wire::{self, Reader, WireError};
 use fairkm_core::{
-    AggregateDelta, EvictReport, FairKmError, IngestReport, MiniBatchFairKm, ShardModel,
-    ShardParts, SlotRow, MOVE_EPS, TOMBSTONE,
+    resolve_sensitive, AggregateDelta, ClusterModel, EvictReport, FairKmError, IngestReport,
+    MiniBatchFairKm, ShardParts, SlotRow, MOVE_EPS, TOMBSTONE,
 };
 use fairkm_data::{wire_io, AttrId, Dataset, FrozenEncoder, Value};
 use fairkm_store::{DurableStore, StorageBackend};
@@ -172,7 +172,7 @@ pub struct Coordinator {
     plan: ShardPlan,
     mirror: Dataset,
     encoder: FrozenEncoder,
-    model: ShardModel,
+    model: ClusterModel,
     /// Per-slot payloads; `cluster` is the current assignment
     /// ([`TOMBSTONE`] for evicted slots) — the durable master copy.
     slots: Vec<SlotRow>,
@@ -476,7 +476,14 @@ impl Coordinator {
                     return;
                 }
             };
-            let (cat_vals, num_vals) = match self.resolve_sensitive(row) {
+            let resolved = resolve_sensitive(
+                self.mirror.schema(),
+                &self.sens_cat_ids,
+                &self.sens_num_ids,
+                row,
+                self.slots.len(),
+            );
+            let (cat_vals, num_vals) = match resolved {
                 Ok(v) => v,
                 Err(e) => {
                     self.results.push_back(OpOutcome::Ingest(Err(e)));
@@ -1104,30 +1111,6 @@ impl Coordinator {
         true
     }
 
-    /// Resolve a row's sensitive values with full validation — the
-    /// single-node `resolve_sensitive`, including its use of the current
-    /// slot count for numeric resolution.
-    fn resolve_sensitive(&self, row: &[Value]) -> Result<(Vec<u32>, Vec<f64>), FairKmError> {
-        let schema = self.mirror.schema();
-        if row.len() != schema.len() {
-            return Err(FairKmError::Data(fairkm_data::DataError::RowArity {
-                expected: schema.len(),
-                got: row.len(),
-            }));
-        }
-        let mut cat_vals = Vec::with_capacity(self.sens_cat_ids.len());
-        for &id in &self.sens_cat_ids {
-            let attr = schema.attr(id)?;
-            cat_vals.push(attr.resolve_categorical(&row[id.index()])?);
-        }
-        let mut num_vals = Vec::with_capacity(self.sens_num_ids.len());
-        for &id in &self.sens_num_ids {
-            let attr = schema.attr(id)?;
-            num_vals.push(attr.resolve_numeric(&row[id.index()], self.slots.len())?);
-        }
-        Ok((cat_vals, num_vals))
-    }
-
     // ---- durability ------------------------------------------------
 
     /// Attach a write-ahead journal over `backend` and write the initial
@@ -1406,7 +1389,7 @@ impl Coordinator {
         let mirror = Dataset::from_wire_bytes(r.take(mirror_len)?)?;
         let encoder_len = r.get_len(1)?;
         let encoder = FrozenEncoder::from_wire_bytes(r.take(encoder_len)?)?;
-        let model = ShardModel::from_reader(&mut r)?;
+        let model = ClusterModel::from_reader(&mut r)?;
         let n_slots = r.get_len(8)?;
         let mut slots = Vec::with_capacity(n_slots);
         for _ in 0..n_slots {

@@ -14,17 +14,18 @@
 //!   single-node driver's control flow exactly; only the embarrassingly
 //!   parallel reads (arrival scoring, move proposals, rebuild folds) are
 //!   scattered.
-//! * **Shards (node `s + 1`).** Each holds a full *rowless* replica of the
-//!   cached scoring engine — aggregates, not rows — plus the payloads of
-//!   the slots the block-cyclic [`ShardPlan`] assigns to it. Replicas
-//!   advance only by applying the log in order.
+//! * **Shards (node `s + 1`).** Each holds a full replica of the
+//!   single-node aggregate engine ([`fairkm_core::ClusterModel`] —
+//!   aggregates, not rows) plus the payloads of the slots the block-cyclic
+//!   [`ShardPlan`] assigns to it. Replicas advance only by applying the log
+//!   in order.
 //!
 //! ## Why the merge is bitwise-deterministic
 //!
 //! 1. **One total order of mutations.** Every state change is a log entry
 //!    (`Insert`/`Remove`/`Move`/`Install`) carrying the affected payload.
-//!    Applying an entry performs the exact float-operation sequence of the
-//!    single-node engine, so a replica at log version `v` is bitwise equal
+//!    Applying an entry runs the single-node engine's own code on that
+//!    payload, so a replica at log version `v` is bitwise equal
 //!    to every other replica at `v` — regardless of how the network
 //!    batched, delayed, or reordered the deliveries.
 //! 2. **Pure scatters at a pinned version.** Requests carry the log

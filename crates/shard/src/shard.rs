@@ -1,17 +1,17 @@
-//! The shard node: a full rowless replica of the scoring engine plus the
+//! The shard node: a full replica of the aggregate engine plus the
 //! payloads of the slots this shard owns.
 
 use crate::plan::ShardPlan;
 use crate::protocol::{LogEntry, Msg};
 use fairkm_core::wire::{self, Reader, WireError};
-use fairkm_core::{ShardModel, SlotRow, MOVE_EPS, TOMBSTONE};
+use fairkm_core::{ClusterModel, SlotRow, MOVE_EPS, TOMBSTONE};
 use std::collections::BTreeMap;
 
 /// Messages a handler wants delivered: `(destination node, message)`.
 pub type Outbox = Vec<(usize, Msg)>;
 
-/// One shard: applies the coordinator's replicated log to a rowless
-/// [`ShardModel`] replica (so it can score and propose for **any** point)
+/// One shard: applies the coordinator's replicated log to a
+/// [`ClusterModel`] replica (so it can score and propose for **any** point)
 /// and stores the full payloads of the slots the placement plan assigns to
 /// it (so it can fold rebuild chunks and propose moves for its slice
 /// without the coordinator shipping rows).
@@ -27,7 +27,7 @@ pub struct ShardNode {
     lambda: f64,
     /// Log entries applied so far (the replica's version).
     version: u64,
-    model: ShardModel,
+    model: ClusterModel,
     owned: BTreeMap<usize, SlotRow>,
     /// Out-of-order log batches keyed by their first index (links are not
     /// FIFO); drained in log order as gaps fill.
@@ -44,7 +44,7 @@ impl ShardNode {
         id: usize,
         plan: ShardPlan,
         lambda: f64,
-        model: ShardModel,
+        model: ClusterModel,
         owned: BTreeMap<usize, SlotRow>,
     ) -> Self {
         Self {
@@ -305,7 +305,7 @@ impl ShardNode {
         let block = r.get_usize()?;
         let version = r.get_u64()?;
         let lambda = r.get_f64()?;
-        let model = ShardModel::from_reader(&mut r)?;
+        let model = ClusterModel::from_reader(&mut r)?;
         let n_owned = r.get_len(8)?;
         let mut owned = BTreeMap::new();
         for _ in 0..n_owned {
