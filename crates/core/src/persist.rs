@@ -260,7 +260,7 @@ impl<B: StorageBackend> DurableStream<B> {
             return Err(PersistError::StateDirNotEmpty);
         }
         let stream = StreamingFairKm::bootstrap(dataset, config)?;
-        store.snapshot(&stream.to_snapshot_bytes())?;
+        store.snapshot_with(|buf| stream.write_snapshot_bytes(buf))?;
         Ok(Self {
             stream,
             store,
@@ -414,7 +414,9 @@ impl<B: StorageBackend> DurableStream<B> {
     /// snapshot cadence counter. Returns the snapshot's sequence number.
     pub fn snapshot_now(&mut self) -> Result<u64, PersistError> {
         self.check_wedged()?;
-        let seq = self.store.snapshot(&self.stream.to_snapshot_bytes())?;
+        let seq = self
+            .store
+            .snapshot_with(|buf| self.stream.write_snapshot_bytes(buf))?;
         self.ops_since_snapshot = 0;
         Ok(seq)
     }

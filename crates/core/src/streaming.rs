@@ -844,63 +844,55 @@ impl StreamingFairKm {
     /// scoring caches are re-derived on decode by the same pure computation
     /// that produced them.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.write_snapshot_bytes(&mut out);
+        out
+    }
+
+    /// Append [`Self::to_snapshot_bytes`] to `out`.
+    pub(crate) fn write_snapshot_bytes(&self, out: &mut Vec<u8>) {
         let mirror = self.mirror.to_wire_bytes();
         let encoder = self.encoder.to_wire_bytes();
         // Sized once: a buffer grown by doubling holds the old and the new
         // allocation while it copies, and that copy is the serving
         // process's peak memory. 256 bytes cover the fixed-width fields.
+        // Power-of-two capacity leaves a reused buffer room to grow.
         let ids = self.sens_cat_ids.len() + self.sens_num_ids.len();
-        let mut out = Vec::with_capacity(
-            mirror.len()
-                + encoder.len()
-                + 8 * (self.trace.len() + ids)
-                + 256
-                + self.state.snapshot_len_bound(),
-        );
-        crate::wire::put_usize(&mut out, mirror.len());
+        let fixed = 8 * (self.trace.len() + ids) + 256;
+        let bound = mirror.len() + encoder.len() + fixed + self.state.snapshot_len_bound();
+        if out.capacity() - out.len() < bound {
+            out.reserve_exact((out.len() + bound).next_power_of_two() - out.len());
+        }
+        crate::wire::put_usize(out, mirror.len());
         out.extend_from_slice(&mirror);
-        crate::wire::put_usize(&mut out, encoder.len());
+        crate::wire::put_usize(out, encoder.len());
         out.extend_from_slice(&encoder);
-        crate::agg::encode_kind(&mut out, self.objective_kind());
-        crate::wire::put_f64(&mut out, self.lambda);
+        crate::agg::encode_kind(out, self.objective_kind());
+        crate::wire::put_f64(out, self.lambda);
         match self.window {
             None => out.push(0),
             Some(w) => {
                 out.push(1);
-                crate::wire::put_usize(&mut out, w);
+                crate::wire::put_usize(out, w);
             }
         }
         out.push(match self.engine {
             DeltaEngine::Incremental => 0,
             DeltaEngine::Literal => 1,
         });
-        crate::wire::put_f64(&mut out, self.drift_threshold);
-        crate::wire::put_usize(&mut out, self.reopt_passes);
-        crate::wire::put_f64(&mut out, self.objective);
-        crate::wire::put_f64(&mut out, self.baseline_per_point);
-        crate::wire::put_usize(&mut out, self.oldest_hint);
-        crate::wire::put_f64s(&mut out, &self.trace);
-        crate::wire::put_usize(&mut out, self.inserted);
-        crate::wire::put_usize(&mut out, self.evicted);
-        crate::wire::put_usize(&mut out, self.reopts);
-        crate::wire::put_usizes(
-            &mut out,
-            &self
-                .sens_cat_ids
-                .iter()
-                .map(|id| id.index())
-                .collect::<Vec<_>>(),
-        );
-        crate::wire::put_usizes(
-            &mut out,
-            &self
-                .sens_num_ids
-                .iter()
-                .map(|id| id.index())
-                .collect::<Vec<_>>(),
-        );
-        self.state.write_snapshot(&mut out);
-        out
+        crate::wire::put_f64(out, self.drift_threshold);
+        crate::wire::put_usize(out, self.reopt_passes);
+        crate::wire::put_f64(out, self.objective);
+        crate::wire::put_f64(out, self.baseline_per_point);
+        crate::wire::put_usize(out, self.oldest_hint);
+        crate::wire::put_f64s(out, &self.trace);
+        crate::wire::put_usize(out, self.inserted);
+        crate::wire::put_usize(out, self.evicted);
+        crate::wire::put_usize(out, self.reopts);
+        for ids in [&self.sens_cat_ids, &self.sens_num_ids] {
+            crate::wire::put_usizes(out, &ids.iter().map(|id| id.index()).collect::<Vec<_>>());
+        }
+        self.state.write_snapshot(out);
     }
 
     /// Decode a driver serialized by [`Self::to_snapshot_bytes`].

@@ -42,9 +42,17 @@ pub enum Tail {
 
 /// Append one framed record to `buf`.
 pub fn put_record(buf: &mut Vec<u8>, payload: &[u8]) {
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
+    put_record_with(buf, |buf| buf.extend_from_slice(payload));
+}
+
+/// Append one framed record whose payload `write` appends to `buf`.
+pub fn put_record_with(buf: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let at = buf.len();
+    buf.extend_from_slice(&[0; FRAME_LEN]);
+    write(buf);
+    let (len, crc) = (buf.len() - at - FRAME_LEN, crc32(&buf[at + FRAME_LEN..]));
+    buf[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    buf[at + 4..at + FRAME_LEN].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Serialize a file header (magic + sequence number).

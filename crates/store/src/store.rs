@@ -35,7 +35,8 @@
 use crate::backend::StorageBackend;
 use crate::error::StoreError;
 use crate::frame::{
-    put_header, put_record, read_header, read_records, Tail, HEADER_LEN, SNAP_MAGIC, WAL_MAGIC,
+    put_header, put_record, put_record_with, read_header, read_records, Tail, HEADER_LEN,
+    SNAP_MAGIC, WAL_MAGIC,
 };
 
 /// Number of most-recent snapshots [`DurableStore::snapshot`] retains;
@@ -141,6 +142,8 @@ pub struct DurableStore<B: StorageBackend> {
     segment: String,
     /// Sequence covered by the newest durable snapshot.
     snapshot_seq: u64,
+    /// Reused by every snapshot, so its allocation is made once.
+    frame: Vec<u8>,
 }
 
 impl<B: StorageBackend> DurableStore<B> {
@@ -358,6 +361,7 @@ impl<B: StorageBackend> DurableStore<B> {
             next_seq,
             segment,
             snapshot_seq,
+            frame: Vec::new(),
         };
         let recovered = Recovered {
             snapshot,
@@ -430,13 +434,20 @@ impl<B: StorageBackend> DurableStore<B> {
     /// roll the log to a fresh segment, and prune snapshots/segments no
     /// retained snapshot needs. Returns the covered sequence.
     pub fn snapshot(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
+        self.snapshot_with(|buf| buf.extend_from_slice(payload))
+    }
+
+    /// [`Self::snapshot`] with the payload appended by `write` straight
+    /// into the file's buffer, which the store keeps: no snapshot-sized
+    /// allocation or copy per snapshot.
+    pub fn snapshot_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> Result<u64, StoreError> {
         // Seal the staged suffix first: the snapshot claims to cover it.
         self.sync()?;
         let seq = self.next_seq;
-        let mut buf = Vec::with_capacity(payload.len() + HEADER_LEN + 8);
-        put_header(&mut buf, SNAP_MAGIC, seq);
-        put_record(&mut buf, payload);
-        self.backend.write_atomic(&snap_name(seq), &buf)?;
+        self.frame.clear();
+        put_header(&mut self.frame, SNAP_MAGIC, seq);
+        put_record_with(&mut self.frame, write);
+        self.backend.write_atomic(&snap_name(seq), &self.frame)?;
         let fresh = wal_name(seq);
         // When no entry has been appended since the segment was created,
         // the "fresh" segment IS the open one (same first sequence) — its
