@@ -1256,8 +1256,7 @@ impl<'a> State<'a> {
     /// reproduce the uninterrupted run exactly. Caches are excluded: they
     /// are pure per-cluster functions of the aggregates and are re-derived
     /// on decode by the same `refresh_cache` computation that produced
-    /// them. Sensitive values are written one column per attribute,
-    /// gathered from the row-major slot codes.
+    /// them. Sensitive codes and values are written row-major, as stored.
     pub fn write_snapshot(&self, out: &mut Vec<u8>) {
         let m = &self.model;
         debug_assert!(
@@ -1276,28 +1275,21 @@ impl<'a> State<'a> {
         wire::put_usizes(out, &m.agg.size);
         wire::put_f64s(out, &m.agg.centroid_sum);
         wire::put_usize(out, m.cat.len());
-        for (a, (attr, counts)) in m.cat.iter().zip(&m.agg.cat_counts).enumerate() {
-            // The column `put_u32s` would write, gathered in place.
-            wire::put_usize(out, self.n);
-            for x in 0..self.n {
-                wire::put_u32(out, self.cat_row(x)[a]);
-            }
+        for (attr, counts) in m.cat.iter().zip(&m.agg.cat_counts) {
             wire::put_usize(out, attr.t);
             wire::put_f64s(out, &attr.dist);
             wire::put_f64s(out, &attr.value_scale);
             wire::put_f64(out, attr.weight);
             wire::put_i64s(out, counts);
         }
+        wire::put_u32s(out, &self.cat_codes);
         wire::put_usize(out, m.num.len());
-        for (a, (attr, sums)) in m.num.iter().zip(&m.agg.num_sums).enumerate() {
-            wire::put_usize(out, self.n);
-            for x in 0..self.n {
-                wire::put_f64(out, self.num_row(x)[a]);
-            }
+        for (attr, sums) in m.num.iter().zip(&m.agg.num_sums) {
             wire::put_f64(out, attr.mean);
             wire::put_f64(out, attr.weight);
             wire::put_f64s(out, sums);
         }
+        wire::put_f64s(out, &self.num_values);
         wire::put_f64s(out, &self.point_sqnorm);
         wire::put_f64s(out, &m.agg.member_sqnorm);
         wire::put_usize(out, self.rebuilds);
@@ -1354,41 +1346,41 @@ impl<'a> State<'a> {
         }
         let size = r.get_usizes()?;
         let centroid_sum = r.get_f64s()?;
-        // Each categorical attribute costs at least its values length prefix.
+        // Each categorical attribute costs at least its `t` field.
         let n_cat = r.get_len(8)?;
         let mut cat = Vec::with_capacity(n_cat);
-        let mut cat_columns = Vec::with_capacity(n_cat);
         let mut cat_counts = Vec::with_capacity(n_cat);
         for _ in 0..n_cat {
-            let values = r.get_u32s()?;
-            let attr = CatAttr {
+            cat.push(CatAttr {
                 t: r.get_usize()?,
                 dist: r.get_f64s()?,
                 value_scale: r.get_f64s()?,
                 weight: r.get_f64()?,
-            };
-            if values.len() != n || values.iter().any(|&v| v as usize >= attr.t) {
-                return Err(invalid("categorical values"));
-            }
+            });
             cat_counts.push(r.get_i64s()?);
-            cat.push(attr);
-            cat_columns.push(values);
+        }
+        let cat_codes = r.get_u32s()?;
+        if Some(cat_codes.len()) != n.checked_mul(n_cat)
+            || cat_codes
+                .iter()
+                .zip(cat.iter().cycle())
+                .any(|(&v, a)| v as usize >= a.t)
+        {
+            return Err(invalid("categorical values"));
         }
         let n_num = r.get_len(8)?;
         let mut num = Vec::with_capacity(n_num);
-        let mut num_columns = Vec::with_capacity(n_num);
         let mut num_sums = Vec::with_capacity(n_num);
         for _ in 0..n_num {
-            let values = r.get_f64s()?;
-            if values.len() != n {
-                return Err(invalid("numeric values"));
-            }
             num.push(NumAttr {
                 mean: r.get_f64()?,
                 weight: r.get_f64()?,
             });
             num_sums.push(r.get_f64s()?);
-            num_columns.push(values);
+        }
+        let num_values = r.get_f64s()?;
+        if Some(num_values.len()) != n.checked_mul(n_num) {
+            return Err(invalid("numeric values"));
         }
         let point_sqnorm = r.get_f64s()?;
         if point_sqnorm.len() != n {
@@ -1408,12 +1400,6 @@ impl<'a> State<'a> {
         if model.live != live {
             return Err(invalid("live count"));
         }
-        let cat_codes = (0..n)
-            .flat_map(|x| cat_columns.iter().map(move |col| col[x]))
-            .collect();
-        let num_values = (0..n)
-            .flat_map(|x| num_columns.iter().map(move |col| col[x]))
-            .collect();
         Ok(State {
             model,
             matrix: Cow::Owned(matrix),

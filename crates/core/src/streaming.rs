@@ -8,7 +8,7 @@
 //! objective:
 //!
 //! 1. **Delta ingestion.** [`StreamingFairKm::ingest`] validates each
-//!    arrival against the frozen schema (via [`Dataset::append_rows`]),
+//!    arrival against the frozen schema (via [`resolve_sensitive`]),
 //!    encodes it through a [`fairkm_data::FrozenEncoder`] (the normalization
 //!    captured at bootstrap — later rows never re-shift the space), scores
 //!    the whole batch against the scoring caches **frozen at batch start**,
@@ -29,6 +29,10 @@
 //!    mini-batch passes (`windowed_pass`, the same optimizer the batch
 //!    schedule uses; tombstoned slots propose no moves) until convergence
 //!    or [`StreamingConfig::reopt_passes`].
+//!
+//! Each row is stored once: its encoded task vector and sensitive codes
+//! live in the engine's slot rows, and the driver keeps only the frozen
+//! schema to validate arrivals and label the live views.
 //!
 //! Eviction ([`StreamingFairKm::evict`]) removes points by the inverse
 //! delta; evicted slots stay as tombstones in the backing store until
@@ -51,7 +55,8 @@ use crate::fairkm::{initial_assignment, resolve_weights, windowed_pass};
 use crate::minibatch::MiniBatchFairKm;
 use crate::state::{ClusterModel, State};
 use fairkm_data::{
-    AttrId, Dataset, FrozenEncoder, NumericMatrix, Partition, Role, Schema, SensitiveSpace, Value,
+    AttrId, AttrKind, Dataset, FrozenEncoder, NumericMatrix, Partition, Role, Schema, SensitiveCat,
+    SensitiveNum, SensitiveSpace, Value,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -152,9 +157,8 @@ pub struct EvictReport {
 /// [`StreamingFairKm::into_shard_parts`].
 #[derive(Debug)]
 pub struct ShardParts {
-    /// Mirror of every ingested row (the coordinator's durable master
-    /// copy of the raw data, used for arrival validation and compaction).
-    pub mirror: Dataset,
+    /// The frozen schema arrivals are validated against.
+    pub schema: Schema,
     /// Frozen arrival validation/encoding transforms.
     pub encoder: FrozenEncoder,
     /// The aggregate engine at hand-off (every replica starts from a copy).
@@ -232,10 +236,8 @@ pub struct ShardParts {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamingFairKm {
-    /// Slot-aligned raw mirror of everything ever ingested (tombstones
-    /// included), used for append validation, sensitive-value resolution,
-    /// and live-view construction.
-    mirror: Dataset,
+    /// The frozen schema: arrival validation and live-view labels.
+    schema: Schema,
     encoder: FrozenEncoder,
     state: State<'static>,
     lambda: f64,
@@ -278,10 +280,13 @@ impl std::fmt::Debug for State<'_> {
 /// Resolve a row's sensitive values — categorical indices first, numeric
 /// second, the attribute order the engine expects — with full validation:
 /// the row's arity against `schema`, then every sensitive cell against its
-/// attribute. `n_slots` is the current slot count, which numeric
+/// attribute, then every auxiliary cell (resolved and discarded: the engine
+/// stores no auxiliary data, but a row with a bad auxiliary cell is still
+/// a bad row). `n_slots` is the current slot count, which numeric
 /// resolution reports in its errors. The single-node engine, every serving
 /// view and the sharded coordinator all resolve arrivals through this one
-/// function, so they accept and reject exactly the same rows.
+/// function (after the frozen encoder has checked the task cells), so they
+/// accept and reject exactly the same rows.
 pub fn resolve_sensitive(
     schema: &Schema,
     sens_cat_ids: &[AttrId],
@@ -307,8 +312,31 @@ pub fn resolve_sensitive(
                 .resolve_numeric(&row[id.index()], n_slots)?,
         );
     }
+    for (id, attr) in schema.iter().filter(|(_, a)| a.role == Role::Auxiliary) {
+        let cell = &row[id.index()];
+        match attr.kind {
+            AttrKind::Numeric => attr.resolve_numeric(cell, n_slots).map(drop)?,
+            AttrKind::Categorical { .. } => attr.resolve_categorical(cell).map(drop)?,
+        }
+    }
     Ok((cat_vals, num_vals))
 }
+
+/// The schema's sensitive attribute ids, categorical then numeric, each in
+/// schema order — the order the engine stores a slot's codes in.
+fn sensitive_ids(schema: &Schema) -> (Vec<AttrId>, Vec<AttrId>) {
+    let (cat, num): (Vec<_>, Vec<_>) = schema
+        .iter()
+        .filter(|(_, a)| a.role == Role::Sensitive)
+        .partition(|(_, a)| a.kind.is_categorical());
+    let ids = |v: Vec<(AttrId, _)>| v.into_iter().map(|(id, _)| id).collect();
+    (ids(cat), ids(num))
+}
+
+/// Leading `u64` of every [`StreamingFairKm::to_snapshot_bytes`] payload:
+/// the bytes `FKSTRM02`. Payloads written before the tag existed start with
+/// a length prefix far below 2^56, so they can never carry it.
+const SNAPSHOT_FORMAT: u64 = u64::from_le_bytes(*b"FKSTRM02");
 
 /// Retained objective-trace ceiling. A long-lived stream pushes one entry
 /// per ingest/evict batch and per optimization pass; past this many the
@@ -419,20 +447,10 @@ impl StreamingFairKm {
             objective,
             &mut trace,
         );
-        let mut sens_cat_ids = Vec::new();
-        let mut sens_num_ids = Vec::new();
-        for (id, attr) in dataset.schema().iter() {
-            if attr.role == Role::Sensitive {
-                if attr.kind.is_categorical() {
-                    sens_cat_ids.push(id);
-                } else {
-                    sens_num_ids.push(id);
-                }
-            }
-        }
+        let (sens_cat_ids, sens_num_ids) = sensitive_ids(dataset.schema());
         let baseline_per_point = objective / state.model.live() as f64;
         Ok(Self {
-            mirror: dataset,
+            schema: dataset.schema().clone(),
             encoder,
             state,
             lambda,
@@ -478,7 +496,7 @@ impl StreamingFairKm {
     pub fn serving_view(&self) -> ServingView {
         debug_assert!(self.state.model.cache_is_fresh());
         ServingView {
-            schema: self.mirror.schema().clone(),
+            schema: self.schema.clone(),
             encoder: self.encoder.clone(),
             model: self.state.model.clone(),
             lambda: self.lambda,
@@ -505,16 +523,14 @@ impl StreamingFairKm {
                 reopt_moves: 0,
             });
         }
-        // Validate + encode every row before mutating anything.
+        // Validate + encode every row before mutating anything, so a bad
+        // row rejects the whole batch.
         let mut encoded: Vec<(Vec<f64>, Vec<u32>, Vec<f64>)> = Vec::with_capacity(rows.len());
         for row in rows {
             let task = self.encoder.encode_row(row)?;
             let (cat_vals, num_vals) = self.resolve_sensitive(row)?;
             encoded.push((task, cat_vals, num_vals));
         }
-        // The mirror re-validates everything (including auxiliary cells)
-        // atomically; only after it commits does the state mutate.
-        self.mirror.append_rows(rows.to_vec())?;
 
         // Frozen-prototype assignment for the whole batch.
         let model = &self.state.model;
@@ -632,13 +648,11 @@ impl StreamingFairKm {
         total_moves
     }
 
-    /// Drop every tombstoned slot from the backing store and the mirror,
-    /// renumbering the survivors. Returns the old slot index each new slot
+    /// Drop every tombstoned slot from the backing store, renumbering the survivors. Returns the old slot index each new slot
     /// held (so external slot bookkeeping can be renumbered). Invalidates
     /// previously returned slot ids.
     pub fn compact(&mut self) -> Result<Vec<usize>, FairKmError> {
         let kept = self.state.compact();
-        self.mirror = self.mirror.select_rows(&kept)?;
         self.objective = self.state.model.objective_cached(self.lambda);
         self.oldest_hint = 0;
         Ok(kept)
@@ -655,7 +669,30 @@ impl StreamingFairKm {
     ) -> Result<(NumericMatrix, SensitiveSpace, Partition, Vec<usize>), FairKmError> {
         let slots = self.live_slots();
         let matrix = self.state.matrix.select_rows(&slots);
-        let space = self.mirror.select_rows(&slots)?.sensitive_space()?;
+        let mut cat = Vec::with_capacity(self.sens_cat_ids.len());
+        for (a, &id) in self.sens_cat_ids.iter().enumerate() {
+            let attr = self.schema.attr(id)?;
+            let AttrKind::Categorical { values: labels } = &attr.kind else {
+                unreachable!("categorical sensitive ids name categorical attributes");
+            };
+            let codes = slots.iter().map(|&s| self.state.cat_row(s)[a]).collect();
+            cat.push(SensitiveCat::new(
+                id,
+                attr.name.clone(),
+                labels.clone(),
+                codes,
+            ));
+        }
+        let mut num = Vec::with_capacity(self.sens_num_ids.len());
+        for (a, &id) in self.sens_num_ids.iter().enumerate() {
+            let values = slots.iter().map(|&s| self.state.num_row(s)[a]).collect();
+            num.push(SensitiveNum::new(
+                id,
+                self.schema.attr(id)?.name.clone(),
+                values,
+            ));
+        }
+        let space = SensitiveSpace::new(slots.len(), cat, num);
         let clusters: Vec<usize> = slots.iter().map(|&s| self.state.assignment[s]).collect();
         let partition = Partition::new(clusters, self.state.model.k())?;
         Ok((matrix, space, partition, slots))
@@ -664,7 +701,7 @@ impl StreamingFairKm {
     /// [`resolve_sensitive`] against this engine's frozen schema.
     fn resolve_sensitive(&self, row: &[Value]) -> Result<(Vec<u32>, Vec<f64>), FairKmError> {
         resolve_sensitive(
-            self.mirror.schema(),
+            &self.schema,
             &self.sens_cat_ids,
             &self.sens_num_ids,
             row,
@@ -813,7 +850,7 @@ impl StreamingFairKm {
             .collect();
         let objective_kind = self.objective_kind();
         ShardParts {
-            mirror: self.mirror,
+            schema: self.schema,
             encoder: self.encoder,
             model: self.state.model,
             slots,
@@ -836,9 +873,10 @@ impl StreamingFairKm {
         }
     }
 
-    /// Serialize the entire driver — mirror, frozen encoder, optimization
-    /// state with its delta-maintained aggregates **verbatim**, frozen
-    /// parameters, and counters — into one byte blob. Restoring through
+    /// Serialize the entire driver — format tag, frozen schema and encoder,
+    /// optimization state with its delta-maintained aggregates and slot
+    /// rows **verbatim**, frozen parameters, and counters — into one byte
+    /// blob. Restoring through
     /// [`Self::from_snapshot_bytes`] reproduces the uninterrupted run
     /// bitwise: every float travels as its exact IEEE-754 bits, and the
     /// scoring caches are re-derived on decode by the same pure computation
@@ -851,20 +889,20 @@ impl StreamingFairKm {
 
     /// Append [`Self::to_snapshot_bytes`] to `out`.
     pub(crate) fn write_snapshot_bytes(&self, out: &mut Vec<u8>) {
-        let mirror = self.mirror.to_wire_bytes();
+        let mut schema = Vec::new();
+        fairkm_data::wire_io::put_schema(&mut schema, &self.schema);
         let encoder = self.encoder.to_wire_bytes();
         // Sized once: a buffer grown by doubling holds the old and the new
         // allocation while it copies, and that copy is the serving
         // process's peak memory. 256 bytes cover the fixed-width fields.
         // Power-of-two capacity leaves a reused buffer room to grow.
-        let ids = self.sens_cat_ids.len() + self.sens_num_ids.len();
-        let fixed = 8 * (self.trace.len() + ids) + 256;
-        let bound = mirror.len() + encoder.len() + fixed + self.state.snapshot_len_bound();
+        let fixed = 8 * self.trace.len() + 256;
+        let bound = schema.len() + encoder.len() + fixed + self.state.snapshot_len_bound();
         if out.capacity() - out.len() < bound {
             out.reserve_exact((out.len() + bound).next_power_of_two() - out.len());
         }
-        crate::wire::put_usize(out, mirror.len());
-        out.extend_from_slice(&mirror);
+        crate::wire::put_u64(out, SNAPSHOT_FORMAT);
+        out.extend_from_slice(&schema);
         crate::wire::put_usize(out, encoder.len());
         out.extend_from_slice(&encoder);
         crate::agg::encode_kind(out, self.objective_kind());
@@ -889,9 +927,6 @@ impl StreamingFairKm {
         crate::wire::put_usize(out, self.inserted);
         crate::wire::put_usize(out, self.evicted);
         crate::wire::put_usize(out, self.reopts);
-        for ids in [&self.sens_cat_ids, &self.sens_num_ids] {
-            crate::wire::put_usizes(out, &ids.iter().map(|id| id.index()).collect::<Vec<_>>());
-        }
         self.state.write_snapshot(out);
     }
 
@@ -901,9 +936,12 @@ impl StreamingFairKm {
     /// (`None` = environment/auto, exactly like
     /// [`crate::FairKmConfig::with_threads`] absent): the thread count never
     /// changes result bits, so a snapshot taken on one machine restores on
-    /// another. Truncated or malformed input — including shape mismatches
-    /// between the mirror, encoder, and state — surfaces as a typed
-    /// [`crate::wire::WireError`], never a panic.
+    /// another. A payload that does not start with this build's format tag
+    /// (one written by an older fairkm) is
+    /// [`crate::wire::WireError::UnsupportedVersion`]. Truncated or
+    /// malformed input — including shape mismatches between the schema,
+    /// encoder, and state — surfaces as a typed [`crate::wire::WireError`],
+    /// never a panic.
     pub fn from_snapshot_bytes(
         bytes: &[u8],
         threads: Option<usize>,
@@ -911,8 +949,14 @@ impl StreamingFairKm {
         use crate::wire::{Reader, WireError};
         let invalid = |what: &'static str| WireError::Invalid { what };
         let mut r = Reader::new(bytes);
-        let mirror_len = r.get_len(1)?;
-        let mirror = Dataset::from_wire_bytes(r.take(mirror_len)?)?;
+        let found = r.get_u64()?;
+        if found != SNAPSHOT_FORMAT {
+            return Err(WireError::UnsupportedVersion {
+                found,
+                expected: SNAPSHOT_FORMAT,
+            });
+        }
+        let schema = fairkm_data::wire_io::get_schema(&mut r)?;
         let encoder_len = r.get_len(1)?;
         let encoder = FrozenEncoder::from_wire_bytes(r.take(encoder_len)?)?;
         let objective_kind = crate::agg::decode_kind(&mut r)?;
@@ -946,36 +990,23 @@ impl StreamingFairKm {
         let inserted = r.get_usize()?;
         let evicted = r.get_usize()?;
         let reopts = r.get_usize()?;
-        let schema_len = mirror.schema().len();
-        let to_ids = |raw: Vec<usize>| -> Result<Vec<AttrId>, WireError> {
-            raw.into_iter()
-                .map(|i| {
-                    if i < schema_len {
-                        Ok(AttrId(i))
-                    } else {
-                        Err(invalid("sensitive attribute id"))
-                    }
-                })
-                .collect()
-        };
-        let sens_cat_ids = to_ids(r.get_usizes()?)?;
-        let sens_num_ids = to_ids(r.get_usizes()?)?;
         let threads = fairkm_parallel::resolve_threads(threads);
         let state = State::read_snapshot(&mut r, objective_kind, threads)?;
         r.expect_empty()?;
-        if mirror.n_rows() != state.n {
-            return Err(invalid("mirror/state slot count"));
-        }
-        if encoder.arity() != schema_len {
+        if encoder.arity() != schema.len() {
             return Err(invalid("encoder arity"));
         }
-        if sens_cat_ids.len() != state.model.cat_ts().len()
+        let (sens_cat_ids, sens_num_ids) = sensitive_ids(&schema);
+        let cards = sens_cat_ids
+            .iter()
+            .map(|&id| schema.attr(id).ok()?.kind.cardinality());
+        if !cards.eq(state.model.cat_ts().into_iter().map(Some))
             || sens_num_ids.len() != state.model.n_num()
         {
-            return Err(invalid("sensitive attribute count"));
+            return Err(invalid("sensitive attributes vs schema"));
         }
         Ok(Self {
-            mirror,
+            schema,
             encoder,
             state,
             lambda,

@@ -8,8 +8,6 @@ use crate::matrix::NumericMatrix;
 use crate::schema::{AttrId, AttrKind, Role, Schema};
 use crate::sensitive::{SensitiveCat, SensitiveNum, SensitiveSpace};
 use crate::value::Value;
-use crate::wire::{self, WireError};
-use crate::wire_io;
 
 /// One stored column.
 #[derive(Debug, Clone, PartialEq)]
@@ -284,75 +282,6 @@ impl Dataset {
         Ok(FrozenEncoder::from_specs(specs, self.schema.len()))
     }
 
-    /// Serialize this dataset into the wire format used by durable
-    /// snapshots: schema declarations followed by tagged column vectors.
-    /// Floats travel as raw IEEE-754 bits, so a decode reproduces the
-    /// dataset **bitwise**.
-    pub fn to_wire_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        wire_io::put_schema(&mut out, &self.schema);
-        wire::put_usize(&mut out, self.n_rows);
-        for col in &self.columns {
-            match col {
-                Column::Num(v) => {
-                    out.push(0);
-                    wire::put_f64s(&mut out, v);
-                }
-                Column::Cat(v) => {
-                    out.push(1);
-                    wire::put_u32s(&mut out, v);
-                }
-            }
-        }
-        out
-    }
-
-    /// Decode a dataset written by [`Dataset::to_wire_bytes`]. Truncated or
-    /// malformed input surfaces as a typed [`WireError`]; columns whose kind
-    /// or length disagree with the decoded schema are rejected rather than
-    /// constructed.
-    pub fn from_wire_bytes(bytes: &[u8]) -> Result<Dataset, WireError> {
-        let mut r = wire::Reader::new(bytes);
-        let schema = wire_io::get_schema(&mut r)?;
-        let n_rows = r.get_usize()?;
-        let mut columns = Vec::with_capacity(schema.len());
-        for (_, attr) in schema.iter() {
-            let col = match (r.take(1)?[0], attr.kind.is_categorical()) {
-                (0, false) => Column::Num(r.get_f64s()?),
-                (1, true) => {
-                    let v = r.get_u32s()?;
-                    if let AttrKind::Categorical { values } = &attr.kind {
-                        if v.iter().any(|&i| (i as usize) >= values.len()) {
-                            return Err(WireError::Invalid {
-                                what: "categorical column index",
-                            });
-                        }
-                    }
-                    Column::Cat(v)
-                }
-                (0 | 1, _) => {
-                    return Err(WireError::Invalid {
-                        what: "column kind vs schema",
-                    })
-                }
-                (t, _) => {
-                    return Err(WireError::UnknownTag {
-                        what: "column kind",
-                        tag: t as u64,
-                    })
-                }
-            };
-            if col.len() != n_rows {
-                return Err(WireError::Invalid {
-                    what: "column length",
-                });
-            }
-            columns.push(col);
-        }
-        r.expect_empty()?;
-        Ok(Dataset::from_parts(schema, columns, n_rows))
-    }
-
     /// New dataset containing only the given rows, in the given order.
     /// Used for undersampling and train/holdout style splits.
     pub fn select_rows(&self, rows: &[usize]) -> Result<Dataset, DataError> {
@@ -399,30 +328,6 @@ mod tests {
         b.push_row(row![3.0, "blue", "b", 50.0, "hi"]).unwrap();
         b.push_row(row![5.0, "red", "a", 40.0, "hi"]).unwrap();
         b.build().unwrap()
-    }
-
-    #[test]
-    fn wire_round_trip_is_bitwise() {
-        let d = sample();
-        let bytes = d.to_wire_bytes();
-        let back = Dataset::from_wire_bytes(&bytes).unwrap();
-        assert_eq!(d, back);
-        // Re-encoding the decoded dataset reproduces the bytes exactly.
-        assert_eq!(bytes, back.to_wire_bytes());
-    }
-
-    #[test]
-    fn wire_truncation_and_corruption_are_typed_errors() {
-        let d = sample();
-        let bytes = d.to_wire_bytes();
-        for cut in 0..bytes.len() {
-            assert!(Dataset::from_wire_bytes(&bytes[..cut]).is_err());
-        }
-        // Out-of-range categorical index is rejected, not constructed.
-        let mut bad = bytes.clone();
-        let pos = bad.len() - 4; // last u32 of the final Cat column
-        bad[pos..].copy_from_slice(&99u32.to_le_bytes());
-        assert!(Dataset::from_wire_bytes(&bad).is_err());
     }
 
     #[test]

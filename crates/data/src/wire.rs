@@ -54,6 +54,14 @@ pub enum WireError {
         /// Leftover byte count.
         remaining: usize,
     },
+    /// A payload's leading format tag is not the one this build writes:
+    /// it was written by another version of fairkm.
+    UnsupportedVersion {
+        /// The tag the payload starts with.
+        found: u64,
+        /// The tag this build reads and writes.
+        expected: u64,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -75,6 +83,10 @@ impl std::fmt::Display for WireError {
             WireError::Trailing { remaining } => {
                 write!(f, "{remaining} trailing bytes after a complete value")
             }
+            WireError::UnsupportedVersion { found, expected } => write!(
+                f,
+                "unsupported format version {found:#018x} (this build reads {expected:#018x})"
+            ),
         }
     }
 }

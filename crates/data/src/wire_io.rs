@@ -2,8 +2,9 @@
 //! [`Schema`]).
 //!
 //! These encoders feed the durability layer: streaming snapshots persist the
-//! mirrored [`crate::Dataset`] and [`crate::FrozenEncoder`], and the
-//! write-ahead log journals ingested rows as `Vec<Value>`. Every encoding is
+//! frozen [`Schema`] next to the [`crate::FrozenEncoder`], the write-ahead
+//! log journals ingested rows as `Vec<Value>`, and the server's wire format
+//! carries request rows the same way. Every encoding is
 //! byte-exact (floats travel as raw IEEE-754 bits) and every decoder returns
 //! a typed [`WireError`] on truncated or malformed input — never a panic.
 

@@ -1,5 +1,5 @@
 //! The coordinator: owner of the replicated mutation log, the durable
-//! master copy of the data, and the message-driven mirror of the
+//! master copy of the slot rows, and the message-driven replay of the
 //! single-node streaming driver.
 //!
 //! Every control-flow decision of [`fairkm_core::StreamingFairKm`] —
@@ -46,12 +46,11 @@ use fairkm_core::{
     resolve_sensitive, AggregateDelta, ClusterModel, EvictReport, FairKmError, IngestReport,
     MiniBatchFairKm, ShardParts, SlotRow, MOVE_EPS, TOMBSTONE,
 };
-use fairkm_data::{wire_io, AttrId, Dataset, FrozenEncoder, Value};
+use fairkm_data::{wire_io, AttrId, FrozenEncoder, Schema, Value};
 use fairkm_store::{DurableStore, StorageBackend};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Journal record holding one replicated entry batch (plus the raw rows
-/// an ingest batch appended to the mirror).
+/// Journal record holding one replicated entry batch.
 const REC_ENTRIES: u8 = 0;
 /// Journal record sealing one completed operation's bookkeeping.
 const REC_OP_DONE: u8 = 1;
@@ -72,8 +71,7 @@ pub struct CoordinatorRecovery {
     /// `true` when the journal ends with entry batches that no completed
     /// operation sealed — the coordinator crashed mid-operation. The
     /// batches are kept (shards may have applied them; the log never
-    /// rolls back) but the in-flight operation produced no result and the
-    /// mirror may lack its raw rows.
+    /// rolls back) but the in-flight operation produced no result.
     pub interrupted: bool,
     /// Byte offset a torn final journal segment was truncated to.
     pub truncated_tail: Option<u64>,
@@ -151,9 +149,6 @@ struct ReoptState {
 struct IngestPhase {
     start: usize,
     items: Vec<(usize, SlotRow)>,
-    /// The raw client rows, journaled alongside the `Insert` batch so a
-    /// recovered coordinator can rebuild the mirror exactly.
-    rows: Vec<Vec<Value>>,
     scores: BTreeMap<usize, usize>,
     await_reqs: usize,
 }
@@ -170,7 +165,8 @@ enum Phase {
 #[derive(Debug)]
 pub struct Coordinator {
     plan: ShardPlan,
-    mirror: Dataset,
+    /// The frozen schema arrivals are validated against.
+    schema: Schema,
     encoder: FrozenEncoder,
     model: ClusterModel,
     /// Per-slot payloads; `cluster` is the current assignment
@@ -211,7 +207,7 @@ pub struct Coordinator {
 
 impl Coordinator {
     /// Split a bootstrapped single-node engine into a coordinator and its
-    /// shard nodes: the coordinator keeps the mirror, the encoder, the
+    /// shard nodes: the coordinator keeps the schema, the encoder, the
     /// full payload table, and one replica; every shard gets a clone of
     /// the replica plus its owned slice of the payloads. All replicas
     /// start bitwise identical at log version 0.
@@ -230,7 +226,7 @@ impl Coordinator {
             .collect();
         let coordinator = Self {
             plan,
-            mirror: parts.mirror,
+            schema: parts.schema,
             encoder: parts.encoder,
             model: parts.model,
             slots: parts.slots,
@@ -346,7 +342,6 @@ impl Coordinator {
                             to,
                             data,
                         }],
-                        Vec::new(),
                         out,
                     ) {
                         return; // wedged: abort the fallback scan
@@ -477,7 +472,7 @@ impl Coordinator {
                 }
             };
             let resolved = resolve_sensitive(
-                self.mirror.schema(),
+                &self.schema,
                 &self.sens_cat_ids,
                 &self.sens_num_ids,
                 row,
@@ -501,10 +496,6 @@ impl Coordinator {
                     cluster: TOMBSTONE,
                 },
             ));
-        }
-        if let Err(e) = self.mirror.append_rows(rows.clone()) {
-            self.results.push_back(OpOutcome::Ingest(Err(e.into())));
-            return;
         }
         // Scatter arrival scoring by owner; every score is computed
         // against the caches frozen at the current version.
@@ -534,7 +525,6 @@ impl Coordinator {
         self.phase = Phase::Ingest(IngestPhase {
             start,
             items,
-            rows,
             scores: BTreeMap::new(),
             await_reqs,
         });
@@ -544,7 +534,6 @@ impl Coordinator {
         let IngestPhase {
             start,
             items,
-            rows,
             scores,
             ..
         } = p;
@@ -560,7 +549,7 @@ impl Coordinator {
             self.slots.push(item.clone());
             entries.push(LogEntry::Insert { slot, data: item });
         }
-        if !self.append_and_broadcast(entries, rows, out) {
+        if !self.append_and_broadcast(entries, out) {
             return; // wedged: abort the ingest, surface nothing
         }
         self.model.refresh_cache();
@@ -619,7 +608,7 @@ impl Coordinator {
             self.slots[slot].cluster = TOMBSTONE;
             entries.push(LogEntry::Remove { slot, data });
         }
-        if !self.append_and_broadcast(entries, Vec::new(), out) {
+        if !self.append_and_broadcast(entries, out) {
             return; // wedged: abort the evict, surface nothing
         }
         self.model.refresh_cache();
@@ -761,7 +750,7 @@ impl Coordinator {
                     data: self.slots[slot].clone(),
                 })
                 .collect();
-            if !self.append_and_broadcast(entries, Vec::new(), out) {
+            if !self.append_and_broadcast(entries, out) {
                 return; // wedged: abort the pass
             }
             r.moved += staged.len();
@@ -844,11 +833,7 @@ impl Coordinator {
         cont: RebuildCont,
         out: &mut Outbox,
     ) {
-        if !self.append_and_broadcast(
-            vec![LogEntry::Install { agg: total.clone() }],
-            Vec::new(),
-            out,
-        ) {
+        if !self.append_and_broadcast(vec![LogEntry::Install { agg: total.clone() }], out) {
             return; // wedged: abort before installing past the log
         }
         self.model.install(total);
@@ -1008,20 +993,14 @@ impl Coordinator {
     /// single log version. The journal write comes **first**: a batch no
     /// shard has seen may be lost to a crash, but a batch any shard
     /// applied is always on the durable log — recovery never rolls
-    /// replicas back. `rows` carries an ingest batch's raw client rows so
-    /// recovery can rebuild the mirror; empty for every other batch.
+    /// replicas back.
     ///
     /// Returns `false` when the journal write wedged the coordinator:
     /// the caller must abort the operation immediately — continuing
     /// would journal later records (e.g. the small `REC_OP_DONE`) over
     /// a hole left by this failed batch.
     #[must_use]
-    fn append_and_broadcast(
-        &mut self,
-        entries: Vec<LogEntry>,
-        rows: Vec<Vec<Value>>,
-        out: &mut Outbox,
-    ) -> bool {
+    fn append_and_broadcast(&mut self, entries: Vec<LogEntry>, out: &mut Outbox) -> bool {
         debug_assert!(
             self.outstanding.is_empty(),
             "log must be frozen while scattered"
@@ -1029,10 +1008,6 @@ impl Coordinator {
         if self.journal.is_some() {
             let mut payload = Vec::new();
             payload.push(REC_ENTRIES);
-            wire::put_usize(&mut payload, rows.len());
-            for row in &rows {
-                wire_io::put_row(&mut payload, row);
-            }
             wire::put_usize(&mut payload, entries.len());
             for entry in &entries {
                 entry.to_bytes(&mut payload);
@@ -1160,7 +1135,7 @@ impl Coordinator {
 
     /// Rebuild a coordinator from its durable store: decode the newest
     /// verifying snapshot, then replay the journal suffix — entry batches
-    /// re-apply the exact aggregate mutations (and mirror rows), completed
+    /// re-apply the exact aggregate mutations, completed
     /// operations restore the bookkeeping they sealed. Every corruption
     /// mode surfaces as a typed error; trailing entry batches with no
     /// sealing operation record mark the recovery `interrupted` (the
@@ -1179,16 +1154,6 @@ impl Coordinator {
             let mut r = Reader::new(record);
             match r.take(1)?[0] {
                 REC_ENTRIES => {
-                    let n_rows = r.get_len(1)?;
-                    let mut rows = Vec::with_capacity(n_rows);
-                    for _ in 0..n_rows {
-                        rows.push(wire_io::get_row(&mut r)?);
-                    }
-                    if !rows.is_empty() {
-                        c.mirror.append_rows(rows).map_err(|_| WireError::Invalid {
-                            what: "journaled mirror rows",
-                        })?;
-                    }
                     let n_entries = r.get_len(1)?;
                     for _ in 0..n_entries {
                         let entry = LogEntry::from_reader(&mut r)?;
@@ -1334,9 +1299,7 @@ impl Coordinator {
         let ids = |v: &[AttrId]| v.iter().map(|id| id.index()).collect::<Vec<_>>();
         wire::put_usizes(&mut out, &ids(&self.sens_cat_ids));
         wire::put_usizes(&mut out, &ids(&self.sens_num_ids));
-        let mirror = self.mirror.to_wire_bytes();
-        wire::put_usize(&mut out, mirror.len());
-        out.extend(mirror);
+        wire_io::put_schema(&mut out, &self.schema);
         let encoder = self.encoder.to_wire_bytes();
         wire::put_usize(&mut out, encoder.len());
         out.extend(encoder);
@@ -1385,8 +1348,7 @@ impl Coordinator {
         let next_req = r.get_u64()?;
         let cat_raw = r.get_usizes()?;
         let num_raw = r.get_usizes()?;
-        let mirror_len = r.get_len(1)?;
-        let mirror = Dataset::from_wire_bytes(r.take(mirror_len)?)?;
+        let schema = wire_io::get_schema(&mut r)?;
         let encoder_len = r.get_len(1)?;
         let encoder = FrozenEncoder::from_wire_bytes(r.take(encoder_len)?)?;
         let model = ClusterModel::from_reader(&mut r)?;
@@ -1401,7 +1363,7 @@ impl Coordinator {
             log.push(LogEntry::from_reader(&mut r)?);
         }
         r.expect_empty()?;
-        let schema_len = mirror.schema().len();
+        let schema_len = schema.len();
         let to_ids = |raw: Vec<usize>| -> Result<Vec<AttrId>, WireError> {
             raw.into_iter()
                 .map(|i| {
@@ -1422,14 +1384,9 @@ impl Coordinator {
                 what: "encoder arity vs schema",
             }));
         }
-        if mirror.n_rows() != slots.len() {
-            return Err(ShardError::Wire(WireError::Invalid {
-                what: "mirror rows vs slot table",
-            }));
-        }
         Ok(Self {
             plan,
-            mirror,
+            schema,
             encoder,
             model,
             slots,

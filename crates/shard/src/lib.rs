@@ -9,8 +9,8 @@
 //! ## Architecture
 //!
 //! * **Coordinator (node 0).** Owns the client API, the frozen
-//!   validation/encoding front-end, the raw-data mirror, the per-slot
-//!   payload table, and a totally ordered **mutation log**. It replays the
+//!   validation/encoding front-end (schema and encoder), the per-slot
+//!   payload table (the only copy of each row), and a totally ordered **mutation log**. It replays the
 //!   single-node driver's control flow exactly; only the embarrassingly
 //!   parallel reads (arrival scoring, move proposals, rebuild folds) are
 //!   scattered.

@@ -80,6 +80,7 @@ use fairkm::prelude::*;
 use fairkm::serve::{Client, ClientConfig, ClientError, Registry, ServerConfig};
 use fairkm::store::{DurableStore, FsBackend};
 use fairkm_core::FairKmError;
+use fairkm_data::wire::WireError;
 use fairkm_data::{read_csv, Dataset, Normalization, Partition, Value};
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -118,7 +119,7 @@ durable-state failures exit with stable codes scripts can dispatch on:
   3  journal write failed (stream wedged) — acked state is safe on disk; reopen with --resume
   4  operation committed, only the snapshot after it failed — do NOT retry the op
   5  state directory already holds a stream — pass --resume or pick an empty directory
-  6  state directory unrecoverable (no verifying snapshot / corrupt journal)";
+  6  state directory unrecoverable (no verifying snapshot / corrupt journal / older format)";
 
 /// Flags shared verbatim by `cluster` and `stream`, parsed in one place so
 /// the two subcommands can never drift apart on them.
@@ -335,6 +336,12 @@ fn persist_cli(context: &str, e: PersistError) -> CliError {
             EXIT_STATE_DIR_NOT_EMPTY,
             "pass --resume to continue the existing stream, or point \
              --state-dir at an empty directory",
+        ),
+        PersistError::Wire(WireError::UnsupportedVersion { .. }) => (
+            EXIT_UNRECOVERABLE,
+            "the state directory was written by an older fairkm whose snapshot \
+             format this build does not read; recreate it from the source data \
+             (`--verify` checks only frames and checksums, so it passes here)",
         ),
         PersistError::NoSnapshot | PersistError::Replay { .. } | PersistError::Wire(_) => (
             EXIT_UNRECOVERABLE,
