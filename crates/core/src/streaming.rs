@@ -648,9 +648,10 @@ impl StreamingFairKm {
         total_moves
     }
 
-    /// Drop every tombstoned slot from the backing store, renumbering the survivors. Returns the old slot index each new slot
-    /// held (so external slot bookkeeping can be renumbered). Invalidates
-    /// previously returned slot ids.
+    /// Drop every tombstoned slot from the backing store, renumbering the
+    /// survivors. Returns the old slot index each new slot held (so
+    /// external slot bookkeeping can be renumbered). Invalidates previously
+    /// returned slot ids.
     pub fn compact(&mut self) -> Result<Vec<usize>, FairKmError> {
         let kept = self.state.compact();
         self.objective = self.state.model.objective_cached(self.lambda);
@@ -876,11 +877,10 @@ impl StreamingFairKm {
     /// Serialize the entire driver — format tag, frozen schema and encoder,
     /// optimization state with its delta-maintained aggregates and slot
     /// rows **verbatim**, frozen parameters, and counters — into one byte
-    /// blob. Restoring through
-    /// [`Self::from_snapshot_bytes`] reproduces the uninterrupted run
-    /// bitwise: every float travels as its exact IEEE-754 bits, and the
-    /// scoring caches are re-derived on decode by the same pure computation
-    /// that produced them.
+    /// blob. Restoring through [`Self::from_snapshot_bytes`] reproduces the
+    /// uninterrupted run bitwise: every float travels as its exact IEEE-754
+    /// bits, and the scoring caches are re-derived on decode by the same
+    /// pure computation that produced them.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.write_snapshot_bytes(&mut out);
@@ -1294,7 +1294,7 @@ mod tests {
             (objective_before - s.objective()).abs() <= 1e-9 * (1.0 + objective_before.abs()),
             "compaction must not change the objective beyond float renormalization"
         );
-        // The mirror stayed slot-aligned: live views still build.
+        // The slot rows stayed aligned: live views still build.
         let (m, space, partition, slots) = s.live_views().unwrap();
         assert_eq!(m.rows(), s.live());
         assert_eq!(space.n_rows(), s.live());

@@ -887,6 +887,31 @@ fn durable_failures_exit_with_stable_codes() {
         "the unrecoverable hint should point at restore --verify"
     );
 
+    // Exit 6 too for a directory written by an older fairkm: its frames
+    // and checksums verify, so the hint names the format instead.
+    let old = dir.join("old_format");
+    let backend = fairkm::store::FsBackend::open(&old).unwrap();
+    let (mut store, _) = fairkm::store::DurableStore::open(backend).unwrap();
+    store
+        .snapshot(include_bytes!("fixtures/stream_snapshot_untagged.bin"))
+        .unwrap();
+    drop(store);
+    let output = cli()
+        .args(["restore", "--state-dir", old.to_str().unwrap(), "--verify"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(6), "stderr: {stderr}");
+    assert!(
+        stderr.contains("recoverable to sequence"),
+        "stderr: {stderr}"
+    );
+    assert!(
+        stderr.contains("unsupported format version"),
+        "stderr: {stderr}"
+    );
+    assert!(stderr.contains("older fairkm"), "stderr: {stderr}");
+
     // Plain flag mistakes stay on the generic exit code 1.
     let output = cli()
         .args(["stream", "--input", full, "--resume"])

@@ -262,3 +262,74 @@ fn bit_flipped_fs_snapshot_falls_back_to_the_previous_one_bitwise() {
     drop(d);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A tenant shaped like the `serve_100k` benchmark workload (100k planted
+/// points, dim 16, 3 categorical sensitive attributes of cardinality 4,
+/// k = 8) on real files with a snapshot every 8 operations: kill after
+/// the first batch, recover, finish the workload, and require the bits of
+/// a run that never crashed. Ignored by default for its size; CI runs it
+/// in release with `--ignored`.
+#[test]
+#[ignore = "100k-point tenant; run in release with --ignored"]
+fn a_100k_point_tenant_recovers_bitwise_on_real_files() {
+    const N: usize = 100_000;
+    const STEP: usize = 500;
+    const STEPS: usize = 12;
+    let data = PlantedGenerator::new(PlantedConfig {
+        n_rows: N + STEP * STEPS,
+        n_blobs: 8,
+        dim: 16,
+        n_sensitive_attrs: 3,
+        cardinality: 4,
+        alignment: 0.9,
+        separation: 5.0,
+        spread: 1.0,
+        seed: 41,
+    })
+    .generate()
+    .dataset;
+    let boot = data.select_rows(&(0..N).collect::<Vec<_>>()).unwrap();
+    let rows: Vec<Vec<Value>> = (N..data.n_rows())
+        .map(|r| data.row_values(r).unwrap())
+        .collect();
+    let config = || {
+        StreamingConfig::from_base(
+            FairKmConfig::new(8)
+                .with_seed(7)
+                .with_max_iters(4)
+                .with_threads(1),
+        )
+    };
+
+    let mut golden = StreamingFairKm::bootstrap(boot.clone(), config()).unwrap();
+    for chunk in rows.chunks(STEP) {
+        golden.ingest(chunk).unwrap();
+        golden.evict_oldest(chunk.len()).unwrap();
+    }
+    golden.reoptimize();
+    let golden = golden.to_snapshot_bytes();
+
+    let dir = std::env::temp_dir().join("fairkm_crash_recovery_100k");
+    let _ = std::fs::remove_dir_all(&dir);
+    let backend = || FsBackend::open(&dir).unwrap();
+    let mut d = DurableStream::create(backend(), boot, config(), Some(8)).unwrap();
+    d.ingest(&rows[..STEP]).unwrap();
+    d.evict_oldest(STEP).unwrap();
+    drop(d);
+
+    let (mut d, report) = DurableStream::open(backend(), Some(1), Some(8)).unwrap();
+    assert_eq!(report.replayed, 2, "one batch is an ingest and an evict");
+    for chunk in rows.chunks(STEP).skip(1) {
+        d.ingest(chunk).unwrap();
+        d.evict_oldest(chunk.len()).unwrap();
+    }
+    d.reoptimize().unwrap();
+    assert_eq!(d.stream().live(), N);
+    // Not `assert_eq!`: a mismatch would print two ~15 MB byte vectors.
+    assert!(
+        d.stream().to_snapshot_bytes() == golden,
+        "the recovered 100k-point tenant diverged from the uninterrupted run"
+    );
+    drop(d);
+    let _ = std::fs::remove_dir_all(&dir);
+}
