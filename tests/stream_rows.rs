@@ -41,7 +41,11 @@ fn corpus(n: usize) -> Dataset {
 
 fn arrival(i: usize) -> Vec<Value> {
     let j = (i % 5) as f64 * 0.1;
-    let (x, g) = if i.is_multiple_of(2) { (j, "a") } else { (5.0 + j, "b") };
+    let (x, g) = if i.is_multiple_of(2) {
+        (j, "a")
+    } else {
+        (5.0 + j, "b")
+    };
     let g = if i % 7 == 3 { "a" } else { g };
     let note = if i.is_multiple_of(3) { "p" } else { "q" };
     row![x, x - j, g, 20.0 + (i % 11) as f64 * 1.5, note]
