@@ -267,16 +267,13 @@ impl FairKm {
             }
         }
 
-        let mut prototypes = Vec::with_capacity(k);
-        let mut buf = vec![0.0; matrix.cols()];
-        for c in 0..k {
-            if state.model.size()[c] == 0 {
-                prototypes.push(None);
-            } else {
-                state.model.prototype_into(c, &mut buf);
-                prototypes.push(Some(buf.clone()));
-            }
-        }
+        let prototypes = state
+            .model
+            .prototypes()
+            .into_iter()
+            .zip(state.model.size())
+            .map(|(p, &size)| (size > 0).then_some(p))
+            .collect();
         let kmeans_term = state.kmeans_term();
         let fairness_term = state.model.fairness_term();
         Ok(FairKmModel {

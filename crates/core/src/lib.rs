@@ -75,6 +75,6 @@ pub use minibatch::MiniBatchFairKm;
 pub use objective::bounded_exact_assignment;
 pub use state::ClusterModel;
 pub use streaming::{
-    resolve_sensitive, EvictReport, IngestReport, ServingView, ShardParts, StreamingConfig,
+    DriverLedger, EvictReport, IngestReport, RowCodec, ServingView, ShardParts, StreamingConfig,
     StreamingFairKm,
 };

@@ -52,7 +52,7 @@
 //! chunks of rows build partial aggregates that are merged in chunk order,
 //! so the result is bitwise-identical for any thread count.
 
-use crate::agg::{decode_kind, encode_kind, AggregateDelta, TOMBSTONE};
+use crate::agg::{decode_kind, encode_kind, AggregateDelta, SlotRow, TOMBSTONE};
 use crate::config::{FairnessNorm, ObjectiveKind};
 use crate::objective::{FairView, Objective, PointRef};
 use crate::wire::{self, Reader, WireError};
@@ -246,6 +246,41 @@ impl ClusterModel {
     /// Number of numeric sensitive attributes.
     pub fn n_num(&self) -> usize {
         self.num.len()
+    }
+
+    /// Whether a slot row fits this model: `dim` task values with their
+    /// own `‖x‖²`, one in-range code per categorical attribute, one value
+    /// per numeric attribute, and a cluster below `k` (or [`TOMBSTONE`]).
+    /// Decoders check every row against it before the row can reach an
+    /// aggregate.
+    pub fn fits(&self, d: &SlotRow) -> bool {
+        d.row.len() == self.dim
+            && d.sqnorm.to_bits() == sqnorm(&d.row).to_bits()
+            && d.cat.len() == self.cat.len()
+            && d.cat
+                .iter()
+                .zip(&self.cat)
+                .all(|(&v, a)| (v as usize) < a.t)
+            && d.num.len() == self.num.len()
+            && (d.cluster < self.k || d.cluster == TOMBSTONE)
+    }
+
+    /// Whether the integer aggregates — member counts and per-value
+    /// categorical counts — are exactly those of the live `rows`, each a
+    /// cluster below `k` with in-range categorical codes. Decoders check
+    /// this before trusting a snapshot's aggregates; the float sums have
+    /// no exact check (delta-maintained sums differ from a rebuild in the
+    /// low bits).
+    pub fn counts_match<'a>(&self, rows: impl IntoIterator<Item = (usize, &'a [u32])>) -> bool {
+        let mut size = vec![0usize; self.k];
+        let mut counts: Vec<Vec<i64>> = self.cat.iter().map(|a| vec![0; self.k * a.t]).collect();
+        for (c, codes) in rows {
+            size[c] += 1;
+            for ((counts, a), &v) in counts.iter_mut().zip(&self.cat).zip(codes) {
+                counts[c * a.t + v as usize] += 1;
+            }
+        }
+        size == self.agg.size && counts == self.agg.cat_counts
     }
 
     /// A zeroed [`AggregateDelta`] shaped like this model's aggregates.
@@ -526,6 +561,20 @@ impl ClusterModel {
         self.kmeans_term_cached() + lambda * self.fairness_term_cached()
     }
 
+    /// Every cluster's prototype (mean), zeros for empty clusters —
+    /// computed from the running aggregates with the engine's exact
+    /// arithmetic, so it is directly comparable bitwise across single-node
+    /// and sharded runs.
+    pub fn prototypes(&self) -> Vec<Vec<f64>> {
+        (0..self.k)
+            .map(|c| {
+                let mut out = vec![0.0; self.dim];
+                self.prototype_into(c, &mut out);
+                out
+            })
+            .collect()
+    }
+
     /// Write cluster `c`'s prototype (mean) into `out`; zeros if empty.
     pub fn prototype_into(&self, c: usize, out: &mut [f64]) {
         let src = &self.agg.centroid_sum[c * self.dim..(c + 1) * self.dim];
@@ -758,6 +807,12 @@ impl ClusterModel {
     }
 }
 
+/// `‖x‖²` of a task row, summed in index order — the one formula every
+/// slot's cached norm comes from.
+pub(crate) fn sqnorm(row: &[f64]) -> f64 {
+    row.iter().map(|v| v * v).sum::<f64>()
+}
+
 /// The slot range of `x` in a row-major array of `width` values per slot.
 #[inline]
 fn slot_span<T>(values: &[T], width: usize, x: usize) -> &[T] {
@@ -874,9 +929,7 @@ impl<'a> State<'a> {
         // Point norms never change, so they are computed exactly once.
         // Per-point sums are sequential within the point, so the values are
         // independent of the thread count.
-        let point_sqnorm = fairkm_parallel::map_indexed(threads, 0..n, |i| {
-            matrix.row(i).iter().map(|v| v * v).sum::<f64>()
-        });
+        let point_sqnorm = fairkm_parallel::map_indexed(threads, 0..n, |i| sqnorm(matrix.row(i)));
         let cat_ts: Vec<usize> = cat.iter().map(|a| a.t).collect();
         let zeroed = AggregateDelta::zeroed(k, dim, &cat_ts, num.len());
         // The objective is instantiated against the frozen sensitive
@@ -1118,21 +1171,20 @@ impl<'a> State<'a> {
         self.apply_move(x, to, from);
     }
 
-    /// Append a backing-store slot for a new point: task row, sensitive
-    /// values (categorical first, numeric second — the attribute order of
-    /// the construction-time space), `‖x‖²`. The slot starts
+    /// Append a backing-store slot for a new point: its task row,
+    /// sensitive values (categorical first, numeric second — the attribute
+    /// order of the construction-time space) and `‖x‖²`. The slot starts
     /// [`TOMBSTONE`]; activate it with [`Self::insert_point`]. Returns the
     /// slot index. Requires an owned matrix.
-    pub fn push_row(&mut self, row: &[f64], cat_vals: &[u32], num_vals: &[f64]) -> usize {
-        debug_assert_eq!(row.len(), self.model.dim);
-        debug_assert_eq!(cat_vals.len(), self.model.cat.len());
-        debug_assert_eq!(num_vals.len(), self.model.num.len());
+    pub fn push_row(&mut self, point: &SlotRow) -> usize {
+        debug_assert_eq!(point.row.len(), self.model.dim);
+        debug_assert_eq!(point.cat.len(), self.model.cat.len());
+        debug_assert_eq!(point.num.len(), self.model.num.len());
         let slot = self.n;
-        self.matrix.to_mut().push_row(row);
-        self.point_sqnorm
-            .push(row.iter().map(|v| v * v).sum::<f64>());
-        self.cat_codes.extend_from_slice(cat_vals);
-        self.num_values.extend_from_slice(num_vals);
+        self.matrix.to_mut().push_row(&point.row);
+        self.point_sqnorm.push(point.sqnorm);
+        self.cat_codes.extend_from_slice(&point.cat);
+        self.num_values.extend_from_slice(&point.num);
         self.assignment.push(TOMBSTONE);
         self.n += 1;
         slot
@@ -1383,8 +1435,10 @@ impl<'a> State<'a> {
             return Err(invalid("numeric values"));
         }
         let point_sqnorm = r.get_f64s()?;
-        if point_sqnorm.len() != n {
-            return Err(invalid("norm cache shape"));
+        if point_sqnorm.len() != n
+            || (0..n).any(|i| point_sqnorm[i].to_bits() != sqnorm(matrix.row(i)).to_bits())
+        {
+            return Err(invalid("norm cache"));
         }
         let member_sqnorm = r.get_f64s()?;
         let rebuilds = r.get_usize()?;
@@ -1397,8 +1451,11 @@ impl<'a> State<'a> {
             member_sqnorm,
         };
         let model = ClusterModel::new(k, dim, cat, num, kind, agg)?;
-        if model.live != live {
-            return Err(invalid("live count"));
+        let live_rows = (0..n)
+            .filter(|&i| assignment[i] != TOMBSTONE)
+            .map(|i| (assignment[i], slot_span(&cat_codes, n_cat, i)));
+        if model.live != live || !model.counts_match(live_rows) {
+            return Err(invalid("aggregate counts vs rows"));
         }
         Ok(State {
             model,

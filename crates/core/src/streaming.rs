@@ -7,14 +7,14 @@
 //! low latency. Three ideas make that work without giving up the paper's
 //! objective:
 //!
-//! 1. **Delta ingestion.** [`StreamingFairKm::ingest`] validates each
-//!    arrival against the frozen schema (via [`resolve_sensitive`]),
-//!    encodes it through a [`fairkm_data::FrozenEncoder`] (the normalization
-//!    captured at bootstrap — later rows never re-shift the space), scores
-//!    the whole batch against the scoring caches **frozen at batch start**,
-//!    and then applies the insertions as O(dim + Σ|Values(S)|) aggregate
-//!    deltas — the same machinery `apply_move` uses, extended to points
-//!    entering and leaving the clustering.
+//! 1. **Delta ingestion.** [`StreamingFairKm::ingest`] validates and
+//!    encodes each arrival through [`RowCodec::encode`] (the frozen schema
+//!    plus the normalization captured at bootstrap — later rows never
+//!    re-shift the space), scores the whole batch against the scoring
+//!    caches **frozen at batch start**, and then applies the insertions as
+//!    O(dim + Σ|Values(S)|) aggregate deltas — the same machinery
+//!    `apply_move` uses, extended to points entering and leaving the
+//!    clustering.
 //! 2. **Frozen-prototype serving.** Assignment of a new point never
 //!    triggers optimization: it is one read-only pass over the cached
 //!    prototypes plus an exact Eq. 7 insertion delta
@@ -23,16 +23,16 @@
 //!    survive in the assignment phase alone — so the serve path stays
 //!    O(k·(dim + Σ|Values(S)|)) per point.
 //! 3. **Drift-triggered re-optimization.** Greedy frozen assignment slowly
-//!    degrades the objective. The driver tracks the per-live-point
-//!    objective against the post-reoptimization baseline and, past a
-//!    relative [`StreamingConfig::drift_threshold`], runs windowed
-//!    mini-batch passes (`windowed_pass`, the same optimizer the batch
-//!    schedule uses; tombstoned slots propose no moves) until convergence
-//!    or [`StreamingConfig::reopt_passes`].
+//!    degrades the objective. The [`DriverLedger`] tracks the
+//!    per-live-point objective against the post-reoptimization baseline
+//!    and, past a relative [`StreamingConfig::drift_threshold`], the driver
+//!    runs windowed mini-batch passes (`windowed_pass`, the same optimizer
+//!    the batch schedule uses; tombstoned slots propose no moves) until
+//!    convergence or [`StreamingConfig::reopt_passes`].
 //!
-//! Each row is stored once: its encoded task vector and sensitive codes
-//! live in the engine's slot rows, and the driver keeps only the frozen
-//! schema to validate arrivals and label the live views.
+//! Each row is stored once, in the engine's slot rows. The [`RowCodec`]
+//! and the [`DriverLedger`] are held once too: a [`ServingView`] shares
+//! the codec by `Arc`, and the sharded coordinator takes over both.
 //!
 //! Eviction ([`StreamingFairKm::evict`]) removes points by the inverse
 //! delta; evicted slots stay as tombstones in the backing store until
@@ -54,12 +54,14 @@ use crate::config::{DeltaEngine, FairKmConfig, FairKmError, ObjectiveKind, Updat
 use crate::fairkm::{initial_assignment, resolve_weights, windowed_pass};
 use crate::minibatch::MiniBatchFairKm;
 use crate::state::{ClusterModel, State};
+use crate::wire::{self, Reader, WireError};
 use fairkm_data::{
-    AttrId, AttrKind, Dataset, FrozenEncoder, NumericMatrix, Partition, Role, Schema, SensitiveCat,
-    SensitiveNum, SensitiveSpace, Value,
+    wire_io, AttrId, AttrKind, Dataset, FrozenEncoder, NumericMatrix, Partition, Role, Schema,
+    SensitiveCat, SensitiveNum, SensitiveSpace, Value,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Configuration of a [`StreamingFairKm`] driver.
 ///
@@ -150,54 +152,390 @@ pub struct EvictReport {
     pub reopt_moves: usize,
 }
 
+/// The frozen row front-end: the schema arrivals are validated against,
+/// the encoder that maps them into the task space, and the schema's
+/// sensitive attribute ids (categorical then numeric, each in schema
+/// order — the order the engine stores a slot's codes in). Built once at
+/// bootstrap and shared by `Arc` between the engine, its serving views and
+/// a sharded coordinator: they all validate and encode arrivals through
+/// [`Self::encode`], so they accept and reject exactly the same rows.
+#[derive(Debug)]
+pub struct RowCodec {
+    schema: Schema,
+    encoder: FrozenEncoder,
+    sens_cat_ids: Vec<AttrId>,
+    sens_num_ids: Vec<AttrId>,
+}
+
+impl RowCodec {
+    /// Pair a schema with its frozen encoder (of the schema's arity) and
+    /// derive the sensitive ids.
+    fn new(schema: Schema, encoder: FrozenEncoder) -> Self {
+        let (cat, num): (Vec<_>, Vec<_>) = schema
+            .iter()
+            .filter(|(_, a)| a.role == Role::Sensitive)
+            .partition(|(_, a)| a.kind.is_categorical());
+        let ids = |v: Vec<(AttrId, _)>| v.into_iter().map(|(id, _)| id).collect();
+        Self {
+            sens_cat_ids: ids(cat),
+            sens_num_ids: ids(num),
+            schema,
+            encoder,
+        }
+    }
+
+    /// Validate and encode one arrival. The frozen encoder checks the
+    /// row's arity and its task cells first; then every sensitive cell is
+    /// resolved against its attribute (categorical indices first, numeric
+    /// second); then every auxiliary cell is resolved and discarded — the
+    /// engine stores no auxiliary data, but a row with a bad auxiliary
+    /// cell is still a bad row. `n_slots` is the current slot count, which
+    /// numeric resolution reports in its errors.
+    ///
+    /// Returns the row as a [`TOMBSTONE`] [`SlotRow`]: task vector,
+    /// sensitive codes and values, and `‖x‖²`.
+    pub fn encode(&self, row: &[Value], n_slots: usize) -> Result<SlotRow, FairKmError> {
+        let task = self.encoder.encode_row(row)?;
+        let cat = self
+            .sens_cat_ids
+            .iter()
+            .map(|&id| self.schema.attr(id)?.resolve_categorical(&row[id.index()]))
+            .collect::<Result<Vec<_>, _>>()?;
+        let num = self
+            .sens_num_ids
+            .iter()
+            .map(|&id| {
+                self.schema
+                    .attr(id)?
+                    .resolve_numeric(&row[id.index()], n_slots)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        for (id, attr) in self
+            .schema
+            .iter()
+            .filter(|(_, a)| a.role == Role::Auxiliary)
+        {
+            let cell = &row[id.index()];
+            match attr.kind {
+                AttrKind::Numeric => attr.resolve_numeric(cell, n_slots).map(drop)?,
+                AttrKind::Categorical { .. } => attr.resolve_categorical(cell).map(drop)?,
+            }
+        }
+        Ok(SlotRow {
+            sqnorm: crate::state::sqnorm(&task),
+            row: task,
+            cat,
+            num,
+            cluster: TOMBSTONE,
+        })
+    }
+
+    /// Append the wire form: the schema, then the length-prefixed encoder.
+    pub fn put(&self, out: &mut Vec<u8>) {
+        wire_io::put_schema(out, &self.schema);
+        let encoder = self.encoder.to_wire_bytes();
+        wire::put_usize(out, encoder.len());
+        out.extend_from_slice(&encoder);
+    }
+
+    /// Decode [`Self::put`]. The sensitive ids are derived from the
+    /// schema, and an encoder whose arity is not the schema's length is
+    /// [`WireError::Invalid`]. A decoded codec must still be checked
+    /// against the model it serves with [`Self::check`].
+    pub fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let schema = wire_io::get_schema(r)?;
+        let encoder_len = r.get_len(1)?;
+        let encoder = FrozenEncoder::from_wire_bytes(r.take(encoder_len)?)?;
+        if encoder.arity() != schema.len() {
+            return Err(WireError::Invalid {
+                what: "encoder arity",
+            });
+        }
+        Ok(Self::new(schema, encoder))
+    }
+
+    /// Check that this codec feeds `model`: the encoded width is the
+    /// model's dimension, and the sensitive attributes have the model's
+    /// categorical cardinalities and numeric count. A mismatch (a corrupt
+    /// or foreign snapshot) is [`WireError::Invalid`] — otherwise a later
+    /// arrival would index the model's aggregates out of range.
+    pub fn check(&self, model: &ClusterModel) -> Result<(), WireError> {
+        let cards = self
+            .sens_cat_ids
+            .iter()
+            .map(|&id| self.schema.attr(id).ok()?.kind.cardinality());
+        if self.encoder.cols() != model.dim()
+            || !cards.eq(model.cat_ts().into_iter().map(Some))
+            || self.sens_num_ids.len() != model.n_num()
+        {
+            return Err(WireError::Invalid {
+                what: "row codec vs model",
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Leading `u64` of every [`StreamingFairKm::to_snapshot_bytes`] payload:
+/// the bytes `FKSTRM02`. Payloads written before the tag existed start with
+/// a length prefix far below 2^56, so they can never carry it.
+const SNAPSHOT_FORMAT: u64 = u64::from_le_bytes(*b"FKSTRM02");
+
+/// Retained objective-trace ceiling. A long-lived stream pushes one entry
+/// per ingest/evict batch and per optimization pass; past this many the
+/// oldest half is dropped so telemetry memory stays bounded for the
+/// service lifetime (drains amortize to O(1) per push).
+pub const MAX_TRACE: usize = 8192;
+
+/// The streaming driver's parameters and bookkeeping: the frozen λ, the
+/// scan window and re-optimization parameters, the current objective, the
+/// drift baseline, the eviction cursor, the bounded objective trace and
+/// the ingest/evict/re-optimization counters. The single-node engine and
+/// the sharded coordinator keep one each and update it through the same
+/// methods, so their drift decisions, traces and counters agree bit for
+/// bit.
+#[derive(Debug, Clone)]
+pub struct DriverLedger {
+    lambda: f64,
+    /// Explicit scan-window size for bootstrap/re-optimization passes;
+    /// `None` auto-sizes from the current slot count.
+    window: Option<usize>,
+    drift_threshold: f64,
+    reopt_passes: usize,
+    objective: f64,
+    /// Per-live-point objective right after the last (re-)optimization —
+    /// the drift baseline.
+    baseline_per_point: f64,
+    /// Every slot below this index is known dead — the scan cursor that
+    /// keeps repeated oldest-first evictions from rescanning the whole
+    /// backing store.
+    oldest_hint: usize,
+    trace: Vec<f64>,
+    inserted: usize,
+    evicted: usize,
+    reopts: usize,
+}
+
+impl DriverLedger {
+    /// The frozen λ of the stream.
+    pub fn lambda(&self) -> f64 {
+        self.lambda
+    }
+
+    /// Current objective `kmeans + λ·fairness` over the live partition.
+    pub fn objective(&self) -> f64 {
+        self.objective
+    }
+
+    /// Refresh `model`'s scoring cache and take the current objective
+    /// from it.
+    pub fn reread(&mut self, model: &mut ClusterModel) {
+        model.refresh_cache();
+        self.objective = model.objective_cached(self.lambda);
+    }
+
+    /// Maximum windowed passes per re-optimization.
+    pub fn reopt_passes(&self) -> usize {
+        self.reopt_passes
+    }
+
+    /// The bounded objective trace.
+    pub fn trace(&self) -> &[f64] {
+        &self.trace
+    }
+
+    /// Re-optimizations run (drift-triggered plus explicit).
+    pub fn reopts(&self) -> usize {
+        self.reopts
+    }
+
+    /// Scan-window size of a pass over `n_slots` slots: the pinned window,
+    /// or [`MiniBatchFairKm::auto_batch`].
+    pub fn window(&self, n_slots: usize) -> usize {
+        self.window
+            .unwrap_or_else(|| MiniBatchFairKm::auto_batch(n_slots))
+    }
+
+    /// Push onto the bounded objective trace (see [`MAX_TRACE`]): past the
+    /// ceiling the oldest half is dropped before appending.
+    pub fn push_trace(&mut self, value: f64) {
+        if self.trace.len() >= MAX_TRACE {
+            self.trace.drain(..MAX_TRACE / 2);
+        }
+        self.trace.push(value);
+    }
+
+    /// Record an applied ingest or evict batch: re-read the objective from
+    /// `model`, trace it, and count the points inserted and evicted.
+    pub fn record_batch(&mut self, model: &mut ClusterModel, inserted: usize, evicted: usize) {
+        self.reread(model);
+        self.push_trace(self.objective);
+        self.inserted += inserted;
+        self.evicted += evicted;
+    }
+
+    /// The drift test: whether the per-live-point objective over `live`
+    /// points has drifted past the threshold relative to the
+    /// post-optimization baseline (never with re-optimization disabled or
+    /// nothing live).
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    pub fn drifted(&self, live: usize) -> bool {
+        if live == 0 || self.reopt_passes == 0 {
+            return false;
+        }
+        let per_point = self.objective / live as f64;
+        let scale = self.baseline_per_point.abs().max(f64::EPSILON);
+        let drift = (per_point - self.baseline_per_point) / scale;
+        // Not `drift > threshold`: a NaN drift re-optimizes.
+        !(drift <= self.drift_threshold)
+    }
+
+    /// Close a re-optimization that ended at `objective` with `live` live
+    /// points: count it and reset the drift baseline.
+    pub fn close_reopt(&mut self, objective: f64, live: usize) {
+        self.reopts += 1;
+        self.rebase(objective, live);
+    }
+
+    /// Set the objective and, when anything is live, the drift baseline.
+    fn rebase(&mut self, objective: f64, live: usize) {
+        self.objective = objective;
+        if live > 0 {
+            self.baseline_per_point = objective / live as f64;
+        }
+    }
+
+    /// Validate an eviction request before anything mutates: duplicates
+    /// first (reporting the smallest duplicated slot), then liveness in
+    /// the given order. Dead, out-of-range and duplicated slots are
+    /// [`FairKmError::StaleSlot`].
+    pub fn check_evict(
+        slots: &[usize],
+        is_live: impl Fn(usize) -> bool,
+    ) -> Result<(), FairKmError> {
+        let mut seen = slots.to_vec();
+        seen.sort_unstable();
+        let duplicate = seen.windows(2).find(|p| p[0] == p[1]).map(|p| p[0]);
+        match duplicate.or_else(|| slots.iter().copied().find(|&s| !is_live(s))) {
+            Some(slot) => Err(FairKmError::StaleSlot(slot)),
+            None => Ok(()),
+        }
+    }
+
+    /// The `count` oldest live slots (lowest indices below `n_slots`),
+    /// scanned from the maintained cursor.
+    pub fn oldest_live(
+        &self,
+        count: usize,
+        n_slots: usize,
+        is_live: impl Fn(usize) -> bool,
+    ) -> Vec<usize> {
+        (self.oldest_hint..n_slots)
+            .filter(|&s| is_live(s))
+            .take(count)
+            .collect()
+    }
+
+    /// Advance the eviction cursor past the dead prefix. Everything below
+    /// the cursor stays dead: arbitrary evicts only kill more slots, ingest
+    /// appends at the end, and compaction resets the cursor.
+    pub fn advance_oldest(&mut self, n_slots: usize, is_live: impl Fn(usize) -> bool) {
+        while self.oldest_hint < n_slots && !is_live(self.oldest_hint) {
+            self.oldest_hint += 1;
+        }
+    }
+
+    /// Append the wire form. The δ `engine` travels between the window
+    /// and the drift threshold, where the stream snapshot has always
+    /// carried it.
+    pub fn put(&self, out: &mut Vec<u8>, engine: DeltaEngine) {
+        wire::put_f64(out, self.lambda);
+        match self.window {
+            None => out.push(0),
+            Some(w) => {
+                out.push(1);
+                wire::put_usize(out, w);
+            }
+        }
+        out.push(match engine {
+            DeltaEngine::Incremental => 0,
+            DeltaEngine::Literal => 1,
+        });
+        wire::put_f64(out, self.drift_threshold);
+        wire::put_usize(out, self.reopt_passes);
+        wire::put_f64(out, self.objective);
+        wire::put_f64(out, self.baseline_per_point);
+        wire::put_usize(out, self.oldest_hint);
+        wire::put_f64s(out, &self.trace);
+        wire::put_usize(out, self.inserted);
+        wire::put_usize(out, self.evicted);
+        wire::put_usize(out, self.reopts);
+    }
+
+    /// Decode [`Self::put`], returning the ledger and the δ engine.
+    pub fn get(r: &mut Reader<'_>) -> Result<(Self, DeltaEngine), WireError> {
+        let lambda = r.get_f64()?;
+        let window = match r.take(1)?[0] {
+            0 => None,
+            1 => match r.get_usize()? {
+                // A zero-width window would never advance a pass.
+                0 => {
+                    return Err(WireError::Invalid {
+                        what: "scan window",
+                    })
+                }
+                w => Some(w),
+            },
+            t => {
+                return Err(WireError::UnknownTag {
+                    what: "window option",
+                    tag: t as u64,
+                })
+            }
+        };
+        let engine = match r.take(1)?[0] {
+            0 => DeltaEngine::Incremental,
+            1 => DeltaEngine::Literal,
+            t => {
+                return Err(WireError::UnknownTag {
+                    what: "delta engine",
+                    tag: t as u64,
+                })
+            }
+        };
+        let ledger = Self {
+            lambda,
+            window,
+            drift_threshold: r.get_f64()?,
+            reopt_passes: r.get_usize()?,
+            objective: r.get_f64()?,
+            baseline_per_point: r.get_f64()?,
+            oldest_hint: r.get_usize()?,
+            trace: r.get_f64s()?,
+            inserted: r.get_usize()?,
+            evicted: r.get_usize()?,
+            reopts: r.get_usize()?,
+        };
+        Ok((ledger, engine))
+    }
+}
+
 /// Everything a sharded deployment needs to take over from a bootstrapped
-/// single-node streaming engine: the frozen validation/encoding front-end,
-/// the aggregate engine, the per-slot payloads to distribute across
-/// shards, and the driver's frozen parameters and counters. Produced by
+/// single-node streaming engine. Produced by
 /// [`StreamingFairKm::into_shard_parts`].
 #[derive(Debug)]
 pub struct ShardParts {
-    /// The frozen schema arrivals are validated against.
-    pub schema: Schema,
-    /// Frozen arrival validation/encoding transforms.
-    pub encoder: FrozenEncoder,
+    /// The frozen row front-end, shared with the engine it came from.
+    pub codec: Arc<RowCodec>,
+    /// The driver's parameters and bookkeeping at hand-off.
+    pub ledger: DriverLedger,
     /// The aggregate engine at hand-off (every replica starts from a copy).
     pub model: ClusterModel,
     /// Per-slot payloads `0..n_slots`, cluster [`TOMBSTONE`] for evicted
     /// slots — these get partitioned across shards.
     pub slots: Vec<SlotRow>,
-    /// Frozen fairness trade-off λ.
-    pub lambda: f64,
-    /// Resolved worker-pool width.
-    pub threads: usize,
-    /// Pinned scan-window size (`None` = auto).
-    pub window: Option<usize>,
     /// δ engine (sharding requires [`DeltaEngine::Incremental`]).
     pub engine: DeltaEngine,
-    /// Active fairness objective.
-    pub objective_kind: ObjectiveKind,
-    /// Drift threshold of the re-optimization trigger.
-    pub drift_threshold: f64,
-    /// Pass cap per re-optimization.
-    pub reopt_passes: usize,
-    /// Objective at hand-off.
-    pub objective: f64,
-    /// Per-live-point drift baseline at hand-off.
-    pub baseline_per_point: f64,
-    /// Eviction cursor for `evict_oldest`.
-    pub oldest_hint: usize,
-    /// Bounded objective trace accumulated so far.
-    pub trace: Vec<f64>,
-    /// Points ingested so far.
-    pub inserted: usize,
-    /// Points evicted so far.
-    pub evicted: usize,
-    /// Re-optimizations run so far.
-    pub reopts: usize,
-    /// Sensitive categorical attribute ids, in encoding order.
-    pub sens_cat_ids: Vec<AttrId>,
-    /// Sensitive numeric attribute ids, in encoding order.
-    pub sens_num_ids: Vec<AttrId>,
 }
 
 /// A long-lived fair clustering serving a stream of arrivals and
@@ -236,32 +574,11 @@ pub struct ShardParts {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamingFairKm {
-    /// The frozen schema: arrival validation and live-view labels.
-    schema: Schema,
-    encoder: FrozenEncoder,
+    codec: Arc<RowCodec>,
     state: State<'static>,
-    lambda: f64,
     threads: usize,
-    /// Explicit scan-window size for bootstrap/re-optimization passes;
-    /// `None` auto-sizes from the current slot count.
-    window: Option<usize>,
     engine: DeltaEngine,
-    drift_threshold: f64,
-    reopt_passes: usize,
-    objective: f64,
-    /// Per-live-point objective right after the last (re-)optimization —
-    /// the drift baseline.
-    baseline_per_point: f64,
-    /// Every slot below this index is known dead — the scan cursor that
-    /// keeps repeated [`Self::evict_oldest`] calls from rescanning the
-    /// whole backing store.
-    oldest_hint: usize,
-    trace: Vec<f64>,
-    inserted: usize,
-    evicted: usize,
-    reopts: usize,
-    sens_cat_ids: Vec<AttrId>,
-    sens_num_ids: Vec<AttrId>,
+    ledger: DriverLedger,
 }
 
 // `Debug` for State is intentionally absent (it holds only derived data);
@@ -277,102 +594,24 @@ impl std::fmt::Debug for State<'_> {
     }
 }
 
-/// Resolve a row's sensitive values — categorical indices first, numeric
-/// second, the attribute order the engine expects — with full validation:
-/// the row's arity against `schema`, then every sensitive cell against its
-/// attribute, then every auxiliary cell (resolved and discarded: the engine
-/// stores no auxiliary data, but a row with a bad auxiliary cell is still
-/// a bad row). `n_slots` is the current slot count, which numeric
-/// resolution reports in its errors. The single-node engine, every serving
-/// view and the sharded coordinator all resolve arrivals through this one
-/// function (after the frozen encoder has checked the task cells), so they
-/// accept and reject exactly the same rows.
-pub fn resolve_sensitive(
-    schema: &Schema,
-    sens_cat_ids: &[AttrId],
-    sens_num_ids: &[AttrId],
-    row: &[Value],
-    n_slots: usize,
-) -> Result<(Vec<u32>, Vec<f64>), FairKmError> {
-    if row.len() != schema.len() {
-        return Err(FairKmError::Data(fairkm_data::DataError::RowArity {
-            expected: schema.len(),
-            got: row.len(),
-        }));
-    }
-    let mut cat_vals = Vec::with_capacity(sens_cat_ids.len());
-    for &id in sens_cat_ids {
-        cat_vals.push(schema.attr(id)?.resolve_categorical(&row[id.index()])?);
-    }
-    let mut num_vals = Vec::with_capacity(sens_num_ids.len());
-    for &id in sens_num_ids {
-        num_vals.push(
-            schema
-                .attr(id)?
-                .resolve_numeric(&row[id.index()], n_slots)?,
-        );
-    }
-    for (id, attr) in schema.iter().filter(|(_, a)| a.role == Role::Auxiliary) {
-        let cell = &row[id.index()];
-        match attr.kind {
-            AttrKind::Numeric => attr.resolve_numeric(cell, n_slots).map(drop)?,
-            AttrKind::Categorical { .. } => attr.resolve_categorical(cell).map(drop)?,
-        }
-    }
-    Ok((cat_vals, num_vals))
-}
-
-/// The schema's sensitive attribute ids, categorical then numeric, each in
-/// schema order — the order the engine stores a slot's codes in.
-fn sensitive_ids(schema: &Schema) -> (Vec<AttrId>, Vec<AttrId>) {
-    let (cat, num): (Vec<_>, Vec<_>) = schema
-        .iter()
-        .filter(|(_, a)| a.role == Role::Sensitive)
-        .partition(|(_, a)| a.kind.is_categorical());
-    let ids = |v: Vec<(AttrId, _)>| v.into_iter().map(|(id, _)| id).collect();
-    (ids(cat), ids(num))
-}
-
-/// Leading `u64` of every [`StreamingFairKm::to_snapshot_bytes`] payload:
-/// the bytes `FKSTRM02`. Payloads written before the tag existed start with
-/// a length prefix far below 2^56, so they can never carry it.
-const SNAPSHOT_FORMAT: u64 = u64::from_le_bytes(*b"FKSTRM02");
-
-/// Retained objective-trace ceiling. A long-lived stream pushes one entry
-/// per ingest/evict batch and per optimization pass; past this many the
-/// oldest half is dropped so telemetry memory stays bounded for the
-/// service lifetime (drains amortize to O(1) per push).
-pub const MAX_TRACE: usize = 8192;
-
-/// Push onto the bounded objective trace (see [`MAX_TRACE`]): past the
-/// ceiling the oldest half is dropped before appending. Public so the
-/// sharded coordinator's trace bookkeeping is this exact function.
-pub fn push_trace_bounded(trace: &mut Vec<f64>, value: f64) {
-    if trace.len() >= MAX_TRACE {
-        trace.drain(..MAX_TRACE / 2);
-    }
-    trace.push(value);
-}
-
-/// Drive windowed mini-batch passes until one makes no move or `max_passes`
-/// is reached, recording the objective after each pass — the single
-/// convergence loop shared by the bootstrap fit and every re-optimization
-/// (so their rebuild cadence and trace bookkeeping can never diverge).
-/// Returns `(objective, total_moves)`.
-#[allow(clippy::too_many_arguments)]
+/// Drive windowed mini-batch passes from the ledger's objective until one
+/// makes no move or `max_passes` is reached, pushing the objective after
+/// each pass onto the ledger's trace — the single convergence loop shared
+/// by the bootstrap fit and every re-optimization (so their rebuild
+/// cadence and trace bookkeeping can never diverge). Returns
+/// `(objective, total_moves)`.
 fn run_windowed_passes(
     state: &mut State<'static>,
-    lambda: f64,
     engine: DeltaEngine,
-    window: Option<usize>,
     threads: usize,
     max_passes: usize,
-    mut objective: f64,
-    trace: &mut Vec<f64>,
+    ledger: &mut DriverLedger,
 ) -> (f64, usize) {
+    let lambda = ledger.lambda;
+    let mut objective = ledger.objective;
     let mut total_moves = 0usize;
     for _ in 0..max_passes {
-        let w = window.unwrap_or_else(|| MiniBatchFairKm::auto_batch(state.n));
+        let w = ledger.window(state.n);
         let (moved, obj) = windowed_pass(state, lambda, engine, w, threads, objective);
         objective = obj;
         if moved > 0 {
@@ -381,7 +620,7 @@ fn run_windowed_passes(
             state.rebuild();
             objective = state.model.objective_cached(lambda);
         }
-        push_trace_bounded(trace, objective);
+        ledger.push_trace(objective);
         total_moves += moved;
         if moved == 0 {
             break;
@@ -430,44 +669,33 @@ impl StreamingFairKm {
             base.objective,
             threads,
         );
-        let window = match base.schedule {
-            UpdateSchedule::MiniBatch(batch) => Some(batch),
-            UpdateSchedule::PerMove => None,
-        };
-        let engine = base.delta_engine;
         let objective = state.model.objective_cached(lambda);
-        let mut trace = vec![objective];
-        let (objective, _) = run_windowed_passes(
-            &mut state,
+        let mut ledger = DriverLedger {
             lambda,
-            engine,
-            window,
-            threads,
-            base.max_iters,
-            objective,
-            &mut trace,
-        );
-        let (sens_cat_ids, sens_num_ids) = sensitive_ids(dataset.schema());
-        let baseline_per_point = objective / state.model.live() as f64;
-        Ok(Self {
-            schema: dataset.schema().clone(),
-            encoder,
-            state,
-            lambda,
-            threads,
-            window,
-            engine,
+            window: match base.schedule {
+                UpdateSchedule::MiniBatch(batch) => Some(batch),
+                UpdateSchedule::PerMove => None,
+            },
             drift_threshold: config.drift_threshold,
             reopt_passes: config.reopt_passes,
             objective,
-            baseline_per_point,
+            baseline_per_point: 0.0,
             oldest_hint: 0,
-            trace,
+            trace: vec![objective],
             inserted: 0,
             evicted: 0,
             reopts: 0,
-            sens_cat_ids,
-            sens_num_ids,
+        };
+        let engine = base.delta_engine;
+        let (objective, _) =
+            run_windowed_passes(&mut state, engine, threads, base.max_iters, &mut ledger);
+        ledger.rebase(objective, state.model.live());
+        Ok(Self {
+            codec: Arc::new(RowCodec::new(dataset.schema().clone(), encoder)),
+            state,
+            threads,
+            engine,
+            ledger,
         })
     }
 
@@ -476,12 +704,10 @@ impl StreamingFairKm {
     /// prototypes and Eq. 7 insertion deltas. Read-only and O(k·(dim +
     /// Σ|Values(S)|)) — the low-latency path.
     pub fn assign_frozen(&self, row: &[Value]) -> Result<usize, FairKmError> {
-        let task = self.encoder.encode_row(row)?;
-        let (cat_vals, num_vals) = self.resolve_sensitive(row)?;
-        Ok(self
-            .state
-            .model
-            .score_insertion(&task, &cat_vals, &num_vals, self.lambda)
+        let r = self.codec.encode(row, self.state.n)?;
+        let model = &self.state.model;
+        Ok(model
+            .score_insertion(&r.row, &r.cat, &r.num, self.ledger.lambda)
             .0)
     }
 
@@ -490,20 +716,17 @@ impl StreamingFairKm {
     /// engine. A serving layer publishes one behind an `Arc` after each
     /// mutation so reads never block behind writes; [`ServingView::assign`]
     /// reproduces `assign_frozen`'s result bitwise for the state at capture
-    /// time. The model is a clone of the engine's aggregates, caches and
-    /// frozen reference: O(k·(dim + Σ|Values(S)|)), independent of the
-    /// number of points.
+    /// time. The view shares the engine's [`RowCodec`] and clones its
+    /// aggregates, caches and frozen reference: O(k·(dim +
+    /// Σ|Values(S)|)), independent of the number of points.
     pub fn serving_view(&self) -> ServingView {
         debug_assert!(self.state.model.cache_is_fresh());
         ServingView {
-            schema: self.schema.clone(),
-            encoder: self.encoder.clone(),
+            codec: Arc::clone(&self.codec),
             model: self.state.model.clone(),
-            lambda: self.lambda,
+            lambda: self.ledger.lambda,
             n_slots: self.state.n,
-            objective: self.objective,
-            sens_cat_ids: self.sens_cat_ids.clone(),
-            sens_num_ids: self.sens_num_ids.clone(),
+            objective: self.ledger.objective,
         }
     }
 
@@ -518,45 +741,41 @@ impl StreamingFairKm {
             return Ok(IngestReport {
                 slots: start..start,
                 clusters: Vec::new(),
-                objective: self.objective,
+                objective: self.ledger.objective,
                 reoptimized: false,
                 reopt_moves: 0,
             });
         }
         // Validate + encode every row before mutating anything, so a bad
         // row rejects the whole batch.
-        let mut encoded: Vec<(Vec<f64>, Vec<u32>, Vec<f64>)> = Vec::with_capacity(rows.len());
-        for row in rows {
-            let task = self.encoder.encode_row(row)?;
-            let (cat_vals, num_vals) = self.resolve_sensitive(row)?;
-            encoded.push((task, cat_vals, num_vals));
-        }
+        let encoded = rows
+            .iter()
+            .map(|row| self.codec.encode(row, start))
+            .collect::<Result<Vec<_>, _>>()?;
 
         // Frozen-prototype assignment for the whole batch.
         let model = &self.state.model;
         debug_assert!(model.cache_is_fresh());
-        let lambda = self.lambda;
+        let lambda = self.ledger.lambda;
         let clusters: Vec<usize> =
             fairkm_parallel::map_indexed(self.threads, 0..encoded.len(), |i| {
-                let (task, cat_vals, num_vals) = &encoded[i];
-                model.score_insertion(task, cat_vals, num_vals, lambda).0
+                let r = &encoded[i];
+                model.score_insertion(&r.row, &r.cat, &r.num, lambda).0
             });
 
         // Delta-apply in arrival order.
-        for ((task, cat_vals, num_vals), &c) in encoded.iter().zip(&clusters) {
-            let slot = self.state.push_row(task, cat_vals, num_vals);
+        for (r, &c) in encoded.iter().zip(&clusters) {
+            let slot = self.state.push_row(r);
             self.state.insert_point(slot, c);
         }
-        self.state.model.refresh_cache();
-        self.objective = self.state.model.objective_cached(self.lambda);
-        self.state.debug_validate_cache(self.lambda);
-        push_trace_bounded(&mut self.trace, self.objective);
-        self.inserted += rows.len();
+        self.ledger
+            .record_batch(&mut self.state.model, rows.len(), 0);
+        self.state.debug_validate_cache(lambda);
         let (reoptimized, reopt_moves) = self.maybe_reoptimize();
         Ok(IngestReport {
             slots: start..start + rows.len(),
             clusters,
-            objective: self.objective,
+            objective: self.ledger.objective,
             reoptimized,
             reopt_moves,
         })
@@ -567,22 +786,11 @@ impl StreamingFairKm {
     /// Rejects dead, out-of-range, or duplicated slots before mutating
     /// anything, so a failed call leaves the clustering unchanged.
     pub fn evict(&mut self, slots: &[usize]) -> Result<EvictReport, FairKmError> {
-        let mut seen = slots.to_vec();
-        seen.sort_unstable();
-        for pair in seen.windows(2) {
-            if pair[0] == pair[1] {
-                return Err(FairKmError::StaleSlot(pair[0]));
-            }
-        }
-        for &slot in slots {
-            if !self.is_live(slot) {
-                return Err(FairKmError::StaleSlot(slot));
-            }
-        }
+        DriverLedger::check_evict(slots, |s| self.is_live(s))?;
         if slots.is_empty() {
             return Ok(EvictReport {
                 evicted: 0,
-                objective: self.objective,
+                objective: self.ledger.objective,
                 reoptimized: false,
                 reopt_moves: 0,
             });
@@ -590,15 +798,13 @@ impl StreamingFairKm {
         for &slot in slots {
             self.state.remove_point(slot);
         }
-        self.state.model.refresh_cache();
-        self.objective = self.state.model.objective_cached(self.lambda);
-        self.state.debug_validate_cache(self.lambda);
-        push_trace_bounded(&mut self.trace, self.objective);
-        self.evicted += slots.len();
+        self.ledger
+            .record_batch(&mut self.state.model, 0, slots.len());
+        self.state.debug_validate_cache(self.ledger.lambda);
         let (reoptimized, reopt_moves) = self.maybe_reoptimize();
         Ok(EvictReport {
             evicted: slots.len(),
-            objective: self.objective,
+            objective: self.ledger.objective,
             reoptimized,
             reopt_moves,
         })
@@ -610,17 +816,13 @@ impl StreamingFairKm {
     /// per-batch calls cost O(count + dead-since-last-call), not O(total
     /// slots ever ingested).
     pub fn evict_oldest(&mut self, count: usize) -> Result<EvictReport, FairKmError> {
-        let slots: Vec<usize> = (self.oldest_hint..self.state.n)
-            .filter(|&s| self.is_live(s))
-            .take(count)
-            .collect();
+        let slots = self
+            .ledger
+            .oldest_live(count, self.state.n, |s| self.is_live(s));
         let report = self.evict(&slots)?;
-        // Advance the cursor past the dead prefix (everything < oldest_hint
-        // stays dead: arbitrary evicts only kill more slots, ingest appends
-        // at the end, and compact resets the cursor).
-        while self.oldest_hint < self.state.n && !self.is_live(self.oldest_hint) {
-            self.oldest_hint += 1;
-        }
+        let assignment = &self.state.assignment;
+        self.ledger
+            .advance_oldest(assignment.len(), |s| assignment[s] != TOMBSTONE);
         Ok(report)
     }
 
@@ -630,21 +832,15 @@ impl StreamingFairKm {
     /// its baseline), then reset the drift baseline. Returns the number of
     /// moves.
     pub fn reoptimize(&mut self) -> usize {
+        let passes = self.ledger.reopt_passes;
         let (objective, total_moves) = run_windowed_passes(
             &mut self.state,
-            self.lambda,
             self.engine,
-            self.window,
             self.threads,
-            self.reopt_passes,
-            self.objective,
-            &mut self.trace,
+            passes,
+            &mut self.ledger,
         );
-        self.objective = objective;
-        self.reopts += 1;
-        if self.state.model.live() > 0 {
-            self.baseline_per_point = self.objective / self.state.model.live() as f64;
-        }
+        self.ledger.close_reopt(objective, self.state.model.live());
         total_moves
     }
 
@@ -654,8 +850,8 @@ impl StreamingFairKm {
     /// returned slot ids.
     pub fn compact(&mut self) -> Result<Vec<usize>, FairKmError> {
         let kept = self.state.compact();
-        self.objective = self.state.model.objective_cached(self.lambda);
-        self.oldest_hint = 0;
+        self.ledger.reread(&mut self.state.model);
+        self.ledger.oldest_hint = 0;
         Ok(kept)
     }
 
@@ -670,9 +866,10 @@ impl StreamingFairKm {
     ) -> Result<(NumericMatrix, SensitiveSpace, Partition, Vec<usize>), FairKmError> {
         let slots = self.live_slots();
         let matrix = self.state.matrix.select_rows(&slots);
-        let mut cat = Vec::with_capacity(self.sens_cat_ids.len());
-        for (a, &id) in self.sens_cat_ids.iter().enumerate() {
-            let attr = self.schema.attr(id)?;
+        let codec = &self.codec;
+        let mut cat = Vec::with_capacity(codec.sens_cat_ids.len());
+        for (a, &id) in codec.sens_cat_ids.iter().enumerate() {
+            let attr = codec.schema.attr(id)?;
             let AttrKind::Categorical { values: labels } = &attr.kind else {
                 unreachable!("categorical sensitive ids name categorical attributes");
             };
@@ -684,12 +881,12 @@ impl StreamingFairKm {
                 codes,
             ));
         }
-        let mut num = Vec::with_capacity(self.sens_num_ids.len());
-        for (a, &id) in self.sens_num_ids.iter().enumerate() {
+        let mut num = Vec::with_capacity(codec.sens_num_ids.len());
+        for (a, &id) in codec.sens_num_ids.iter().enumerate() {
             let values = slots.iter().map(|&s| self.state.num_row(s)[a]).collect();
             num.push(SensitiveNum::new(
                 id,
-                self.schema.attr(id)?.name.clone(),
+                codec.schema.attr(id)?.name.clone(),
                 values,
             ));
         }
@@ -699,31 +896,12 @@ impl StreamingFairKm {
         Ok((matrix, space, partition, slots))
     }
 
-    /// [`resolve_sensitive`] against this engine's frozen schema.
-    fn resolve_sensitive(&self, row: &[Value]) -> Result<(Vec<u32>, Vec<f64>), FairKmError> {
-        resolve_sensitive(
-            &self.schema,
-            &self.sens_cat_ids,
-            &self.sens_num_ids,
-            row,
-            self.state.n,
-        )
-    }
-
-    /// Re-optimize when the per-live-point objective has drifted past the
-    /// threshold relative to the post-optimization baseline.
+    /// Re-optimize when the ledger's drift test fires.
     fn maybe_reoptimize(&mut self) -> (bool, usize) {
-        if self.state.model.live() == 0 || self.reopt_passes == 0 {
+        if !self.ledger.drifted(self.state.model.live()) {
             return (false, 0);
         }
-        let per_point = self.objective / self.state.model.live() as f64;
-        let scale = self.baseline_per_point.abs().max(f64::EPSILON);
-        let drift = (per_point - self.baseline_per_point) / scale;
-        if drift <= self.drift_threshold {
-            return (false, 0);
-        }
-        let moves = self.reoptimize();
-        (true, moves)
+        (true, self.reoptimize())
     }
 
     /// Number of live (assigned) points.
@@ -762,7 +940,7 @@ impl StreamingFairKm {
 
     /// The frozen λ of the stream (resolved once at bootstrap).
     pub fn lambda(&self) -> f64 {
-        self.lambda
+        self.ledger.lambda
     }
 
     /// The fairness objective the stream was configured with.
@@ -788,7 +966,7 @@ impl StreamingFairKm {
 
     /// Current objective `kmeans + λ·fairness` over the live partition.
     pub fn objective(&self) -> f64 {
-        self.objective
+        self.ledger.objective
     }
 
     /// Objective trace: seeded after bootstrap initialization, then one
@@ -798,45 +976,35 @@ impl StreamingFairKm {
     /// so a long-lived stream retains a recent-history window rather than
     /// growing without bound.
     pub fn trace(&self) -> &[f64] {
-        &self.trace
+        &self.ledger.trace
     }
 
     /// Re-optimizations run so far (drift-triggered plus explicit).
     pub fn reopts(&self) -> usize {
-        self.reopts
+        self.ledger.reopts
     }
 
     /// Points ingested after bootstrap.
     pub fn inserted(&self) -> usize {
-        self.inserted
+        self.ledger.inserted
     }
 
     /// Points evicted.
     pub fn evicted(&self) -> usize {
-        self.evicted
+        self.ledger.evicted
     }
 
     /// Current cluster prototypes (means), zeros for empty clusters —
-    /// computed from the running aggregates with the engine's exact
-    /// arithmetic, so it is directly comparable bitwise across single-node
-    /// and sharded runs.
+    /// see [`ClusterModel::prototypes`].
     pub fn prototypes(&self) -> Vec<Vec<f64>> {
-        let model = &self.state.model;
-        (0..model.k())
-            .map(|c| {
-                let mut out = vec![0.0; model.dim()];
-                model.prototype_into(c, &mut out);
-                out
-            })
-            .collect()
+        self.state.model.prototypes()
     }
 
-    /// Decompose a bootstrapped engine into [`ShardParts`] — the frozen
-    /// front-end, the [`ClusterModel`] carrying the exact aggregate and
-    /// cache bits, per-slot payloads to partition across shards, and the
-    /// driver's frozen parameters and counters. The sharded coordinator
-    /// resumes from these parts bitwise where the single-node engine left
-    /// off.
+    /// Decompose a bootstrapped engine into [`ShardParts`] — the shared
+    /// [`RowCodec`], the [`DriverLedger`], the [`ClusterModel`] carrying the
+    /// exact aggregate and cache bits, and the per-slot payloads to
+    /// partition across shards. The sharded coordinator resumes from these
+    /// parts bitwise where the single-node engine left off.
     pub fn into_shard_parts(mut self) -> ShardParts {
         self.state.model.refresh_cache();
         let state = &self.state;
@@ -849,38 +1017,23 @@ impl StreamingFairKm {
                 cluster: state.assignment[i],
             })
             .collect();
-        let objective_kind = self.objective_kind();
         ShardParts {
-            schema: self.schema,
-            encoder: self.encoder,
+            codec: self.codec,
+            ledger: self.ledger,
             model: self.state.model,
             slots,
-            lambda: self.lambda,
-            threads: self.threads,
-            window: self.window,
             engine: self.engine,
-            objective_kind,
-            drift_threshold: self.drift_threshold,
-            reopt_passes: self.reopt_passes,
-            objective: self.objective,
-            baseline_per_point: self.baseline_per_point,
-            oldest_hint: self.oldest_hint,
-            trace: self.trace,
-            inserted: self.inserted,
-            evicted: self.evicted,
-            reopts: self.reopts,
-            sens_cat_ids: self.sens_cat_ids,
-            sens_num_ids: self.sens_num_ids,
         }
     }
 
-    /// Serialize the entire driver — format tag, frozen schema and encoder,
-    /// optimization state with its delta-maintained aggregates and slot
-    /// rows **verbatim**, frozen parameters, and counters — into one byte
-    /// blob. Restoring through [`Self::from_snapshot_bytes`] reproduces the
-    /// uninterrupted run bitwise: every float travels as its exact IEEE-754
-    /// bits, and the scoring caches are re-derived on decode by the same
-    /// pure computation that produced them.
+    /// Serialize the entire driver — format tag, [`RowCodec`], objective
+    /// kind, [`DriverLedger`] (with the δ engine), and the optimization
+    /// state with its delta-maintained aggregates and slot rows
+    /// **verbatim** — into one byte blob. Restoring through
+    /// [`Self::from_snapshot_bytes`] reproduces the uninterrupted run
+    /// bitwise: every float travels as its exact IEEE-754 bits, and the
+    /// scoring caches are re-derived on decode by the same pure computation
+    /// that produced them.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.write_snapshot_bytes(&mut out);
@@ -889,44 +1042,21 @@ impl StreamingFairKm {
 
     /// Append [`Self::to_snapshot_bytes`] to `out`.
     pub(crate) fn write_snapshot_bytes(&self, out: &mut Vec<u8>) {
-        let mut schema = Vec::new();
-        fairkm_data::wire_io::put_schema(&mut schema, &self.schema);
-        let encoder = self.encoder.to_wire_bytes();
+        let mut codec = Vec::new();
+        self.codec.put(&mut codec);
         // Sized once: a buffer grown by doubling holds the old and the new
         // allocation while it copies, and that copy is the serving
         // process's peak memory. 256 bytes cover the fixed-width fields.
         // Power-of-two capacity leaves a reused buffer room to grow.
-        let fixed = 8 * self.trace.len() + 256;
-        let bound = schema.len() + encoder.len() + fixed + self.state.snapshot_len_bound();
+        let fixed = 8 * self.ledger.trace.len() + 256;
+        let bound = codec.len() + fixed + self.state.snapshot_len_bound();
         if out.capacity() - out.len() < bound {
             out.reserve_exact((out.len() + bound).next_power_of_two() - out.len());
         }
-        crate::wire::put_u64(out, SNAPSHOT_FORMAT);
-        out.extend_from_slice(&schema);
-        crate::wire::put_usize(out, encoder.len());
-        out.extend_from_slice(&encoder);
+        wire::put_u64(out, SNAPSHOT_FORMAT);
+        out.extend_from_slice(&codec);
         crate::agg::encode_kind(out, self.objective_kind());
-        crate::wire::put_f64(out, self.lambda);
-        match self.window {
-            None => out.push(0),
-            Some(w) => {
-                out.push(1);
-                crate::wire::put_usize(out, w);
-            }
-        }
-        out.push(match self.engine {
-            DeltaEngine::Incremental => 0,
-            DeltaEngine::Literal => 1,
-        });
-        crate::wire::put_f64(out, self.drift_threshold);
-        crate::wire::put_usize(out, self.reopt_passes);
-        crate::wire::put_f64(out, self.objective);
-        crate::wire::put_f64(out, self.baseline_per_point);
-        crate::wire::put_usize(out, self.oldest_hint);
-        crate::wire::put_f64s(out, &self.trace);
-        crate::wire::put_usize(out, self.inserted);
-        crate::wire::put_usize(out, self.evicted);
-        crate::wire::put_usize(out, self.reopts);
+        self.ledger.put(out, self.engine);
         self.state.write_snapshot(out);
     }
 
@@ -938,16 +1068,11 @@ impl StreamingFairKm {
     /// changes result bits, so a snapshot taken on one machine restores on
     /// another. A payload that does not start with this build's format tag
     /// (one written by an older fairkm) is
-    /// [`crate::wire::WireError::UnsupportedVersion`]. Truncated or
-    /// malformed input — including shape mismatches between the schema,
-    /// encoder, and state — surfaces as a typed [`crate::wire::WireError`],
-    /// never a panic.
-    pub fn from_snapshot_bytes(
-        bytes: &[u8],
-        threads: Option<usize>,
-    ) -> Result<Self, crate::wire::WireError> {
-        use crate::wire::{Reader, WireError};
-        let invalid = |what: &'static str| WireError::Invalid { what };
+    /// [`WireError::UnsupportedVersion`]. Truncated or malformed input —
+    /// including shape mismatches between the schema, encoder, and state
+    /// ([`RowCodec::check`]) — surfaces as a typed [`WireError`], never a
+    /// panic.
+    pub fn from_snapshot_bytes(bytes: &[u8], threads: Option<usize>) -> Result<Self, WireError> {
         let mut r = Reader::new(bytes);
         let found = r.get_u64()?;
         if found != SNAPSHOT_FORMAT {
@@ -956,95 +1081,37 @@ impl StreamingFairKm {
                 expected: SNAPSHOT_FORMAT,
             });
         }
-        let schema = fairkm_data::wire_io::get_schema(&mut r)?;
-        let encoder_len = r.get_len(1)?;
-        let encoder = FrozenEncoder::from_wire_bytes(r.take(encoder_len)?)?;
+        let codec = RowCodec::get(&mut r)?;
         let objective_kind = crate::agg::decode_kind(&mut r)?;
-        let lambda = r.get_f64()?;
-        let window = match r.take(1)?[0] {
-            0 => None,
-            1 => Some(r.get_usize()?),
-            t => {
-                return Err(WireError::UnknownTag {
-                    what: "window option",
-                    tag: t as u64,
-                })
-            }
-        };
-        let engine = match r.take(1)?[0] {
-            0 => DeltaEngine::Incremental,
-            1 => DeltaEngine::Literal,
-            t => {
-                return Err(WireError::UnknownTag {
-                    what: "delta engine",
-                    tag: t as u64,
-                })
-            }
-        };
-        let drift_threshold = r.get_f64()?;
-        let reopt_passes = r.get_usize()?;
-        let objective = r.get_f64()?;
-        let baseline_per_point = r.get_f64()?;
-        let oldest_hint = r.get_usize()?;
-        let trace = r.get_f64s()?;
-        let inserted = r.get_usize()?;
-        let evicted = r.get_usize()?;
-        let reopts = r.get_usize()?;
+        let (ledger, engine) = DriverLedger::get(&mut r)?;
         let threads = fairkm_parallel::resolve_threads(threads);
         let state = State::read_snapshot(&mut r, objective_kind, threads)?;
         r.expect_empty()?;
-        if encoder.arity() != schema.len() {
-            return Err(invalid("encoder arity"));
-        }
-        let (sens_cat_ids, sens_num_ids) = sensitive_ids(&schema);
-        let cards = sens_cat_ids
-            .iter()
-            .map(|&id| schema.attr(id).ok()?.kind.cardinality());
-        if !cards.eq(state.model.cat_ts().into_iter().map(Some))
-            || sens_num_ids.len() != state.model.n_num()
-        {
-            return Err(invalid("sensitive attributes vs schema"));
-        }
+        codec.check(&state.model)?;
         Ok(Self {
-            schema,
-            encoder,
+            codec: Arc::new(codec),
             state,
-            lambda,
             threads,
-            window,
             engine,
-            drift_threshold,
-            reopt_passes,
-            objective,
-            baseline_per_point,
-            oldest_hint,
-            trace,
-            inserted,
-            evicted,
-            reopts,
-            sens_cat_ids,
-            sens_num_ids,
+            ledger,
         })
     }
 }
 
 /// An immutable snapshot of the frozen serving path, captured by
-/// [`StreamingFairKm::serving_view`]: the frozen schema + encoder, a clone
-/// of the engine's [`ClusterModel`] carrying the exact aggregate and cache
+/// [`StreamingFairKm::serving_view`]: the engine's shared [`RowCodec`], a
+/// clone of its [`ClusterModel`] carrying the exact aggregate and cache
 /// bits, and the frozen λ. [`Self::assign`] reproduces
 /// [`StreamingFairKm::assign_frozen`] bitwise for the captured state
 /// without touching the live engine — the read path a server swaps behind
 /// an `Arc` on every successful mutation.
 #[derive(Debug, Clone)]
 pub struct ServingView {
-    schema: Schema,
-    encoder: FrozenEncoder,
+    codec: Arc<RowCodec>,
     model: ClusterModel,
     lambda: f64,
     n_slots: usize,
     objective: f64,
-    sens_cat_ids: Vec<AttrId>,
-    sens_num_ids: Vec<AttrId>,
 }
 
 impl ServingView {
@@ -1059,22 +1126,15 @@ impl ServingView {
     /// Like [`Self::assign`], also returning the winning insertion delta —
     /// useful for serving responses that expose the score.
     pub fn assign_scored(&self, row: &[Value]) -> Result<(usize, f64), FairKmError> {
-        let task = self.encoder.encode_row(row)?;
-        let (cat_vals, num_vals) = resolve_sensitive(
-            &self.schema,
-            &self.sens_cat_ids,
-            &self.sens_num_ids,
-            row,
-            self.n_slots,
-        )?;
+        let r = self.codec.encode(row, self.n_slots)?;
         Ok(self
             .model
-            .score_insertion(&task, &cat_vals, &num_vals, self.lambda))
+            .score_insertion(&r.row, &r.cat, &r.num, self.lambda))
     }
 
     /// The frozen schema rows are validated against.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        &self.codec.schema
     }
 
     /// Number of clusters `k`.
@@ -1435,6 +1495,36 @@ mod tests {
                 s.fairness_term()
             );
         }
+    }
+
+    #[test]
+    fn snapshot_decode_rejects_a_zero_window_and_a_stale_norm() {
+        let config = StreamingConfig::from_base(
+            FairKmConfig::new(2)
+                .with_seed(3)
+                .with_schedule(UpdateSchedule::MiniBatch(8))
+                .with_threads(1),
+        );
+        let s = StreamingFairKm::bootstrap(blobs(10), config).unwrap();
+        let bytes = s.to_snapshot_bytes();
+        let invalid = |b: &[u8]| match StreamingFairKm::from_snapshot_bytes(b, Some(1)) {
+            Err(WireError::Invalid { what }) => what,
+            other => panic!("expected an invalid payload, got {other:?}"),
+        };
+        // Tag, codec, objective kind, λ, then the window's option byte.
+        let mut codec = Vec::new();
+        s.codec.put(&mut codec);
+        let window = 8 + codec.len() + 4 + 8 + 1;
+        assert_eq!(bytes[window..window + 8], 8u64.to_le_bytes());
+        let mut zero = bytes.clone();
+        zero[window..window + 8].fill(0);
+        assert_eq!(invalid(&zero), "scan window");
+        // The first slot's cached norm: it precedes the other slots' norms,
+        // the per-cluster norm sums and the two trailing counters.
+        let norm = bytes.len() - 16 - (8 + 8 * s.k()) - 8 * s.n_slots();
+        let mut stale = bytes;
+        stale[norm] ^= 1;
+        assert_eq!(invalid(&stale), "norm cache");
     }
 
     #[test]

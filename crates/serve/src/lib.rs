@@ -9,8 +9,8 @@
 //! The design splits each tenant into two halves:
 //!
 //! - **Lock-free read path.** Every successful (journaled) mutation
-//!   captures a [`fairkm_core::streaming::ServingView`] — frozen encoder +
-//!   a clone of the engine's aggregate model — and swaps it behind an
+//!   captures a [`fairkm_core::streaming::ServingView`] — the engine's
+//!   shared row codec + a clone of its aggregate model — and swaps it behind an
 //!   `Arc`. `assign` requests clone the `Arc` and score without touching
 //!   the writer lock, so reads never block behind writes and always see a
 //!   fully acked state.

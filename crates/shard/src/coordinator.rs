@@ -11,6 +11,23 @@
 //! [`ClusterModel`] itself) so objectives and accept tests are evaluated
 //! locally at the exact bits every shard holds.
 //!
+//! The front-end and the bookkeeping are the single-node types, not
+//! copies: arrivals go through the engine's own [`RowCodec`] (shared by
+//! `Arc`), and the parameters, drift baseline, eviction cursor, trace and
+//! counters live in a [`DriverLedger`] updated through the same methods
+//! the single-node driver calls. Sharded and single-node runs accept the
+//! same rows and take the same drift decisions by construction.
+//!
+//! ## Durable layout
+//!
+//! The *books* — the ledger (with the δ-engine byte, always incremental
+//! here), the fallback count and the request-id counter — are encoded
+//! once and used twice: a snapshot is the placement plan, the books, the
+//! row codec, the model, the slot rows and the log; a `REC_OP_DONE`
+//! journal record is its tag followed by the books. Decoding checks the
+//! codec against the model ([`RowCodec::check`]) and every slot row
+//! against the model's shape and counts.
+//!
 //! ## Invariants the protocol's determinism rests on
 //!
 //! * **Frozen log while scattered.** The log never grows while requests
@@ -40,15 +57,15 @@ use crate::plan::ShardPlan;
 use crate::protocol::{LogEntry, Msg, Op, OpOutcome};
 use crate::shard::{Outbox, ShardNode};
 use crate::ShardError;
-use fairkm_core::streaming::push_trace_bounded;
 use fairkm_core::wire::{self, Reader, WireError};
 use fairkm_core::{
-    resolve_sensitive, AggregateDelta, ClusterModel, EvictReport, FairKmError, IngestReport,
-    MiniBatchFairKm, ShardParts, SlotRow, MOVE_EPS, TOMBSTONE,
+    AggregateDelta, ClusterModel, DeltaEngine, DriverLedger, EvictReport, IngestReport, RowCodec,
+    ShardParts, SlotRow, MOVE_EPS, TOMBSTONE,
 };
-use fairkm_data::{wire_io, AttrId, FrozenEncoder, Schema, Value};
+use fairkm_data::Value;
 use fairkm_store::{DurableStore, StorageBackend};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Journal record holding one replicated entry batch.
 const REC_ENTRIES: u8 = 0;
@@ -165,28 +182,17 @@ enum Phase {
 #[derive(Debug)]
 pub struct Coordinator {
     plan: ShardPlan,
-    /// The frozen schema arrivals are validated against.
-    schema: Schema,
-    encoder: FrozenEncoder,
+    /// The frozen row front-end arrivals are validated and encoded
+    /// through — shared with the single-node engine it was split from.
+    codec: Arc<RowCodec>,
     model: ClusterModel,
     /// Per-slot payloads; `cluster` is the current assignment
     /// ([`TOMBSTONE`] for evicted slots) — the durable master copy.
     slots: Vec<SlotRow>,
     log: Vec<LogEntry>,
-    lambda: f64,
-    window: Option<usize>,
-    drift_threshold: f64,
-    reopt_passes: usize,
-    objective: f64,
-    baseline_per_point: f64,
-    oldest_hint: usize,
-    trace: Vec<f64>,
-    inserted: usize,
-    evicted: usize,
-    reopts: usize,
+    /// The single-node driver's parameters and bookkeeping.
+    ledger: DriverLedger,
     fallbacks: usize,
-    sens_cat_ids: Vec<AttrId>,
-    sens_num_ids: Vec<AttrId>,
     ops: VecDeque<Op>,
     phase: Phase,
     next_req: u64,
@@ -207,44 +213,32 @@ pub struct Coordinator {
 
 impl Coordinator {
     /// Split a bootstrapped single-node engine into a coordinator and its
-    /// shard nodes: the coordinator keeps the schema, the encoder, the
-    /// full payload table, and one replica; every shard gets a clone of
-    /// the replica plus its owned slice of the payloads. All replicas
-    /// start bitwise identical at log version 0.
+    /// shard nodes: the coordinator keeps the shared row codec, the
+    /// driver ledger, the full payload table, and one replica; every shard
+    /// gets a clone of the replica plus its owned slice of the payloads.
+    /// All replicas start bitwise identical at log version 0.
     pub fn provision(parts: ShardParts, plan: ShardPlan) -> (Self, Vec<ShardNode>) {
-        let shards = (0..plan.shards)
-            .map(|id| {
-                let owned: BTreeMap<usize, SlotRow> = parts
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(slot, _)| plan.owner(*slot) == id)
-                    .map(|(slot, d)| (slot, d.clone()))
-                    .collect();
-                ShardNode::provision(id, plan, parts.lambda, parts.model.clone(), owned)
-            })
-            .collect();
-        let coordinator = Self {
+        let coordinator = Self::new(plan, parts.codec, parts.ledger, parts.model, parts.slots);
+        let shards = coordinator.shard_nodes();
+        (coordinator, shards)
+    }
+
+    /// An idle, volatile coordinator with an empty log.
+    fn new(
+        plan: ShardPlan,
+        codec: Arc<RowCodec>,
+        ledger: DriverLedger,
+        model: ClusterModel,
+        slots: Vec<SlotRow>,
+    ) -> Self {
+        Self {
             plan,
-            schema: parts.schema,
-            encoder: parts.encoder,
-            model: parts.model,
-            slots: parts.slots,
+            codec,
+            model,
+            slots,
             log: Vec::new(),
-            lambda: parts.lambda,
-            window: parts.window,
-            drift_threshold: parts.drift_threshold,
-            reopt_passes: parts.reopt_passes,
-            objective: parts.objective,
-            baseline_per_point: parts.baseline_per_point,
-            oldest_hint: parts.oldest_hint,
-            trace: parts.trace,
-            inserted: parts.inserted,
-            evicted: parts.evicted,
-            reopts: parts.reopts,
+            ledger,
             fallbacks: 0,
-            sens_cat_ids: parts.sens_cat_ids,
-            sens_num_ids: parts.sens_num_ids,
             ops: VecDeque::new(),
             phase: Phase::Idle,
             next_req: 0,
@@ -254,8 +248,31 @@ impl Coordinator {
             snapshot_every: None,
             ops_since_snapshot: 0,
             wedged: false,
-        };
-        (coordinator, shards)
+        }
+    }
+
+    /// Shard replicas at log version 0 built from this coordinator's state:
+    /// each gets a clone of the model and the slot rows the plan assigns
+    /// to it. Only meaningful while the log is empty.
+    pub(crate) fn shard_nodes(&self) -> Vec<ShardNode> {
+        (0..self.plan.shards)
+            .map(|id| {
+                let owned: BTreeMap<usize, SlotRow> = self
+                    .slots
+                    .iter()
+                    .enumerate()
+                    .filter(|(slot, _)| self.plan.owner(*slot) == id)
+                    .map(|(slot, d)| (slot, d.clone()))
+                    .collect();
+                ShardNode::provision(
+                    id,
+                    self.plan,
+                    self.ledger.lambda(),
+                    self.model.clone(),
+                    owned,
+                )
+            })
+            .collect()
     }
 
     /// Handle one protocol message, staging sends on `out`. A wedged
@@ -409,38 +426,21 @@ impl Coordinator {
                 Op::EvictOldest(count) => {
                     // The single-node oldest-live scan, against the
                     // maintained cursor.
-                    let slots: Vec<usize> = (self.oldest_hint..self.slots.len())
-                        .filter(|&s| self.is_live(s))
-                        .take(count)
-                        .collect();
+                    let slots = self
+                        .ledger
+                        .oldest_live(count, self.slots.len(), |s| self.is_live(s));
                     self.start_evict(slots, true, out);
                 }
                 Op::Reoptimize => {
-                    if self.reopt_passes == 0 {
+                    if self.ledger.reopt_passes() == 0 {
                         // Zero passes: `run_windowed_passes` loops zero
                         // times; only the counters and baseline move.
-                        self.reopts += 1;
-                        if self.model.live() > 0 {
-                            self.baseline_per_point = self.objective / self.model.live() as f64;
-                        }
+                        let objective = self.ledger.objective();
+                        self.ledger.close_reopt(objective, self.model.live());
                         self.complete_ok(OpOutcome::Reoptimize(0));
                         continue;
                     }
-                    let r = ReoptState {
-                        origin: ReoptOrigin::Explicit,
-                        pass: 0,
-                        current: self.objective,
-                        total_moves: 0,
-                        w: 0,
-                        start: 0,
-                        moved: 0,
-                        sub: ReoptSub::Fallback {
-                            end: 0,
-                            next: 0,
-                            fallback_moves: 0,
-                        },
-                    };
-                    self.begin_pass(r, out);
+                    self.start_reopt(ReoptOrigin::Explicit, out);
                 }
             }
         }
@@ -454,7 +454,7 @@ impl Coordinator {
             self.complete_ok(OpOutcome::Ingest(Ok(IngestReport {
                 slots: start..start,
                 clusters: Vec::new(),
-                objective: self.objective,
+                objective: self.ledger.objective(),
                 reoptimized: false,
                 reopt_moves: 0,
             })));
@@ -462,41 +462,17 @@ impl Coordinator {
         }
         // Validate + encode every row before mutating anything — the
         // single-node atomicity contract.
-        let mut items: Vec<(usize, SlotRow)> = Vec::with_capacity(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            let task = match self.encoder.encode_row(row) {
-                Ok(t) => t,
-                Err(e) => {
-                    self.results.push_back(OpOutcome::Ingest(Err(e.into())));
-                    return;
-                }
-            };
-            let resolved = resolve_sensitive(
-                &self.schema,
-                &self.sens_cat_ids,
-                &self.sens_num_ids,
-                row,
-                self.slots.len(),
-            );
-            let (cat_vals, num_vals) = match resolved {
-                Ok(v) => v,
-                Err(e) => {
-                    self.results.push_back(OpOutcome::Ingest(Err(e)));
-                    return;
-                }
-            };
-            let sqnorm = task.iter().map(|v| v * v).sum::<f64>();
-            items.push((
-                start + i,
-                SlotRow {
-                    row: task,
-                    cat: cat_vals,
-                    num: num_vals,
-                    sqnorm,
-                    cluster: TOMBSTONE,
-                },
-            ));
-        }
+        let encoded = rows
+            .iter()
+            .map(|row| self.codec.encode(row, start))
+            .collect::<Result<Vec<_>, _>>();
+        let items: Vec<(usize, SlotRow)> = match encoded {
+            Ok(rows) => (start..).zip(rows).collect(),
+            Err(e) => {
+                self.results.push_back(OpOutcome::Ingest(Err(e)));
+                return;
+            }
+        };
         // Scatter arrival scoring by owner; every score is computed
         // against the caches frozen at the current version.
         let mut by_shard: BTreeMap<usize, Vec<(usize, SlotRow)>> = BTreeMap::new();
@@ -552,10 +528,7 @@ impl Coordinator {
         if !self.append_and_broadcast(entries, out) {
             return; // wedged: abort the ingest, surface nothing
         }
-        self.model.refresh_cache();
-        self.objective = self.model.objective_cached(self.lambda);
-        push_trace_bounded(&mut self.trace, self.objective);
-        self.inserted += len;
+        self.ledger.record_batch(&mut self.model, len, 0);
         self.maybe_reoptimize(
             ReoptOrigin::Ingest {
                 start,
@@ -569,23 +542,9 @@ impl Coordinator {
     // ---- evict -----------------------------------------------------
 
     fn start_evict(&mut self, slots: Vec<usize>, advance_oldest: bool, out: &mut Outbox) {
-        // The single-node validation order: duplicates first (reporting
-        // the smallest duplicated slot), then liveness per given order.
-        let mut seen = slots.clone();
-        seen.sort_unstable();
-        for pair in seen.windows(2) {
-            if pair[0] == pair[1] {
-                self.results
-                    .push_back(OpOutcome::Evict(Err(FairKmError::StaleSlot(pair[0]))));
-                return;
-            }
-        }
-        for &slot in &slots {
-            if !self.is_live(slot) {
-                self.results
-                    .push_back(OpOutcome::Evict(Err(FairKmError::StaleSlot(slot))));
-                return;
-            }
+        if let Err(e) = DriverLedger::check_evict(&slots, |s| self.is_live(s)) {
+            self.results.push_back(OpOutcome::Evict(Err(e)));
+            return;
         }
         if slots.is_empty() {
             if advance_oldest {
@@ -593,7 +552,7 @@ impl Coordinator {
             }
             self.complete_ok(OpOutcome::Evict(Ok(EvictReport {
                 evicted: 0,
-                objective: self.objective,
+                objective: self.ledger.objective(),
                 reoptimized: false,
                 reopt_moves: 0,
             })));
@@ -611,10 +570,7 @@ impl Coordinator {
         if !self.append_and_broadcast(entries, out) {
             return; // wedged: abort the evict, surface nothing
         }
-        self.model.refresh_cache();
-        self.objective = self.model.objective_cached(self.lambda);
-        push_trace_bounded(&mut self.trace, self.objective);
-        self.evicted += slots.len();
+        self.ledger.record_batch(&mut self.model, 0, slots.len());
         self.maybe_reoptimize(
             ReoptOrigin::Evict {
                 count: slots.len(),
@@ -625,9 +581,9 @@ impl Coordinator {
     }
 
     fn advance_oldest_cursor(&mut self) {
-        while self.oldest_hint < self.slots.len() && !self.is_live(self.oldest_hint) {
-            self.oldest_hint += 1;
-        }
+        let slots = &self.slots;
+        self.ledger
+            .advance_oldest(slots.len(), |s| slots[s].cluster != TOMBSTONE);
     }
 
     // ---- re-optimization -------------------------------------------
@@ -635,19 +591,19 @@ impl Coordinator {
     /// The single-node drift check; converges the origin directly when no
     /// re-optimization is needed.
     fn maybe_reoptimize(&mut self, origin: ReoptOrigin, out: &mut Outbox) {
-        if self.model.live() == 0 || self.reopt_passes == 0 {
+        if !self.ledger.drifted(self.model.live()) {
             return self.finish_origin(origin, false, 0, out);
         }
-        let per_point = self.objective / self.model.live() as f64;
-        let scale = self.baseline_per_point.abs().max(f64::EPSILON);
-        let drift = (per_point - self.baseline_per_point) / scale;
-        if drift <= self.drift_threshold {
-            return self.finish_origin(origin, false, 0, out);
-        }
+        self.start_reopt(origin, out);
+    }
+
+    /// Start the first pass of a re-optimization from the current
+    /// objective.
+    fn start_reopt(&mut self, origin: ReoptOrigin, out: &mut Outbox) {
         let r = ReoptState {
             origin,
             pass: 0,
-            current: self.objective,
+            current: self.ledger.objective(),
             total_moves: 0,
             w: 0,
             start: 0,
@@ -662,9 +618,7 @@ impl Coordinator {
     }
 
     fn begin_pass(&mut self, mut r: ReoptState, out: &mut Outbox) {
-        r.w = self
-            .window
-            .unwrap_or_else(|| MiniBatchFairKm::auto_batch(self.slots.len()));
+        r.w = self.ledger.window(self.slots.len());
         r.start = 0;
         r.moved = 0;
         self.begin_window(r, out);
@@ -737,7 +691,7 @@ impl Coordinator {
             self.slots[slot].cluster = to;
         }
         self.model.refresh_cache();
-        let after = self.model.objective_cached(self.lambda);
+        let after = self.model.objective_cached(self.ledger.lambda());
         if after < r.current - MOVE_EPS {
             // Accept: replicate the moves (the coordinator has already
             // applied them).
@@ -847,7 +801,7 @@ impl Coordinator {
                 self.step_fallback(r, out)
             }
             RebuildCont::PassEnd => {
-                r.current = self.model.objective_cached(self.lambda);
+                r.current = self.model.objective_cached(self.ledger.lambda());
                 self.finish_pass(r, out)
             }
         }
@@ -881,7 +835,7 @@ impl Coordinator {
         // Scan finished: close the window like the single-node fallback
         // tail.
         if fallback_moves > 0 {
-            r.current = self.model.objective_cached(self.lambda);
+            r.current = self.model.objective_cached(self.ledger.lambda());
         }
         r.moved += fallback_moves;
         r.start = end;
@@ -900,10 +854,10 @@ impl Coordinator {
     }
 
     fn finish_pass(&mut self, mut r: ReoptState, out: &mut Outbox) {
-        push_trace_bounded(&mut self.trace, r.current);
+        self.ledger.push_trace(r.current);
         r.total_moves += r.moved;
         r.pass += 1;
-        if r.moved == 0 || r.pass >= self.reopt_passes {
+        if r.moved == 0 || r.pass >= self.ledger.reopt_passes() {
             self.finish_reopt(r, out)
         } else {
             self.begin_pass(r, out)
@@ -911,11 +865,7 @@ impl Coordinator {
     }
 
     fn finish_reopt(&mut self, r: ReoptState, out: &mut Outbox) {
-        self.objective = r.current;
-        self.reopts += 1;
-        if self.model.live() > 0 {
-            self.baseline_per_point = self.objective / self.model.live() as f64;
-        }
+        self.ledger.close_reopt(r.current, self.model.live());
         self.finish_origin(r.origin, true, r.total_moves, out);
     }
 
@@ -940,7 +890,7 @@ impl Coordinator {
                 self.complete_ok(OpOutcome::Ingest(Ok(IngestReport {
                     slots: start..start + len,
                     clusters,
-                    objective: self.objective,
+                    objective: self.ledger.objective(),
                     reoptimized,
                     reopt_moves,
                 })));
@@ -954,7 +904,7 @@ impl Coordinator {
                 }
                 self.complete_ok(OpOutcome::Evict(Ok(EvictReport {
                     evicted: count,
-                    objective: self.objective,
+                    objective: self.ledger.objective(),
                     reoptimized,
                     reopt_moves,
                 })));
@@ -1040,17 +990,8 @@ impl Coordinator {
             return;
         }
         if self.journal.is_some() {
-            let mut payload = Vec::new();
-            payload.push(REC_OP_DONE);
-            wire::put_f64(&mut payload, self.objective);
-            wire::put_f64(&mut payload, self.baseline_per_point);
-            wire::put_usize(&mut payload, self.oldest_hint);
-            wire::put_usize(&mut payload, self.inserted);
-            wire::put_usize(&mut payload, self.evicted);
-            wire::put_usize(&mut payload, self.reopts);
-            wire::put_usize(&mut payload, self.fallbacks);
-            wire::put_u64(&mut payload, self.next_req);
-            wire::put_f64s(&mut payload, &self.trace);
+            let mut payload = vec![REC_OP_DONE];
+            self.put_books(&mut payload);
             if !self.journal_append(&payload) {
                 return; // wedged: withhold the result
             }
@@ -1165,15 +1106,7 @@ impl Coordinator {
                     interrupted = true;
                 }
                 REC_OP_DONE => {
-                    c.objective = r.get_f64()?;
-                    c.baseline_per_point = r.get_f64()?;
-                    c.oldest_hint = r.get_usize()?;
-                    c.inserted = r.get_usize()?;
-                    c.evicted = r.get_usize()?;
-                    c.reopts = r.get_usize()?;
-                    c.fallbacks = r.get_usize()?;
-                    c.next_req = r.get_u64()?;
-                    c.trace = r.get_f64s()?;
+                    (c.ledger, c.fallbacks, c.next_req) = get_books(&mut r)?;
                     r.expect_empty()?;
                     replayed_ops += 1;
                     interrupted = false;
@@ -1189,7 +1122,7 @@ impl Coordinator {
         if interrupted {
             // The sealed bookkeeping predates the trailing batches; the
             // objective must match the aggregates that shards hold.
-            c.objective = c.model.objective_cached(c.lambda);
+            c.ledger.reread(&mut c.model);
         }
         // Start a fresh request-id block so the new incarnation can never
         // reuse an id the dead in-flight operation already put on the
@@ -1277,32 +1210,8 @@ impl Coordinator {
         let mut out = Vec::new();
         wire::put_usize(&mut out, self.plan.shards);
         wire::put_usize(&mut out, self.plan.block);
-        wire::put_f64(&mut out, self.lambda);
-        match self.window {
-            None => out.push(0),
-            Some(w) => {
-                out.push(1);
-                wire::put_usize(&mut out, w);
-            }
-        }
-        wire::put_f64(&mut out, self.drift_threshold);
-        wire::put_usize(&mut out, self.reopt_passes);
-        wire::put_f64(&mut out, self.objective);
-        wire::put_f64(&mut out, self.baseline_per_point);
-        wire::put_usize(&mut out, self.oldest_hint);
-        wire::put_f64s(&mut out, &self.trace);
-        wire::put_usize(&mut out, self.inserted);
-        wire::put_usize(&mut out, self.evicted);
-        wire::put_usize(&mut out, self.reopts);
-        wire::put_usize(&mut out, self.fallbacks);
-        wire::put_u64(&mut out, self.next_req);
-        let ids = |v: &[AttrId]| v.iter().map(|id| id.index()).collect::<Vec<_>>();
-        wire::put_usizes(&mut out, &ids(&self.sens_cat_ids));
-        wire::put_usizes(&mut out, &ids(&self.sens_num_ids));
-        wire_io::put_schema(&mut out, &self.schema);
-        let encoder = self.encoder.to_wire_bytes();
-        wire::put_usize(&mut out, encoder.len());
-        out.extend(encoder);
+        self.put_books(&mut out);
+        self.codec.put(&mut out);
         out.extend(self.model.to_bytes());
         wire::put_usize(&mut out, self.slots.len());
         for d in &self.slots {
@@ -1315,8 +1224,20 @@ impl Coordinator {
         out
     }
 
+    /// Append the bookkeeping every completed operation seals — the
+    /// driver ledger, the fallback count and the request-id counter — in
+    /// the layout [`get_books`] reads. Both the snapshot and the
+    /// `REC_OP_DONE` journal record carry it.
+    fn put_books(&self, out: &mut Vec<u8>) {
+        self.ledger.put(out, DeltaEngine::Incremental);
+        wire::put_usize(out, self.fallbacks);
+        wire::put_u64(out, self.next_req);
+    }
+
     /// Decode [`Self::snapshot_bytes`]; typed errors on truncation,
-    /// corruption, or cross-field inconsistency — never a panic.
+    /// corruption, or cross-field inconsistency — never a panic. The row
+    /// codec must fit the model ([`RowCodec::check`]), every slot row must
+    /// fit the model's shape, and the model's counts must be the rows'.
     pub fn decode_snapshot(bytes: &[u8]) -> Result<Self, ShardError> {
         let mut r = Reader::new(bytes);
         let shards = r.get_usize()?;
@@ -1324,38 +1245,29 @@ impl Coordinator {
         let plan = ShardPlan::new(shards, block).map_err(|_| WireError::Invalid {
             what: "shard placement plan",
         })?;
-        let lambda = r.get_f64()?;
-        let window = match r.take(1)?[0] {
-            0 => None,
-            1 => Some(r.get_usize()?),
-            tag => {
-                return Err(ShardError::Wire(WireError::UnknownTag {
-                    what: "window option",
-                    tag: tag as u64,
-                }))
-            }
-        };
-        let drift_threshold = r.get_f64()?;
-        let reopt_passes = r.get_usize()?;
-        let objective = r.get_f64()?;
-        let baseline_per_point = r.get_f64()?;
-        let oldest_hint = r.get_usize()?;
-        let trace = r.get_f64s()?;
-        let inserted = r.get_usize()?;
-        let evicted = r.get_usize()?;
-        let reopts = r.get_usize()?;
-        let fallbacks = r.get_usize()?;
-        let next_req = r.get_u64()?;
-        let cat_raw = r.get_usizes()?;
-        let num_raw = r.get_usizes()?;
-        let schema = wire_io::get_schema(&mut r)?;
-        let encoder_len = r.get_len(1)?;
-        let encoder = FrozenEncoder::from_wire_bytes(r.take(encoder_len)?)?;
+        let (ledger, fallbacks, next_req) = get_books(&mut r)?;
+        let codec = RowCodec::get(&mut r)?;
         let model = ClusterModel::from_reader(&mut r)?;
+        codec.check(&model)?;
         let n_slots = r.get_len(8)?;
         let mut slots = Vec::with_capacity(n_slots);
         for _ in 0..n_slots {
-            slots.push(SlotRow::from_reader(&mut r)?);
+            let d = SlotRow::from_reader(&mut r)?;
+            if !model.fits(&d) {
+                return Err(ShardError::Wire(WireError::Invalid {
+                    what: "slot row vs model",
+                }));
+            }
+            slots.push(d);
+        }
+        let live_rows = slots
+            .iter()
+            .filter(|d| d.cluster != TOMBSTONE)
+            .map(|d| (d.cluster, d.cat.as_slice()));
+        if !model.counts_match(live_rows) {
+            return Err(ShardError::Wire(WireError::Invalid {
+                what: "aggregate counts vs slot rows",
+            }));
         }
         let n_log = r.get_len(1)?;
         let mut log = Vec::with_capacity(n_log);
@@ -1363,58 +1275,11 @@ impl Coordinator {
             log.push(LogEntry::from_reader(&mut r)?);
         }
         r.expect_empty()?;
-        let schema_len = schema.len();
-        let to_ids = |raw: Vec<usize>| -> Result<Vec<AttrId>, WireError> {
-            raw.into_iter()
-                .map(|i| {
-                    if i < schema_len {
-                        Ok(AttrId(i))
-                    } else {
-                        Err(WireError::Invalid {
-                            what: "sensitive attribute id",
-                        })
-                    }
-                })
-                .collect()
-        };
-        let sens_cat_ids = to_ids(cat_raw)?;
-        let sens_num_ids = to_ids(num_raw)?;
-        if encoder.arity() != schema_len {
-            return Err(ShardError::Wire(WireError::Invalid {
-                what: "encoder arity vs schema",
-            }));
-        }
-        Ok(Self {
-            plan,
-            schema,
-            encoder,
-            model,
-            slots,
-            log,
-            lambda,
-            window,
-            drift_threshold,
-            reopt_passes,
-            objective,
-            baseline_per_point,
-            oldest_hint,
-            trace,
-            inserted,
-            evicted,
-            reopts,
-            fallbacks,
-            sens_cat_ids,
-            sens_num_ids,
-            ops: VecDeque::new(),
-            phase: Phase::Idle,
-            next_req,
-            outstanding: BTreeMap::new(),
-            results: VecDeque::new(),
-            journal: None,
-            snapshot_every: None,
-            ops_since_snapshot: 0,
-            wedged: false,
-        })
+        let mut c = Self::new(plan, Arc::new(codec), ledger, model, slots);
+        c.log = log;
+        c.fallbacks = fallbacks;
+        c.next_req = next_req;
+        Ok(c)
     }
 
     // ---- read API --------------------------------------------------
@@ -1431,12 +1296,12 @@ impl Coordinator {
 
     /// Current objective over the live partition.
     pub fn objective(&self) -> f64 {
-        self.objective
+        self.ledger.objective()
     }
 
     /// Bounded objective trace (single-node bookkeeping, bit for bit).
     pub fn trace(&self) -> &[f64] {
-        &self.trace
+        self.ledger.trace()
     }
 
     /// Live (assigned) point count.
@@ -1469,13 +1334,7 @@ impl Coordinator {
 
     /// Cluster prototypes (means), zeros for empty clusters.
     pub fn prototypes(&self) -> Vec<Vec<f64>> {
-        (0..self.model.k())
-            .map(|c| {
-                let mut out = vec![0.0; self.model.dim()];
-                self.model.prototype_into(c, &mut out);
-                out
-            })
-            .collect()
+        self.model.prototypes()
     }
 
     /// Number of clusters.
@@ -1483,19 +1342,9 @@ impl Coordinator {
         self.model.k()
     }
 
-    /// Points ingested after bootstrap.
-    pub fn inserted(&self) -> usize {
-        self.inserted
-    }
-
-    /// Points evicted.
-    pub fn evicted(&self) -> usize {
-        self.evicted
-    }
-
     /// Re-optimizations run (drift-triggered plus explicit).
     pub fn reopts(&self) -> usize {
-        self.reopts
+        self.ledger.reopts()
     }
 
     /// Windows whose simultaneous application hurt and fell back to the
@@ -1514,4 +1363,17 @@ impl Coordinator {
     pub fn model_bytes(&self) -> Vec<u8> {
         self.model.to_bytes()
     }
+}
+
+/// Decode the bookkeeping [`Coordinator::put_books`] wrote. A ledger that
+/// names the literal δ engine is [`WireError::Invalid`]: sharding runs only
+/// the incremental one.
+fn get_books(r: &mut Reader<'_>) -> Result<(DriverLedger, usize, u64), WireError> {
+    let (ledger, engine) = DriverLedger::get(r)?;
+    if engine != DeltaEngine::Incremental {
+        return Err(WireError::Invalid {
+            what: "coordinator delta engine",
+        });
+    }
+    Ok((ledger, r.get_usize()?, r.get_u64()?))
 }

@@ -8,12 +8,13 @@
 //!
 //! ## Architecture
 //!
-//! * **Coordinator (node 0).** Owns the client API, the frozen
-//!   validation/encoding front-end (schema and encoder), the per-slot
-//!   payload table (the only copy of each row), and a totally ordered **mutation log**. It replays the
-//!   single-node driver's control flow exactly; only the embarrassingly
-//!   parallel reads (arrival scoring, move proposals, rebuild folds) are
-//!   scattered.
+//! * **Coordinator (node 0).** Owns the client API, the per-slot payload
+//!   table (the only copy of each row), and a totally ordered **mutation
+//!   log**. It validates arrivals through the single-node engine's shared
+//!   [`fairkm_core::RowCodec`] and keeps its bookkeeping in a
+//!   [`fairkm_core::DriverLedger`], replaying the single-node driver's
+//!   control flow exactly; only the embarrassingly parallel reads (arrival
+//!   scoring, move proposals, rebuild folds) are scattered.
 //! * **Shards (node `s + 1`).** Each holds a full replica of the
 //!   single-node aggregate engine ([`fairkm_core::ClusterModel`] —
 //!   aggregates, not rows) plus the payloads of the slots the block-cyclic
@@ -90,7 +91,8 @@ pub enum ShardError {
     /// recomputes fairness terms from raw rows, which rowless replicas do
     /// not hold.
     LiteralEngine,
-    /// A placement plan with zero shards or a zero block size.
+    /// A placement plan with zero shards, more than
+    /// [`ShardPlan::MAX_SHARDS`], or a zero block size.
     InvalidPlan {
         /// Requested shard count.
         shards: usize,
@@ -180,8 +182,8 @@ mod tests {
     use fairkm_data::{Dataset, Value};
     use fairkm_synth::planted::{PlantedConfig, PlantedGenerator};
 
-    fn workload() -> Dataset {
-        PlantedGenerator::new(PlantedConfig {
+    fn planted_config() -> PlantedConfig {
+        PlantedConfig {
             n_rows: 300,
             n_blobs: 3,
             dim: 4,
@@ -191,9 +193,11 @@ mod tests {
             separation: 5.0,
             spread: 1.0,
             seed: 17,
-        })
-        .generate()
-        .dataset
+        }
+    }
+
+    fn workload() -> Dataset {
+        PlantedGenerator::new(planted_config()).generate().dataset
     }
 
     fn config(seed: u64) -> StreamingConfig {
@@ -641,6 +645,87 @@ mod tests {
         assert!(replicas_agree(&c, &s), "shards failed to resync");
         run_op(&mut c, &mut s, Op::Reoptimize).unwrap();
         assert!(replicas_agree(&c, &s));
+    }
+
+    /// The schema of a bootstrap whose sensitive attributes each have one
+    /// more category than the model's aggregates: spliced into a
+    /// coordinator snapshot in place of the real schema, it must decode to
+    /// a typed error — a later ingest would index the categorical counts
+    /// out of range.
+    #[test]
+    fn a_schema_that_disagrees_with_the_model_is_rejected() {
+        use fairkm_core::wire::WireError;
+        use fairkm_data::wire_io::put_schema;
+
+        let data = workload();
+        let (c, _s) = Coordinator::provision(parts(&data, 11), ShardPlan::new(2, 16).unwrap());
+        let bytes = c.snapshot_bytes();
+        assert!(Coordinator::decode_snapshot(&bytes).is_ok());
+
+        let wider = PlantedGenerator::new(PlantedConfig {
+            n_rows: 30,
+            cardinality: 4,
+            ..planted_config()
+        })
+        .generate()
+        .dataset;
+        let (mut ours, mut theirs) = (Vec::new(), Vec::new());
+        put_schema(&mut ours, data.schema());
+        put_schema(&mut theirs, wider.schema());
+        assert_ne!(ours, theirs);
+        let at = bytes
+            .windows(ours.len())
+            .position(|w| w == ours.as_slice())
+            .expect("the snapshot carries the schema");
+        let spliced = [&bytes[..at], &theirs, &bytes[at + ours.len()..]].concat();
+        assert!(matches!(
+            Coordinator::decode_snapshot(&spliced),
+            Err(ShardError::Wire(WireError::Invalid { .. }))
+        ));
+    }
+
+    /// Decode-never-panics for the coordinator snapshot: a mutated payload
+    /// either decodes to a typed error, or to a coordinator that — with
+    /// shard replicas provisioned from it — runs an ingest of one valid row
+    /// without panicking.
+    mod mutated_snapshots {
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        fn snapshot() -> &'static [u8] {
+            static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+            BYTES.get_or_init(|| {
+                let data = workload();
+                let (c, _s) =
+                    Coordinator::provision(parts(&data, 11), ShardPlan::new(2, 16).unwrap());
+                c.snapshot_bytes()
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(3000))]
+
+            #[test]
+            fn a_mutated_coordinator_snapshot_never_panics(
+                edits in proptest::collection::vec((0u16..=u16::MAX, 1u8..=255), 1..4),
+            ) {
+                let mut bytes = snapshot().to_vec();
+                let len = bytes.len();
+                for &(pos, mask) in &edits {
+                    bytes[pos as usize % len] ^= mask;
+                }
+                if let Ok(mut c) = Coordinator::decode_snapshot(&bytes) {
+                    // The replicas a provisioning hand-off would build
+                    // (the snapshot was taken before any log entry).
+                    if c.log_len() == 0 {
+                        let mut shards = c.shard_nodes();
+                        let row = workload().row_values(250).unwrap();
+                        let _ = run_op(&mut c, &mut shards, Op::Ingest(vec![row]));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,9 +22,14 @@ impl ShardPlan {
     /// Default placement-block size (one engine chunk's worth of slots).
     pub const DEFAULT_BLOCK: usize = 64;
 
-    /// Validate and build a plan.
+    /// Largest shard count a plan accepts. The coordinator sends every log
+    /// batch to every shard, so a count beyond this (a corrupt snapshot's)
+    /// would stall the first broadcast rather than run.
+    pub const MAX_SHARDS: usize = 1 << 16;
+
+    /// Validate and build a plan: `1 ≤ shards ≤ MAX_SHARDS`, `block ≥ 1`.
     pub fn new(shards: usize, block: usize) -> Result<Self, ShardError> {
-        if shards == 0 || block == 0 {
+        if shards == 0 || shards > Self::MAX_SHARDS || block == 0 {
             return Err(ShardError::InvalidPlan { shards, block });
         }
         Ok(Self { shards, block })

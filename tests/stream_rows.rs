@@ -8,7 +8,8 @@
 //! * `live_views` returns bit for bit the sensitive space a full `Dataset`
 //!   of every row ever seen would give for the live slots;
 //! * a snapshot payload from before the format tag decodes to a typed
-//!   `UnsupportedVersion`, not a misparse.
+//!   `UnsupportedVersion`, not a misparse, and a committed `FKSTRM02`
+//!   payload decodes and re-encodes byte for byte.
 
 use fairkm::core::persist::{DurableStream, PersistError};
 use fairkm::core::wire::WireError;
@@ -23,6 +24,13 @@ use fairkm_data::{row, DataError, Dataset, DatasetBuilder, Role, Value};
 /// first field is the byte length of the `Dataset` copy that format
 /// carried.
 const UNTAGGED_SNAPSHOT: &[u8] = include_bytes!("fixtures/stream_snapshot_untagged.bin");
+
+/// A payload written by `StreamingFairKm::to_snapshot_bytes` in the
+/// `FKSTRM02` format: `corpus(16)` bootstrapped with `k = 2`, seed 3,
+/// λ = 10 and one thread, then `arrival(16)` and `arrival(17)` ingested and
+/// slot 0 evicted. State directories holding such payloads must keep
+/// loading.
+const V2_SNAPSHOT: &[u8] = include_bytes!("fixtures/stream_snapshot_v2.bin");
 
 /// Task `x`, `y`; sensitive `g ∈ {a, b}` and numeric `age`; auxiliary
 /// `note ∈ {p, q}`.
@@ -191,4 +199,17 @@ fn an_untagged_snapshot_is_an_unsupported_version() {
         DurableStream::open(backend, Some(1), None),
         Err(PersistError::Wire(WireError::UnsupportedVersion { .. }))
     ));
+}
+
+#[test]
+fn a_v2_snapshot_decodes_and_re_encodes_byte_for_byte() {
+    let mut s = StreamingFairKm::from_snapshot_bytes(V2_SNAPSHOT, Some(1)).unwrap();
+    assert_eq!(s.to_snapshot_bytes(), V2_SNAPSHOT);
+    assert_eq!(
+        (s.live(), s.n_slots(), s.inserted(), s.evicted()),
+        (17, 18, 2, 1)
+    );
+    // The restored stream still serves and ingests.
+    let served = s.serving_view().assign(&arrival(18)).unwrap();
+    assert_eq!(s.ingest(&[arrival(18)]).unwrap().clusters, vec![served]);
 }
