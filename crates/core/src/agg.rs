@@ -30,9 +30,8 @@ use crate::config::ObjectiveKind;
 use crate::wire::{self, Reader, WireError};
 
 /// Acceptance threshold shared by every optimizer path: a staged move (or
-/// a whole window) must lower the objective by more than this to be kept.
-/// Exposed so the sharded coordinator applies the exact filter the
-/// single-node windowed pass uses.
+/// a whole window) must lower the objective by more than this to be kept
+/// (see [`crate::improving`], the one staging filter).
 pub const MOVE_EPS: f64 = 1e-10;
 
 /// Cluster sentinel for a backing-store slot that is not part of the

@@ -7,10 +7,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
 
-// Accept a move only if it improves the objective by more than this —
-// guards against float-noise oscillation between equal-objective states
-// (shared with the sharded coordinator, so both apply the same filter).
-use crate::agg::{MOVE_EPS, TOMBSTONE};
+use crate::agg::TOMBSTONE;
+use crate::machine::Local;
 
 /// A fitted FairKM model.
 #[derive(Debug, Clone)]
@@ -215,8 +213,11 @@ impl FairKm {
         // per-cluster contributions, so its running value (including the
         // trace seed) uses the cached form for consistency; the per-move
         // schedule keeps the literal scan form it recomputes each pass.
-        let mut objective = match self.config.schedule {
-            UpdateSchedule::PerMove => state.kmeans_term() + lambda * state.model.fairness_term(),
+        let schedule = self.config.schedule;
+        let literal =
+            |state: &State<'_>| state.kmeans_term() + lambda * state.model.fairness_term();
+        let mut objective = match schedule {
+            UpdateSchedule::PerMove => literal(&state),
             UpdateSchedule::MiniBatch(_) => state.model.objective_cached(lambda),
         };
         let mut trace = vec![objective];
@@ -226,42 +227,32 @@ impl FairKm {
 
         for iter in 0..self.config.max_iters {
             iterations = iter + 1;
-            let moved_this_pass = match self.config.schedule {
-                UpdateSchedule::PerMove => {
-                    let moved = per_move_pass(&mut state, lambda, self.config.delta_engine);
-                    // Per-move passes update the running sums incrementally;
-                    // rebuild once per pass to cancel floating-point drift.
-                    state.rebuild();
-                    objective = state.kmeans_term() + lambda * state.model.fairness_term();
-                    moved
-                }
-                UpdateSchedule::MiniBatch(batch) => {
-                    // The windowed pass keeps the objective current at every
-                    // window boundary, so the pass both consumes and returns
-                    // it — no extra full evaluation per pass.
-                    let (moved, obj) = windowed_pass(
-                        &mut state,
-                        lambda,
-                        self.config.delta_engine,
-                        batch,
-                        threads,
-                        objective,
-                    );
-                    objective = obj;
-                    if moved > 0 {
-                        // Delta updates gain ~one rounding step per move;
-                        // like the per-move schedule, rebuild once per pass
-                        // (never per window) so drift stays bounded by a
-                        // single pass's moves instead of the whole fit.
-                        state.rebuild();
-                        objective = state.model.objective_cached(lambda);
-                    }
-                    moved
-                }
+            let mut local = Local {
+                state: &mut state,
+                lambda,
+                engine: self.config.delta_engine,
             };
-            total_moves += moved_this_pass;
+            let (moved, pass_objective) = local.pass(0..n, schedule, objective);
+            objective = pass_objective;
+            // Delta updates gain ~one rounding step per move: rebuild once
+            // per pass (never per window) so drift stays bounded by a
+            // single pass's moves instead of the whole fit. The per-move
+            // schedule rebuilds after every pass and re-reads the literal
+            // objective.
+            match schedule {
+                UpdateSchedule::PerMove => {
+                    state.rebuild();
+                    objective = literal(&state);
+                }
+                UpdateSchedule::MiniBatch(_) if moved > 0 => {
+                    state.rebuild();
+                    objective = state.model.objective_cached(lambda);
+                }
+                UpdateSchedule::MiniBatch(_) => {}
+            }
+            total_moves += moved;
             trace.push(objective);
-            if moved_this_pass == 0 {
+            if moved == 0 {
                 converged = true;
                 break;
             }
@@ -338,133 +329,6 @@ pub(crate) fn propose_move(
             best
         }
     }
-}
-
-/// One sequential scan of `range` with per-move aggregate updates
-/// (Algorithm 1, steps 2–7 verbatim). Inherently order-dependent: every
-/// accepted move changes the aggregates the next object is scored against,
-/// so each accepted move refreshes the two dirtied cache entries before
-/// the next object is scored.
-fn per_move_scan(
-    state: &mut State<'_>,
-    lambda: f64,
-    engine: DeltaEngine,
-    range: std::ops::Range<usize>,
-) -> usize {
-    let mut moved = 0usize;
-    for x in range {
-        let from = state.assignment[x];
-        let (best_to, best_delta) = propose_move(state, x, lambda, engine);
-        if best_to != from && best_delta < -MOVE_EPS {
-            state.apply_move(x, from, best_to);
-            state.model.refresh_cache();
-            moved += 1;
-        }
-    }
-    moved
-}
-
-/// One full round-robin pass with per-move updates.
-fn per_move_pass(state: &mut State<'_>, lambda: f64, engine: DeltaEngine) -> usize {
-    let n = state.n;
-    per_move_scan(state, lambda, engine, 0..n)
-}
-
-/// One round-robin pass under the windowed mini-batch schedule (§6.1):
-/// every object in a `batch`-sized window is scored **in parallel** against
-/// the aggregates and scoring cache frozen at the window start, accepted
-/// moves are applied as deltas in index order, and only the dirtied
-/// clusters' cache entries are refreshed at the window boundary.
-///
-/// The accept path performs **no full [`State::rebuild`] and no
-/// full-objective recomputation**: a window's staged moves run through
-/// [`State::apply_move`] (O(dim + Σ|Values(S)|) each), the refresh touches
-/// only dirty clusters, and the post-window objective is assembled from
-/// the cached per-cluster contributions in O(k) — per-window cost is
-/// O(moves·dim + dirty_clusters·t) instead of O(n·dim + n·k·t). In debug
-/// builds [`State::debug_validate_cache`] cross-checks the delta-maintained
-/// state against a from-scratch recomputation at every window boundary.
-///
-/// Per-move deltas assume one move at a time; applying a whole window of
-/// them simultaneously can *raise* the objective (in the worst case the
-/// clustering oscillates between two states forever). The engine therefore
-/// enforces **monotone window acceptance**: a window whose staged moves
-/// did not lower the cached objective is reverted ([`State::revert_move`]
-/// plus an exact rebuild, the one place the windowed schedule still
-/// rebuilds) and re-scanned with exact sequential per-move descent
-/// instead. The parallel fast path handles the common case; the fallback
-/// guarantees the objective trace stays non-increasing and that every
-/// counted move is a real improvement.
-///
-/// Scoring is read-only, every mutation is sequential in index order, and
-/// the cached objective is summed in cluster order, so the clustering is
-/// bitwise-identical for any thread count.
-///
-/// `current` must be the cached-form objective of the state as passed in
-/// (the caller already holds it from the previous pass); the updated value
-/// is returned alongside the move count so no pass pays a redundant full
-/// evaluation.
-///
-/// Streaming re-optimization drives this same pass over its live slots
-/// (unassigned tombstones propose no move and are skipped), so the online
-/// path and the batch path share one optimizer.
-pub(crate) fn windowed_pass(
-    state: &mut State<'_>,
-    lambda: f64,
-    engine: DeltaEngine,
-    batch: usize,
-    threads: usize,
-    current: f64,
-) -> (usize, f64) {
-    let n = state.n;
-    let mut moved = 0usize;
-    let mut current = current;
-    let mut start = 0usize;
-    while start < n {
-        let end = start.saturating_add(batch).min(n);
-        let frozen: &State<'_> = state;
-        let proposals = fairkm_parallel::map_indexed(threads, start..end, |x| {
-            propose_move(frozen, x, lambda, engine)
-        });
-        let mut staged: Vec<(usize, usize, usize)> = Vec::new();
-        for (offset, &(best_to, best_delta)) in proposals.iter().enumerate() {
-            let x = start + offset;
-            let from = state.assignment[x];
-            if best_to != from && best_delta < -MOVE_EPS {
-                staged.push((x, from, best_to));
-            }
-        }
-        if !staged.is_empty() {
-            for &(x, from, to) in &staged {
-                state.apply_move(x, from, to);
-            }
-            state.model.refresh_cache();
-            let after = state.model.objective_cached(lambda);
-            state.debug_validate_cache(lambda);
-            if after < current - MOVE_EPS {
-                moved += staged.len();
-                current = after;
-            } else {
-                // The simultaneous application hurt: undo the window and
-                // descend through it one move at a time. Only the
-                // assignments need restoring — the rebuild re-derives
-                // every aggregate (exactly) from them, so per-move
-                // aggregate reverts would be discarded work.
-                state.fallbacks += 1;
-                for &(x, from, _) in &staged {
-                    state.assignment[x] = from;
-                }
-                state.rebuild();
-                let fallback_moves = per_move_scan(state, lambda, engine, start..end);
-                if fallback_moves > 0 {
-                    current = state.model.objective_cached(lambda);
-                }
-                moved += fallback_moves;
-            }
-        }
-        start = end;
-    }
-    (moved, current)
 }
 
 /// Resolve `(name, weight)` overrides into the per-attribute weight array
@@ -795,18 +659,18 @@ mod tests {
                 propose_move(frozen, x, lambda, engine)
             });
             let mut staged: Vec<(usize, usize)> = Vec::new();
-            for (offset, &(best_to, best_delta)) in proposals.iter().enumerate() {
+            for (offset, &proposal) in proposals.iter().enumerate() {
                 let x = start + offset;
                 let from = state.assignment[x];
-                if best_to != from && best_delta < -MOVE_EPS {
+                if let Some(to) = crate::machine::improving(from, proposal) {
                     staged.push((x, from));
-                    state.assignment[x] = best_to;
+                    state.assignment[x] = to;
                 }
             }
             if !staged.is_empty() {
                 state.rebuild();
                 let after = state.kmeans_term() + lambda * state.model.fairness_term();
-                if after < current - MOVE_EPS {
+                if after < current - crate::agg::MOVE_EPS {
                     moved += staged.len();
                     current = after;
                 } else {
@@ -814,7 +678,13 @@ mod tests {
                         state.assignment[x] = from;
                     }
                     state.rebuild();
-                    let fallback_moves = per_move_scan(state, lambda, engine, start..end);
+                    let mut local = Local {
+                        state: &mut *state,
+                        lambda,
+                        engine,
+                    };
+                    let (fallback_moves, _) =
+                        local.pass(start..end, UpdateSchedule::PerMove, current);
                     if fallback_moves > 0 {
                         state.rebuild();
                         current = state.kmeans_term() + lambda * state.model.fairness_term();
@@ -853,7 +723,14 @@ mod tests {
                     objective,
                 )
             } else {
-                windowed_pass(state, lambda, DeltaEngine::Incremental, batch, 1, objective)
+                let engine = DeltaEngine::Incremental;
+                let n = state.n;
+                Local {
+                    state: &mut *state,
+                    lambda,
+                    engine,
+                }
+                .pass(0..n, UpdateSchedule::MiniBatch(batch), objective)
             };
             objective = obj;
             moves += moved;

@@ -45,6 +45,10 @@
 //!   clustering **bitwise-identical for any thread count**.
 //! * **[`MiniBatchFairKm`]** — the large-`n` scheduler coupling the
 //!   windowed schedule with an automatic window size.
+//! * **[`Machine`]** — ingest, eviction, re-optimization and the
+//!   optimizer pass written once as a sans-IO step machine: the
+//!   single-node engine answers its requests locally, the sharded
+//!   coordinator scatters them. See the [`machine`] module docs.
 //! * **[`StreamingFairKm`]** — online ingestion with incremental
 //!   insert/delete aggregate deltas, frozen-prototype serving, eviction,
 //!   and drift-triggered re-optimization: the long-lived-service mode of
@@ -58,6 +62,7 @@ pub mod agg;
 pub mod bench_support;
 mod config;
 mod fairkm;
+pub mod machine;
 mod minibatch;
 mod objective;
 pub mod persist;
@@ -71,6 +76,9 @@ pub use config::{
     UpdateSchedule,
 };
 pub use fairkm::{FairKm, FairKmModel};
+pub use machine::{
+    improving, Answer, Entry, LogEntry, Machine, Outcome, Replica, Request, RowRef, Step, Ticket,
+};
 pub use minibatch::MiniBatchFairKm;
 pub use objective::bounded_exact_assignment;
 pub use state::ClusterModel;

@@ -54,6 +54,7 @@
 
 use crate::agg::{decode_kind, encode_kind, AggregateDelta, SlotRow, TOMBSTONE};
 use crate::config::{FairnessNorm, ObjectiveKind};
+use crate::machine::{Entry, LogEntry, RowRef};
 use crate::objective::{FairView, Objective, PointRef};
 use crate::wire::{self, Reader, WireError};
 use fairkm_data::{sq_euclidean, NumericMatrix, SensitiveSpace};
@@ -968,7 +969,7 @@ impl<'a> State<'a> {
     /// [`Self::rebuild`], restricted to `range`). Pure in the chunk, so
     /// chunks can be computed concurrently — and the same per-row fold a
     /// shard replays over its owned slots during a distributed rebuild.
-    fn rebuild_partial(&self, range: std::ops::Range<usize>) -> AggregateDelta {
+    pub fn rebuild_partial(&self, range: std::ops::Range<usize>) -> AggregateDelta {
         let mut part = self.model.zeroed_delta();
         for i in range {
             let c = self.assignment[i];
@@ -1000,6 +1001,39 @@ impl<'a> State<'a> {
         );
         self.model.install(total);
         self.rebuilds += 1;
+    }
+
+    /// Apply committed log entries in order, then refresh the scoring
+    /// cache — the single-node side of [`crate::machine::Replica::commit`].
+    /// An install counts as a rebuild.
+    pub fn commit(&mut self, entries: &mut Vec<Entry>) {
+        for entry in entries.drain(..) {
+            match entry {
+                LogEntry::Insert { data, .. } => {
+                    let x = self.push_row(&data);
+                    self.insert_point(x, data.cluster);
+                }
+                LogEntry::Remove { slot, .. } => {
+                    self.remove_point(slot);
+                }
+                LogEntry::Move { slot, from, to, .. } => self.apply_move(slot, from, to),
+                LogEntry::Install { agg } => {
+                    self.model.install(agg);
+                    self.rebuilds += 1;
+                }
+            }
+        }
+        self.model.refresh_cache();
+    }
+
+    /// Slot `x`'s stored row.
+    pub fn row(&self, x: usize) -> RowRef<'_> {
+        RowRef {
+            row: self.matrix.row(x),
+            cat: self.cat_row(x),
+            num: self.num_row(x),
+            sqnorm: self.point_sqnorm[x],
+        }
     }
 
     /// Squared distance from point `x` to cluster `c`'s prototype;

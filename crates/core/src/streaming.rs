@@ -26,9 +26,14 @@
 //!    degrades the objective. The [`DriverLedger`] tracks the
 //!    per-live-point objective against the post-reoptimization baseline
 //!    and, past a relative [`StreamingConfig::drift_threshold`], the driver
-//!    runs windowed mini-batch passes (`windowed_pass`, the same optimizer
-//!    the batch schedule uses; tombstoned slots propose no moves) until
-//!    convergence or [`StreamingConfig::reopt_passes`].
+//!    runs windowed mini-batch passes (the same pass the batch fit runs;
+//!    tombstoned slots propose no moves) until convergence or
+//!    [`StreamingConfig::reopt_passes`].
+//!
+//! Ingest, eviction, re-optimization and the bootstrap fit are not written
+//! here: each is a [`Machine`] — the one control flow the sharded
+//! coordinator runs too — that this engine answers with local calls on its
+//! slot rows (see [`crate::machine`]).
 //!
 //! Each row is stored once, in the engine's slot rows. The [`RowCodec`]
 //! and the [`DriverLedger`] are held once too: a [`ServingView`] shares
@@ -51,7 +56,8 @@
 
 use crate::agg::{SlotRow, TOMBSTONE};
 use crate::config::{DeltaEngine, FairKmConfig, FairKmError, ObjectiveKind, UpdateSchedule};
-use crate::fairkm::{initial_assignment, resolve_weights, windowed_pass};
+use crate::fairkm::{initial_assignment, resolve_weights};
+use crate::machine::{Local, Machine, Outcome};
 use crate::minibatch::MiniBatchFairKm;
 use crate::state::{ClusterModel, State};
 use crate::wire::{self, Reader, WireError};
@@ -230,6 +236,16 @@ impl RowCodec {
         })
     }
 
+    /// [`Self::encode`] every row of a batch, stopping at the first bad
+    /// one: a batch is accepted or rejected whole.
+    pub fn encode_all(
+        &self,
+        rows: &[Vec<Value>],
+        n_slots: usize,
+    ) -> Result<Vec<SlotRow>, FairKmError> {
+        rows.iter().map(|row| self.encode(row, n_slots)).collect()
+    }
+
     /// Append the wire form: the schema, then the length-prefixed encoder.
     pub fn put(&self, out: &mut Vec<u8>) {
         wire_io::put_schema(out, &self.schema);
@@ -365,10 +381,11 @@ impl DriverLedger {
         self.trace.push(value);
     }
 
-    /// Record an applied ingest or evict batch: re-read the objective from
-    /// `model`, trace it, and count the points inserted and evicted.
-    pub fn record_batch(&mut self, model: &mut ClusterModel, inserted: usize, evicted: usize) {
-        self.reread(model);
+    /// Record an applied ingest or evict batch: read the objective from
+    /// `model` (whose cache is fresh), trace it, and count the points
+    /// inserted and evicted.
+    pub fn record_batch(&mut self, model: &ClusterModel, inserted: usize, evicted: usize) {
+        self.objective = model.objective_cached(self.lambda);
         self.push_trace(self.objective);
         self.inserted += inserted;
         self.evicted += evicted;
@@ -398,7 +415,7 @@ impl DriverLedger {
     }
 
     /// Set the objective and, when anything is live, the drift baseline.
-    fn rebase(&mut self, objective: f64, live: usize) {
+    pub(crate) fn rebase(&mut self, objective: f64, live: usize) {
         self.objective = objective;
         if live > 0 {
             self.baseline_per_point = objective / live as f64;
@@ -576,7 +593,6 @@ pub struct ShardParts {
 pub struct StreamingFairKm {
     codec: Arc<RowCodec>,
     state: State<'static>,
-    threads: usize,
     engine: DeltaEngine,
     ledger: DriverLedger,
 }
@@ -592,41 +608,6 @@ impl std::fmt::Debug for State<'_> {
             .field("dim", &self.model.dim())
             .finish_non_exhaustive()
     }
-}
-
-/// Drive windowed mini-batch passes from the ledger's objective until one
-/// makes no move or `max_passes` is reached, pushing the objective after
-/// each pass onto the ledger's trace — the single convergence loop shared
-/// by the bootstrap fit and every re-optimization (so their rebuild
-/// cadence and trace bookkeeping can never diverge). Returns
-/// `(objective, total_moves)`.
-fn run_windowed_passes(
-    state: &mut State<'static>,
-    engine: DeltaEngine,
-    threads: usize,
-    max_passes: usize,
-    ledger: &mut DriverLedger,
-) -> (f64, usize) {
-    let lambda = ledger.lambda;
-    let mut objective = ledger.objective;
-    let mut total_moves = 0usize;
-    for _ in 0..max_passes {
-        let w = ledger.window(state.n);
-        let (moved, obj) = windowed_pass(state, lambda, engine, w, threads, objective);
-        objective = obj;
-        if moved > 0 {
-            // Same drift-cancelling rebuild cadence as the batch fit:
-            // once per pass, never per window.
-            state.rebuild();
-            objective = state.model.objective_cached(lambda);
-        }
-        ledger.push_trace(objective);
-        total_moves += moved;
-        if moved == 0 {
-            break;
-        }
-    }
-    (objective, total_moves)
 }
 
 impl StreamingFairKm {
@@ -687,13 +668,15 @@ impl StreamingFairKm {
             reopts: 0,
         };
         let engine = base.delta_engine;
-        let (objective, _) =
-            run_windowed_passes(&mut state, engine, threads, base.max_iters, &mut ledger);
-        ledger.rebase(objective, state.model.live());
+        Local {
+            state: &mut state,
+            lambda,
+            engine,
+        }
+        .run(Some(&mut ledger), Machine::bootstrap(base.max_iters));
         Ok(Self {
             codec: Arc::new(RowCodec::new(dataset.schema().clone(), encoder)),
             state,
-            threads,
             engine,
             ledger,
         })
@@ -736,49 +719,11 @@ impl StreamingFairKm {
     /// parallel, deterministically), apply the insertions as aggregate
     /// deltas in arrival order, then run the drift check.
     pub fn ingest(&mut self, rows: &[Vec<Value>]) -> Result<IngestReport, FairKmError> {
-        let start = self.state.n;
-        if rows.is_empty() {
-            return Ok(IngestReport {
-                slots: start..start,
-                clusters: Vec::new(),
-                objective: self.ledger.objective,
-                reoptimized: false,
-                reopt_moves: 0,
-            });
+        let rows = self.codec.encode_all(rows, self.state.n)?;
+        match self.run(|_, _| Ok(Machine::ingest(rows)))? {
+            Outcome::Ingest(report) => Ok(report),
+            _ => unreachable!("an ingest reports an ingest"),
         }
-        // Validate + encode every row before mutating anything, so a bad
-        // row rejects the whole batch.
-        let encoded = rows
-            .iter()
-            .map(|row| self.codec.encode(row, start))
-            .collect::<Result<Vec<_>, _>>()?;
-
-        // Frozen-prototype assignment for the whole batch.
-        let model = &self.state.model;
-        debug_assert!(model.cache_is_fresh());
-        let lambda = self.ledger.lambda;
-        let clusters: Vec<usize> =
-            fairkm_parallel::map_indexed(self.threads, 0..encoded.len(), |i| {
-                let r = &encoded[i];
-                model.score_insertion(&r.row, &r.cat, &r.num, lambda).0
-            });
-
-        // Delta-apply in arrival order.
-        for (r, &c) in encoded.iter().zip(&clusters) {
-            let slot = self.state.push_row(r);
-            self.state.insert_point(slot, c);
-        }
-        self.ledger
-            .record_batch(&mut self.state.model, rows.len(), 0);
-        self.state.debug_validate_cache(lambda);
-        let (reoptimized, reopt_moves) = self.maybe_reoptimize();
-        Ok(IngestReport {
-            slots: start..start + rows.len(),
-            clusters,
-            objective: self.ledger.objective,
-            reoptimized,
-            reopt_moves,
-        })
     }
 
     /// Evict the given live slots (stale points leaving the stream),
@@ -786,28 +731,10 @@ impl StreamingFairKm {
     /// Rejects dead, out-of-range, or duplicated slots before mutating
     /// anything, so a failed call leaves the clustering unchanged.
     pub fn evict(&mut self, slots: &[usize]) -> Result<EvictReport, FairKmError> {
-        DriverLedger::check_evict(slots, |s| self.is_live(s))?;
-        if slots.is_empty() {
-            return Ok(EvictReport {
-                evicted: 0,
-                objective: self.ledger.objective,
-                reoptimized: false,
-                reopt_moves: 0,
-            });
+        match self.run(|rep, _| Machine::evict(slots.to_vec(), rep))? {
+            Outcome::Evict(report) => Ok(report),
+            _ => unreachable!("an eviction reports an eviction"),
         }
-        for &slot in slots {
-            self.state.remove_point(slot);
-        }
-        self.ledger
-            .record_batch(&mut self.state.model, 0, slots.len());
-        self.state.debug_validate_cache(self.ledger.lambda);
-        let (reoptimized, reopt_moves) = self.maybe_reoptimize();
-        Ok(EvictReport {
-            evicted: slots.len(),
-            objective: self.ledger.objective,
-            reoptimized,
-            reopt_moves,
-        })
     }
 
     /// Evict the `count` oldest live points (lowest slot indices) — the
@@ -816,14 +743,10 @@ impl StreamingFairKm {
     /// per-batch calls cost O(count + dead-since-last-call), not O(total
     /// slots ever ingested).
     pub fn evict_oldest(&mut self, count: usize) -> Result<EvictReport, FairKmError> {
-        let slots = self
-            .ledger
-            .oldest_live(count, self.state.n, |s| self.is_live(s));
-        let report = self.evict(&slots)?;
-        let assignment = &self.state.assignment;
-        self.ledger
-            .advance_oldest(assignment.len(), |s| assignment[s] != TOMBSTONE);
-        Ok(report)
+        match self.run(|rep, ledger| Ok(Machine::evict_oldest(count, ledger, rep)))? {
+            Outcome::Evict(report) => Ok(report),
+            _ => unreachable!("an eviction reports an eviction"),
+        }
     }
 
     /// Run windowed re-optimization passes over the live partition until no
@@ -832,16 +755,25 @@ impl StreamingFairKm {
     /// its baseline), then reset the drift baseline. Returns the number of
     /// moves.
     pub fn reoptimize(&mut self) -> usize {
-        let passes = self.ledger.reopt_passes;
-        let (objective, total_moves) = run_windowed_passes(
-            &mut self.state,
-            self.engine,
-            self.threads,
-            passes,
-            &mut self.ledger,
-        );
-        self.ledger.close_reopt(objective, self.state.model.live());
-        total_moves
+        match self.run(|_, _| Ok(Machine::reoptimize())) {
+            Ok(Outcome::Reoptimize(moves)) => moves,
+            _ => unreachable!("a re-optimization reports its moves"),
+        }
+    }
+
+    /// Build an operation's [`Machine`] against the current state and run
+    /// it to completion, answering every request locally.
+    fn run(
+        &mut self,
+        start: impl FnOnce(&Local<'_, 'static>, &DriverLedger) -> Result<Machine, FairKmError>,
+    ) -> Result<Outcome, FairKmError> {
+        let mut local = Local {
+            state: &mut self.state,
+            lambda: self.ledger.lambda,
+            engine: self.engine,
+        };
+        let machine = start(&local, &self.ledger)?;
+        Ok(local.run(Some(&mut self.ledger), machine))
     }
 
     /// Drop every tombstoned slot from the backing store, renumbering the
@@ -894,14 +826,6 @@ impl StreamingFairKm {
         let clusters: Vec<usize> = slots.iter().map(|&s| self.state.assignment[s]).collect();
         let partition = Partition::new(clusters, self.state.model.k())?;
         Ok((matrix, space, partition, slots))
-    }
-
-    /// Re-optimize when the ledger's drift test fires.
-    fn maybe_reoptimize(&mut self) -> (bool, usize) {
-        if !self.ledger.drifted(self.state.model.live()) {
-            return (false, 0);
-        }
-        (true, self.reoptimize())
     }
 
     /// Number of live (assigned) points.
@@ -1091,10 +1015,23 @@ impl StreamingFairKm {
         Ok(Self {
             codec: Arc::new(codec),
             state,
-            threads,
             engine,
             ledger,
         })
+    }
+}
+
+#[cfg(test)]
+impl StreamingFairKm {
+    /// The engine as a machine host: its row codec, its state answering
+    /// locally, and its ledger.
+    pub(crate) fn host(&mut self) -> (&RowCodec, Local<'_, 'static>, &mut DriverLedger) {
+        let local = Local {
+            state: &mut self.state,
+            lambda: self.ledger.lambda,
+            engine: self.engine,
+        };
+        (&self.codec, local, &mut self.ledger)
     }
 }
 

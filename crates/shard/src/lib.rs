@@ -10,11 +10,14 @@
 //!
 //! * **Coordinator (node 0).** Owns the client API, the per-slot payload
 //!   table (the only copy of each row), and a totally ordered **mutation
-//!   log**. It validates arrivals through the single-node engine's shared
-//!   [`fairkm_core::RowCodec`] and keeps its bookkeeping in a
-//!   [`fairkm_core::DriverLedger`], replaying the single-node driver's
-//!   control flow exactly; only the embarrassingly parallel reads (arrival
-//!   scoring, move proposals, rebuild folds) are scattered.
+//!   log**. It runs each operation as the single-node engine's own step
+//!   machine ([`fairkm_core::Machine`]) over its shared
+//!   [`fairkm_core::RowCodec`] and [`fairkm_core::DriverLedger`]: the
+//!   machine's read-only requests (arrival scoring, move proposals,
+//!   rebuild folds) are scattered to the shards and gathered back, and
+//!   each batch of log entries it commits is journaled and broadcast. The
+//!   control flow exists once; the coordinator only carries it over the
+//!   network.
 //! * **Shards (node `s + 1`).** Each holds a full replica of the
 //!   single-node aggregate engine ([`fairkm_core::ClusterModel`] —
 //!   aggregates, not rows) plus the payloads of the slots the block-cyclic
@@ -29,16 +32,16 @@
 //!    payload, so a replica at log version `v` is bitwise equal
 //!    to every other replica at `v` — regardless of how the network
 //!    batched, delayed, or reordered the deliveries.
-//! 2. **Pure scatters at a pinned version.** Requests carry the log
-//!    version they must be evaluated at; the log never grows while
-//!    requests are outstanding, and shards defer requests from the future.
-//!    Responses are pure functions of replica state at that version, so
-//!    re-issuing a request (crash recovery) cannot change any answer.
-//! 3. **Ordered reduction.** Window proposals are merged in ascending slot
-//!    order; rebuild chunks are folded shard-to-shard in ascending slot
-//!    order and merged chunk-index-first at the coordinator — the same
-//!    left-fold `fairkm_parallel::fold_chunks` performs, so the rebuilt
-//!    aggregates match the single-node bits exactly.
+//! 2. **Pure scatters at a pinned version.** Asks carry the log version
+//!    they must be evaluated at; the machine commits nothing while a
+//!    request is outstanding, and shards defer asks from the future.
+//!    Answers are pure functions of replica state at that version, so
+//!    re-issuing an ask (crash recovery) cannot change any answer.
+//! 3. **Ordered reduction.** The machine applies window proposals in
+//!    ascending slot order; rebuild chunks are folded shard-to-shard in
+//!    ascending slot order and merged chunk-index-first by the machine —
+//!    the same left-fold `fairkm_parallel::fold_chunks` performs, so the
+//!    rebuilt aggregates match the single-node bits exactly.
 //!
 //! ## Fault model
 //!
@@ -75,9 +78,10 @@ mod shard;
 
 pub use coordinator::{Coordinator, CoordinatorRecovery};
 pub use driver::ShardedFairKm;
+pub use fairkm_core::LogEntry;
 pub use net::{build_simulation, Node};
 pub use plan::ShardPlan;
-pub use protocol::{LogEntry, Msg, Op, OpOutcome};
+pub use protocol::{Msg, Op, OpOutcome, Part};
 pub use shard::{Outbox, ShardNode};
 
 use fairkm_core::wire::WireError;
@@ -112,10 +116,10 @@ pub enum ShardError {
     /// already holds snapshots or log entries — recovering over them
     /// would silently shadow existing state.
     StateDirNotEmpty,
-    /// A journal write failed earlier, leaving the in-memory coordinator
-    /// ahead of the durable log. Snapshots are refused — persisting the
-    /// ahead-of-log model would diverge from its own journal. Recover
-    /// from the state directory instead.
+    /// A journal write failed earlier and stopped an operation part-way,
+    /// leaving the in-memory coordinator ahead of what the durable log
+    /// seals. Snapshots are refused — persisting it would diverge from
+    /// its own journal. Recover from the state directory instead.
     Wedged,
 }
 
@@ -140,7 +144,7 @@ impl std::fmt::Display for ShardError {
             ShardError::Wedged => write!(
                 f,
                 "coordinator is wedged: a journal write failed earlier, so the \
-                 in-memory model is ahead of the durable log; recover from disk"
+                 in-memory state is ahead of the durable log; recover from disk"
             ),
         }
     }
@@ -226,53 +230,62 @@ mod tests {
         }};
     }
 
+    /// An unoptimized bootstrap under a heavy λ: the windows of the
+    /// re-optimizations that follow overshoot, so the per-move fallback
+    /// scans run on the shards.
+    fn fallback_heavy(seed: u64) -> StreamingConfig {
+        let mut config = config(seed);
+        config.base = config
+            .base
+            .with_max_iters(0)
+            .with_lambda(fairkm_core::Lambda::Fixed(40000.0))
+            .with_schedule(fairkm_core::UpdateSchedule::MiniBatch(200));
+        config
+    }
+
     #[test]
     fn sharded_run_matches_single_node_bitwise() {
         let data = workload();
         let boot_idx: Vec<usize> = (0..200).collect();
         let arrivals: Vec<Vec<Value>> = (200..300).map(|r| data.row_values(r).unwrap()).collect();
 
-        let mut single =
-            StreamingFairKm::bootstrap(data.select_rows(&boot_idx).unwrap(), config(11)).unwrap();
-        drive!(single, arrivals);
-
-        for shards in [1usize, 2, 4] {
-            let mut sharded = ShardedFairKm::bootstrap(
-                data.select_rows(&boot_idx).unwrap(),
-                config(11),
-                shards,
-                16,
-            )
-            .unwrap();
-            drive!(sharded, arrivals);
-
-            assert_eq!(
-                sharded.objective().to_bits(),
-                single.objective().to_bits(),
-                "objective diverged at {shards} shards"
-            );
-            let single_trace: Vec<u64> = single.trace().iter().map(|v| v.to_bits()).collect();
-            let sharded_trace: Vec<u64> = sharded.trace().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                sharded_trace, single_trace,
-                "trace diverged at {shards} shards"
-            );
-            assert_eq!(sharded.live_slots(), single.live_slots());
-            for slot in sharded.live_slots() {
-                assert_eq!(sharded.assignment_of(slot), single.assignment_of(slot));
+        for (config, fallbacks) in [(config(11), false), (fallback_heavy(11), true)] {
+            let boot = || data.select_rows(&boot_idx).unwrap();
+            let mut single = StreamingFairKm::bootstrap(boot(), config.clone()).unwrap();
+            drive!(single, arrivals);
+            for shards in [1usize, 2, 4] {
+                let mut sharded =
+                    ShardedFairKm::bootstrap(boot(), config.clone(), shards, 16).unwrap();
+                drive!(sharded, arrivals);
+                assert_eq!(sharded.coordinator().fallbacks() > 0, fallbacks);
+                assert_eq!(
+                    sharded.objective().to_bits(),
+                    single.objective().to_bits(),
+                    "objective diverged at {shards} shards"
+                );
+                let single_trace: Vec<u64> = single.trace().iter().map(|v| v.to_bits()).collect();
+                let sharded_trace: Vec<u64> = sharded.trace().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(
+                    sharded_trace, single_trace,
+                    "trace diverged at {shards} shards"
+                );
+                assert_eq!(sharded.live_slots(), single.live_slots());
+                for slot in sharded.live_slots() {
+                    assert_eq!(sharded.assignment_of(slot), single.assignment_of(slot));
+                }
+                let single_protos: Vec<Vec<u64>> = single
+                    .prototypes()
+                    .iter()
+                    .map(|p| p.iter().map(|v| v.to_bits()).collect())
+                    .collect();
+                let sharded_protos: Vec<Vec<u64>> = sharded
+                    .prototypes()
+                    .iter()
+                    .map(|p| p.iter().map(|v| v.to_bits()).collect())
+                    .collect();
+                assert_eq!(sharded_protos, single_protos);
+                assert!(sharded.replicas_agree(), "replica drift at {shards} shards");
             }
-            let single_protos: Vec<Vec<u64>> = single
-                .prototypes()
-                .iter()
-                .map(|p| p.iter().map(|v| v.to_bits()).collect())
-                .collect();
-            let sharded_protos: Vec<Vec<u64>> = sharded
-                .prototypes()
-                .iter()
-                .map(|p| p.iter().map(|v| v.to_bits()).collect())
-                .collect();
-            assert_eq!(sharded_protos, single_protos);
-            assert!(sharded.replicas_agree(), "replica drift at {shards} shards");
         }
     }
 
@@ -312,7 +325,7 @@ mod tests {
 
     use crate::shard::Outbox;
     use fairkm_core::ShardParts;
-    use fairkm_store::{FaultPlan, SharedMemBackend, TornWrite};
+    use fairkm_store::{DurableStore, FaultPlan, SharedMemBackend, TornWrite};
     use std::collections::VecDeque;
 
     fn parts(data: &Dataset, seed: u64) -> ShardParts {
@@ -362,6 +375,26 @@ mod tests {
         shards
             .iter()
             .all(|s| s.version() == c.log_len() && s.model_bytes() == c.model_bytes())
+    }
+
+    /// Every shard asks for the log suffix it is missing; pump to quiet.
+    fn resync(c: &mut Coordinator, shards: &mut [ShardNode]) {
+        let mut queue: VecDeque<(usize, Msg)> = shards
+            .iter()
+            .map(|s| {
+                let (shard, have) = (s.id(), s.version());
+                (0usize, Msg::SyncRequest { shard, have })
+            })
+            .collect();
+        while let Some((to, msg)) = queue.pop_front() {
+            let mut out: Outbox = Vec::new();
+            if to == 0 {
+                c.handle(msg, &mut out);
+            } else {
+                shards[to - 1].handle(msg, &mut out);
+            }
+            queue.extend(out);
+        }
     }
 
     #[test]
@@ -622,26 +655,7 @@ mod tests {
 
         // The lagging shards resync from the recovered log and the system
         // completes fresh operations normally.
-        let mut queue: VecDeque<(usize, Msg)> = (0..s.len())
-            .map(|i| {
-                (
-                    0usize,
-                    Msg::SyncRequest {
-                        shard: i,
-                        have: s[i].version(),
-                    },
-                )
-            })
-            .collect();
-        while let Some((to, msg)) = queue.pop_front() {
-            let mut out: Outbox = Vec::new();
-            if to == 0 {
-                c.handle(msg, &mut out);
-            } else {
-                s[to - 1].handle(msg, &mut out);
-            }
-            queue.extend(out);
-        }
+        resync(&mut c, &mut s);
         assert!(replicas_agree(&c, &s), "shards failed to resync");
         run_op(&mut c, &mut s, Op::Reoptimize).unwrap();
         assert!(replicas_agree(&c, &s));
@@ -723,6 +737,148 @@ mod tests {
                         let row = workload().row_values(250).unwrap();
                         let _ = run_op(&mut c, &mut shards, Op::Ingest(vec![row]));
                     }
+                }
+            }
+        }
+    }
+
+    /// A buggy writer journals an insert into cluster `k`, with a valid
+    /// checksum: recovery must refuse it with a typed error, not apply it.
+    #[test]
+    fn a_journaled_insert_into_cluster_k_is_a_typed_error() {
+        use crate::coordinator::REC_ENTRIES;
+        use fairkm_core::wire::{self, WireError};
+
+        let data = workload();
+        let arrivals: Vec<Vec<Value>> = (200..220).map(|r| data.row_values(r).unwrap()).collect();
+        let disk = SharedMemBackend::new();
+        let parts = parts(&data, 11);
+        let mut row = parts.slots[0].clone();
+        let (mut c, mut s) = Coordinator::provision(parts, ShardPlan::new(2, 16).unwrap());
+        c.make_durable(Box::new(disk.clone()), None).unwrap();
+        run_op(&mut c, &mut s, Op::Ingest(arrivals)).unwrap();
+        row.cluster = c.k();
+        let entry = LogEntry::Insert {
+            slot: c.n_slots(),
+            data: row,
+        };
+        drop(c);
+
+        let mut record = vec![REC_ENTRIES];
+        wire::put_usize(&mut record, 1);
+        entry.to_bytes(&mut record);
+        let (mut store, _) = DurableStore::open(disk.clone()).unwrap();
+        store.append(&record).unwrap();
+        store.sync().unwrap();
+        drop(store);
+        assert!(matches!(
+            Coordinator::recover(Box::new(disk), None),
+            Err(ShardError::Wire(WireError::Invalid { .. }))
+        ));
+    }
+
+    /// A shard snapshot whose last owned row names cluster `k` (or any
+    /// other out-of-range cluster) decodes to a typed error: the next fold
+    /// or proposal over that row would index out of range.
+    #[test]
+    fn a_shard_snapshot_with_an_out_of_range_cluster_is_rejected() {
+        use fairkm_core::wire::WireError;
+
+        let (c, shards) =
+            Coordinator::provision(parts(&workload(), 11), ShardPlan::new(2, 16).unwrap());
+        let bytes = shards[1].snapshot_bytes();
+        assert!(ShardNode::from_snapshot(&bytes).is_ok());
+        for cluster in [c.k(), usize::MAX - 1] {
+            let mut bad = bytes.clone();
+            let at = bad.len() - 8;
+            bad[at..].copy_from_slice(&(cluster as u64).to_le_bytes());
+            assert!(matches!(
+                ShardNode::from_snapshot(&bad),
+                Err(WireError::Invalid { .. })
+            ));
+        }
+    }
+
+    /// Recovery-never-panics for the journal: a record with 1–3 bytes
+    /// XORed — written by a buggy writer, so its checksum is valid —
+    /// recovers to a typed error, or to a coordinator whose shards resync
+    /// and run an ingest without panicking.
+    mod mutated_journal {
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        /// A short durable run: its base snapshot, its journal records,
+        /// its shards' provisioning snapshots, and one more arrival.
+        struct Run {
+            snapshot: Vec<u8>,
+            records: Vec<Vec<u8>>,
+            shards: Vec<Vec<u8>>,
+            arrival: Vec<Value>,
+        }
+
+        fn run() -> &'static Run {
+            static RUN: OnceLock<Run> = OnceLock::new();
+            RUN.get_or_init(|| {
+                let data = workload();
+                let rows: Vec<Vec<Value>> =
+                    (200..240).map(|r| data.row_values(r).unwrap()).collect();
+                let disk = SharedMemBackend::new();
+                let (mut c, mut s) =
+                    Coordinator::provision(parts(&data, 11), ShardPlan::new(2, 16).unwrap());
+                let shards = s.iter().map(ShardNode::snapshot_bytes).collect();
+                c.make_durable(Box::new(disk.clone()), None).unwrap();
+                for op in [
+                    Op::Ingest(rows[..20].to_vec()),
+                    Op::EvictOldest(15),
+                    Op::Ingest(rows[20..].to_vec()),
+                    Op::Evict(vec![40, 201]),
+                    Op::Reoptimize,
+                ] {
+                    run_op(&mut c, &mut s, op).unwrap();
+                }
+                let (_, recovered) = DurableStore::open(disk).unwrap();
+                Run {
+                    snapshot: recovered.snapshot.unwrap(),
+                    records: recovered.entries,
+                    shards,
+                    arrival: data.row_values(290).unwrap(),
+                }
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(3000))]
+
+            #[test]
+            fn a_mutated_journal_record_never_panics(
+                which in 0usize..64,
+                edits in proptest::collection::vec((0u16..=u16::MAX, 1u8..=255), 1..4),
+            ) {
+                let run = run();
+                let mut records = run.records.clone();
+                let n = records.len();
+                let record = &mut records[which % n];
+                let len = record.len();
+                for &(pos, mask) in &edits {
+                    record[pos as usize % len] ^= mask;
+                }
+                let disk = SharedMemBackend::new();
+                let (mut store, _) = DurableStore::open(disk.clone()).unwrap();
+                store.snapshot(&run.snapshot).unwrap();
+                for record in &records {
+                    store.append(record).unwrap();
+                }
+                store.sync().unwrap();
+                drop(store);
+                if let Ok((mut c, _)) = Coordinator::recover(Box::new(disk), None) {
+                    let mut shards: Vec<ShardNode> = run
+                        .shards
+                        .iter()
+                        .map(|b| ShardNode::from_snapshot(b).unwrap())
+                        .collect();
+                    resync(&mut c, &mut shards);
+                    let _ = run_op(&mut c, &mut shards, Op::Ingest(vec![run.arrival.clone()]));
                 }
             }
         }

@@ -1,16 +1,18 @@
-//! The coordinator/shard wire protocol: client operations, replicated-log
-//! entries, and the request/response messages of the scatter phases.
+//! The coordinator/shard wire protocol: client operations, the replicated
+//! log, and the asks and answers a machine request is scattered into.
 //!
-//! Every mutation of the clustering is an entry in a single totally
+//! Every mutation of the clustering is a [`LogEntry`] in a single totally
 //! ordered log owned by the coordinator; shards apply the log in order, so
 //! every replica walks the exact float-operation sequence of the
 //! single-node engine (see the crate docs for the full argument). Compute
-//! scatters (arrival scoring, move proposals, chunk folds) are **pure
-//! reads** at a pinned log version — they can be re-issued after a crash
-//! and answered twice without affecting replica state.
+//! scatters (arrival scoring, move proposals, chunk folds) are the step
+//! machine's requests split by owner: **pure reads** at a pinned log
+//! version — they can be re-issued after a crash and answered twice
+//! without affecting replica state.
 
-use fairkm_core::wire::{self, Reader, WireError};
-use fairkm_core::{AggregateDelta, EvictReport, FairKmError, IngestReport, SlotRow};
+use fairkm_core::{
+    AggregateDelta, Answer, EvictReport, FairKmError, IngestReport, LogEntry, Outcome, SlotRow,
+};
 use fairkm_data::Value;
 
 /// A client operation posted to the coordinator — the message form of the
@@ -39,119 +41,23 @@ pub enum OpOutcome {
     Reoptimize(usize),
 }
 
-/// One entry of the replicated mutation log. Entries carry the affected
-/// point's payload inline so a rowless replica can apply the exact
-/// aggregate delta without owning the point.
-#[derive(Debug, Clone)]
-pub enum LogEntry {
-    /// A point entered the clustering at `slot`; `data.cluster` is its
-    /// assigned cluster.
-    Insert {
-        /// Backing-store slot of the arrival.
-        slot: usize,
-        /// Full payload (cluster = the assignment).
-        data: SlotRow,
-    },
-    /// The point at `slot` left the clustering; `data.cluster` is the
-    /// cluster it was removed from.
-    Remove {
-        /// Slot being tombstoned.
-        slot: usize,
-        /// Payload at removal time (cluster = the cluster it left).
-        data: SlotRow,
-    },
-    /// The point at `slot` moved `from → to`.
-    Move {
-        /// Slot being moved.
-        slot: usize,
-        /// Cluster it left.
-        from: usize,
-        /// Cluster it joined.
-        to: usize,
-        /// Payload (cluster = `to`).
-        data: SlotRow,
-    },
-    /// Replace every replica's aggregates wholesale with the result of an
-    /// ordered distributed rebuild — the log form of the single-node
-    /// `State::rebuild`, which cancels per-move float drift.
-    Install {
-        /// The exactly rebuilt aggregates.
-        agg: AggregateDelta,
-    },
-}
-
-impl LogEntry {
-    /// Serialize one log entry (bit-exact) — the payload the coordinator
-    /// journals through its write-ahead log.
-    pub fn to_bytes(&self, out: &mut Vec<u8>) {
-        match self {
-            LogEntry::Insert { slot, data } => {
-                out.push(0);
-                wire::put_usize(out, *slot);
-                data.to_bytes(out);
-            }
-            LogEntry::Remove { slot, data } => {
-                out.push(1);
-                wire::put_usize(out, *slot);
-                data.to_bytes(out);
-            }
-            LogEntry::Move {
-                slot,
-                from,
-                to,
-                data,
-            } => {
-                out.push(2);
-                wire::put_usize(out, *slot);
-                wire::put_usize(out, *from);
-                wire::put_usize(out, *to);
-                data.to_bytes(out);
-            }
-            LogEntry::Install { agg } => {
-                out.push(3);
-                agg.to_bytes(out);
-            }
+impl From<Outcome> for OpOutcome {
+    fn from(outcome: Outcome) -> Self {
+        match outcome {
+            Outcome::Ingest(report) => OpOutcome::Ingest(Ok(report)),
+            Outcome::Evict(report) => OpOutcome::Evict(Ok(report)),
+            Outcome::Reoptimize(moves) => OpOutcome::Reoptimize(moves),
+            Outcome::Pass { .. } => unreachable!("the coordinator runs no bare passes"),
         }
-    }
-
-    /// Decode one log entry; a typed error on truncated or malformed
-    /// bytes — never a panic.
-    pub fn from_reader(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.take(1)?[0] {
-            0 => LogEntry::Insert {
-                slot: r.get_usize()?,
-                data: SlotRow::from_reader(r)?,
-            },
-            1 => LogEntry::Remove {
-                slot: r.get_usize()?,
-                data: SlotRow::from_reader(r)?,
-            },
-            2 => LogEntry::Move {
-                slot: r.get_usize()?,
-                from: r.get_usize()?,
-                to: r.get_usize()?,
-                data: SlotRow::from_reader(r)?,
-            },
-            3 => LogEntry::Install {
-                agg: AggregateDelta::from_reader(r)?,
-            },
-            tag => {
-                return Err(WireError::UnknownTag {
-                    what: "log entry",
-                    tag: tag as u64,
-                })
-            }
-        })
     }
 }
 
 /// Protocol messages. Coordinator = node 0, shard `s` = node `s + 1`.
 ///
-/// Requests (`ScoreArrivals`, `ProposeBatch`, `ProposeOne`, `ChunkFold`)
-/// carry the log `version` they must be evaluated at; a shard that has not
-/// yet applied that much log defers the request until it has. Responses
-/// echo the request id `req`, which the coordinator uses to discard
-/// duplicates from crash-recovery re-issues.
+/// A [`Msg::Ask`] carries the log `version` it must be answered at; a
+/// shard that has not yet applied that much log defers it until it has.
+/// A [`Msg::Answer`] echoes the ask's id `req`, which the coordinator uses
+/// to discard duplicates from crash-recovery re-issues.
 #[derive(Debug, Clone)]
 pub enum Msg {
     /// Client → coordinator: run one operation.
@@ -166,78 +72,64 @@ pub enum Msg {
         /// The entries, in log order.
         entries: Vec<LogEntry>,
     },
-    /// Coordinator → shard: score a batch of arrivals against the caches
-    /// at `version` (the frozen-prototype assignment scatter).
-    ScoreArrivals {
-        /// Request id.
+    /// Coordinator → shard (shard → shard along a fold chain): one
+    /// shard's part of the machine's pending request.
+    Ask {
+        /// Ask id.
         req: u64,
-        /// Log version the scores must be computed at.
+        /// Log version the answer must be computed at.
         version: u64,
-        /// `(slot, payload)` of each arrival routed to this shard.
-        items: Vec<(usize, SlotRow)>,
+        /// What to answer.
+        part: Part,
     },
-    /// Shard → coordinator: frozen-prototype clusters for a
-    /// [`Msg::ScoreArrivals`] request.
-    ArrivalScores {
-        /// Request id being answered.
+    /// Shard → coordinator: the answer to ask `req` — one part of the
+    /// machine's [`Answer`], gathered with [`Answer::absorb`].
+    Answer {
+        /// Ask id being answered.
         req: u64,
-        /// `(slot, cluster)` per arrival, in the request's item order.
-        scores: Vec<(usize, usize)>,
+        /// The part.
+        answer: Answer,
     },
-    /// Coordinator → shard: propose best moves for the owned live slots in
-    /// `start..end` against the caches at `version` (one window of the
-    /// windowed pass).
-    ProposeBatch {
-        /// Request id.
-        req: u64,
-        /// Log version the proposals must be computed at.
-        version: u64,
-        /// Window start slot (inclusive).
+    /// Shard → coordinator after a restart: "I am shard `shard`, my
+    /// replica is at log version `have` — send me the rest." The
+    /// coordinator replies with a [`Msg::Log`] suffix and re-issues every
+    /// outstanding ask (answers are pure, duplicates are discarded by
+    /// ask id).
+    SyncRequest {
+        /// Rejoining shard index.
+        shard: usize,
+        /// Log version the shard recovered to.
+        have: u64,
+    },
+}
+
+/// One shard's part of a machine [`fairkm_core::Request`].
+#[derive(Debug, Clone)]
+pub enum Part {
+    /// Score the arrivals `(slot, row)` routed to this shard:
+    /// [`Answer::Scores`].
+    Score(Vec<(usize, SlotRow)>),
+    /// Propose moves for the owned live slots in `start..end`:
+    /// [`Answer::Proposals`].
+    Window {
+        /// First slot (inclusive).
         start: usize,
-        /// Window end slot (exclusive).
+        /// Last slot (exclusive).
         end: usize,
     },
-    /// Shard → coordinator: the strictly improving proposals of a
-    /// [`Msg::ProposeBatch`] — `(slot, to)` pairs that passed the
-    /// single-node staging filter (`best_to != from` and
-    /// `best_delta < -MOVE_EPS`).
-    Proposals {
-        /// Request id being answered.
-        req: u64,
-        /// Improving `(slot, destination)` pairs, ascending by slot.
-        proposals: Vec<(usize, usize)>,
+    /// Find the first owned live slot in `start..end` with an improving
+    /// move: [`Answer::First`] (the coordinator keeps the lowest slot any
+    /// shard found).
+    First {
+        /// First slot (inclusive).
+        start: usize,
+        /// Last slot (exclusive).
+        end: usize,
     },
-    /// Coordinator → shard: propose the best move for one owned slot (the
-    /// sequential fallback scan).
-    ProposeOne {
-        /// Request id.
-        req: u64,
-        /// Log version the proposal must be computed at.
-        version: u64,
-        /// The slot to score.
-        slot: usize,
-    },
-    /// Shard → coordinator: answer to [`Msg::ProposeOne`]; `to` is `None`
-    /// when no strictly improving move exists (or the slot is a
-    /// tombstone).
-    OneProposal {
-        /// Request id being answered.
-        req: u64,
-        /// The slot that was scored.
-        slot: usize,
-        /// Improving destination cluster, if any.
-        to: Option<usize>,
-    },
-    /// A chunk-fold hop: fold the owned live slots of
-    /// `segments[idx]` into `acc` (in ascending slot order), then forward
-    /// to the owner of `segments[idx + 1]` — or report
-    /// [`Msg::ChunkDone`] to the coordinator after the last segment.
-    /// Coordinator → shard for the first hop, shard → shard after.
-    ChunkFold {
-        /// Request id.
-        req: u64,
-        /// Log version the fold must be computed at.
-        version: u64,
+    /// One hop of a chunk's fold chain: fold the owned live slots of
+    /// `segments[idx]` into `acc` in slot order, then ask the owner of
+    /// the next segment — or, after the last, answer [`Answer::Chunks`].
+    Fold {
         /// Chunk index in the engine's chunk decomposition.
         chunk: usize,
         /// Maximal same-owner runs `(owner, start, end)` covering the
@@ -247,25 +139,5 @@ pub enum Msg {
         idx: usize,
         /// The running partial (zeroed at the chain head).
         acc: AggregateDelta,
-    },
-    /// Shard → coordinator: a completed chunk fold.
-    ChunkDone {
-        /// Request id being answered.
-        req: u64,
-        /// Chunk index of the completed partial.
-        chunk: usize,
-        /// The chunk's folded aggregate partial.
-        acc: AggregateDelta,
-    },
-    /// Shard → coordinator after a restart: "I am shard `shard`, my
-    /// replica is at log version `have` — send me the rest." The
-    /// coordinator replies with a [`Msg::Log`] suffix and re-issues every
-    /// outstanding request (answers are pure, duplicates are discarded by
-    /// request id).
-    SyncRequest {
-        /// Rejoining shard index.
-        shard: usize,
-        /// Log version the shard recovered to.
-        have: u64,
     },
 }

@@ -2,9 +2,9 @@
 //! payloads of the slots this shard owns.
 
 use crate::plan::ShardPlan;
-use crate::protocol::{LogEntry, Msg};
+use crate::protocol::{Msg, Part};
 use fairkm_core::wire::{self, Reader, WireError};
-use fairkm_core::{ClusterModel, SlotRow, MOVE_EPS, TOMBSTONE};
+use fairkm_core::{improving, Answer, ClusterModel, LogEntry, SlotRow, TOMBSTONE};
 use std::collections::BTreeMap;
 
 /// Messages a handler wants delivered: `(destination node, message)`.
@@ -16,10 +16,10 @@ pub type Outbox = Vec<(usize, Msg)>;
 /// it (so it can fold rebuild chunks and propose moves for its slice
 /// without the coordinator shipping rows).
 ///
-/// All request handlers are pure reads of the replica at the request's log
-/// version — a request can be processed twice (crash-recovery re-issue)
-/// without corrupting anything, and a request that arrives before the
-/// shard has applied enough log is deferred, not rejected.
+/// Every ask is a pure read of the replica at the ask's log version — it
+/// can be answered twice (crash-recovery re-issue) without corrupting
+/// anything, and an ask that arrives before the shard has applied enough
+/// log is deferred, not rejected.
 #[derive(Debug)]
 pub struct ShardNode {
     id: usize,
@@ -32,8 +32,8 @@ pub struct ShardNode {
     /// Out-of-order log batches keyed by their first index (links are not
     /// FIFO); drained in log order as gaps fill.
     buffered: BTreeMap<u64, Vec<LogEntry>>,
-    /// Requests pinned to a log version this replica has not reached yet,
-    /// in arrival order.
+    /// Asks pinned to a log version this replica has not reached yet, in
+    /// arrival order.
     deferred: Vec<Msg>,
 }
 
@@ -87,15 +87,13 @@ impl ShardNode {
                 self.pump_log();
                 self.retry_deferred(out);
             }
-            Msg::ScoreArrivals { version, .. }
-            | Msg::ProposeBatch { version, .. }
-            | Msg::ProposeOne { version, .. }
-            | Msg::ChunkFold { version, .. }
-                if version > self.version =>
-            {
-                self.deferred.push(msg);
+            Msg::Ask { version, .. } if version > self.version => self.deferred.push(msg),
+            Msg::Ask { req, version, part } => {
+                debug_assert_eq!(version, self.version, "stale ask escaped deferral");
+                out.push(self.answer(req, version, part));
             }
-            other => self.process(other, out),
+            // Answers and client ops are never addressed to shards.
+            _ => unreachable!("unexpected message at a shard"),
         }
     }
 
@@ -119,47 +117,46 @@ impl ShardNode {
     }
 
     /// Apply one log entry — the exact aggregate mutation the coordinator
-    /// (and the single-node engine) performed for it.
+    /// (and the single-node engine) performed for it — and track the
+    /// cluster of an owned slot.
     fn apply(&mut self, entry: LogEntry) {
+        entry.apply_to(&mut self.model);
+        let (slot, cluster) = match &entry {
+            LogEntry::Insert { slot, data } => (*slot, data.cluster),
+            LogEntry::Remove { slot, .. } => (*slot, TOMBSTONE),
+            LogEntry::Move { slot, to, .. } => (*slot, *to),
+            LogEntry::Install { .. } => return,
+        };
+        if self.plan.owner(slot) != self.id {
+            return;
+        }
         match entry {
-            LogEntry::Insert { slot, data } => {
-                self.model
-                    .insert_row(data.cluster, &data.row, &data.cat, &data.num, data.sqnorm);
-                if self.plan.owner(slot) == self.id {
-                    self.owned.insert(slot, data);
-                }
+            LogEntry::Insert { data, .. } => {
+                self.owned.insert(slot, data);
             }
-            LogEntry::Remove { slot, data } => {
-                self.model
-                    .remove_row(data.cluster, &data.row, &data.cat, &data.num, data.sqnorm);
-                if self.plan.owner(slot) == self.id {
-                    self.owned
-                        .get_mut(&slot)
-                        .expect("remove of a slot this shard never saw")
-                        .cluster = TOMBSTONE;
-                }
+            _ => {
+                self.owned
+                    .get_mut(&slot)
+                    .expect("a logged slot this shard never saw")
+                    .cluster = cluster
             }
-            LogEntry::Move {
-                slot,
-                from,
-                to,
-                data,
-            } => {
-                self.model
-                    .move_row(from, to, &data.row, &data.cat, &data.num, data.sqnorm);
-                if self.plan.owner(slot) == self.id {
-                    self.owned
-                        .get_mut(&slot)
-                        .expect("move of a slot this shard never saw")
-                        .cluster = to;
-                }
-            }
-            LogEntry::Install { agg } => self.model.install(agg),
         }
     }
 
-    /// Retry deferred requests that the applied log has unblocked, in
-    /// arrival order.
+    /// The staging-filtered best move of an owned row; none for a
+    /// tombstone.
+    fn propose(&self, d: &SlotRow) -> Option<usize> {
+        if d.cluster == TOMBSTONE {
+            return None;
+        }
+        let best =
+            self.model
+                .propose_move_row(d.cluster, &d.row, &d.cat, &d.num, d.sqnorm, self.lambda);
+        improving(d.cluster, best)
+    }
+
+    /// Retry deferred asks that the applied log has unblocked, in arrival
+    /// order.
     fn retry_deferred(&mut self, out: &mut Outbox) {
         let pending = std::mem::take(&mut self.deferred);
         for msg in pending {
@@ -167,112 +164,60 @@ impl ShardNode {
         }
     }
 
-    /// Process a request at a satisfied version (pure read of the
-    /// replica).
-    fn process(&mut self, msg: Msg, out: &mut Outbox) {
-        match msg {
-            Msg::ScoreArrivals {
-                req,
-                version,
-                items,
-            } => {
-                debug_assert_eq!(version, self.version, "stale request escaped deferral");
-                let scores = items
+    /// Answer an ask at its version (a pure read of the replica): to the
+    /// coordinator, or — for a fold chain's inner hop — onward to the next
+    /// segment's owner.
+    fn answer(&self, req: u64, version: u64, part: Part) -> (usize, Msg) {
+        let answer = match part {
+            Part::Score(items) => Answer::Scores(
+                items
                     .iter()
                     .map(|(slot, d)| {
-                        let (c, _) =
+                        let scored =
                             self.model
                                 .score_insertion(&d.row, &d.cat, &d.num, self.lambda);
-                        (*slot, c)
+                        (*slot, scored.0)
                     })
-                    .collect();
-                out.push((0, Msg::ArrivalScores { req, scores }));
-            }
-            Msg::ProposeBatch {
-                req,
-                version,
-                start,
-                end,
-            } => {
-                debug_assert_eq!(version, self.version, "stale request escaped deferral");
-                let mut proposals = Vec::new();
-                for (&slot, d) in self.owned.range(start..end) {
-                    if d.cluster == TOMBSTONE {
-                        continue;
-                    }
-                    let (to, delta) = self.model.propose_move_row(
-                        d.cluster,
-                        &d.row,
-                        &d.cat,
-                        &d.num,
-                        d.sqnorm,
-                        self.lambda,
-                    );
-                    // The single-node staging filter, verbatim.
-                    if to != d.cluster && delta < -MOVE_EPS {
-                        proposals.push((slot, to));
-                    }
-                }
-                out.push((0, Msg::Proposals { req, proposals }));
-            }
-            Msg::ProposeOne { req, version, slot } => {
-                debug_assert_eq!(version, self.version, "stale request escaped deferral");
-                let d = self
-                    .owned
-                    .get(&slot)
-                    .expect("proposal for a slot this shard does not own");
-                let to = if d.cluster == TOMBSTONE {
-                    None
-                } else {
-                    let (to, delta) = self.model.propose_move_row(
-                        d.cluster,
-                        &d.row,
-                        &d.cat,
-                        &d.num,
-                        d.sqnorm,
-                        self.lambda,
-                    );
-                    (to != d.cluster && delta < -MOVE_EPS).then_some(to)
-                };
-                out.push((0, Msg::OneProposal { req, slot, to }));
-            }
-            Msg::ChunkFold {
-                req,
-                version,
+                    .collect(),
+            ),
+            Part::Window { start, end } => Answer::Proposals(
+                self.owned
+                    .range(start..end)
+                    .filter_map(|(&slot, d)| Some((slot, self.propose(d)?)))
+                    .collect(),
+            ),
+            Part::First { start, end } => Answer::First(
+                self.owned
+                    .range(start..end)
+                    .find_map(|(&slot, d)| Some((slot, self.propose(d)?))),
+            ),
+            Part::Fold {
                 chunk,
                 segments,
                 idx,
                 mut acc,
             } => {
-                debug_assert_eq!(version, self.version, "stale request escaped deferral");
                 let (owner, start, end) = segments[idx];
-                debug_assert_eq!(owner, self.id, "chunk hop routed to the wrong shard");
+                debug_assert_eq!(owner, self.id, "fold hop routed to the wrong shard");
                 for (_, d) in self.owned.range(start..end) {
-                    if d.cluster == TOMBSTONE {
-                        continue;
+                    if d.cluster != TOMBSTONE {
+                        acc.add_row(d.cluster, &d.row, &d.cat, &d.num, d.sqnorm);
                     }
-                    acc.add_row(d.cluster, &d.row, &d.cat, &d.num, d.sqnorm);
                 }
-                if idx + 1 < segments.len() {
-                    let next = segments[idx + 1].0 + 1;
-                    out.push((
-                        next,
-                        Msg::ChunkFold {
-                            req,
-                            version,
-                            chunk,
-                            segments,
-                            idx: idx + 1,
-                            acc,
-                        },
-                    ));
-                } else {
-                    out.push((0, Msg::ChunkDone { req, chunk, acc }));
+                if let Some(&(next, _, _)) = segments.get(idx + 1) {
+                    let idx = idx + 1;
+                    let part = Part::Fold {
+                        chunk,
+                        segments,
+                        idx,
+                        acc,
+                    };
+                    return (next + 1, Msg::Ask { req, version, part });
                 }
+                Answer::Chunks(vec![(chunk, acc)])
             }
-            // Responses and client ops are never addressed to shards.
-            _ => unreachable!("unexpected message at a shard"),
-        }
+        };
+        (0, Msg::Answer { req, answer })
     }
 
     /// Serialize the durable state: identity, plan, λ, log version, the
@@ -296,7 +241,8 @@ impl ShardNode {
     }
 
     /// Rebuild a shard from [`Self::snapshot_bytes`]; a typed error on a
-    /// truncated or malformed buffer — decoding never panics and never
+    /// truncated or malformed buffer, or on an owned row that does not fit
+    /// the model or is not this shard's — decoding never panics and never
     /// silently accepts wrong bits.
     pub fn from_snapshot(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(bytes);
@@ -319,6 +265,16 @@ impl ShardNode {
         if id >= plan.shards {
             return Err(WireError::Invalid {
                 what: "shard id out of plan range",
+            });
+        }
+        // Every owned row must fit the model and belong to this shard, or
+        // the next fold or proposal over it would index out of range.
+        if !owned
+            .iter()
+            .all(|(&slot, d)| model.fits(d) && plan.owner(slot) == id)
+        {
+            return Err(WireError::Invalid {
+                what: "owned slot row",
             });
         }
         Ok(Self {
