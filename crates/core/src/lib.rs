@@ -77,7 +77,7 @@ pub use config::{
 };
 pub use fairkm::{FairKm, FairKmModel};
 pub use machine::{
-    improving, Answer, Entry, LogEntry, Machine, Outcome, Replica, Request, RowRef, Step, Ticket,
+    improving, Answer, Entry, LogEntry, Machine, Outcome, Replica, Request, Step, Ticket,
 };
 pub use minibatch::MiniBatchFairKm;
 pub use objective::bounded_exact_assignment;

@@ -237,31 +237,6 @@ fn same_row(a: &SlotRow, b: &SlotRow) -> bool {
         && a.sqnorm.to_bits() == b.sqnorm.to_bits()
 }
 
-/// One stored slot row, borrowed from its host.
-#[derive(Debug, Clone, Copy)]
-pub struct RowRef<'a> {
-    /// Task-matrix row.
-    pub row: &'a [f64],
-    /// Categorical sensitive values.
-    pub cat: &'a [u32],
-    /// Numeric sensitive values.
-    pub num: &'a [f64],
-    /// Cached `‖x‖²`.
-    pub sqnorm: f64,
-}
-
-impl SlotRow {
-    /// Borrow the row's point data.
-    pub fn view(&self) -> RowRef<'_> {
-        RowRef {
-            row: &self.row,
-            cat: &self.cat,
-            num: &self.num,
-            sqnorm: self.sqnorm,
-        }
-    }
-}
-
 /// What a [`Machine`] reads from its host and commits to it. Reads see the
 /// host's replica at the current log version; the scoring cache is fresh
 /// between steps.
@@ -274,8 +249,9 @@ pub trait Replica {
     fn n_slots(&self) -> usize;
     /// Cluster of a slot below [`Self::n_slots`] ([`TOMBSTONE`] if dead).
     fn cluster(&self, slot: usize) -> usize;
-    /// The stored row of a slot below [`Self::n_slots`].
-    fn row(&self, slot: usize) -> RowRef<'_>;
+    /// Apply the move of `slot` (`from → to`) to `model`, a scratch copy
+    /// of [`Self::model`], with the slot's stored row.
+    fn trial_move(&self, model: &mut ClusterModel, slot: usize, from: usize, to: usize);
     /// Apply `entries` in order, draining them, and refresh the scoring
     /// cache. `false` means the host could not make them durable: the
     /// machine stops and the operation produces no outcome.
@@ -408,6 +384,8 @@ pub struct Machine {
     pass: Option<Pass>,
     /// Commit buffer, reused: committing a move allocates nothing.
     entries: Vec<Entry>,
+    /// Scratch copy of the model that windows are scored on, reused.
+    scratch: Option<ClusterModel>,
     tickets: u64,
 }
 
@@ -544,6 +522,7 @@ impl Machine {
             passes: None,
             pass: None,
             entries: Vec::new(),
+            scratch: None,
             tickets: 0,
         }
     }
@@ -724,11 +703,16 @@ impl Machine {
                 }
                 // Score the window's simultaneous application on a scratch
                 // copy of the model: only an accepted window is committed.
-                let mut trial = rep.model().clone();
+                let trial = match &mut self.scratch {
+                    Some(trial) => {
+                        trial.copy_state_from(rep.model());
+                        trial
+                    }
+                    None => self.scratch.insert(rep.model().clone()),
+                };
                 for entry in &self.entries {
                     if let LogEntry::Move { slot, from, to, .. } = *entry {
-                        let r = rep.row(slot);
-                        trial.move_row(from, to, r.row, r.cat, r.num, r.sqnorm);
+                        rep.trial_move(trial, slot, from, to);
                     }
                 }
                 trial.refresh_cache();
@@ -991,8 +975,10 @@ impl Replica for Local<'_, '_> {
         self.state.assignment[slot]
     }
 
-    fn row(&self, slot: usize) -> RowRef<'_> {
-        self.state.row(slot)
+    fn trial_move(&self, model: &mut ClusterModel, slot: usize, from: usize, to: usize) {
+        let s = &self.state;
+        let (row, sqnorm) = (s.matrix.row(slot), s.point_sqnorm[slot]);
+        model.move_row(from, to, row, s.cat_row(slot), s.num_row(slot), sqnorm);
     }
 
     fn commit(&mut self, entries: &mut Vec<Entry>) -> bool {

@@ -54,7 +54,7 @@
 
 use crate::agg::{decode_kind, encode_kind, AggregateDelta, SlotRow, TOMBSTONE};
 use crate::config::{FairnessNorm, ObjectiveKind};
-use crate::machine::{Entry, LogEntry, RowRef};
+use crate::machine::{Entry, LogEntry};
 use crate::objective::{FairView, Objective, PointRef};
 use crate::wire::{self, Reader, WireError};
 use fairkm_data::{sq_euclidean, NumericMatrix, SensitiveSpace};
@@ -293,6 +293,25 @@ impl ClusterModel {
     /// derived state and re-derived on [`Self::install`]).
     pub fn snapshot(&self) -> AggregateDelta {
         self.agg.clone()
+    }
+
+    /// Overwrite this copy's aggregates and caches with `source`'s,
+    /// reusing its buffers. Both must be copies of one model: the frozen
+    /// reference and the objective are not copied.
+    pub(crate) fn copy_state_from(&mut self, source: &Self) {
+        debug_assert_eq!((self.k, self.dim), (source.k, source.dim));
+        self.live = source.live;
+        let (agg, from) = (&mut self.agg, &source.agg);
+        agg.size.clone_from(&from.size);
+        agg.centroid_sum.clone_from(&from.centroid_sum);
+        agg.cat_counts.clone_from(&from.cat_counts);
+        agg.num_sums.clone_from(&from.num_sums);
+        agg.member_sqnorm.clone_from(&from.member_sqnorm);
+        self.proto.clone_from(&source.proto);
+        self.proto_sqnorm.clone_from(&source.proto_sqnorm);
+        self.fair_cache.clone_from(&source.fair_cache);
+        self.dirty.clone_from(&source.dirty);
+        self.dirty_list.clone_from(&source.dirty_list);
     }
 
     /// Replace the aggregates wholesale and re-derive every cache entry —
@@ -1024,16 +1043,6 @@ impl<'a> State<'a> {
             }
         }
         self.model.refresh_cache();
-    }
-
-    /// Slot `x`'s stored row.
-    pub fn row(&self, x: usize) -> RowRef<'_> {
-        RowRef {
-            row: self.matrix.row(x),
-            cat: self.cat_row(x),
-            num: self.num_row(x),
-            sqnorm: self.point_sqnorm[x],
-        }
     }
 
     /// Squared distance from point `x` to cluster `c`'s prototype;

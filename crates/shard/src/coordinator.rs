@@ -52,7 +52,7 @@ use crate::ShardError;
 use fairkm_core::wire::{self, Reader, WireError};
 use fairkm_core::{
     Answer, ClusterModel, DeltaEngine, DriverLedger, Entry, LogEntry, Machine, Replica, Request,
-    RowCodec, RowRef, ShardParts, SlotRow, Step, Ticket, TOMBSTONE,
+    RowCodec, ShardParts, SlotRow, Step, Ticket, TOMBSTONE,
 };
 use fairkm_store::{DurableStore, StorageBackend};
 use std::collections::{BTreeMap, VecDeque};
@@ -171,8 +171,9 @@ impl Replica for Replicated {
         self.slots[slot].cluster
     }
 
-    fn row(&self, slot: usize) -> RowRef<'_> {
-        self.slots[slot].view()
+    fn trial_move(&self, model: &mut ClusterModel, slot: usize, from: usize, to: usize) {
+        let d = &self.slots[slot];
+        model.move_row(from, to, &d.row, &d.cat, &d.num, d.sqnorm);
     }
 
     /// Attach each entry's row, journal the batch durably, broadcast it to
