@@ -366,6 +366,9 @@ pub enum FairKmError {
         /// Units of mandatory flow that could not be routed.
         unroutable: i64,
     },
+    /// A row's encoded task vector has a squared norm `‖x‖²` that is not
+    /// finite: its cells are finite, but too large to square and sum.
+    NormOverflow,
     /// Propagated dataset error (view construction).
     Data(DataError),
 }
@@ -400,6 +403,9 @@ impl fmt::Display for FairKmError {
                 f,
                 "representation bounds are infeasible ({unroutable} units unroutable)"
             ),
+            FairKmError::NormOverflow => {
+                write!(f, "the row's encoded squared norm overflows a 64-bit float")
+            }
             FairKmError::Data(e) => write!(f, "data error: {e}"),
         }
     }

@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
 
 use crate::agg::TOMBSTONE;
-use crate::machine::Local;
+use crate::machine;
 
 /// A fitted FairKM model.
 #[derive(Debug, Clone)]
@@ -227,12 +227,9 @@ impl FairKm {
 
         for iter in 0..self.config.max_iters {
             iterations = iter + 1;
-            let mut local = Local {
-                state: &mut state,
-                lambda,
-                engine: self.config.delta_engine,
-            };
-            let (moved, pass_objective) = local.pass(0..n, schedule, objective);
+            let engine = self.config.delta_engine;
+            let (moved, pass_objective) =
+                machine::pass(&mut state, lambda, engine, 0..n, schedule, objective);
             objective = pass_objective;
             // Delta updates gain ~one rounding step per move: rebuild once
             // per pass (never per window) so drift stays bounded by a
@@ -678,13 +675,9 @@ mod tests {
                         state.assignment[x] = from;
                     }
                     state.rebuild();
-                    let mut local = Local {
-                        state: &mut *state,
-                        lambda,
-                        engine,
-                    };
+                    let per_move = UpdateSchedule::PerMove;
                     let (fallback_moves, _) =
-                        local.pass(start..end, UpdateSchedule::PerMove, current);
+                        machine::pass(state, lambda, engine, start..end, per_move, current);
                     if fallback_moves > 0 {
                         state.rebuild();
                         current = state.kmeans_term() + lambda * state.model.fairness_term();
@@ -723,14 +716,9 @@ mod tests {
                     objective,
                 )
             } else {
-                let engine = DeltaEngine::Incremental;
-                let n = state.n;
-                Local {
-                    state: &mut *state,
-                    lambda,
-                    engine,
-                }
-                .pass(0..n, UpdateSchedule::MiniBatch(batch), objective)
+                let (engine, n) = (DeltaEngine::Incremental, state.n);
+                let schedule = UpdateSchedule::MiniBatch(batch);
+                machine::pass(state, lambda, engine, 0..n, schedule, objective)
             };
             objective = obj;
             moves += moved;

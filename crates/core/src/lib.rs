@@ -46,7 +46,8 @@
 //! * **[`MiniBatchFairKm`]** — the large-`n` scheduler coupling the
 //!   windowed schedule with an automatic window size.
 //! * **[`Machine`]** — ingest, eviction, re-optimization and the
-//!   optimizer pass written once as a sans-IO step machine: the
+//!   optimizer pass written once as sequential `async fn`s stepped like
+//!   a sans-IO state machine (polled with a no-op waker): the
 //!   single-node engine answers its requests locally, the sharded
 //!   coordinator scatters them. See the [`machine`] module docs.
 //! * **[`StreamingFairKm`]** — online ingestion with incremental
@@ -77,7 +78,7 @@ pub use config::{
 };
 pub use fairkm::{FairKm, FairKmModel};
 pub use machine::{
-    improving, Answer, Entry, LogEntry, Machine, Outcome, Replica, Request, Step, Ticket,
+    improving, Answer, Entry, Host, LogEntry, Machine, Replica, Request, Step, Ticket,
 };
 pub use minibatch::MiniBatchFairKm;
 pub use objective::bounded_exact_assignment;

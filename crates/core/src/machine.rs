@@ -1,14 +1,22 @@
-//! The streaming driver's control flow, written once as a sans-IO step
-//! machine.
+//! The streaming driver's control flow, written once as sequential
+//! `async fn`s that a host steps through.
 //!
 //! Ingest, eviction, re-optimization, the bootstrap fit and single
 //! optimizer passes (the batch fit's `MiniBatch` and `PerMove` schedules)
 //! all run through [`Machine`]: round-robin reassignment under the Eq. 7/22
 //! objective (Algorithm 1) as windowed passes with the exact per-move
-//! fallback. The machine does no I/O and stores no rows. It yields
-//! read-only [`Request`]s, takes their [`Answer`]s back, and changes the
-//! clustering only by committing [`LogEntry`]s to its host
-//! ([`Replica::commit`]). Two hosts run it:
+//! fallback. Each operation is plain sequential code — ingest, evict, the
+//! optimize loop, one pass, the per-move scan, the rebuild — boxed as one
+//! future. Its only suspension point is `ask(request).await`, and
+//! [`Machine::resume`] polls it with a no-op waker: no executor, no
+//! threads, no I/O. The body stores no rows. It yields read-only
+//! [`Request`]s, takes their [`Answer`]s back, and changes the clustering
+//! only by committing [`LogEntry`]s to its host ([`Replica::commit`]).
+//!
+//! The body reaches the host's replica and the stream's
+//! [`crate::DriverLedger`] through one shared cell ([`Host`]), and never
+//! holds a borrow of it across an `.await`: between two requests the host
+//! is free to read it. Two hosts run the body:
 //!
 //! * the single-node engine ([`crate::StreamingFairKm`], [`crate::FairKm`])
 //!   answers every request with a local call on its slot rows;
@@ -25,9 +33,10 @@
 //!   at the log version the request was issued at.
 //! * **Pure requests.** Answering reads only. A request may be re-issued
 //!   ([`Machine::resume`] without an answer) and answered again; an answer
-//!   whose ticket is not the pending one is ignored.
+//!   whose ticket is not the pending one is ignored, and the body is not
+//!   polled.
 //! * **Ordered reduction.** An answer may arrive in parts, in any order
-//!   ([`Answer::absorb`]). The machine orders scores and proposals by slot,
+//!   ([`Answer::absorb`]). The body orders scores and proposals by slot,
 //!   takes the lowest slot of a scan step, and merges rebuild chunks in
 //!   chunk-index order from the zeroed identity — the left fold of the
 //!   single-node rebuild.
@@ -38,7 +47,12 @@ use crate::fairkm::propose_move;
 use crate::state::{ClusterModel, State};
 use crate::streaming::{DriverLedger, EvictReport, IngestReport};
 use crate::wire::{self, Reader, WireError};
-use std::ops::{ControlFlow, Range};
+use std::cell::{Cell, Ref, RefCell};
+use std::future::{poll_fn, Future};
+use std::ops::Range;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 /// The staging filter of every optimizer path: the destination of a
 /// proposal `(to, delta)` for a point in cluster `from`, when the move
@@ -258,6 +272,8 @@ pub trait Replica {
     fn commit(&mut self, entries: &mut Vec<Entry>) -> bool;
     /// Count a window that failed monotone acceptance.
     fn fallback(&mut self);
+    /// The stream's ledger. Only a bare [`Machine::pass`] runs without one.
+    fn ledger(&mut self) -> &mut DriverLedger;
 
     /// Whether `slot` holds a live point.
     fn is_live(&self, slot: usize) -> bool {
@@ -344,541 +360,456 @@ pub struct Ticket {
 
 /// What [`Machine::resume`] wants next.
 #[derive(Debug)]
-pub enum Step {
+pub enum Step<T> {
     /// Answer this request (again, if it was asked before).
     Ask(Ticket),
-    /// The operation completed; surfaced exactly once.
-    Done(Outcome),
+    /// The operation completed with this result; surfaced exactly once.
+    Done(T),
     /// The host refused a commit, or the operation already completed:
     /// nothing more will happen.
     Stopped,
 }
 
-/// The result of a completed [`Machine`].
-#[derive(Debug)]
-pub enum Outcome {
-    /// An ingest.
-    Ingest(IngestReport),
-    /// An eviction.
-    Evict(EvictReport),
-    /// Moves made by a re-optimization or a bootstrap fit.
-    Reoptimize(usize),
-    /// One optimizer pass: moves made and the objective after them.
-    Pass {
-        /// Accepted moves.
-        moved: usize,
-        /// Cached-form objective after the pass.
-        objective: f64,
-    },
+/// A host's replica, shared with the operation running on it. The
+/// operation borrows it only between requests, never across one.
+pub type Host<R> = Rc<RefCell<R>>;
+
+/// One streaming operation (or one optimizer pass) in progress, ending
+/// with a `T`: a boxed `async` body whose only suspension point is a
+/// request to the host. See the [module docs](self).
+pub struct Machine<'h, T> {
+    mail: Rc<Mailbox>,
+    /// The operation's body; `None` once it has finished or stopped.
+    body: Option<Pin<Box<dyn Future<Output = Option<T>> + 'h>>>,
 }
 
-/// One streaming operation (or one optimizer pass) in progress. See the
-/// [module docs](self).
-#[derive(Debug)]
-pub struct Machine {
-    op: Op,
-    stage: Stage,
-    /// The ledger-driven convergence loop, while optimizing.
-    passes: Option<Passes>,
-    /// The optimizer pass in progress.
-    pass: Option<Pass>,
-    /// Commit buffer, reused: committing a move allocates nothing.
-    entries: Vec<Entry>,
-    /// Scratch copy of the model that windows are scored on, reused.
-    scratch: Option<ClusterModel>,
-    tickets: u64,
+/// Where a body's requests go out and their answers come in.
+#[derive(Default)]
+struct Mailbox {
+    /// The arrivals of an ingest, until its scores are in.
+    arrivals: RefCell<Vec<SlotRow>>,
+    /// The request the body waits on (the last one it asked).
+    asked: Cell<Option<Ticket>>,
+    /// Its answer, from [`Machine::resume`] until the body takes it.
+    answer: Cell<Option<Answer>>,
 }
 
-#[derive(Debug)]
-enum Op {
-    Ingest {
-        rows: Vec<SlotRow>,
-        start: usize,
-        clusters: Vec<usize>,
-    },
-    Evict {
-        slots: Vec<usize>,
-        oldest: bool,
-    },
-    Reoptimize,
-    Bootstrap(usize),
-    Pass,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Stage {
-    Start,
-    Wait(Ticket),
-    Over,
-}
-
-/// Passes run to convergence from the ledger's objective: after each pass
-/// that moved anything, one drift-cancelling rebuild (never per window);
-/// the objective after each pass goes on the ledger's trace.
-#[derive(Debug)]
-struct Passes {
-    left: usize,
-    moved: usize,
-    total: usize,
-    current: f64,
-}
-
-/// One pass over `cursor..end` under the windowed mini-batch schedule
-/// (§6.1). A window's proposals are scored against the aggregates and
-/// caches frozen at the window start, then applied together on a scratch
-/// copy of the model: as deltas, with only the dirtied clusters refreshed
-/// and the objective assembled from the cached contributions in O(k) — no
-/// rebuild. Per-move deltas assume one move at a time, so applying a whole
-/// window can *raise* the objective (in the worst case the clustering
-/// oscillates forever). Hence **monotone acceptance**: a window is
-/// committed only if it lowers the objective by more than [`MOVE_EPS`];
-/// otherwise the pass rebuilds exactly and descends through the window
-/// one move at a time (the scan, which is the whole of a `PerMove` pass).
-/// The objective trace therefore never rises, and every counted move is a
-/// real improvement. Scoring is read-only and every mutation is applied
-/// in slot order, so the result is the same for any thread count.
-#[derive(Debug)]
-struct Pass {
-    window: usize,
-    cursor: usize,
-    end: usize,
-    moved: usize,
-    current: f64,
-    rebuild: bool,
-    scan: Option<Scan>,
-}
-
-/// A sequential per-move scan of `next..end`: each accepted move is
-/// committed before the next slot is scored.
-#[derive(Debug)]
-struct Scan {
-    next: usize,
-    end: usize,
-    moved: usize,
-}
-
-impl Pass {
-    fn new(range: Range<usize>, schedule: UpdateSchedule, current: f64) -> Self {
-        let scan = Scan {
-            next: range.start,
-            end: range.end,
-            moved: 0,
-        };
-        let (window, scan) = match schedule {
-            UpdateSchedule::MiniBatch(w) => (w, None),
-            UpdateSchedule::PerMove => (0, Some(scan)),
-        };
-        Self {
-            window,
-            cursor: range.start,
-            end: range.end,
-            moved: 0,
-            current,
-            rebuild: false,
-            scan,
-        }
-    }
-
-    /// The pass's next request, or `None` once its range is exhausted.
-    fn next(&mut self, rep: &impl Replica) -> Option<Request> {
-        if self.rebuild {
-            return Some(Request::Rebuild);
-        }
-        if let Some(scan) = &mut self.scan {
-            if scan.next < scan.end {
-                let (start, end) = (scan.next, scan.end);
-                return Some(Request::First { start, end });
-            }
-            if scan.moved > 0 {
-                self.current = rep.model().objective_cached(rep.lambda());
-            }
-            self.moved += scan.moved;
-            self.cursor = scan.end;
-            self.scan = None;
-        }
-        (self.cursor < self.end).then(|| Request::Window {
-            start: self.cursor,
-            end: self.cursor.saturating_add(self.window).min(self.end),
-        })
+impl<T> std::fmt::Debug for Machine<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Machine")
+            .field("asked", &self.mail.asked.get())
+            .field("running", &self.body.is_some())
+            .finish_non_exhaustive()
     }
 }
 
-/// The ledger of a streaming operation; a bare pass runs without one.
-fn books<'l>(ledger: &'l mut Option<&mut DriverLedger>) -> &'l mut DriverLedger {
-    ledger
-        .as_deref_mut()
-        .expect("streaming operations keep a ledger")
-}
-
-fn commit(rep: &mut impl Replica, entries: &mut Vec<Entry>) -> Option<()> {
-    rep.commit(entries).then_some(())
-}
-
-impl Machine {
-    fn new(op: Op) -> Self {
-        Self {
-            op,
-            stage: Stage::Start,
-            passes: None,
-            pass: None,
+impl<'h, T: 'h> Machine<'h, T> {
+    fn new<R: Replica + 'h, F: Future<Output = Option<T>> + 'h>(
+        host: &Host<R>,
+        arrivals: Vec<SlotRow>,
+        body: impl FnOnce(Body<R>) -> F,
+    ) -> Self {
+        let mail = Rc::new(Mailbox {
+            arrivals: RefCell::new(arrivals),
+            ..Mailbox::default()
+        });
+        let body = body(Body {
+            host: Rc::clone(host),
+            mail: Rc::clone(&mail),
             entries: Vec::new(),
             scratch: None,
-            tickets: 0,
+        });
+        Self {
+            mail,
+            body: Some(Box::pin(body)),
         }
     }
 
+    /// The same operation, its result mapped through `f`.
+    pub fn map<U: 'h>(self, f: impl FnOnce(T) -> U + 'h) -> Machine<'h, U> {
+        let body = self.body.expect("an operation maps before it runs");
+        Machine {
+            mail: self.mail,
+            body: Some(Box::pin(async move { body.await.map(f) })),
+        }
+    }
+
+    /// The arrivals a [`Request::Score`] asks about.
+    pub fn arrivals(&self) -> Ref<'_, [SlotRow]> {
+        Ref::map(self.mail.arrivals.borrow(), Vec::as_slice)
+    }
+
+    /// Advance the machine: start it (first call), or take the pending
+    /// request's answer, committing to the host until the next request or
+    /// the end. Without an answer, or with one whose ticket is not the
+    /// pending one, it changes nothing and returns the pending request
+    /// again.
+    pub fn resume(&mut self, answer: Option<(u64, Answer)>) -> Step<T> {
+        let Some(body) = &mut self.body else {
+            return Step::Stopped;
+        };
+        if let Some(pending) = self.mail.asked.get() {
+            match answer {
+                Some((id, answer)) if id == pending.id => self.mail.answer.set(Some(answer)),
+                _ => return Step::Ask(pending),
+            }
+        }
+        match body.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+            Poll::Pending => Step::Ask(self.mail.asked.get().expect("a waiting body asked")),
+            Poll::Ready(done) => {
+                self.body = None;
+                done.map_or(Step::Stopped, Step::Done)
+            }
+        }
+    }
+}
+
+impl<'h> Machine<'h, IngestReport> {
     /// Ingest encoded arrivals ([`crate::RowCodec::encode_all`]) as the
     /// next slots: score them all against the caches frozen at batch start,
     /// insert them in arrival order, then run the drift check.
-    pub fn ingest(rows: Vec<SlotRow>) -> Self {
-        Self::new(Op::Ingest {
-            rows,
-            start: 0,
-            clusters: Vec::new(),
-        })
+    pub fn ingest<R: Replica + 'h>(host: &Host<R>, rows: Vec<SlotRow>) -> Self {
+        Self::new(host, rows, Body::ingest)
     }
+}
 
+impl<'h> Machine<'h, EvictReport> {
     /// Evict the live `slots`, then run the drift check. Dead,
     /// out-of-range or duplicated slots are rejected here, before anything
     /// mutates.
-    pub fn evict(slots: Vec<usize>, rep: &impl Replica) -> Result<Self, FairKmError> {
-        DriverLedger::check_evict(&slots, |s| rep.is_live(s))?;
-        Ok(Self::new(Op::Evict {
-            slots,
-            oldest: false,
-        }))
+    pub fn evict<R: Replica + 'h>(host: &Host<R>, slots: Vec<usize>) -> Result<Self, FairKmError> {
+        DriverLedger::check_evict(&slots, |s| host.borrow().is_live(s))?;
+        Ok(Self::new(host, Vec::new(), |body| body.evict(slots, false)))
     }
 
     /// Evict the `count` oldest live slots, found from the ledger's cursor,
     /// which advances past the dead prefix afterwards.
-    pub fn evict_oldest(count: usize, ledger: &DriverLedger, rep: &impl Replica) -> Self {
-        let slots = ledger.oldest_live(count, rep.n_slots(), |s| rep.is_live(s));
-        Self::new(Op::Evict {
-            slots,
-            oldest: true,
-        })
+    pub fn evict_oldest<R: Replica + 'h>(host: &Host<R>, count: usize) -> Self {
+        let mut rep = host.borrow_mut();
+        let from = rep.ledger().oldest();
+        let slots = (from..rep.n_slots())
+            .filter(|&s| rep.is_live(s))
+            .take(count)
+            .collect();
+        drop(rep);
+        Self::new(host, Vec::new(), |body| body.evict(slots, true))
     }
+}
 
+/// Ends with the moves made.
+impl<'h> Machine<'h, usize> {
     /// Run up to the ledger's re-optimization passes, then reset the drift
     /// baseline.
-    pub fn reoptimize() -> Self {
-        Self::new(Op::Reoptimize)
+    pub fn reoptimize<R: Replica + 'h>(host: &Host<R>) -> Self {
+        Self::new(host, Vec::new(), |mut body| async move {
+            let passes = body.host.borrow_mut().ledger().reopt_passes();
+            body.optimize(passes, false).await
+        })
     }
 
     /// The bootstrap fit: up to `max_passes` passes, then set the drift
     /// baseline without counting a re-optimization.
-    pub fn bootstrap(max_passes: usize) -> Self {
-        Self::new(Op::Bootstrap(max_passes))
+    pub fn bootstrap<R: Replica + 'h>(host: &Host<R>, max_passes: usize) -> Self {
+        Self::new(host, Vec::new(), move |mut body| async move {
+            body.optimize(max_passes, true).await
+        })
     }
+}
 
+impl<'h> Machine<'h, (usize, f64)> {
     /// One optimizer pass over `range` from the cached-form objective
     /// `current`: windows of `MiniBatch(w)` slots, or one per-move scan for
-    /// `PerMove`. Ends with [`Outcome::Pass`] and runs without a ledger.
-    pub fn pass(range: Range<usize>, schedule: UpdateSchedule, current: f64) -> Self {
-        let mut machine = Self::new(Op::Pass);
-        machine.pass = Some(Pass::new(range, schedule, current));
-        machine
+    /// `PerMove`. Ends with the moves made and the objective after them,
+    /// and runs without a ledger.
+    pub fn pass<R: Replica + 'h>(
+        host: &Host<R>,
+        range: Range<usize>,
+        schedule: UpdateSchedule,
+        current: f64,
+    ) -> Self {
+        Self::new(host, Vec::new(), move |mut body| async move {
+            body.pass(range, schedule, current).await
+        })
+    }
+}
+
+/// What an operation's body keeps between requests. Every step returns
+/// `None` once the host refuses a commit, and the body stops there.
+struct Body<R> {
+    host: Host<R>,
+    mail: Rc<Mailbox>,
+    /// Commit buffer, reused: committing a move allocates nothing.
+    entries: Vec<Entry>,
+    /// Scratch copy of the model that windows are scored on, reused.
+    scratch: Option<ClusterModel>,
+}
+
+impl<R: Replica> Body<R> {
+    /// Ask the host `request` and wait for its answer: the body's only
+    /// suspension point.
+    async fn ask(&self, request: Request) -> Answer {
+        let id = self.mail.asked.get().map_or(1, |t| t.id + 1);
+        self.mail.asked.set(Some(Ticket { id, request }));
+        poll_fn(|_| self.mail.answer.take().map_or(Poll::Pending, Poll::Ready)).await
     }
 
-    /// The arrivals a [`Request::Score`] asks about.
-    pub fn arrivals(&self) -> &[SlotRow] {
-        match &self.op {
-            Op::Ingest { rows, .. } => rows,
-            _ => &[],
+    fn commit(&mut self) -> Option<()> {
+        self.host
+            .borrow_mut()
+            .commit(&mut self.entries)
+            .then_some(())
+    }
+
+    /// The cached-form objective of the host's model.
+    fn objective(&self) -> f64 {
+        let rep = self.host.borrow();
+        rep.model().objective_cached(rep.lambda())
+    }
+
+    async fn ingest(mut self) -> Option<IngestReport> {
+        let start = self.host.borrow().n_slots();
+        let mut clusters = Vec::new();
+        let mut reopt = (false, 0);
+        if !self.mail.arrivals.borrow().is_empty() {
+            let Answer::Scores(scores) = self.ask(Request::Score { start }).await else {
+                panic!("a score request answered with another kind");
+            };
+            let rows = self.mail.arrivals.take();
+            clusters = vec![TOMBSTONE; rows.len()];
+            for (slot, c) in scores {
+                clusters[slot - start] = c;
+            }
+            let arrivals = rows.into_iter().zip(&clusters).enumerate();
+            self.entries.extend(arrivals.map(|(i, (mut data, &c))| {
+                data.cluster = c;
+                LogEntry::Insert {
+                    slot: start + i,
+                    data,
+                }
+            }));
+            self.commit()?;
+            reopt = self.settle(clusters.len(), 0).await?;
         }
+        let objective = self.host.borrow_mut().ledger().objective();
+        Some(IngestReport {
+            slots: start..start + clusters.len(),
+            clusters,
+            objective,
+            reoptimized: reopt.0,
+            reopt_moves: reopt.1,
+        })
     }
 
-    /// Advance the machine: start it (first call), or take the pending
-    /// request's answer, committing through `rep` until the next request
-    /// or the end. Without an answer, or with one whose ticket is not the
-    /// pending one, it changes nothing and returns the pending request
-    /// again. `ledger` is the stream's ledger; only [`Self::pass`] runs
-    /// without one.
-    pub fn resume(
-        &mut self,
-        mut ledger: Option<&mut DriverLedger>,
-        rep: &mut impl Replica,
-        answer: Option<(u64, Answer)>,
-    ) -> Step {
-        let ledger = &mut ledger;
-        let ran = match (std::mem::replace(&mut self.stage, Stage::Over), answer) {
-            (Stage::Start, _) => self.start(ledger, rep),
-            (Stage::Wait(t), Some((id, answer))) if id == t.id => {
-                self.take(ledger, rep, t.request, answer)
-            }
-            (Stage::Wait(t), _) => {
-                self.stage = Stage::Wait(t);
-                return Step::Ask(t);
-            }
-            (Stage::Over, _) => return Step::Stopped,
+    /// Remove `slots`; `oldest` advances the ledger's eviction cursor past
+    /// the dead prefix afterwards.
+    async fn evict(mut self, slots: Vec<usize>, oldest: bool) -> Option<EvictReport> {
+        let evicted = slots.len();
+        let mut reopt = (false, 0);
+        if evicted > 0 {
+            let removals = slots
+                .into_iter()
+                .map(|slot| LogEntry::Remove { slot, data: () });
+            self.entries.extend(removals);
+            self.commit()?;
+            reopt = self.settle(0, evicted).await?;
+        }
+        let mut rep = self.host.borrow_mut();
+        if oldest {
+            let (from, n) = (rep.ledger().oldest(), rep.n_slots());
+            let cursor = (from..n).find(|&s| rep.is_live(s)).unwrap_or(n);
+            rep.ledger().set_oldest(cursor);
+        }
+        Some(EvictReport {
+            evicted,
+            objective: rep.ledger().objective(),
+            reoptimized: reopt.0,
+            reopt_moves: reopt.1,
+        })
+    }
+
+    /// Record an applied ingest or evict batch and run the drift check:
+    /// `(reoptimized, moves)`.
+    async fn settle(&mut self, inserted: usize, evicted: usize) -> Option<(bool, usize)> {
+        let (drifted, passes) = {
+            let mut rep = self.host.borrow_mut();
+            let model = rep.model();
+            let (objective, live) = (model.objective_cached(rep.lambda()), model.live());
+            let ledger = rep.ledger();
+            ledger.record_batch(objective, inserted, evicted);
+            (ledger.drifted(live), ledger.reopt_passes())
         };
-        if ran.is_none() {
-            return Step::Stopped;
+        if !drifted {
+            return Some((false, 0));
         }
-        match self.next(ledger, rep) {
-            ControlFlow::Continue(request) => {
-                self.tickets += 1;
-                let ticket = Ticket {
-                    id: self.tickets,
-                    request,
-                };
-                self.stage = Stage::Wait(ticket);
-                Step::Ask(ticket)
-            }
-            ControlFlow::Break(outcome) => Step::Done(outcome),
-        }
+        Some((true, self.optimize(passes, false).await?))
     }
 
-    /// The operation's first mutations, before any request.
-    fn start(
-        &mut self,
-        ledger: &mut Option<&mut DriverLedger>,
-        rep: &mut impl Replica,
-    ) -> Option<()> {
-        match &mut self.op {
-            Op::Ingest { start, .. } => *start = rep.n_slots(),
-            Op::Evict { slots, .. } if !slots.is_empty() => {
-                let evicted = slots.len();
-                self.entries.extend(
-                    slots
-                        .iter()
-                        .map(|&slot| LogEntry::Remove { slot, data: () }),
-                );
-                commit(rep, &mut self.entries)?;
-                self.record(books(ledger), rep, 0, evicted);
+    /// Passes to convergence from the ledger's objective, at most
+    /// `max_passes`: after each pass that moved anything, one
+    /// drift-cancelling rebuild (never per window); the objective after
+    /// each pass goes on the ledger's trace. Then the ledger takes the
+    /// final objective as its drift baseline — counted as a
+    /// re-optimization unless this is the `bootstrap` fit. Returns the
+    /// moves made.
+    async fn optimize(&mut self, max_passes: usize, bootstrap: bool) -> Option<usize> {
+        let mut current = self.host.borrow_mut().ledger().objective();
+        let mut total = 0;
+        for _ in 0..max_passes {
+            let (n, window) = {
+                let mut rep = self.host.borrow_mut();
+                let n = rep.n_slots();
+                (n, rep.ledger().window(n))
+            };
+            let (moved, after) = self
+                .pass(0..n, UpdateSchedule::MiniBatch(window), current)
+                .await?;
+            current = after;
+            if moved > 0 {
+                self.rebuild().await?;
+                current = self.objective();
             }
-            Op::Reoptimize => {
-                let ledger = books(ledger);
-                self.optimize(ledger.reopt_passes(), ledger.objective());
+            self.host.borrow_mut().ledger().push_trace(current);
+            total += moved;
+            if moved == 0 {
+                break;
             }
-            &mut Op::Bootstrap(max_passes) => self.optimize(max_passes, books(ledger).objective()),
-            Op::Evict { .. } | Op::Pass => {}
         }
-        Some(())
+        let mut rep = self.host.borrow_mut();
+        let live = rep.model().live();
+        match bootstrap {
+            true => rep.ledger().rebase(current, live),
+            false => rep.ledger().close_reopt(current, live),
+        }
+        Some(total)
     }
 
-    /// Take the answer to `request`, committing what it decides.
-    fn take(
+    /// One pass over `range` under the windowed mini-batch schedule (§6.1),
+    /// or one per-move scan for `PerMove`: `(moved, objective)`.
+    ///
+    /// A window's proposals are scored against the aggregates and caches
+    /// frozen at the window start, then applied together on a scratch copy
+    /// of the model: as deltas, with only the dirtied clusters refreshed
+    /// and the objective assembled from the cached contributions in O(k) —
+    /// no rebuild. Per-move deltas assume one move at a time, so applying a
+    /// whole window can *raise* the objective (in the worst case the
+    /// clustering oscillates forever). Hence **monotone acceptance**: a
+    /// window is committed only if it lowers the objective by more than
+    /// [`MOVE_EPS`]; otherwise the pass rebuilds exactly and descends
+    /// through the window one move at a time. The objective trace
+    /// therefore never rises, and every counted move is a real
+    /// improvement. Scoring is read-only and every mutation is applied in
+    /// slot order, so the result is the same for any thread count.
+    async fn pass(
         &mut self,
-        ledger: &mut Option<&mut DriverLedger>,
-        rep: &mut impl Replica,
-        request: Request,
-        answer: Answer,
-    ) -> Option<()> {
-        let lambda = rep.lambda();
-        match (request, answer) {
-            (Request::Score { start }, Answer::Scores(scores)) => {
-                let Op::Ingest { rows, clusters, .. } = &mut self.op else {
-                    unreachable!("scores outside an ingest");
-                };
-                *clusters = vec![TOMBSTONE; rows.len()];
-                for (slot, c) in scores {
-                    clusters[slot - start] = c;
+        range: Range<usize>,
+        schedule: UpdateSchedule,
+        mut current: f64,
+    ) -> Option<(usize, f64)> {
+        let UpdateSchedule::MiniBatch(window) = schedule else {
+            let moved = self.scan(range).await?;
+            return Some((moved, if moved > 0 { self.objective() } else { current }));
+        };
+        let mut moved = 0;
+        let mut start = range.start;
+        while start < range.end {
+            let end = start.saturating_add(window).min(range.end);
+            let Answer::Proposals(mut proposals) = self.ask(Request::Window { start, end }).await
+            else {
+                panic!("a window answered with another kind");
+            };
+            proposals.sort_unstable_by_key(|&(slot, _)| slot);
+            match self.trial(&proposals) {
+                None => {}
+                Some(after) if after < current - MOVE_EPS => {
+                    moved += self.entries.len();
+                    current = after;
+                    self.commit()?;
                 }
-                let inserted = clusters.len();
-                let arrivals = rows.drain(..).zip(clusters.iter()).enumerate();
-                self.entries.extend(arrivals.map(|(i, (mut data, &c))| {
-                    data.cluster = c;
-                    LogEntry::Insert {
-                        slot: start + i,
-                        data,
-                    }
-                }));
-                commit(rep, &mut self.entries)?;
-                self.record(books(ledger), rep, inserted, 0);
-            }
-            (Request::Window { end, .. }, Answer::Proposals(mut proposals)) => {
-                let pass = self.pass.as_mut().expect("proposals outside a pass");
-                proposals.sort_unstable_by_key(|&(slot, _)| slot);
-                let staged = proposals.iter().map(|&(slot, to)| LogEntry::Move {
-                    slot,
-                    from: rep.cluster(slot),
-                    to,
-                    data: (),
-                });
-                self.entries.extend(staged);
-                if self.entries.is_empty() {
-                    pass.cursor = end;
-                    return Some(());
-                }
-                // Score the window's simultaneous application on a scratch
-                // copy of the model: only an accepted window is committed.
-                let trial = match &mut self.scratch {
-                    Some(trial) => {
-                        trial.copy_state_from(rep.model());
-                        trial
-                    }
-                    None => self.scratch.insert(rep.model().clone()),
-                };
-                for entry in &self.entries {
-                    if let LogEntry::Move { slot, from, to, .. } = *entry {
-                        rep.trial_move(trial, slot, from, to);
-                    }
-                }
-                trial.refresh_cache();
-                let after = trial.objective_cached(lambda);
-                if after < pass.current - MOVE_EPS {
-                    pass.moved += self.entries.len();
-                    pass.current = after;
-                    pass.cursor = end;
-                    commit(rep, &mut self.entries)?;
-                } else {
+                Some(_) => {
                     // The simultaneous application hurt: rebuild exactly,
                     // then descend through the window one move at a time.
                     self.entries.clear();
-                    rep.fallback();
-                    pass.rebuild = true;
-                    pass.scan = Some(Scan {
-                        next: pass.cursor,
-                        end,
-                        moved: 0,
-                    });
+                    self.host.borrow_mut().fallback();
+                    self.rebuild().await?;
+                    let scanned = self.scan(start..end).await?;
+                    if scanned > 0 {
+                        current = self.objective();
+                    }
+                    moved += scanned;
                 }
             }
-            (Request::First { end, .. }, Answer::First(found)) => {
-                let pass = self.pass.as_mut().expect("a proposal outside a pass");
-                let scan = pass.scan.as_mut().expect("a proposal outside a scan");
-                scan.next = end;
-                if let Some((slot, to)) = found {
-                    scan.next = slot + 1;
-                    scan.moved += 1;
-                    let from = rep.cluster(slot);
-                    self.entries.push(LogEntry::Move {
-                        slot,
-                        from,
-                        to,
-                        data: (),
-                    });
-                    commit(rep, &mut self.entries)?;
-                }
-            }
-            (Request::Rebuild, Answer::Chunks(mut chunks)) => {
-                chunks.sort_unstable_by_key(|&(chunk, _)| chunk);
-                let zeroed = rep.model().zeroed_delta();
-                let agg = chunks
-                    .into_iter()
-                    .fold(zeroed, |total, (_, part)| total.merge(part));
-                self.entries.push(LogEntry::Install { agg });
-                commit(rep, &mut self.entries)?;
-                match &mut self.pass {
-                    Some(pass) => pass.rebuild = false,
-                    None => self.end_pass(books(ledger), rep.model().objective_cached(lambda)),
-                }
-            }
-            (request, _) => panic!("an answer that does not fit {request:?}"),
+            start = end;
         }
-        Some(())
+        Some((moved, current))
     }
 
-    /// Find the next request, running the bookkeeping between requests, or
-    /// finish the operation.
-    fn next(
-        &mut self,
-        ledger: &mut Option<&mut DriverLedger>,
-        rep: &mut impl Replica,
-    ) -> ControlFlow<Outcome, Request> {
-        if let Op::Ingest { rows, start, .. } = &self.op {
-            if !rows.is_empty() {
-                return ControlFlow::Continue(Request::Score { start: *start });
-            }
-        }
-        loop {
-            if let Some(pass) = &mut self.pass {
-                if let Some(request) = pass.next(rep) {
-                    return ControlFlow::Continue(request);
-                }
-                let Some(Pass { moved, current, .. }) = self.pass.take() else {
-                    unreachable!("the pass was just asked");
-                };
-                let Some(passes) = &mut self.passes else {
-                    return ControlFlow::Break(Outcome::Pass {
-                        moved,
-                        objective: current,
-                    });
-                };
-                passes.moved = moved;
-                passes.current = current;
-                if moved > 0 {
-                    return ControlFlow::Continue(Request::Rebuild);
-                }
-                self.end_pass(books(ledger), current);
-            }
-            match &mut self.passes {
-                Some(passes) if passes.left > 0 => {
-                    passes.left -= 1;
-                    let n = rep.n_slots();
-                    let window = UpdateSchedule::MiniBatch(books(ledger).window(n));
-                    self.pass = Some(Pass::new(0..n, window, passes.current));
-                }
-                _ => return ControlFlow::Break(self.finish(books(ledger), rep)),
-            }
-        }
-    }
-
-    /// Start the ledger's convergence loop.
-    fn optimize(&mut self, max_passes: usize, current: f64) {
-        self.passes = Some(Passes {
-            left: max_passes,
-            moved: 0,
-            total: 0,
-            current,
+    /// Stage the moves `proposals` and score their simultaneous
+    /// application on the scratch copy of the model: the objective after
+    /// them, or `None` when there is nothing to stage.
+    fn trial(&mut self, proposals: &[(usize, usize)]) -> Option<f64> {
+        let rep = self.host.borrow();
+        let staged = proposals.iter().map(|&(slot, to)| LogEntry::Move {
+            slot,
+            from: rep.cluster(slot),
+            to,
+            data: (),
         });
-    }
-
-    /// Close a pass that ended at objective `current`.
-    fn end_pass(&mut self, ledger: &mut DriverLedger, current: f64) {
-        let passes = self.passes.as_mut().expect("a pass end outside a loop");
-        passes.current = current;
-        ledger.push_trace(current);
-        passes.total += passes.moved;
-        if passes.moved == 0 {
-            passes.left = 0;
+        self.entries.extend(staged);
+        if self.entries.is_empty() {
+            return None;
         }
-    }
-
-    /// Record an applied ingest or evict batch and run the drift check.
-    fn record(&mut self, ledger: &mut DriverLedger, rep: &impl Replica, ins: usize, ev: usize) {
-        ledger.record_batch(rep.model(), ins, ev);
-        if ledger.drifted(rep.model().live()) {
-            self.optimize(ledger.reopt_passes(), ledger.objective());
-        }
-    }
-
-    fn finish(&mut self, ledger: &mut DriverLedger, rep: &impl Replica) -> Outcome {
-        let live = rep.model().live();
-        let reopt = self.passes.take().map(|passes| {
-            match self.op {
-                Op::Bootstrap(_) => ledger.rebase(passes.current, live),
-                _ => ledger.close_reopt(passes.current, live),
+        let trial = match &mut self.scratch {
+            Some(trial) => {
+                trial.copy_state_from(rep.model());
+                trial
             }
-            passes.total
-        });
-        let (reoptimized, reopt_moves) = (reopt.is_some(), reopt.unwrap_or(0));
-        let objective = ledger.objective();
-        match std::mem::replace(&mut self.op, Op::Pass) {
-            Op::Ingest {
-                start, clusters, ..
-            } => Outcome::Ingest(IngestReport {
-                slots: start..start + clusters.len(),
-                clusters,
-                objective,
-                reoptimized,
-                reopt_moves,
-            }),
-            Op::Evict { slots, oldest } => {
-                if oldest {
-                    ledger.advance_oldest(rep.n_slots(), |s| rep.is_live(s));
-                }
-                Outcome::Evict(EvictReport {
-                    evicted: slots.len(),
-                    objective,
-                    reoptimized,
-                    reopt_moves,
-                })
+            None => self.scratch.insert(rep.model().clone()),
+        };
+        for entry in &self.entries {
+            if let LogEntry::Move { slot, from, to, .. } = *entry {
+                rep.trial_move(trial, slot, from, to);
             }
-            Op::Reoptimize | Op::Bootstrap(_) => Outcome::Reoptimize(reopt_moves),
-            Op::Pass => unreachable!("a bare pass ends with its pass"),
         }
+        trial.refresh_cache();
+        Some(trial.objective_cached(rep.lambda()))
+    }
+
+    /// A sequential per-move scan of `range`: each accepted move is
+    /// committed before the next slot is scored. Returns the moves made.
+    async fn scan(&mut self, range: Range<usize>) -> Option<usize> {
+        let (mut start, end, mut moved) = (range.start, range.end, 0);
+        while start < end {
+            let Answer::First(found) = self.ask(Request::First { start, end }).await else {
+                panic!("a scan step answered with another kind");
+            };
+            let Some((slot, to)) = found else { break };
+            let from = self.host.borrow().cluster(slot);
+            self.entries.push(LogEntry::Move {
+                slot,
+                from,
+                to,
+                data: (),
+            });
+            self.commit()?;
+            moved += 1;
+            start = slot + 1;
+        }
+        Some(moved)
+    }
+
+    /// Replace the aggregates with the exact rebuild, merged in chunk-index
+    /// order from the zeroed identity.
+    async fn rebuild(&mut self) -> Option<()> {
+        let Answer::Chunks(mut chunks) = self.ask(Request::Rebuild).await else {
+            panic!("a rebuild answered with another kind");
+        };
+        chunks.sort_unstable_by_key(|&(chunk, _)| chunk);
+        let zeroed = self.host.borrow().model().zeroed_delta();
+        let agg = chunks
+            .into_iter()
+            .fold(zeroed, |total, (_, part)| total.merge(part));
+        self.entries.push(LogEntry::Install { agg });
+        self.commit()
     }
 }
 
@@ -888,34 +819,27 @@ pub(crate) struct Local<'s, 'a> {
     pub state: &'s mut State<'a>,
     pub lambda: f64,
     pub engine: DeltaEngine,
+    /// The stream's ledger; a bare pass runs without one.
+    pub ledger: Option<&'s mut DriverLedger>,
 }
 
 impl Local<'_, '_> {
-    /// Run `machine` to completion.
-    pub fn run(&mut self, mut ledger: Option<&mut DriverLedger>, mut machine: Machine) -> Outcome {
+    /// Run `machine` on `host` to completion.
+    pub fn run<'h, T: 'h>(host: &RefCell<Self>, mut machine: Machine<'h, T>) -> T {
         let mut answer = None;
         loop {
-            match machine.resume(ledger.as_deref_mut(), self, answer.take()) {
-                Step::Ask(t) => answer = Some((t.id, self.answer(t.request, machine.arrivals()))),
+            match machine.resume(answer.take()) {
+                Step::Ask(t) => {
+                    let arrivals = machine.arrivals();
+                    answer = Some((t.id, host.borrow().answer(t.request, &arrivals)));
+                }
                 Step::Done(outcome) => {
-                    self.state.debug_validate_cache(self.lambda);
+                    let local = host.borrow();
+                    local.state.debug_validate_cache(local.lambda);
                     return outcome;
                 }
                 Step::Stopped => unreachable!("a local commit cannot fail"),
             }
-        }
-    }
-
-    /// One optimizer pass ([`Machine::pass`]): `(moved, objective)`.
-    pub fn pass(
-        &mut self,
-        range: Range<usize>,
-        schedule: UpdateSchedule,
-        current: f64,
-    ) -> (usize, f64) {
-        match self.run(None, Machine::pass(range, schedule, current)) {
-            Outcome::Pass { moved, objective } => (moved, objective),
-            _ => unreachable!("a bare pass ends with its pass"),
         }
     }
 
@@ -958,6 +882,25 @@ impl Local<'_, '_> {
     }
 }
 
+/// One optimizer pass ([`Machine::pass`]) over `state`, answered locally:
+/// `(moved, objective)`.
+pub(crate) fn pass(
+    state: &mut State<'_>,
+    lambda: f64,
+    engine: DeltaEngine,
+    range: Range<usize>,
+    schedule: UpdateSchedule,
+    current: f64,
+) -> (usize, f64) {
+    let host = Rc::new(RefCell::new(Local {
+        state,
+        lambda,
+        engine,
+        ledger: None,
+    }));
+    Local::run(&host, Machine::pass(&host, range, schedule, current))
+}
+
 impl Replica for Local<'_, '_> {
     fn lambda(&self) -> f64 {
         self.lambda
@@ -988,6 +931,12 @@ impl Replica for Local<'_, '_> {
 
     fn fallback(&mut self) {
         self.state.fallbacks += 1;
+    }
+
+    fn ledger(&mut self) -> &mut DriverLedger {
+        self.ledger
+            .as_deref_mut()
+            .expect("streaming operations keep a ledger")
     }
 }
 
@@ -1087,17 +1036,26 @@ mod tests {
         asked: &mut Asked,
     ) -> Vec<Vec<u8>> {
         let mut steps = Vec::new();
-        let (codec, mut local, ledger) = s.host();
-        let mut machine = match op {
-            Op::Ingest(batch) => {
-                Machine::ingest(codec.encode_all(&arrivals(*batch), local.state.n).unwrap())
-            }
-            Op::Evict(slots) => Machine::evict(slots.clone(), &local).unwrap(),
-            Op::EvictOldest(count) => Machine::evict_oldest(*count, ledger, &local),
-            Op::Reoptimize => Machine::reoptimize(),
+        let rows = match op {
+            Op::Ingest(batch) => s.codec().encode_all(&arrivals(*batch), s.n_slots()),
+            _ => Ok(Vec::new()),
         };
+        let host = s.host();
+        let mut machine = match op {
+            Op::Ingest(_) => Machine::ingest(&host, rows.unwrap()).map(drop),
+            Op::Evict(slots) => Machine::evict(&host, slots.clone()).unwrap().map(drop),
+            Op::EvictOldest(count) => Machine::evict_oldest(&host, *count).map(drop),
+            Op::Reoptimize => Machine::reoptimize(&host).map(drop),
+        };
+        // The model bits and the assignment: what a commit changes.
+        let bits = || {
+            let local = host.borrow();
+            (local.state.model.to_bytes(), local.state.assignment.clone())
+        };
+        let answer =
+            |machine: &Machine<'_, ()>, request| host.borrow().answer(request, &machine.arrivals());
         let mut rng = rng;
-        let mut step = machine.resume(Some(&mut *ledger), &mut local, None);
+        let mut step = machine.resume(None);
         while let Step::Ask(ticket) = step {
             let kind = match ticket.request {
                 Request::Score { .. } => 0,
@@ -1106,45 +1064,40 @@ mod tests {
                 Request::Rebuild => 3,
             };
             asked[kind] += 1;
-            let answer = local.answer(ticket.request, machine.arrivals());
+            let reply = answer(&machine, ticket.request);
             let Some(rng) = rng.as_deref_mut() else {
-                step = machine.resume(Some(&mut *ledger), &mut local, Some((ticket.id, answer)));
-                steps.push(local.state.model.to_bytes());
+                step = machine.resume(Some((ticket.id, reply)));
+                steps.push(bits().0);
                 continue;
             };
-            let frozen = (local.state.model.to_bytes(), local.state.assignment.clone());
-            let unchanged = |local: &Local<'_, '_>| {
-                (local.state.model.to_bytes(), local.state.assignment.clone()) == frozen
-            };
+            let frozen = bits();
             // (b) Pure: asking again gives the same answer.
-            assert_eq!(local.answer(ticket.request, machine.arrivals()), answer);
+            assert_eq!(answer(&machine, ticket.request), reply);
             // (a) Nothing is committed while the request is unanswered:
             // a re-issue and a stale answer return the same ticket.
-            let again = machine.resume(Some(&mut *ledger), &mut local, None);
+            let again = machine.resume(None);
             assert!(matches!(again, Step::Ask(t) if t == ticket));
-            let stale = Some((ticket.id + 1, answer.clone()));
-            let again = machine.resume(Some(&mut *ledger), &mut local, stale);
+            let again = machine.resume(Some((ticket.id + 1, reply.clone())));
             assert!(matches!(again, Step::Ask(t) if t == ticket));
-            assert!(unchanged(&local), "a pending request committed");
+            assert!(bits() == frozen, "a pending request committed");
             // (c) Parts in any order.
-            let parts = match answer.clone() {
+            let parts = match reply.clone() {
                 Answer::Scores(v) => in_parts(v, rng, Answer::Scores),
                 Answer::Proposals(v) => in_parts(v, rng, Answer::Proposals),
                 Answer::Chunks(v) => in_parts(v, rng, Answer::Chunks),
                 first @ Answer::First(_) => first,
             };
-            step = machine.resume(Some(&mut *ledger), &mut local, Some((ticket.id, parts)));
-            steps.push(local.state.model.to_bytes());
+            step = machine.resume(Some((ticket.id, parts)));
+            let frozen = bits();
+            steps.push(frozen.0.clone());
             // (b) A duplicate of the answer just taken changes nothing.
-            let frozen = (local.state.model.to_bytes(), local.state.assignment.clone());
-            let dup = machine.resume(Some(&mut *ledger), &mut local, Some((ticket.id, answer)));
+            let dup = machine.resume(Some((ticket.id, reply)));
             match (&step, dup) {
                 (Step::Ask(next), Step::Ask(t)) => assert_eq!(*next, t),
                 (Step::Done(_), Step::Stopped) => {}
                 (step, dup) => panic!("a duplicate answer moved {step:?} to {dup:?}"),
             }
-            let after = (local.state.model.to_bytes(), local.state.assignment.clone());
-            assert!(after == frozen, "a duplicate answer committed");
+            assert!(bits() == frozen, "a duplicate answer committed");
         }
         assert!(matches!(step, Step::Done(_)), "the operation stopped");
         steps
@@ -1161,7 +1114,10 @@ mod tests {
         }
         // The workload reaches every request kind, the fallback included.
         assert!(asked.iter().all(|&n| n > 0), "requests asked: {asked:?}");
-        assert!(direct.host().1.state.fallbacks > 0, "no window fell back");
+        assert!(
+            direct.host().borrow().state.fallbacks > 0,
+            "no window fell back"
+        );
 
         for seed in 0..4 {
             let mut rng = StdRng::seed_from_u64(seed);

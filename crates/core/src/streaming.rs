@@ -57,7 +57,7 @@
 use crate::agg::{SlotRow, TOMBSTONE};
 use crate::config::{DeltaEngine, FairKmConfig, FairKmError, ObjectiveKind, UpdateSchedule};
 use crate::fairkm::{initial_assignment, resolve_weights};
-use crate::machine::{Local, Machine, Outcome};
+use crate::machine::{Host, Local, Machine};
 use crate::minibatch::MiniBatchFairKm;
 use crate::state::{ClusterModel, State};
 use crate::wire::{self, Reader, WireError};
@@ -67,6 +67,8 @@ use fairkm_data::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Configuration of a [`StreamingFairKm`] driver.
@@ -199,7 +201,9 @@ impl RowCodec {
     /// numeric resolution reports in its errors.
     ///
     /// Returns the row as a [`TOMBSTONE`] [`SlotRow`]: task vector,
-    /// sensitive codes and values, and `‖x‖²`.
+    /// sensitive codes and values, and `‖x‖²`. A task vector whose `‖x‖²`
+    /// is not finite is [`FairKmError::NormOverflow`], checked last: every
+    /// aggregate that sums it would turn to ∞, then to NaN on removal.
     pub fn encode(&self, row: &[Value], n_slots: usize) -> Result<SlotRow, FairKmError> {
         let task = self.encoder.encode_row(row)?;
         let cat = self
@@ -227,8 +231,12 @@ impl RowCodec {
                 AttrKind::Categorical { .. } => attr.resolve_categorical(cell).map(drop)?,
             }
         }
+        let sqnorm = crate::state::sqnorm(&task);
+        if !sqnorm.is_finite() {
+            return Err(FairKmError::NormOverflow);
+        }
         Ok(SlotRow {
-            sqnorm: crate::state::sqnorm(&task),
+            sqnorm,
             row: task,
             cat,
             num,
@@ -381,12 +389,11 @@ impl DriverLedger {
         self.trace.push(value);
     }
 
-    /// Record an applied ingest or evict batch: read the objective from
-    /// `model` (whose cache is fresh), trace it, and count the points
-    /// inserted and evicted.
-    pub fn record_batch(&mut self, model: &ClusterModel, inserted: usize, evicted: usize) {
-        self.objective = model.objective_cached(self.lambda);
-        self.push_trace(self.objective);
+    /// Record an applied ingest or evict batch that left the objective at
+    /// `objective`: trace it, and count the points inserted and evicted.
+    pub fn record_batch(&mut self, objective: f64, inserted: usize, evicted: usize) {
+        self.objective = objective;
+        self.push_trace(objective);
         self.inserted += inserted;
         self.evicted += evicted;
     }
@@ -439,27 +446,35 @@ impl DriverLedger {
         }
     }
 
-    /// The `count` oldest live slots (lowest indices below `n_slots`),
-    /// scanned from the maintained cursor.
-    pub fn oldest_live(
-        &self,
-        count: usize,
-        n_slots: usize,
-        is_live: impl Fn(usize) -> bool,
-    ) -> Vec<usize> {
-        (self.oldest_hint..n_slots)
-            .filter(|&s| is_live(s))
-            .take(count)
-            .collect()
+    /// The eviction cursor: every slot below it is dead, so oldest-first
+    /// evictions scan from here.
+    pub fn oldest(&self) -> usize {
+        self.oldest_hint
     }
 
-    /// Advance the eviction cursor past the dead prefix. Everything below
-    /// the cursor stays dead: arbitrary evicts only kill more slots, ingest
-    /// appends at the end, and compaction resets the cursor.
-    pub fn advance_oldest(&mut self, n_slots: usize, is_live: impl Fn(usize) -> bool) {
-        while self.oldest_hint < n_slots && !is_live(self.oldest_hint) {
-            self.oldest_hint += 1;
+    /// Move the eviction cursor to `cursor`, the first live slot (or the
+    /// slot count). Everything below it stays dead: arbitrary evicts only
+    /// kill more slots, ingest appends at the end, and compaction resets
+    /// the cursor.
+    pub(crate) fn set_oldest(&mut self, cursor: usize) {
+        self.oldest_hint = cursor;
+    }
+
+    /// Check a decoded ledger against the `n_slots` slots it was stored
+    /// with: the eviction cursor lies within them and every slot below it
+    /// is dead. Otherwise an oldest-first eviction would skip live points
+    /// or evict out of order.
+    pub fn check_cursor(
+        &self,
+        n_slots: usize,
+        is_live: impl Fn(usize) -> bool,
+    ) -> Result<(), WireError> {
+        if self.oldest_hint > n_slots || (0..self.oldest_hint).any(is_live) {
+            return Err(WireError::Invalid {
+                what: "eviction cursor",
+            });
         }
+        Ok(())
     }
 
     /// Append the wire form. The δ `engine` travels between the window
@@ -489,9 +504,15 @@ impl DriverLedger {
         wire::put_usize(out, self.reopts);
     }
 
-    /// Decode [`Self::put`], returning the ledger and the δ engine.
+    /// Decode [`Self::put`], returning the ledger and the δ engine. A
+    /// negative or non-finite λ is [`WireError::Invalid`], as bootstrap
+    /// rejects it. The eviction cursor still has to pass
+    /// [`Self::check_cursor`] against the decoded slots.
     pub fn get(r: &mut Reader<'_>) -> Result<(Self, DeltaEngine), WireError> {
         let lambda = r.get_f64()?;
+        if !lambda.is_finite() || lambda < 0.0 {
+            return Err(WireError::Invalid { what: "λ" });
+        }
         let window = match r.take(1)?[0] {
             0 => None,
             1 => match r.get_usize()? {
@@ -640,7 +661,7 @@ impl StreamingFairKm {
         let threads = fairkm_parallel::resolve_threads(base.threads);
         let mut rng = StdRng::seed_from_u64(base.seed);
         let assignment = initial_assignment(&matrix, k, base.init, &mut rng, threads);
-        let mut state = State::with_norm(
+        let state = State::with_norm(
             std::borrow::Cow::Owned(matrix),
             &space,
             &weights,
@@ -651,7 +672,7 @@ impl StreamingFairKm {
             threads,
         );
         let objective = state.model.objective_cached(lambda);
-        let mut ledger = DriverLedger {
+        let ledger = DriverLedger {
             lambda,
             window: match base.schedule {
                 UpdateSchedule::MiniBatch(batch) => Some(batch),
@@ -667,19 +688,16 @@ impl StreamingFairKm {
             evicted: 0,
             reopts: 0,
         };
-        let engine = base.delta_engine;
-        Local {
-            state: &mut state,
-            lambda,
-            engine,
-        }
-        .run(Some(&mut ledger), Machine::bootstrap(base.max_iters));
-        Ok(Self {
+        let mut stream = Self {
             codec: Arc::new(RowCodec::new(dataset.schema().clone(), encoder)),
             state,
-            engine,
+            engine: base.delta_engine,
             ledger,
-        })
+        };
+        let host = stream.host();
+        Local::run(&host, Machine::bootstrap(&host, base.max_iters));
+        drop(host);
+        Ok(stream)
     }
 
     /// Serve an assignment for a row **without ingesting it**: validate and
@@ -720,10 +738,8 @@ impl StreamingFairKm {
     /// deltas in arrival order, then run the drift check.
     pub fn ingest(&mut self, rows: &[Vec<Value>]) -> Result<IngestReport, FairKmError> {
         let rows = self.codec.encode_all(rows, self.state.n)?;
-        match self.run(|_, _| Ok(Machine::ingest(rows)))? {
-            Outcome::Ingest(report) => Ok(report),
-            _ => unreachable!("an ingest reports an ingest"),
-        }
+        let host = self.host();
+        Ok(Local::run(&host, Machine::ingest(&host, rows)))
     }
 
     /// Evict the given live slots (stale points leaving the stream),
@@ -731,10 +747,9 @@ impl StreamingFairKm {
     /// Rejects dead, out-of-range, or duplicated slots before mutating
     /// anything, so a failed call leaves the clustering unchanged.
     pub fn evict(&mut self, slots: &[usize]) -> Result<EvictReport, FairKmError> {
-        match self.run(|rep, _| Machine::evict(slots.to_vec(), rep))? {
-            Outcome::Evict(report) => Ok(report),
-            _ => unreachable!("an eviction reports an eviction"),
-        }
+        let host = self.host();
+        let machine = Machine::evict(&host, slots.to_vec())?;
+        Ok(Local::run(&host, machine))
     }
 
     /// Evict the `count` oldest live points (lowest slot indices) — the
@@ -743,10 +758,8 @@ impl StreamingFairKm {
     /// per-batch calls cost O(count + dead-since-last-call), not O(total
     /// slots ever ingested).
     pub fn evict_oldest(&mut self, count: usize) -> Result<EvictReport, FairKmError> {
-        match self.run(|rep, ledger| Ok(Machine::evict_oldest(count, ledger, rep)))? {
-            Outcome::Evict(report) => Ok(report),
-            _ => unreachable!("an eviction reports an eviction"),
-        }
+        let host = self.host();
+        Ok(Local::run(&host, Machine::evict_oldest(&host, count)))
     }
 
     /// Run windowed re-optimization passes over the live partition until no
@@ -755,25 +768,19 @@ impl StreamingFairKm {
     /// its baseline), then reset the drift baseline. Returns the number of
     /// moves.
     pub fn reoptimize(&mut self) -> usize {
-        match self.run(|_, _| Ok(Machine::reoptimize())) {
-            Ok(Outcome::Reoptimize(moves)) => moves,
-            _ => unreachable!("a re-optimization reports its moves"),
-        }
+        let host = self.host();
+        Local::run(&host, Machine::reoptimize(&host))
     }
 
-    /// Build an operation's [`Machine`] against the current state and run
-    /// it to completion, answering every request locally.
-    fn run(
-        &mut self,
-        start: impl FnOnce(&Local<'_, 'static>, &DriverLedger) -> Result<Machine, FairKmError>,
-    ) -> Result<Outcome, FairKmError> {
-        let mut local = Local {
+    /// The engine as the host of a [`Machine`]: its state, answering every
+    /// request locally, with its ledger.
+    pub(crate) fn host(&mut self) -> Host<Local<'_, 'static>> {
+        Rc::new(RefCell::new(Local {
             state: &mut self.state,
             lambda: self.ledger.lambda,
             engine: self.engine,
-        };
-        let machine = start(&local, &self.ledger)?;
-        Ok(local.run(Some(&mut self.ledger), machine))
+            ledger: Some(&mut self.ledger),
+        }))
     }
 
     /// Drop every tombstoned slot from the backing store, renumbering the
@@ -1012,6 +1019,7 @@ impl StreamingFairKm {
         let state = State::read_snapshot(&mut r, objective_kind, threads)?;
         r.expect_empty()?;
         codec.check(&state.model)?;
+        ledger.check_cursor(state.n, |s| state.assignment[s] != TOMBSTONE)?;
         Ok(Self {
             codec: Arc::new(codec),
             state,
@@ -1023,15 +1031,9 @@ impl StreamingFairKm {
 
 #[cfg(test)]
 impl StreamingFairKm {
-    /// The engine as a machine host: its row codec, its state answering
-    /// locally, and its ledger.
-    pub(crate) fn host(&mut self) -> (&RowCodec, Local<'_, 'static>, &mut DriverLedger) {
-        let local = Local {
-            state: &mut self.state,
-            lambda: self.ledger.lambda,
-            engine: self.engine,
-        };
-        (&self.codec, local, &mut self.ledger)
+    /// The engine's row codec.
+    pub(crate) fn codec(&self) -> &RowCodec {
+        &self.codec
     }
 }
 
@@ -1462,6 +1464,44 @@ mod tests {
         let mut stale = bytes;
         stale[norm] ^= 1;
         assert_eq!(invalid(&stale), "norm cache");
+    }
+
+    #[test]
+    fn snapshot_decode_rejects_a_bad_lambda_and_eviction_cursor() {
+        let config = StreamingConfig::from_base(
+            FairKmConfig::new(2)
+                .with_seed(3)
+                .with_schedule(UpdateSchedule::MiniBatch(8))
+                .with_threads(1),
+        );
+        let mut s = StreamingFairKm::bootstrap(blobs(10), config).unwrap();
+        s.evict_oldest(2).unwrap();
+        assert_eq!(s.ledger.oldest(), 2);
+        let bytes = s.to_snapshot_bytes();
+        let decode = |at: usize, field: &[u8]| {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(field);
+            StreamingFairKm::from_snapshot_bytes(&b, Some(1)).map(drop)
+        };
+        let invalid = |what| Err(WireError::Invalid { what });
+        // Tag, codec and objective kind precede the ledger: λ, the window
+        // (option byte and width), the δ engine, the drift threshold, the
+        // pass cap, the objective and the baseline precede the cursor.
+        let mut codec = Vec::new();
+        s.codec.put(&mut codec);
+        let lambda = 8 + codec.len() + 4;
+        let cursor = lambda + 8 + 9 + 1 + 4 * 8;
+        assert_eq!(bytes[cursor..cursor + 8], 2u64.to_le_bytes());
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            assert_eq!(decode(lambda, &bad.to_le_bytes()), invalid("λ"), "{bad}");
+        }
+        // Slot 0 is dead, so a cursor of 1 holds; slot 2 is live, and a
+        // cursor past the slots would make eviction skip every point.
+        assert_eq!(decode(cursor, &1u64.to_le_bytes()), Ok(()));
+        for bad in [3, s.n_slots() as u64 + 5] {
+            let at = decode(cursor, &bad.to_le_bytes());
+            assert_eq!(at, invalid("eviction cursor"), "cursor {bad}");
+        }
     }
 
     #[test]

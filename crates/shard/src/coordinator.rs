@@ -13,6 +13,10 @@
 //! are read from the coordinator's own replica (the single-node
 //! [`ClusterModel`]), at the exact bits every shard holds.
 //!
+//! The replica — the driver ledger (the one copy of λ), the model, the
+//! slot rows, the log and the journal — sits behind the shared [`Host`]
+//! cell the machine reads and commits through, only between requests.
+//!
 //! ## Durable layout
 //!
 //! The *books* — the ledger (with the δ-engine byte, always incremental
@@ -51,11 +55,13 @@ use crate::shard::{Outbox, ShardNode};
 use crate::ShardError;
 use fairkm_core::wire::{self, Reader, WireError};
 use fairkm_core::{
-    Answer, ClusterModel, DeltaEngine, DriverLedger, Entry, LogEntry, Machine, Replica, Request,
-    RowCodec, ShardParts, SlotRow, Step, Ticket, TOMBSTONE,
+    Answer, ClusterModel, DeltaEngine, DriverLedger, Entry, Host, LogEntry, Machine, Replica,
+    Request, RowCodec, ShardParts, SlotRow, Step, Ticket, TOMBSTONE,
 };
 use fairkm_store::{DurableStore, StorageBackend};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Journal record holding one replicated entry batch.
@@ -91,13 +97,14 @@ pub struct CoordinatorRecovery {
 }
 
 /// The coordinator's replica of the clustering and everything a committed
-/// entry touches: the model, the slot rows, the log, the journal, and the
-/// provisioning state a snapshot replays the log over. This is the
-/// [`Replica`] the step machine runs against.
+/// entry touches: the driver ledger, the model, the slot rows, the log, the
+/// journal, and the provisioning state a snapshot replays the log over.
+/// This is the [`Replica`] the step machine runs against.
 #[derive(Debug)]
 struct Replicated {
     plan: ShardPlan,
-    lambda: f64,
+    /// The single-node driver's parameters and bookkeeping; λ is its.
+    ledger: DriverLedger,
     model: ClusterModel,
     /// Per-slot payloads; `cluster` is the current assignment
     /// ([`TOMBSTONE`] for evicted slots) — the durable master copy.
@@ -138,6 +145,13 @@ impl Replicated {
         Ok(())
     }
 
+    /// Check the ledger's eviction cursor against the slot rows.
+    fn check_cursor(&self) -> Result<(), WireError> {
+        let slots = &self.slots;
+        self.ledger
+            .check_cursor(slots.len(), |s| slots[s].cluster != TOMBSTONE)
+    }
+
     /// Append one record to the journal and fsync it. `false` wedges the
     /// coordinator (or reports it already wedged): the caller must
     /// externalize nothing.
@@ -156,7 +170,7 @@ impl Replicated {
 
 impl Replica for Replicated {
     fn lambda(&self) -> f64 {
-        self.lambda
+        self.ledger.lambda()
     }
 
     fn model(&self) -> &ClusterModel {
@@ -230,6 +244,10 @@ impl Replica for Replicated {
     fn fallback(&mut self) {
         self.fallbacks += 1;
     }
+
+    fn ledger(&mut self) -> &mut DriverLedger {
+        &mut self.ledger
+    }
 }
 
 /// The coordinator (node 0). Drive it with [`Coordinator::handle`];
@@ -239,12 +257,11 @@ pub struct Coordinator {
     /// The frozen row front-end arrivals are validated and encoded
     /// through — shared with the single-node engine it was split from.
     codec: Arc<RowCodec>,
-    /// The single-node driver's parameters and bookkeeping.
-    ledger: DriverLedger,
-    rep: Replicated,
+    /// The replica, shared with the operation in flight.
+    rep: Host<Replicated>,
     ops: VecDeque<Op>,
     /// The operation in flight.
-    machine: Option<Machine>,
+    machine: Option<Machine<'static, OpOutcome>>,
     /// The pending request's ticket and the parts of its answer so far.
     gather: Option<(u64, Answer)>,
     next_req: u64,
@@ -281,9 +298,9 @@ impl Coordinator {
         let base = (model.clone(), slots.iter().map(|d| d.cluster).collect());
         Self {
             codec,
-            rep: Replicated {
+            rep: Rc::new(RefCell::new(Replicated {
                 plan,
-                lambda: ledger.lambda(),
+                ledger,
                 model,
                 slots,
                 log: Vec::new(),
@@ -292,8 +309,7 @@ impl Coordinator {
                 journal: None,
                 wedged: false,
                 sent: Vec::new(),
-            },
-            ledger,
+            })),
             ops: VecDeque::new(),
             machine: None,
             gather: None,
@@ -309,7 +325,7 @@ impl Coordinator {
     /// each gets a clone of the model and the slot rows the plan assigns
     /// to it. Only meaningful while the log is empty.
     pub(crate) fn shard_nodes(&self) -> Vec<ShardNode> {
-        let rep = &self.rep;
+        let rep = self.rep.borrow();
         (0..rep.plan.shards)
             .map(|id| {
                 let owned: BTreeMap<usize, SlotRow> = rep
@@ -319,7 +335,8 @@ impl Coordinator {
                     .filter(|(slot, _)| rep.plan.owner(*slot) == id)
                     .map(|(slot, d)| (slot, d.clone()))
                     .collect();
-                ShardNode::provision(id, rep.plan, rep.lambda, rep.model.clone(), owned)
+                let lambda = rep.ledger.lambda();
+                ShardNode::provision(id, rep.plan, lambda, rep.model.clone(), owned)
             })
             .collect()
     }
@@ -329,7 +346,7 @@ impl Coordinator {
     /// answerable through the accessors, but no effect may be
     /// externalized past the durable log.
     pub fn handle(&mut self, msg: Msg, out: &mut Outbox) {
-        if self.rep.wedged {
+        if self.is_wedged() {
             return;
         }
         match msg {
@@ -345,7 +362,7 @@ impl Coordinator {
                 // outstanding request: any chain or request dropped while
                 // the shard was down is restarted, and duplicate answers
                 // are discarded by request id.
-                let entries = self.rep.log[have as usize..].to_vec();
+                let entries = self.rep.borrow().log[have as usize..].to_vec();
                 out.push((
                     shard + 1,
                     Msg::Log {
@@ -366,7 +383,7 @@ impl Coordinator {
     /// operations while idle) until its machine asks something of the
     /// shards, or the queue is empty.
     fn drive(&mut self, mut answer: Option<(u64, Answer)>, out: &mut Outbox) {
-        while !self.rep.wedged {
+        while !self.is_wedged() {
             if self.machine.is_none() {
                 let Some(op) = self.ops.pop_front() else {
                     return;
@@ -380,13 +397,13 @@ impl Coordinator {
                 }
             }
             let machine = self.machine.as_mut().expect("started above");
-            let step = machine.resume(Some(&mut self.ledger), &mut self.rep, answer.take());
-            out.append(&mut self.rep.sent);
+            let step = machine.resume(answer.take());
+            out.append(&mut self.rep.borrow_mut().sent);
             match step {
                 Step::Ask(ticket) => return self.scatter(ticket, out),
                 Step::Done(outcome) => {
                     self.machine = None;
-                    self.complete_ok(outcome.into());
+                    self.complete_ok(outcome);
                 }
                 Step::Stopped => self.machine = None, // wedged: abort the operation
             }
@@ -396,16 +413,22 @@ impl Coordinator {
     /// The machine for one operation, or its rejection: rows are validated
     /// and encoded, and evicted slots checked, before anything mutates —
     /// the single-node atomicity contract.
-    fn start(&self, op: Op) -> Result<Machine, OpOutcome> {
+    fn start(&self, op: Op) -> Result<Machine<'static, OpOutcome>, OpOutcome> {
         let rep = &self.rep;
+        let evicted = |report| OpOutcome::Evict(Ok(report));
         match op {
-            Op::Ingest(rows) => match self.codec.encode_all(&rows, rep.slots.len()) {
-                Ok(rows) => Ok(Machine::ingest(rows)),
+            Op::Ingest(rows) => match self.codec.encode_all(&rows, self.n_slots()) {
+                Ok(rows) => {
+                    Ok(Machine::ingest(rep, rows).map(|report| OpOutcome::Ingest(Ok(report))))
+                }
                 Err(e) => Err(OpOutcome::Ingest(Err(e))),
             },
-            Op::Evict(slots) => Machine::evict(slots, rep).map_err(|e| OpOutcome::Evict(Err(e))),
-            Op::EvictOldest(count) => Ok(Machine::evict_oldest(count, &self.ledger, rep)),
-            Op::Reoptimize => Ok(Machine::reoptimize()),
+            Op::Evict(slots) => match Machine::evict(rep, slots) {
+                Ok(machine) => Ok(machine.map(evicted)),
+                Err(e) => Err(OpOutcome::Evict(Err(e))),
+            },
+            Op::EvictOldest(count) => Ok(Machine::evict_oldest(rep, count).map(evicted)),
+            Op::Reoptimize => Ok(Machine::reoptimize(rep).map(OpOutcome::Reoptimize)),
         }
     }
 
@@ -413,16 +436,12 @@ impl Coordinator {
     /// names.
     fn scatter(&mut self, ticket: Ticket, out: &mut Outbox) {
         debug_assert!(self.outstanding.is_empty(), "one request at a time");
-        let plan = self.rep.plan;
+        let plan = self.rep.borrow().plan;
         let answer = match ticket.request {
             Request::Score { start } => {
-                let rows = self
-                    .machine
-                    .as_ref()
-                    .expect("a request has a machine")
-                    .arrivals();
+                let machine = self.machine.as_ref().expect("a request has a machine");
                 let mut by_shard: BTreeMap<usize, Vec<(usize, SlotRow)>> = BTreeMap::new();
-                for (slot, d) in (start..).zip(rows) {
+                for (slot, d) in (start..).zip(machine.arrivals().iter()) {
                     let items = by_shard.entry(plan.owner(slot)).or_default();
                     items.push((slot, d.clone()));
                 }
@@ -450,10 +469,10 @@ impl Coordinator {
             Request::Rebuild => {
                 // One fold chain per engine chunk, hopping through the
                 // chunk's owners in slot order.
-                let n = self.rep.slots.len();
+                let n = self.n_slots();
                 for (chunk, range) in fairkm_parallel::chunk_ranges(n).enumerate() {
                     let segments = plan.segments(range);
-                    let (owner, acc) = (segments[0].0, self.rep.model.zeroed_delta());
+                    let (owner, acc) = (segments[0].0, self.rep.borrow().model.zeroed_delta());
                     let idx = 0;
                     let part = Part::Fold {
                         chunk,
@@ -477,7 +496,7 @@ impl Coordinator {
     /// Ask `shard` for `part` at the current log version, recording the
     /// ask as outstanding.
     fn ask(&mut self, shard: usize, part: Part, out: &mut Outbox) {
-        let (req, version) = (self.next_req, self.rep.log.len() as u64);
+        let (req, version) = (self.next_req, self.log_len());
         self.next_req += 1;
         let msg = Msg::Ask { req, version, part };
         self.outstanding.insert(req, (shard + 1, msg.clone()));
@@ -508,13 +527,13 @@ impl Coordinator {
     /// wedged coordinator seals nothing: an earlier batch never reached
     /// the journal, so an `OP_DONE` record here would cover a hole.
     fn complete_ok(&mut self, outcome: OpOutcome) {
-        if self.rep.wedged {
+        if self.is_wedged() {
             return;
         }
-        if self.rep.journal.is_some() {
+        if self.rep.borrow().journal.is_some() {
             let mut payload = vec![REC_OP_DONE];
             self.put_books(&mut payload);
-            if !self.rep.journal_append(&payload) {
+            if !self.rep.borrow_mut().journal_append(&payload) {
                 return; // wedged: withhold the result
             }
             self.ops_since_snapshot += 1;
@@ -523,9 +542,10 @@ impl Coordinator {
                 .is_some_and(|every| self.ops_since_snapshot >= every)
             {
                 let bytes = self.snapshot_bytes();
-                let store = self.rep.journal.as_mut().expect("journal checked above");
+                let mut rep = self.rep.borrow_mut();
+                let store = rep.journal.as_mut().expect("journal checked above");
                 if store.snapshot(&bytes).is_err() {
-                    self.rep.wedged = true;
+                    rep.wedged = true;
                     return;
                 }
                 self.ops_since_snapshot = 0;
@@ -550,7 +570,7 @@ impl Coordinator {
             return Err(ShardError::StateDirNotEmpty);
         }
         store.snapshot(&self.snapshot_bytes())?;
-        self.rep.journal = Some(store);
+        self.rep.borrow_mut().journal = Some(store);
         self.snapshot_every = snapshot_every;
         self.ops_since_snapshot = 0;
         Ok(())
@@ -561,15 +581,15 @@ impl Coordinator {
     /// operation stopped part-way, so a snapshot here would persist
     /// bookkeeping that no operation record seals.
     pub fn snapshot_now(&mut self) -> Result<(), ShardError> {
-        if self.rep.wedged {
+        if self.is_wedged() {
             return Err(ShardError::Wedged);
         }
-        if self.rep.journal.is_none() {
+        if self.rep.borrow().journal.is_none() {
             return Ok(());
         }
-        // Serialize before re-borrowing the journal mutably.
-        let bytes = self.snapshot_bytes_inner();
-        if let Some(store) = self.rep.journal.as_mut() {
+        // Serialize before borrowing the journal mutably.
+        let bytes = self.snapshot_bytes();
+        if let Some(store) = self.rep.borrow_mut().journal.as_mut() {
             store.snapshot(&bytes)?;
             self.ops_since_snapshot = 0;
         }
@@ -578,7 +598,7 @@ impl Coordinator {
 
     /// Whether a failed journal write wedged the coordinator.
     pub fn is_wedged(&self) -> bool {
-        self.rep.wedged
+        self.rep.borrow().wedged
     }
 
     /// Rebuild a coordinator from its durable store: decode the newest
@@ -586,7 +606,9 @@ impl Coordinator {
     /// re-apply the exact aggregate mutations (each entry checked against
     /// the slot rows first, [`LogEntry::check`]), completed operations
     /// restore the bookkeeping they sealed. Every corruption
-    /// mode surfaces as a typed error; trailing entry batches with no
+    /// mode surfaces as a typed error, as does an operation record whose λ
+    /// is not the stream's, or a last sealed eviction cursor that does not
+    /// fit the replayed slot rows; trailing entry batches with no
     /// sealing operation record mark the recovery `interrupted` (the
     /// in-flight operation is lost, its replicated entries are kept).
     pub fn recover(
@@ -599,19 +621,28 @@ impl Coordinator {
         let mut replayed_entries = 0;
         let mut replayed_ops = 0;
         let mut interrupted = false;
+        let mut guard = c.rep.borrow_mut();
+        let rep = &mut *guard;
         for record in &recovered.entries {
             let mut r = Reader::new(record);
             match r.take(1)?[0] {
                 REC_ENTRIES => {
                     for _ in 0..r.get_len(1)? {
-                        c.rep.replay(LogEntry::from_reader(&mut r)?)?;
+                        rep.replay(LogEntry::from_reader(&mut r)?)?;
                         replayed_entries += 1;
                     }
                     r.expect_empty()?;
                     interrupted = true;
                 }
                 REC_OP_DONE => {
-                    (c.ledger, c.rep.fallbacks, c.next_req) = get_books(&mut r)?;
+                    let (ledger, fallbacks, next_req) = get_books(&mut r)?;
+                    // The shards score with the λ they were provisioned with.
+                    if ledger.lambda().to_bits() != rep.ledger.lambda().to_bits() {
+                        return Err(ShardError::Wire(WireError::Invalid {
+                            what: "ledger λ vs stream",
+                        }));
+                    }
+                    (rep.ledger, rep.fallbacks, c.next_req) = (ledger, fallbacks, next_req);
                     r.expect_empty()?;
                     replayed_ops += 1;
                     interrupted = false;
@@ -624,12 +655,17 @@ impl Coordinator {
                 }
             }
         }
-        c.rep.model.refresh_cache();
+        // Later entries only kill slots or append them, so the last
+        // sealed cursor must still hold over the replayed slot rows.
+        rep.check_cursor()?;
+        rep.model.refresh_cache();
         if interrupted {
             // The sealed bookkeeping predates the trailing batches; the
             // objective must match the aggregates that shards hold.
-            c.ledger.reread(&mut c.rep.model);
+            rep.ledger.reread(&mut rep.model);
         }
+        rep.journal = Some(store);
+        drop(guard);
         // Start a fresh request-id block so the new incarnation can never
         // reuse an id the dead in-flight operation already put on the
         // wire — a delayed stale response must not be claimable by a
@@ -645,7 +681,6 @@ impl Coordinator {
             skipped_snapshots: recovered.skipped_snapshots,
             skipped_segments: recovered.skipped_segments,
         };
-        c.rep.journal = Some(store);
         c.snapshot_every = snapshot_every;
         c.ops_since_snapshot = 0;
         // Persist the epoch bump (and bound the next replay) with a fresh
@@ -662,11 +697,7 @@ impl Coordinator {
     /// are only taken at operation boundaries, where all of it is empty.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         debug_assert!(self.machine.is_none(), "coordinator snapshots only at idle");
-        self.snapshot_bytes_inner()
-    }
-
-    fn snapshot_bytes_inner(&self) -> Vec<u8> {
-        let rep = &self.rep;
+        let rep = self.rep.borrow();
         let mut out = Vec::new();
         wire::put_usize(&mut out, rep.plan.shards);
         wire::put_usize(&mut out, rep.plan.block);
@@ -694,8 +725,9 @@ impl Coordinator {
     /// the layout [`get_books`] reads. Both the snapshot and the
     /// `REC_OP_DONE` journal record carry it.
     fn put_books(&self, out: &mut Vec<u8>) {
-        self.ledger.put(out, DeltaEngine::Incremental);
-        wire::put_usize(out, self.rep.fallbacks);
+        let rep = self.rep.borrow();
+        rep.ledger.put(out, DeltaEngine::Incremental);
+        wire::put_usize(out, rep.fallbacks);
         wire::put_u64(out, self.next_req);
     }
 
@@ -703,8 +735,9 @@ impl Coordinator {
     /// corruption, or cross-field inconsistency — never a panic. The row
     /// codec must fit the model ([`RowCodec::check`]), every provisioned
     /// slot row must fit the model's shape, the model's counts must be the
-    /// rows', and every stored log entry must pass [`LogEntry::check`] as
-    /// it replays — the log is shipped to resyncing shards.
+    /// rows', every stored log entry must pass [`LogEntry::check`] as it
+    /// replays — the log is shipped to resyncing shards — and the ledger's
+    /// eviction cursor must fit the replayed rows.
     pub fn decode_snapshot(bytes: &[u8]) -> Result<Self, ShardError> {
         let mut r = Reader::new(bytes);
         let shards = r.get_usize()?;
@@ -737,12 +770,16 @@ impl Coordinator {
             }));
         }
         let mut c = Self::new(plan, Arc::new(codec), ledger, model, slots);
-        (c.rep.fallbacks, c.next_req) = (fallbacks, next_req);
+        c.next_req = next_req;
+        let mut rep = c.rep.borrow_mut();
+        rep.fallbacks = fallbacks;
         for _ in 0..r.get_len(1)? {
-            c.rep.replay(LogEntry::from_reader(&mut r)?)?;
+            rep.replay(LogEntry::from_reader(&mut r)?)?;
         }
         r.expect_empty()?;
-        c.rep.model.refresh_cache();
+        rep.check_cursor()?;
+        rep.model.refresh_cache();
+        drop(rep);
         Ok(c)
     }
 
@@ -760,32 +797,34 @@ impl Coordinator {
 
     /// Current objective over the live partition.
     pub fn objective(&self) -> f64 {
-        self.ledger.objective()
+        self.rep.borrow().ledger.objective()
     }
 
-    /// Bounded objective trace (single-node bookkeeping, bit for bit).
-    pub fn trace(&self) -> &[f64] {
-        self.ledger.trace()
+    /// A copy of the bounded objective trace (single-node bookkeeping, bit
+    /// for bit).
+    pub fn trace(&self) -> Vec<f64> {
+        self.rep.borrow().ledger.trace().to_vec()
     }
 
     /// Live (assigned) point count.
     pub fn live(&self) -> usize {
-        self.rep.model.live()
+        self.rep.borrow().model.live()
     }
 
     /// Total backing-store slots, tombstones included.
     pub fn n_slots(&self) -> usize {
-        self.rep.slots.len()
+        self.rep.borrow().slots.len()
     }
 
     /// Whether `slot` holds a live point.
     pub fn is_live(&self, slot: usize) -> bool {
-        self.rep.is_live(slot)
+        self.rep.borrow().is_live(slot)
     }
 
     /// Cluster of `slot`, `None` for tombstones and out-of-range slots.
     pub fn assignment_of(&self, slot: usize) -> Option<usize> {
         self.rep
+            .borrow()
             .slots
             .get(slot)
             .map(|d| d.cluster)
@@ -794,41 +833,40 @@ impl Coordinator {
 
     /// Live slot ids in ascending order.
     pub fn live_slots(&self) -> Vec<usize> {
-        (0..self.rep.slots.len())
-            .filter(|&s| self.is_live(s))
-            .collect()
+        let rep = self.rep.borrow();
+        (0..rep.slots.len()).filter(|&s| rep.is_live(s)).collect()
     }
 
     /// Cluster prototypes (means), zeros for empty clusters.
     pub fn prototypes(&self) -> Vec<Vec<f64>> {
-        self.rep.model.prototypes()
+        self.rep.borrow().model.prototypes()
     }
 
     /// Number of clusters.
     pub fn k(&self) -> usize {
-        self.rep.model.k()
+        self.rep.borrow().model.k()
     }
 
     /// Re-optimizations run (drift-triggered plus explicit).
     pub fn reopts(&self) -> usize {
-        self.ledger.reopts()
+        self.rep.borrow().ledger.reopts()
     }
 
     /// Windows whose simultaneous application hurt and fell back to the
     /// sequential scan.
     pub fn fallbacks(&self) -> usize {
-        self.rep.fallbacks
+        self.rep.borrow().fallbacks
     }
 
     /// Length of the replicated log.
     pub fn log_len(&self) -> u64 {
-        self.rep.log.len() as u64
+        self.rep.borrow().log.len() as u64
     }
 
     /// Serialized coordinator replica — the reference bits for replica
     /// agreement checks.
     pub fn model_bytes(&self) -> Vec<u8> {
-        self.rep.model.to_bytes()
+        self.rep.borrow().model.to_bytes()
     }
 }
 

@@ -139,8 +139,8 @@ impl ShardedFairKm {
         self.coordinator.objective()
     }
 
-    /// Bounded objective trace.
-    pub fn trace(&self) -> &[f64] {
+    /// A copy of the bounded objective trace.
+    pub fn trace(&self) -> Vec<f64> {
         self.coordinator.trace()
     }
 

@@ -12,7 +12,8 @@
 //!   table (the only copy of each row), and a totally ordered **mutation
 //!   log**. It runs each operation as the single-node engine's own step
 //!   machine ([`fairkm_core::Machine`]) over its shared
-//!   [`fairkm_core::RowCodec`] and [`fairkm_core::DriverLedger`]: the
+//!   [`fairkm_core::RowCodec`], with its replica and
+//!   [`fairkm_core::DriverLedger`] behind the machine's shared cell: the
 //!   machine's read-only requests (arrival scoring, move proposals,
 //!   rebuild folds) are scattered to the shards and gathered back, and
 //!   each batch of log entries it commits is journaled and broadcast. The
@@ -695,6 +696,55 @@ mod tests {
         assert!(matches!(
             Coordinator::decode_snapshot(&spliced),
             Err(ShardError::Wire(WireError::Invalid { .. }))
+        ));
+    }
+
+    /// The ledger inside a coordinator snapshot or an operation record is
+    /// checked like the single-node one: a λ bootstrap would reject, a λ
+    /// that is not the stream's, or an eviction cursor past a live slot or
+    /// past the slots is a typed error.
+    #[test]
+    fn a_bad_lambda_or_eviction_cursor_is_rejected() {
+        use fairkm_core::wire::WireError;
+
+        let data = workload();
+        let disk = SharedMemBackend::new();
+        let (mut c, mut s) =
+            Coordinator::provision(parts(&data, 11), ShardPlan::new(2, 16).unwrap());
+        c.make_durable(Box::new(disk.clone()), None).unwrap();
+        run_op(&mut c, &mut s, Op::EvictOldest(2)).unwrap();
+        let invalid = |r: Result<Coordinator, ShardError>| {
+            matches!(r, Err(ShardError::Wire(WireError::Invalid { .. })))
+        };
+
+        // The plan's two words, then the ledger: λ, the window (no pinned
+        // width: one byte), the δ engine and four words before the cursor.
+        let bytes = c.snapshot_bytes();
+        let (lambda, cursor) = (16, 16 + 8 + 1 + 1 + 4 * 8);
+        assert_eq!(bytes[cursor..cursor + 8], 2u64.to_le_bytes());
+        let patched = |at: usize, field: [u8; 8]| {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(&field);
+            Coordinator::decode_snapshot(&b)
+        };
+        assert!(patched(cursor, 1u64.to_le_bytes()).is_ok());
+        for bad in [f64::NAN, -1.0] {
+            assert!(invalid(patched(lambda, bad.to_le_bytes())), "λ = {bad}");
+        }
+        for bad in [3, c.n_slots() as u64 + 5] {
+            assert!(invalid(patched(cursor, bad.to_le_bytes())), "cursor {bad}");
+        }
+
+        // An operation record whose sealed λ differs from the stream's.
+        let (mut store, recovered) = DurableStore::open(disk.clone()).unwrap();
+        let mut done = recovered.entries.last().unwrap().clone();
+        let other = f64::from_le_bytes(done[1..9].try_into().unwrap()) * 2.0;
+        done[1..9].copy_from_slice(&other.to_le_bytes());
+        store.append(&done).unwrap();
+        store.sync().unwrap();
+        drop(store);
+        assert!(invalid(
+            Coordinator::recover(Box::new(disk), None).map(|r| r.0)
         ));
     }
 

@@ -11,7 +11,7 @@
 //! without affecting replica state.
 
 use fairkm_core::{
-    AggregateDelta, Answer, EvictReport, FairKmError, IngestReport, LogEntry, Outcome, SlotRow,
+    AggregateDelta, Answer, EvictReport, FairKmError, IngestReport, LogEntry, SlotRow,
 };
 use fairkm_data::Value;
 
@@ -39,17 +39,6 @@ pub enum OpOutcome {
     Evict(Result<EvictReport, FairKmError>),
     /// Moves made by an [`Op::Reoptimize`].
     Reoptimize(usize),
-}
-
-impl From<Outcome> for OpOutcome {
-    fn from(outcome: Outcome) -> Self {
-        match outcome {
-            Outcome::Ingest(report) => OpOutcome::Ingest(Ok(report)),
-            Outcome::Evict(report) => OpOutcome::Evict(Ok(report)),
-            Outcome::Reoptimize(moves) => OpOutcome::Reoptimize(moves),
-            Outcome::Pass { .. } => unreachable!("the coordinator runs no bare passes"),
-        }
-    }
 }
 
 /// Protocol messages. Coordinator = node 0, shard `s` = node `s + 1`.

@@ -4,7 +4,7 @@
 //!
 //! * every path (frozen assign, serving view, ingest, durable ingest, the
 //!   sharded coordinator) accepts and rejects exactly the same rows,
-//!   auxiliary cells included;
+//!   auxiliary cells and overflowing norms included;
 //! * `live_views` returns bit for bit the sensitive space a full `Dataset`
 //!   of every row ever seen would give for the live slots;
 //! * a snapshot payload from before the format tag decodes to a typed
@@ -75,32 +75,31 @@ fn is_unknown_note(e: &FairKmError) -> bool {
     )
 }
 
-#[test]
-fn a_bad_auxiliary_cell_is_rejected_on_every_path() {
-    let bad = row![0.05, 0.05, "b", 30.0, "zzz"];
-    let batch = vec![arrival(40), bad.clone()];
+/// Assert that `bad` is rejected with an error `expected` accepts by
+/// every path: frozen assign, the serving view, ingest (atomically, as the
+/// second row of a batch), the durable stream (journaling nothing) and the
+/// sharded coordinator. Returns the engine it was checked against.
+fn assert_rejected_on_every_path(
+    bad: &[Value],
+    expected: impl Fn(&FairKmError) -> bool,
+) -> StreamingFairKm {
+    let batch = vec![arrival(40), bad.to_vec()];
     let mut s = StreamingFairKm::bootstrap(corpus(24), config()).unwrap();
 
-    let err = s.assign_frozen(&bad).unwrap_err();
-    assert!(is_unknown_note(&err), "{err:?}");
-    let err = s.serving_view().assign(&bad).unwrap_err();
-    assert!(is_unknown_note(&err), "{err:?}");
+    let err = s.assign_frozen(bad).unwrap_err();
+    assert!(expected(&err), "{err:?}");
+    let err = s.serving_view().assign(bad).unwrap_err();
+    assert!(expected(&err), "{err:?}");
 
     let (live, n_slots) = (s.live(), s.n_slots());
     let err = s.ingest(&batch).unwrap_err();
-    assert!(is_unknown_note(&err), "{err:?}");
+    assert!(expected(&err), "{err:?}");
     assert_eq!((s.live(), s.n_slots()), (live, n_slots), "ingest is atomic");
-
-    // In arrival order: the earlier row's auxiliary error is reported
-    // before a later row's sensitive error.
-    let bad_sensitive = row![0.05, 0.05, "zzz", 30.0, "p"];
-    let err = s.ingest(&[bad.clone(), bad_sensitive]).unwrap_err();
-    assert!(is_unknown_note(&err), "{err:?}");
 
     let mut d = DurableStream::create(SharedMemBackend::new(), corpus(24), config(), None).unwrap();
     let seq = d.store().next_seq();
     match d.ingest(&batch) {
-        Err(PersistError::Model(e)) => assert!(is_unknown_note(&e), "{e:?}"),
+        Err(PersistError::Model(e)) => assert!(expected(&e), "{e:?}"),
         other => panic!("durable ingest accepted a bad row: {other:?}"),
     }
     assert_eq!(
@@ -112,9 +111,29 @@ fn a_bad_auxiliary_cell_is_rejected_on_every_path() {
 
     let mut sharded = ShardedFairKm::bootstrap(corpus(24), config(), 2, 4).unwrap();
     let err = sharded.ingest(&batch).unwrap_err();
-    assert!(is_unknown_note(&err), "{err:?}");
+    assert!(expected(&err), "{err:?}");
     assert_eq!(sharded.live(), live);
     assert!(sharded.replicas_agree());
+    s
+}
+
+#[test]
+fn a_bad_auxiliary_cell_is_rejected_on_every_path() {
+    let bad = row![0.05, 0.05, "b", 30.0, "zzz"];
+    let mut s = assert_rejected_on_every_path(&bad, is_unknown_note);
+    // In arrival order: the earlier row's auxiliary error is reported
+    // before a later row's sensitive error.
+    let bad_sensitive = row![0.05, 0.05, "zzz", 30.0, "p"];
+    let err = s.ingest(&[bad, bad_sensitive]).unwrap_err();
+    assert!(is_unknown_note(&err), "{err:?}");
+}
+
+#[test]
+fn a_row_whose_squared_norm_overflows_is_rejected_on_every_path() {
+    // Finite cells whose encoded ‖x‖² is ∞: accepted, its sum would turn
+    // the cluster's member-norm aggregate to ∞, and its removal to NaN.
+    let huge = row![1e300, 1e300, "b", 30.0, "p"];
+    assert_rejected_on_every_path(&huge, |e| matches!(e, FairKmError::NormOverflow));
 }
 
 /// The live views' sensitive space, compared with the construction from a
