@@ -1,24 +1,36 @@
-//! Crash-safe persistence for the streaming engine: a [`DurableStream`]
-//! wraps [`StreamingFairKm`] so every mutation is journaled to a
-//! write-ahead log and periodic checksummed snapshots bound replay time.
+//! Crash-safe persistence: a [`Journal`] is the one durability wrapper
+//! both streaming hosts run on — the single-node [`DurableStream`] (a
+//! [`StreamingFairKm`] that journals each mutation's inputs as a
+//! [`StreamOp`]) and the shard coordinator (which journals each committed
+//! entry batch and then a bookkeeping record). Each host supplies its own
+//! records and its own snapshot writer; the journal owns the store, the
+//! snapshot cadence, the wedge and the deferred snapshot failure.
 //!
 //! ## Durability contract
 //!
-//! Every mutating call (`ingest`, `evict`, `evict_oldest`, `reoptimize`,
-//! `compact`) applies the operation to the in-memory engine, then appends
-//! the operation to the WAL and **fsyncs before returning**. The report the
-//! caller externalizes is therefore always covered by the durable log: a
-//! crash at any point loses at most operations whose results no caller ever
-//! saw. [`DurableStream::open`] recovers by decoding the newest verifying
-//! snapshot and replaying the WAL suffix; because the engine is
-//! bitwise-deterministic, the recovered state reproduces the uninterrupted
-//! run exactly — assignments, objective, and trace compare equal down to
-//! the float bits.
-//!
-//! If appending or syncing the journal fails, the in-memory engine is ahead
-//! of the durable log; the stream enters a **wedged** state and every
-//! further mutation returns [`PersistError::Wedged`] rather than silently
-//! widening the gap. Reads still work; recovery is to reopen from disk.
+//! * **Journal before return.** [`Journal::append`] appends one record to
+//!   the write-ahead log and **fsyncs it before returning**. A host
+//!   appends every effect before it externalizes it, so whatever a caller
+//!   saw is covered by the durable log: a crash loses at most operations
+//!   whose results no caller ever saw.
+//! * **Wedge on a failed append.** If appending or syncing fails, the
+//!   host's memory is ahead of the durable log; the journal **wedges** and
+//!   every later append and snapshot returns [`PersistError::Wedged`]
+//!   rather than silently widening the gap. Reads still work; recovery is
+//!   to reopen from disk.
+//! * **A failed cadence snapshot defers.** [`Journal::seal`] marks one
+//!   completed operation and, every `snapshot_every` operations, writes a
+//!   snapshot. The operation is already durable in the WAL, so a failed
+//!   snapshot does not wedge and must not read as a failed (retryable)
+//!   operation: the host returns the result and the failure is stashed as
+//!   [`PersistError::SnapshotAfterCommit`] for
+//!   [`Journal::take_snapshot_failure`]. The snapshot is retried at the
+//!   next operation.
+//! * **Recovery.** [`Journal::open`] hands the host the newest verifying
+//!   snapshot and the WAL suffix to replay, with one [`RecoveryReport`].
+//!   Both hosts are bitwise-deterministic, so the recovered state
+//!   reproduces the uninterrupted run exactly — assignments, objective,
+//!   and trace compare equal down to the float bits.
 //!
 //! Snapshots serialize the engine's delta-maintained float aggregates
 //! verbatim ([`StreamingFairKm::to_snapshot_bytes`]) — a
@@ -58,23 +70,23 @@ pub enum PersistError {
         source: FairKmError,
     },
     /// A previous journal append or sync failed, leaving the in-memory
-    /// engine ahead of the durable log. Mutations are refused; reopen from
-    /// disk to recover.
+    /// state ahead of the durable log. Mutations and snapshots are
+    /// refused; reopen from disk to recover.
     Wedged,
     /// The operation **was durably journaled and applied** — only the
     /// cadence snapshot that followed failed. The operation must not be
     /// retried (it is committed; retrying would double-apply it). The
-    /// stream is not wedged: the snapshot is retried at the next cadence
-    /// point or explicitly via [`DurableStream::snapshot_now`]. Because
-    /// the op committed, mutators return their report normally and stash
-    /// this error for [`DurableStream::take_snapshot_failure`] instead of
+    /// journal is not wedged: the snapshot is retried at the next cadence
+    /// point or explicitly via [`Journal::snapshot_now`]. Because the op
+    /// committed, hosts return its result normally and the journal stashes
+    /// this error for [`Journal::take_snapshot_failure`] instead of
     /// failing the call.
     SnapshotAfterCommit {
         /// Why the snapshot write failed.
         source: Box<PersistError>,
     },
-    /// The state directory already holds data; `create` refuses to clobber
-    /// an existing stream.
+    /// The state directory already holds data; [`Journal::create`]
+    /// refuses to clobber it.
     StateDirNotEmpty,
 }
 
@@ -94,7 +106,7 @@ impl std::fmt::Display for PersistError {
             PersistError::Wedged => write!(
                 f,
                 "stream is wedged: a journal write failed earlier, so the \
-                 in-memory engine is ahead of the durable log; reopen from disk"
+                 in-memory state is ahead of the durable log; reopen from disk"
             ),
             PersistError::StateDirNotEmpty => {
                 write!(f, "state directory already holds a stream")
@@ -210,12 +222,13 @@ impl StreamOp {
     }
 }
 
-/// What [`DurableStream::open`] did to get back to the pre-crash state.
-#[derive(Debug, Clone)]
+/// What [`Journal::open`] recovered from: the base snapshot and the
+/// journal suffix replayed over it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Sequence number of the snapshot recovery started from.
     pub snapshot_seq: u64,
-    /// Journal entries replayed on top of the snapshot.
+    /// Journal records replayed on top of the snapshot.
     pub replayed: usize,
     /// Byte offset at which a torn final-segment tail was truncated, if one
     /// was found (the crash artifact the WAL design expects).
@@ -228,11 +241,11 @@ pub struct RecoveryReport {
     pub skipped_segments: Vec<String>,
 }
 
-/// A [`StreamingFairKm`] with crash-safe durability: see the
-/// [module docs](self) for the journal-then-return contract.
+/// The durability wrapper of both streaming hosts: a [`DurableStore`],
+/// the snapshot cadence, the wedge and the deferred snapshot failure. See
+/// the [module docs](self) for the contract.
 #[derive(Debug)]
-pub struct DurableStream<B: StorageBackend> {
-    stream: StreamingFairKm,
+pub struct Journal<B: StorageBackend> {
     store: DurableStore<B>,
     snapshot_every: Option<u64>,
     ops_since_snapshot: u64,
@@ -240,35 +253,153 @@ pub struct DurableStream<B: StorageBackend> {
     deferred_snapshot_failure: Option<PersistError>,
 }
 
+impl<B: StorageBackend> Journal<B> {
+    fn new(store: DurableStore<B>, snapshot_every: Option<u64>, ops_since_snapshot: u64) -> Self {
+        Self {
+            store,
+            snapshot_every,
+            ops_since_snapshot,
+            wedge_cause: None,
+            deferred_snapshot_failure: None,
+        }
+    }
+
+    /// A journal over an empty state directory. Refuses one that already
+    /// holds data ([`PersistError::StateDirNotEmpty`]) — recovery goes
+    /// through [`Self::open`], and clobbering is never implicit. The host
+    /// writes its first snapshot with [`Self::snapshot_now`].
+    ///
+    /// `snapshot_every` bounds replay: after that many sealed operations a
+    /// fresh snapshot is written and the WAL rolls. `None` journals
+    /// forever (snapshot explicitly via [`Self::snapshot_now`]).
+    pub fn create(backend: B, snapshot_every: Option<u64>) -> Result<Self, PersistError> {
+        let (store, recovered) = DurableStore::open(backend)?;
+        if recovered.snapshot.is_some() || !recovered.entries.is_empty() {
+            return Err(PersistError::StateDirNotEmpty);
+        }
+        Ok(Self::new(store, snapshot_every, 0))
+    }
+
+    /// Reopen a state directory: the journal, the newest verifying
+    /// snapshot, the journal records to replay over it in order, and what
+    /// recovery did. [`PersistError::NoSnapshot`] when no snapshot decodes.
+    #[allow(clippy::type_complexity)]
+    pub fn open(
+        backend: B,
+        snapshot_every: Option<u64>,
+    ) -> Result<(Self, Vec<u8>, Vec<Vec<u8>>, RecoveryReport), PersistError> {
+        let (store, recovered) = DurableStore::open(backend)?;
+        let snapshot = recovered.snapshot.ok_or(PersistError::NoSnapshot)?;
+        let replayed = recovered.entries.len();
+        let report = RecoveryReport {
+            snapshot_seq: recovered.snapshot_seq,
+            replayed,
+            truncated_tail: recovered.truncated_tail,
+            skipped_snapshots: recovered.skipped_snapshots,
+            skipped_segments: recovered.skipped_segments,
+        };
+        let journal = Self::new(store, snapshot_every, replayed as u64);
+        Ok((journal, snapshot, recovered.entries, report))
+    }
+
+    /// [`PersistError::Wedged`] once a journal write has failed.
+    fn check_wedged(&self) -> Result<(), PersistError> {
+        match self.wedge_cause {
+            Some(_) => Err(PersistError::Wedged),
+            None => Ok(()),
+        }
+    }
+
+    /// Append one record and fsync it. Refused while wedged; a failure
+    /// wedges the journal, and the host must externalize nothing of the
+    /// effect the record describes.
+    pub fn append(&mut self, record: &[u8]) -> Result<(), PersistError> {
+        self.check_wedged()?;
+        let written = self.store.append(record).and_then(|_| self.store.sync());
+        if let Err(e) = written {
+            self.wedge_cause = Some(e.to_string());
+            return Err(e.into());
+        }
+        Ok(())
+    }
+
+    /// Mark one operation complete (its records are appended) and run the
+    /// snapshot cadence with `write_snapshot`. A failed cadence snapshot is
+    /// stashed as [`PersistError::SnapshotAfterCommit`], not returned: the
+    /// operation is committed, and the cadence retries on the next one.
+    pub fn seal(&mut self, write_snapshot: impl FnOnce(&mut Vec<u8>)) {
+        self.ops_since_snapshot += 1;
+        if self
+            .snapshot_every
+            .is_some_and(|every| self.ops_since_snapshot >= every)
+        {
+            if let Err(e) = self.snapshot_now(write_snapshot) {
+                let source = Box::new(e);
+                self.deferred_snapshot_failure = Some(PersistError::SnapshotAfterCommit { source });
+            }
+        }
+    }
+
+    /// Write a snapshot now (sealing the WAL suffix first), its payload
+    /// appended in place by `write_snapshot`, and reset the cadence
+    /// counter. Refused while wedged: the host's memory is ahead of its
+    /// journal. Returns the snapshot's sequence number.
+    pub fn snapshot_now(
+        &mut self,
+        write_snapshot: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<u64, PersistError> {
+        self.check_wedged()?;
+        let seq = self.store.snapshot_with(write_snapshot)?;
+        self.ops_since_snapshot = 0;
+        Ok(seq)
+    }
+
+    /// Read access to the underlying store (sequence numbers, backend).
+    pub fn store(&self) -> &DurableStore<B> {
+        &self.store
+    }
+
+    /// The storage failure that wedged this journal, if any (see
+    /// [`PersistError::Wedged`]) — what a serving layer reports alongside
+    /// its degraded read-only mode.
+    pub fn wedge_cause(&self) -> Option<&str> {
+        self.wedge_cause.as_deref()
+    }
+
+    /// Take the stashed cadence-snapshot failure, if the last sealed
+    /// operation's follow-up snapshot failed. The operation itself is
+    /// durable (see [`PersistError::SnapshotAfterCommit`]); callers that
+    /// care about snapshot lag check this after mutating and must not
+    /// retry the operation.
+    pub fn take_snapshot_failure(&mut self) -> Option<PersistError> {
+        self.deferred_snapshot_failure.take()
+    }
+}
+
+/// A [`StreamingFairKm`] with crash-safe durability: every mutation is
+/// applied in memory, journaled as a [`StreamOp`] and sealed on a
+/// [`Journal`] (see the [module docs](self)).
+#[derive(Debug)]
+pub struct DurableStream<B: StorageBackend> {
+    stream: StreamingFairKm,
+    journal: Journal<B>,
+}
+
 impl<B: StorageBackend> DurableStream<B> {
     /// Bootstrap a new durable stream: fit the initial corpus, then write
     /// the bootstrap snapshot. Refuses a state directory that already
-    /// holds stream data ([`PersistError::StateDirNotEmpty`]) — recovery
-    /// goes through [`Self::open`], and clobbering is never implicit.
-    ///
-    /// `snapshot_every` bounds replay: after that many journaled
-    /// operations a fresh snapshot is written and the WAL rolls. `None`
-    /// journals forever (snapshot explicitly via [`Self::snapshot_now`]).
+    /// holds stream data ([`PersistError::StateDirNotEmpty`]).
+    /// `snapshot_every` is the [`Journal::create`] cadence.
     pub fn create(
         backend: B,
         dataset: fairkm_data::Dataset,
         config: StreamingConfig,
         snapshot_every: Option<u64>,
     ) -> Result<Self, PersistError> {
-        let (mut store, recovered) = DurableStore::open(backend)?;
-        if recovered.snapshot.is_some() || !recovered.entries.is_empty() {
-            return Err(PersistError::StateDirNotEmpty);
-        }
+        let mut journal = Journal::create(backend, snapshot_every)?;
         let stream = StreamingFairKm::bootstrap(dataset, config)?;
-        store.snapshot_with(|buf| stream.write_snapshot_bytes(buf))?;
-        Ok(Self {
-            stream,
-            store,
-            snapshot_every,
-            ops_since_snapshot: 0,
-            wedge_cause: None,
-            deferred_snapshot_failure: None,
-        })
+        journal.snapshot_now(|buf| stream.write_snapshot_bytes(buf))?;
+        Ok(Self { stream, journal })
     }
 
     /// Recover a durable stream from its state directory: decode the newest
@@ -280,32 +411,14 @@ impl<B: StorageBackend> DurableStream<B> {
         threads: Option<usize>,
         snapshot_every: Option<u64>,
     ) -> Result<(Self, RecoveryReport), PersistError> {
-        let (store, recovered) = DurableStore::open(backend)?;
-        let snap = recovered.snapshot.ok_or(PersistError::NoSnapshot)?;
-        let mut stream = StreamingFairKm::from_snapshot_bytes(&snap, threads)?;
-        for (index, entry) in recovered.entries.iter().enumerate() {
+        let (journal, snapshot, entries, report) = Journal::open(backend, snapshot_every)?;
+        let mut stream = StreamingFairKm::from_snapshot_bytes(&snapshot, threads)?;
+        for (index, entry) in entries.iter().enumerate() {
             let op = StreamOp::from_bytes(entry)?;
             Self::apply(&mut stream, &op)
                 .map_err(|source| PersistError::Replay { index, source })?;
         }
-        let report = RecoveryReport {
-            snapshot_seq: recovered.snapshot_seq,
-            replayed: recovered.entries.len(),
-            truncated_tail: recovered.truncated_tail,
-            skipped_snapshots: recovered.skipped_snapshots,
-            skipped_segments: recovered.skipped_segments,
-        };
-        Ok((
-            Self {
-                stream,
-                store,
-                snapshot_every,
-                ops_since_snapshot: recovered.entries.len() as u64,
-                wedge_cause: None,
-                deferred_snapshot_failure: None,
-            },
-            report,
-        ))
+        Ok((Self { stream, journal }, report))
     }
 
     /// Apply one operation to the engine — the single dispatch both live
@@ -331,94 +444,53 @@ impl<B: StorageBackend> DurableStream<B> {
         Ok(())
     }
 
-    /// Journal `op` durably (append + fsync), then run the snapshot
-    /// cadence. Called only after the operation already succeeded in
-    /// memory; a journal failure wedges the stream. A failure of the
-    /// *cadence snapshot* does not wedge — the WAL already covers the
-    /// operation — and it must not read as a failed (retryable) op, so
-    /// it is stashed as [`PersistError::SnapshotAfterCommit`] for
-    /// [`Self::take_snapshot_failure`] while the call itself succeeds;
-    /// the unrolled cadence counter retries the snapshot on the next op.
-    fn journal(&mut self, op: &StreamOp) -> Result<(), PersistError> {
-        let res = (|| {
-            self.store.append(&op.to_bytes())?;
-            self.store.sync()
-        })();
-        if let Err(e) = res {
-            self.wedge_cause = Some(e.to_string());
-            return Err(e.into());
-        }
-        self.ops_since_snapshot += 1;
-        if let Some(every) = self.snapshot_every {
-            if self.ops_since_snapshot >= every {
-                if let Err(e) = self.snapshot_now() {
-                    self.deferred_snapshot_failure = Some(PersistError::SnapshotAfterCommit {
-                        source: Box::new(e),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn check_wedged(&self) -> Result<(), PersistError> {
-        if self.wedge_cause.is_some() {
-            Err(PersistError::Wedged)
-        } else {
-            Ok(())
-        }
+    /// Run one mutation on the engine, then journal it as `op()` and seal
+    /// it. A rejected mutation journals nothing; a wedged stream runs none.
+    fn durably<R>(
+        &mut self,
+        run: impl FnOnce(&mut StreamingFairKm) -> Result<R, FairKmError>,
+        op: impl FnOnce() -> StreamOp,
+    ) -> Result<R, PersistError> {
+        self.journal.check_wedged()?;
+        let report = run(&mut self.stream)?;
+        self.journal.append(&op().to_bytes())?;
+        let stream = &self.stream;
+        self.journal.seal(|buf| stream.write_snapshot_bytes(buf));
+        Ok(report)
     }
 
     /// Durable [`StreamingFairKm::ingest`].
     pub fn ingest(&mut self, rows: &[Vec<Value>]) -> Result<IngestReport, PersistError> {
-        self.check_wedged()?;
-        let report = self.stream.ingest(rows)?;
-        self.journal(&StreamOp::Ingest(rows.to_vec()))?;
-        Ok(report)
+        self.durably(|s| s.ingest(rows), || StreamOp::Ingest(rows.to_vec()))
     }
 
     /// Durable [`StreamingFairKm::evict`].
     pub fn evict(&mut self, slots: &[usize]) -> Result<EvictReport, PersistError> {
-        self.check_wedged()?;
-        let report = self.stream.evict(slots)?;
-        self.journal(&StreamOp::Evict(slots.to_vec()))?;
-        Ok(report)
+        self.durably(|s| s.evict(slots), || StreamOp::Evict(slots.to_vec()))
     }
 
     /// Durable [`StreamingFairKm::evict_oldest`].
     pub fn evict_oldest(&mut self, count: usize) -> Result<EvictReport, PersistError> {
-        self.check_wedged()?;
-        let report = self.stream.evict_oldest(count)?;
-        self.journal(&StreamOp::EvictOldest(count))?;
-        Ok(report)
+        self.durably(|s| s.evict_oldest(count), || StreamOp::EvictOldest(count))
     }
 
     /// Durable explicit [`StreamingFairKm::reoptimize`]. Returns the number
     /// of moves.
     pub fn reoptimize(&mut self) -> Result<usize, PersistError> {
-        self.check_wedged()?;
-        let moves = self.stream.reoptimize();
-        self.journal(&StreamOp::Reoptimize)?;
-        Ok(moves)
+        self.durably(|s| Ok(s.reoptimize()), || StreamOp::Reoptimize)
     }
 
     /// Durable [`StreamingFairKm::compact`]. Returns the kept-slot mapping.
     pub fn compact(&mut self) -> Result<Vec<usize>, PersistError> {
-        self.check_wedged()?;
-        let kept = self.stream.compact()?;
-        self.journal(&StreamOp::Compact)?;
-        Ok(kept)
+        self.durably(StreamingFairKm::compact, || StreamOp::Compact)
     }
 
-    /// Write a snapshot now (sealing the WAL suffix first) and reset the
-    /// snapshot cadence counter. Returns the snapshot's sequence number.
+    /// Write a snapshot now ([`Journal::snapshot_now`]). Returns the
+    /// snapshot's sequence number.
     pub fn snapshot_now(&mut self) -> Result<u64, PersistError> {
-        self.check_wedged()?;
-        let seq = self
-            .store
-            .snapshot_with(|buf| self.stream.write_snapshot_bytes(buf))?;
-        self.ops_since_snapshot = 0;
-        Ok(seq)
+        let stream = &self.stream;
+        self.journal
+            .snapshot_now(|buf| stream.write_snapshot_bytes(buf))
     }
 
     /// Read access to the wrapped engine.
@@ -428,28 +500,23 @@ impl<B: StorageBackend> DurableStream<B> {
 
     /// Read access to the underlying store (sequence numbers, backend).
     pub fn store(&self) -> &DurableStore<B> {
-        &self.store
+        self.journal.store()
     }
 
     /// Whether a journal failure has wedged this stream (see
     /// [`PersistError::Wedged`]).
     pub fn is_wedged(&self) -> bool {
-        self.wedge_cause.is_some()
+        self.journal.wedge_cause().is_some()
     }
 
-    /// The storage failure that wedged this stream, if any — what a
-    /// serving layer reports alongside its degraded read-only mode.
+    /// [`Journal::wedge_cause`].
     pub fn wedge_cause(&self) -> Option<&str> {
-        self.wedge_cause.as_deref()
+        self.journal.wedge_cause()
     }
 
-    /// Take the stashed cadence-snapshot failure, if the last committed
-    /// mutation's follow-up snapshot failed. The mutation itself is
-    /// durable (see [`PersistError::SnapshotAfterCommit`]); callers that
-    /// care about snapshot lag check this after mutating and must not
-    /// retry the op.
+    /// [`Journal::take_snapshot_failure`].
     pub fn take_snapshot_failure(&mut self) -> Option<PersistError> {
-        self.deferred_snapshot_failure.take()
+        self.journal.take_snapshot_failure()
     }
 
     /// Drop durability and keep the in-memory engine (e.g. to hand off to

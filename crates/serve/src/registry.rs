@@ -17,7 +17,7 @@ use fairkm_data::Value;
 use fairkm_store::StorageBackend;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Typed registry failure; [`Self::status`] gives the HTTP mapping.
 #[derive(Debug)]
@@ -123,19 +123,36 @@ struct Tenant<B: StorageBackend> {
 }
 
 impl<B: StorageBackend> Tenant<B> {
-    fn current_view(&self) -> Arc<ServingView> {
-        match self.view.read() {
-            Ok(guard) => Arc::clone(&guard),
-            Err(poisoned) => Arc::clone(&poisoned.into_inner()),
+    /// The writer, locked even if a thread panicked while holding it.
+    fn writer(&self) -> MutexGuard<'_, DurableStream<B>> {
+        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The registry error for a failed `writer` call on tenant `name`. A
+    /// wedged writer (earlier, or by this call) is the typed 503: memory
+    /// is ahead of the log, the call is NOT acked, and the published view
+    /// stays at the last acked state.
+    fn failed(name: &str, writer: &DurableStream<B>, e: PersistError) -> ServeError {
+        match e {
+            _ if writer.is_wedged() => ServeError::Wedged {
+                tenant: name.to_string(),
+                cause: writer
+                    .wedge_cause()
+                    .unwrap_or("journal write failed")
+                    .to_string(),
+            },
+            PersistError::Model(e) => ServeError::Model(e),
+            e => ServeError::Persist(e),
         }
+    }
+
+    fn current_view(&self) -> Arc<ServingView> {
+        Arc::clone(&self.view.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     fn publish(&self, view: ServingView) {
         let view = Arc::new(view);
-        match self.view.write() {
-            Ok(mut guard) => *guard = view,
-            Err(poisoned) => *poisoned.into_inner() = view,
-        }
+        *self.view.write().unwrap_or_else(PoisonError::into_inner) = view;
     }
 }
 
@@ -158,10 +175,7 @@ impl<B: StorageBackend> Registry<B> {
     }
 
     fn tenant(&self, name: &str) -> Result<Arc<Tenant<B>>, ServeError> {
-        let map = match self.tenants.read() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let map = self.tenants.read().unwrap_or_else(PoisonError::into_inner);
         map.get(name)
             .cloned()
             .ok_or_else(|| ServeError::UnknownTenant(name.to_string()))
@@ -171,10 +185,7 @@ impl<B: StorageBackend> Registry<B> {
     /// `name`. The initial serving view is captured here.
     pub fn register(&self, name: &str, stream: DurableStream<B>) -> Result<(), ServeError> {
         let view = stream.stream().serving_view();
-        let mut map = match self.tenants.write() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut map = self.tenants.write().unwrap_or_else(PoisonError::into_inner);
         if map.contains_key(name) {
             return Err(ServeError::TenantExists(name.to_string()));
         }
@@ -191,10 +202,7 @@ impl<B: StorageBackend> Registry<B> {
 
     /// Tenant names in sorted order.
     pub fn names(&self) -> Vec<String> {
-        let map = match self.tenants.read() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let map = self.tenants.read().unwrap_or_else(PoisonError::into_inner);
         map.keys().cloned().collect()
     }
 
@@ -240,10 +248,7 @@ impl<B: StorageBackend> Registry<B> {
         name: &str,
         op: impl FnOnce(&mut DurableStream<B>) -> Result<R, PersistError>,
     ) -> Result<MutationOutcome<R>, ServeError> {
-        let mut writer = match tenant.writer.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut writer = tenant.writer();
         match op(&mut writer) {
             Ok(report) => {
                 // The op is journaled: republish the read view and
@@ -256,28 +261,7 @@ impl<B: StorageBackend> Registry<B> {
                     snapshot_deferred,
                 })
             }
-            Err(PersistError::Wedged) => Err(ServeError::Wedged {
-                tenant: name.to_string(),
-                cause: writer
-                    .wedge_cause()
-                    .unwrap_or("journal write failed")
-                    .to_string(),
-            }),
-            Err(e) => {
-                if writer.is_wedged() {
-                    // This op wedged the stream: memory is ahead of
-                    // the log and the op is NOT acked. The published
-                    // view stays at the last acked state.
-                    Err(ServeError::Wedged {
-                        tenant: name.to_string(),
-                        cause: e.to_string(),
-                    })
-                } else if let PersistError::Model(e) = e {
-                    Err(ServeError::Model(e))
-                } else {
-                    Err(ServeError::Persist(e))
-                }
-            }
+            Err(e) => Err(Tenant::failed(name, &writer, e)),
         }
     }
 
@@ -302,30 +286,16 @@ impl<B: StorageBackend> Registry<B> {
     /// Explicit snapshot; returns the new snapshot sequence number.
     pub fn snapshot(&self, name: &str) -> Result<u64, ServeError> {
         let tenant = self.tenant(name)?;
-        let mut writer = match tenant.writer.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        match writer.snapshot_now() {
-            Ok(seq) => Ok(seq),
-            Err(PersistError::Wedged) => Err(ServeError::Wedged {
-                tenant: name.to_string(),
-                cause: writer
-                    .wedge_cause()
-                    .unwrap_or("journal write failed")
-                    .to_string(),
-            }),
-            Err(e) => Err(ServeError::Persist(e)),
-        }
+        let mut writer = tenant.writer();
+        writer
+            .snapshot_now()
+            .map_err(|e| Tenant::failed(name, &writer, e))
     }
 
     /// Read-only statistics for one tenant.
     pub fn stats(&self, name: &str) -> Result<TenantStats, ServeError> {
         let tenant = self.tenant(name)?;
-        let writer = match tenant.writer.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let writer = tenant.writer();
         let s = writer.stream();
         Ok(TenantStats {
             name: name.to_string(),
@@ -342,12 +312,7 @@ impl<B: StorageBackend> Registry<B> {
 
     /// Whether the tenant's writer is wedged (degraded read-only mode).
     pub fn is_wedged(&self, name: &str) -> Result<bool, ServeError> {
-        let tenant = self.tenant(name)?;
-        let writer = match tenant.writer.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        Ok(writer.is_wedged())
+        Ok(self.tenant(name)?.writer().is_wedged())
     }
 }
 

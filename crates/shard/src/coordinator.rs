@@ -36,29 +36,34 @@
 //! duplicate responses are discarded by request id. On top of them:
 //!
 //! * **Journal before broadcast.** With a journal attached
-//!   ([`Coordinator::make_durable`]), every mutation batch is appended and
-//!   fsynced to the write-ahead log *before* any shard sees it, and a
-//!   bookkeeping record is sealed before an operation's result surfaces.
-//!   The durable log therefore always covers every externalized effect:
-//!   [`Coordinator::recover`] never has to roll a shard back. A journal
-//!   write that fails mid-batch **wedges** the coordinator — it stops
-//!   broadcasting and refuses further work rather than let replicas run
-//!   ahead of durable state; recovery reopens from the store. The wedge
-//!   covers the *whole* operation: once set, no later journal record
-//!   (in particular the sealing `OP_DONE`), no client-visible result,
-//!   and no snapshot can be written, so a transiently failing backend
-//!   can never seal bookkeeping over a missing entry batch.
+//!   ([`Coordinator::make_durable`], on the single node's [`Journal`]), every
+//!   mutation batch is appended and fsynced to the write-ahead log
+//!   *before* any shard sees it, and a bookkeeping record is appended
+//!   before an operation's result surfaces. The durable log therefore
+//!   always covers every externalized effect: [`Coordinator::recover`]
+//!   never has to roll a shard back. A journal write that fails
+//!   **wedges** the coordinator — it stops broadcasting and refuses
+//!   further work rather than let replicas run ahead of durable state;
+//!   recovery reopens from the store. The wedge covers the *whole*
+//!   operation: once set, no later journal record (in particular the
+//!   sealing `OP_DONE`), no client-visible result, and no snapshot can be
+//!   written, so a transiently failing backend can never seal bookkeeping
+//!   over a missing entry batch. A failed *cadence snapshot* after a
+//!   durable `OP_DONE` does not wedge: the operation is committed, so its
+//!   result surfaces and the failure is deferred to
+//!   [`Coordinator::take_snapshot_failure`], as on the single node.
 
 use crate::plan::ShardPlan;
 use crate::protocol::{Msg, Op, OpOutcome, Part};
 use crate::shard::{Outbox, ShardNode};
 use crate::ShardError;
+use fairkm_core::persist::{Journal, PersistError, RecoveryReport};
 use fairkm_core::wire::{self, Reader, WireError};
 use fairkm_core::{
     Answer, ClusterModel, DeltaEngine, DriverLedger, Entry, Host, LogEntry, Machine, Replica,
     Request, RowCodec, ShardParts, SlotRow, Step, Ticket, TOMBSTONE,
 };
-use fairkm_store::{DurableStore, StorageBackend};
+use fairkm_store::StorageBackend;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
@@ -76,24 +81,15 @@ const REQ_EPOCH_SHIFT: u32 = 32;
 /// What [`Coordinator::recover`] rebuilt from the durable store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoordinatorRecovery {
-    /// Sequence of the snapshot recovery was based on.
-    pub snapshot_seq: u64,
+    /// The base snapshot and the journal records replayed over it.
+    pub journal: RecoveryReport,
     /// Log entries replayed from the journal suffix.
     pub replayed_entries: usize,
-    /// Completed operations replayed from the journal suffix.
-    pub replayed_ops: usize,
     /// `true` when the journal ends with entry batches that no completed
     /// operation sealed — the coordinator crashed mid-operation. The
     /// batches are kept (shards may have applied them; the log never
     /// rolls back) but the in-flight operation produced no result.
     pub interrupted: bool,
-    /// Byte offset a torn final journal segment was truncated to.
-    pub truncated_tail: Option<u64>,
-    /// Corrupt snapshots skipped in favor of an older base.
-    pub skipped_snapshots: Vec<String>,
-    /// Defective journal segments wholly below the recovery base, skipped
-    /// because the base snapshot already covers their entries.
-    pub skipped_segments: Vec<String>,
 }
 
 /// The coordinator's replica of the clustering and everything a committed
@@ -115,11 +111,10 @@ struct Replicated {
     base: (ClusterModel, Vec<usize>),
     fallbacks: usize,
     /// Write-ahead journal; `None` runs the coordinator volatile (the
-    /// in-process driver and durability-free simulations).
-    journal: Option<DurableStore<Box<dyn StorageBackend>>>,
-    /// Set when a journal write failed: the coordinator refuses further
-    /// mutations rather than externalize effects the durable log missed.
-    wedged: bool,
+    /// in-process driver and durability-free simulations). Once a write
+    /// fails it is wedged, and the coordinator refuses further mutations
+    /// rather than externalize effects the durable log missed.
+    journal: Option<Journal<Box<dyn StorageBackend>>>,
     /// Log broadcasts staged by commits, handed to the caller's outbox.
     sent: Outbox,
 }
@@ -150,21 +145,6 @@ impl Replicated {
         let slots = &self.slots;
         self.ledger
             .check_cursor(slots.len(), |s| slots[s].cluster != TOMBSTONE)
-    }
-
-    /// Append one record to the journal and fsync it. `false` wedges the
-    /// coordinator (or reports it already wedged): the caller must
-    /// externalize nothing.
-    fn journal_append(&mut self, payload: &[u8]) -> bool {
-        if self.wedged {
-            return false;
-        }
-        let store = self.journal.as_mut().expect("journal checked by caller");
-        if store.append(payload).is_err() || store.sync().is_err() {
-            self.wedged = true;
-            return false;
-        }
-        true
     }
 }
 
@@ -219,13 +199,13 @@ impl Replica for Replicated {
                 LogEntry::Install { agg } => LogEntry::Install { agg },
             })
             .collect();
-        if self.journal.is_some() {
+        if let Some(journal) = &mut self.journal {
             let mut payload = vec![REC_ENTRIES];
             wire::put_usize(&mut payload, entries.len());
             for entry in &entries {
                 entry.to_bytes(&mut payload);
             }
-            if !self.journal_append(&payload) {
+            if journal.append(&payload).is_err() {
                 return false; // wedged: externalize nothing
             }
         }
@@ -270,9 +250,6 @@ pub struct Coordinator {
     /// one pending request.
     outstanding: BTreeMap<u64, (usize, Msg)>,
     results: VecDeque<OpOutcome>,
-    /// Journal a fresh snapshot after this many completed operations.
-    snapshot_every: Option<u64>,
-    ops_since_snapshot: u64,
 }
 
 impl Coordinator {
@@ -307,7 +284,6 @@ impl Coordinator {
                 base,
                 fallbacks: 0,
                 journal: None,
-                wedged: false,
                 sent: Vec::new(),
             })),
             ops: VecDeque::new(),
@@ -316,8 +292,6 @@ impl Coordinator {
             next_req: 0,
             outstanding: BTreeMap::new(),
             results: VecDeque::new(),
-            snapshot_every: None,
-            ops_since_snapshot: 0,
         }
     }
 
@@ -521,37 +495,37 @@ impl Coordinator {
         }
     }
 
-    /// Seal a completed operation: journal its bookkeeping record, roll
-    /// the snapshot cadence, and only then surface the result. A result
-    /// the client can observe is always covered by the durable log. A
-    /// wedged coordinator seals nothing: an earlier batch never reached
-    /// the journal, so an `OP_DONE` record here would cover a hole.
+    /// Seal a completed operation: journal its bookkeeping record and run
+    /// the snapshot cadence, then surface the result. A result the client
+    /// can observe is always covered by the durable log; a failed cadence
+    /// snapshot only defers ([`Journal::seal`]). A wedged journal refuses
+    /// the record: an earlier batch never reached it, so an `OP_DONE`
+    /// record here would cover a hole.
     fn complete_ok(&mut self, outcome: OpOutcome) {
-        if self.is_wedged() {
-            return;
-        }
-        if self.rep.borrow().journal.is_some() {
+        let sealed = self.with_journal(|journal, c| {
             let mut payload = vec![REC_OP_DONE];
-            self.put_books(&mut payload);
-            if !self.rep.borrow_mut().journal_append(&payload) {
-                return; // wedged: withhold the result
-            }
-            self.ops_since_snapshot += 1;
-            if self
-                .snapshot_every
-                .is_some_and(|every| self.ops_since_snapshot >= every)
-            {
-                let bytes = self.snapshot_bytes();
-                let mut rep = self.rep.borrow_mut();
-                let store = rep.journal.as_mut().expect("journal checked above");
-                if store.snapshot(&bytes).is_err() {
-                    rep.wedged = true;
-                    return;
-                }
-                self.ops_since_snapshot = 0;
-            }
+            c.put_books(&mut payload);
+            journal.append(&payload)?;
+            journal.seal(|buf| buf.extend(c.snapshot_bytes()));
+            Ok::<_, PersistError>(())
+        });
+        if let Some(Err(_)) = sealed {
+            return; // wedged: withhold the result
         }
         self.results.push_back(outcome);
+    }
+
+    /// Run `f` on the journal, taken out of the replica cell meanwhile so
+    /// that `f` may read the cell (the snapshot writer does). `None`
+    /// without a journal.
+    fn with_journal<T>(
+        &mut self,
+        f: impl FnOnce(&mut Journal<Box<dyn StorageBackend>>, &Self) -> T,
+    ) -> Option<T> {
+        let mut journal = self.rep.borrow_mut().journal.take()?;
+        let out = f(&mut journal, self);
+        self.rep.borrow_mut().journal = Some(journal);
+        Some(out)
     }
 
     // ---- durability ------------------------------------------------
@@ -565,40 +539,47 @@ impl Coordinator {
         backend: Box<dyn StorageBackend>,
         snapshot_every: Option<u64>,
     ) -> Result<(), ShardError> {
-        let (mut store, recovered) = DurableStore::open(backend)?;
-        if recovered.snapshot.is_some() || !recovered.entries.is_empty() {
-            return Err(ShardError::StateDirNotEmpty);
-        }
-        store.snapshot(&self.snapshot_bytes())?;
-        self.rep.borrow_mut().journal = Some(store);
-        self.snapshot_every = snapshot_every;
-        self.ops_since_snapshot = 0;
+        let mut journal = Journal::create(backend, snapshot_every)?;
+        journal.snapshot_now(|buf| buf.extend(self.snapshot_bytes()))?;
+        self.rep.borrow_mut().journal = Some(journal);
         Ok(())
     }
 
     /// Write a fresh durable snapshot now (no-op without a journal).
-    /// Refused on a wedged coordinator ([`ShardError::Wedged`]): its
-    /// operation stopped part-way, so a snapshot here would persist
-    /// bookkeeping that no operation record seals.
+    /// Refused while an operation is in flight
+    /// ([`ShardError::OperationInFlight`]): a snapshot is the state at an
+    /// operation boundary. Refused on a wedged coordinator
+    /// ([`PersistError::Wedged`]): its operation stopped part-way, so a
+    /// snapshot here would persist bookkeeping that no operation record
+    /// seals.
     pub fn snapshot_now(&mut self) -> Result<(), ShardError> {
-        if self.is_wedged() {
-            return Err(ShardError::Wedged);
+        // Queued operations that have not started change nothing yet.
+        if self.machine.is_some() {
+            return Err(ShardError::OperationInFlight);
         }
-        if self.rep.borrow().journal.is_none() {
-            return Ok(());
-        }
-        // Serialize before borrowing the journal mutably.
-        let bytes = self.snapshot_bytes();
-        if let Some(store) = self.rep.borrow_mut().journal.as_mut() {
-            store.snapshot(&bytes)?;
-            self.ops_since_snapshot = 0;
-        }
+        self.with_journal(|journal, c| journal.snapshot_now(|buf| buf.extend(c.snapshot_bytes())))
+            .transpose()?;
         Ok(())
     }
 
     /// Whether a failed journal write wedged the coordinator.
     pub fn is_wedged(&self) -> bool {
-        self.rep.borrow().wedged
+        self.wedge_cause().is_some()
+    }
+
+    /// The storage failure that wedged the coordinator, if any.
+    pub fn wedge_cause(&self) -> Option<String> {
+        let rep = self.rep.borrow();
+        rep.journal.as_ref()?.wedge_cause().map(str::to_string)
+    }
+
+    /// Take the stashed cadence-snapshot failure, if the last completed
+    /// operation's follow-up snapshot failed
+    /// ([`PersistError::SnapshotAfterCommit`]). The operation is durable
+    /// and its result surfaced; it must not be retried.
+    pub fn take_snapshot_failure(&mut self) -> Option<PersistError> {
+        let mut rep = self.rep.borrow_mut();
+        rep.journal.as_mut()?.take_snapshot_failure()
     }
 
     /// Rebuild a coordinator from its durable store: decode the newest
@@ -615,15 +596,13 @@ impl Coordinator {
         backend: Box<dyn StorageBackend>,
         snapshot_every: Option<u64>,
     ) -> Result<(Self, CoordinatorRecovery), ShardError> {
-        let (store, recovered) = DurableStore::open(backend)?;
-        let snapshot = recovered.snapshot.ok_or(ShardError::NoSnapshot)?;
+        let (journal, snapshot, records, report) = Journal::open(backend, snapshot_every)?;
         let mut c = Self::decode_snapshot(&snapshot)?;
         let mut replayed_entries = 0;
-        let mut replayed_ops = 0;
         let mut interrupted = false;
         let mut guard = c.rep.borrow_mut();
         let rep = &mut *guard;
-        for record in &recovered.entries {
+        for record in &records {
             let mut r = Reader::new(record);
             match r.take(1)?[0] {
                 REC_ENTRIES => {
@@ -644,7 +623,6 @@ impl Coordinator {
                     }
                     (rep.ledger, rep.fallbacks, c.next_req) = (ledger, fallbacks, next_req);
                     r.expect_empty()?;
-                    replayed_ops += 1;
                     interrupted = false;
                 }
                 tag => {
@@ -664,7 +642,7 @@ impl Coordinator {
             // objective must match the aggregates that shards hold.
             rep.ledger.reread(&mut rep.model);
         }
-        rep.journal = Some(store);
+        rep.journal = Some(journal);
         drop(guard);
         // Start a fresh request-id block so the new incarnation can never
         // reuse an id the dead in-flight operation already put on the
@@ -673,16 +651,10 @@ impl Coordinator {
         // does not perturb any state bits.
         c.next_req = ((c.next_req >> REQ_EPOCH_SHIFT) + 1) << REQ_EPOCH_SHIFT;
         let report = CoordinatorRecovery {
-            snapshot_seq: recovered.snapshot_seq,
+            journal: report,
             replayed_entries,
-            replayed_ops,
             interrupted,
-            truncated_tail: recovered.truncated_tail,
-            skipped_snapshots: recovered.skipped_snapshots,
-            skipped_segments: recovered.skipped_segments,
         };
-        c.snapshot_every = snapshot_every;
-        c.ops_since_snapshot = 0;
         // Persist the epoch bump (and bound the next replay) with a fresh
         // snapshot: a second crash before the next completed operation
         // must still land in a new id block.

@@ -50,19 +50,23 @@
 //! (bounded delay), shards may lag, and shards may **crash**, losing all
 //! volatile state, then rejoin from their latest durable snapshot via a
 //! sync handshake (`SyncRequest` → log suffix + re-issue of outstanding
-//! requests). The **coordinator crashes too**: it journals every mutation
-//! batch through a [`fairkm_store::DurableStore`] write-ahead log *before*
-//! broadcasting it (so the durable log always covers everything a shard
-//! could have applied) and seals a bookkeeping record before surfacing an
-//! operation result. [`Coordinator::recover`] rebuilds node 0 from the
-//! newest checksummed snapshot plus the WAL suffix; a crash at an
-//! operation boundary recovers **bitwise**, a crash mid-operation loses
-//! only the in-flight operation (its already-replicated entries are kept —
-//! the log never rolls back, so shards stay consistent) and reports
-//! `interrupted`. Storage faults (torn writes, lost unsynced suffixes, bit
-//! flips) surface as typed errors at recovery, never panics. Under every
-//! such schedule, once the system quiesces all replicas are bitwise equal
-//! to the single-node golden state.
+//! requests). The **coordinator crashes too**: it runs on the single
+//! node's durability wrapper ([`fairkm_core::persist::Journal`]), so it
+//! journals every mutation batch to the write-ahead log *before*
+//! broadcasting it (the durable log always covers everything a shard
+//! could have applied) and journals a bookkeeping record before surfacing
+//! an operation result. A failed journal write wedges it; a failed
+//! cadence snapshot after that record does not — the result surfaces and
+//! the failure is deferred ([`Coordinator::take_snapshot_failure`]).
+//! [`Coordinator::recover`] rebuilds node 0 from the newest checksummed
+//! snapshot plus the WAL suffix; a crash at an operation boundary recovers
+//! **bitwise**, a crash mid-operation loses only the in-flight operation
+//! (its already-replicated entries are kept — the log never rolls back, so
+//! shards stay consistent) and reports `interrupted`. Storage faults (torn
+//! writes, lost unsynced suffixes, bit flips) surface as typed errors at
+//! recovery, never panics. Under every such schedule, once the system
+//! quiesces all replicas are bitwise equal to the single-node golden
+//! state.
 //!
 //! Drive it in-process with [`ShardedFairKm`], or inside the
 //! deterministic [`fairkm_sim`] simulator with [`build_simulation`].
@@ -85,9 +89,9 @@ pub use plan::ShardPlan;
 pub use protocol::{Msg, Op, OpOutcome, Part};
 pub use shard::{Outbox, ShardNode};
 
+use fairkm_core::persist::PersistError;
 use fairkm_core::wire::WireError;
 use fairkm_core::FairKmError;
-use fairkm_store::StoreError;
 
 /// Errors specific to sharded deployment.
 #[derive(Debug)]
@@ -106,22 +110,17 @@ pub enum ShardError {
     },
     /// The underlying single-node engine failed.
     Core(FairKmError),
-    /// The coordinator's durable store failed (I/O, checksum mismatch,
-    /// log gap, simulated crash).
-    Store(StoreError),
+    /// The coordinator's journal failed or refused: a storage fault, no
+    /// snapshot to recover from, a state directory that already holds
+    /// durable state, or a wedge — a journal write failed earlier and
+    /// stopped an operation part-way, so snapshots are refused and the
+    /// coordinator must be recovered from the state directory.
+    Persist(PersistError),
     /// A durable snapshot or journal record failed to decode.
     Wire(WireError),
-    /// Coordinator recovery found no snapshot to recover from.
-    NoSnapshot,
-    /// [`Coordinator::make_durable`] refused a state directory that
-    /// already holds snapshots or log entries — recovering over them
-    /// would silently shadow existing state.
-    StateDirNotEmpty,
-    /// A journal write failed earlier and stopped an operation part-way,
-    /// leaving the in-memory coordinator ahead of what the durable log
-    /// seals. Snapshots are refused — persisting it would diverge from
-    /// its own journal. Recover from the state directory instead.
-    Wedged,
+    /// [`Coordinator::snapshot_now`] was called while an operation is in
+    /// flight: its state is not at an operation boundary.
+    OperationInFlight,
 }
 
 impl std::fmt::Display for ShardError {
@@ -134,19 +133,11 @@ impl std::fmt::Display for ShardError {
                 write!(f, "invalid shard plan: shards={shards}, block={block}")
             }
             ShardError::Core(e) => write!(f, "core engine error: {e}"),
-            ShardError::Store(e) => write!(f, "coordinator durable store: {e}"),
+            ShardError::Persist(e) => write!(f, "coordinator journal: {e}"),
             ShardError::Wire(e) => write!(f, "coordinator durable state: {e}"),
-            ShardError::NoSnapshot => {
-                write!(f, "no durable coordinator snapshot to recover from")
+            ShardError::OperationInFlight => {
+                write!(f, "an operation is in flight; snapshot once it completes")
             }
-            ShardError::StateDirNotEmpty => {
-                write!(f, "state directory already holds durable coordinator state")
-            }
-            ShardError::Wedged => write!(
-                f,
-                "coordinator is wedged: a journal write failed earlier, so the \
-                 in-memory state is ahead of the durable log; recover from disk"
-            ),
         }
     }
 }
@@ -155,7 +146,7 @@ impl std::error::Error for ShardError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ShardError::Core(e) => Some(e),
-            ShardError::Store(e) => Some(e),
+            ShardError::Persist(e) => Some(e),
             ShardError::Wire(e) => Some(e),
             _ => None,
         }
@@ -168,9 +159,9 @@ impl From<FairKmError> for ShardError {
     }
 }
 
-impl From<StoreError> for ShardError {
-    fn from(e: StoreError) -> Self {
-        ShardError::Store(e)
+impl From<PersistError> for ShardError {
+    fn from(e: PersistError) -> Self {
+        ShardError::Persist(e)
     }
 }
 
@@ -326,7 +317,7 @@ mod tests {
 
     use crate::shard::Outbox;
     use fairkm_core::ShardParts;
-    use fairkm_store::{DurableStore, FaultPlan, SharedMemBackend, TornWrite};
+    use fairkm_store::{DurableStore, FaultPlan, SharedMemBackend, StoreError, TornWrite};
     use std::collections::VecDeque;
 
     fn parts(data: &Dataset, seed: u64) -> ShardParts {
@@ -470,7 +461,7 @@ mod tests {
         let (mut c2, _s2) = Coordinator::provision(parts(&data, 11), plan);
         assert!(matches!(
             c2.make_durable(Box::new(disk), None),
-            Err(ShardError::StateDirNotEmpty)
+            Err(ShardError::Persist(PersistError::StateDirNotEmpty))
         ));
     }
 
@@ -511,27 +502,45 @@ mod tests {
         assert_eq!(fingerprint(&c), last_completed);
     }
 
-    /// A backend whose next append fails *transiently* (ENOSPC-style):
-    /// nothing reaches the file and the fault clears by itself, so a
-    /// later, smaller append would succeed. Unlike [`TornWrite`], this is
-    /// exactly the fault where a leaky wedge lets the small `OP_DONE`
-    /// record land over the missing entry batch.
+    /// A backend whose next append, or next atomic write, fails
+    /// *transiently* (ENOSPC-style): nothing reaches the file and the
+    /// fault clears by itself, so a later, smaller append would succeed.
+    /// Unlike [`TornWrite`], this is exactly the fault where a leaky wedge
+    /// lets the small `OP_DONE` record land over the missing entry batch.
     #[derive(Debug, Clone)]
     struct TransientFailBackend {
         inner: SharedMemBackend,
-        fail_next: std::rc::Rc<std::cell::Cell<u32>>,
+        fail_next_append: std::rc::Rc<std::cell::Cell<bool>>,
+        fail_next_write: std::rc::Rc<std::cell::Cell<bool>>,
     }
 
     impl TransientFailBackend {
         fn new(inner: SharedMemBackend) -> Self {
             Self {
                 inner,
-                fail_next: std::rc::Rc::new(std::cell::Cell::new(0)),
+                fail_next_append: Default::default(),
+                fail_next_write: Default::default(),
             }
         }
 
         fn fail_next_append(&self) {
-            self.fail_next.set(1);
+            self.fail_next_append.set(true);
+        }
+
+        fn fail_next_write_atomic(&self) {
+            self.fail_next_write.set(true);
+        }
+
+        /// The injected error if `armed` was set (disarming it).
+        fn injected(armed: &std::cell::Cell<bool>, name: &str) -> Result<(), StoreError> {
+            if !armed.replace(false) {
+                return Ok(());
+            }
+            Err(StoreError::Io {
+                op: "write",
+                file: name.to_string(),
+                message: "no space left on device (injected)".into(),
+            })
         }
     }
 
@@ -540,18 +549,11 @@ mod tests {
             self.inner.read(name)
         }
         fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            Self::injected(&self.fail_next_write, name)?;
             self.inner.write_atomic(name, bytes)
         }
         fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-            let n = self.fail_next.get();
-            if n > 0 {
-                self.fail_next.set(n - 1);
-                return Err(StoreError::Io {
-                    op: "write",
-                    file: name.to_string(),
-                    message: "no space left on device (injected)".into(),
-                });
-            }
+            Self::injected(&self.fail_next_append, name)?;
             self.inner.append(name, bytes)
         }
         fn sync(&mut self, name: &str) -> Result<(), StoreError> {
@@ -593,7 +595,10 @@ mod tests {
         assert!(c.is_wedged());
         // A wedged coordinator's model is ahead of its own journal: a
         // snapshot now would persist that divergence.
-        assert!(matches!(c.snapshot_now(), Err(ShardError::Wedged)));
+        assert!(matches!(
+            c.snapshot_now(),
+            Err(ShardError::Persist(PersistError::Wedged))
+        ));
         drop(c);
 
         // The journal must hold only the sealed prefix — no OP_DONE over
@@ -604,6 +609,96 @@ mod tests {
             "no part of the wedged operation may reach the journal"
         );
         assert_eq!(fingerprint(&c), last_completed);
+    }
+
+    /// A cadence snapshot that fails after the operation's `OP_DONE` record
+    /// is durable defers, as on the single node: the committed result
+    /// surfaces, the coordinator is not wedged, and recovery lands on the
+    /// surfaced state (a client that saw no result would retry, and the
+    /// retry would ingest the rows twice).
+    #[test]
+    fn failed_cadence_snapshot_surfaces_the_committed_result() {
+        let data = workload();
+        let arrivals: Vec<Vec<Value>> = (200..260).map(|r| data.row_values(r).unwrap()).collect();
+        let plan = ShardPlan::new(2, 16).unwrap();
+        let script: Vec<Op> = arrivals
+            .chunks(20)
+            .map(|rows| Op::Ingest(rows.to_vec()))
+            .collect();
+        let (mut ref_c, mut ref_s) = Coordinator::provision(parts(&data, 11), plan);
+        for op in &script {
+            run_op(&mut ref_c, &mut ref_s, op.clone()).unwrap();
+        }
+
+        let disk = SharedMemBackend::new();
+        let flaky = TransientFailBackend::new(disk.clone());
+        let (mut c, mut s) = Coordinator::provision(parts(&data, 11), plan);
+        c.make_durable(Box::new(flaky.clone()), Some(2)).unwrap();
+        run_op(&mut c, &mut s, script[0].clone()).unwrap();
+        // The second operation rolls the cadence snapshot; fail its write.
+        flaky.fail_next_write_atomic();
+        let outcome = run_op(&mut c, &mut s, script[1].clone());
+        assert!(
+            matches!(outcome, Some(OpOutcome::Ingest(Ok(_)))),
+            "the committed result was withheld"
+        );
+        assert!(!c.is_wedged(), "a cadence snapshot failure must not wedge");
+        assert!(matches!(
+            c.take_snapshot_failure(),
+            Some(PersistError::SnapshotAfterCommit { .. })
+        ));
+        assert!(c.take_snapshot_failure().is_none(), "take drains it");
+        run_op(&mut c, &mut s, script[2].clone()).expect("the next op completes");
+        assert_eq!(fingerprint(&c), fingerprint(&ref_c));
+        drop(c);
+
+        let (c, report) = Coordinator::recover(Box::new(disk), Some(2)).unwrap();
+        assert!(!report.interrupted);
+        assert_eq!(fingerprint(&c), fingerprint(&ref_c), "recovery diverged");
+    }
+
+    /// A snapshot mid-operation would persist the books of the last
+    /// completed operation over aggregates the operation already changed,
+    /// and recovery from it would not know the operation was interrupted.
+    #[test]
+    fn snapshot_now_is_refused_while_an_operation_is_in_flight() {
+        let data = workload();
+        let arrivals: Vec<Vec<Value>> = (200..300).map(|r| data.row_values(r).unwrap()).collect();
+        let disk = SharedMemBackend::new();
+        let (mut c, mut s) =
+            Coordinator::provision(parts(&data, 11), ShardPlan::new(2, 16).unwrap());
+        c.make_durable(Box::new(disk.clone()), None).unwrap();
+        for chunk in arrivals.chunks(25) {
+            run_op(&mut c, &mut s, Op::Ingest(chunk.to_vec())).unwrap();
+        }
+        let base_log = c.log_len();
+
+        // Pump a re-optimization until it has committed entries.
+        let mut out: Outbox = Vec::new();
+        c.handle(Msg::Op(Op::Reoptimize), &mut out);
+        let mut queue: VecDeque<(usize, Msg)> = out.into_iter().collect();
+        while c.log_len() == base_log {
+            let (to, msg) = queue.pop_front().expect("the op commits entries");
+            let mut out: Outbox = Vec::new();
+            if to == 0 {
+                c.handle(msg, &mut out);
+            } else {
+                s[to - 1].handle(msg, &mut out);
+            }
+            queue.extend(out);
+        }
+        assert!(!c.is_idle());
+        assert!(matches!(
+            c.snapshot_now(),
+            Err(ShardError::OperationInFlight)
+        ));
+        drop(c);
+
+        let (_, report) = Coordinator::recover(Box::new(disk), None).unwrap();
+        assert!(
+            report.interrupted,
+            "the refused snapshot hid the interruption"
+        );
     }
 
     #[test]
