@@ -1,4 +1,4 @@
-//! The coordinator: owner of the replicated mutation log, the durable
+//! The coordinator: sequencer of the replicated mutation log, the durable
 //! master copy of the slot rows, and the host of the single-node driver's
 //! step machine.
 //!
@@ -14,19 +14,22 @@
 //! [`ClusterModel`]), at the exact bits every shard holds.
 //!
 //! The replica — the driver ledger (the one copy of λ), the model, the
-//! slot rows, the log and the journal — sits behind the shared [`Host`]
-//! cell the machine reads and commits through, only between requests.
+//! slot rows, the log version and the journal — sits behind the shared
+//! [`Host`] cell the machine reads and commits through, only between
+//! requests. Committed entries are not kept: the log exists only as the
+//! broadcast batches and the journal, and a shard that missed some gets
+//! its state at the current version instead ([`ShardState`]).
 //!
 //! ## Durable layout
 //!
 //! The *books* — the ledger (with the δ-engine byte, always incremental
 //! here), the fallback count and the request-id counter — are encoded
-//! once and used twice: a snapshot is the placement plan, the books, the
-//! row codec, the provisioning model and slot rows, and the log; a
-//! `REC_OP_DONE` journal record is its tag followed by the books. Decoding
-//! checks the codec against the model ([`RowCodec::check`]) and every slot
-//! row against the model's shape and counts, then replays the log through
-//! the same entry check ([`LogEntry::check`]) as journal replay.
+//! once and used twice: a snapshot is the format tag, the placement plan,
+//! the books, the log version, the row codec, the current model and the
+//! slot rows; a `REC_OP_DONE` journal record is its tag followed by the
+//! books. Decoding checks the codec against the model
+//! ([`RowCodec::check`]), every slot row against the model's shape and
+//! counts, and the ledger's eviction cursor against the slot rows.
 //!
 //! ## Invariants the protocol's determinism rests on
 //!
@@ -54,7 +57,7 @@
 //!   [`Coordinator::take_snapshot_failure`], as on the single node.
 
 use crate::plan::ShardPlan;
-use crate::protocol::{Msg, Op, OpOutcome, Part};
+use crate::protocol::{Msg, Op, OpOutcome, Part, ShardState};
 use crate::shard::{Outbox, ShardNode};
 use crate::ShardError;
 use fairkm_core::persist::{Journal, PersistError, RecoveryReport};
@@ -73,6 +76,10 @@ use std::sync::Arc;
 pub(crate) const REC_ENTRIES: u8 = 0;
 /// Journal record sealing one completed operation's bookkeeping.
 const REC_OP_DONE: u8 = 1;
+/// Leading `u64` of every [`Coordinator::snapshot_bytes`] payload: the
+/// bytes `FKCOORD1`. Payloads written before the tag existed start with a
+/// shard count far below 2^56, so they can never carry it.
+const SNAPSHOT_FORMAT: u64 = u64::from_le_bytes(*b"FKCOORD1");
 /// Request ids are issued in per-incarnation blocks of `2^32`: recovery
 /// jumps to the next block so stale responses from a dead in-flight
 /// operation can never be claimed by the new incarnation.
@@ -93,9 +100,9 @@ pub struct CoordinatorRecovery {
 }
 
 /// The coordinator's replica of the clustering and everything a committed
-/// entry touches: the driver ledger, the model, the slot rows, the log, the
-/// journal, and the provisioning state a snapshot replays the log over.
-/// This is the [`Replica`] the step machine runs against.
+/// entry touches: the driver ledger, the model, the slot rows, the log
+/// version and the journal. This is the [`Replica`] the step machine runs
+/// against.
 #[derive(Debug)]
 struct Replicated {
     plan: ShardPlan,
@@ -105,10 +112,8 @@ struct Replicated {
     /// Per-slot payloads; `cluster` is the current assignment
     /// ([`TOMBSTONE`] for evicted slots) — the durable master copy.
     slots: Vec<SlotRow>,
-    log: Vec<LogEntry>,
-    /// The model and the slot clusters at log version 0. Rows are
-    /// write-once, so the provisioned rows are a prefix of `slots`.
-    base: (ClusterModel, Vec<usize>),
+    /// Log entries applied so far.
+    version: u64,
     fallbacks: usize,
     /// Write-ahead journal; `None` runs the coordinator volatile (the
     /// in-process driver and durability-free simulations). Once a write
@@ -120,24 +125,16 @@ struct Replicated {
 }
 
 impl Replicated {
-    /// Apply one entry to the replica and the slot rows, and log it.
+    /// Apply one entry to the replica and the slot rows.
     fn apply(&mut self, entry: LogEntry) {
         entry.apply_to(&mut self.model);
-        match &entry {
-            LogEntry::Insert { data, .. } => self.slots.push(data.clone()),
-            LogEntry::Remove { slot, .. } => self.slots[*slot].cluster = TOMBSTONE,
-            LogEntry::Move { slot, to, .. } => self.slots[*slot].cluster = *to,
+        match entry {
+            LogEntry::Insert { data, .. } => self.slots.push(data),
+            LogEntry::Remove { slot, .. } => self.slots[slot].cluster = TOMBSTONE,
+            LogEntry::Move { slot, to, .. } => self.slots[slot].cluster = to,
             LogEntry::Install { .. } => {}
         }
-        self.log.push(entry);
-    }
-
-    /// Apply a journaled or stored entry once [`LogEntry::check`] accepts
-    /// it against the replica and the slot rows.
-    fn replay(&mut self, entry: LogEntry) -> Result<(), WireError> {
-        entry.check(&self.model, &self.slots)?;
-        self.apply(entry);
-        Ok(())
+        self.version += 1;
     }
 
     /// Check the ledger's eviction cursor against the slot rows.
@@ -209,7 +206,7 @@ impl Replica for Replicated {
                 return false; // wedged: externalize nothing
             }
         }
-        let first = self.log.len() as u64;
+        let first = self.version;
         for shard in 0..self.plan.shards {
             let entries = entries.clone();
             self.sent.push((shard + 1, Msg::Log { first, entries }));
@@ -264,7 +261,7 @@ impl Coordinator {
         (coordinator, shards)
     }
 
-    /// An idle, volatile coordinator with an empty log.
+    /// An idle, volatile coordinator at log version 0.
     fn new(
         plan: ShardPlan,
         codec: Arc<RowCodec>,
@@ -272,7 +269,6 @@ impl Coordinator {
         model: ClusterModel,
         slots: Vec<SlotRow>,
     ) -> Self {
-        let base = (model.clone(), slots.iter().map(|d| d.cluster).collect());
         Self {
             codec,
             rep: Rc::new(RefCell::new(Replicated {
@@ -280,8 +276,7 @@ impl Coordinator {
                 ledger,
                 model,
                 slots,
-                log: Vec::new(),
-                base,
+                version: 0,
                 fallbacks: 0,
                 journal: None,
                 sent: Vec::new(),
@@ -295,24 +290,33 @@ impl Coordinator {
         }
     }
 
-    /// Shard replicas at log version 0 built from this coordinator's state:
-    /// each gets a clone of the model and the slot rows the plan assigns
-    /// to it. Only meaningful while the log is empty.
+    /// Shard replicas built from this coordinator's state, at its log
+    /// version.
     pub(crate) fn shard_nodes(&self) -> Vec<ShardNode> {
-        let rep = self.rep.borrow();
-        (0..rep.plan.shards)
-            .map(|id| {
-                let owned: BTreeMap<usize, SlotRow> = rep
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(slot, _)| rep.plan.owner(*slot) == id)
-                    .map(|(slot, d)| (slot, d.clone()))
-                    .collect();
-                let lambda = rep.ledger.lambda();
-                ShardNode::provision(id, rep.plan, lambda, rep.model.clone(), owned)
-            })
+        let plan = self.rep.borrow().plan;
+        (0..plan.shards)
+            .map(|id| ShardNode::provision(id, plan, self.shard_state(id)))
             .collect()
+    }
+
+    /// Shard `shard`'s replica at the current log version: λ, a clone of
+    /// the model, and the slot rows the plan assigns to it. The one way a
+    /// shard's state is built, at provisioning and at resync.
+    pub(crate) fn shard_state(&self, shard: usize) -> ShardState {
+        let rep = self.rep.borrow();
+        let owned = rep
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|&(slot, _)| rep.plan.owner(slot) == shard)
+            .map(|(slot, d)| (slot, d.clone()))
+            .collect();
+        ShardState {
+            lambda: rep.ledger.lambda(),
+            version: rep.version,
+            model: rep.model.clone(),
+            owned,
+        }
     }
 
     /// Handle one protocol message, staging sends on `out`. A wedged
@@ -332,18 +336,13 @@ impl Coordinator {
             }
             Msg::Answer { req, answer } => self.gathered(req, answer, out),
             Msg::SyncRequest { shard, have } => {
-                // Ship the missing log suffix, then re-issue every
-                // outstanding request: any chain or request dropped while
-                // the shard was down is restarted, and duplicate answers
-                // are discarded by request id.
-                let entries = self.rep.borrow().log[have as usize..].to_vec();
-                out.push((
-                    shard + 1,
-                    Msg::Log {
-                        first: have,
-                        entries,
-                    },
-                ));
+                // Hand a lagging shard its state at the current version,
+                // then re-issue every outstanding request: any chain or
+                // request dropped while the shard was down is restarted,
+                // and duplicate answers are discarded by request id.
+                if have < self.log_len() {
+                    out.push((shard + 1, Msg::Transfer(Box::new(self.shard_state(shard)))));
+                }
                 for (target, msg) in self.outstanding.values() {
                     out.push((*target, msg.clone()));
                 }
@@ -607,7 +606,9 @@ impl Coordinator {
             match r.take(1)?[0] {
                 REC_ENTRIES => {
                     for _ in 0..r.get_len(1)? {
-                        rep.replay(LogEntry::from_reader(&mut r)?)?;
+                        let entry = LogEntry::from_reader(&mut r)?;
+                        entry.check(&rep.model, &rep.slots)?;
+                        rep.apply(entry);
                         replayed_entries += 1;
                     }
                     r.expect_empty()?;
@@ -662,32 +663,26 @@ impl Coordinator {
         Ok((c, report))
     }
 
-    /// Serialize the coordinator's full durable state: the provisioning
-    /// state and the log, which replays to the current one. Volatile
-    /// machinery (the machine in flight, outstanding requests, queued
-    /// operations, undelivered results) is deliberately absent: snapshots
-    /// are only taken at operation boundaries, where all of it is empty.
+    /// Serialize the coordinator's full durable state, the current one
+    /// with no history: its size follows the slot rows, not the log.
+    /// Volatile machinery (the machine in flight, outstanding requests,
+    /// queued operations, undelivered results) is deliberately absent:
+    /// snapshots are only taken at operation boundaries, where all of it
+    /// is empty.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         debug_assert!(self.machine.is_none(), "coordinator snapshots only at idle");
         let rep = self.rep.borrow();
         let mut out = Vec::new();
+        wire::put_u64(&mut out, SNAPSHOT_FORMAT);
         wire::put_usize(&mut out, rep.plan.shards);
         wire::put_usize(&mut out, rep.plan.block);
         self.put_books(&mut out);
+        wire::put_u64(&mut out, rep.version);
         self.codec.put(&mut out);
-        let (model, clusters) = &rep.base;
-        out.extend(model.to_bytes());
-        wire::put_usize(&mut out, clusters.len());
-        for (d, &cluster) in rep.slots.iter().zip(clusters) {
-            let base = SlotRow {
-                cluster,
-                ..d.clone()
-            };
-            base.to_bytes(&mut out);
-        }
-        wire::put_usize(&mut out, rep.log.len());
-        for entry in &rep.log {
-            entry.to_bytes(&mut out);
+        out.extend(rep.model.to_bytes());
+        wire::put_usize(&mut out, rep.slots.len());
+        for d in &rep.slots {
+            d.to_bytes(&mut out);
         }
         out
     }
@@ -704,20 +699,29 @@ impl Coordinator {
     }
 
     /// Decode [`Self::snapshot_bytes`]; typed errors on truncation,
-    /// corruption, or cross-field inconsistency — never a panic. The row
-    /// codec must fit the model ([`RowCodec::check`]), every provisioned
-    /// slot row must fit the model's shape, the model's counts must be the
-    /// rows', every stored log entry must pass [`LogEntry::check`] as it
-    /// replays — the log is shipped to resyncing shards — and the ledger's
-    /// eviction cursor must fit the replayed rows.
+    /// corruption, or cross-field inconsistency — never a panic. A payload
+    /// that does not start with this build's format tag is
+    /// [`WireError::UnsupportedVersion`]. The row codec must fit the model
+    /// ([`RowCodec::check`]), every slot row must fit the model's shape,
+    /// the model's counts must be the live rows' — both are shipped to
+    /// resyncing shards — and the ledger's eviction cursor must fit the
+    /// rows.
     pub fn decode_snapshot(bytes: &[u8]) -> Result<Self, ShardError> {
         let mut r = Reader::new(bytes);
+        let found = r.get_u64()?;
+        if found != SNAPSHOT_FORMAT {
+            return Err(ShardError::Wire(WireError::UnsupportedVersion {
+                found,
+                expected: SNAPSHOT_FORMAT,
+            }));
+        }
         let shards = r.get_usize()?;
         let block = r.get_usize()?;
         let plan = ShardPlan::new(shards, block).map_err(|_| WireError::Invalid {
             what: "shard placement plan",
         })?;
         let (ledger, fallbacks, next_req) = get_books(&mut r)?;
+        let version = r.get_u64()?;
         let codec = RowCodec::get(&mut r)?;
         let model = ClusterModel::from_reader(&mut r)?;
         codec.check(&model)?;
@@ -741,14 +745,11 @@ impl Coordinator {
                 what: "aggregate counts vs slot rows",
             }));
         }
+        r.expect_empty()?;
         let mut c = Self::new(plan, Arc::new(codec), ledger, model, slots);
         c.next_req = next_req;
         let mut rep = c.rep.borrow_mut();
-        rep.fallbacks = fallbacks;
-        for _ in 0..r.get_len(1)? {
-            rep.replay(LogEntry::from_reader(&mut r)?)?;
-        }
-        r.expect_empty()?;
+        (rep.version, rep.fallbacks) = (version, fallbacks);
         rep.check_cursor()?;
         rep.model.refresh_cache();
         drop(rep);
@@ -830,9 +831,9 @@ impl Coordinator {
         self.rep.borrow().fallbacks
     }
 
-    /// Length of the replicated log.
+    /// Log version: the number of entries committed since provisioning.
     pub fn log_len(&self) -> u64 {
-        self.rep.borrow().log.len() as u64
+        self.rep.borrow().version
     }
 
     /// Serialized coordinator replica — the reference bits for replica

@@ -43,7 +43,7 @@ impl ShardedFairKm {
             return Err(ShardError::LiteralEngine);
         }
         let engine = StreamingFairKm::bootstrap(dataset, config).map_err(ShardError::Core)?;
-        Ok(Self::from_parts_inner(engine.into_shard_parts(), plan))
+        Self::from_parts(engine.into_shard_parts(), plan)
     }
 
     /// Split an already-running single-node engine's parts across shards.
@@ -51,16 +51,12 @@ impl ShardedFairKm {
         if parts.engine == DeltaEngine::Literal {
             return Err(ShardError::LiteralEngine);
         }
-        Ok(Self::from_parts_inner(parts, plan))
-    }
-
-    fn from_parts_inner(parts: fairkm_core::ShardParts, plan: ShardPlan) -> Self {
         let (coordinator, shards) = Coordinator::provision(parts, plan);
-        Self {
+        Ok(Self {
             coordinator,
             shards,
             queue: VecDeque::new(),
-        }
+        })
     }
 
     /// Run one operation to completion and return its outcome.

@@ -9,9 +9,10 @@
 //! ## Architecture
 //!
 //! * **Coordinator (node 0).** Owns the client API, the per-slot payload
-//!   table (the only copy of each row), and a totally ordered **mutation
-//!   log**. It runs each operation as the single-node engine's own step
-//!   machine ([`fairkm_core::Machine`]) over its shared
+//!   table (the only copy of each row), and the order of a totally
+//!   ordered **mutation log** — not its history: it keeps only the log
+//!   version its replica is at. It runs each operation as the single-node
+//!   engine's own step machine ([`fairkm_core::Machine`]) over its shared
 //!   [`fairkm_core::RowCodec`], with its replica and
 //!   [`fairkm_core::DriverLedger`] behind the machine's shared cell: the
 //!   machine's read-only requests (arrival scoring, move proposals,
@@ -22,8 +23,8 @@
 //! * **Shards (node `s + 1`).** Each holds a full replica of the
 //!   single-node aggregate engine ([`fairkm_core::ClusterModel`] —
 //!   aggregates, not rows) plus the payloads of the slots the block-cyclic
-//!   [`ShardPlan`] assigns to it. Replicas advance only by applying the log
-//!   in order.
+//!   [`ShardPlan`] assigns to it. Replicas advance by applying the log in
+//!   order, or by adopting the [`ShardState`] of a newer version.
 //!
 //! ## Why the merge is bitwise-deterministic
 //!
@@ -49,8 +50,12 @@
 //! Links are not FIFO: messages may be delayed and reordered arbitrarily
 //! (bounded delay), shards may lag, and shards may **crash**, losing all
 //! volatile state, then rejoin from their latest durable snapshot via a
-//! sync handshake (`SyncRequest` → log suffix + re-issue of outstanding
-//! requests). The **coordinator crashes too**: it runs on the single
+//! sync handshake (`SyncRequest` → a state transfer, [`Msg::Transfer`], at
+//! the current version if the shard is behind, + re-issue of outstanding
+//! requests).
+//! Replicas at one version are bitwise equal, so the transfer is the state
+//! the missed log would have produced; a late transfer older than the
+//! replica is ignored. The **coordinator crashes too**: it runs on the single
 //! node's durability wrapper ([`fairkm_core::persist::Journal`]), so it
 //! journals every mutation batch to the write-ahead log *before*
 //! broadcasting it (the durable log always covers everything a shard
@@ -86,7 +91,7 @@ pub use driver::ShardedFairKm;
 pub use fairkm_core::LogEntry;
 pub use net::{build_simulation, Node};
 pub use plan::ShardPlan;
-pub use protocol::{Msg, Op, OpOutcome, Part};
+pub use protocol::{Msg, Op, OpOutcome, Part, ShardState};
 pub use shard::{Outbox, ShardNode};
 
 use fairkm_core::persist::PersistError;
@@ -369,7 +374,8 @@ mod tests {
             .all(|s| s.version() == c.log_len() && s.model_bytes() == c.model_bytes())
     }
 
-    /// Every shard asks for the log suffix it is missing; pump to quiet.
+    /// Every shard reports its version (a lagging one adopts a state
+    /// transfer); pump to quiet.
     fn resync(c: &mut Coordinator, shards: &mut [ShardNode]) {
         let mut queue: VecDeque<(usize, Msg)> = shards
             .iter()
@@ -749,8 +755,8 @@ mod tests {
             "replicated entries must never roll back"
         );
 
-        // The lagging shards resync from the recovered log and the system
-        // completes fresh operations normally.
+        // The lagging shards resync from the recovered coordinator and the
+        // system completes fresh operations normally.
         resync(&mut c, &mut s);
         assert!(replicas_agree(&c, &s), "shards failed to resync");
         run_op(&mut c, &mut s, Op::Reoptimize).unwrap();
@@ -812,10 +818,11 @@ mod tests {
             matches!(r, Err(ShardError::Wire(WireError::Invalid { .. })))
         };
 
-        // The plan's two words, then the ledger: λ, the window (no pinned
-        // width: one byte), the δ engine and four words before the cursor.
+        // The format tag and the plan's two words, then the ledger: λ, the
+        // window (no pinned width: one byte), the δ engine and four words
+        // before the cursor.
         let bytes = c.snapshot_bytes();
-        let (lambda, cursor) = (16, 16 + 8 + 1 + 1 + 4 * 8);
+        let (lambda, cursor) = (24, 24 + 8 + 1 + 1 + 4 * 8);
         assert_eq!(bytes[cursor..cursor + 8], 2u64.to_le_bytes());
         let patched = |at: usize, field: [u8; 8]| {
             let mut b = bytes.clone();
@@ -841,6 +848,133 @@ mod tests {
         assert!(invalid(
             Coordinator::recover(Box::new(disk), None).map(|r| r.0)
         ));
+    }
+
+    /// A payload that does not start with the coordinator snapshot's
+    /// format tag — one in the layout written before the tag existed, or
+    /// one with a corrupt tag — is `UnsupportedVersion`, not a misparse.
+    #[test]
+    fn a_coordinator_snapshot_without_the_format_tag_is_unsupported() {
+        use fairkm_core::wire::WireError;
+
+        let (c, _s) =
+            Coordinator::provision(parts(&workload(), 11), ShardPlan::new(2, 16).unwrap());
+        let bytes = c.snapshot_bytes();
+        assert!(Coordinator::decode_snapshot(&bytes).is_ok());
+        let mut wrong_tag = bytes.clone();
+        wrong_tag[7] ^= 1;
+        for bad in [&bytes[8..], &wrong_tag[..]] {
+            assert!(matches!(
+                Coordinator::decode_snapshot(bad),
+                Err(ShardError::Wire(WireError::UnsupportedVersion { .. }))
+            ));
+        }
+    }
+
+    /// A shard restored from its provisioning snapshot after several
+    /// operations rejoins with a single state transfer — no log replay —
+    /// and serves the next operation in agreement.
+    #[test]
+    fn a_restarted_shard_rejoins_with_one_transfer() {
+        let data = workload();
+        let arrivals: Vec<Vec<Value>> = (200..260).map(|r| data.row_values(r).unwrap()).collect();
+        let (mut c, mut s) =
+            Coordinator::provision(parts(&data, 11), ShardPlan::new(2, 16).unwrap());
+        let provisioned = s[1].snapshot_bytes();
+        for op in [
+            Op::Ingest(arrivals[..30].to_vec()),
+            Op::EvictOldest(20),
+            Op::Reoptimize,
+        ] {
+            run_op(&mut c, &mut s, op).unwrap();
+        }
+        s[1] = ShardNode::from_snapshot(&provisioned).unwrap();
+        assert!(s[1].version() < c.log_len());
+
+        let mut out: Outbox = Vec::new();
+        let have = s[1].version();
+        c.handle(Msg::SyncRequest { shard: 1, have }, &mut out);
+        assert_eq!(out.len(), 1, "an idle coordinator sends only the transfer");
+        let (to, msg) = out.pop().unwrap();
+        assert!(to == 2 && matches!(msg, Msg::Transfer(_)));
+        s[1].handle(msg, &mut out);
+        assert!(out.is_empty());
+        assert!(replicas_agree(&c, &s));
+        run_op(&mut c, &mut s, Op::Ingest(arrivals[30..].to_vec())).unwrap();
+        assert!(replicas_agree(&c, &s));
+    }
+
+    /// Links reorder: a transfer delivered after a newer one must not move
+    /// the replica back.
+    #[test]
+    fn a_stale_transfer_is_ignored() {
+        let data = workload();
+        let arrivals: Vec<Vec<Value>> = (200..240).map(|r| data.row_values(r).unwrap()).collect();
+        let (mut c, mut s) =
+            Coordinator::provision(parts(&data, 11), ShardPlan::new(2, 16).unwrap());
+        let stale = c.shard_state(0);
+        run_op(&mut c, &mut s, Op::Ingest(arrivals)).unwrap();
+        let (version, bytes) = (s[0].version(), s[0].model_bytes());
+        assert!(version > 0);
+
+        let mut out: Outbox = Vec::new();
+        s[0].handle(Msg::Transfer(Box::new(c.shard_state(0))), &mut out);
+        s[0].handle(Msg::Transfer(Box::new(stale)), &mut out);
+        assert!(out.is_empty());
+        assert_eq!(s[0].version(), version);
+        assert_eq!(s[0].model_bytes(), bytes);
+        assert!(replicas_agree(&c, &s));
+    }
+
+    /// The coordinator's state follows the window, not its history: under
+    /// a sliding window of 600 points turned over 20 times, its snapshot
+    /// minus the slot rows and the objective trace stays the size it had
+    /// at provisioning. Every remaining field is fixed-width, so a term
+    /// that grows per committed entry fails this.
+    #[test]
+    fn coordinator_state_stays_bounded_under_a_sliding_window() {
+        const WINDOW: usize = 600;
+        let data = PlantedGenerator::new(PlantedConfig {
+            n_rows: 21 * WINDOW,
+            n_blobs: 4,
+            dim: 6,
+            ..planted_config()
+        })
+        .generate()
+        .dataset;
+        let boot_idx: Vec<usize> = (0..WINDOW).collect();
+        let config = StreamingConfig::from_base(
+            FairKmConfig::new(4)
+                .with_seed(11)
+                .with_max_iters(4)
+                .with_threads(1),
+        )
+        .with_drift_threshold(0.02);
+        let boot = data.select_rows(&boot_idx).unwrap();
+        let mut sharded = ShardedFairKm::bootstrap(boot, config, 2, 16).unwrap();
+        let fixed = |sharded: &ShardedFairKm| {
+            let c = sharded.coordinator();
+            let mut rows = Vec::new();
+            for shard in 0..2 {
+                for d in c.shard_state(shard).owned.values() {
+                    d.to_bytes(&mut rows);
+                }
+            }
+            c.snapshot_bytes().len() - rows.len() - 8 * c.trace().len()
+        };
+        let provisioned = fixed(&sharded);
+        let arrivals: Vec<Vec<Value>> = (WINDOW..data.n_rows())
+            .map(|r| data.row_values(r).unwrap())
+            .collect();
+        for (turnover, rows) in arrivals.chunks(WINDOW).enumerate() {
+            for batch in rows.chunks(64) {
+                sharded.ingest(batch).unwrap();
+                sharded.evict_oldest(batch.len()).unwrap();
+            }
+            assert_eq!(sharded.live(), WINDOW);
+            assert_eq!(fixed(&sharded), provisioned, "turnover {turnover}");
+        }
+        assert!(sharded.replicas_agree());
     }
 
     /// Decode-never-panics for the coordinator snapshot: a mutated payload
@@ -875,13 +1009,9 @@ mod tests {
                     bytes[pos as usize % len] ^= mask;
                 }
                 if let Ok(mut c) = Coordinator::decode_snapshot(&bytes) {
-                    // The replicas a provisioning hand-off would build
-                    // (the snapshot was taken before any log entry).
-                    if c.log_len() == 0 {
-                        let mut shards = c.shard_nodes();
-                        let row = workload().row_values(250).unwrap();
-                        let _ = run_op(&mut c, &mut shards, Op::Ingest(vec![row]));
-                    }
+                    let mut shards = c.shard_nodes();
+                    let row = workload().row_values(250).unwrap();
+                    let _ = run_op(&mut c, &mut shards, Op::Ingest(vec![row]));
                 }
             }
         }

@@ -57,8 +57,9 @@ impl SimNode<Msg> for Node {
 
     fn on_restart(&mut self, ctx: &mut Ctx<Msg>) {
         if let Node::Shard(s) = self {
-            // Rejoin handshake: ask for the log suffix past the recovered
-            // version; the coordinator also re-issues outstanding requests.
+            // Rejoin handshake: report the recovered version; a lagging
+            // shard gets its state at the current version, and the
+            // coordinator also re-issues outstanding requests.
             ctx.send(
                 0,
                 Msg::SyncRequest {

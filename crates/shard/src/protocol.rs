@@ -1,19 +1,23 @@
 //! The coordinator/shard wire protocol: client operations, the replicated
-//! log, and the asks and answers a machine request is scattered into.
+//! log, state transfers, and the asks and answers a machine request is
+//! scattered into.
 //!
 //! Every mutation of the clustering is a [`LogEntry`] in a single totally
-//! ordered log owned by the coordinator; shards apply the log in order, so
-//! every replica walks the exact float-operation sequence of the
-//! single-node engine (see the crate docs for the full argument). Compute
+//! ordered log numbered by the coordinator; shards apply the log in order,
+//! so every replica walks the exact float-operation sequence of the
+//! single-node engine (see the crate docs for the full argument). The
+//! coordinator keeps no history: a shard that fell behind adopts its
+//! [`ShardState`] at the current version instead. Compute
 //! scatters (arrival scoring, move proposals, chunk folds) are the step
 //! machine's requests split by owner: **pure reads** at a pinned log
 //! version — they can be re-issued after a crash and answered twice
 //! without affecting replica state.
 
 use fairkm_core::{
-    AggregateDelta, Answer, EvictReport, FairKmError, IngestReport, LogEntry, SlotRow,
+    AggregateDelta, Answer, ClusterModel, EvictReport, FairKmError, IngestReport, LogEntry, SlotRow,
 };
 use fairkm_data::Value;
+use std::collections::BTreeMap;
 
 /// A client operation posted to the coordinator — the message form of the
 /// single-node [`fairkm_core::StreamingFairKm`] mutation API.
@@ -51,10 +55,10 @@ pub enum OpOutcome {
 pub enum Msg {
     /// Client → coordinator: run one operation.
     Op(Op),
-    /// Coordinator → shard: log entries `first..first + entries.len()`.
-    /// Also the reply to a `SyncRequest` (the suffix a rejoining shard is
-    /// missing). Links are not FIFO, so batches can arrive out of order;
-    /// shards buffer gaps and apply in log order.
+    /// Coordinator → every shard: the log entries
+    /// `first..first + entries.len()` one commit appended. Links are not
+    /// FIFO, so batches can arrive out of order; shards buffer gaps and
+    /// apply in log order.
     Log {
         /// Log index of the first entry in this batch.
         first: u64,
@@ -79,17 +83,35 @@ pub enum Msg {
         /// The part.
         answer: Answer,
     },
+    /// Coordinator → shard: the reply to a [`Msg::SyncRequest`] from a
+    /// shard behind the current version. The shard adopts it only if it
+    /// is newer than its replica (a late one must not move it back).
+    Transfer(Box<ShardState>),
     /// Shard → coordinator after a restart: "I am shard `shard`, my
-    /// replica is at log version `have` — send me the rest." The
-    /// coordinator replies with a [`Msg::Log`] suffix and re-issues every
-    /// outstanding ask (answers are pure, duplicates are discarded by
-    /// ask id).
+    /// replica is at log version `have`." If `have` is behind, the
+    /// coordinator replies with a [`Msg::Transfer`]; either way it
+    /// re-issues every outstanding ask (answers are pure, duplicates are
+    /// discarded by ask id).
     SyncRequest {
         /// Rejoining shard index.
         shard: usize,
         /// Log version the shard recovered to.
         have: u64,
     },
+}
+
+/// One shard's replica at one log version: λ, the model, and the slot
+/// rows the placement plan assigns to the shard (tombstones included).
+/// Replicas at one version are bitwise equal, so this is the state a
+/// shard reaches by applying the log up to `version`. Provisioning builds
+/// every shard from one, and a lagging shard resyncs by adopting one.
+#[derive(Debug, Clone)]
+pub struct ShardState {
+    pub(crate) lambda: f64,
+    /// Log entries applied so far.
+    pub(crate) version: u64,
+    pub(crate) model: ClusterModel,
+    pub(crate) owned: BTreeMap<usize, SlotRow>,
 }
 
 /// One shard's part of a machine [`fairkm_core::Request`].

@@ -2,7 +2,7 @@
 //! payloads of the slots this shard owns.
 
 use crate::plan::ShardPlan;
-use crate::protocol::{Msg, Part};
+use crate::protocol::{Msg, Part, ShardState};
 use fairkm_core::wire::{self, Reader, WireError};
 use fairkm_core::{improving, Answer, ClusterModel, LogEntry, SlotRow, TOMBSTONE};
 use std::collections::BTreeMap;
@@ -14,7 +14,8 @@ pub type Outbox = Vec<(usize, Msg)>;
 /// [`ClusterModel`] replica (so it can score and propose for **any** point)
 /// and stores the full payloads of the slots the placement plan assigns to
 /// it (so it can fold rebuild chunks and propose moves for its slice
-/// without the coordinator shipping rows).
+/// without the coordinator shipping rows). A shard that fell behind jumps
+/// ahead by adopting a newer state ([`Msg::Transfer`]).
 ///
 /// Every ask is a pure read of the replica at the ask's log version — it
 /// can be answered twice (crash-recovery re-issue) without corrupting
@@ -24,11 +25,7 @@ pub type Outbox = Vec<(usize, Msg)>;
 pub struct ShardNode {
     id: usize,
     plan: ShardPlan,
-    lambda: f64,
-    /// Log entries applied so far (the replica's version).
-    version: u64,
-    model: ClusterModel,
-    owned: BTreeMap<usize, SlotRow>,
+    state: ShardState,
     /// Out-of-order log batches keyed by their first index (links are not
     /// FIFO); drained in log order as gaps fill.
     buffered: BTreeMap<u64, Vec<LogEntry>>,
@@ -38,22 +35,12 @@ pub struct ShardNode {
 }
 
 impl ShardNode {
-    /// Provision a shard at log version 0 from the hand-off replica and
-    /// its owned slice of the slot payloads.
-    pub(crate) fn provision(
-        id: usize,
-        plan: ShardPlan,
-        lambda: f64,
-        model: ClusterModel,
-        owned: BTreeMap<usize, SlotRow>,
-    ) -> Self {
+    /// Provision shard `id` with the replica `state`.
+    pub(crate) fn provision(id: usize, plan: ShardPlan, state: ShardState) -> Self {
         Self {
             id,
             plan,
-            lambda,
-            version: 0,
-            model,
-            owned,
+            state,
             buffered: BTreeMap::new(),
             deferred: Vec::new(),
         }
@@ -66,17 +53,12 @@ impl ShardNode {
 
     /// Log version the replica has applied.
     pub fn version(&self) -> u64 {
-        self.version
+        self.state.version
     }
 
     /// Serialized replica model — for bitwise replica-agreement checks.
     pub fn model_bytes(&self) -> Vec<u8> {
-        self.model.to_bytes()
-    }
-
-    /// Number of slots this shard owns (tombstones included).
-    pub fn owned_slots(&self) -> usize {
-        self.owned.len()
+        self.state.model.to_bytes()
     }
 
     /// Handle one protocol message, staging replies/forwards on `out`.
@@ -87,9 +69,18 @@ impl ShardNode {
                 self.pump_log();
                 self.retry_deferred(out);
             }
-            Msg::Ask { version, .. } if version > self.version => self.deferred.push(msg),
+            // Links reorder, so a transfer can arrive after a newer one or
+            // after the log it covers: only a newer one is adopted. The
+            // buffered batches and deferred asks stay for the new version.
+            Msg::Transfer(state) if state.version > self.state.version => {
+                self.state = *state;
+                self.pump_log();
+                self.retry_deferred(out);
+            }
+            Msg::Transfer(_) => {}
+            Msg::Ask { version, .. } if version > self.state.version => self.deferred.push(msg),
             Msg::Ask { req, version, part } => {
-                debug_assert_eq!(version, self.version, "stale ask escaped deferral");
+                debug_assert_eq!(version, self.state.version, "stale ask escaped deferral");
                 out.push(self.answer(req, version, part));
             }
             // Answers and client ops are never addressed to shards.
@@ -102,17 +93,17 @@ impl ShardNode {
     /// run (any refresh schedule that ends fresh yields identical bits —
     /// each cache entry is a pure function of the current aggregates).
     fn pump_log(&mut self) {
-        while let Some((&first, _)) = self.buffered.range(..=self.version).next_back() {
+        while let Some((&first, _)) = self.buffered.range(..=self.state.version).next_back() {
             let entries = self.buffered.remove(&first).expect("key just observed");
-            let skip = (self.version - first) as usize;
+            let skip = (self.state.version - first) as usize;
             if skip >= entries.len() {
                 continue; // fully stale re-send
             }
             for entry in entries.into_iter().skip(skip) {
                 self.apply(entry);
-                self.version += 1;
+                self.state.version += 1;
             }
-            self.model.refresh_cache();
+            self.state.model.refresh_cache();
         }
     }
 
@@ -120,7 +111,7 @@ impl ShardNode {
     /// (and the single-node engine) performed for it — and track the
     /// cluster of an owned slot.
     fn apply(&mut self, entry: LogEntry) {
-        entry.apply_to(&mut self.model);
+        entry.apply_to(&mut self.state.model);
         let (slot, cluster) = match &entry {
             LogEntry::Insert { slot, data } => (*slot, data.cluster),
             LogEntry::Remove { slot, .. } => (*slot, TOMBSTONE),
@@ -132,10 +123,11 @@ impl ShardNode {
         }
         match entry {
             LogEntry::Insert { data, .. } => {
-                self.owned.insert(slot, data);
+                self.state.owned.insert(slot, data);
             }
             _ => {
-                self.owned
+                self.state
+                    .owned
                     .get_mut(&slot)
                     .expect("a logged slot this shard never saw")
                     .cluster = cluster
@@ -149,9 +141,8 @@ impl ShardNode {
         if d.cluster == TOMBSTONE {
             return None;
         }
-        let best =
-            self.model
-                .propose_move_row(d.cluster, &d.row, &d.cat, &d.num, d.sqnorm, self.lambda);
+        let ShardState { lambda, model, .. } = &self.state;
+        let best = model.propose_move_row(d.cluster, &d.row, &d.cat, &d.num, d.sqnorm, *lambda);
         improving(d.cluster, best)
     }
 
@@ -168,26 +159,30 @@ impl ShardNode {
     /// coordinator, or — for a fold chain's inner hop — onward to the next
     /// segment's owner.
     fn answer(&self, req: u64, version: u64, part: Part) -> (usize, Msg) {
+        let ShardState {
+            lambda,
+            model,
+            owned,
+            ..
+        } = &self.state;
         let answer = match part {
             Part::Score(items) => Answer::Scores(
                 items
                     .iter()
                     .map(|(slot, d)| {
-                        let scored =
-                            self.model
-                                .score_insertion(&d.row, &d.cat, &d.num, self.lambda);
+                        let scored = model.score_insertion(&d.row, &d.cat, &d.num, *lambda);
                         (*slot, scored.0)
                     })
                     .collect(),
             ),
             Part::Window { start, end } => Answer::Proposals(
-                self.owned
+                owned
                     .range(start..end)
                     .filter_map(|(&slot, d)| Some((slot, self.propose(d)?)))
                     .collect(),
             ),
             Part::First { start, end } => Answer::First(
-                self.owned
+                owned
                     .range(start..end)
                     .find_map(|(&slot, d)| Some((slot, self.propose(d)?))),
             ),
@@ -199,7 +194,7 @@ impl ShardNode {
             } => {
                 let (owner, start, end) = segments[idx];
                 debug_assert_eq!(owner, self.id, "fold hop routed to the wrong shard");
-                for (_, d) in self.owned.range(start..end) {
+                for (_, d) in owned.range(start..end) {
                     if d.cluster != TOMBSTONE {
                         acc.add_row(d.cluster, &d.row, &d.cat, &d.num, d.sqnorm);
                     }
@@ -229,11 +224,11 @@ impl ShardNode {
         wire::put_usize(&mut outb, self.id);
         wire::put_usize(&mut outb, self.plan.shards);
         wire::put_usize(&mut outb, self.plan.block);
-        wire::put_u64(&mut outb, self.version);
-        wire::put_f64(&mut outb, self.lambda);
-        outb.extend(self.model.to_bytes());
-        wire::put_usize(&mut outb, self.owned.len());
-        for (&slot, d) in &self.owned {
+        wire::put_u64(&mut outb, self.state.version);
+        wire::put_f64(&mut outb, self.state.lambda);
+        outb.extend(self.state.model.to_bytes());
+        wire::put_usize(&mut outb, self.state.owned.len());
+        for (&slot, d) in &self.state.owned {
             wire::put_usize(&mut outb, slot);
             d.to_bytes(&mut outb);
         }
@@ -277,15 +272,12 @@ impl ShardNode {
                 what: "owned slot row",
             });
         }
-        Ok(Self {
-            id,
-            plan,
+        let state = ShardState {
             lambda,
             version,
             model,
             owned,
-            buffered: BTreeMap::new(),
-            deferred: Vec::new(),
-        })
+        };
+        Ok(Self::provision(id, plan, state))
     }
 }

@@ -15,6 +15,7 @@
 //!                [--retain N] [--monitor-window N] [--monitor-every N] [--output assignments.csv]
 //!                [--state-dir DIR [--snapshot-every N] [--resume]]
 //! fairkm shard   --input data.csv --shards S [--block B] [stream flags…]
+//!                (no --state-dir, --snapshot-every, --resume or --monitor-*)
 //! fairkm snapshot --state-dir DIR [--threads N]
 //! fairkm restore  --state-dir DIR [--verify] [--threads N] [--output assignments.csv]
 //! fairkm serve   --listen ADDR --tenant NAME=DIR… (--resume | --input data.csv)
@@ -102,6 +103,7 @@ const USAGE: &str = "usage: fairkm cluster --input data.csv [--k N] [--lambda he
                       [--retain N] [--monitor-window N] [--monitor-every N] [--output out.csv]
                       [--state-dir DIR [--snapshot-every N] [--resume]]
        fairkm shard   --input data.csv --shards S [--block B] [stream flags…]
+                      (no --state-dir, --snapshot-every, --resume or --monitor-*)
        fairkm snapshot --state-dir DIR [--threads N]
        fairkm restore  --state-dir DIR [--verify] [--threads N] [--output out.csv]
        fairkm serve   --listen ADDR --tenant NAME=DIR [--tenant NAME2=DIR2…]
@@ -493,6 +495,15 @@ struct StreamOptions {
     resume: bool,
 }
 
+/// The value after `flag`, parsed as a positive integer.
+fn positive(flag: &str, value: Option<&String>) -> Result<usize, String> {
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    match value.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{flag} needs a positive integer")),
+    }
+}
+
 fn parse_stream(args: &[String]) -> Result<StreamOptions, String> {
     let mut opts = StreamOptions {
         common: CommonOptions::new(),
@@ -525,15 +536,7 @@ fn parse_stream(args: &[String]) -> Result<StreamOptions, String> {
                         .map_err(|_| "--bootstrap needs an integer")?,
                 )
             }
-            "--batch" => {
-                let b: usize = value()?
-                    .parse()
-                    .map_err(|_| "--batch needs a positive integer")?;
-                if b == 0 {
-                    return Err("--batch needs a positive integer".into());
-                }
-                opts.batch = b;
-            }
+            "--batch" => opts.batch = positive(flag, it.next())?,
             "--drift" => {
                 let d: f64 = value()?.parse().map_err(|_| "--drift needs a number")?;
                 if !d.is_finite() || d < 0.0 {
@@ -554,25 +557,9 @@ fn parse_stream(args: &[String]) -> Result<StreamOptions, String> {
                     .parse()
                     .map_err(|_| "--monitor-window needs an integer")?
             }
-            "--monitor-every" => {
-                let every: usize = value()?
-                    .parse()
-                    .map_err(|_| "--monitor-every needs a positive integer")?;
-                if every == 0 {
-                    return Err("--monitor-every needs a positive integer".into());
-                }
-                opts.monitor_every = every;
-            }
+            "--monitor-every" => opts.monitor_every = positive(flag, it.next())?,
             "--state-dir" => opts.state_dir = Some(value()?),
-            "--snapshot-every" => {
-                let every: u64 = value()?
-                    .parse()
-                    .map_err(|_| "--snapshot-every needs a positive integer")?;
-                if every == 0 {
-                    return Err("--snapshot-every needs a positive integer".into());
-                }
-                opts.snapshot_every = every;
-            }
+            "--snapshot-every" => opts.snapshot_every = positive(flag, it.next())? as u64,
             "--resume" => opts.resume = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -645,6 +632,32 @@ fn report_recovery(report: &fairkm::core::persist::RecoveryReport) {
     }
 }
 
+/// The bootstrap row count and engine configuration a fresh `stream` or
+/// `shard` replay of `n` rows starts from. The default bootstrap is a
+/// quarter of the file, at least 8 points per cluster, clamped to the file
+/// (the core rejects k > bootstrap rows itself).
+fn stream_setup(opts: &StreamOptions, n: usize) -> Result<(usize, StreamingConfig), CliError> {
+    let bootstrap_rows = match opts.bootstrap {
+        Some(rows) if rows > n => {
+            return Err(format!("--bootstrap {rows} exceeds the {n} rows available").into())
+        }
+        Some(rows) => rows,
+        None => (n / 4).max(opts.common.k * 8).min(n),
+    };
+    let mut base = FairKmConfig::new(opts.common.k)
+        .with_lambda(opts.common.lambda)
+        .with_seed(opts.common.seed)
+        .with_normalization(opts.common.normalization)
+        .with_objective(opts.common.objective);
+    if let Some(threads) = opts.common.threads {
+        base = base.with_threads(threads);
+    }
+    let config = StreamingConfig::from_base(base)
+        .with_drift_threshold(opts.drift)
+        .with_reopt_passes(opts.reopt_passes);
+    Ok((bootstrap_rows, config))
+}
+
 fn run_stream(args: &[String]) -> Result<(), CliError> {
     let opts = parse_stream(args)?;
     let dataset = load(&opts.common.input)?;
@@ -677,30 +690,9 @@ fn run_stream(args: &[String]) -> Result<(), CliError> {
         );
         engine = StreamEngine::Durable(Box::new(durable));
     } else {
-        let bootstrap_rows = match opts.bootstrap {
-            Some(rows) => {
-                if rows > n {
-                    return Err(format!("--bootstrap {rows} exceeds the {n} rows available").into());
-                }
-                rows
-            }
-            // Default: a quarter of the file, at least 8 points per cluster,
-            // clamped to the file (the core rejects k > bootstrap rows itself).
-            None => (n / 4).max(opts.common.k * 8).min(n),
-        };
+        let (bootstrap_rows, config) = stream_setup(&opts, n)?;
         let boot_idx: Vec<usize> = (0..bootstrap_rows).collect();
         let boot = dataset.select_rows(&boot_idx).map_err(|e| e.to_string())?;
-        let mut base = FairKmConfig::new(opts.common.k)
-            .with_lambda(opts.common.lambda)
-            .with_seed(opts.common.seed)
-            .with_normalization(opts.common.normalization)
-            .with_objective(opts.common.objective);
-        if let Some(threads) = opts.common.threads {
-            base = base.with_threads(threads);
-        }
-        let config = StreamingConfig::from_base(base)
-            .with_drift_threshold(opts.drift)
-            .with_reopt_passes(opts.reopt_passes);
         engine = match &opts.state_dir {
             None => StreamEngine::Volatile(Box::new(
                 StreamingFairKm::bootstrap(boot, config).map_err(|e| e.to_string())?,
@@ -842,15 +834,7 @@ fn parse_state_dir(args: &[String], allow_verify: bool) -> Result<StateDirOption
         };
         match flag.as_str() {
             "--state-dir" => state_dir = Some(value()?),
-            "--threads" => {
-                let t: usize = value()?
-                    .parse()
-                    .map_err(|_| "--threads needs a positive integer")?;
-                if t == 0 {
-                    return Err("--threads needs a positive integer".into());
-                }
-                threads = Some(t);
-            }
+            "--threads" => threads = Some(positive(flag, it.next())?),
             "--verify" if allow_verify => verify = true,
             "--output" => output = Some(value()?),
             other => return Err(format!("unknown flag `{other}`")),
@@ -942,29 +926,20 @@ fn run_restore(args: &[String]) -> Result<(), CliError> {
 fn run_shard(args: &[String]) -> Result<(), CliError> {
     use fairkm::shard::ShardedFairKm;
 
-    // Strip the shard-only flags, hand everything else to the stream
-    // parser so the two replay modes can never drift apart on flags.
+    // Strip the shard-only flags, refuse the stream flags a shard replay
+    // does not implement, and hand everything else to the stream parser so
+    // the two replay modes can never drift apart on flags.
     let mut shards: Option<usize> = None;
     let mut block = fairkm::shard::ShardPlan::DEFAULT_BLOCK;
     let mut rest: Vec<String> = Vec::with_capacity(args.len());
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a value")?;
-                let s: usize = v.parse().map_err(|_| "--shards needs a positive integer")?;
-                if s == 0 {
-                    return Err("--shards needs a positive integer".into());
-                }
-                shards = Some(s);
-            }
-            "--block" => {
-                let v = it.next().ok_or("--block needs a value")?;
-                let b: usize = v.parse().map_err(|_| "--block needs a positive integer")?;
-                if b == 0 {
-                    return Err("--block needs a positive integer".into());
-                }
-                block = b;
+            "--shards" => shards = Some(positive(flag, it.next())?),
+            "--block" => block = positive(flag, it.next())?,
+            "--state-dir" | "--snapshot-every" | "--resume" | "--monitor-window"
+            | "--monitor-every" => {
+                return Err(format!("{flag} is not supported by `fairkm shard`").into())
             }
             _ => rest.push(flag.clone()),
         }
@@ -974,31 +949,11 @@ fn run_shard(args: &[String]) -> Result<(), CliError> {
 
     let dataset = load(&opts.common.input)?;
     let n = dataset.n_rows();
-    let bootstrap_rows = match opts.bootstrap {
-        Some(rows) => {
-            if rows > n {
-                return Err(format!("--bootstrap {rows} exceeds the {n} rows available").into());
-            }
-            rows
-        }
-        None => (n / 4).max(opts.common.k * 8).min(n),
-    };
+    let (bootstrap_rows, config) = stream_setup(&opts, n)?;
     let boot_idx: Vec<usize> = (0..bootstrap_rows).collect();
-    let mut base = FairKmConfig::new(opts.common.k)
-        .with_lambda(opts.common.lambda)
-        .with_seed(opts.common.seed)
-        .with_normalization(opts.common.normalization)
-        .with_objective(opts.common.objective);
-    if let Some(threads) = opts.common.threads {
-        base = base.with_threads(threads);
-    }
-    let config = StreamingConfig::from_base(base)
-        .with_drift_threshold(opts.drift)
-        .with_reopt_passes(opts.reopt_passes);
-
     let boot = dataset.select_rows(&boot_idx).map_err(|e| e.to_string())?;
-    let mut single = StreamingFairKm::bootstrap(boot, config.clone()).map_err(|e| e.to_string())?;
-    let boot = dataset.select_rows(&boot_idx).map_err(|e| e.to_string())?;
+    let mut single =
+        StreamingFairKm::bootstrap(boot.clone(), config.clone()).map_err(|e| e.to_string())?;
     let mut sharded =
         ShardedFairKm::bootstrap(boot, config, shards, block).map_err(|e| e.to_string())?;
     eprintln!(
@@ -1054,7 +1009,7 @@ fn run_shard(args: &[String]) -> Result<(), CliError> {
             .all(|s| sharded.assignment_of(s) == single.assignment_of(s));
     let replicas = sharded.replicas_agree();
     eprintln!(
-        "shard replay done: live = {}, objective = {:.4}, coordinator log = {} entries",
+        "shard replay done: live = {}, objective = {:.4}, coordinator log version = {}",
         sharded.live(),
         sharded.objective(),
         sharded.coordinator().log_len()

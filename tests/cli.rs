@@ -521,6 +521,40 @@ fn shard_subcommand_requires_shard_count() {
     assert!(stderr.contains("--shards is required"), "stderr: {stderr}");
 }
 
+/// A shard replay is volatile and unmonitored: the durability and
+/// monitor flags of `stream` are refused by name instead of ignored, and
+/// no state directory is created.
+#[test]
+fn shard_subcommand_rejects_stream_only_flags() {
+    let dir = std::env::temp_dir().join("fairkm_cli_test_shard_flags");
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = sample_csv(&dir);
+    let state_dir = dir.join("state");
+    let _ = std::fs::remove_dir_all(&state_dir);
+    let state = state_dir.to_str().unwrap();
+    for extra in [
+        &["--state-dir", state][..],
+        &["--state-dir", state, "--snapshot-every", "2"],
+        &["--state-dir", state, "--resume"],
+        &["--monitor-window", "4"],
+        &["--monitor-every", "3"],
+    ] {
+        let output = cli()
+            .args(["shard", "--input", input.to_str().unwrap(), "--shards", "2"])
+            .args(["--k", "4", "--bootstrap", "60", "--batch", "20"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        assert!(!output.status.success(), "{extra:?} should be rejected");
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert!(
+            stderr.contains(&format!("{} is not supported", extra[0])),
+            "{extra:?}: {stderr}"
+        );
+        assert!(!state_dir.exists(), "{extra:?} created the state dir");
+    }
+}
+
 /// Write the planted dataset twice: the full 120 rows and a 72-row
 /// prefix. 72 = bootstrap 40 + two full batches of 16, so the partial
 /// run's batch boundaries line up exactly with the full run's and the
