@@ -1,6 +1,6 @@
 //! Shard-support primitives: additive per-cluster aggregate deltas, the
-//! per-slot payloads the shard protocol moves around, and the wire
-//! encoding of the objective kind.
+//! per-slot payloads the shard protocol moves around, the one wire form of
+//! a slot table, and the wire encoding of the objective kind.
 //!
 //! The FairKM objective is a function of purely additive per-cluster
 //! aggregates — `Σx`, `Σ‖x‖²`, per-group member counts, numeric value sums
@@ -20,13 +20,13 @@
 //! Shard replicas run the single-node aggregate engine itself
 //! ([`crate::ClusterModel`]), fed the [`SlotRow`]s carried inline in
 //! protocol messages, so a replica that applied the same ordered operation
-//! log holds the same bits. Snapshots ([`AggregateDelta::to_bytes`],
-//! [`SlotRow::to_bytes`]) are bit-exact little-endian encodings (see
-//! [`crate::wire`]): a shard that crashes and rejoins from a snapshot plus
-//! a log suffix converges to the same bitwise state as one that never
-//! crashed.
+//! log holds the same bits. A shard that fell behind adopts the state of a
+//! newer log version instead (an in-memory transfer). Every durable layout
+//! stores slot rows as one [`SlotTable`], a bit-exact little-endian
+//! encoding (see [`crate::wire`]).
 
 use crate::config::ObjectiveKind;
+use crate::state::{slot_span, sqnorm, ClusterModel};
 use crate::wire::{self, Reader, WireError};
 
 /// Acceptance threshold shared by every optimizer path: a staged move (or
@@ -60,7 +60,7 @@ pub struct SlotRow {
 }
 
 impl SlotRow {
-    /// Serialize (bit-exact).
+    /// Serialize (bit-exact) — the journal's form of one row.
     pub fn to_bytes(&self, out: &mut Vec<u8>) {
         wire::put_f64s(out, &self.row);
         wire::put_u32s(out, &self.cat);
@@ -80,6 +80,188 @@ impl SlotRow {
             cluster: r.get_usize()?,
         })
     }
+
+    /// Slot `x` as [`SlotTable::put`] reads it: task row, codes, values
+    /// and cluster.
+    pub fn columns(&self) -> (&[f64], &[u32], &[f64], usize) {
+        (&self.row, &self.cat, &self.num, self.cluster)
+    }
+
+    /// Whether this row passes the checks [`SlotTable::get`] runs on every
+    /// slot, with its cached `‖x‖²` equal to the recomputed one.
+    pub fn fits(&self, model: &ClusterModel) -> bool {
+        let one = SlotTable {
+            rows: self.row.clone(),
+            codes: self.cat.clone(),
+            values: self.num.clone(),
+            clusters: vec![self.cluster],
+            sqnorms: Vec::new(),
+        };
+        let norm = self.sqnorm.to_bits();
+        one.checked(model)
+            .is_ok_and(|t| t.sqnorms[0].to_bits() == norm)
+    }
+}
+
+/// The one wire form of slot rows, shared by the stream payload of both
+/// hosts and a shard's snapshot: the slot count `n`, then the task
+/// values, the categorical codes, the numeric values and the clusters,
+/// column by column and slot by slot within a column. Column widths are
+/// the model's, which every layout writes first. `‖x‖²` is not stored:
+/// [`Self::get`] recomputes it.
+#[derive(Debug)]
+pub struct SlotTable {
+    /// `n × dim` task values.
+    pub(crate) rows: Vec<f64>,
+    /// `n × n_cat` categorical codes.
+    pub(crate) codes: Vec<u32>,
+    /// `n × n_num` numeric sensitive values.
+    pub(crate) values: Vec<f64>,
+    /// Cluster per slot, [`TOMBSTONE`] for dead slots.
+    pub(crate) clusters: Vec<usize>,
+    /// `‖x‖²` per slot.
+    pub(crate) sqnorms: Vec<f64>,
+}
+
+impl SlotTable {
+    /// Number of slots.
+    pub fn n_slots(&self) -> usize {
+        self.clusters.len()
+    }
+
+    /// Append `n` slots; `slot(x)` gives slot `x`'s task row, codes,
+    /// values and cluster.
+    pub fn put<'a>(
+        out: &mut Vec<u8>,
+        n: usize,
+        slot: impl Fn(usize) -> (&'a [f64], &'a [u32], &'a [f64], usize),
+    ) {
+        wire::put_usize(out, n);
+        (0..n).for_each(|x| slot(x).0.iter().for_each(|&v| wire::put_f64(out, v)));
+        (0..n).for_each(|x| slot(x).1.iter().for_each(|&v| wire::put_u32(out, v)));
+        (0..n).for_each(|x| slot(x).2.iter().for_each(|&v| wire::put_f64(out, v)));
+        (0..n).for_each(|x| wire::put_usize(out, slot(x).3));
+    }
+
+    /// The bytes [`Self::put`] appends for `n` slots of `model`.
+    pub fn encoded_len(model: &ClusterModel, n: usize) -> usize {
+        8 + n * (8 * (model.dim() + model.n_num() + 1) + 4 * model.cat.len())
+    }
+
+    /// Decode [`Self::put`] for `model`'s slots and check every slot, so
+    /// no later fold, score or move can index out of range or sum a
+    /// non-finite norm: codes below their cardinalities, clusters below
+    /// `k` or [`TOMBSTONE`], and a finite recomputed `‖x‖²`, as
+    /// [`crate::RowCodec::encode`] requires of an arrival. A violation is
+    /// [`WireError::Invalid`]. A caller holding every slot also runs
+    /// [`Self::check_counts`].
+    pub fn get(r: &mut Reader<'_>, model: &ClusterModel) -> Result<Self, WireError> {
+        let n = r.get_usize()?;
+        let table = Self {
+            rows: column(r, n, model.dim())?.map(f64::from_le_bytes).collect(),
+            codes: column(r, n, model.cat.len())?
+                .map(u32::from_le_bytes)
+                .collect(),
+            values: column(r, n, model.n_num())?
+                .map(f64::from_le_bytes)
+                .collect(),
+            // A cluster past `usize` maps to one past `k`, and is rejected.
+            clusters: column(r, n, 1)?
+                .map(|b| usize::try_from(u64::from_le_bytes(b)).unwrap_or(usize::MAX - 1))
+                .collect(),
+            sqnorms: Vec::new(),
+        };
+        table.checked(model)
+    }
+
+    /// Check the columns' shapes, codes and clusters against `model`, and
+    /// derive each slot's `‖x‖²`.
+    fn checked(mut self, model: &ClusterModel) -> Result<Self, WireError> {
+        let invalid = |what: &'static str| Err(WireError::Invalid { what });
+        let (n, cat_ts) = (self.clusters.len(), model.cat_ts());
+        if Some(self.rows.len()) != n.checked_mul(model.dim())
+            || Some(self.codes.len()) != n.checked_mul(cat_ts.len())
+            || Some(self.values.len()) != n.checked_mul(model.n_num())
+        {
+            return invalid("slot table shape");
+        }
+        let mut codes = self.codes.iter().zip(cat_ts.iter().cycle());
+        if codes.any(|(&v, &t)| v as usize >= t) {
+            return invalid("slot code");
+        }
+        if self
+            .clusters
+            .iter()
+            .any(|&c| c >= model.k() && c != TOMBSTONE)
+        {
+            return invalid("slot cluster");
+        }
+        self.sqnorms = (0..n).map(|x| sqnorm(self.spans(model, x).0)).collect();
+        if self.sqnorms.iter().any(|v| !v.is_finite()) {
+            return invalid("slot norm");
+        }
+        Ok(self)
+    }
+
+    /// Check that `model`'s member and categorical counts are exactly those
+    /// of the live slots; the table must hold every slot. (Float sums have
+    /// no exact check: delta-maintained ones differ from a rebuild.)
+    pub fn check_counts(&self, model: &ClusterModel) -> Result<(), WireError> {
+        let mut fresh = model.zeroed_delta();
+        for (x, &c) in self.clusters.iter().enumerate() {
+            if c != TOMBSTONE {
+                let (row, cat, num) = self.spans(model, x);
+                fresh.add_row(c, row, cat, num, self.sqnorms[x]);
+            }
+        }
+        if fresh.size != model.agg.size || fresh.cat_counts != model.agg.cat_counts {
+            return Err(WireError::Invalid {
+                what: "aggregate counts vs slot table",
+            });
+        }
+        Ok(())
+    }
+
+    /// The slots as [`SlotRow`]s of `model`, the model they were decoded
+    /// against, in order.
+    pub fn into_rows(self, model: &ClusterModel) -> Vec<SlotRow> {
+        (0..self.clusters.len())
+            .map(|x| {
+                let (row, cat, num) = self.spans(model, x);
+                SlotRow {
+                    row: row.to_vec(),
+                    cat: cat.to_vec(),
+                    num: num.to_vec(),
+                    sqnorm: self.sqnorms[x],
+                    cluster: self.clusters[x],
+                }
+            })
+            .collect()
+    }
+
+    /// Slot `x`'s task row, codes and values.
+    fn spans(&self, model: &ClusterModel, x: usize) -> (&[f64], &[u32], &[f64]) {
+        (
+            slot_span(&self.rows, model.dim(), x),
+            slot_span(&self.codes, model.cat.len(), x),
+            slot_span(&self.values, model.n_num(), x),
+        )
+    }
+}
+
+/// The `n × width` values of one column, `N` bytes each, taken whole: a
+/// buffer too short for them is an error before anything is allocated.
+fn column<'b, const N: usize>(
+    r: &mut Reader<'b>,
+    n: usize,
+    width: usize,
+) -> Result<impl Iterator<Item = [u8; N]> + 'b, WireError> {
+    let bytes = width.checked_mul(N).and_then(|w| w.checked_mul(n));
+    let what = "slot table shape";
+    let chunks = r
+        .take(bytes.ok_or(WireError::Invalid { what })?)?
+        .chunks_exact(N);
+    Ok(chunks.map(|b| b.try_into().expect("chunks are N bytes")))
 }
 
 /// Additive per-cluster aggregates: member counts, prototype sums,

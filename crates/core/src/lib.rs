@@ -71,7 +71,7 @@ mod state;
 pub mod streaming;
 pub use fairkm_data::wire;
 
-pub use agg::{AggregateDelta, SlotRow, MOVE_EPS, TOMBSTONE};
+pub use agg::{AggregateDelta, SlotRow, SlotTable, MOVE_EPS, TOMBSTONE};
 pub use config::{
     DeltaEngine, FairKmConfig, FairKmError, FairKmInit, FairnessNorm, Lambda, ObjectiveKind,
     UpdateSchedule,
@@ -84,6 +84,6 @@ pub use minibatch::MiniBatchFairKm;
 pub use objective::bounded_exact_assignment;
 pub use state::ClusterModel;
 pub use streaming::{
-    DriverLedger, EvictReport, IngestReport, RowCodec, ServingView, ShardParts, StreamingConfig,
+    DriverLedger, EvictReport, IngestReport, RowCodec, ServingView, StreamPayload, StreamingConfig,
     StreamingFairKm,
 };

@@ -171,7 +171,7 @@ impl LogEntry {
     /// is about to be applied to, so that applying it cannot index out of
     /// range or underflow a count:
     ///
-    /// * `Insert`: the next slot, a row that [`ClusterModel::fits`], and a
+    /// * `Insert`: the next slot, a row that [`SlotRow::fits`] the model, and a
     ///   live cluster;
     /// * `Remove`: a live slot, and `data` is its stored row;
     /// * `Move`: a live slot in cluster `from`, a different `to` below `k`,
@@ -186,7 +186,7 @@ impl LogEntry {
         };
         let valid = match self {
             LogEntry::Insert { slot, data } => {
-                *slot == slots.len() && model.fits(data) && data.cluster != TOMBSTONE
+                *slot == slots.len() && data.fits(model) && data.cluster != TOMBSTONE
             }
             LogEntry::Remove { slot, data } => {
                 stored(*slot, data).is_some_and(|d| d.cluster == data.cluster)

@@ -521,7 +521,7 @@ impl<B: StorageBackend> DurableStream<B> {
 
     /// Drop durability and keep the in-memory engine (e.g. to hand off to
     /// the sharded deployment via
-    /// [`StreamingFairKm::into_shard_parts`]).
+    /// [`StreamingFairKm::into_payload`]).
     pub fn into_stream(self) -> StreamingFairKm {
         self.stream
     }

@@ -52,7 +52,7 @@
 //! chunks of rows build partial aggregates that are merged in chunk order,
 //! so the result is bitwise-identical for any thread count.
 
-use crate::agg::{decode_kind, encode_kind, AggregateDelta, SlotRow, TOMBSTONE};
+use crate::agg::{decode_kind, encode_kind, AggregateDelta, SlotRow, SlotTable, TOMBSTONE};
 use crate::config::{FairnessNorm, ObjectiveKind};
 use crate::machine::{Entry, LogEntry};
 use crate::objective::{FairView, Objective, PointRef};
@@ -249,50 +249,9 @@ impl ClusterModel {
         self.num.len()
     }
 
-    /// Whether a slot row fits this model: `dim` task values with their
-    /// own `‖x‖²`, one in-range code per categorical attribute, one value
-    /// per numeric attribute, and a cluster below `k` (or [`TOMBSTONE`]).
-    /// Decoders check every row against it before the row can reach an
-    /// aggregate.
-    pub fn fits(&self, d: &SlotRow) -> bool {
-        d.row.len() == self.dim
-            && d.sqnorm.to_bits() == sqnorm(&d.row).to_bits()
-            && d.cat.len() == self.cat.len()
-            && d.cat
-                .iter()
-                .zip(&self.cat)
-                .all(|(&v, a)| (v as usize) < a.t)
-            && d.num.len() == self.num.len()
-            && (d.cluster < self.k || d.cluster == TOMBSTONE)
-    }
-
-    /// Whether the integer aggregates — member counts and per-value
-    /// categorical counts — are exactly those of the live `rows`, each a
-    /// cluster below `k` with in-range categorical codes. Decoders check
-    /// this before trusting a snapshot's aggregates; the float sums have
-    /// no exact check (delta-maintained sums differ from a rebuild in the
-    /// low bits).
-    pub fn counts_match<'a>(&self, rows: impl IntoIterator<Item = (usize, &'a [u32])>) -> bool {
-        let mut size = vec![0usize; self.k];
-        let mut counts: Vec<Vec<i64>> = self.cat.iter().map(|a| vec![0; self.k * a.t]).collect();
-        for (c, codes) in rows {
-            size[c] += 1;
-            for ((counts, a), &v) in counts.iter_mut().zip(&self.cat).zip(codes) {
-                counts[c * a.t + v as usize] += 1;
-            }
-        }
-        size == self.agg.size && counts == self.agg.cat_counts
-    }
-
     /// A zeroed [`AggregateDelta`] shaped like this model's aggregates.
     pub fn zeroed_delta(&self) -> AggregateDelta {
         AggregateDelta::zeroed(self.k, self.dim, &self.cat_ts(), self.num.len())
-    }
-
-    /// Snapshot the aggregates (the live count is `Σ size`; caches are
-    /// derived state and re-derived on [`Self::install`]).
-    pub fn snapshot(&self) -> AggregateDelta {
-        self.agg.clone()
     }
 
     /// Overwrite this copy's aggregates and caches with `source`'s,
@@ -784,21 +743,12 @@ impl ClusterModel {
             wire::put_f64(&mut out, attr.weight);
         }
         encode_kind(&mut out, self.kind);
-        self.snapshot().to_bytes(&mut out);
+        self.agg.to_bytes(&mut out);
         out
     }
 
-    /// Decode a model serialized by [`Self::to_bytes`]; a typed error on a
-    /// truncated, malformed or inconsistently shaped buffer.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(bytes);
-        let model = Self::from_reader(&mut r)?;
-        r.expect_empty()?;
-        Ok(model)
-    }
-
-    /// Decode a model from a sequential reader (for embedding inside
-    /// larger snapshots); a typed error on truncated, malformed or
+    /// Decode a model serialized by [`Self::to_bytes`] from a sequential
+    /// reader (every snapshot embeds one); a typed error on truncated, malformed or
     /// inconsistently shaped bytes.
     pub fn from_reader(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let k = r.get_usize()?;
@@ -835,7 +785,7 @@ pub(crate) fn sqnorm(row: &[f64]) -> f64 {
 
 /// The slot range of `x` in a row-major array of `width` values per slot.
 #[inline]
-fn slot_span<T>(values: &[T], width: usize, x: usize) -> &[T] {
+pub(crate) fn slot_span<T>(values: &[T], width: usize, x: usize) -> &[T] {
     &values[x * width..(x + 1) * width]
 }
 
@@ -868,7 +818,10 @@ pub(crate) struct State<'a> {
     pub threads: usize,
     /// Number of full [`State::rebuild`] calls (including the one in the
     /// constructor). Diagnostic: the windowed accept path is rebuild-free,
-    /// and the regression tests pin that down through this counter.
+    /// and the regression tests pin that down through this counter. It is
+    /// not persisted — the stream payload is shared with the sharded
+    /// coordinator, which counts no rebuilds — so a restored state counts
+    /// from zero.
     pub rebuilds: usize,
     /// Number of windows that failed monotone acceptance and took the
     /// revert-and-rescan fallback (the only windowed path that rebuilds).
@@ -1342,176 +1295,42 @@ impl<'a> State<'a> {
         let _ = lambda;
     }
 
-    /// Serialize every field that is **not** a pure per-cluster function of
-    /// the others: the backing matrix, assignment, sensitive values, the
-    /// frozen fairness reference, and — crucially — the delta-maintained
-    /// float aggregates **verbatim**. A rebuild-from-assignment would
-    /// recompute sums in a different operation order and land on different
-    /// bits; serializing the running aggregates is what makes restore
-    /// reproduce the uninterrupted run exactly. Caches are excluded: they
-    /// are pure per-cluster functions of the aggregates and are re-derived
-    /// on decode by the same `refresh_cache` computation that produced
-    /// them. Sensitive codes and values are written row-major, as stored.
-    pub fn write_snapshot(&self, out: &mut Vec<u8>) {
-        let m = &self.model;
-        debug_assert!(
-            m.cache_is_fresh(),
-            "snapshotting with stale caches: restore would silently refresh them"
-        );
-        wire::put_usize(out, self.matrix.rows());
-        wire::put_usize(out, self.matrix.cols());
-        for name in self.matrix.col_names() {
-            wire::put_str(out, name);
-        }
-        wire::put_f64s(out, self.matrix.as_slice());
-        wire::put_usize(out, m.live);
-        wire::put_usize(out, m.k);
-        wire::put_usizes(out, &self.assignment);
-        wire::put_usizes(out, &m.agg.size);
-        wire::put_f64s(out, &m.agg.centroid_sum);
-        wire::put_usize(out, m.cat.len());
-        for (attr, counts) in m.cat.iter().zip(&m.agg.cat_counts) {
-            wire::put_usize(out, attr.t);
-            wire::put_f64s(out, &attr.dist);
-            wire::put_f64s(out, &attr.value_scale);
-            wire::put_f64(out, attr.weight);
-            wire::put_i64s(out, counts);
-        }
-        wire::put_u32s(out, &self.cat_codes);
-        wire::put_usize(out, m.num.len());
-        for (attr, sums) in m.num.iter().zip(&m.agg.num_sums) {
-            wire::put_f64(out, attr.mean);
-            wire::put_f64(out, attr.weight);
-            wire::put_f64s(out, sums);
-        }
-        wire::put_f64s(out, &self.num_values);
-        wire::put_f64s(out, &self.point_sqnorm);
-        wire::put_f64s(out, &m.agg.member_sqnorm);
-        wire::put_usize(out, self.rebuilds);
-        wire::put_usize(out, self.fallbacks);
-    }
-
-    /// An upper bound on the bytes [`Self::write_snapshot`] appends,
-    /// counting every value as one 8-byte word: the fixed fields, the
-    /// length prefixes, and the per-slot, per-cluster and per-attribute
-    /// vectors.
-    pub fn snapshot_len_bound(&self) -> usize {
-        let m = &self.model;
-        let names: usize = self.matrix.col_names().iter().map(|c| 8 + c.len()).sum();
-        let sum_t: usize = m.cat.iter().map(|a| a.t).sum();
-        let per_slot = m.dim + 2 + m.cat.len() + m.num.len();
-        let per_cluster = 2 + m.dim + sum_t + m.num.len();
-        let reference = 6 * m.cat.len() + 2 * sum_t + 4 * m.num.len();
-        names + 8 * (self.n * per_slot + m.k * per_cluster + reference + 16)
-    }
-
-    /// Decode a state written by [`Self::write_snapshot`]. Shape mismatches
-    /// between the decoded vectors (a corruption the checksums missed, or a
-    /// foreign snapshot) surface as [`WireError::Invalid`] — never a panic:
-    /// the slot-row shapes are checked here, the aggregate shapes by
-    /// [`ClusterModel::new`]. The scoring caches are re-derived from the
-    /// decoded aggregates, and `threads` comes from the *restoring*
-    /// configuration: the worker-pool width never changes result bits, so
-    /// a snapshot can be restored on a machine with a different thread
-    /// count.
-    pub fn read_snapshot(
-        r: &mut Reader<'_>,
-        kind: ObjectiveKind,
+    /// A state from a decoded model and its checked slot table, with no
+    /// per-slot copy. Column names are blank: no stream path reads them,
+    /// so the wire form does not carry them. `threads` is the restoring
+    /// configuration's: the pool width never changes result bits.
+    pub fn from_table(
+        model: ClusterModel,
+        table: SlotTable,
         threads: usize,
-    ) -> Result<State<'static>, WireError> {
-        let invalid = |what: &'static str| WireError::Invalid { what };
-        let n = r.get_usize()?;
-        let dim = r.get_usize()?;
-        let col_names = (0..dim)
-            .map(|_| r.get_string())
-            .collect::<Result<Vec<_>, _>>()?;
-        let data = r.get_f64s()?;
-        if Some(data.len()) != n.checked_mul(dim) {
-            return Err(invalid("matrix shape"));
-        }
-        let matrix = NumericMatrix::from_parts(data, n, dim, col_names);
-        let live = r.get_usize()?;
-        let k = r.get_usize()?;
-        let assignment = r.get_usizes()?;
-        if assignment.len() != n {
-            return Err(invalid("assignment shape"));
-        }
-        if assignment.iter().any(|&c| c != TOMBSTONE && c >= k) {
-            return Err(invalid("assignment cluster"));
-        }
-        let size = r.get_usizes()?;
-        let centroid_sum = r.get_f64s()?;
-        // Each categorical attribute costs at least its `t` field.
-        let n_cat = r.get_len(8)?;
-        let mut cat = Vec::with_capacity(n_cat);
-        let mut cat_counts = Vec::with_capacity(n_cat);
-        for _ in 0..n_cat {
-            cat.push(CatAttr {
-                t: r.get_usize()?,
-                dist: r.get_f64s()?,
-                value_scale: r.get_f64s()?,
-                weight: r.get_f64()?,
-            });
-            cat_counts.push(r.get_i64s()?);
-        }
-        let cat_codes = r.get_u32s()?;
-        if Some(cat_codes.len()) != n.checked_mul(n_cat)
-            || cat_codes
-                .iter()
-                .zip(cat.iter().cycle())
-                .any(|(&v, a)| v as usize >= a.t)
-        {
-            return Err(invalid("categorical values"));
-        }
-        let n_num = r.get_len(8)?;
-        let mut num = Vec::with_capacity(n_num);
-        let mut num_sums = Vec::with_capacity(n_num);
-        for _ in 0..n_num {
-            num.push(NumAttr {
-                mean: r.get_f64()?,
-                weight: r.get_f64()?,
-            });
-            num_sums.push(r.get_f64s()?);
-        }
-        let num_values = r.get_f64s()?;
-        if Some(num_values.len()) != n.checked_mul(n_num) {
-            return Err(invalid("numeric values"));
-        }
-        let point_sqnorm = r.get_f64s()?;
-        if point_sqnorm.len() != n
-            || (0..n).any(|i| point_sqnorm[i].to_bits() != sqnorm(matrix.row(i)).to_bits())
-        {
-            return Err(invalid("norm cache"));
-        }
-        let member_sqnorm = r.get_f64s()?;
-        let rebuilds = r.get_usize()?;
-        let fallbacks = r.get_usize()?;
-        let agg = AggregateDelta {
-            size,
-            centroid_sum,
-            cat_counts,
-            num_sums,
-            member_sqnorm,
-        };
-        let model = ClusterModel::new(k, dim, cat, num, kind, agg)?;
-        let live_rows = (0..n)
-            .filter(|&i| assignment[i] != TOMBSTONE)
-            .map(|i| (assignment[i], slot_span(&cat_codes, n_cat, i)));
-        if model.live != live || !model.counts_match(live_rows) {
-            return Err(invalid("aggregate counts vs rows"));
-        }
-        Ok(State {
+        fallbacks: usize,
+    ) -> State<'static> {
+        let (n, dim) = (table.clusters.len(), model.dim);
+        let matrix = NumericMatrix::from_parts(table.rows, n, dim, vec![String::new(); dim]);
+        State {
             model,
             matrix: Cow::Owned(matrix),
             n,
-            assignment,
-            cat_codes,
-            num_values,
-            point_sqnorm,
+            assignment: table.clusters,
+            cat_codes: table.codes,
+            num_values: table.values,
+            point_sqnorm: table.sqnorms,
             threads: threads.max(1),
-            rebuilds,
+            rebuilds: 0,
             fallbacks,
-        })
+        }
+    }
+
+    /// The inverse of [`Self::from_table`]: the model and every slot.
+    pub fn into_table(self) -> (ClusterModel, SlotTable) {
+        let table = SlotTable {
+            rows: self.matrix.as_slice().to_vec(),
+            codes: self.cat_codes,
+            values: self.num_values,
+            clusters: self.assignment,
+            sqnorms: self.point_sqnorm,
+        };
+        (self.model, table)
     }
 }
 
@@ -1678,7 +1497,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_len_bound_covers_the_encoding() {
+    fn slot_table_len_is_the_encoded_length() {
         let (m, s) = fixture();
         let mut st = State::with_norm(
             Cow::Owned(m),
@@ -1691,15 +1510,16 @@ mod tests {
             1,
         );
         st.remove_point(2);
-        st.model.refresh_cache();
         let mut out = Vec::new();
-        st.write_snapshot(&mut out);
-        let bound = st.snapshot_len_bound();
-        assert!(
-            out.len() <= bound,
-            "{} bytes over the bound {bound}",
-            out.len()
-        );
+        SlotTable::put(&mut out, st.n, |x| {
+            (
+                st.matrix.row(x),
+                st.cat_row(x),
+                st.num_row(x),
+                st.assignment[x],
+            )
+        });
+        assert_eq!(out.len(), SlotTable::encoded_len(&st.model, st.n));
     }
 
     #[test]
@@ -1709,13 +1529,13 @@ mod tests {
         let (m, s) = fixture();
         let st = state(&m, &s, vec![0, 0, 1, 1, 0, 1]);
         let bytes = st.model.to_bytes();
-        let back = ClusterModel::from_bytes(&bytes).unwrap();
+        let back = ClusterModel::from_reader(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(back.to_bytes(), bytes);
         let bumped = |offset: usize| {
             let mut b = bytes.clone();
             let v = u64::from_le_bytes(b[offset..offset + 8].try_into().unwrap());
             b[offset..offset + 8].copy_from_slice(&(v + 1).to_le_bytes());
-            ClusterModel::from_bytes(&b)
+            ClusterModel::from_reader(&mut Reader::new(&b))
         };
         // Layout: k, dim, the categorical attribute count, then the first
         // categorical attribute's cardinality t.

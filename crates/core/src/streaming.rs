@@ -54,7 +54,7 @@
 //! index order, and the whole ingest/evict/reoptimize trace is
 //! bitwise-identical for any thread count.
 
-use crate::agg::{SlotRow, TOMBSTONE};
+use crate::agg::{SlotRow, SlotTable, TOMBSTONE};
 use crate::config::{DeltaEngine, FairKmConfig, FairKmError, ObjectiveKind, UpdateSchedule};
 use crate::fairkm::{initial_assignment, resolve_weights};
 use crate::machine::{Host, Local, Machine};
@@ -300,10 +300,10 @@ impl RowCodec {
     }
 }
 
-/// Leading `u64` of every [`StreamingFairKm::to_snapshot_bytes`] payload:
-/// the bytes `FKSTRM02`. Payloads written before the tag existed start with
+/// Leading `u64` of every [`StreamPayload`]: the bytes `FKSTRM03`. Earlier
+/// formats carry another tag (`FKSTRM02`) or, from before the tag existed,
 /// a length prefix far below 2^56, so they can never carry it.
-const SNAPSHOT_FORMAT: u64 = u64::from_le_bytes(*b"FKSTRM02");
+const SNAPSHOT_FORMAT: u64 = u64::from_le_bytes(*b"FKSTRM03");
 
 /// Retained objective-trace ceiling. A long-lived stream pushes one entry
 /// per ingest/evict batch and per optimization pass; past this many the
@@ -312,9 +312,9 @@ const SNAPSHOT_FORMAT: u64 = u64::from_le_bytes(*b"FKSTRM02");
 pub const MAX_TRACE: usize = 8192;
 
 /// The streaming driver's parameters and bookkeeping: the frozen λ, the
-/// scan window and re-optimization parameters, the current objective, the
-/// drift baseline, the eviction cursor, the bounded objective trace and
-/// the ingest/evict/re-optimization counters. The single-node engine and
+/// scan window, the δ engine and re-optimization parameters, the current
+/// objective, the drift baseline, the eviction cursor, the bounded
+/// objective trace and the ingest/evict/re-optimization counters. The single-node engine and
 /// the sharded coordinator keep one each and update it through the same
 /// methods, so their drift decisions, traces and counters agree bit for
 /// bit.
@@ -324,6 +324,7 @@ pub struct DriverLedger {
     /// Explicit scan-window size for bootstrap/re-optimization passes;
     /// `None` auto-sizes from the current slot count.
     window: Option<usize>,
+    engine: DeltaEngine,
     drift_threshold: f64,
     reopt_passes: usize,
     objective: f64,
@@ -344,6 +345,11 @@ impl DriverLedger {
     /// The frozen λ of the stream.
     pub fn lambda(&self) -> f64 {
         self.lambda
+    }
+
+    /// The δ engine.
+    pub fn engine(&self) -> DeltaEngine {
+        self.engine
     }
 
     /// Current objective `kmeans + λ·fairness` over the live partition.
@@ -477,10 +483,8 @@ impl DriverLedger {
         Ok(())
     }
 
-    /// Append the wire form. The δ `engine` travels between the window
-    /// and the drift threshold, where the stream snapshot has always
-    /// carried it.
-    pub fn put(&self, out: &mut Vec<u8>, engine: DeltaEngine) {
+    /// Append the wire form.
+    pub fn put(&self, out: &mut Vec<u8>) {
         wire::put_f64(out, self.lambda);
         match self.window {
             None => out.push(0),
@@ -489,7 +493,7 @@ impl DriverLedger {
                 wire::put_usize(out, w);
             }
         }
-        out.push(match engine {
+        out.push(match self.engine {
             DeltaEngine::Incremental => 0,
             DeltaEngine::Literal => 1,
         });
@@ -504,11 +508,10 @@ impl DriverLedger {
         wire::put_usize(out, self.reopts);
     }
 
-    /// Decode [`Self::put`], returning the ledger and the δ engine. A
-    /// negative or non-finite λ is [`WireError::Invalid`], as bootstrap
-    /// rejects it. The eviction cursor still has to pass
-    /// [`Self::check_cursor`] against the decoded slots.
-    pub fn get(r: &mut Reader<'_>) -> Result<(Self, DeltaEngine), WireError> {
+    /// Decode [`Self::put`]. A negative or non-finite λ is
+    /// [`WireError::Invalid`], as bootstrap rejects it. The eviction cursor
+    /// still has to pass [`Self::check_cursor`] against the decoded slots.
+    pub fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let lambda = r.get_f64()?;
         if !lambda.is_finite() || lambda < 0.0 {
             return Err(WireError::Invalid { what: "λ" });
@@ -541,9 +544,10 @@ impl DriverLedger {
                 })
             }
         };
-        let ledger = Self {
+        Ok(Self {
             lambda,
             window,
+            engine,
             drift_threshold: r.get_f64()?,
             reopt_passes: r.get_usize()?,
             objective: r.get_f64()?,
@@ -553,27 +557,89 @@ impl DriverLedger {
             inserted: r.get_usize()?,
             evicted: r.get_usize()?,
             reopts: r.get_usize()?,
-        };
-        Ok((ledger, engine))
+        })
     }
 }
 
-/// Everything a sharded deployment needs to take over from a bootstrapped
-/// single-node streaming engine. Produced by
-/// [`StreamingFairKm::into_shard_parts`].
+/// A stream's whole state in its one wire form, `FKSTRM03`: the format
+/// tag, the [`RowCodec`], the [`DriverLedger`], the fallback count, the
+/// [`ClusterModel`] and the [`SlotTable`]. Both hosts write it with
+/// [`Self::put`] and read it with [`Self::get`], so at an operation
+/// boundary their payloads are equal byte for byte. It is also the
+/// hand-off a sharded deployment starts from.
 #[derive(Debug)]
-pub struct ShardParts {
-    /// The frozen row front-end, shared with the engine it came from.
+pub struct StreamPayload {
+    /// The frozen row front-end.
     pub codec: Arc<RowCodec>,
-    /// The driver's parameters and bookkeeping at hand-off.
+    /// The driver's parameters and bookkeeping.
     pub ledger: DriverLedger,
-    /// The aggregate engine at hand-off (every replica starts from a copy).
+    /// Windows that fell back to the sequential scan.
+    pub fallbacks: usize,
+    /// The aggregate engine, caches refreshed.
     pub model: ClusterModel,
-    /// Per-slot payloads `0..n_slots`, cluster [`TOMBSTONE`] for evicted
-    /// slots — these get partitioned across shards.
-    pub slots: Vec<SlotRow>,
-    /// δ engine (sharding requires [`DeltaEngine::Incremental`]).
-    pub engine: DeltaEngine,
+    /// Every slot, tombstones included.
+    pub table: SlotTable,
+}
+
+impl StreamPayload {
+    /// Append the payload of `n` slots, read as by [`SlotTable::put`]. The
+    /// buffer is sized once for the slot table: one grown by doubling
+    /// holds two allocations while it copies, a serving process's peak
+    /// memory at n=100k. A power-of-two capacity leaves room to grow.
+    pub fn put<'a>(
+        out: &mut Vec<u8>,
+        codec: &RowCodec,
+        ledger: &DriverLedger,
+        fallbacks: usize,
+        model: &ClusterModel,
+        n: usize,
+        slot: impl Fn(usize) -> (&'a [f64], &'a [u32], &'a [f64], usize),
+    ) {
+        debug_assert!(model.cache_is_fresh(), "restore would refresh stale caches");
+        wire::put_u64(out, SNAPSHOT_FORMAT);
+        codec.put(out);
+        ledger.put(out);
+        wire::put_usize(out, fallbacks);
+        out.extend(model.to_bytes());
+        let len = SlotTable::encoded_len(model, n);
+        if out.capacity() - out.len() < len {
+            out.reserve_exact((out.len() + len).next_power_of_two() - out.len());
+        }
+        SlotTable::put(out, n, slot);
+    }
+
+    /// Decode [`Self::put`] and check the whole: a payload that does not
+    /// start with this build's format tag is
+    /// [`WireError::UnsupportedVersion`]; the codec must feed the model
+    /// ([`RowCodec::check`]), the slots must fit it and match its counts
+    /// ([`SlotTable::get`], [`SlotTable::check_counts`]), and the ledger's
+    /// eviction cursor must fit the slots. Malformed input is a typed
+    /// [`WireError`], never a panic.
+    pub fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let found = r.get_u64()?;
+        if found != SNAPSHOT_FORMAT {
+            return Err(WireError::UnsupportedVersion {
+                found,
+                expected: SNAPSHOT_FORMAT,
+            });
+        }
+        let codec = Arc::new(RowCodec::get(r)?);
+        let ledger = DriverLedger::get(r)?;
+        let fallbacks = r.get_usize()?;
+        let model = ClusterModel::from_reader(r)?;
+        codec.check(&model)?;
+        let table = SlotTable::get(r, &model)?;
+        table.check_counts(&model)?;
+        let clusters = &table.clusters;
+        ledger.check_cursor(clusters.len(), |s| clusters[s] != TOMBSTONE)?;
+        Ok(Self {
+            codec,
+            ledger,
+            fallbacks,
+            model,
+            table,
+        })
+    }
 }
 
 /// A long-lived fair clustering serving a stream of arrivals and
@@ -614,7 +680,6 @@ pub struct ShardParts {
 pub struct StreamingFairKm {
     codec: Arc<RowCodec>,
     state: State<'static>,
-    engine: DeltaEngine,
     ledger: DriverLedger,
 }
 
@@ -678,6 +743,7 @@ impl StreamingFairKm {
                 UpdateSchedule::MiniBatch(batch) => Some(batch),
                 UpdateSchedule::PerMove => None,
             },
+            engine: base.delta_engine,
             drift_threshold: config.drift_threshold,
             reopt_passes: config.reopt_passes,
             objective,
@@ -691,7 +757,6 @@ impl StreamingFairKm {
         let mut stream = Self {
             codec: Arc::new(RowCodec::new(dataset.schema().clone(), encoder)),
             state,
-            engine: base.delta_engine,
             ledger,
         };
         let host = stream.host();
@@ -778,7 +843,7 @@ impl StreamingFairKm {
         Rc::new(RefCell::new(Local {
             state: &mut self.state,
             lambda: self.ledger.lambda,
-            engine: self.engine,
+            engine: self.ledger.engine,
             ledger: Some(&mut self.ledger),
         }))
     }
@@ -931,40 +996,30 @@ impl StreamingFairKm {
         self.state.model.prototypes()
     }
 
-    /// Decompose a bootstrapped engine into [`ShardParts`] — the shared
-    /// [`RowCodec`], the [`DriverLedger`], the [`ClusterModel`] carrying the
-    /// exact aggregate and cache bits, and the per-slot payloads to
-    /// partition across shards. The sharded coordinator resumes from these
-    /// parts bitwise where the single-node engine left off.
-    pub fn into_shard_parts(mut self) -> ShardParts {
+    /// Decompose the engine into its [`StreamPayload`], caches refreshed:
+    /// the hand-off a sharded coordinator resumes from, bitwise where the
+    /// single-node engine left off.
+    pub fn into_payload(mut self) -> StreamPayload {
         self.state.model.refresh_cache();
-        let state = &self.state;
-        let slots = (0..state.n)
-            .map(|i| SlotRow {
-                row: state.matrix.row(i).to_vec(),
-                cat: state.cat_row(i).to_vec(),
-                num: state.num_row(i).to_vec(),
-                sqnorm: state.point_sqnorm[i],
-                cluster: state.assignment[i],
-            })
-            .collect();
-        ShardParts {
+        let fallbacks = self.state.fallbacks;
+        let (model, table) = self.state.into_table();
+        StreamPayload {
             codec: self.codec,
             ledger: self.ledger,
-            model: self.state.model,
-            slots,
-            engine: self.engine,
+            fallbacks,
+            model,
+            table,
         }
     }
 
-    /// Serialize the entire driver — format tag, [`RowCodec`], objective
-    /// kind, [`DriverLedger`] (with the δ engine), and the optimization
-    /// state with its delta-maintained aggregates and slot rows
-    /// **verbatim** — into one byte blob. Restoring through
-    /// [`Self::from_snapshot_bytes`] reproduces the uninterrupted run
-    /// bitwise: every float travels as its exact IEEE-754 bits, and the
-    /// scoring caches are re-derived on decode by the same pure computation
-    /// that produced them.
+    /// Serialize the entire driver into one byte blob, its
+    /// [`StreamPayload`], with the delta-maintained aggregates and slot
+    /// rows **verbatim**. Restoring through [`Self::from_snapshot_bytes`]
+    /// reproduces the uninterrupted run bitwise: every float travels as
+    /// its exact IEEE-754 bits, and the scoring caches and row norms are
+    /// re-derived on decode by the same pure computations that produced
+    /// them. A sharded coordinator at the same operation boundary embeds
+    /// the same bytes.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.write_snapshot_bytes(&mut out);
@@ -973,25 +1028,15 @@ impl StreamingFairKm {
 
     /// Append [`Self::to_snapshot_bytes`] to `out`.
     pub(crate) fn write_snapshot_bytes(&self, out: &mut Vec<u8>) {
-        let mut codec = Vec::new();
-        self.codec.put(&mut codec);
-        // Sized once: a buffer grown by doubling holds the old and the new
-        // allocation while it copies, and that copy is the serving
-        // process's peak memory. 256 bytes cover the fixed-width fields.
-        // Power-of-two capacity leaves a reused buffer room to grow.
-        let fixed = 8 * self.ledger.trace.len() + 256;
-        let bound = codec.len() + fixed + self.state.snapshot_len_bound();
-        if out.capacity() - out.len() < bound {
-            out.reserve_exact((out.len() + bound).next_power_of_two() - out.len());
-        }
-        wire::put_u64(out, SNAPSHOT_FORMAT);
-        out.extend_from_slice(&codec);
-        crate::agg::encode_kind(out, self.objective_kind());
-        self.ledger.put(out, self.engine);
-        self.state.write_snapshot(out);
+        let s = &self.state;
+        let (ledger, fallbacks, model) = (&self.ledger, s.fallbacks, &s.model);
+        StreamPayload::put(out, &self.codec, ledger, fallbacks, model, s.n, |x| {
+            (s.matrix.row(x), s.cat_row(x), s.num_row(x), s.assignment[x])
+        });
     }
 
-    /// Decode a driver serialized by [`Self::to_snapshot_bytes`].
+    /// Decode a driver serialized by [`Self::to_snapshot_bytes`]: the
+    /// checks are [`StreamPayload::get`]'s.
     ///
     /// `threads` is the *restoring* configuration's worker-pool request
     /// (`None` = environment/auto, exactly like
@@ -999,32 +1044,17 @@ impl StreamingFairKm {
     /// changes result bits, so a snapshot taken on one machine restores on
     /// another. A payload that does not start with this build's format tag
     /// (one written by an older fairkm) is
-    /// [`WireError::UnsupportedVersion`]. Truncated or malformed input —
-    /// including shape mismatches between the schema, encoder, and state
-    /// ([`RowCodec::check`]) — surfaces as a typed [`WireError`], never a
-    /// panic.
+    /// [`WireError::UnsupportedVersion`].
     pub fn from_snapshot_bytes(bytes: &[u8], threads: Option<usize>) -> Result<Self, WireError> {
         let mut r = Reader::new(bytes);
-        let found = r.get_u64()?;
-        if found != SNAPSHOT_FORMAT {
-            return Err(WireError::UnsupportedVersion {
-                found,
-                expected: SNAPSHOT_FORMAT,
-            });
-        }
-        let codec = RowCodec::get(&mut r)?;
-        let objective_kind = crate::agg::decode_kind(&mut r)?;
-        let (ledger, engine) = DriverLedger::get(&mut r)?;
-        let threads = fairkm_parallel::resolve_threads(threads);
-        let state = State::read_snapshot(&mut r, objective_kind, threads)?;
+        let p = StreamPayload::get(&mut r)?;
         r.expect_empty()?;
-        codec.check(&state.model)?;
-        ledger.check_cursor(state.n, |s| state.assignment[s] != TOMBSTONE)?;
+        let threads = fairkm_parallel::resolve_threads(threads);
+        let state = State::from_table(p.model, p.table, threads, p.fallbacks);
         Ok(Self {
-            codec: Arc::new(codec),
+            codec: p.codec,
             state,
-            engine,
-            ledger,
+            ledger: p.ledger,
         })
     }
 }
@@ -1437,7 +1467,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_decode_rejects_a_zero_window_and_a_stale_norm() {
+    fn snapshot_decode_rejects_a_zero_window_and_an_overflowing_norm() {
         let config = StreamingConfig::from_base(
             FairKmConfig::new(2)
                 .with_seed(3)
@@ -1450,20 +1480,22 @@ mod tests {
             Err(WireError::Invalid { what }) => what,
             other => panic!("expected an invalid payload, got {other:?}"),
         };
-        // Tag, codec, objective kind, λ, then the window's option byte.
+        // Tag, codec, λ, then the window's option byte.
         let mut codec = Vec::new();
         s.codec.put(&mut codec);
-        let window = 8 + codec.len() + 4 + 8 + 1;
+        let window = 8 + codec.len() + 8 + 1;
         assert_eq!(bytes[window..window + 8], 8u64.to_le_bytes());
         let mut zero = bytes.clone();
         zero[window..window + 8].fill(0);
         assert_eq!(invalid(&zero), "scan window");
-        // The first slot's cached norm: it precedes the other slots' norms,
-        // the per-cluster norm sums and the two trailing counters.
-        let norm = bytes.len() - 16 - (8 + 8 * s.k()) - 8 * s.n_slots();
-        let mut stale = bytes;
-        stale[norm] ^= 1;
-        assert_eq!(invalid(&stale), "norm cache");
+        // The first slot's first task value opens the slot table's
+        // columns, which end the payload.
+        let m = &s.state.model;
+        let per_slot = 8 * (m.dim() + m.n_num() + 1) + 4 * m.cat_ts().len();
+        let first = bytes.len() - per_slot * s.n_slots();
+        let mut huge = bytes;
+        huge[first..first + 8].copy_from_slice(&1e300f64.to_le_bytes());
+        assert_eq!(invalid(&huge), "slot norm");
     }
 
     #[test]
@@ -1484,12 +1516,12 @@ mod tests {
             StreamingFairKm::from_snapshot_bytes(&b, Some(1)).map(drop)
         };
         let invalid = |what| Err(WireError::Invalid { what });
-        // Tag, codec and objective kind precede the ledger: λ, the window
-        // (option byte and width), the δ engine, the drift threshold, the
-        // pass cap, the objective and the baseline precede the cursor.
+        // Tag and codec precede the ledger: λ, the window (option byte and
+        // width), the δ engine, the drift threshold, the pass cap, the
+        // objective and the baseline precede the cursor.
         let mut codec = Vec::new();
         s.codec.put(&mut codec);
-        let lambda = 8 + codec.len() + 4;
+        let lambda = 8 + codec.len();
         let cursor = lambda + 8 + 9 + 1 + 4 * 8;
         assert_eq!(bytes[cursor..cursor + 8], 2u64.to_le_bytes());
         for bad in [f64::NAN, f64::INFINITY, -1.0] {

@@ -22,14 +22,15 @@
 //!
 //! ## Durable layout
 //!
-//! The *books* — the ledger (with the δ-engine byte, always incremental
-//! here), the fallback count and the request-id counter — are encoded
-//! once and used twice: a snapshot is the format tag, the placement plan,
-//! the books, the log version, the row codec, the current model and the
-//! slot rows; a `REC_OP_DONE` journal record is its tag followed by the
-//! books. Decoding checks the codec against the model
-//! ([`RowCodec::check`]), every slot row against the model's shape and
-//! counts, and the ledger's eviction cursor against the slot rows.
+//! A snapshot (`FKCOORD2`) is the format tag, the placement plan, the
+//! request-id counter, the log version, and then the stream payload
+//! ([`StreamPayload`], `FKSTRM03`): the row codec, the ledger (with the
+//! δ-engine byte, always incremental here), the fallback count, the model
+//! and the slot table. That payload is written and checked by the code the
+//! single-node engine runs, so at an operation boundary it equals the
+//! single node's byte for byte ([`Coordinator::stream_payload`]). A
+//! `REC_OP_DONE` journal record is its tag followed by the *books*: the
+//! ledger, the fallback count and the request-id counter.
 //!
 //! ## Invariants the protocol's determinism rests on
 //!
@@ -64,7 +65,7 @@ use fairkm_core::persist::{Journal, PersistError, RecoveryReport};
 use fairkm_core::wire::{self, Reader, WireError};
 use fairkm_core::{
     Answer, ClusterModel, DeltaEngine, DriverLedger, Entry, Host, LogEntry, Machine, Replica,
-    Request, RowCodec, ShardParts, SlotRow, Step, Ticket, TOMBSTONE,
+    Request, RowCodec, SlotRow, Step, StreamPayload, Ticket, TOMBSTONE,
 };
 use fairkm_store::StorageBackend;
 use std::cell::RefCell;
@@ -77,9 +78,10 @@ pub(crate) const REC_ENTRIES: u8 = 0;
 /// Journal record sealing one completed operation's bookkeeping.
 const REC_OP_DONE: u8 = 1;
 /// Leading `u64` of every [`Coordinator::snapshot_bytes`] payload: the
-/// bytes `FKCOORD1`. Payloads written before the tag existed start with a
-/// shard count far below 2^56, so they can never carry it.
-const SNAPSHOT_FORMAT: u64 = u64::from_le_bytes(*b"FKCOORD1");
+/// bytes `FKCOORD2`. `FKCOORD1` snapshots wrote their own slot-row layout;
+/// payloads written before the tag existed start with a shard count far
+/// below 2^56. Neither can carry it.
+const SNAPSHOT_FORMAT: u64 = u64::from_le_bytes(*b"FKCOORD2");
 /// Request ids are issued in per-incarnation blocks of `2^32`: recovery
 /// jumps to the next block so stale responses from a dead in-flight
 /// operation can never be claimed by the new incarnation.
@@ -135,13 +137,6 @@ impl Replicated {
             LogEntry::Install { .. } => {}
         }
         self.version += 1;
-    }
-
-    /// Check the ledger's eviction cursor against the slot rows.
-    fn check_cursor(&self) -> Result<(), WireError> {
-        let slots = &self.slots;
-        self.ledger
-            .check_cursor(slots.len(), |s| slots[s].cluster != TOMBSTONE)
     }
 }
 
@@ -255,29 +250,23 @@ impl Coordinator {
     /// driver ledger, the full payload table, and one replica; every shard
     /// gets a clone of the replica plus its owned slice of the payloads.
     /// All replicas start bitwise identical at log version 0.
-    pub fn provision(parts: ShardParts, plan: ShardPlan) -> (Self, Vec<ShardNode>) {
-        let coordinator = Self::new(plan, parts.codec, parts.ledger, parts.model, parts.slots);
+    pub fn provision(payload: StreamPayload, plan: ShardPlan) -> (Self, Vec<ShardNode>) {
+        let coordinator = Self::new(plan, payload);
         let shards = coordinator.shard_nodes();
         (coordinator, shards)
     }
 
     /// An idle, volatile coordinator at log version 0.
-    fn new(
-        plan: ShardPlan,
-        codec: Arc<RowCodec>,
-        ledger: DriverLedger,
-        model: ClusterModel,
-        slots: Vec<SlotRow>,
-    ) -> Self {
+    fn new(plan: ShardPlan, payload: StreamPayload) -> Self {
         Self {
-            codec,
+            codec: payload.codec,
             rep: Rc::new(RefCell::new(Replicated {
                 plan,
-                ledger,
-                model,
-                slots,
+                ledger: payload.ledger,
+                slots: payload.table.into_rows(&payload.model),
+                model: payload.model,
                 version: 0,
-                fallbacks: 0,
+                fallbacks: payload.fallbacks,
                 journal: None,
                 sent: Vec::new(),
             })),
@@ -636,7 +625,8 @@ impl Coordinator {
         }
         // Later entries only kill slots or append them, so the last
         // sealed cursor must still hold over the replayed slot rows.
-        rep.check_cursor()?;
+        rep.ledger
+            .check_cursor(rep.slots.len(), |s| rep.is_live(s))?;
         rep.model.refresh_cache();
         if interrupted {
             // The sealed bookkeeping predates the trailing batches; the
@@ -671,29 +661,43 @@ impl Coordinator {
     /// is empty.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         debug_assert!(self.machine.is_none(), "coordinator snapshots only at idle");
-        let rep = self.rep.borrow();
         let mut out = Vec::new();
+        let rep = self.rep.borrow();
         wire::put_u64(&mut out, SNAPSHOT_FORMAT);
         wire::put_usize(&mut out, rep.plan.shards);
         wire::put_usize(&mut out, rep.plan.block);
-        self.put_books(&mut out);
+        wire::put_u64(&mut out, self.next_req);
         wire::put_u64(&mut out, rep.version);
-        self.codec.put(&mut out);
-        out.extend(rep.model.to_bytes());
-        wire::put_usize(&mut out, rep.slots.len());
-        for d in &rep.slots {
-            d.to_bytes(&mut out);
-        }
+        out.extend(self.stream_payload());
+        out
+    }
+
+    /// The stream payload embedded in [`Self::snapshot_bytes`]: at an
+    /// operation boundary, byte for byte the single-node engine's snapshot
+    /// ([`fairkm_core::StreamingFairKm::to_snapshot_bytes`]).
+    pub fn stream_payload(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        let rep = self.rep.borrow();
+        let (ledger, fallbacks, model) = (&rep.ledger, rep.fallbacks, &rep.model);
+        StreamPayload::put(
+            &mut out,
+            &self.codec,
+            ledger,
+            fallbacks,
+            model,
+            rep.slots.len(),
+            |x| rep.slots[x].columns(),
+        );
         out
     }
 
     /// Append the bookkeeping every completed operation seals — the
     /// driver ledger, the fallback count and the request-id counter — in
-    /// the layout [`get_books`] reads. Both the snapshot and the
-    /// `REC_OP_DONE` journal record carry it.
+    /// the layout [`get_books`] reads, for the `REC_OP_DONE` journal
+    /// record.
     fn put_books(&self, out: &mut Vec<u8>) {
         let rep = self.rep.borrow();
-        rep.ledger.put(out, DeltaEngine::Incremental);
+        rep.ledger.put(out);
         wire::put_usize(out, rep.fallbacks);
         wire::put_u64(out, self.next_req);
     }
@@ -701,11 +705,9 @@ impl Coordinator {
     /// Decode [`Self::snapshot_bytes`]; typed errors on truncation,
     /// corruption, or cross-field inconsistency — never a panic. A payload
     /// that does not start with this build's format tag is
-    /// [`WireError::UnsupportedVersion`]. The row codec must fit the model
-    /// ([`RowCodec::check`]), every slot row must fit the model's shape,
-    /// the model's counts must be the live rows' — both are shipped to
-    /// resyncing shards — and the ledger's eviction cursor must fit the
-    /// rows.
+    /// [`WireError::UnsupportedVersion`]. The embedded stream payload is
+    /// checked whole by [`StreamPayload::get`] (its slot rows are shipped
+    /// to resyncing shards), and must name the incremental δ engine.
     pub fn decode_snapshot(bytes: &[u8]) -> Result<Self, ShardError> {
         let mut r = Reader::new(bytes);
         let found = r.get_u64()?;
@@ -720,39 +722,16 @@ impl Coordinator {
         let plan = ShardPlan::new(shards, block).map_err(|_| WireError::Invalid {
             what: "shard placement plan",
         })?;
-        let (ledger, fallbacks, next_req) = get_books(&mut r)?;
+        let next_req = r.get_u64()?;
         let version = r.get_u64()?;
-        let codec = RowCodec::get(&mut r)?;
-        let model = ClusterModel::from_reader(&mut r)?;
-        codec.check(&model)?;
-        let n_slots = r.get_len(8)?;
-        let mut slots = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            let d = SlotRow::from_reader(&mut r)?;
-            if !model.fits(&d) {
-                return Err(ShardError::Wire(WireError::Invalid {
-                    what: "slot row vs model",
-                }));
-            }
-            slots.push(d);
-        }
-        let live_rows = slots
-            .iter()
-            .filter(|d| d.cluster != TOMBSTONE)
-            .map(|d| (d.cluster, d.cat.as_slice()));
-        if !model.counts_match(live_rows) {
-            return Err(ShardError::Wire(WireError::Invalid {
-                what: "aggregate counts vs slot rows",
-            }));
-        }
+        let payload = StreamPayload::get(&mut r)?;
         r.expect_empty()?;
-        let mut c = Self::new(plan, Arc::new(codec), ledger, model, slots);
-        c.next_req = next_req;
-        let mut rep = c.rep.borrow_mut();
-        (rep.version, rep.fallbacks) = (version, fallbacks);
-        rep.check_cursor()?;
-        rep.model.refresh_cache();
-        drop(rep);
+        incremental(payload.ledger.engine())?;
+        let c = Self {
+            next_req,
+            ..Self::new(plan, payload)
+        };
+        c.rep.borrow_mut().version = version;
         Ok(c)
     }
 
@@ -844,14 +823,20 @@ impl Coordinator {
 }
 
 /// Decode the bookkeeping [`Coordinator::put_books`] wrote. A ledger that
-/// names the literal δ engine is [`WireError::Invalid`]: sharding runs only
-/// the incremental one.
+/// names the literal δ engine is [`WireError::Invalid`].
 fn get_books(r: &mut Reader<'_>) -> Result<(DriverLedger, usize, u64), WireError> {
-    let (ledger, engine) = DriverLedger::get(r)?;
+    let ledger = DriverLedger::get(r)?;
+    incremental(ledger.engine())?;
+    Ok((ledger, r.get_usize()?, r.get_u64()?))
+}
+
+/// [`WireError::Invalid`] unless `engine` is the incremental δ engine, the
+/// only one sharding runs.
+fn incremental(engine: DeltaEngine) -> Result<(), WireError> {
     if engine != DeltaEngine::Incremental {
         return Err(WireError::Invalid {
             what: "coordinator delta engine",
         });
     }
-    Ok((ledger, r.get_usize()?, r.get_u64()?))
+    Ok(())
 }

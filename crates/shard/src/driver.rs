@@ -14,7 +14,8 @@ use crate::protocol::{Msg, Op, OpOutcome};
 use crate::shard::{Outbox, ShardNode};
 use crate::ShardError;
 use fairkm_core::{
-    DeltaEngine, EvictReport, FairKmError, IngestReport, StreamingConfig, StreamingFairKm,
+    DeltaEngine, EvictReport, FairKmError, IngestReport, StreamPayload, StreamingConfig,
+    StreamingFairKm,
 };
 use fairkm_data::{Dataset, Value};
 use std::collections::VecDeque;
@@ -43,15 +44,16 @@ impl ShardedFairKm {
             return Err(ShardError::LiteralEngine);
         }
         let engine = StreamingFairKm::bootstrap(dataset, config).map_err(ShardError::Core)?;
-        Self::from_parts(engine.into_shard_parts(), plan)
+        Self::from_payload(engine.into_payload(), plan)
     }
 
-    /// Split an already-running single-node engine's parts across shards.
-    pub fn from_parts(parts: fairkm_core::ShardParts, plan: ShardPlan) -> Result<Self, ShardError> {
-        if parts.engine == DeltaEngine::Literal {
+    /// Split an already-running single-node engine's payload across
+    /// shards.
+    pub fn from_payload(payload: StreamPayload, plan: ShardPlan) -> Result<Self, ShardError> {
+        if payload.ledger.engine() == DeltaEngine::Literal {
             return Err(ShardError::LiteralEngine);
         }
-        let (coordinator, shards) = Coordinator::provision(parts, plan);
+        let (coordinator, shards) = Coordinator::provision(payload, plan);
         Ok(Self {
             coordinator,
             shards,

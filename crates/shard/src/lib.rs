@@ -255,32 +255,13 @@ mod tests {
                     ShardedFairKm::bootstrap(boot(), config.clone(), shards, 16).unwrap();
                 drive!(sharded, arrivals);
                 assert_eq!(sharded.coordinator().fallbacks() > 0, fallbacks);
-                assert_eq!(
-                    sharded.objective().to_bits(),
-                    single.objective().to_bits(),
-                    "objective diverged at {shards} shards"
+                // The stream payload holds the objective, the trace, the
+                // fallback count, the aggregates and every slot's row and
+                // cluster: equal bytes are equal runs.
+                assert!(
+                    sharded.coordinator().stream_payload() == single.to_snapshot_bytes(),
+                    "stream payload diverged at {shards} shards"
                 );
-                let single_trace: Vec<u64> = single.trace().iter().map(|v| v.to_bits()).collect();
-                let sharded_trace: Vec<u64> = sharded.trace().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(
-                    sharded_trace, single_trace,
-                    "trace diverged at {shards} shards"
-                );
-                assert_eq!(sharded.live_slots(), single.live_slots());
-                for slot in sharded.live_slots() {
-                    assert_eq!(sharded.assignment_of(slot), single.assignment_of(slot));
-                }
-                let single_protos: Vec<Vec<u64>> = single
-                    .prototypes()
-                    .iter()
-                    .map(|p| p.iter().map(|v| v.to_bits()).collect())
-                    .collect();
-                let sharded_protos: Vec<Vec<u64>> = sharded
-                    .prototypes()
-                    .iter()
-                    .map(|p| p.iter().map(|v| v.to_bits()).collect())
-                    .collect();
-                assert_eq!(sharded_protos, single_protos);
                 assert!(sharded.replicas_agree(), "replica drift at {shards} shards");
             }
         }
@@ -321,15 +302,15 @@ mod tests {
     // ---- coordinator durability ------------------------------------
 
     use crate::shard::Outbox;
-    use fairkm_core::ShardParts;
+    use fairkm_core::{SlotTable, StreamPayload};
     use fairkm_store::{DurableStore, FaultPlan, SharedMemBackend, StoreError, TornWrite};
     use std::collections::VecDeque;
 
-    fn parts(data: &Dataset, seed: u64) -> ShardParts {
+    fn parts(data: &Dataset, seed: u64) -> StreamPayload {
         let boot_idx: Vec<usize> = (0..200).collect();
         StreamingFairKm::bootstrap(data.select_rows(&boot_idx).unwrap(), config(seed))
             .unwrap()
-            .into_shard_parts()
+            .into_payload()
     }
 
     /// Pump the in-process queue until drained; returns the completed
@@ -810,19 +791,23 @@ mod tests {
 
         let data = workload();
         let disk = SharedMemBackend::new();
-        let (mut c, mut s) =
-            Coordinator::provision(parts(&data, 11), ShardPlan::new(2, 16).unwrap());
+        let parts = parts(&data, 11);
+        let mut codec = Vec::new();
+        parts.codec.put(&mut codec);
+        let (mut c, mut s) = Coordinator::provision(parts, ShardPlan::new(2, 16).unwrap());
         c.make_durable(Box::new(disk.clone()), None).unwrap();
         run_op(&mut c, &mut s, Op::EvictOldest(2)).unwrap();
         let invalid = |r: Result<Coordinator, ShardError>| {
             matches!(r, Err(ShardError::Wire(WireError::Invalid { .. })))
         };
 
-        // The format tag and the plan's two words, then the ledger: λ, the
-        // window (no pinned width: one byte), the δ engine and four words
-        // before the cursor.
+        // The format tag, the plan's two words, the request-id counter and
+        // the log version, then the stream payload's tag and row codec,
+        // then its ledger: λ, the window (no pinned width: one byte), the
+        // δ engine and four words before the cursor.
         let bytes = c.snapshot_bytes();
-        let (lambda, cursor) = (24, 24 + 8 + 1 + 1 + 4 * 8);
+        let lambda = 5 * 8 + 8 + codec.len();
+        let cursor = lambda + 8 + 1 + 1 + 4 * 8;
         assert_eq!(bytes[cursor..cursor + 8], 2u64.to_le_bytes());
         let patched = |at: usize, field: [u8; 8]| {
             let mut b = bytes.clone();
@@ -868,6 +853,54 @@ mod tests {
                 Coordinator::decode_snapshot(bad),
                 Err(ShardError::Wire(WireError::UnsupportedVersion { .. }))
             ));
+        }
+    }
+
+    /// A shard snapshot that does not start with its format tag — one in
+    /// the layout written before the tag existed, or one with a corrupt
+    /// tag — is `UnsupportedVersion`, not a misparse.
+    #[test]
+    fn a_shard_snapshot_without_the_format_tag_is_unsupported() {
+        use fairkm_core::wire::WireError;
+
+        let (_c, s) =
+            Coordinator::provision(parts(&workload(), 11), ShardPlan::new(2, 16).unwrap());
+        let bytes = s[1].snapshot_bytes();
+        assert!(ShardNode::from_snapshot(&bytes).is_ok());
+        let mut wrong_tag = bytes.clone();
+        wrong_tag[7] ^= 1;
+        for bad in [&bytes[8..], &wrong_tag[..]] {
+            assert!(matches!(
+                ShardNode::from_snapshot(bad),
+                Err(WireError::UnsupportedVersion { .. })
+            ));
+        }
+    }
+
+    /// A shard snapshot whose λ bootstrap would reject — NaN, infinite or
+    /// negative — is a typed error, not a live replica scoring with it.
+    #[test]
+    fn a_shard_snapshot_with_a_bad_lambda_is_rejected() {
+        use fairkm_core::wire::WireError;
+
+        let (_c, s) =
+            Coordinator::provision(parts(&workload(), 11), ShardPlan::new(2, 16).unwrap());
+        let bytes = s[1].snapshot_bytes();
+        // The format tag, the shard id, the plan's two words and the log
+        // version precede λ.
+        let lambda = 5 * 8;
+        let stored = f64::from_le_bytes(bytes[lambda..lambda + 8].try_into().unwrap());
+        assert!(stored.is_finite() && stored >= 0.0);
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut b = bytes.clone();
+            b[lambda..lambda + 8].copy_from_slice(&bad.to_le_bytes());
+            assert!(
+                matches!(
+                    ShardNode::from_snapshot(&b),
+                    Err(WireError::Invalid { what: "λ" })
+                ),
+                "λ = {bad}"
+            );
         }
     }
 
@@ -956,9 +989,8 @@ mod tests {
             let c = sharded.coordinator();
             let mut rows = Vec::new();
             for shard in 0..2 {
-                for d in c.shard_state(shard).owned.values() {
-                    d.to_bytes(&mut rows);
-                }
+                let owned: Vec<_> = c.shard_state(shard).owned.into_values().collect();
+                SlotTable::put(&mut rows, owned.len(), |x| owned[x].columns());
             }
             c.snapshot_bytes().len() - rows.len() - 8 * c.trace().len()
         };
@@ -977,10 +1009,11 @@ mod tests {
         assert!(sharded.replicas_agree());
     }
 
-    /// Decode-never-panics for the coordinator snapshot: a mutated payload
-    /// either decodes to a typed error, or to a coordinator that — with
-    /// shard replicas provisioned from it — runs an ingest of one valid row
-    /// without panicking.
+    /// Decode-never-panics for the coordinator and the shard snapshot: a
+    /// mutated payload either decodes to a typed error, or to a node that
+    /// runs an ingest of one valid row without panicking — a coordinator
+    /// with shard replicas provisioned from it, or shard 1 beside the
+    /// provisioned coordinator and shard 0.
     mod mutated_snapshots {
         use super::*;
         use proptest::prelude::*;
@@ -996,6 +1029,25 @@ mod tests {
             })
         }
 
+        fn shard_snapshot() -> &'static [u8] {
+            static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+            BYTES.get_or_init(|| {
+                let data = workload();
+                let (_c, s) =
+                    Coordinator::provision(parts(&data, 11), ShardPlan::new(2, 16).unwrap());
+                s[1].snapshot_bytes()
+            })
+        }
+
+        fn mutated(bytes: &[u8], edits: &[(u16, u8)]) -> Vec<u8> {
+            let mut bytes = bytes.to_vec();
+            let len = bytes.len();
+            for &(pos, mask) in edits {
+                bytes[pos as usize % len] ^= mask;
+            }
+            bytes
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(3000))]
 
@@ -1003,14 +1055,25 @@ mod tests {
             fn a_mutated_coordinator_snapshot_never_panics(
                 edits in proptest::collection::vec((0u16..=u16::MAX, 1u8..=255), 1..4),
             ) {
-                let mut bytes = snapshot().to_vec();
-                let len = bytes.len();
-                for &(pos, mask) in &edits {
-                    bytes[pos as usize % len] ^= mask;
-                }
+                let bytes = mutated(snapshot(), &edits);
                 if let Ok(mut c) = Coordinator::decode_snapshot(&bytes) {
                     let mut shards = c.shard_nodes();
                     let row = workload().row_values(250).unwrap();
+                    let _ = run_op(&mut c, &mut shards, Op::Ingest(vec![row]));
+                }
+            }
+
+            #[test]
+            fn a_mutated_shard_snapshot_never_panics(
+                edits in proptest::collection::vec((0u16..=u16::MAX, 1u8..=255), 1..4),
+            ) {
+                let bytes = mutated(shard_snapshot(), &edits);
+                if let Ok(shard) = ShardNode::from_snapshot(&bytes) {
+                    let data = workload();
+                    let (mut c, mut shards) =
+                        Coordinator::provision(parts(&data, 11), ShardPlan::new(2, 16).unwrap());
+                    shards[1] = shard;
+                    let row = data.row_values(250).unwrap();
                     let _ = run_op(&mut c, &mut shards, Op::Ingest(vec![row]));
                 }
             }
@@ -1027,9 +1090,9 @@ mod tests {
         let data = workload();
         let arrivals: Vec<Vec<Value>> = (200..220).map(|r| data.row_values(r).unwrap()).collect();
         let disk = SharedMemBackend::new();
-        let parts = parts(&data, 11);
-        let mut row = parts.slots[0].clone();
-        let (mut c, mut s) = Coordinator::provision(parts, ShardPlan::new(2, 16).unwrap());
+        let (mut c, mut s) =
+            Coordinator::provision(parts(&data, 11), ShardPlan::new(2, 16).unwrap());
+        let mut row = c.shard_state(0).owned[&0].clone();
         c.make_durable(Box::new(disk.clone()), None).unwrap();
         run_op(&mut c, &mut s, Op::Ingest(arrivals)).unwrap();
         row.cluster = c.k();

@@ -5,7 +5,7 @@ use crate::coordinator::Coordinator;
 use crate::plan::ShardPlan;
 use crate::protocol::Msg;
 use crate::shard::{Outbox, ShardNode};
-use fairkm_core::ShardParts;
+use fairkm_core::StreamPayload;
 use fairkm_sim::{Ctx, FaultSchedule, NodeId, SharedMemBackend, SimNode, Simulation};
 
 /// Snapshot cadence of the simulated coordinator's journal: roll a fresh
@@ -81,7 +81,7 @@ impl SimNode<Msg> for Node {
     }
 }
 
-/// Build a simulation of the shard protocol over `parts` (a bootstrapped
+/// Build a simulation of the shard protocol over `payload` (a bootstrapped
 /// single-node engine's hand-off state) under `faults`. Every shard's disk
 /// is pre-seeded with its provisioning snapshot, so a shard that crashes
 /// before its first checkpoint still rejoins from durable state; the
@@ -94,12 +94,12 @@ impl SimNode<Msg> for Node {
 /// error) — that is a broken test schedule, not a protocol outcome.
 #[allow(clippy::type_complexity)] // impl-Trait factory can't live in a type alias
 pub fn build_simulation(
-    parts: ShardParts,
+    payload: StreamPayload,
     plan: ShardPlan,
     seed: u64,
     faults: FaultSchedule,
 ) -> Simulation<Msg, Node, impl FnMut(NodeId, Option<&[u8]>, &SharedMemBackend) -> Node> {
-    let (coordinator, shards) = Coordinator::provision(parts, plan);
+    let (coordinator, shards) = Coordinator::provision(payload, plan);
     let snapshots: Vec<Vec<u8>> = shards.iter().map(|s| s.snapshot_bytes()).collect();
     let mut initial: Vec<Option<Node>> = Vec::with_capacity(1 + shards.len());
     initial.push(Some(Node::Coordinator(Box::new(coordinator))));

@@ -4,8 +4,13 @@
 use crate::plan::ShardPlan;
 use crate::protocol::{Msg, Part, ShardState};
 use fairkm_core::wire::{self, Reader, WireError};
-use fairkm_core::{improving, Answer, ClusterModel, LogEntry, SlotRow, TOMBSTONE};
+use fairkm_core::{improving, Answer, ClusterModel, LogEntry, SlotRow, SlotTable, TOMBSTONE};
 use std::collections::BTreeMap;
+
+/// Leading `u64` of every [`ShardNode::snapshot_bytes`] payload: the bytes
+/// `FKSHARD1`. Payloads written before the tag existed start with a shard
+/// id far below 2^56, so they can never carry it.
+const SNAPSHOT_FORMAT: u64 = u64::from_le_bytes(*b"FKSHARD1");
 
 /// Messages a handler wants delivered: `(destination node, message)`.
 pub type Outbox = Vec<(usize, Msg)>;
@@ -215,63 +220,70 @@ impl ShardNode {
         (0, Msg::Answer { req, answer })
     }
 
-    /// Serialize the durable state: identity, plan, λ, log version, the
-    /// replica model, and the owned payloads. Buffered batches and
-    /// deferred requests are volatile by design — the sync handshake and
-    /// the coordinator's re-issue of outstanding requests recover them.
+    /// Serialize the durable state: the format tag, identity, plan, log
+    /// version, λ, the replica model, the owned slot ids, and the owned
+    /// rows as one [`SlotTable`]. Buffered batches and deferred requests
+    /// are volatile by design — the sync handshake and the coordinator's
+    /// re-issue of outstanding requests recover them.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut outb = Vec::new();
-        wire::put_usize(&mut outb, self.id);
-        wire::put_usize(&mut outb, self.plan.shards);
-        wire::put_usize(&mut outb, self.plan.block);
-        wire::put_u64(&mut outb, self.state.version);
-        wire::put_f64(&mut outb, self.state.lambda);
-        outb.extend(self.state.model.to_bytes());
-        wire::put_usize(&mut outb, self.state.owned.len());
-        for (&slot, d) in &self.state.owned {
-            wire::put_usize(&mut outb, slot);
-            d.to_bytes(&mut outb);
-        }
-        outb
+        let mut out = Vec::new();
+        wire::put_u64(&mut out, SNAPSHOT_FORMAT);
+        wire::put_usize(&mut out, self.id);
+        wire::put_usize(&mut out, self.plan.shards);
+        wire::put_usize(&mut out, self.plan.block);
+        wire::put_u64(&mut out, self.state.version);
+        wire::put_f64(&mut out, self.state.lambda);
+        out.extend(self.state.model.to_bytes());
+        let (slots, rows): (Vec<usize>, Vec<&SlotRow>) = self.state.owned.iter().unzip();
+        wire::put_usizes(&mut out, &slots);
+        SlotTable::put(&mut out, rows.len(), |x| rows[x].columns());
+        out
     }
 
     /// Rebuild a shard from [`Self::snapshot_bytes`]; a typed error on a
-    /// truncated or malformed buffer, or on an owned row that does not fit
-    /// the model or is not this shard's — decoding never panics and never
-    /// silently accepts wrong bits.
+    /// truncated or malformed buffer — never a panic, never silently
+    /// accepted wrong bits. A payload without this build's format tag is
+    /// [`WireError::UnsupportedVersion`]. A λ bootstrap would reject
+    /// (negative or non-finite), an owned row that does not fit the model
+    /// ([`SlotTable::get`]), or slot ids that are not ascending, one per
+    /// row and this shard's are [`WireError::Invalid`].
     pub fn from_snapshot(bytes: &[u8]) -> Result<Self, WireError> {
+        let invalid = |what: &'static str| Err(WireError::Invalid { what });
         let mut r = Reader::new(bytes);
+        let found = r.get_u64()?;
+        if found != SNAPSHOT_FORMAT {
+            return Err(WireError::UnsupportedVersion {
+                found,
+                expected: SNAPSHOT_FORMAT,
+            });
+        }
         let id = r.get_usize()?;
         let shards = r.get_usize()?;
         let block = r.get_usize()?;
         let version = r.get_u64()?;
         let lambda = r.get_f64()?;
-        let model = ClusterModel::from_reader(&mut r)?;
-        let n_owned = r.get_len(8)?;
-        let mut owned = BTreeMap::new();
-        for _ in 0..n_owned {
-            let slot = r.get_usize()?;
-            owned.insert(slot, SlotRow::from_reader(&mut r)?);
+        if !lambda.is_finite() || lambda < 0.0 {
+            return invalid("λ");
         }
+        let model = ClusterModel::from_reader(&mut r)?;
+        let slots = r.get_usizes()?;
+        let table = SlotTable::get(&mut r, &model)?;
         r.expect_empty()?;
         let plan = ShardPlan::new(shards, block).map_err(|_| WireError::Invalid {
             what: "shard placement plan",
         })?;
         if id >= plan.shards {
-            return Err(WireError::Invalid {
-                what: "shard id out of plan range",
-            });
+            return invalid("shard id out of plan range");
         }
-        // Every owned row must fit the model and belong to this shard, or
-        // the next fold or proposal over it would index out of range.
-        if !owned
-            .iter()
-            .all(|(&slot, d)| model.fits(d) && plan.owner(slot) == id)
+        // One ascending id per row, each owned by this shard, or a fold or
+        // proposal would skip or misplace a row.
+        if slots.len() != table.n_slots()
+            || slots.windows(2).any(|w| w[0] >= w[1])
+            || slots.iter().any(|&slot| plan.owner(slot) != id)
         {
-            return Err(WireError::Invalid {
-                what: "owned slot row",
-            });
+            return invalid("owned slot ids");
         }
+        let owned = slots.into_iter().zip(table.into_rows(&model)).collect();
         let state = ShardState {
             lambda,
             version,

@@ -495,6 +495,10 @@ struct StreamOptions {
     resume: bool,
 }
 
+/// Default of `--snapshot-every` for `stream` and `serve`: operations
+/// between durable snapshots.
+const SNAPSHOT_EVERY: u64 = 8;
+
 /// The value after `flag`, parsed as a positive integer.
 fn positive(flag: &str, value: Option<&String>) -> Result<usize, String> {
     let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
@@ -504,18 +508,38 @@ fn positive(flag: &str, value: Option<&String>) -> Result<usize, String> {
     }
 }
 
+/// The value after `flag`, parsed as an integer.
+fn integer<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag} needs an integer"))
+}
+
+/// The value after `--drift`: a finite, non-negative relative threshold.
+fn drift(value: Option<&String>) -> Result<f64, String> {
+    let value = value.ok_or("--drift needs a value")?;
+    match value.parse::<f64>() {
+        Ok(d) if d.is_finite() && d >= 0.0 => Ok(d),
+        Ok(_) => Err("--drift needs a non-negative number".into()),
+        Err(_) => Err("--drift needs a number".into()),
+    }
+}
+
 fn parse_stream(args: &[String]) -> Result<StreamOptions, String> {
+    // Only the drift and re-optimization defaults are read.
+    let stream = StreamingConfig::new(1);
     let mut opts = StreamOptions {
         common: CommonOptions::new(),
         bootstrap: None,
         batch: 64,
-        drift: 0.05,
-        reopt_passes: 5,
+        drift: stream.drift_threshold,
+        reopt_passes: stream.reopt_passes,
         retain: None,
         monitor_window: 8,
         monitor_every: 1,
         state_dir: None,
-        snapshot_every: 8,
+        snapshot_every: SNAPSHOT_EVERY,
         resume: false,
     };
     let mut it = args.iter();
@@ -529,34 +553,12 @@ fn parse_stream(args: &[String]) -> Result<StreamOptions, String> {
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
         match flag.as_str() {
-            "--bootstrap" => {
-                opts.bootstrap = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| "--bootstrap needs an integer")?,
-                )
-            }
+            "--bootstrap" => opts.bootstrap = Some(integer(flag, it.next())?),
             "--batch" => opts.batch = positive(flag, it.next())?,
-            "--drift" => {
-                let d: f64 = value()?.parse().map_err(|_| "--drift needs a number")?;
-                if !d.is_finite() || d < 0.0 {
-                    return Err("--drift needs a non-negative number".into());
-                }
-                opts.drift = d;
-            }
-            "--reopt-passes" => {
-                opts.reopt_passes = value()?
-                    .parse()
-                    .map_err(|_| "--reopt-passes needs an integer")?
-            }
-            "--retain" => {
-                opts.retain = Some(value()?.parse().map_err(|_| "--retain needs an integer")?)
-            }
-            "--monitor-window" => {
-                opts.monitor_window = value()?
-                    .parse()
-                    .map_err(|_| "--monitor-window needs an integer")?
-            }
+            "--drift" => opts.drift = drift(it.next())?,
+            "--reopt-passes" => opts.reopt_passes = integer(flag, it.next())?,
+            "--retain" => opts.retain = Some(integer(flag, it.next())?),
+            "--monitor-window" => opts.monitor_window = integer(flag, it.next())?,
             "--monitor-every" => opts.monitor_every = positive(flag, it.next())?,
             "--state-dir" => opts.state_dir = Some(value()?),
             "--snapshot-every" => opts.snapshot_every = positive(flag, it.next())? as u64,
@@ -1062,6 +1064,8 @@ struct ServeOptions {
 
 fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
     let defaults = ServerConfig::default();
+    // Only the drift and re-optimization defaults are read.
+    let stream = StreamingConfig::new(1);
     let mut opts = ServeOptions {
         common: CommonOptions::new(),
         listen: String::new(),
@@ -1072,9 +1076,9 @@ fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
         max_pending: 8,
         read_timeout_ms: defaults.read_timeout.as_millis() as u64,
         write_timeout_ms: defaults.write_timeout.as_millis() as u64,
-        snapshot_every: 8,
-        drift: 0.05,
-        reopt_passes: 5,
+        snapshot_every: SNAPSHOT_EVERY,
+        drift: stream.drift_threshold,
+        reopt_passes: stream.reopt_passes,
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -1099,60 +1103,14 @@ fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
                 opts.tenants.push((name.to_string(), dir.to_string()));
             }
             "--resume" => opts.resume = true,
-            "--workers" => {
-                let w: usize = value()?
-                    .parse()
-                    .map_err(|_| "--workers needs a positive integer")?;
-                if w == 0 {
-                    return Err("--workers needs a positive integer".into());
-                }
-                opts.workers = w;
-            }
-            "--queue" => {
-                let q: usize = value()?
-                    .parse()
-                    .map_err(|_| "--queue needs a positive integer")?;
-                if q == 0 {
-                    return Err("--queue needs a positive integer".into());
-                }
-                opts.queue = q;
-            }
-            "--max-pending" => {
-                opts.max_pending = value()?
-                    .parse()
-                    .map_err(|_| "--max-pending needs an integer")?
-            }
-            "--read-timeout-ms" => {
-                opts.read_timeout_ms = value()?
-                    .parse()
-                    .map_err(|_| "--read-timeout-ms needs an integer")?
-            }
-            "--write-timeout-ms" => {
-                opts.write_timeout_ms = value()?
-                    .parse()
-                    .map_err(|_| "--write-timeout-ms needs an integer")?
-            }
-            "--snapshot-every" => {
-                let every: u64 = value()?
-                    .parse()
-                    .map_err(|_| "--snapshot-every needs a positive integer")?;
-                if every == 0 {
-                    return Err("--snapshot-every needs a positive integer".into());
-                }
-                opts.snapshot_every = every;
-            }
-            "--drift" => {
-                let d: f64 = value()?.parse().map_err(|_| "--drift needs a number")?;
-                if !d.is_finite() || d < 0.0 {
-                    return Err("--drift needs a non-negative number".into());
-                }
-                opts.drift = d;
-            }
-            "--reopt-passes" => {
-                opts.reopt_passes = value()?
-                    .parse()
-                    .map_err(|_| "--reopt-passes needs an integer")?
-            }
+            "--workers" => opts.workers = positive(flag, it.next())?,
+            "--queue" => opts.queue = positive(flag, it.next())?,
+            "--max-pending" => opts.max_pending = integer(flag, it.next())?,
+            "--read-timeout-ms" => opts.read_timeout_ms = integer(flag, it.next())?,
+            "--write-timeout-ms" => opts.write_timeout_ms = integer(flag, it.next())?,
+            "--snapshot-every" => opts.snapshot_every = positive(flag, it.next())? as u64,
+            "--drift" => opts.drift = drift(it.next())?,
+            "--reopt-passes" => opts.reopt_passes = integer(flag, it.next())?,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }

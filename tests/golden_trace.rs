@@ -251,7 +251,7 @@ fn streaming_run(name: &'static str, objective: ObjectiveKind) -> GoldenRun {
         .map(|&s| stream.assignment_of(s).unwrap())
         .collect();
     let snapshot = digest(&stream.to_snapshot_bytes());
-    let replica = digest(&stream.clone().into_shard_parts().model.to_bytes());
+    let replica = digest(&stream.clone().into_payload().model.to_bytes());
     GoldenRun {
         name,
         slots,

@@ -5,8 +5,10 @@
 //! S × threads × seed matrix must be **bitwise identical** to the
 //! single-node golden run — assignments, objective, full trace, and
 //! prototypes — and every shard replica must end at the coordinator's log
-//! version with identical model bytes. Run in release mode by CI next to
-//! the other matrices.
+//! version with identical model bytes. The byte-level oracle runs at every
+//! operation boundary: the coordinator's stream payload (codec, ledger,
+//! fallback count, model and slot table) equals the single node's, byte
+//! for byte. Run in release mode by CI next to the other matrices.
 
 use fairkm::prelude::*;
 use fairkm::shard::ShardedFairKm;
@@ -31,9 +33,11 @@ fn workload() -> Dataset {
     .dataset
 }
 
-/// Everything observable about a finished stream, floats as bit patterns.
+/// Everything observable about a finished stream, floats as bit patterns,
+/// and the stream payload after every operation.
 #[derive(Debug, PartialEq, Eq)]
 struct Fingerprint {
+    payloads: Vec<Vec<u8>>,
     slots: Vec<usize>,
     assignments: Vec<usize>,
     objective_bits: u64,
@@ -53,25 +57,32 @@ fn config(seed: u64, threads: usize) -> StreamingConfig {
 
 /// The shared lifecycle: ingest the tail in 64-row chunks with a 700-point
 /// sliding window. A macro so the same body drives both engine types.
+/// Returns `$payload`, the stream payload, after bootstrap and after every
+/// operation.
 macro_rules! drive {
-    ($engine:expr, $arrivals:expr) => {{
+    ($engine:expr, $arrivals:expr, $payload:expr) => {{
+        let mut payloads = vec![$payload];
         for chunk in $arrivals.chunks(64) {
             $engine.ingest(chunk).unwrap();
+            payloads.push($payload);
             if $engine.live() > 700 {
                 $engine.evict_oldest($engine.live() - 700).unwrap();
+                payloads.push($payload);
             }
         }
+        payloads
     }};
 }
 
 macro_rules! fingerprint {
-    ($engine:expr) => {{
+    ($engine:expr, $payloads:expr) => {{
         let slots = $engine.live_slots();
         let assignments = slots
             .iter()
             .map(|&s| $engine.assignment_of(s).unwrap())
             .collect();
         Fingerprint {
+            payloads: $payloads,
             slots,
             assignments,
             objective_bits: $engine.objective().to_bits(),
@@ -90,8 +101,8 @@ fn run_single(data: &Dataset, seed: u64, threads: usize) -> Fingerprint {
     let boot = data.select_rows(&boot_idx).unwrap();
     let mut stream = StreamingFairKm::bootstrap(boot, config(seed, threads)).unwrap();
     let arrivals: Vec<Vec<Value>> = (600..900).map(|r| data.row_values(r).unwrap()).collect();
-    drive!(stream, arrivals);
-    fingerprint!(stream)
+    let payloads = drive!(stream, arrivals, stream.to_snapshot_bytes());
+    fingerprint!(stream, payloads)
 }
 
 fn run_sharded(data: &Dataset, seed: u64, threads: usize, shards: usize) -> Fingerprint {
@@ -99,12 +110,12 @@ fn run_sharded(data: &Dataset, seed: u64, threads: usize, shards: usize) -> Fing
     let boot = data.select_rows(&boot_idx).unwrap();
     let mut sharded = ShardedFairKm::bootstrap(boot, config(seed, threads), shards, 64).unwrap();
     let arrivals: Vec<Vec<Value>> = (600..900).map(|r| data.row_values(r).unwrap()).collect();
-    drive!(sharded, arrivals);
+    let payloads = drive!(sharded, arrivals, sharded.coordinator().stream_payload());
     assert!(
         sharded.replicas_agree(),
         "replica drift: seed {seed}, {threads} threads, {shards} shards"
     );
-    fingerprint!(sharded)
+    fingerprint!(sharded, payloads)
 }
 
 #[test]

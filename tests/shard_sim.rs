@@ -6,8 +6,10 @@
 //! must be **bitwise identical** to a fault-free in-process run of the
 //! same operations (which `tests/shard_determinism.rs` pins to the
 //! single-node golden): same objective bits, same trace, same
-//! assignments, same prototypes, same serialized model bytes, same log
-//! version.
+//! assignments, same prototypes, same serialized model bytes, same stream
+//! payload bytes, same log version. The fault-free run's stream payload
+//! equals the single-node engine's at every operation boundary, so every
+//! schedule's payload is the single node's, byte for byte.
 //!
 //! The coordinator (node 0) crashes too: it journals every mutation batch
 //! through its node's fault-injecting storage backend before broadcasting
@@ -75,6 +77,7 @@ struct Fingerprint {
     assignments: Vec<usize>,
     prototype_bits: Vec<Vec<u64>>,
     model_bytes: Vec<u8>,
+    payload: Vec<u8>,
     log_len: u64,
 }
 
@@ -90,35 +93,43 @@ fn fingerprint_of(c: &fairkm::shard::Coordinator) -> Fingerprint {
             .map(|ci| c.prototypes()[ci].iter().map(|v| v.to_bits()).collect())
             .collect(),
         model_bytes: c.model_bytes(),
+        payload: c.stream_payload(),
         log_len: c.log_len(),
     }
 }
 
-/// Fault-free in-process execution — the reference bits.
+/// Fault-free in-process execution — the reference bits — run in lockstep
+/// with the single-node engine, whose stream payload it must equal at
+/// every operation boundary.
 fn golden(data: &Dataset) -> Fingerprint {
     let boot_idx: Vec<usize> = (0..200).collect();
-    let mut engine = ShardedFairKm::bootstrap(
-        data.select_rows(&boot_idx).unwrap(),
-        config(),
-        SHARDS,
-        BLOCK,
-    )
-    .unwrap();
-    for op in ops(data) {
+    let boot = data.select_rows(&boot_idx).unwrap();
+    let mut single = StreamingFairKm::bootstrap(boot.clone(), config()).unwrap();
+    let mut engine = ShardedFairKm::bootstrap(boot, config(), SHARDS, BLOCK).unwrap();
+    assert!(engine.coordinator().stream_payload() == single.to_snapshot_bytes());
+    for (i, op) in ops(data).into_iter().enumerate() {
         match op {
             Op::Ingest(rows) => {
                 engine.ingest(&rows).unwrap();
+                single.ingest(&rows).unwrap();
             }
             Op::Evict(slots) => {
                 engine.evict(&slots).unwrap();
+                single.evict(&slots).unwrap();
             }
             Op::EvictOldest(n) => {
                 engine.evict_oldest(n).unwrap();
+                single.evict_oldest(n).unwrap();
             }
             Op::Reoptimize => {
                 engine.reoptimize();
+                single.reoptimize();
             }
         }
+        assert!(
+            engine.coordinator().stream_payload() == single.to_snapshot_bytes(),
+            "stream payload diverged from the single node after op {i}"
+        );
     }
     assert!(engine.replicas_agree());
     fingerprint_of(engine.coordinator())
@@ -131,7 +142,7 @@ fn simulated(data: &Dataset, seed: u64, faults: FaultSchedule) -> Fingerprint {
     let boot_idx: Vec<usize> = (0..200).collect();
     let parts = StreamingFairKm::bootstrap(data.select_rows(&boot_idx).unwrap(), config())
         .unwrap()
-        .into_shard_parts();
+        .into_payload();
     let plan = ShardPlan::new(SHARDS, BLOCK).unwrap();
     let mut sim = build_simulation(parts, plan, seed, faults);
     for (i, op) in ops(data).into_iter().enumerate() {
@@ -221,7 +232,7 @@ fn sim_over(
     let boot_idx: Vec<usize> = (0..200).collect();
     let parts = StreamingFairKm::bootstrap(data.select_rows(&boot_idx).unwrap(), config())
         .unwrap()
-        .into_shard_parts();
+        .into_payload();
     let plan = ShardPlan::new(SHARDS, BLOCK).unwrap();
     build_simulation(parts, plan, seed, faults)
 }
@@ -428,7 +439,7 @@ fn crash_schedules_actually_drop_messages() {
     let boot_idx: Vec<usize> = (0..200).collect();
     let parts = StreamingFairKm::bootstrap(data.select_rows(&boot_idx).unwrap(), config())
         .unwrap()
-        .into_shard_parts();
+        .into_payload();
     let plan = ShardPlan::new(SHARDS, BLOCK).unwrap();
     let faults = FaultSchedule::none()
         .with_max_extra_delay(2)

@@ -7,9 +7,9 @@
 //!   auxiliary cells and overflowing norms included;
 //! * `live_views` returns bit for bit the sensitive space a full `Dataset`
 //!   of every row ever seen would give for the live slots;
-//! * a snapshot payload from before the format tag decodes to a typed
-//!   `UnsupportedVersion`, not a misparse, and a committed `FKSTRM02`
-//!   payload decodes and re-encodes byte for byte.
+//! * a snapshot payload from before the format tag, or in the `FKSTRM02`
+//!   format, decodes to a typed `UnsupportedVersion`, not a misparse, and
+//!   a committed `FKSTRM03` payload decodes and re-encodes byte for byte.
 
 use fairkm::core::persist::{DurableStream, PersistError};
 use fairkm::core::wire::WireError;
@@ -26,11 +26,16 @@ use fairkm_data::{row, DataError, Dataset, DatasetBuilder, Role, Value};
 const UNTAGGED_SNAPSHOT: &[u8] = include_bytes!("fixtures/stream_snapshot_untagged.bin");
 
 /// A payload written by `StreamingFairKm::to_snapshot_bytes` in the
-/// `FKSTRM02` format: `corpus(16)` bootstrapped with `k = 2`, seed 3,
+/// `FKSTRM02` format, which wrote its own copy of the model's fields and
+/// every row's `‖x‖²`: `corpus(16)` bootstrapped with `k = 2`, seed 3,
 /// λ = 10 and one thread, then `arrival(16)` and `arrival(17)` ingested and
-/// slot 0 evicted. State directories holding such payloads must keep
-/// loading.
+/// slot 0 evicted.
 const V2_SNAPSHOT: &[u8] = include_bytes!("fixtures/stream_snapshot_v2.bin");
+
+/// The same stream as [`V2_SNAPSHOT`], written in the `FKSTRM03` format —
+/// the stream payload both hosts share. State directories holding such
+/// payloads must keep loading.
+const V3_SNAPSHOT: &[u8] = include_bytes!("fixtures/stream_snapshot_v3.bin");
 
 /// Task `x`, `y`; sensitive `g ∈ {a, b}` and numeric `age`; auxiliary
 /// `note ∈ {p, q}`.
@@ -197,7 +202,7 @@ fn an_untagged_snapshot_is_an_unsupported_version() {
         length_prefix < 1 << 56,
         "the old format starts with a length"
     );
-    let expected = u64::from_le_bytes(*b"FKSTRM02");
+    let expected = u64::from_le_bytes(*b"FKSTRM03");
     assert!(matches!(
         StreamingFairKm::from_snapshot_bytes(UNTAGGED_SNAPSHOT, Some(1)),
         Err(WireError::UnsupportedVersion { found, expected: e })
@@ -221,9 +226,28 @@ fn an_untagged_snapshot_is_an_unsupported_version() {
 }
 
 #[test]
-fn a_v2_snapshot_decodes_and_re_encodes_byte_for_byte() {
-    let mut s = StreamingFairKm::from_snapshot_bytes(V2_SNAPSHOT, Some(1)).unwrap();
-    assert_eq!(s.to_snapshot_bytes(), V2_SNAPSHOT);
+fn a_v2_snapshot_is_an_unsupported_version() {
+    let v2 = u64::from_le_bytes(*b"FKSTRM02");
+    assert_eq!(V2_SNAPSHOT[..8], v2.to_le_bytes());
+    let expected = u64::from_le_bytes(*b"FKSTRM03");
+    assert!(matches!(
+        StreamingFairKm::from_snapshot_bytes(V2_SNAPSHOT, Some(1)),
+        Err(WireError::UnsupportedVersion { found, expected: e })
+            if found == v2 && e == expected
+    ));
+    let backend = SharedMemBackend::new();
+    let (mut store, _) = DurableStore::open(backend.clone()).unwrap();
+    store.snapshot(V2_SNAPSHOT).unwrap();
+    assert!(matches!(
+        DurableStream::open(backend, Some(1), None),
+        Err(PersistError::Wire(WireError::UnsupportedVersion { .. }))
+    ));
+}
+
+#[test]
+fn a_v3_snapshot_decodes_and_re_encodes_byte_for_byte() {
+    let mut s = StreamingFairKm::from_snapshot_bytes(V3_SNAPSHOT, Some(1)).unwrap();
+    assert_eq!(s.to_snapshot_bytes(), V3_SNAPSHOT);
     assert_eq!(
         (s.live(), s.n_slots(), s.inserted(), s.evicted()),
         (17, 18, 2, 1)
