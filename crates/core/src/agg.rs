@@ -81,12 +81,6 @@ impl SlotRow {
         })
     }
 
-    /// Slot `x` as [`SlotTable::put`] reads it: task row, codes, values
-    /// and cluster.
-    pub fn columns(&self) -> (&[f64], &[u32], &[f64], usize) {
-        (&self.row, &self.cat, &self.num, self.cluster)
-    }
-
     /// Whether this row passes the checks [`SlotTable::get`] runs on every
     /// slot, with its cached `‖x‖²` equal to the recomputed one.
     pub fn fits(&self, model: &ClusterModel) -> bool {
@@ -129,18 +123,38 @@ impl SlotTable {
         self.clusters.len()
     }
 
-    /// Append `n` slots; `slot(x)` gives slot `x`'s task row, codes,
-    /// values and cluster.
+    /// Append `n` slots from their columns, each in slot order: the task
+    /// values, the codes, the numeric values and the clusters. One pass
+    /// per column, so a host keeping the columns contiguous writes each
+    /// straight from its array.
     pub fn put<'a>(
         out: &mut Vec<u8>,
         n: usize,
-        slot: impl Fn(usize) -> (&'a [f64], &'a [u32], &'a [f64], usize),
+        rows: impl IntoIterator<Item = &'a f64>,
+        codes: impl IntoIterator<Item = &'a u32>,
+        values: impl IntoIterator<Item = &'a f64>,
+        clusters: impl IntoIterator<Item = &'a usize>,
     ) {
         wire::put_usize(out, n);
-        (0..n).for_each(|x| slot(x).0.iter().for_each(|&v| wire::put_f64(out, v)));
-        (0..n).for_each(|x| slot(x).1.iter().for_each(|&v| wire::put_u32(out, v)));
-        (0..n).for_each(|x| slot(x).2.iter().for_each(|&v| wire::put_f64(out, v)));
-        (0..n).for_each(|x| wire::put_usize(out, slot(x).3));
+        rows.into_iter().for_each(|&v| wire::put_f64(out, v));
+        codes.into_iter().for_each(|&v| wire::put_u32(out, v));
+        values.into_iter().for_each(|&v| wire::put_f64(out, v));
+        clusters.into_iter().for_each(|&c| wire::put_usize(out, c));
+    }
+
+    /// [`Self::put`] for the slots `rows`, in slot order.
+    pub fn put_rows<'a, I>(out: &mut Vec<u8>, rows: I)
+    where
+        I: ExactSizeIterator<Item = &'a SlotRow> + Clone,
+    {
+        Self::put(
+            out,
+            rows.len(),
+            rows.clone().flat_map(|d| &d.row),
+            rows.clone().flat_map(|d| &d.cat),
+            rows.clone().flat_map(|d| &d.num),
+            rows.map(|d| &d.cluster),
+        );
     }
 
     /// The bytes [`Self::put`] appends for `n` slots of `model`.

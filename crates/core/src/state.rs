@@ -1321,6 +1321,13 @@ impl<'a> State<'a> {
         }
     }
 
+    /// Append every slot as a [`SlotTable`], each column straight from its
+    /// contiguous array.
+    pub fn put_table(&self, out: &mut Vec<u8>) {
+        let (rows, codes, values) = (self.matrix.as_slice(), &self.cat_codes, &self.num_values);
+        SlotTable::put(out, self.n, rows, codes, values, &self.assignment);
+    }
+
     /// The inverse of [`Self::from_table`]: the model and every slot.
     pub fn into_table(self) -> (ClusterModel, SlotTable) {
         let table = SlotTable {
@@ -1511,14 +1518,7 @@ mod tests {
         );
         st.remove_point(2);
         let mut out = Vec::new();
-        SlotTable::put(&mut out, st.n, |x| {
-            (
-                st.matrix.row(x),
-                st.cat_row(x),
-                st.num_row(x),
-                st.assignment[x],
-            )
-        });
+        st.put_table(&mut out);
         assert_eq!(out.len(), SlotTable::encoded_len(&st.model, st.n));
     }
 

@@ -582,18 +582,19 @@ pub struct StreamPayload {
 }
 
 impl StreamPayload {
-    /// Append the payload of `n` slots, read as by [`SlotTable::put`]. The
-    /// buffer is sized once for the slot table: one grown by doubling
-    /// holds two allocations while it copies, a serving process's peak
-    /// memory at n=100k. A power-of-two capacity leaves room to grow.
-    pub fn put<'a>(
+    /// Append the payload of `n` slots, whose [`SlotTable`] `table`
+    /// appends. The buffer is sized once for the slot table: one grown by
+    /// doubling holds two allocations while it copies, a serving
+    /// process's peak memory at n=100k. A power-of-two capacity leaves
+    /// room to grow.
+    pub fn put(
         out: &mut Vec<u8>,
         codec: &RowCodec,
         ledger: &DriverLedger,
         fallbacks: usize,
         model: &ClusterModel,
         n: usize,
-        slot: impl Fn(usize) -> (&'a [f64], &'a [u32], &'a [f64], usize),
+        table: impl FnOnce(&mut Vec<u8>),
     ) {
         debug_assert!(model.cache_is_fresh(), "restore would refresh stale caches");
         wire::put_u64(out, SNAPSHOT_FORMAT);
@@ -605,7 +606,7 @@ impl StreamPayload {
         if out.capacity() - out.len() < len {
             out.reserve_exact((out.len() + len).next_power_of_two() - out.len());
         }
-        SlotTable::put(out, n, slot);
+        table(out);
     }
 
     /// Decode [`Self::put`] and check the whole: a payload that does not
@@ -1030,8 +1031,8 @@ impl StreamingFairKm {
     pub(crate) fn write_snapshot_bytes(&self, out: &mut Vec<u8>) {
         let s = &self.state;
         let (ledger, fallbacks, model) = (&self.ledger, s.fallbacks, &s.model);
-        StreamPayload::put(out, &self.codec, ledger, fallbacks, model, s.n, |x| {
-            (s.matrix.row(x), s.cat_row(x), s.num_row(x), s.assignment[x])
+        StreamPayload::put(out, &self.codec, ledger, fallbacks, model, s.n, |out| {
+            s.put_table(out)
         });
     }
 

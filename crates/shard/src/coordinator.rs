@@ -65,7 +65,7 @@ use fairkm_core::persist::{Journal, PersistError, RecoveryReport};
 use fairkm_core::wire::{self, Reader, WireError};
 use fairkm_core::{
     Answer, ClusterModel, DeltaEngine, DriverLedger, Entry, Host, LogEntry, Machine, Replica,
-    Request, RowCodec, SlotRow, Step, StreamPayload, Ticket, TOMBSTONE,
+    Request, RowCodec, SlotRow, SlotTable, Step, StreamPayload, Ticket, TOMBSTONE,
 };
 use fairkm_store::StorageBackend;
 use std::cell::RefCell;
@@ -242,6 +242,9 @@ pub struct Coordinator {
     /// one pending request.
     outstanding: BTreeMap<u64, (usize, Msg)>,
     results: VecDeque<OpOutcome>,
+    /// The first report of a shard replica past the log
+    /// ([`ShardError::ShardAhead`]).
+    fault: Option<ShardError>,
 }
 
 impl Coordinator {
@@ -276,6 +279,7 @@ impl Coordinator {
             next_req: 0,
             outstanding: BTreeMap::new(),
             results: VecDeque::new(),
+            fault: None,
         }
     }
 
@@ -325,6 +329,9 @@ impl Coordinator {
             }
             Msg::Answer { req, answer } => self.gathered(req, answer, out),
             Msg::SyncRequest { shard, have } => {
+                if self.ahead(shard, have) {
+                    return; // re-issued asks could never be answered
+                }
                 // Hand a lagging shard its state at the current version,
                 // then re-issue every outstanding request: any chain or
                 // request dropped while the shard was down is restarted,
@@ -336,9 +343,28 @@ impl Coordinator {
                     out.push((*target, msg.clone()));
                 }
             }
+            Msg::Passed { shard, have } => {
+                self.ahead(shard, have);
+            }
             // Requests are never addressed to the coordinator.
             _ => unreachable!("unexpected message at the coordinator"),
         }
+    }
+
+    /// Whether shard `shard`'s replica, at log version `have`, is past
+    /// this coordinator's log. No transfer or resend repairs that, so the
+    /// first such report is kept as [`Self::shard_fault`].
+    fn ahead(&mut self, shard: usize, have: u64) -> bool {
+        let log_len = self.log_len();
+        if have <= log_len {
+            return false;
+        }
+        self.fault.get_or_insert(ShardError::ShardAhead {
+            shard,
+            have,
+            log_len,
+        });
+        true
     }
 
     /// Resume the operation in flight with `answer` (starting queued
@@ -561,6 +587,13 @@ impl Coordinator {
         rep.journal.as_ref()?.wedge_cause().map(str::to_string)
     }
 
+    /// The first shard that reported a replica past this coordinator's log
+    /// ([`ShardError::ShardAhead`]): its asks are never answered, so an
+    /// operation that needs it does not complete.
+    pub fn shard_fault(&self) -> Option<&ShardError> {
+        self.fault.as_ref()
+    }
+
     /// Take the stashed cadence-snapshot failure, if the last completed
     /// operation's follow-up snapshot failed
     /// ([`PersistError::SnapshotAfterCommit`]). The operation is durable
@@ -686,7 +719,7 @@ impl Coordinator {
             fallbacks,
             model,
             rep.slots.len(),
-            |x| rep.slots[x].columns(),
+            |out| SlotTable::put_rows(out, rep.slots.iter()),
         );
         out
     }

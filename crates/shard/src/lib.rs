@@ -55,7 +55,10 @@
 //! requests).
 //! Replicas at one version are bitwise equal, so the transfer is the state
 //! the missed log would have produced; a late transfer older than the
-//! replica is ignored. The **coordinator crashes too**: it runs on the single
+//! replica is ignored. A shard answers an ask only at the ask's version:
+//! one it has passed gets [`Msg::Passed`] instead, and a replica past the
+//! coordinator's log is the typed [`ShardError::ShardAhead`], never a
+//! resend loop. The **coordinator crashes too**: it runs on the single
 //! node's durability wrapper ([`fairkm_core::persist::Journal`]), so it
 //! journals every mutation batch to the write-ahead log *before*
 //! broadcasting it (the durable log always covers everything a shard
@@ -126,6 +129,17 @@ pub enum ShardError {
     /// [`Coordinator::snapshot_now`] was called while an operation is in
     /// flight: its state is not at an operation boundary.
     OperationInFlight,
+    /// A shard reported a replica at a log version past the coordinator's
+    /// log ([`Coordinator::shard_fault`]) — restored from a snapshot the
+    /// log never reached. Its asks are never answered.
+    ShardAhead {
+        /// Shard index.
+        shard: usize,
+        /// Log version the shard's replica is at.
+        have: u64,
+        /// The coordinator's log version.
+        log_len: u64,
+    },
 }
 
 impl std::fmt::Display for ShardError {
@@ -143,6 +157,14 @@ impl std::fmt::Display for ShardError {
             ShardError::OperationInFlight => {
                 write!(f, "an operation is in flight; snapshot once it completes")
             }
+            ShardError::ShardAhead {
+                shard,
+                have,
+                log_len,
+            } => write!(
+                f,
+                "shard {shard} is at log version {have}, past the coordinator's {log_len}"
+            ),
         }
     }
 }
@@ -937,6 +959,51 @@ mod tests {
         assert!(replicas_agree(&c, &s));
     }
 
+    /// A shard restored from a snapshot whose version is past the log never
+    /// answers an ask at another version: the coordinator records the
+    /// typed fault, accepts no answer, and does not re-issue. A leftover
+    /// ask the replica has passed is reported, not answered, and no fault.
+    #[test]
+    fn a_shard_past_the_log_never_answers() {
+        let data = workload();
+        let (mut c, mut s) =
+            Coordinator::provision(parts(&data, 11), ShardPlan::new(2, 16).unwrap());
+        // The version word follows the tag, the shard id and the plan.
+        let mut bytes = s[1].snapshot_bytes();
+        bytes[32..40].copy_from_slice(&5u64.to_le_bytes());
+        s[1] = ShardNode::from_snapshot(&bytes).unwrap();
+        let at_start = fingerprint(&c);
+
+        assert!(run_op(&mut c, &mut s, Op::Reoptimize).is_none());
+        assert!(matches!(
+            c.shard_fault(),
+            Some(ShardError::ShardAhead {
+                shard: 1,
+                have: 5,
+                log_len: 0
+            })
+        ));
+        assert!(!c.is_idle(), "the operation must not complete");
+        assert_eq!(fingerprint(&c), at_start);
+        // The rejoin handshake re-issues nothing to it either.
+        let mut out: Outbox = Vec::new();
+        c.handle(Msg::SyncRequest { shard: 1, have: 5 }, &mut out);
+        assert!(out.is_empty());
+
+        // A shard at the log reports a leftover ask instead of answering.
+        let (mut c, mut s) =
+            Coordinator::provision(parts(&data, 11), ShardPlan::new(2, 16).unwrap());
+        let arrivals: Vec<Vec<Value>> = (200..220).map(|r| data.row_values(r).unwrap()).collect();
+        run_op(&mut c, &mut s, Op::Ingest(arrivals)).unwrap();
+        let part = Part::Window { start: 0, end: 16 };
+        let (req, version) = (0, 0);
+        s[0].handle(Msg::Ask { req, version, part }, &mut out);
+        let have = s[0].version();
+        assert!(matches!(out[..], [(0, Msg::Passed { shard: 0, have: h })] if h == have));
+        c.handle(out.pop().unwrap().1, &mut out);
+        assert!(out.is_empty() && c.shard_fault().is_none());
+    }
+
     /// Links reorder: a transfer delivered after a newer one must not move
     /// the replica back.
     #[test]
@@ -989,8 +1056,7 @@ mod tests {
             let c = sharded.coordinator();
             let mut rows = Vec::new();
             for shard in 0..2 {
-                let owned: Vec<_> = c.shard_state(shard).owned.into_values().collect();
-                SlotTable::put(&mut rows, owned.len(), |x| owned[x].columns());
+                SlotTable::put_rows(&mut rows, c.shard_state(shard).owned.values());
             }
             c.snapshot_bytes().len() - rows.len() - 8 * c.trace().len()
         };

@@ -98,6 +98,18 @@ pub enum Msg {
         /// Log version the shard recovered to.
         have: u64,
     },
+    /// Shard → coordinator in place of an answer: an ask arrived for a log
+    /// version the shard's replica has passed, so it was not answered (no
+    /// answer is computed at another version than its ask's). A leftover
+    /// ask — re-issued, or from a dead coordinator incarnation — needs
+    /// nothing more; `have` past the coordinator's log is a replica ahead
+    /// of the log ([`crate::ShardError::ShardAhead`]).
+    Passed {
+        /// Shard index.
+        shard: usize,
+        /// Log version the shard's replica is at.
+        have: u64,
+    },
 }
 
 /// One shard's replica at one log version: λ, the model, and the slot

@@ -25,7 +25,8 @@ pub type Outbox = Vec<(usize, Msg)>;
 /// Every ask is a pure read of the replica at the ask's log version — it
 /// can be answered twice (crash-recovery re-issue) without corrupting
 /// anything, and an ask that arrives before the shard has applied enough
-/// log is deferred, not rejected.
+/// log is deferred, not rejected. An ask the replica has passed is never
+/// answered: the shard reports its version instead ([`Msg::Passed`]).
 #[derive(Debug)]
 pub struct ShardNode {
     id: usize,
@@ -84,10 +85,11 @@ impl ShardNode {
             }
             Msg::Transfer(_) => {}
             Msg::Ask { version, .. } if version > self.state.version => self.deferred.push(msg),
-            Msg::Ask { req, version, part } => {
-                debug_assert_eq!(version, self.state.version, "stale ask escaped deferral");
-                out.push(self.answer(req, version, part));
+            Msg::Ask { version, .. } if version < self.state.version => {
+                let (shard, have) = (self.id, self.state.version);
+                out.push((0, Msg::Passed { shard, have }));
             }
+            Msg::Ask { req, version, part } => out.push(self.answer(req, version, part)),
             // Answers and client ops are never addressed to shards.
             _ => unreachable!("unexpected message at a shard"),
         }
@@ -234,9 +236,9 @@ impl ShardNode {
         wire::put_u64(&mut out, self.state.version);
         wire::put_f64(&mut out, self.state.lambda);
         out.extend(self.state.model.to_bytes());
-        let (slots, rows): (Vec<usize>, Vec<&SlotRow>) = self.state.owned.iter().unzip();
+        let slots: Vec<usize> = self.state.owned.keys().copied().collect();
         wire::put_usizes(&mut out, &slots);
-        SlotTable::put(&mut out, rows.len(), |x| rows[x].columns());
+        SlotTable::put_rows(&mut out, self.state.owned.values());
         out
     }
 
