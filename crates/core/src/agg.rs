@@ -136,10 +136,10 @@ impl SlotTable {
         clusters: impl IntoIterator<Item = &'a usize>,
     ) {
         wire::put_usize(out, n);
-        rows.into_iter().for_each(|&v| wire::put_f64(out, v));
-        codes.into_iter().for_each(|&v| wire::put_u32(out, v));
-        values.into_iter().for_each(|&v| wire::put_f64(out, v));
-        clusters.into_iter().for_each(|&c| wire::put_usize(out, c));
+        out.extend(rows.into_iter().flat_map(|v| v.to_le_bytes()));
+        out.extend(codes.into_iter().flat_map(|v| v.to_le_bytes()));
+        out.extend(values.into_iter().flat_map(|v| v.to_le_bytes()));
+        out.extend(clusters.into_iter().flat_map(|&c| (c as u64).to_le_bytes()));
     }
 
     /// [`Self::put`] for the slots `rows`, in slot order.
@@ -433,4 +433,78 @@ pub(crate) fn decode_kind(r: &mut Reader<'_>) -> Result<ObjectiveKind, WireError
             })
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::state::State;
+    use fairkm_data::{row, DatasetBuilder, Normalization, Role};
+
+    /// One `wire::put_*` call per element: the definition of the bytes
+    /// [`SlotTable::put`] writes a column at a time.
+    fn put_per_element(out: &mut Vec<u8>, table: &SlotTable) {
+        wire::put_usize(out, table.n_slots());
+        table.rows.iter().for_each(|&v| wire::put_f64(out, v));
+        table.codes.iter().for_each(|&v| wire::put_u32(out, v));
+        table.values.iter().for_each(|&v| wire::put_f64(out, v));
+        table.clusters.iter().for_each(|&c| wire::put_usize(out, c));
+    }
+
+    /// A state of `n` seeded slots (two task columns, two categorical and
+    /// one numeric sensitive attribute, `k = 3`) with every third slot
+    /// tombstoned.
+    fn seeded_state(seed: u64, n: usize) -> State<'static> {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut b = DatasetBuilder::new();
+        b.numeric("x", Role::NonSensitive).unwrap();
+        b.categorical("g", Role::Sensitive, &["a", "b", "c"])
+            .unwrap();
+        b.numeric("y", Role::NonSensitive).unwrap();
+        b.categorical("h", Role::Sensitive, &["p", "q"]).unwrap();
+        b.numeric("age", Role::Sensitive).unwrap();
+        for _ in 0..n {
+            let x = (next() >> 11) as f64 / (1u64 << 40) as f64 - 4096.0;
+            let y = -((next() >> 20) as f64) * 1e-3;
+            let g = ["a", "b", "c"][(next() % 3) as usize];
+            let h = ["p", "q"][(next() % 2) as usize];
+            let age = (next() % 90) as f64 + 0.25;
+            b.push_row(row![x, g, y, h, age]).unwrap();
+        }
+        let data = b.build().unwrap();
+        let matrix = data.task_matrix(Normalization::None).unwrap();
+        let space = data.sensitive_space().unwrap();
+        let assignment = (0..n).map(|x| x % 3).collect();
+        let mut st = State::new(&matrix, &space, &[1.0, 1.0, 1.0], 3, assignment);
+        (0..n).step_by(3).for_each(|x| {
+            st.remove_point(x);
+        });
+        let (model, table) = st.into_table();
+        State::from_table(model, table, 1, 0)
+    }
+
+    #[test]
+    fn column_put_equals_the_per_element_oracle() {
+        for (seed, n) in [(1, 1), (2, 2), (3, 17), (4, 200)] {
+            let st = seeded_state(seed, n);
+            let mut via_table = Vec::new();
+            st.put_table(&mut via_table);
+            let (model, table) = st.into_table();
+            assert!(table.clusters.contains(&TOMBSTONE));
+            let mut oracle = Vec::new();
+            put_per_element(&mut oracle, &table);
+            assert_eq!(via_table, oracle, "put_table, seed {seed}, n {n}");
+            assert_eq!(oracle.len(), SlotTable::encoded_len(&model, n));
+            let rows = table.into_rows(&model);
+            let mut via_rows = Vec::new();
+            SlotTable::put_rows(&mut via_rows, rows.iter());
+            assert_eq!(via_rows, oracle, "put_rows, seed {seed}, n {n}");
+        }
+    }
 }

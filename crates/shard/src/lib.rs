@@ -561,6 +561,13 @@ mod tests {
             Self::injected(&self.fail_next_write, name)?;
             self.inner.write_atomic(name, bytes)
         }
+        fn write_sealed(&mut self, name: &str, file: &mut [u8]) -> Result<(), StoreError> {
+            Self::injected(&self.fail_next_write, name)?;
+            self.inner.write_sealed(name, file)
+        }
+        fn remove_orphans(&mut self, ours: &dyn Fn(&str) -> bool) -> Result<(), StoreError> {
+            self.inner.remove_orphans(ours)
+        }
         fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
             Self::injected(&self.fail_next_append, name)?;
             self.inner.append(name, bytes)

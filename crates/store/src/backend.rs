@@ -3,10 +3,12 @@
 //! explicit fsync discipline, and a deterministic fault-injecting
 //! in-memory implementation for crash testing.
 
+use crate::crc::crc32;
 use crate::error::StoreError;
+use crate::frame::{seal, HEAD_LEN};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
@@ -31,6 +33,26 @@ pub trait StorageBackend: std::fmt::Debug {
     /// Atomically replace (or create) `name` with `bytes`, durably.
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError>;
 
+    /// [`write_atomic`](Self::write_atomic) of a single-record file whose
+    /// frame is still unfilled: `file` is a file header, eight zero bytes
+    /// for the record's `[len][crc]`, then the payload (at least those
+    /// 24 head bytes). The backend fills the frame with the payload's
+    /// length and CRC-32 and installs the sealed bytes; `name` never shows
+    /// an unsealed file. Filling first and then writing is the default; a
+    /// backend may checksum while it writes instead.
+    fn write_sealed(&mut self, name: &str, file: &mut [u8]) -> Result<(), StoreError> {
+        seal(file, crc32(&file[HEAD_LEN..]));
+        self.write_atomic(name, file)
+    }
+
+    /// Delete what an interrupted [`write_atomic`](Self::write_atomic) to
+    /// a name that `ours` accepts left behind. The default, for backends
+    /// whose atomic writes leave nothing behind, deletes nothing.
+    fn remove_orphans(&mut self, ours: &dyn Fn(&str) -> bool) -> Result<(), StoreError> {
+        let _ = ours;
+        Ok(())
+    }
+
     /// Append `bytes` to `name` (creating it empty first if absent).
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError>;
 
@@ -51,6 +73,12 @@ impl StorageBackend for Box<dyn StorageBackend> {
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
         (**self).write_atomic(name, bytes)
     }
+    fn write_sealed(&mut self, name: &str, file: &mut [u8]) -> Result<(), StoreError> {
+        (**self).write_sealed(name, file)
+    }
+    fn remove_orphans(&mut self, ours: &dyn Fn(&str) -> bool) -> Result<(), StoreError> {
+        (**self).remove_orphans(ours)
+    }
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
         (**self).append(name, bytes)
     }
@@ -67,12 +95,23 @@ impl StorageBackend for Box<dyn StorageBackend> {
 
 /// Real files under one directory.
 ///
-/// - `write_atomic` = write to a dot-prefixed temp file, `fsync` it,
+/// - `write_atomic` = write to the temp file `.<name>.tmp`, `fsync` it,
 ///   `rename` over the target, then `fsync` the parent directory so the
 ///   rename itself is durable.
+/// - `write_sealed` overlaps the checksum with the disk. A scoped helper
+///   thread computes the payload's CRC-32 while this thread writes the
+///   whole file, its frame still zero, and calls `sync_data`. Once the
+///   helper is joined, the 24 head bytes (header and filled frame) are
+///   rewritten at offset 0, then `sync_all`, `rename` and the directory
+///   `fsync` follow as above. A crash before the `rename` leaves the
+///   target as it was and an orphaned temp file, zero frame or not; a
+///   crash after it leaves the old or the new file under the target,
+///   both complete, until the directory `fsync` makes the new one
+///   durable.
 /// - `append`/`sync` = `O_APPEND` writes plus an explicit `File::sync_all`.
-/// - Dot-prefixed names are reserved for temp files and never listed, so a
-///   crash mid-`write_atomic` leaves at worst an ignored orphan.
+/// - Dot-prefixed names are reserved for temp files and never listed;
+///   [`remove_orphans`](StorageBackend::remove_orphans) deletes the
+///   leftovers of an interrupted write.
 #[derive(Debug)]
 pub struct FsBackend {
     dir: PathBuf,
@@ -104,6 +143,37 @@ impl FsBackend {
         dir.sync_all()
             .map_err(|e| StoreError::io("fsync_dir", self.dir.display().to_string(), e))
     }
+
+    /// Every name in the directory, temp files included.
+    fn entries(&self) -> Result<Vec<String>, StoreError> {
+        let read_dir_err = |e| StoreError::io("read_dir", self.dir.display().to_string(), e);
+        let mut names = Vec::new();
+        for entry in std::fs::read_dir(&self.dir).map_err(read_dir_err)? {
+            let name = entry.map_err(read_dir_err)?.file_name();
+            names.push(name.to_string_lossy().into_owned());
+        }
+        Ok(names)
+    }
+
+    /// Install `name` atomically: `fill` writes the temp file, which is
+    /// then synced, renamed over `name`, and the rename made durable.
+    fn install(
+        &self,
+        name: &str,
+        fill: impl FnOnce(&std::fs::File, &str) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let tmp_name = format!(".{name}.tmp");
+        let tmp = self.path(&tmp_name);
+        {
+            let f = std::fs::File::create(&tmp)
+                .map_err(|e| StoreError::io("create", tmp_name.clone(), e))?;
+            fill(&f, &tmp_name)?;
+            f.sync_all()
+                .map_err(|e| StoreError::io("fsync", tmp_name.clone(), e))?;
+        }
+        std::fs::rename(&tmp, self.path(name)).map_err(|e| StoreError::io("rename", name, e))?;
+        self.sync_dir()
+    }
 }
 
 impl StorageBackend for FsBackend {
@@ -116,18 +186,43 @@ impl StorageBackend for FsBackend {
     }
 
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        let tmp_name = format!(".{name}.tmp");
-        let tmp = self.path(&tmp_name);
-        {
-            let mut f = std::fs::File::create(&tmp)
-                .map_err(|e| StoreError::io("create", tmp_name.clone(), e))?;
+        self.install(name, |mut f, tmp| {
             f.write_all(bytes)
-                .map_err(|e| StoreError::io("write", tmp_name.clone(), e))?;
-            f.sync_all()
-                .map_err(|e| StoreError::io("fsync", tmp_name.clone(), e))?;
+                .map_err(|e| StoreError::io("write", tmp, e))
+        })
+    }
+
+    fn write_sealed(&mut self, name: &str, file: &mut [u8]) -> Result<(), StoreError> {
+        self.install(name, |mut f, tmp| {
+            let io = |op| move |e| StoreError::io(op, tmp, e);
+            // Only the head waits for the checksum; the bulk of the file
+            // reaches the disk while the helper computes it.
+            let crc = std::thread::scope(|s| {
+                let bytes: &[u8] = file;
+                let helper = std::thread::Builder::new()
+                    .spawn_scoped(s, || crc32(&bytes[HEAD_LEN..]))
+                    .map_err(io("spawn"))?;
+                let written = f.write_all(bytes).map_err(io("write"));
+                let synced = written.and_then(|()| f.sync_data().map_err(io("fsync")));
+                let crc = helper
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                synced.map(|()| crc)
+            })?;
+            seal(file, crc);
+            f.seek(SeekFrom::Start(0)).map_err(io("seek"))?;
+            f.write_all(&file[..HEAD_LEN]).map_err(io("write"))
+        })
+    }
+
+    fn remove_orphans(&mut self, ours: &dyn Fn(&str) -> bool) -> Result<(), StoreError> {
+        for name in self.entries()? {
+            let target = name.strip_prefix('.').and_then(|n| n.strip_suffix(".tmp"));
+            if target.is_some_and(ours) {
+                self.remove(&name)?;
+            }
         }
-        std::fs::rename(&tmp, self.path(name)).map_err(|e| StoreError::io("rename", name, e))?;
-        self.sync_dir()
+        Ok(())
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
@@ -156,17 +251,8 @@ impl StorageBackend for FsBackend {
     }
 
     fn list(&self) -> Result<Vec<String>, StoreError> {
-        let mut names = Vec::new();
-        let entries = std::fs::read_dir(&self.dir)
-            .map_err(|e| StoreError::io("read_dir", self.dir.display().to_string(), e))?;
-        for entry in entries {
-            let entry =
-                entry.map_err(|e| StoreError::io("read_dir", self.dir.display().to_string(), e))?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if !name.starts_with('.') {
-                names.push(name);
-            }
-        }
+        let mut names = self.entries()?;
+        names.retain(|name| !name.starts_with('.'));
         names.sort();
         Ok(names)
     }
@@ -396,6 +482,12 @@ impl StorageBackend for SharedMemBackend {
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
         self.0.borrow_mut().write_atomic(name, bytes)
     }
+    fn write_sealed(&mut self, name: &str, file: &mut [u8]) -> Result<(), StoreError> {
+        self.0.borrow_mut().write_sealed(name, file)
+    }
+    fn remove_orphans(&mut self, ours: &dyn Fn(&str) -> bool) -> Result<(), StoreError> {
+        self.0.borrow_mut().remove_orphans(ours)
+    }
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
         self.0.borrow_mut().append(name, bytes)
     }
@@ -458,6 +550,12 @@ impl StorageBackend for SyncMemBackend {
     }
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
         self.lock().write_atomic(name, bytes)
+    }
+    fn write_sealed(&mut self, name: &str, file: &mut [u8]) -> Result<(), StoreError> {
+        self.lock().write_sealed(name, file)
+    }
+    fn remove_orphans(&mut self, ours: &dyn Fn(&str) -> bool) -> Result<(), StoreError> {
+        self.lock().remove_orphans(ours)
     }
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
         self.lock().append(name, bytes)
@@ -587,14 +685,63 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fs_backend_round_trips_and_survives_reopen() {
+    fn scratch_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
-            "fairkm-store-test-{}-{:?}",
+            "fairkm-store-test-{tag}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn sealed_writes_equal_the_serially_framed_bytes() {
+        use crate::frame::{put_header, put_record, put_unsealed, SNAP_MAGIC};
+        let dir = scratch_dir("sealed");
+        let mut fs = FsBackend::open(&dir).unwrap();
+        let mut mem = MemBackend::new();
+        for len in [0, 1, 4095, 4103, 5 * 1024 * 1024 + 3] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 + len) as u8).collect();
+            let mut serial = Vec::new();
+            put_header(&mut serial, SNAP_MAGIC, len as u64);
+            put_record(&mut serial, &payload);
+            let unsealed = || {
+                let mut file = Vec::new();
+                put_unsealed(&mut file, SNAP_MAGIC, len as u64);
+                file.extend_from_slice(&payload);
+                file
+            };
+            let name = format!("snap-{len}");
+            fs.write_sealed(&name, &mut unsealed()).unwrap();
+            mem.write_sealed(&name, &mut unsealed()).unwrap();
+            let on_disk = fs.read(&name).unwrap().unwrap();
+            assert!(on_disk == serial, "fs, payload of {len} B");
+            assert!(mem.read(&name).unwrap().unwrap() == serial, "mem, {len} B");
+            let names = fs.entries().unwrap();
+            assert!(names.iter().all(|n| !n.starts_with('.')), "{names:?}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn orphaned_temp_files_of_accepted_names_are_removed() {
+        let dir = scratch_dir("orphans");
+        let mut b = FsBackend::open(&dir).unwrap();
+        b.write_atomic("keep", b"k").unwrap();
+        for name in [".ours.tmp", ".theirs.tmp", ".ours", "ours.tmp"] {
+            std::fs::write(dir.join(name), b"partial").unwrap();
+        }
+        b.remove_orphans(&|name| name == "ours").unwrap();
+        let mut left = b.entries().unwrap();
+        left.sort();
+        assert_eq!(left, [".ours", ".theirs.tmp", "keep", "ours.tmp"]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fs_backend_round_trips_and_survives_reopen() {
+        let dir = scratch_dir("reopen");
         let mut b = FsBackend::open(&dir).unwrap();
         b.write_atomic("snap", b"payload").unwrap();
         b.append("log", b"one").unwrap();

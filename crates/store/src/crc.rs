@@ -12,6 +12,13 @@
 //! snapshot). The polynomial, initial value and final xor are the
 //! byte-wise loop's, so every checksum — and every byte on disk — is
 //! unchanged.
+//!
+//! On the filesystem the snapshot's checksum no longer runs before its
+//! write: `FsBackend::write_sealed` writes the file with its frame still
+//! zero and calls `sync_data` while a scoped helper thread computes the
+//! CRC, then writes the 24 head bytes at offset 0, calls `sync_all`,
+//! renames and syncs the directory. Only the head waits for this
+//! function; recovery still runs it inline.
 
 /// `TABLES[k][b]`: the CRC register after byte `b` and then `k` zero
 /// bytes, from a zero register. `TABLES[0]` is the classic byte table.

@@ -20,6 +20,9 @@ pub const WAL_MAGIC: &[u8; 8] = b"FKWAL1\0\0";
 pub const HEADER_LEN: usize = 16;
 /// Bytes of framing per record: length + checksum.
 pub const FRAME_LEN: usize = 8;
+/// Bytes before a single-record file's payload: its header and the
+/// record's frame.
+pub const HEAD_LEN: usize = HEADER_LEN + FRAME_LEN;
 
 /// How a framed file ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,17 +45,26 @@ pub enum Tail {
 
 /// Append one framed record to `buf`.
 pub fn put_record(buf: &mut Vec<u8>, payload: &[u8]) {
-    put_record_with(buf, |buf| buf.extend_from_slice(payload));
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&crc32(payload).to_le_bytes());
+    buf.extend_from_slice(payload);
 }
 
-/// Append one framed record whose payload `write` appends to `buf`.
-pub fn put_record_with(buf: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
-    let at = buf.len();
+/// Begin a single-record file in `buf`: its header, then a zeroed frame
+/// for [`seal`] to fill once the payload follows.
+pub fn put_unsealed(buf: &mut Vec<u8>, magic: &[u8; 8], seq: u64) {
+    put_header(buf, magic, seq);
     buf.extend_from_slice(&[0; FRAME_LEN]);
-    write(buf);
-    let (len, crc) = (buf.len() - at - FRAME_LEN, crc32(&buf[at + FRAME_LEN..]));
-    buf[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
-    buf[at + 4..at + FRAME_LEN].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Fill the frame of a file begun by [`put_unsealed`] with its payload's
+/// length and `crc`, the payload's CRC-32: the bytes [`put_header`] then
+/// [`put_record`] would have written. Panics on a file shorter than
+/// [`HEAD_LEN`].
+pub fn seal(file: &mut [u8], crc: u32) {
+    let len = (file.len() - HEAD_LEN) as u32;
+    file[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&len.to_le_bytes());
+    file[HEADER_LEN + 4..HEAD_LEN].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Serialize a file header (magic + sequence number).

@@ -19,8 +19,10 @@
 //! [`sync`](DurableStore::sync) returns. Callers that externalize effects
 //! (broadcasting a log entry, acknowledging a client) must sync first —
 //! the recovery contract is only "durable log ⊇ externalized effects" if
-//! they do. Snapshots are durable on return (temp file + fsync + rename +
-//! parent-directory fsync on the filesystem backend).
+//! they do. Snapshots are durable on return (on the filesystem backend:
+//! temp file + data sync, with the checksum computed alongside, + frame
+//! head + fsync + rename + parent-directory fsync). A snapshot syncs the
+//! log first only if something was appended since the last sync.
 //!
 //! ## Recovery
 //!
@@ -35,8 +37,8 @@
 use crate::backend::StorageBackend;
 use crate::error::StoreError;
 use crate::frame::{
-    put_header, put_record, put_record_with, read_header, read_records, Tail, HEADER_LEN,
-    SNAP_MAGIC, WAL_MAGIC,
+    put_header, put_record, put_unsealed, read_header, read_records, Tail, HEADER_LEN, SNAP_MAGIC,
+    WAL_MAGIC,
 };
 
 /// Number of most-recent snapshots [`DurableStore::snapshot`] retains;
@@ -56,6 +58,11 @@ fn parse_name(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
         .strip_suffix(suffix)?
         .parse::<u64>()
         .ok()
+}
+
+/// Whether `name` is one of the store's snapshot or segment names.
+fn is_ours(name: &str) -> bool {
+    parse_name(name, "snap-", ".fks").is_some() || parse_name(name, "wal-", ".fkl").is_some()
 }
 
 /// What [`DurableStore::open`] reconstructed.
@@ -142,6 +149,10 @@ pub struct DurableStore<B: StorageBackend> {
     segment: String,
     /// Sequence covered by the newest durable snapshot.
     snapshot_seq: u64,
+    /// Whether anything may have been appended since the last successful
+    /// [`sync`](Self::sync). Set on open too: recovered bytes may have
+    /// been read back from the page cache of a process that never synced.
+    unsynced: bool,
     /// Reused by every snapshot, so its allocation is made once.
     frame: Vec<u8>,
 }
@@ -150,6 +161,8 @@ impl<B: StorageBackend> DurableStore<B> {
     /// Open the store, running recovery: returns the store positioned for
     /// new appends plus everything the caller must replay.
     pub fn open(mut backend: B) -> Result<(Self, Recovered), StoreError> {
+        // A crash mid-snapshot, or mid-repair below, orphans a temp file.
+        backend.remove_orphans(&is_ours)?;
         let names = backend.list()?;
         let mut snap_names: Vec<(u64, String)> = Vec::new();
         let mut seg_names: Vec<(u64, String)> = Vec::new();
@@ -361,6 +374,7 @@ impl<B: StorageBackend> DurableStore<B> {
             next_seq,
             segment,
             snapshot_seq,
+            unsynced: true,
             frame: Vec::new(),
         };
         let recovered = Recovered {
@@ -419,6 +433,7 @@ impl<B: StorageBackend> DurableStore<B> {
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
         let mut buf = Vec::with_capacity(payload.len() + 8);
         put_record(&mut buf, payload);
+        self.unsynced = true;
         self.backend.append(&self.segment, &buf)?;
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -427,7 +442,9 @@ impl<B: StorageBackend> DurableStore<B> {
 
     /// Make every staged append durable.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.backend.sync(&self.segment)
+        self.backend.sync(&self.segment)?;
+        self.unsynced = false;
+        Ok(())
     }
 
     /// Durably write a snapshot covering every entry appended so far,
@@ -439,15 +456,19 @@ impl<B: StorageBackend> DurableStore<B> {
 
     /// [`Self::snapshot`] with the payload appended by `write` straight
     /// into the file's buffer, which the store keeps: no snapshot-sized
-    /// allocation or copy per snapshot.
+    /// allocation or copy per snapshot. The backend seals the frame
+    /// ([`StorageBackend::write_sealed`]).
     pub fn snapshot_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> Result<u64, StoreError> {
         // Seal the staged suffix first: the snapshot claims to cover it.
-        self.sync()?;
+        if self.unsynced {
+            self.sync()?;
+        }
         let seq = self.next_seq;
         self.frame.clear();
-        put_header(&mut self.frame, SNAP_MAGIC, seq);
-        put_record_with(&mut self.frame, write);
-        self.backend.write_atomic(&snap_name(seq), &self.frame)?;
+        put_unsealed(&mut self.frame, SNAP_MAGIC, seq);
+        write(&mut self.frame);
+        self.backend
+            .write_sealed(&snap_name(seq), &mut self.frame)?;
         let fresh = wal_name(seq);
         // When no entry has been appended since the segment was created,
         // the "fresh" segment IS the open one (same first sequence) — its
@@ -882,6 +903,50 @@ mod tests {
         assert_eq!(report.replay_from, 1);
         assert_eq!(report.recoverable_to, 2);
         assert_eq!(report.torn_tail, None);
+    }
+
+    /// A [`MemBackend`] that records the name of every `sync`.
+    #[derive(Debug, Default)]
+    struct SyncLog(MemBackend, Vec<String>);
+
+    impl StorageBackend for SyncLog {
+        fn read(&self, name: &str) -> Result<Option<Vec<u8>>, StoreError> {
+            self.0.read(name)
+        }
+        fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            self.0.write_atomic(name, bytes)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            self.0.append(name, bytes)
+        }
+        fn sync(&mut self, name: &str) -> Result<(), StoreError> {
+            self.1.push(name.to_string());
+            self.0.sync(name)
+        }
+        fn list(&self) -> Result<Vec<String>, StoreError> {
+            self.0.list()
+        }
+        fn remove(&mut self, name: &str) -> Result<(), StoreError> {
+            self.0.remove(name)
+        }
+    }
+
+    #[test]
+    fn a_snapshot_syncs_the_log_only_when_an_append_is_unsynced() {
+        let (mut store, _) = DurableStore::open(SyncLog::default()).unwrap();
+        // Open syncs the fresh segment; on open the log counts as unsynced.
+        store.snapshot(b"boot").unwrap();
+        store.append(&entry(0)).unwrap();
+        store.sync().unwrap();
+        store.snapshot(b"state@1").unwrap();
+        store.snapshot(b"state@1 again").unwrap();
+        store.append(&entry(1)).unwrap();
+        store.snapshot(b"state@2").unwrap();
+        let synced = std::mem::take(&mut store.backend.1);
+        let expected = [0, 0, 0, 1, 1, 2].map(wal_name);
+        assert_eq!(synced, expected);
+        let (_, rec) = DurableStore::open(store.backend).unwrap();
+        assert_eq!(rec.snapshot.as_deref(), Some(&b"state@2"[..]));
     }
 
     #[test]

@@ -80,24 +80,63 @@ const FILES: [&str; 4] = [
     "wal-00000000000000000009.fkl",
 ];
 
-#[test]
-fn committed_state_dir_recovers_its_newest_snapshot_and_suffix() {
-    let names: Vec<String> = files(&fixture_dir()).into_iter().map(|f| f.0).collect();
-    assert_eq!(names, FILES);
-    // Recover from a copy: opening a store may repair files in place.
-    let dir = scratch("fixture_open");
+/// A fresh copy of the fixture: opening a store may repair files in place.
+fn fixture_copy(name: &str) -> PathBuf {
+    let dir = scratch(name);
     std::fs::create_dir_all(&dir).unwrap();
     for (name, bytes) in files(&fixture_dir()) {
         std::fs::write(dir.join(name), bytes).unwrap();
     }
-    let (store, recovered) = DurableStore::open(FsBackend::open(&dir).unwrap()).unwrap();
+    dir
+}
+
+/// Open the store in `dir` and check it recovers the fixture's state.
+fn assert_recovers_the_fixture(dir: &Path) {
+    let (store, recovered) = DurableStore::open(FsBackend::open(dir).unwrap()).unwrap();
     assert_eq!(recovered.snapshot, Some(snapshot(1)));
     assert_eq!(recovered.snapshot_seq, 9);
     assert_eq!(recovered.entries, (9..12).map(entry).collect::<Vec<_>>());
     assert_eq!(recovered.truncated_tail, None);
     assert!(recovered.skipped_snapshots.is_empty() && recovered.skipped_segments.is_empty());
     assert_eq!((store.snapshot_seq(), store.next_seq()), (9, 12));
-    drop(store);
+}
+
+#[test]
+fn committed_state_dir_recovers_its_newest_snapshot_and_suffix() {
+    let names: Vec<String> = files(&fixture_dir()).into_iter().map(|f| f.0).collect();
+    assert_eq!(names, FILES);
+    let dir = fixture_copy("fixture_open");
+    assert_recovers_the_fixture(&dir);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A crash mid-snapshot or mid-repair leaves the temp file of the write;
+/// the next open removes the store's own and leaves other names alone.
+#[test]
+fn open_removes_the_temp_files_a_crash_orphaned() {
+    let dir = fixture_copy("fixture_orphans");
+    let fixture = files(&fixture_dir());
+    let (snap, wal) = (&fixture[1].1, &fixture[3].1);
+    let mut unsealed = snap[..snap.len() / 2].to_vec();
+    unsealed[16..24].fill(0);
+    let orphans = [
+        (".snap-00000000000000000012.fks.tmp", unsealed),
+        (
+            ".wal-00000000000000000009.fkl.tmp",
+            wal[..wal.len() - 5].to_vec(),
+        ),
+    ];
+    let foreign = [".notes.tmp", ".snap-latest.fks.tmp", "scratch.tmp"];
+    for (name, bytes) in &orphans {
+        std::fs::write(dir.join(name), bytes).unwrap();
+    }
+    for name in foreign {
+        std::fs::write(dir.join(name), b"not the store's").unwrap();
+    }
+    assert_recovers_the_fixture(&dir);
+    let mut left: Vec<String> = files(&dir).into_iter().map(|f| f.0).collect();
+    left.retain(|name| !FILES.contains(&name.as_str()));
+    assert_eq!(left, foreign);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
