@@ -731,6 +731,85 @@ mod tests {
         assert_eq!(fingerprint(&reference), fingerprint(reopened.stream()));
     }
 
+    /// A shared in-memory disk whose first `sync` of the segment `roll`
+    /// fails, after which every snapshot write fails too (a disk with no
+    /// room for one more snapshot), without crashing the disk.
+    #[derive(Debug)]
+    struct FailedRoll {
+        disk: SharedMemBackend,
+        roll: String,
+        failed: bool,
+    }
+
+    impl FailedRoll {
+        fn injected(name: &str) -> StoreError {
+            StoreError::Io {
+                op: "fsync",
+                file: name.to_string(),
+                message: "injected".into(),
+            }
+        }
+    }
+
+    impl StorageBackend for FailedRoll {
+        fn read(&self, name: &str) -> Result<Option<Vec<u8>>, StoreError> {
+            self.disk.read(name)
+        }
+        fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            if self.failed && name.starts_with("snap-") {
+                return Err(Self::injected(name));
+            }
+            self.disk.write_atomic(name, bytes)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            self.disk.append(name, bytes)
+        }
+        fn sync(&mut self, name: &str) -> Result<(), StoreError> {
+            if name == self.roll && !self.failed {
+                self.failed = true;
+                return Err(Self::injected(name));
+            }
+            self.disk.sync(name)
+        }
+        fn list(&self) -> Result<Vec<String>, StoreError> {
+            self.disk.list()
+        }
+        fn remove(&mut self, name: &str) -> Result<(), StoreError> {
+            self.disk.remove(name)
+        }
+    }
+
+    #[test]
+    fn an_ingest_acked_after_a_failed_wal_roll_survives_a_crash() {
+        let mut reference = StreamingFairKm::bootstrap(corpus(12), config(4)).unwrap();
+        let disk = SharedMemBackend::new();
+        // The cadence snapshot after the second ingest covers entries 0
+        // and 1; the roll into the segment starting at 2 fails its sync,
+        // and the snapshot the third ingest retries fails as well.
+        let backend = FailedRoll {
+            disk: disk.clone(),
+            roll: format!("wal-{:020}.fkl", 2),
+            failed: false,
+        };
+        let mut durable = DurableStream::create(backend, corpus(12), config(4), Some(2)).unwrap();
+        for i in 0..3 {
+            reference.ingest(&[arrival(i)]).unwrap();
+            durable.ingest(&[arrival(i)]).unwrap();
+            if i > 0 {
+                assert!(matches!(
+                    durable.take_snapshot_failure(),
+                    Some(PersistError::SnapshotAfterCommit { .. })
+                ));
+            }
+        }
+        assert!(!durable.is_wedged());
+        drop(durable);
+        disk.crash();
+        let (reopened, report) = DurableStream::open(disk, Some(1), Some(2)).unwrap();
+        assert_eq!((report.snapshot_seq, report.replayed), (2, 1));
+        assert_eq!(fingerprint(&reference), fingerprint(reopened.stream()));
+    }
+
     #[test]
     fn corrupt_newest_snapshot_falls_back_to_older_base() {
         let backend = SharedMemBackend::new();

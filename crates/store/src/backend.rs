@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 
 /// A flat namespace of named byte files with the three durability
 /// primitives the format layer needs: atomic whole-file replacement,
@@ -109,12 +109,27 @@ impl StorageBackend for Box<dyn StorageBackend> {
 ///   both complete, until the directory `fsync` makes the new one
 ///   durable.
 /// - `append`/`sync` = `O_APPEND` writes plus an explicit `File::sync_all`.
+/// - `remove` opens the file, unlinks it and `fsync`s the directory, so
+///   the name is gone when it returns. The open handle keeps the inode
+///   alive, and a closer thread, started by the first `remove` and joined
+///   on drop, drops it: freeing a large file's page cache and extents
+///   happens there, not on the caller's thread. If the open or the spawn
+///   fails, the handle is dropped in the call instead.
 /// - Dot-prefixed names are reserved for temp files and never listed;
 ///   [`remove_orphans`](StorageBackend::remove_orphans) deletes the
 ///   leftovers of an interrupted write.
 #[derive(Debug)]
 pub struct FsBackend {
     dir: PathBuf,
+    closer: Option<Closer>,
+}
+
+/// The thread that drops the handles of removed files, and the channel
+/// that feeds it.
+#[derive(Debug)]
+struct Closer {
+    files: mpsc::Sender<std::fs::File>,
+    thread: std::thread::JoinHandle<()>,
 }
 
 impl FsBackend {
@@ -123,7 +138,7 @@ impl FsBackend {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)
             .map_err(|e| StoreError::io("create_dir", dir.display().to_string(), e))?;
-        Ok(Self { dir })
+        Ok(Self { dir, closer: None })
     }
 
     /// The backing directory.
@@ -173,6 +188,37 @@ impl FsBackend {
         }
         std::fs::rename(&tmp, self.path(name)).map_err(|e| StoreError::io("rename", name, e))?;
         self.sync_dir()
+    }
+
+    /// Drop `file`, the last handle on an unlinked file, on the closer
+    /// thread, starting it first if need be.
+    fn close_later(&mut self, file: std::fs::File) {
+        if self.closer.is_none() {
+            let (files, received) = mpsc::channel::<std::fs::File>();
+            let Ok(thread) = std::thread::Builder::new()
+                .name("fairkm-store-closer".into())
+                .spawn(move || received.into_iter().for_each(drop))
+            else {
+                return;
+            };
+            self.closer = Some(Closer { files, thread });
+        }
+        if let Some(closer) = &self.closer {
+            // A send fails only once the thread is gone; the handle then
+            // comes back in the error and is dropped here.
+            let _ = closer.files.send(file);
+        }
+    }
+}
+
+impl Drop for FsBackend {
+    fn drop(&mut self) {
+        if let Some(Closer { files, thread }) = self.closer.take() {
+            drop(files);
+            // The thread only drops handles: nothing to report, and a drop
+            // must not panic.
+            let _ = thread.join();
+        }
     }
 }
 
@@ -258,11 +304,17 @@ impl StorageBackend for FsBackend {
     }
 
     fn remove(&mut self, name: &str) -> Result<(), StoreError> {
-        match std::fs::remove_file(self.path(name)) {
-            Ok(()) => self.sync_dir(),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(StoreError::io("remove", name, e)),
+        let path = self.path(name);
+        let held = std::fs::File::open(&path).ok();
+        match std::fs::remove_file(&path) {
+            Ok(()) => self.sync_dir()?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+            Err(e) => return Err(StoreError::io("remove", name, e)),
         }
+        if let Some(file) = held {
+            self.close_later(file);
+        }
+        Ok(())
     }
 }
 
@@ -736,6 +788,35 @@ mod tests {
         let mut left = b.entries().unwrap();
         left.sort();
         assert_eq!(left, [".ours", ".theirs.tmp", "keep", "ours.tmp"]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn removed_names_vanish_at_once_and_the_closer_drops_their_handles() {
+        let dir = scratch_dir("closer");
+        let mut b = FsBackend::open(&dir).unwrap();
+        b.remove("absent").unwrap();
+        assert!(b.closer.is_none(), "nothing was handed off");
+        for name in ["a", "b"] {
+            b.write_atomic(name, &vec![7; 1 << 20]).unwrap();
+        }
+        b.remove("a").unwrap();
+        assert_eq!(b.entries().unwrap(), ["b"]);
+        assert!(b.closer.is_some(), "the first remove starts the closer");
+        b.remove("b").unwrap();
+        assert!(b.entries().unwrap().is_empty());
+        let closer = b.closer.take().unwrap();
+        drop(closer.files);
+        closer.thread.join().unwrap();
+        // Once the closer is joined, no descriptor of this process points
+        // at the unlinked files (checked where `/proc` lists them).
+        if let Ok(fds) = std::fs::read_dir("/proc/self/fd") {
+            for fd in fds.flatten() {
+                let target = std::fs::read_link(fd.path()).unwrap_or_default();
+                assert!(!target.starts_with(&dir), "{target:?} is still open");
+            }
+        }
+        drop(b);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

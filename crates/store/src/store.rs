@@ -11,7 +11,9 @@
 //!   sequence number of its first entry, then one CRC-framed record per
 //!   entry. Entry sequence numbers are implicit (`first + index`).
 //!   Segments roll at every snapshot, so segment boundaries always align
-//!   with snapshot coverage.
+//!   with snapshot coverage. A roll whose header fails to land is redone
+//!   by the next [`append`](DurableStore::append), or that append fails:
+//!   no entry is acked into a segment a durable snapshot shadows.
 //!
 //! ## Fsync discipline
 //!
@@ -147,6 +149,11 @@ pub struct DurableStore<B: StorageBackend> {
     next_seq: u64,
     /// Name of the open (final) log segment.
     segment: String,
+    /// Whether `segment` is a fresh segment whose header a failed roll
+    /// may have left unwritten or torn. The snapshot that shadows the old
+    /// segment is already durable, so no entry may be acked into that
+    /// one: [`append`](Self::append) writes this header first.
+    roll_pending: bool,
     /// Sequence covered by the newest durable snapshot.
     snapshot_seq: u64,
     /// Whether anything may have been appended since the last successful
@@ -373,6 +380,7 @@ impl<B: StorageBackend> DurableStore<B> {
             backend,
             next_seq,
             segment,
+            roll_pending: false,
             snapshot_seq,
             unsynced: true,
             frame: Vec::new(),
@@ -431,6 +439,15 @@ impl<B: StorageBackend> DurableStore<B> {
     /// until [`sync`](Self::sync)** — callers must sync before letting
     /// any effect of this entry escape the process.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
+        if self.roll_pending {
+            // Nothing was appended since the roll began, so the fresh
+            // segment starts at `next_seq`. A whole-file write also
+            // repairs a torn header.
+            let mut header = Vec::new();
+            put_header(&mut header, WAL_MAGIC, self.next_seq);
+            self.backend.write_atomic(&self.segment, &header)?;
+            self.roll_pending = false;
+        }
         let mut buf = Vec::with_capacity(payload.len() + 8);
         put_record(&mut buf, payload);
         self.unsynced = true;
@@ -469,19 +486,24 @@ impl<B: StorageBackend> DurableStore<B> {
         write(&mut self.frame);
         self.backend
             .write_sealed(&snap_name(seq), &mut self.frame)?;
+        self.snapshot_seq = seq;
         let fresh = wal_name(seq);
         // When no entry has been appended since the segment was created,
         // the "fresh" segment IS the open one (same first sequence) — its
         // header is already on disk, and appending another would corrupt
         // the record stream.
         if fresh != self.segment {
+            // Recovery now bases on this snapshot and counts the old
+            // segment as wholly below it, so every later entry must go to
+            // the fresh segment, even if its header fails to land here.
+            self.segment = fresh;
+            self.roll_pending = true;
             let mut header = Vec::new();
             put_header(&mut header, WAL_MAGIC, seq);
-            self.backend.append(&fresh, &header)?;
-            self.backend.sync(&fresh)?;
-            self.segment = fresh;
+            self.backend.append(&self.segment, &header)?;
+            self.backend.sync(&self.segment)?;
+            self.roll_pending = false;
         }
-        self.snapshot_seq = seq;
         self.prune()?;
         Ok(seq)
     }
@@ -947,6 +969,98 @@ mod tests {
         assert_eq!(synced, expected);
         let (_, rec) = DurableStore::open(store.backend).unwrap();
         assert_eq!(rec.snapshot.as_deref(), Some(&b"state@2"[..]));
+    }
+
+    /// A shared in-memory disk whose `sync` and `write_atomic` of one
+    /// file fail the next `failures` times, without crashing the disk.
+    #[derive(Debug)]
+    struct FailOn {
+        disk: crate::backend::SharedMemBackend,
+        name: String,
+        failures: usize,
+    }
+
+    impl FailOn {
+        fn fail(&mut self, op: &'static str, name: &str) -> Result<(), StoreError> {
+            if name != self.name || self.failures == 0 {
+                return Ok(());
+            }
+            self.failures -= 1;
+            let injected = std::io::Error::other("injected");
+            Err(StoreError::io(op, name, injected))
+        }
+    }
+
+    impl StorageBackend for FailOn {
+        fn read(&self, name: &str) -> Result<Option<Vec<u8>>, StoreError> {
+            self.disk.read(name)
+        }
+        fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            self.fail("write", name)?;
+            self.disk.write_atomic(name, bytes)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            self.disk.append(name, bytes)
+        }
+        fn sync(&mut self, name: &str) -> Result<(), StoreError> {
+            self.fail("fsync", name)?;
+            self.disk.sync(name)
+        }
+        fn list(&self) -> Result<Vec<String>, StoreError> {
+            self.disk.list()
+        }
+        fn remove(&mut self, name: &str) -> Result<(), StoreError> {
+            self.disk.remove(name)
+        }
+    }
+
+    /// A store whose roll into `wal_name(1)` at the snapshot after one
+    /// entry fails `failures` times; that snapshot itself is durable.
+    fn store_with_a_failed_roll(
+        failures: usize,
+    ) -> (DurableStore<FailOn>, crate::backend::SharedMemBackend) {
+        let disk = crate::backend::SharedMemBackend::new();
+        let backend = FailOn {
+            disk: disk.clone(),
+            name: wal_name(1),
+            failures,
+        };
+        let (mut store, _) = DurableStore::open(backend).unwrap();
+        store.snapshot(b"boot").unwrap();
+        store.append(&entry(0)).unwrap();
+        store.sync().unwrap();
+        assert!(store.snapshot(b"state@1").is_err(), "the roll fails");
+        assert_eq!(store.snapshot_seq(), 1, "the snapshot is durable");
+        (store, disk)
+    }
+
+    #[test]
+    fn an_append_after_a_failed_roll_lands_in_the_fresh_segment() {
+        let (mut store, disk) = store_with_a_failed_roll(1);
+        assert_eq!(store.append(b"e1").unwrap(), 1);
+        store.sync().unwrap();
+        disk.crash();
+        let (_, rec) = DurableStore::open(disk).unwrap();
+        assert_eq!(rec.snapshot.as_deref(), Some(&b"state@1"[..]));
+        assert_eq!(rec.snapshot_seq, 1);
+        assert_eq!(
+            rec.entries,
+            vec![b"e1".to_vec()],
+            "the acked entry is replayed"
+        );
+    }
+
+    #[test]
+    fn an_append_is_refused_while_the_roll_cannot_be_redone() {
+        let (mut store, disk) = store_with_a_failed_roll(usize::MAX);
+        for _ in 0..2 {
+            assert!(store.append(b"e1").is_err());
+        }
+        assert_eq!(store.next_seq(), 1);
+        disk.crash();
+        let (_, rec) = DurableStore::open(disk).unwrap();
+        assert_eq!(rec.snapshot_seq, 1);
+        assert!(rec.entries.is_empty());
     }
 
     #[test]
