@@ -59,10 +59,10 @@ pub enum UpdateSchedule {
     /// in index order, only the two clusters each move touches have their
     /// cache entries refreshed, and the post-window objective is assembled
     /// from cached per-cluster contributions in O(k) — no full rebuild and
-    /// no full-objective recomputation on the accept path (one
-    /// drift-cancelling rebuild runs per pass, like the per-move
-    /// schedule). Windows that fail to lower the objective are reverted
-    /// and re-scanned with exact per-move descent (monotone window
+    /// no full-objective recomputation in any window (one drift-cancelling
+    /// rebuild runs per pass, like the per-move schedule). Windows that
+    /// fail to lower the objective are discarded and re-scanned with exact
+    /// per-move descent from the window-start aggregates (monotone window
     /// acceptance), so the objective trace never increases. Results are
     /// bitwise-identical for any thread count.
     MiniBatch(usize),

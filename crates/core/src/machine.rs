@@ -646,7 +646,8 @@ impl<R: Replica> Body<R> {
 
     /// Passes to convergence from the ledger's objective, at most
     /// `max_passes`: after each pass that moved anything, one
-    /// drift-cancelling rebuild (never per window); the objective after
+    /// drift-cancelling rebuild, the only one a pass makes (no window
+    /// rebuilds, accepted or failed); the objective after
     /// each pass goes on the ledger's trace. Then the ledger takes the
     /// final objective as its drift baseline — counted as a
     /// re-optimization unless this is the `bootstrap` fit. Returns the
@@ -694,8 +695,9 @@ impl<R: Replica> Body<R> {
     /// whole window can *raise* the objective (in the worst case the
     /// clustering oscillates forever). Hence **monotone acceptance**: a
     /// window is committed only if it lowers the objective by more than
-    /// [`MOVE_EPS`]; otherwise the pass rebuilds exactly and descends
-    /// through the window one move at a time. The objective trace
+    /// [`MOVE_EPS`]; otherwise the pass descends through the window one
+    /// move at a time from the unchanged window-start aggregates (no
+    /// rebuild: the trial never touched them). The objective trace
     /// therefore never rises, and every counted move is a real
     /// improvement. Scoring is read-only and every mutation is applied in
     /// slot order, so the result is the same for any thread count.
@@ -726,11 +728,12 @@ impl<R: Replica> Body<R> {
                     self.commit()?;
                 }
                 Some(_) => {
-                    // The simultaneous application hurt: rebuild exactly,
-                    // then descend through the window one move at a time.
+                    // The simultaneous application hurt: descend through
+                    // the window one move at a time. The trial ran on the
+                    // scratch model, so the aggregates are still the
+                    // window-start ones; the pass-end rebuild cancels drift.
                     self.entries.clear();
                     self.host.borrow_mut().fallback();
-                    self.rebuild().await?;
                     let scanned = self.scan(start..end).await?;
                     if scanned > 0 {
                         current = self.objective();

@@ -24,6 +24,12 @@
 //!   objectives are additive across clusters, which is what lets the
 //!   windowed optimizer and the streaming driver reuse one cache protocol.
 //!
+//! An objective whose contribution is `(|C|/|X|)²` times a sum of one term
+//! per categorical attribute plus the Eq. 22 numeric terms also declares
+//! [`FairnessObjective::tabulates`] and hands those terms out through
+//! [`FairnessObjective::cat_term`]: the model then keeps them per cluster,
+//! attribute and value, and scores a move with one lookup per attribute.
+//!
 //! Dispatch is through the [`Objective`] enum: each variant holds a
 //! concrete objective and every call site is an `#[inline]` match whose
 //! arms are monomorphized trait-impl calls — no `dyn` indirection in the
@@ -138,6 +144,27 @@ pub(crate) trait FairnessObjective {
     fn dirties_all_on_live_change(&self) -> bool {
         true
     }
+
+    /// Whether [`Self::contrib_adjusted`] is, bit for bit, `(new/|X|)²`
+    /// (`new = |C| + delta`, 0 for an empty cluster) times a sum taken in
+    /// attribute order of one [`Self::cat_term`] per positively weighted
+    /// categorical attribute, then `w_S (C.S̄ − X̄.S)²` per positively
+    /// weighted numeric one, with the adjusted point's value folded in as
+    /// `sum + delta · value` and divided through `1.0 / new`. The model
+    /// tabulates the terms of such an objective.
+    #[inline]
+    fn tabulates(&self) -> bool {
+        false
+    }
+
+    /// Categorical attribute `a`'s term of cluster `c`'s deviation as if
+    /// one point with value `value` joined (`delta = +1`) or left
+    /// (`delta = -1`) a cluster that stays non-empty: exactly the summand
+    /// [`Self::contrib_adjusted`] adds for the attribute. Called only when
+    /// [`Self::tabulates`].
+    fn cat_term(&self, _v: &FairView<'_>, _c: usize, _a: usize, _value: usize, _delta: i64) -> f64 {
+        unreachable!("cat_term of an objective that does not tabulate")
+    }
 }
 
 /// Eq. 7 representativity (+ Eq. 22 numeric terms, Eq. 23 weights): per
@@ -147,6 +174,21 @@ pub(crate) trait FairnessObjective {
 /// verbatim so results stay bitwise-identical.
 #[derive(Clone, Debug)]
 pub(crate) struct Representativity;
+
+impl Representativity {
+    /// One attribute's Eq. 7 term `w_S Σ_s scale_s (count_s/|C| − Fr_X(s))²`
+    /// over cluster `counts`, with value `moved`'s count shifted by `delta`.
+    #[inline]
+    fn attr_term(attr: &CatAttr, counts: &[i64], inv_size: f64, moved: usize, delta: i64) -> f64 {
+        let mut attr_dev = 0.0;
+        for (s, &count) in counts.iter().enumerate() {
+            let count = if s == moved { count + delta } else { count };
+            let diff = count as f64 * inv_size - attr.dist[s];
+            attr_dev += attr.value_scale[s] * diff * diff;
+        }
+        attr.weight * attr_dev
+    }
+}
 
 impl FairnessObjective for Representativity {
     fn contrib_adjusted(&self, v: &FairView<'_>, c: usize, p: PointRef<'_>, delta: i64) -> f64 {
@@ -165,22 +207,13 @@ impl FairnessObjective for Representativity {
             if attr.weight == 0.0 {
                 continue;
             }
-            let base = c * attr.t;
             let moved = if delta != 0 {
                 p.cat(a) as usize
             } else {
                 usize::MAX
             };
-            let mut attr_dev = 0.0;
-            for s in 0..attr.t {
-                let mut count = counts[base + s];
-                if s == moved {
-                    count += delta;
-                }
-                let diff = count as f64 * inv_size - attr.dist[s];
-                attr_dev += attr.value_scale[s] * diff * diff;
-            }
-            dev += attr.weight * attr_dev;
+            let counts = &counts[c * attr.t..(c + 1) * attr.t];
+            dev += Self::attr_term(attr, counts, inv_size, moved, delta);
         }
         for (a, (attr, sums)) in v.num.iter().zip(v.num_sums).enumerate() {
             if attr.weight == 0.0 {
@@ -213,17 +246,8 @@ impl FairnessObjective for Representativity {
             if attr.weight == 0.0 {
                 continue;
             }
-            let base = c * attr.t;
-            let mut attr_dev = 0.0;
-            for s in 0..attr.t {
-                let mut count = counts[base + s];
-                if s == added as usize {
-                    count += 1;
-                }
-                let diff = count as f64 * inv_size - attr.dist[s];
-                attr_dev += attr.value_scale[s] * diff * diff;
-            }
-            dev += attr.weight * attr_dev;
+            let counts = &counts[c * attr.t..(c + 1) * attr.t];
+            dev += Self::attr_term(attr, counts, inv_size, added as usize, 1);
         }
         for ((attr, sums), &value) in v.num.iter().zip(v.num_sums).zip(num_vals) {
             if attr.weight == 0.0 {
@@ -233,6 +257,18 @@ impl FairnessObjective for Representativity {
             dev += attr.weight * diff * diff;
         }
         cluster_weight * dev
+    }
+
+    #[inline]
+    fn tabulates(&self) -> bool {
+        true
+    }
+
+    fn cat_term(&self, v: &FairView<'_>, c: usize, a: usize, value: usize, delta: i64) -> f64 {
+        let attr = &v.cat[a];
+        let inv_size = 1.0 / (v.size[c] as i64 + delta) as f64;
+        let counts = &v.cat_counts[a][c * attr.t..(c + 1) * attr.t];
+        Self::attr_term(attr, counts, inv_size, value, delta)
     }
 }
 
@@ -275,6 +311,23 @@ impl BoundedRep {
         v * v
     }
 
+    /// One attribute's weighted squared-hinge term over its `bounds`, the
+    /// count of value `s` read from `count(s)`.
+    #[inline]
+    fn attr_term(
+        attr: &CatAttr,
+        bounds: &[(f64, f64)],
+        inv_size: f64,
+        count: impl Fn(usize) -> i64,
+    ) -> f64 {
+        let mut attr_dev = 0.0;
+        for (s, &(lo, hi)) in bounds.iter().enumerate() {
+            let share = count(s) as f64 * inv_size;
+            attr_dev += attr.value_scale[s] * Self::violation(share, lo, hi);
+        }
+        attr.weight * attr_dev
+    }
+
     fn contrib(
         &self,
         v: &FairView<'_>,
@@ -295,12 +348,7 @@ impl BoundedRep {
             if attr.weight == 0.0 {
                 continue;
             }
-            let mut attr_dev = 0.0;
-            for (s, &(lo, hi)) in bounds.iter().enumerate() {
-                let share = cat_count(a, s) as f64 * inv_size;
-                attr_dev += attr.value_scale[s] * Self::violation(share, lo, hi);
-            }
-            dev += attr.weight * attr_dev;
+            dev += Self::attr_term(attr, bounds, inv_size, |s| cat_count(a, s));
         }
         for (a, attr) in v.num.iter().enumerate() {
             if attr.weight == 0.0 {
@@ -358,6 +406,19 @@ impl FairnessObjective for BoundedRep {
             },
             |a| v.num_sums[a][c] + num_vals[a],
         )
+    }
+
+    #[inline]
+    fn tabulates(&self) -> bool {
+        true
+    }
+
+    fn cat_term(&self, v: &FairView<'_>, c: usize, a: usize, value: usize, delta: i64) -> f64 {
+        let attr = &v.cat[a];
+        let inv_size = 1.0 / (v.size[c] as i64 + delta) as f64;
+        let counts = &v.cat_counts[a][c * attr.t..(c + 1) * attr.t];
+        let count = |s: usize| counts[s] + if s == value { delta } else { 0 };
+        Self::attr_term(attr, &self.bounds[a], inv_size, count)
     }
 }
 
@@ -576,6 +637,18 @@ impl Objective {
     #[inline]
     pub fn dirties_all_on_live_change(&self) -> bool {
         dispatch!(self, o => o.dirties_all_on_live_change())
+    }
+
+    /// See [`FairnessObjective::tabulates`].
+    #[inline]
+    pub fn tabulates(&self) -> bool {
+        dispatch!(self, o => o.tabulates())
+    }
+
+    /// See [`FairnessObjective::cat_term`].
+    #[inline]
+    pub fn cat_term(&self, v: &FairView<'_>, c: usize, a: usize, value: usize, delta: i64) -> f64 {
+        dispatch!(self, o => o.cat_term(v, c, a, value, delta))
     }
 }
 

@@ -35,7 +35,20 @@
 //!   the row mutators, which together with `‖μ_c‖²` yields the cluster SSE
 //!   in O(1) via `SSE_c = Σ‖x‖² − |c|·‖μ_c‖²`;
 //! * `fair_cache` — per-cluster fairness contributions (the Eq. 7
-//!   summands plus the Eq. 22 numeric terms).
+//!   summands plus the Eq. 22 numeric terms);
+//! * `tables` — the `dev_in` / `dev_out` move tables: under an objective
+//!   that tabulates (representativity and bounded representation), per
+//!   cluster `c`, categorical attribute `S` and value `v`, `S`'s weighted
+//!   deviation term as if one point with value `v` joined or left `c`.
+//!   Every value
+//!   a move candidate's adjusted contribution can take is then a sum of
+//!   one lookup per attribute plus the Eq. 22 numeric terms, taken in the
+//!   objective's own order with its own `1.0 / new_size`, so
+//!   [`ClusterModel::propose_move_row`] costs O(attributes) per candidate
+//!   instead of O(Σ_S |Values(S)|) and still returns, bit for bit, what
+//!   `contrib_adjusted` computes. The utilitarian and egalitarian
+//!   objectives fold across attributes and keep the direct call. The
+//!   tables are derived state: never serialized, re-derived on decode.
 //!
 //! [`ClusterModel::sq_dist_row_cached`] evaluates the point-to-prototype
 //! distance in the vectorizable dot-product form `‖x‖² − 2·x·μ + ‖μ‖²`.
@@ -43,9 +56,14 @@
 //! running aggregate in O(dim + Σ|Values(S)|) and mark only the clusters
 //! the objective's dirty-set rules name; [`ClusterModel::refresh_cache`]
 //! re-derives the cache entries of dirty clusters and leaves every other
-//! cluster's entries untouched. `State::debug_validate_cache` (debug
-//! builds) cross-checks the delta-maintained aggregates against a
-//! from-scratch recomputation.
+//! cluster's entries untouched. The move tables cost
+//! O(Σ_S |Values(S)|²) per dirty cluster and sign: a move dirties two
+//! clusters, but an insert or remove changes `|X|` and dirties all k, so
+//! every write refills 2·k table rows — 768 multiply-adds on a k = 8
+//! tenant with three 4-valued attributes, about 27k with a 41-valued one.
+//! `State::debug_validate_cache` (debug builds) cross-checks the
+//! delta-maintained aggregates against a from-scratch recomputation, and
+//! every clean cluster's table rows against a fresh fill.
 //!
 //! Aggregate recomputation (`State::rebuild`) and the K-Means term
 //! (`State::kmeans_term`) run on the `fairkm-parallel` engine: fixed
@@ -139,8 +157,19 @@ pub struct ClusterModel {
     /// Cached per-cluster fairness contribution (Eq. 7 summand + Eq. 22
     /// terms). Valid for clusters not marked dirty.
     pub(crate) fair_cache: Vec<f64>,
-    /// Clusters whose `proto` / `proto_sqnorm` / `fair_cache` entries are
-    /// stale relative to the running aggregates.
+    /// Scoring cache of a tabulating objective, the move tables: per
+    /// cluster `c`, a `dev_in` row then a `dev_out` row, each attribute-
+    /// major with one entry per value `v` — the objective's term of
+    /// attribute `S` as if one point with value `v` joined (`dev_in`) or
+    /// left (`dev_out`, zeros where `c` would be empty) the cluster. One
+    /// allocation of k × 2 × Σ_S |Values(S)|; empty for an objective that
+    /// does not tabulate. Valid for clusters not marked dirty.
+    tables: Vec<f64>,
+    /// Entries per table row: Σ_S |Values(S)| under a tabulating
+    /// objective, else 0.
+    table_width: usize,
+    /// Clusters whose `proto` / `proto_sqnorm` / `fair_cache` entries and
+    /// move-table rows are stale relative to the running aggregates.
     dirty: Vec<bool>,
     /// Insertion-ordered list of the dirty clusters (mirrors `dirty`).
     dirty_list: Vec<usize>,
@@ -188,18 +217,25 @@ impl ClusterModel {
         else {
             return invalid("cluster sizes");
         };
+        let objective = Objective::from_kind(kind, &cat, &num);
+        let table_width = match objective.tabulates() {
+            true => cat.iter().map(|a| a.t).sum::<usize>(),
+            false => 0,
+        };
         let mut model = Self {
             k,
             dim,
             live,
             agg,
-            objective: Objective::from_kind(kind, &cat, &num),
+            objective,
             cat,
             num,
             kind,
             proto: vec![0.0; k * dim],
             proto_sqnorm: vec![0.0; k],
             fair_cache: vec![0.0; k],
+            tables: vec![0.0; 2 * k * table_width],
+            table_width,
             dirty: vec![false; k],
             dirty_list: Vec::with_capacity(k),
         };
@@ -269,6 +305,7 @@ impl ClusterModel {
         self.proto.clone_from(&source.proto);
         self.proto_sqnorm.clone_from(&source.proto_sqnorm);
         self.fair_cache.clone_from(&source.fair_cache);
+        self.tables.clone_from(&source.tables);
         self.dirty.clone_from(&source.dirty);
         self.dirty_list.clone_from(&source.dirty_list);
     }
@@ -312,6 +349,74 @@ impl ClusterModel {
     pub(crate) fn contrib_adjusted(&self, c: usize, p: PointRef<'_>, delta: i64) -> f64 {
         self.objective
             .contrib_adjusted(&self.fair_view(), c, p, delta)
+    }
+
+    /// Cluster `c`'s adjusted fairness contribution for a point with the
+    /// given sensitive values joining (`delta = 1`) or leaving
+    /// (`delta = -1`) it: assembled from the move tables under a
+    /// tabulating objective, bit for bit what
+    /// [`Self::contrib_adjusted`] computes, which every other objective
+    /// calls directly. O(attributes) instead of O(Σ_S |Values(S)|).
+    #[inline]
+    fn move_contrib(&self, c: usize, cat_vals: &[u32], num_vals: &[f64], delta: i64) -> f64 {
+        if !self.objective.tabulates() {
+            return self.contrib_adjusted(c, PointRef::Row(cat_vals, num_vals), delta);
+        }
+        let new_size = (self.agg.size[c] as i64 + delta) as f64;
+        if new_size <= 0.0 {
+            return 0.0;
+        }
+        let inv_size = 1.0 / new_size;
+        let frac = new_size / self.live as f64;
+        let cluster_weight = frac * frac;
+        let mut terms = &self.tables[self.table_row_span(c, delta)];
+        let mut dev = 0.0;
+        for (attr, &value) in self.cat.iter().zip(cat_vals) {
+            if attr.weight != 0.0 {
+                dev += terms[value as usize];
+            }
+            terms = &terms[attr.t..];
+        }
+        for ((attr, sums), &value) in self.num.iter().zip(&self.agg.num_sums).zip(num_vals) {
+            if attr.weight == 0.0 {
+                continue;
+            }
+            let diff = (sums[c] + delta as f64 * value) * inv_size - attr.mean;
+            dev += attr.weight * diff * diff;
+        }
+        cluster_weight * dev
+    }
+
+    /// Where cluster `c`'s `dev_in` (`delta = 1`) or `dev_out`
+    /// (`delta = -1`) row sits in `tables`.
+    #[inline]
+    fn table_row_span(&self, c: usize, delta: i64) -> std::ops::Range<usize> {
+        let start = (2 * c + usize::from(delta < 0)) * self.table_width;
+        start..start + self.table_width
+    }
+
+    /// Fill cluster `c`'s `dev_in` (`delta = 1`) or `dev_out`
+    /// (`delta = -1`) row through the objective, attribute by attribute:
+    /// O(Σ_S |Values(S)|²).
+    fn table_row(
+        objective: &Objective,
+        view: &FairView<'_>,
+        c: usize,
+        delta: i64,
+        row: &mut [f64],
+    ) {
+        if view.size[c] as i64 + delta <= 0 {
+            row.fill(0.0);
+            return;
+        }
+        let cells = view
+            .cat
+            .iter()
+            .enumerate()
+            .flat_map(|(a, attr)| (0..attr.t).map(move |v| (a, v)));
+        for (term, (a, v)) in row.iter_mut().zip(cells) {
+            *term = objective.cat_term(view, c, a, v, delta);
+        }
     }
 
     /// Fairness contribution of cluster `c` (one summand of Eq. 7 plus the
@@ -365,12 +470,28 @@ impl ClusterModel {
     }
 
     /// Re-derive the cache entries (prototype, `‖μ‖²`, fairness
-    /// contribution) of every dirty cluster from the running aggregates.
-    /// O(dirty · (dim + Σ_S |Values(S)|)); clean clusters are untouched.
+    /// contribution, move-table rows) of every dirty cluster from the
+    /// running aggregates. O(dirty · (dim + Σ_S |Values(S)|²)); clean
+    /// clusters are untouched.
     pub fn refresh_cache(&mut self) {
+        let width = self.table_width;
         while let Some(c) = self.dirty_list.pop() {
             self.dirty[c] = false;
             self.fair_cache[c] = self.fairness_contrib(c);
+            if width > 0 {
+                let view = FairView {
+                    size: &self.agg.size,
+                    live: self.live,
+                    cat: &self.cat,
+                    cat_counts: &self.agg.cat_counts,
+                    num: &self.num,
+                    num_sums: &self.agg.num_sums,
+                };
+                let rows = &mut self.tables[2 * c * width..2 * (c + 1) * width];
+                let (dev_in, dev_out) = rows.split_at_mut(width);
+                Self::table_row(&self.objective, &view, c, 1, dev_in);
+                Self::table_row(&self.objective, &view, c, -1, dev_out);
+            }
             let span = c * self.dim..(c + 1) * self.dim;
             if self.agg.size[c] == 0 {
                 self.proto[span].fill(0.0);
@@ -387,6 +508,25 @@ impl ClusterModel {
                     sqnorm += v * v;
                 }
                 self.proto_sqnorm[c] = sqnorm;
+            }
+        }
+    }
+
+    /// Debug builds: every clean cluster's move-table rows equal, bit for
+    /// bit, a fresh fill from the current aggregates.
+    #[cfg(debug_assertions)]
+    fn debug_check_tables(&self) {
+        let mut fresh = vec![0.0; self.table_width];
+        for c in (0..self.k).filter(|&c| !self.dirty[c]) {
+            for delta in [1, -1] {
+                Self::table_row(&self.objective, &self.fair_view(), c, delta, &mut fresh);
+                let ours = &self.tables[self.table_row_span(c, delta)];
+                assert!(
+                    ours.iter()
+                        .zip(&fresh)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "cluster {c}'s move table (delta {delta}) is stale"
+                );
             }
         }
     }
@@ -671,8 +811,9 @@ impl ClusterModel {
     /// cached distance instead of one per candidate), the origin's adjusted
     /// fairness contribution, and both "old" contributions, which come
     /// straight from `fair_cache`. The remaining per-candidate work is one
-    /// cached dot-product distance plus one adjusted fairness contribution,
-    /// associated exactly like the unhoisted reference forms
+    /// cached dot-product distance plus one adjusted fairness contribution
+    /// (read from the move tables when the objective tabulates), associated
+    /// exactly like the unhoisted reference forms
     /// (`State::delta_kmeans_incremental` + `State::delta_fairness`).
     ///
     /// Read-only, so windows of proposals can be evaluated concurrently
@@ -696,8 +837,7 @@ impl ClusterModel {
             // removing the last member: that cluster's SSE was 0
             0.0
         };
-        let p = PointRef::Row(cat_vals, num_vals);
-        let out_new = self.contrib_adjusted(from, p, -1);
+        let out_new = self.move_contrib(from, cat_vals, num_vals, -1);
         let out_old = self.fair_cache[from];
         for to in 0..self.k {
             if to == from {
@@ -711,7 +851,7 @@ impl ClusterModel {
                 0.0 // singleton in an empty cluster has SSE 0
             };
             let d_km = d_out + d_in;
-            let in_new = self.contrib_adjusted(to, p, 1);
+            let in_new = self.move_contrib(to, cat_vals, num_vals, 1);
             let in_old = self.fair_cache[to];
             let d_fair = (out_new + in_new) - (out_old + in_old);
             let delta = d_km + lambda * d_fair;
@@ -816,15 +956,17 @@ pub(crate) struct State<'a> {
     /// Worker threads for rebuild / K-Means-term evaluation (≥ 1). The
     /// chunk layout is independent of this, so it never changes results.
     pub threads: usize,
-    /// Number of full [`State::rebuild`] calls (including the one in the
-    /// constructor). Diagnostic: the windowed accept path is rebuild-free,
-    /// and the regression tests pin that down through this counter. It is
-    /// not persisted — the stream payload is shared with the sharded
+    /// Number of full [`State::rebuild`] calls and committed installs
+    /// (including the constructor's rebuild). Diagnostic: a windowed pass
+    /// is rebuild-free, accepted and failed windows alike, and the
+    /// regression tests pin that down through this counter. It is not
+    /// persisted — the stream payload is shared with the sharded
     /// coordinator, which counts no rebuilds — so a restored state counts
     /// from zero.
     pub rebuilds: usize,
-    /// Number of windows that failed monotone acceptance and took the
-    /// revert-and-rescan fallback (the only windowed path that rebuilds).
+    /// Number of windows that failed monotone acceptance and were
+    /// descended one move at a time from the unchanged window-start
+    /// aggregates (no rebuild).
     pub fallbacks: usize,
 }
 
@@ -1157,10 +1299,11 @@ impl<'a> State<'a> {
     /// restored up to one rounding step per component ([`Self::rebuild`]
     /// re-derives them exactly when needed). Marks both clusters dirty.
     ///
-    /// The windowed fallback restores assignments directly and rebuilds
-    /// (an exact restore that would discard these deltas anyway); this
-    /// inverse is for callers running speculative move sequences without
-    /// paying O(n) — the move-sequence property tests drive it.
+    /// The windowed pass never needs it: a window's trial runs on a
+    /// scratch copy of the model, so a failed window leaves nothing to
+    /// undo. This inverse is for callers running speculative move
+    /// sequences without paying O(n) — the move-sequence property tests
+    /// drive it.
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn revert_move(&mut self, x: usize, from: usize, to: usize) {
         debug_assert_eq!(self.assignment[x], to, "reverting a move never applied");
@@ -1283,6 +1426,7 @@ impl<'a> State<'a> {
             for (a, b) in m.agg.member_sqnorm.iter().zip(&fresh.member_sqnorm) {
                 assert!(close(*a, *b), "member ‖x‖² sum diverged: {a} vs {b}");
             }
+            m.debug_check_tables();
             if m.cache_is_fresh() {
                 let cached = m.objective_cached(lambda);
                 let scanned = self.kmeans_term() + lambda * m.fairness_term();
@@ -1614,6 +1758,72 @@ mod proptests {
         (matrix, space)
     }
 
+    /// The candidate loop of [`ClusterModel::propose_move_row`] with both
+    /// adjusted contributions computed by `contrib_adjusted`: the reference
+    /// the move tables must reproduce bit for bit.
+    fn propose_direct(st: &State<'_>, x: usize, lambda: f64) -> (usize, f64) {
+        let (m, from) = (&st.model, st.assignment[x]);
+        let (row, sqnorm) = (st.matrix.row(x), st.point_sqnorm[x]);
+        let p = PointRef::Row(st.cat_row(x), st.num_row(x));
+        let s_from = m.agg.size[from];
+        let d_out = if s_from > 1 {
+            -(s_from as f64 / (s_from as f64 - 1.0)) * m.sq_dist_row_cached(row, sqnorm, from)
+        } else {
+            0.0
+        };
+        let out_new = m.contrib_adjusted(from, p, -1);
+        let mut best = (from, 0.0f64);
+        for to in (0..m.k).filter(|&to| to != from) {
+            let s_to = m.agg.size[to];
+            let d_in = if s_to > 0 {
+                (s_to as f64 / (s_to as f64 + 1.0)) * m.sq_dist_row_cached(row, sqnorm, to)
+            } else {
+                0.0
+            };
+            let in_new = m.contrib_adjusted(to, p, 1);
+            let d_fair = (out_new + in_new) - (m.fair_cache[from] + m.fair_cache[to]);
+            let delta = (d_out + d_in) + lambda * d_fair;
+            if delta < best.1 {
+                best = (to, delta);
+            }
+        }
+        best
+    }
+
+    /// Every live slot's proposal, and its adjusted contribution for every
+    /// cluster it could join or the one it would leave, equal the direct
+    /// computation bit for bit.
+    fn check_tables(st: &State<'_>, lambda: f64) {
+        for x in (0..st.n).filter(|&x| st.assignment[x] != TOMBSTONE) {
+            let from = st.assignment[x];
+            let (cat, num) = (st.cat_row(x), st.num_row(x));
+            for c in 0..st.model.k {
+                let deltas: &[i64] = if c == from { &[-1] } else { &[1] };
+                for &delta in deltas {
+                    let tabulated = st.model.move_contrib(c, cat, num, delta);
+                    let direct = st.model.contrib_adjusted(c, PointRef::Row(cat, num), delta);
+                    prop_assert_eq!(
+                        tabulated.to_bits(),
+                        direct.to_bits(),
+                        "slot {} cluster {} delta {}: {} vs {}",
+                        x,
+                        c,
+                        delta,
+                        tabulated,
+                        direct
+                    );
+                }
+            }
+            let row = st.matrix.row(x);
+            let got = st
+                .model
+                .propose_move_row(from, row, cat, num, st.point_sqnorm[x], lambda);
+            let want = propose_direct(st, x, lambda);
+            prop_assert_eq!(got.0, want.0, "slot {}", x);
+            prop_assert_eq!(got.1.to_bits(), want.1.to_bits(), "slot {}", x);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -1643,6 +1853,43 @@ mod proptests {
             let tol = 1e-6 * (1.0 + before.abs() + after.abs());
             prop_assert!((predicted - actual).abs() < tol,
                 "predicted {predicted} vs actual {actual}");
+        }
+
+        #[test]
+        fn tabulated_proposals_equal_the_direct_candidate_loop(inst in instance()) {
+            // A 41-valued second attribute, zero and non-unit weights, a
+            // numeric attribute, a singleton origin (cluster k holds only
+            // point x) and an empty target (cluster k + 1).
+            let (k, x) = (inst.k + 2, inst.x);
+            let (matrix, base) = build(&inst);
+            let wide: Vec<u32> = (0..inst.n as u32)
+                .map(|i| (i * 17 + inst.cat_values[i as usize] * 5) % 41)
+                .collect();
+            let labels = (0..41).map(|v| format!("w{v}")).collect();
+            let wide = SensitiveCat::new(AttrId(2), "w".into(), labels, wide);
+            let cat = vec![base.categorical()[0].clone(), wide];
+            let space = SensitiveSpace::new(inst.n, cat, base.numeric().to_vec());
+            let mut assignment = inst.assignment.clone();
+            assignment[x] = inst.k;
+            let kinds = [ObjectiveKind::Representativity, ObjectiveKind::bounded()];
+            let weights = [[1.0, 1.0, 1.0], [0.0, 2.5, 1.0], [1.0, 0.0, 0.0], [0.5, 1.0, 0.0]];
+            for (kind, norm) in kinds.into_iter().flat_map(|kind| {
+                [FairnessNorm::DomainCardinality, FairnessNorm::SkewAware].map(|n| (kind, n))
+            }) {
+                for w in &weights {
+                    let mut st = State::with_norm(
+                        Cow::Borrowed(&matrix), &space, w, k, assignment.clone(), norm, kind, 1,
+                    );
+                    check_tables(&st, inst.lambda);
+                    // Emptied origin, singleton target, then a live change.
+                    st.apply_move(x, inst.k, inst.k + 1);
+                    st.model.refresh_cache();
+                    check_tables(&st, inst.lambda);
+                    st.remove_point((x + 1) % inst.n);
+                    st.model.refresh_cache();
+                    check_tables(&st, inst.lambda);
+                }
+            }
         }
 
         #[test]

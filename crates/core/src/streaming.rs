@@ -991,6 +991,19 @@ impl StreamingFairKm {
         self.ledger.evicted
     }
 
+    /// Exact aggregate rebuilds this engine has installed: the bootstrap's
+    /// initial one, then one after each optimizer pass that moved a point.
+    /// Not persisted: a restored engine counts from zero.
+    pub fn rebuilds(&self) -> usize {
+        self.state.rebuilds
+    }
+
+    /// Windows whose simultaneous moves failed monotone acceptance and
+    /// were descended one move at a time. Persisted with the stream.
+    pub fn fallbacks(&self) -> usize {
+        self.state.fallbacks
+    }
+
     /// Current cluster prototypes (means), zeros for empty clusters —
     /// see [`ClusterModel::prototypes`].
     pub fn prototypes(&self) -> Vec<Vec<f64>> {

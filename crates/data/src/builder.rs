@@ -98,6 +98,12 @@ impl DatasetBuilder {
 
     /// Push one row; cells must match the schema positionally.
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<(), DataError> {
+        self.push_cells(&row)
+    }
+
+    /// [`Self::push_row`] from borrowed cells, so a reader can refill one
+    /// row buffer. Allocates nothing beyond column growth.
+    pub(crate) fn push_cells(&mut self, row: &[Value]) -> Result<(), DataError> {
         if row.len() != self.schema.len() {
             return Err(DataError::RowArity {
                 expected: self.schema.len(),
@@ -105,16 +111,18 @@ impl DatasetBuilder {
             });
         }
         // Validate all cells before mutating any column, so a failed push
-        // leaves the builder unchanged.
-        let mut resolved: Vec<ResolvedCell> = Vec::with_capacity(row.len());
-        for (value, (_, attr)) in row.into_iter().zip(self.schema.iter()) {
-            resolved.push(resolve(value, attr, self.n_rows)?);
+        // leaves the builder unchanged; the push then resolves each cell
+        // again instead of holding a resolved copy of the row.
+        for (value, (_, attr)) in row.iter().zip(self.schema.iter()) {
+            resolve(value, attr, self.n_rows)?;
         }
-        for (cell, col) in resolved.into_iter().zip(self.columns.iter_mut()) {
-            match (cell, col) {
-                (ResolvedCell::Num(x), Column::Num(v)) => v.push(x),
-                (ResolvedCell::Cat(i), Column::Cat(v)) => v.push(i),
-                _ => unreachable!("resolve() returns the column's kind"),
+        let n_rows = self.n_rows;
+        let columns = self.schema.iter().zip(self.columns.iter_mut());
+        for (value, ((_, attr), col)) in row.iter().zip(columns) {
+            match (resolve(value, attr, n_rows), col) {
+                (Ok(ResolvedCell::Num(x)), Column::Num(v)) => v.push(x),
+                (Ok(ResolvedCell::Cat(i)), Column::Cat(v)) => v.push(i),
+                _ => unreachable!("a validated cell resolves to its column's kind"),
             }
         }
         self.n_rows += 1;
@@ -139,13 +147,13 @@ pub(crate) enum ResolvedCell {
 }
 
 pub(crate) fn resolve(
-    value: Value,
+    value: &Value,
     attr: &Attribute,
     row: usize,
 ) -> Result<ResolvedCell, DataError> {
     match &attr.kind {
-        AttrKind::Numeric => Ok(ResolvedCell::Num(attr.resolve_numeric(&value, row)?)),
-        AttrKind::Categorical { .. } => Ok(ResolvedCell::Cat(attr.resolve_categorical(&value)?)),
+        AttrKind::Numeric => Ok(ResolvedCell::Num(attr.resolve_numeric(value, row)?)),
+        AttrKind::Categorical { .. } => Ok(ResolvedCell::Cat(attr.resolve_categorical(value)?)),
     }
 }
 

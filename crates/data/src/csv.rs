@@ -132,11 +132,13 @@ pub fn read_csv<R: Read>(mut r: R) -> Result<Dataset, DataError> {
         }
     }
 
-    // Pass 2: the same records, which now scan clean and fit the header.
+    // Pass 2: the same records, which now scan clean and fit the header,
+    // each parsed into one reused row buffer.
     let mut scan = Scanner::new(&text);
     scan.next_record(&mut cells)?;
+    let mut row = Vec::with_capacity(specs.len());
     while let Some(line) = scan.next_record(&mut cells)? {
-        let mut row = Vec::with_capacity(cells.len());
+        row.clear();
         for ((cell, spec), domain) in cells.iter().zip(&specs).zip(&domains) {
             row.push(if spec.is_cat {
                 Value::CatIndex(domain[&**cell])
@@ -147,7 +149,7 @@ pub fn read_csv<R: Read>(mut r: R) -> Result<Dataset, DataError> {
                 })?)
             });
         }
-        builder.push_row(row)?;
+        builder.push_cells(&row)?;
     }
     builder.build()
 }

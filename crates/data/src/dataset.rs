@@ -237,7 +237,7 @@ impl Dataset {
                 });
             }
             let mut cells = Vec::with_capacity(row.len());
-            for (value, (_, attr)) in row.into_iter().zip(self.schema.iter()) {
+            for (value, (_, attr)) in row.iter().zip(self.schema.iter()) {
                 cells.push(resolve(value, attr, self.n_rows + offset)?);
             }
             resolved.push(cells);
