@@ -76,7 +76,7 @@ impl<'a> ScoringFixture<'a> {
     /// terms hoisted out of the candidate loop). Returns the sum of the
     /// best deltas so the whole scan stays observable to the optimizer.
     pub fn scan_cached(&self) -> f64 {
-        (0..self.state.n)
+        (0..self.state.n())
             .map(|x| propose_move(&self.state, x, self.lambda, DeltaEngine::Incremental).1)
             .sum()
     }
@@ -89,7 +89,7 @@ impl<'a> ScoringFixture<'a> {
     /// before the cache existed.
     pub fn scan_literal(&self) -> f64 {
         let state = &self.state;
-        (0..state.n)
+        (0..state.n())
             .map(|x| {
                 let from = state.assignment[x];
                 let mut best = 0.0f64;
@@ -124,7 +124,7 @@ impl<'a> ScoringFixture<'a> {
 
     /// Number of objects scanned per call.
     pub fn n(&self) -> usize {
-        self.state.n
+        self.state.n()
     }
 }
 

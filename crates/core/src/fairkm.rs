@@ -645,7 +645,7 @@ mod tests {
         threads: usize,
         current: f64,
     ) -> (usize, f64) {
-        let n = state.n;
+        let n = state.n();
         let mut moved = 0usize;
         let mut current = current;
         let mut start = 0usize;
@@ -716,7 +716,7 @@ mod tests {
                     objective,
                 )
             } else {
-                let (engine, n) = (DeltaEngine::Incremental, state.n);
+                let (engine, n) = (DeltaEngine::Incremental, state.n());
                 let schedule = UpdateSchedule::MiniBatch(batch);
                 machine::pass(state, lambda, engine, 0..n, schedule, objective)
             };

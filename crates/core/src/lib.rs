@@ -82,7 +82,7 @@ pub use machine::{
 };
 pub use minibatch::MiniBatchFairKm;
 pub use objective::bounded_exact_assignment;
-pub use state::ClusterModel;
+pub use state::{ClusterModel, Descent, WindowMemo};
 pub use streaming::{
     DriverLedger, EvictReport, IngestReport, RowCodec, ServingView, StreamPayload, StreamingConfig,
     StreamingFairKm,

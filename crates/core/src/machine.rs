@@ -31,8 +31,10 @@
 //! * **Frozen log while asked.** At most one request is pending, and
 //!   nothing is committed until it is answered, so every answer is computed
 //!   at the log version the request was issued at.
-//! * **Pure requests.** Answering reads only. A request may be re-issued
-//!   ([`Machine::resume`] without an answer) and answered again; an answer
+//! * **Pure requests.** Answering reads the clustering only (a host may
+//!   keep a [`crate::WindowMemo`] of a window's scan, which changes no
+//!   answer). A request may be re-issued ([`Machine::resume`] without an
+//!   answer) and answered again; an answer
 //!   whose ticket is not the pending one is ignored, and the body is not
 //!   polled.
 //! * **Ordered reduction.** An answer may arrive in parts, in any order
@@ -44,7 +46,7 @@
 use crate::agg::{AggregateDelta, SlotRow, MOVE_EPS, TOMBSTONE};
 use crate::config::{DeltaEngine, FairKmError, UpdateSchedule};
 use crate::fairkm::propose_move;
-use crate::state::{ClusterModel, State};
+use crate::state::{ClusterModel, State, WindowMemo};
 use crate::streaming::{DriverLedger, EvictReport, IngestReport};
 use crate::wire::{self, Reader, WireError};
 use std::cell::{Cell, Ref, RefCell};
@@ -701,6 +703,14 @@ impl<R: Replica> Body<R> {
     /// therefore never rises, and every counted move is a real
     /// improvement. Scoring is read-only and every mutation is applied in
     /// slot order, so the result is the same for any thread count.
+    ///
+    /// The descent reuses the window's scan: a host that answers the
+    /// window records, per slot, a lower bound on its distance to every
+    /// window-start prototype ([`crate::WindowMemo`]). Each descent step
+    /// bounds every slot's K-Means deltas from those and the prototypes'
+    /// drift since, recomputes its fairness deltas exactly, and scores
+    /// with the kernel only the slots whose bound does not prove that no
+    /// move improves — the same answers, from a few percent of the slots.
     async fn pass(
         &mut self,
         range: Range<usize>,
@@ -824,6 +834,10 @@ pub(crate) struct Local<'s, 'a> {
     pub engine: DeltaEngine,
     /// The stream's ledger; a bare pass runs without one.
     pub ledger: Option<&'s mut DriverLedger>,
+    /// The last window's distance bounds. A host lives for one operation,
+    /// and no row is replaced within one, so the memo never outlives its
+    /// rows.
+    pub memo: WindowMemo,
 }
 
 impl Local<'_, '_> {
@@ -834,7 +848,7 @@ impl Local<'_, '_> {
             match machine.resume(answer.take()) {
                 Step::Ask(t) => {
                     let arrivals = machine.arrivals();
-                    answer = Some((t.id, host.borrow().answer(t.request, &arrivals)));
+                    answer = Some((t.id, host.borrow_mut().answer(t.request, &arrivals)));
                 }
                 Step::Done(outcome) => {
                     let local = host.borrow();
@@ -846,17 +860,17 @@ impl Local<'_, '_> {
         }
     }
 
-    /// Answer `request` from the state.
-    pub fn answer(&self, request: Request, arrivals: &[SlotRow]) -> Answer {
-        let (state, lambda, engine) = (&*self.state, self.lambda, self.engine);
-        let threads = state.threads;
-        let propose =
-            |x: usize| improving(state.assignment[x], propose_move(state, x, lambda, engine));
+    /// Answer `request` from the state. A window answered by the
+    /// incremental kernel is recorded in the memo, which the descent steps
+    /// that follow it read (same answers, fewer slots scored).
+    pub fn answer(&mut self, request: Request, arrivals: &[SlotRow]) -> Answer {
+        let (lambda, engine) = (self.lambda, self.engine);
+        let state = &*self.state;
         match request {
             Request::Score { start } => {
                 let model = &state.model;
                 Answer::Scores(fairkm_parallel::map_indexed(
-                    threads,
+                    state.threads,
                     0..arrivals.len(),
                     |i| {
                         let r = &arrivals[i];
@@ -867,18 +881,24 @@ impl Local<'_, '_> {
                     },
                 ))
             }
+            Request::Window { start, end } if engine == DeltaEngine::Incremental => {
+                Answer::Proposals(state.propose_window(&mut self.memo, start..end, lambda))
+            }
             Request::Window { start, end } => {
-                let proposals = fairkm_parallel::map_indexed(threads, start..end, |x| {
-                    propose(x).map(|to| (x, to))
+                let proposals = fairkm_parallel::map_indexed(state.threads, start..end, |x| {
+                    let best = propose_move(state, x, lambda, engine);
+                    improving(state.assignment[x], best).map(|to| (x, to))
                 });
                 Answer::Proposals(proposals.into_iter().flatten().collect())
             }
             Request::First { start, end } => {
-                Answer::First((start..end).find_map(|x| Some((x, propose(x)?))))
+                let memo = (engine == DeltaEngine::Incremental).then_some(&mut self.memo);
+                Answer::First(self.state.first_improving(memo, start..end, lambda, engine))
             }
             Request::Rebuild => {
-                let chunks =
-                    fairkm_parallel::map_chunks(threads, state.n, |r| state.rebuild_partial(r));
+                let chunks = fairkm_parallel::map_chunks(state.threads, state.n(), |r| {
+                    state.rebuild_partial(r)
+                });
                 Answer::Chunks(chunks.into_iter().enumerate().collect())
             }
         }
@@ -900,6 +920,7 @@ pub(crate) fn pass(
         lambda,
         engine,
         ledger: None,
+        memo: WindowMemo::default(),
     }));
     Local::run(&host, Machine::pass(&host, range, schedule, current))
 }
@@ -914,7 +935,7 @@ impl Replica for Local<'_, '_> {
     }
 
     fn n_slots(&self) -> usize {
-        self.state.n
+        self.state.n()
     }
 
     fn cluster(&self, slot: usize) -> usize {
@@ -1055,8 +1076,9 @@ mod tests {
             let local = host.borrow();
             (local.state.model.to_bytes(), local.state.assignment.clone())
         };
-        let answer =
-            |machine: &Machine<'_, ()>, request| host.borrow().answer(request, &machine.arrivals());
+        let answer = |machine: &Machine<'_, ()>, request| {
+            host.borrow_mut().answer(request, &machine.arrivals())
+        };
         let mut rng = rng;
         let mut step = machine.resume(None);
         while let Step::Ask(ticket) = step {

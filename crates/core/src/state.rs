@@ -36,14 +36,18 @@
 //!   in O(1) via `SSE_c = Σ‖x‖² − |c|·‖μ_c‖²`;
 //! * `fair_cache` — per-cluster fairness contributions (the Eq. 7
 //!   summands plus the Eq. 22 numeric terms);
-//! * `tables` — the `dev_in` / `dev_out` move tables: under an objective
-//!   that tabulates (representativity and bounded representation), per
-//!   cluster `c`, categorical attribute `S` and value `v`, `S`'s weighted
-//!   deviation term as if one point with value `v` joined or left `c`.
-//!   Every value
-//!   a move candidate's adjusted contribution can take is then a sum of
-//!   one lookup per attribute plus the Eq. 22 numeric terms, taken in the
-//!   objective's own order with its own `1.0 / new_size`, so
+//! * `tables` — per cluster, the scalars every move candidate would
+//!   otherwise divide out: the Hartigan–Wong factors `s/(s+1)` and
+//!   `s/(s−1)`, and per sign the new size's `1/new` and cluster weight
+//!   `(new/|X|)²`, each computed with its reader's own expression so the
+//!   bits are the same; then the `dev_in` / `dev_out` move tables: under
+//!   an objective that tabulates (representativity and bounded
+//!   representation), per categorical attribute `S` and value `v`, `S`'s
+//!   weighted deviation term as if one point with value `v` joined or
+//!   left the cluster. Every value a move candidate's adjusted
+//!   contribution can take is then a sum of one lookup per weighted
+//!   attribute (at offsets found once per scored point) plus the Eq. 22
+//!   numeric terms, taken in the objective's own order, so
 //!   [`ClusterModel::propose_move_row`] costs O(attributes) per candidate
 //!   instead of O(Σ_S |Values(S)|) and still returns, bit for bit, what
 //!   `contrib_adjusted` computes. The utilitarian and egalitarian
@@ -57,13 +61,19 @@
 //! the objective's dirty-set rules name; [`ClusterModel::refresh_cache`]
 //! re-derives the cache entries of dirty clusters and leaves every other
 //! cluster's entries untouched. The move tables cost
-//! O(Σ_S |Values(S)|²) per dirty cluster and sign: a move dirties two
-//! clusters, but an insert or remove changes `|X|` and dirties all k, so
-//! every write refills 2·k table rows — 768 multiply-adds on a k = 8
-//! tenant with three 4-valued attributes, about 27k with a 41-valued one.
-//! `State::debug_validate_cache` (debug builds) cross-checks the
-//! delta-maintained aggregates against a from-scratch recomputation, and
-//! every clean cluster's table rows against a fresh fill.
+//! O(Σ_S |Values(S)|²) per dirty cluster and sign, and a move dirties two
+//! clusters. An insert or remove dirties only the cluster whose counts
+//! changed; its change of `|X|` re-derives, for every cluster, only what
+//! reads `|X|` — the two cluster weights and (under the objective's
+//! dirty-set rule) the fairness contribution — not the table rows or the
+//! prototype. `State::debug_validate_cache` (debug builds) cross-checks
+//! the delta-maintained aggregates against a from-scratch recomputation,
+//! and every clean cluster's `tables` block against a fresh fill.
+//!
+//! A [`WindowMemo`] keeps what a window's proposal scan learned about its
+//! slots' distances, so that the per-move descent of a failed window
+//! scores exactly only the slots that might still move (see
+//! [`memo`](self::memo)).
 //!
 //! Aggregate recomputation (`State::rebuild`) and the K-Means term
 //! (`State::kmeans_term`) run on the `fairkm-parallel` engine: fixed
@@ -71,12 +81,17 @@
 //! so the result is bitwise-identical for any thread count.
 
 use crate::agg::{decode_kind, encode_kind, AggregateDelta, SlotRow, SlotTable, TOMBSTONE};
-use crate::config::{FairnessNorm, ObjectiveKind};
-use crate::machine::{Entry, LogEntry};
+use crate::config::{DeltaEngine, FairnessNorm, ObjectiveKind};
+use crate::fairkm::propose_move;
+use crate::machine::{improving, Entry, LogEntry};
 use crate::objective::{FairView, Objective, PointRef};
 use crate::wire::{self, Reader, WireError};
 use fairkm_data::{sq_euclidean, NumericMatrix, SensitiveSpace};
 use std::borrow::Cow;
+use std::ops::Range;
+
+mod memo;
+pub use memo::{Descent, WindowMemo};
 
 /// One categorical sensitive attribute's frozen fairness reference.
 #[derive(Clone, Debug)]
@@ -157,22 +172,54 @@ pub struct ClusterModel {
     /// Cached per-cluster fairness contribution (Eq. 7 summand + Eq. 22
     /// terms). Valid for clusters not marked dirty.
     pub(crate) fair_cache: Vec<f64>,
-    /// Scoring cache of a tabulating objective, the move tables: per
-    /// cluster `c`, a `dev_in` row then a `dev_out` row, each attribute-
-    /// major with one entry per value `v` — the objective's term of
-    /// attribute `S` as if one point with value `v` joined (`dev_in`) or
-    /// left (`dev_out`, zeros where `c` would be empty) the cluster. One
-    /// allocation of k × 2 × Σ_S |Values(S)|; empty for an objective that
-    /// does not tabulate. Valid for clusters not marked dirty.
+    /// Scoring cache: per cluster `c`, one block of [`TABLE_HEAD`]
+    /// per-cluster scalars (`s/(s+1)`, `s/(s−1)`; `s = |C|`) then a
+    /// `dev_in` and a `dev_out` half. Each half opens with two scalars of
+    /// the cluster's size after the move, `new = |C| ± 1` — `1/new` and
+    /// the cluster weight `(new/|X|)²` (both 0 where `new ≤ 0`) — followed,
+    /// under a tabulating objective, by its move-table row: attribute-
+    /// major, one entry per value `v`, the objective's term of attribute
+    /// `S` as if one point with value `v` joined (`dev_in`) or left
+    /// (`dev_out`, zeros where `c` would be empty) the cluster. One
+    /// allocation of k × ([`TABLE_HEAD`] + 2 × (2 + Σ_S |Values(S)|)).
+    /// The cluster weights are valid when `live_stale` is clear; the rest
+    /// for clusters not marked dirty.
     tables: Vec<f64>,
     /// Entries per table row: Σ_S |Values(S)| under a tabulating
     /// objective, else 0.
     table_width: usize,
     /// Clusters whose `proto` / `proto_sqnorm` / `fair_cache` entries and
-    /// move-table rows are stale relative to the running aggregates.
+    /// `tables` block are stale relative to the running aggregates.
     dirty: Vec<bool>,
     /// Insertion-ordered list of the dirty clusters (mirrors `dirty`).
     dirty_list: Vec<usize>,
+    /// Whether `|X|` changed since the last refresh: every cluster's
+    /// weights in `tables` (and, under the objective's rule, its
+    /// `fair_cache` entry) are stale, but none of its table rows or its
+    /// prototype.
+    live_stale: bool,
+}
+
+/// Per-cluster scalars at the head of each cluster's `tables` block, then
+/// at the head of each of its halves.
+const TABLE_HEAD: usize = 2;
+/// `s/(s+1)`: the Hartigan–Wong factor of joining a cluster of size `s`.
+const JOIN_RATIO: usize = 0;
+/// `s/(s−1)`: the factor of leaving it.
+const LEAVE_RATIO: usize = 1;
+/// `1/new`, then the cluster weight `(new/|X|)²`, ahead of a half's row.
+const HALF_HEAD: usize = 2;
+
+/// Weighted categorical attributes a point's [`Cells`] hold; a point of a
+/// model with more is scored by the direct contribution.
+const MAX_CELLS: usize = 15;
+
+/// A point's move-table entries: per positively weighted categorical
+/// attribute, in attribute order, the offset of the point's value in a
+/// table row. Small enough to stay in registers.
+struct Cells {
+    len: u32,
+    at: [u32; MAX_CELLS],
 }
 
 impl ClusterModel {
@@ -234,10 +281,11 @@ impl ClusterModel {
             proto: vec![0.0; k * dim],
             proto_sqnorm: vec![0.0; k],
             fair_cache: vec![0.0; k],
-            tables: vec![0.0; 2 * k * table_width],
+            tables: vec![0.0; k * (TABLE_HEAD + 2 * (HALF_HEAD + table_width))],
             table_width,
             dirty: vec![false; k],
             dirty_list: Vec::with_capacity(k),
+            live_stale: false,
         };
         model.mark_all_dirty();
         model.refresh_cache();
@@ -308,6 +356,7 @@ impl ClusterModel {
         self.tables.clone_from(&source.tables);
         self.dirty.clone_from(&source.dirty);
         self.dirty_list.clone_from(&source.dirty_list);
+        self.live_stale = source.live_stale;
     }
 
     /// Replace the aggregates wholesale and re-derive every cache entry —
@@ -351,31 +400,57 @@ impl ClusterModel {
             .contrib_adjusted(&self.fair_view(), c, p, delta)
     }
 
-    /// Cluster `c`'s adjusted fairness contribution for a point with the
-    /// given sensitive values joining (`delta = 1`) or leaving
-    /// (`delta = -1`) it: assembled from the move tables under a
-    /// tabulating objective, bit for bit what
-    /// [`Self::contrib_adjusted`] computes, which every other objective
-    /// calls directly. O(attributes) instead of O(Σ_S |Values(S)|).
+    /// Where a point's categorical values sit in a move-table row, or
+    /// `None` when scoring it reads no table: the objective does not
+    /// tabulate, or more than [`MAX_CELLS`] of its attributes are weighted.
+    /// Found once per scored point, not once per candidate.
     #[inline]
-    fn move_contrib(&self, c: usize, cat_vals: &[u32], num_vals: &[f64], delta: i64) -> f64 {
+    fn cells(&self, cat_vals: &[u32]) -> Option<Cells> {
         if !self.objective.tabulates() {
-            return self.contrib_adjusted(c, PointRef::Row(cat_vals, num_vals), delta);
+            return None;
         }
-        let new_size = (self.agg.size[c] as i64 + delta) as f64;
-        if new_size <= 0.0 {
-            return 0.0;
-        }
-        let inv_size = 1.0 / new_size;
-        let frac = new_size / self.live as f64;
-        let cluster_weight = frac * frac;
-        let mut terms = &self.tables[self.table_row_span(c, delta)];
-        let mut dev = 0.0;
+        let mut cells = Cells {
+            len: 0,
+            at: [0; MAX_CELLS],
+        };
+        let mut base = 0;
         for (attr, &value) in self.cat.iter().zip(cat_vals) {
             if attr.weight != 0.0 {
-                dev += terms[value as usize];
+                *cells.at.get_mut(cells.len as usize)? = base + value;
+                cells.len += 1;
             }
-            terms = &terms[attr.t..];
+            base += attr.t as u32;
+        }
+        Some(cells)
+    }
+
+    /// Cluster `c`'s adjusted fairness contribution for a point with the
+    /// given sensitive values joining (`delta = 1`) or leaving
+    /// (`delta = -1`) it: with the point's [`Self::cells`], one move-table
+    /// lookup per weighted attribute plus the Eq. 22 numeric terms, bit for
+    /// bit what [`Self::contrib_adjusted`] computes, which it calls
+    /// otherwise. O(attributes) instead of O(Σ_S |Values(S)|).
+    #[inline(always)]
+    fn cell_contrib(
+        &self,
+        c: usize,
+        cells: Option<&Cells>,
+        cat_vals: &[u32],
+        num_vals: &[f64],
+        delta: i64,
+    ) -> f64 {
+        let Some(cells) = cells else {
+            return self.direct_contrib(c, cat_vals, num_vals, delta);
+        };
+        if self.agg.size[c] as i64 + delta <= 0 {
+            return 0.0;
+        }
+        let half = &self.tables[self.table_half(c, delta)];
+        let (inv_size, cluster_weight) = (half[0], half[1]);
+        let terms = &half[HALF_HEAD..];
+        let mut dev = 0.0;
+        for &at in &cells.at[..cells.len as usize] {
+            dev += terms[at as usize];
         }
         for ((attr, sums), &value) in self.num.iter().zip(&self.agg.num_sums).zip(num_vals) {
             if attr.weight == 0.0 {
@@ -387,35 +462,81 @@ impl ClusterModel {
         cluster_weight * dev
     }
 
-    /// Where cluster `c`'s `dev_in` (`delta = 1`) or `dev_out`
-    /// (`delta = -1`) row sits in `tables`.
-    #[inline]
-    fn table_row_span(&self, c: usize, delta: i64) -> std::ops::Range<usize> {
-        let start = (2 * c + usize::from(delta < 0)) * self.table_width;
-        start..start + self.table_width
+    /// [`Self::contrib_adjusted`] for a point's row, kept out of line so
+    /// the tabulated path stays small enough to inline.
+    #[inline(never)]
+    fn direct_contrib(&self, c: usize, cat_vals: &[u32], num_vals: &[f64], delta: i64) -> f64 {
+        self.contrib_adjusted(c, PointRef::Row(cat_vals, num_vals), delta)
     }
 
-    /// Fill cluster `c`'s `dev_in` (`delta = 1`) or `dev_out`
-    /// (`delta = -1`) row through the objective, attribute by attribute:
-    /// O(Σ_S |Values(S)|²).
-    fn table_row(
-        objective: &Objective,
-        view: &FairView<'_>,
-        c: usize,
-        delta: i64,
-        row: &mut [f64],
-    ) {
-        if view.size[c] as i64 + delta <= 0 {
-            row.fill(0.0);
-            return;
+    /// [`Self::cell_contrib`] with the point's cells found here.
+    #[cfg(test)]
+    fn move_contrib(&self, c: usize, cat_vals: &[u32], num_vals: &[f64], delta: i64) -> f64 {
+        self.cell_contrib(c, self.cells(cat_vals).as_ref(), cat_vals, num_vals, delta)
+    }
+
+    /// Entries of one cluster's block in `tables`.
+    #[inline]
+    fn table_stride(&self) -> usize {
+        TABLE_HEAD + 2 * (HALF_HEAD + self.table_width)
+    }
+
+    /// Where cluster `c`'s `dev_in` (`delta = 1`) or `dev_out`
+    /// (`delta = -1`) half — its two scalars, then its row — sits in
+    /// `tables`.
+    #[inline]
+    fn table_half(&self, c: usize, delta: i64) -> std::ops::Range<usize> {
+        let half = HALF_HEAD + self.table_width;
+        let start = c * self.table_stride() + TABLE_HEAD + usize::from(delta < 0) * half;
+        start..start + half
+    }
+
+    /// Cluster `c`'s hoisted `s/(s+1)` ([`JOIN_RATIO`]) or `s/(s−1)`
+    /// ([`LEAVE_RATIO`]).
+    #[inline]
+    fn ratio(&self, c: usize, which: usize) -> f64 {
+        self.tables[c * self.table_stride() + which]
+    }
+
+    /// Fill cluster `c`'s `tables` block from `view`: the ratios, each
+    /// half's `1/new` and weight, and — under a tabulating objective — each
+    /// half's row through the objective, attribute by attribute:
+    /// O(Σ_S |Values(S)|²). Every scalar is the expression its reader
+    /// would otherwise evaluate, so the bits are the same.
+    fn fill_block(objective: &Objective, view: &FairView<'_>, c: usize, block: &mut [f64]) {
+        let s = view.size[c] as f64;
+        block[JOIN_RATIO] = s / (s + 1.0);
+        block[LEAVE_RATIO] = s / (s - 1.0);
+        let width = (block.len() - TABLE_HEAD) / 2 - HALF_HEAD;
+        let (dev_in, dev_out) = block[TABLE_HEAD..].split_at_mut(HALF_HEAD + width);
+        for (half, delta) in [(dev_in, 1), (dev_out, -1)] {
+            let new_size = (view.size[c] as i64 + delta) as f64;
+            half[0] = if new_size > 0.0 { 1.0 / new_size } else { 0.0 };
+            let row = &mut half[HALF_HEAD..];
+            if new_size <= 0.0 {
+                row.fill(0.0);
+                continue;
+            }
+            let cells = view
+                .cat
+                .iter()
+                .enumerate()
+                .flat_map(|(a, attr)| (0..attr.t).map(move |v| (a, v)));
+            for (term, (a, v)) in row.iter_mut().zip(cells) {
+                *term = objective.cat_term(view, c, a, v, delta);
+            }
         }
-        let cells = view
-            .cat
-            .iter()
-            .enumerate()
-            .flat_map(|(a, attr)| (0..attr.t).map(move |v| (a, v)));
-        for (term, (a, v)) in row.iter_mut().zip(cells) {
-            *term = objective.cat_term(view, c, a, v, delta);
+        Self::fill_weights(view, c, block);
+    }
+
+    /// Write cluster `c`'s two cluster weights `(new/|X|)²` into its
+    /// `tables` block — the only entries that read `|X|`.
+    fn fill_weights(view: &FairView<'_>, c: usize, block: &mut [f64]) {
+        let half = (block.len() - TABLE_HEAD) / 2;
+        for (at, delta) in [(TABLE_HEAD + 1, 1), (TABLE_HEAD + half + 1, -1)] {
+            let new_size = (view.size[c] as i64 + delta) as f64;
+            let frac = new_size / view.live as f64;
+            block[at] = if new_size > 0.0 { frac * frac } else { 0.0 };
         }
     }
 
@@ -444,54 +565,59 @@ impl ClusterModel {
         }
     }
 
-    /// Mark every cluster's cache entry stale. Insert/remove deltas change
-    /// the live count `|X|`, which enters every cluster's Eq. 7 weight
-    /// `(|C|/|X|)²` — so unlike a move, they invalidate all fairness
-    /// contributions, not just the touched cluster's.
+    /// Mark every cluster's cache entry stale (a new or installed model).
     fn mark_all_dirty(&mut self) {
         for c in 0..self.k {
             self.mark_dirty(c);
         }
     }
 
-    /// Mark the clusters an insert/remove at `c` invalidates, under the
-    /// objective's declared dirty-set rule.
+    /// Mark what an insert/remove at `c` invalidates: cluster `c`'s
+    /// entries, and every cluster's weights — the live count `|X|` enters
+    /// every cluster's Eq. 7 weight `(|C|/|X|)²` — plus, under the
+    /// objective's declared rule, every cluster's fairness contribution.
+    /// No other cluster's prototype or table rows read `|X|`.
     fn mark_live_change(&mut self, c: usize) {
-        if self.objective.dirties_all_on_live_change() {
-            self.mark_all_dirty();
-        } else {
-            self.mark_dirty(c);
-        }
+        self.mark_dirty(c);
+        self.live_stale = true;
     }
 
-    /// Whether every cache entry is current (no dirty clusters).
+    /// Whether every cache entry is current.
     pub fn cache_is_fresh(&self) -> bool {
-        self.dirty_list.is_empty()
+        self.dirty_list.is_empty() && !self.live_stale
     }
 
     /// Re-derive the cache entries (prototype, `‖μ‖²`, fairness
-    /// contribution, move-table rows) of every dirty cluster from the
-    /// running aggregates. O(dirty · (dim + Σ_S |Values(S)|²)); clean
-    /// clusters are untouched.
+    /// contribution, `tables` block) of every dirty cluster from the
+    /// running aggregates, and after a live-count change every clean
+    /// cluster's weights (and contribution, under the objective's rule).
+    /// O(dirty · (dim + Σ_S |Values(S)|²) + k · Σ_S |Values(S)|).
     pub fn refresh_cache(&mut self) {
-        let width = self.table_width;
+        let stride = self.table_stride();
+        let view = FairView {
+            size: &self.agg.size,
+            live: self.live,
+            cat: &self.cat,
+            cat_counts: &self.agg.cat_counts,
+            num: &self.num,
+            num_sums: &self.agg.num_sums,
+        };
+        if std::mem::take(&mut self.live_stale) {
+            let contribs = self.objective.dirties_all_on_live_change();
+            for c in (0..self.k).filter(|&c| !self.dirty[c]) {
+                let block = &mut self.tables[c * stride..(c + 1) * stride];
+                Self::fill_weights(&view, c, block);
+                if contribs {
+                    self.fair_cache[c] =
+                        self.objective.contrib_adjusted(&view, c, PointRef::None, 0);
+                }
+            }
+        }
         while let Some(c) = self.dirty_list.pop() {
             self.dirty[c] = false;
-            self.fair_cache[c] = self.fairness_contrib(c);
-            if width > 0 {
-                let view = FairView {
-                    size: &self.agg.size,
-                    live: self.live,
-                    cat: &self.cat,
-                    cat_counts: &self.agg.cat_counts,
-                    num: &self.num,
-                    num_sums: &self.agg.num_sums,
-                };
-                let rows = &mut self.tables[2 * c * width..2 * (c + 1) * width];
-                let (dev_in, dev_out) = rows.split_at_mut(width);
-                Self::table_row(&self.objective, &view, c, 1, dev_in);
-                Self::table_row(&self.objective, &view, c, -1, dev_out);
-            }
+            self.fair_cache[c] = self.objective.contrib_adjusted(&view, c, PointRef::None, 0);
+            let block = &mut self.tables[c * stride..(c + 1) * stride];
+            Self::fill_block(&self.objective, &view, c, block);
             let span = c * self.dim..(c + 1) * self.dim;
             if self.agg.size[c] == 0 {
                 self.proto[span].fill(0.0);
@@ -512,29 +638,35 @@ impl ClusterModel {
         }
     }
 
-    /// Debug builds: every clean cluster's move-table rows equal, bit for
-    /// bit, a fresh fill from the current aggregates.
+    /// Debug builds: every clean cluster's `tables` block equals, bit for
+    /// bit, a fresh fill from the current aggregates (its weights once no
+    /// live-count change is pending).
     #[cfg(debug_assertions)]
     fn debug_check_tables(&self) {
-        let mut fresh = vec![0.0; self.table_width];
+        let stride = self.table_stride();
+        let mut fresh = vec![0.0; stride];
         for c in (0..self.k).filter(|&c| !self.dirty[c]) {
-            for delta in [1, -1] {
-                Self::table_row(&self.objective, &self.fair_view(), c, delta, &mut fresh);
-                let ours = &self.tables[self.table_row_span(c, delta)];
-                assert!(
-                    ours.iter()
-                        .zip(&fresh)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "cluster {c}'s move table (delta {delta}) is stale"
-                );
+            let ours = &self.tables[c * stride..(c + 1) * stride];
+            Self::fill_block(&self.objective, &self.fair_view(), c, &mut fresh);
+            if self.live_stale {
+                let half = HALF_HEAD + self.table_width;
+                for at in [TABLE_HEAD + 1, TABLE_HEAD + half + 1] {
+                    fresh[at] = ours[at];
+                }
             }
+            assert!(
+                ours.iter()
+                    .zip(&fresh)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "cluster {c}'s tables block is stale"
+            );
         }
     }
 
     /// Insert a point into cluster `c`, delta-updating every running
     /// aggregate in O(dim + Σ|Values(S)|) with the rebuild's own per-row
-    /// fold. The live count changes, so every shipped objective marks all
-    /// clusters dirty.
+    /// fold. The live count changes: cluster `c` is marked dirty and every
+    /// cluster's weights stale.
     pub fn insert_row(
         &mut self,
         c: usize,
@@ -642,6 +774,13 @@ impl ClusterModel {
         if self.agg.size[c] == 0 {
             return f64::INFINITY;
         }
+        self.sq_dist_to_cached(row, sqnorm, c)
+    }
+
+    /// [`Self::sq_dist_row_cached`] without the empty-cluster case: the
+    /// distance to the cached prototype row, zeros for an empty cluster.
+    #[inline]
+    fn sq_dist_to_cached(&self, row: &[f64], sqnorm: f64, c: usize) -> f64 {
         let proto = &self.proto[c * self.dim..(c + 1) * self.dim];
         let mut dot = 0.0;
         for (v, p) in row.iter().zip(proto) {
@@ -762,7 +901,7 @@ impl ClusterModel {
                 row_sqnorm += v * v;
             }
             let d = (row_sqnorm - 2.0 * dot + self.proto_sqnorm[c]).max(0.0);
-            (s as f64 / (s as f64 + 1.0)) * d
+            self.ratio(c, JOIN_RATIO) * d
         } else {
             0.0
         };
@@ -827,31 +966,71 @@ impl ClusterModel {
         sqnorm: f64,
         lambda: f64,
     ) -> (usize, f64) {
+        let dist = |c| self.sq_dist_row_cached(row, sqnorm, c);
+        self.propose_with(from, dist, cat_vals, num_vals, lambda)
+    }
+
+    /// [`Self::propose_move_row`] that also writes into `reach`, per
+    /// cluster, a lower bound on the row's distance to the cluster's cached
+    /// prototype (zeros for an empty cluster) — what a [`WindowMemo`]
+    /// records — and proposes nothing for a [`TOMBSTONE`] `from`. Same
+    /// bits.
+    #[allow(clippy::too_many_arguments)]
+    pub fn propose_recording(
+        &self,
+        from: usize,
+        row: &[f64],
+        cat_vals: &[u32],
+        num_vals: &[f64],
+        sqnorm: f64,
+        lambda: f64,
+        reach: &mut [f64],
+    ) -> (usize, f64) {
+        for (c, d) in reach.iter_mut().enumerate() {
+            *d = self.sq_dist_to_cached(row, sqnorm, c);
+        }
+        let best = match from {
+            TOMBSTONE => (from, 0.0),
+            _ => self.propose_with(from, |c| reach[c], cat_vals, num_vals, lambda),
+        };
+        memo::reach_from(reach, sqnorm, &self.proto_sqnorm, self.dim);
+        best
+    }
+
+    /// The candidate loop of [`Self::propose_move_row`], with `dist(c)`
+    /// the cached distance to cluster `c`'s prototype, read only where the
+    /// cluster is non-empty.
+    #[inline(always)]
+    fn propose_with(
+        &self,
+        from: usize,
+        dist: impl Fn(usize) -> f64,
+        cat_vals: &[u32],
+        num_vals: &[f64],
+        lambda: f64,
+    ) -> (usize, f64) {
         let mut best_to = from;
         let mut best_delta = 0.0f64;
-        let s_from = self.agg.size[from];
-        let d_out = if s_from > 1 {
-            let d = self.sq_dist_row_cached(row, sqnorm, from);
-            -(s_from as f64 / (s_from as f64 - 1.0)) * d
+        let d_out = if self.agg.size[from] > 1 {
+            -self.ratio(from, LEAVE_RATIO) * dist(from)
         } else {
             // removing the last member: that cluster's SSE was 0
             0.0
         };
-        let out_new = self.move_contrib(from, cat_vals, num_vals, -1);
+        let cells = self.cells(cat_vals);
+        let out_new = self.cell_contrib(from, cells.as_ref(), cat_vals, num_vals, -1);
         let out_old = self.fair_cache[from];
         for to in 0..self.k {
             if to == from {
                 continue;
             }
-            let s_to = self.agg.size[to];
-            let d_in = if s_to > 0 {
-                let d = self.sq_dist_row_cached(row, sqnorm, to);
-                (s_to as f64 / (s_to as f64 + 1.0)) * d
+            let d_in = if self.agg.size[to] > 0 {
+                self.ratio(to, JOIN_RATIO) * dist(to)
             } else {
                 0.0 // singleton in an empty cluster has SSE 0
             };
             let d_km = d_out + d_in;
-            let in_new = self.move_contrib(to, cat_vals, num_vals, 1);
+            let in_new = self.cell_contrib(to, cells.as_ref(), cat_vals, num_vals, 1);
             let in_old = self.fair_cache[to];
             let d_fair = (out_new + in_new) - (out_old + in_old);
             let delta = d_km + lambda * d_fair;
@@ -939,8 +1118,6 @@ pub(crate) struct State<'a> {
     /// The aggregate engine every mutation and score runs through.
     pub model: ClusterModel,
     pub matrix: Cow<'a, NumericMatrix>,
-    /// Backing-store slots (matrix rows), including unassigned ones.
-    pub n: usize,
     /// Cluster per slot; [`TOMBSTONE`] marks slots outside the clustering
     /// (never ingested into a cluster, or already evicted). Every scan
     /// skips such slots; streaming insert/remove toggles slots between
@@ -968,6 +1145,11 @@ pub(crate) struct State<'a> {
     /// descended one move at a time from the unchanged window-start
     /// aggregates (no rebuild).
     pub fallbacks: usize,
+    /// Live slots the per-move descent scored with the exact kernel
+    /// ([`Self::first_improving`]); slots a [`WindowMemo`] proved cannot
+    /// move are not counted. Diagnostic and not persisted, like
+    /// [`Self::rebuilds`].
+    pub descent_scored: usize,
 }
 
 impl<'a> State<'a> {
@@ -1054,7 +1236,6 @@ impl<'a> State<'a> {
         let mut state = Self {
             model,
             matrix,
-            n,
             assignment,
             cat_codes,
             num_values,
@@ -1062,9 +1243,16 @@ impl<'a> State<'a> {
             threads,
             rebuilds: 0,
             fallbacks: 0,
+            descent_scored: 0,
         };
         state.rebuild();
         state
+    }
+
+    /// Backing-store slots (matrix rows), including unassigned ones.
+    #[inline]
+    pub fn n(&self) -> usize {
+        self.assignment.len()
     }
 
     /// Slot `x`'s categorical codes, by attribute position.
@@ -1108,7 +1296,7 @@ impl<'a> State<'a> {
     pub fn rebuild(&mut self) {
         let total = fairkm_parallel::fold_chunks(
             self.threads,
-            self.n,
+            self.n(),
             self.model.zeroed_delta(),
             |range| self.rebuild_partial(range),
             AggregateDelta::merge,
@@ -1171,7 +1359,7 @@ impl<'a> State<'a> {
     /// within-cluster SSE against the current prototypes. Chunk-parallel
     /// with ordered reduction — bitwise-stable across thread counts.
     pub fn kmeans_term(&self) -> f64 {
-        fairkm_parallel::sum_chunks(self.threads, self.n, |range| {
+        fairkm_parallel::sum_chunks(self.threads, self.n(), |range| {
             let mut total = 0.0;
             for i in range {
                 let c = self.assignment[i];
@@ -1267,7 +1455,7 @@ impl<'a> State<'a> {
         // Eq. 14: δXin  = [Σ_{x'∈to} ‖x'−μ_new‖² + ‖x−μ_new‖²] −
         //                 Σ_{x'∈to} ‖x'−μ_old‖²
         let mut d_in = sq_euclidean(row_x, &mu_to_new);
-        for i in 0..self.n {
+        for i in 0..self.n() {
             if i == x {
                 continue;
             }
@@ -1281,6 +1469,66 @@ impl<'a> State<'a> {
             }
         }
         d_out + d_in
+    }
+
+    /// The improving moves `(slot, to)` of the live slots in `window`, in
+    /// slot order, scored in parallel by the incremental kernel against the
+    /// fresh caches, with every slot's distances recorded in `memo` for
+    /// the descent that may follow.
+    pub fn propose_window(
+        &self,
+        memo: &mut WindowMemo,
+        window: Range<usize>,
+        lambda: f64,
+    ) -> Vec<(usize, usize)> {
+        let (model, start, k) = (&self.model, window.start, self.model.k);
+        let len = window.len();
+        let reach = memo.record(model, window);
+        let parts = fairkm_parallel::map_chunks_into(self.threads, len, reach, k, |r, out| {
+            let slots = r.map(|i| start + i).zip(out.chunks_exact_mut(k));
+            let proposals = slots.filter_map(|(x, reach)| {
+                let from = self.assignment[x];
+                let (row, sqnorm) = (self.matrix.row(x), self.point_sqnorm[x]);
+                let (cat, num) = (self.cat_row(x), self.num_row(x));
+                let best = model.propose_recording(from, row, cat, num, sqnorm, lambda, reach);
+                Some((x, improving(from, best)?))
+            });
+            proposals.collect::<Vec<_>>()
+        });
+        parts.concat()
+    }
+
+    /// The first live slot of `range`, in slot order, with an improving
+    /// move, and that move: one step of the per-move descent. With a
+    /// `memo` covering `range`, slots it proves cannot move are skipped
+    /// (same answer); every slot scored is counted in
+    /// [`Self::descent_scored`].
+    pub fn first_improving(
+        &mut self,
+        memo: Option<&mut WindowMemo>,
+        range: Range<usize>,
+        lambda: f64,
+        engine: DeltaEngine,
+    ) -> Option<(usize, usize)> {
+        let descent = memo.and_then(|memo| memo.descent(&self.model, range.clone(), lambda));
+        let mut scored = 0;
+        let found = range.into_iter().find_map(|x| {
+            let from = self.assignment[x];
+            if from == TOMBSTONE {
+                return None;
+            }
+            let (cat, num, sqnorm) = (self.cat_row(x), self.num_row(x), self.point_sqnorm[x]);
+            if descent
+                .as_ref()
+                .is_some_and(|d| !d.may_improve(x, from, cat, num, sqnorm))
+            {
+                return None;
+            }
+            scored += 1;
+            Some((x, improving(from, propose_move(self, x, lambda, engine))?))
+        });
+        self.descent_scored += scored;
+        found
     }
 
     /// Apply the move `x: from → to` to the assignment and, through
@@ -1319,13 +1567,12 @@ impl<'a> State<'a> {
         debug_assert_eq!(point.row.len(), self.model.dim);
         debug_assert_eq!(point.cat.len(), self.model.cat.len());
         debug_assert_eq!(point.num.len(), self.model.num.len());
-        let slot = self.n;
+        let slot = self.n();
         self.matrix.to_mut().push_row(&point.row);
         self.point_sqnorm.push(point.sqnorm);
         self.cat_codes.extend_from_slice(&point.cat);
         self.num_values.extend_from_slice(&point.num);
         self.assignment.push(TOMBSTONE);
-        self.n += 1;
         slot
     }
 
@@ -1368,10 +1615,10 @@ impl<'a> State<'a> {
     /// bits — breaking the contract that compaction is bitwise transparent
     /// to the stream (pinned by `tests/compact_regression.rs`).
     pub fn compact(&mut self) -> Vec<usize> {
-        let kept: Vec<usize> = (0..self.n)
+        let kept: Vec<usize> = (0..self.n())
             .filter(|&i| self.assignment[i] != TOMBSTONE)
             .collect();
-        if kept.len() == self.n {
+        if kept.len() == self.n() {
             return kept;
         }
         let compacted = self.matrix.select_rows(&kept);
@@ -1388,8 +1635,7 @@ impl<'a> State<'a> {
             .copied()
             .collect();
         self.assignment = kept.iter().map(|&i| self.assignment[i]).collect();
-        self.n = kept.len();
-        debug_assert_eq!(self.model.live, self.n, "every surviving slot is live");
+        debug_assert_eq!(self.model.live, self.n(), "every surviving slot is live");
         kept
     }
 
@@ -1404,7 +1650,7 @@ impl<'a> State<'a> {
         {
             let m = &self.model;
             let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()));
-            let fresh = self.rebuild_partial(0..self.n);
+            let fresh = self.rebuild_partial(0..self.n());
             assert_eq!(m.agg.size, fresh.size, "delta-maintained sizes diverged");
             assert_eq!(
                 m.live,
@@ -1454,7 +1700,6 @@ impl<'a> State<'a> {
         State {
             model,
             matrix: Cow::Owned(matrix),
-            n,
             assignment: table.clusters,
             cat_codes: table.codes,
             num_values: table.values,
@@ -1462,6 +1707,7 @@ impl<'a> State<'a> {
             threads: threads.max(1),
             rebuilds: 0,
             fallbacks,
+            descent_scored: 0,
         }
     }
 
@@ -1469,7 +1715,7 @@ impl<'a> State<'a> {
     /// contiguous array.
     pub fn put_table(&self, out: &mut Vec<u8>) {
         let (rows, codes, values) = (self.matrix.as_slice(), &self.cat_codes, &self.num_values);
-        SlotTable::put(out, self.n, rows, codes, values, &self.assignment);
+        SlotTable::put(out, self.n(), rows, codes, values, &self.assignment);
     }
 
     /// The inverse of [`Self::from_table`]: the model and every slot.
@@ -1663,7 +1909,7 @@ mod tests {
         st.remove_point(2);
         let mut out = Vec::new();
         st.put_table(&mut out);
-        assert_eq!(out.len(), SlotTable::encoded_len(&st.model, st.n));
+        assert_eq!(out.len(), SlotTable::encoded_len(&st.model, st.n()));
     }
 
     #[test]
@@ -1794,7 +2040,7 @@ mod proptests {
     /// cluster it could join or the one it would leave, equal the direct
     /// computation bit for bit.
     fn check_tables(st: &State<'_>, lambda: f64) {
-        for x in (0..st.n).filter(|&x| st.assignment[x] != TOMBSTONE) {
+        for x in (0..st.n()).filter(|&x| st.assignment[x] != TOMBSTONE) {
             let from = st.assignment[x];
             let (cat, num) = (st.cat_row(x), st.num_row(x));
             for c in 0..st.model.k {
@@ -1888,6 +2134,79 @@ mod proptests {
                     st.remove_point((x + 1) % inst.n);
                     st.model.refresh_cache();
                     check_tables(&st, inst.lambda);
+                }
+            }
+        }
+
+        #[test]
+        fn memo_backed_descent_steps_equal_the_plain_scan(
+            inst in instance(),
+            window in (0usize..64, 0usize..64),
+            ops in proptest::collection::vec((0usize..64, 0usize..8, 0usize..6), 0..16),
+            ranges in proptest::collection::vec((0usize..64, 0usize..64), 1..6),
+        ) {
+            // The setup of `tabulated_proposals_equal_the_direct_candidate_
+            // loop`, under every objective: record a window, change the
+            // clustering under it (moves, removals, re-insertions, an
+            // install), then every descent step over a subrange of the
+            // window finds what the plain scan finds.
+            let (k, x, n) = (inst.k + 2, inst.x, inst.n);
+            let (matrix, base) = build(&inst);
+            let wide: Vec<u32> = (0..n as u32)
+                .map(|i| (i * 17 + inst.cat_values[i as usize] * 5) % 41)
+                .collect();
+            let labels = (0..41).map(|v| format!("w{v}")).collect();
+            let wide = SensitiveCat::new(AttrId(2), "w".into(), labels, wide);
+            let cat = vec![base.categorical()[0].clone(), wide];
+            let space = SensitiveSpace::new(n, cat, base.numeric().to_vec());
+            let mut assignment = inst.assignment.clone();
+            assignment[x] = inst.k;
+            let (lo, hi) = (window.0 % (n + 1), window.1 % (n + 1));
+            let window = lo.min(hi)..lo.max(hi);
+            let kinds = [
+                ObjectiveKind::Representativity,
+                ObjectiveKind::bounded(),
+                ObjectiveKind::Utilitarian,
+                ObjectiveKind::Egalitarian,
+            ];
+            let weights = [[1.0, 1.0, 1.0], [0.0, 2.5, 1.0], [1.0, 0.0, 0.0]];
+            for (kind, w) in kinds.into_iter().flat_map(|kind| weights.iter().map(move |w| (kind, w))) {
+                let mut st = State::with_norm(
+                    Cow::Owned(matrix.clone()), &space, w, k, assignment.clone(),
+                    FairnessNorm::DomainCardinality, kind, 1,
+                );
+                let mut memo = WindowMemo::default();
+                st.propose_window(&mut memo, window.clone(), inst.lambda);
+                for &(xi, ti, op) in &ops {
+                    let (y, to) = (xi % n, ti % k);
+                    let from = st.assignment[y];
+                    match op {
+                        0..=2 if from != TOMBSTONE && from != to => st.apply_move(y, from, to),
+                        3 if from != TOMBSTONE => drop(st.remove_point(y)),
+                        4 if from == TOMBSTONE => st.insert_point(y, to),
+                        5 => st.rebuild(),
+                        _ => {}
+                    }
+                }
+                st.model.refresh_cache();
+                for &(a, b) in &ranges {
+                    let (a, b) = (window.start + a % (window.len() + 1), window.start + b % (window.len() + 1));
+                    let range = a.min(b)..a.max(b);
+                    let plain = range.clone().find_map(|y| {
+                        let from = st.assignment[y];
+                        if from == TOMBSTONE {
+                            return None;
+                        }
+                        let (row, sqnorm) = (st.matrix.row(y), st.point_sqnorm[y]);
+                        let best = st.model.propose_move_row(
+                            from, row, st.cat_row(y), st.num_row(y), sqnorm, inst.lambda,
+                        );
+                        Some((y, improving(from, best)?))
+                    });
+                    let memo_backed = st.first_improving(
+                        Some(&mut memo), range.clone(), inst.lambda, DeltaEngine::Incremental,
+                    );
+                    prop_assert_eq!(memo_backed, plain, "{:?} weights {:?} range {:?}", kind, w, range);
                 }
             }
         }

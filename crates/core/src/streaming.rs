@@ -59,7 +59,7 @@ use crate::config::{DeltaEngine, FairKmConfig, FairKmError, ObjectiveKind, Updat
 use crate::fairkm::{initial_assignment, resolve_weights};
 use crate::machine::{Host, Local, Machine};
 use crate::minibatch::MiniBatchFairKm;
-use crate::state::{ClusterModel, State};
+use crate::state::{ClusterModel, State, WindowMemo};
 use crate::wire::{self, Reader, WireError};
 use fairkm_data::{
     wire_io, AttrId, AttrKind, Dataset, FrozenEncoder, NumericMatrix, Partition, Role, Schema,
@@ -689,7 +689,7 @@ pub struct StreamingFairKm {
 impl std::fmt::Debug for State<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("State")
-            .field("n", &self.n)
+            .field("n", &self.n())
             .field("live", &self.model.live())
             .field("k", &self.model.k())
             .field("dim", &self.model.dim())
@@ -771,7 +771,7 @@ impl StreamingFairKm {
     /// prototypes and Eq. 7 insertion deltas. Read-only and O(k·(dim +
     /// Σ|Values(S)|)) — the low-latency path.
     pub fn assign_frozen(&self, row: &[Value]) -> Result<usize, FairKmError> {
-        let r = self.codec.encode(row, self.state.n)?;
+        let r = self.codec.encode(row, self.state.n())?;
         let model = &self.state.model;
         Ok(model
             .score_insertion(&r.row, &r.cat, &r.num, self.ledger.lambda)
@@ -792,7 +792,7 @@ impl StreamingFairKm {
             codec: Arc::clone(&self.codec),
             model: self.state.model.clone(),
             lambda: self.ledger.lambda,
-            n_slots: self.state.n,
+            n_slots: self.state.n(),
             objective: self.ledger.objective,
         }
     }
@@ -803,7 +803,7 @@ impl StreamingFairKm {
     /// parallel, deterministically), apply the insertions as aggregate
     /// deltas in arrival order, then run the drift check.
     pub fn ingest(&mut self, rows: &[Vec<Value>]) -> Result<IngestReport, FairKmError> {
-        let rows = self.codec.encode_all(rows, self.state.n)?;
+        let rows = self.codec.encode_all(rows, self.state.n())?;
         let host = self.host();
         Ok(Local::run(&host, Machine::ingest(&host, rows)))
     }
@@ -846,6 +846,7 @@ impl StreamingFairKm {
             lambda: self.ledger.lambda,
             engine: self.ledger.engine,
             ledger: Some(&mut self.ledger),
+            memo: WindowMemo::default(),
         }))
     }
 
@@ -908,12 +909,12 @@ impl StreamingFairKm {
 
     /// Total backing-store slots, tombstones included.
     pub fn n_slots(&self) -> usize {
-        self.state.n
+        self.state.n()
     }
 
     /// Whether a slot currently holds a live point.
     pub fn is_live(&self, slot: usize) -> bool {
-        slot < self.state.n && self.state.assignment[slot] != TOMBSTONE
+        slot < self.state.n() && self.state.assignment[slot] != TOMBSTONE
     }
 
     /// Cluster of a slot, `None` for tombstones and out-of-range slots.
@@ -927,7 +928,7 @@ impl StreamingFairKm {
 
     /// Live slot ids in ascending (arrival) order.
     pub fn live_slots(&self) -> Vec<usize> {
-        (0..self.state.n).filter(|&s| self.is_live(s)).collect()
+        (0..self.state.n()).filter(|&s| self.is_live(s)).collect()
     }
 
     /// Number of clusters `k`.
@@ -1004,6 +1005,13 @@ impl StreamingFairKm {
         self.state.fallbacks
     }
 
+    /// Live slots the per-move descent scored with the exact kernel;
+    /// slots a window memo proved cannot move are not counted. Not
+    /// persisted: a restored engine counts from zero.
+    pub fn descent_scored(&self) -> usize {
+        self.state.descent_scored
+    }
+
     /// Current cluster prototypes (means), zeros for empty clusters —
     /// see [`ClusterModel::prototypes`].
     pub fn prototypes(&self) -> Vec<Vec<f64>> {
@@ -1044,7 +1052,7 @@ impl StreamingFairKm {
     pub(crate) fn write_snapshot_bytes(&self, out: &mut Vec<u8>) {
         let s = &self.state;
         let (ledger, fallbacks, model) = (&self.ledger, s.fallbacks, &s.model);
-        StreamPayload::put(out, &self.codec, ledger, fallbacks, model, s.n, |out| {
+        StreamPayload::put(out, &self.codec, ledger, fallbacks, model, s.n(), |out| {
             s.put_table(out)
         });
     }

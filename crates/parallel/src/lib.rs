@@ -314,6 +314,39 @@ where
         .collect()
 }
 
+/// [`map_chunks`] that also hands each chunk of `0..n` its own part of
+/// `out`, `width ≥ 1` entries per item (`out.len() == n * width`), to
+/// write per-item results into.
+pub fn map_chunks_into<T, R, F>(
+    threads: usize,
+    n: usize,
+    out: &mut [T],
+    width: usize,
+    map: F,
+) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(Range<usize>, &mut [T]) -> R + Sync,
+{
+    assert!(
+        width > 0 && out.len() == n * width,
+        "one `width` part of `out` per item"
+    );
+    let parts: Vec<Mutex<Option<&mut [T]>>> = out
+        .chunks_mut(chunk_size(n) * width)
+        .map(|part| Mutex::new(Some(part)))
+        .collect();
+    map_chunks(threads, n, |r| {
+        let part = parts[r.start / chunk_size(n)]
+            .lock()
+            .expect("chunk part poisoned")
+            .take()
+            .expect("every chunk is mapped exactly once");
+        map(r, part)
+    })
+}
+
 /// Chunked parallel sum with ordered reduction: each chunk's partial sum is
 /// accumulated sequentially within the chunk, and partials are added in
 /// chunk-index order — bitwise-identical for any thread count.
@@ -420,6 +453,23 @@ mod tests {
         let starts = map_chunks(8, n, |r| r.start);
         let expected: Vec<usize> = chunk_ranges(n).map(|r| r.start).collect();
         assert_eq!(starts, expected);
+    }
+
+    #[test]
+    fn map_chunks_into_hands_each_chunk_its_own_part() {
+        let (n, width) = (9_000, 3);
+        for threads in [1, 2, 8] {
+            let mut out = vec![0usize; n * width];
+            let starts = map_chunks_into(threads, n, &mut out, width, |r, part| {
+                assert_eq!(part.len(), r.len() * width);
+                for (i, cell) in r.clone().flat_map(|i| [i; 3]).zip(part.iter_mut()) {
+                    *cell = i;
+                }
+                r.start
+            });
+            assert_eq!(starts, chunk_ranges(n).map(|r| r.start).collect::<Vec<_>>());
+            assert!(out.iter().enumerate().all(|(j, &i)| i == j / width));
+        }
     }
 
     #[test]

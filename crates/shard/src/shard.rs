@@ -4,7 +4,7 @@
 use crate::plan::ShardPlan;
 use crate::protocol::{Msg, Part, ShardState};
 use fairkm_core::wire::{self, Reader, WireError};
-use fairkm_core::{improving, Answer, ClusterModel, LogEntry, SlotRow, SlotTable, TOMBSTONE};
+use fairkm_core::{improving, Answer, ClusterModel, LogEntry, SlotTable, WindowMemo, TOMBSTONE};
 use std::collections::BTreeMap;
 
 /// Leading `u64` of every [`ShardNode::snapshot_bytes`] payload: the bytes
@@ -38,6 +38,10 @@ pub struct ShardNode {
     /// Asks pinned to a log version this replica has not reached yet, in
     /// arrival order.
     deferred: Vec<Msg>,
+    /// The distance bounds of the owned slots of the last window this
+    /// shard answered, read by the descent steps that follow it. Dropped
+    /// when a transfer replaces the owned rows.
+    memo: WindowMemo,
 }
 
 impl ShardNode {
@@ -49,6 +53,7 @@ impl ShardNode {
             state,
             buffered: BTreeMap::new(),
             deferred: Vec::new(),
+            memo: WindowMemo::default(),
         }
     }
 
@@ -80,6 +85,7 @@ impl ShardNode {
             // buffered batches and deferred asks stay for the new version.
             Msg::Transfer(state) if state.version > self.state.version => {
                 self.state = *state;
+                self.memo.clear();
                 self.pump_log();
                 self.retry_deferred(out);
             }
@@ -142,17 +148,6 @@ impl ShardNode {
         }
     }
 
-    /// The staging-filtered best move of an owned row; none for a
-    /// tombstone.
-    fn propose(&self, d: &SlotRow) -> Option<usize> {
-        if d.cluster == TOMBSTONE {
-            return None;
-        }
-        let ShardState { lambda, model, .. } = &self.state;
-        let best = model.propose_move_row(d.cluster, &d.row, &d.cat, &d.num, d.sqnorm, *lambda);
-        improving(d.cluster, best)
-    }
-
     /// Retry deferred asks that the applied log has unblocked, in arrival
     /// order.
     fn retry_deferred(&mut self, out: &mut Outbox) {
@@ -162,10 +157,10 @@ impl ShardNode {
         }
     }
 
-    /// Answer an ask at its version (a pure read of the replica): to the
-    /// coordinator, or — for a fold chain's inner hop — onward to the next
-    /// segment's owner.
-    fn answer(&self, req: u64, version: u64, part: Part) -> (usize, Msg) {
+    /// Answer an ask at its version (a pure read of the replica, which may
+    /// record a window's distance bounds in the memo): to the coordinator, or —
+    /// for a fold chain's inner hop — onward to the next segment's owner.
+    fn answer(&mut self, req: u64, version: u64, part: Part) -> (usize, Msg) {
         let ShardState {
             lambda,
             model,
@@ -182,17 +177,32 @@ impl ShardNode {
                     })
                     .collect(),
             ),
-            Part::Window { start, end } => Answer::Proposals(
-                owned
-                    .range(start..end)
-                    .filter_map(|(&slot, d)| Some((slot, self.propose(d)?)))
-                    .collect(),
-            ),
-            Part::First { start, end } => Answer::First(
-                owned
-                    .range(start..end)
-                    .find_map(|(&slot, d)| Some((slot, self.propose(d)?))),
-            ),
+            Part::Window { start, end } => {
+                let (k, reach) = (model.k(), self.memo.record(model, start..end));
+                let proposals = owned.range(start..end).filter_map(|(&slot, d)| {
+                    let reach = &mut reach[(slot - start) * k..(slot - start + 1) * k];
+                    let best = model.propose_recording(
+                        d.cluster, &d.row, &d.cat, &d.num, d.sqnorm, *lambda, reach,
+                    );
+                    Some((slot, improving(d.cluster, best)?))
+                });
+                Answer::Proposals(proposals.collect())
+            }
+            Part::First { start, end } => {
+                let descent = self.memo.descent(model, start..end, *lambda);
+                Answer::First(owned.range(start..end).find_map(|(&slot, d)| {
+                    if d.cluster == TOMBSTONE
+                        || descent.as_ref().is_some_and(|descent| {
+                            !descent.may_improve(slot, d.cluster, &d.cat, &d.num, d.sqnorm)
+                        })
+                    {
+                        return None;
+                    }
+                    let best = model
+                        .propose_move_row(d.cluster, &d.row, &d.cat, &d.num, d.sqnorm, *lambda);
+                    Some((slot, improving(d.cluster, best)?))
+                }))
+            }
             Part::Fold {
                 chunk,
                 segments,

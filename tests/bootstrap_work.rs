@@ -66,13 +66,31 @@ fn serve_config() -> StreamingConfig {
 /// 480: 30 passes of 16 windows).
 const FALLBACKS: usize = 360;
 
+/// Passes the 100k bootstrap below runs to convergence.
+const PASSES: usize = 30;
+
+/// Bits of its final objective.
+const OBJECTIVE_BITS: u64 = 0x4130_71d3_c1a3_fe95;
+
+/// Slots its per-move descents score with the exact kernel. Without the
+/// window memo every slot of every failed window is scored: 360 × 6,250 =
+/// 2,250,000. The memo proves all but these cannot move.
+const DESCENT_SCORED: usize = 43_159;
+const _: () = assert!(
+    DESCENT_SCORED <= 2_250_000 / 20,
+    "at most 5% of those slots"
+);
+
 /// A 100k-point bootstrap makes at most one exact rebuild per pass plus
 /// the initial one, however many of its windows fall back to the per-move
 /// descent: a failed window's trial ran on a scratch model, so it needs no
 /// rebuild. The fallback count is pinned to the one the engine reached
 /// when it still rebuilt before each fallback: dropping that rebuild
-/// changed no decision. Ignored by default for its size; CI runs it in
-/// release with `--ignored`.
+/// changed no decision. Its descents score at most 5% of their slots with
+/// the exact kernel, and the passes and final objective bits are those of
+/// the descent that scored every slot: the window memo skips only slots
+/// that provably cannot move. Ignored by default for its size; CI runs it
+/// in release with `--ignored`.
 #[test]
 #[ignore = "100k-point bootstrap; run in release with --ignored"]
 fn a_100k_point_bootstrap_rebuilds_at_most_once_per_pass() {
@@ -86,4 +104,12 @@ fn a_100k_point_bootstrap_rebuilds_at_most_once_per_pass() {
         stream.fallbacks()
     );
     assert_eq!(stream.fallbacks(), FALLBACKS, "over {passes} passes");
+    assert_eq!(passes, PASSES);
+    let objective = *stream.trace().last().unwrap();
+    assert_eq!(
+        objective.to_bits(),
+        OBJECTIVE_BITS,
+        "final objective {objective}"
+    );
+    assert_eq!(stream.descent_scored(), DESCENT_SCORED);
 }
