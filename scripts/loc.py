@@ -12,8 +12,9 @@ Usage:
   python3 scripts/loc.py [REPO_ROOT]
       One `lines path` row per file of the working tree, then the total.
   python3 scripts/loc.py --against REV [REPO_ROOT]
-      The totals of git revision REV (read through `git archive`, with no
-      second checkout) and of the working tree, and the net change.
+      One `±lines path` row per file whose count differs between git
+      revision REV (read through `git archive`, with no second checkout)
+      and the working tree, then the totals of both and the net change.
 """
 
 import io
@@ -136,7 +137,13 @@ def main():
             print(f"{lines:6d} {path}")
         print(f"{total:6d} total non-test lines under crates/ and src/")
     else:
-        base = sum(lines for lines, _ in revision_rows(root, rev))
+        before = {path: lines for lines, path in revision_rows(root, rev)}
+        after = {path: lines for lines, path in rows}
+        for path in sorted(before.keys() | after.keys()):
+            delta = after.get(path, 0) - before.get(path, 0)
+            if delta:
+                print(f"{delta:+6d} {path}")
+        base = sum(before.values())
         print(f"{base:6d} at {rev}")
         print(f"{total:6d} in the working tree")
         print(f"{total - base:+6d} net non-test lines under crates/ and src/")

@@ -1,29 +1,9 @@
 //! `fairkm` — command-line fair clustering over CSV files.
 //!
-//! ```text
-//! fairkm cluster --input data.csv [--k 5] [--lambda heuristic|<number>]
-//!                [--algorithm fairkm|kmeans|fairlet] [--fairlet-t N]
-//!                [--objective representativity|bounded|utilitarian|egalitarian]
-//!                [--bounds LO,HI] [--normalization zscore|minmax|none]
-//!                [--seed 0] [--max-iters 30] [--threads N] [--minibatch SIZE|auto]
-//!                [--output assignments.csv]
-//! fairkm stream  --input data.csv [--k 5] [--lambda heuristic|<number>]
-//!                [--objective representativity|bounded|utilitarian|egalitarian]
-//!                [--bounds LO,HI] [--normalization zscore|minmax|none]
-//!                [--seed 0] [--threads N]
-//!                [--bootstrap N] [--batch N] [--drift T] [--reopt-passes N]
-//!                [--retain N] [--monitor-window N] [--monitor-every N] [--output assignments.csv]
-//!                [--state-dir DIR [--snapshot-every N] [--resume]]
-//! fairkm shard   --input data.csv --shards S [--block B] [stream flags…]
-//!                (no --state-dir, --snapshot-every, --resume or --monitor-*)
-//! fairkm snapshot --state-dir DIR [--threads N]
-//! fairkm restore  --state-dir DIR [--verify] [--threads N] [--output assignments.csv]
-//! fairkm serve   --listen ADDR --tenant NAME=DIR… (--resume | --input data.csv)
-//!                [--workers N] [--queue N] [--max-pending N]
-//!                [--read-timeout-ms N] [--write-timeout-ms N] [--snapshot-every N]
-//! fairkm client  --addr ADDR --tenant NAME assign|ingest|evict-oldest|stats|snapshot
-//!                [--input data.csv] [--count N] [--retries N] [--backoff-ms N]
-//! ```
+//! `fairkm --help` lists every subcommand with the flags it takes and the
+//! exit codes. Each flag is declared once, in [`FLAGS`]; the parser and
+//! that usage text both read the table, so a flag a subcommand does not
+//! take is refused by name instead of ignored.
 //!
 //! `cluster` is the one-shot batch fit. `stream` replays the same CSV as a
 //! live stream: the first `--bootstrap` rows (default: a quarter of the
@@ -78,200 +58,396 @@ use fairkm::core::persist::{DurableStream, PersistError};
 use fairkm::core::{StreamingConfig, StreamingFairKm};
 use fairkm::metrics::WindowedFairnessMonitor;
 use fairkm::prelude::*;
-use fairkm::serve::{Client, ClientConfig, ClientError, Registry, ServerConfig};
+use fairkm::serve::{ClientConfig, ClientError, Registry, ServerConfig};
 use fairkm::store::{DurableStore, FsBackend};
 use fairkm_core::FairKmError;
 use fairkm_data::wire::WireError;
 use fairkm_data::{read_csv, Dataset, Normalization, Partition, Value};
 use std::fs::File;
 use std::io::{BufWriter, Write};
+use std::ops::Range;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
+use Group::*;
 
-const USAGE: &str = "usage: fairkm cluster --input data.csv [--k N] [--lambda heuristic|NUM]
-                      [--algorithm fairkm|kmeans|fairlet] [--fairlet-t N]
-                      [--objective representativity|bounded|utilitarian|egalitarian]
-                      [--bounds LO,HI] [--normalization zscore|minmax|none]
-                      [--seed N] [--max-iters N] [--threads N] [--minibatch SIZE|auto]
-                      [--output out.csv]
-       fairkm stream  --input data.csv [--k N] [--lambda heuristic|NUM]
-                      [--objective representativity|bounded|utilitarian|egalitarian]
-                      [--bounds LO,HI] [--normalization zscore|minmax|none]
-                      [--seed N] [--threads N]
-                      [--bootstrap N] [--batch N] [--drift T] [--reopt-passes N]
-                      [--retain N] [--monitor-window N] [--monitor-every N] [--output out.csv]
-                      [--state-dir DIR [--snapshot-every N] [--resume]]
-       fairkm shard   --input data.csv --shards S [--block B] [stream flags…]
-                      (no --state-dir, --snapshot-every, --resume or --monitor-*)
-       fairkm snapshot --state-dir DIR [--threads N]
-       fairkm restore  --state-dir DIR [--verify] [--threads N] [--output out.csv]
-       fairkm serve   --listen ADDR --tenant NAME=DIR [--tenant NAME2=DIR2…]
-                      (--resume | --input data.csv [bootstrap flags])
-                      [--workers N] [--queue N] [--max-pending N]
-                      [--read-timeout-ms N] [--write-timeout-ms N]
-                      [--snapshot-every N] [--drift T] [--reopt-passes N]
-       fairkm client  --addr ADDR --tenant NAME assign|ingest|evict-oldest|stats|snapshot
-                      [--input data.csv] [--count N]
-                      [--retries N] [--backoff-ms N] [--timeout-ms N] [--seed N]
+/// The groups of [`FLAGS`]; a subcommand takes or refuses each group whole.
+#[derive(Clone, Copy, PartialEq)]
+enum Group {
+    Input,
+    Output,
+    Threads,
+    /// `--seed`: the model's seed, and the client's retry-jitter seed.
+    Seed,
+    /// The model configuration every fitting subcommand shares.
+    Model,
+    Cluster,
+    Replay,
+    Drift,
+    Monitor,
+    StateDir,
+    Durability,
+    Verify,
+    Shard,
+    Serve,
+    Tenant,
+    Client,
+}
 
+/// Every flag of every subcommand, once: its name, the hint for its value
+/// (empty for a switch) and its group.
+const FLAGS: &[(&str, &str, Group)] = &[
+    ("--input", "data.csv", Input),
+    ("--output", "out.csv", Output),
+    ("--threads", "N", Threads),
+    ("--seed", "N", Seed),
+    ("--k", "N", Model),
+    ("--lambda", "heuristic|NUM", Model),
+    ("--normalization", "zscore|minmax|none", Model),
+    (
+        "--objective",
+        "representativity|bounded|utilitarian|egalitarian",
+        Model,
+    ),
+    ("--bounds", "LO,HI", Model),
+    ("--algorithm", "fairkm|kmeans|fairlet", Cluster),
+    ("--fairlet-t", "N", Cluster),
+    ("--max-iters", "N", Cluster),
+    ("--minibatch", "SIZE|auto", Cluster),
+    ("--bootstrap", "N", Replay),
+    ("--batch", "N", Replay),
+    ("--retain", "N", Replay),
+    ("--drift", "T", Drift),
+    ("--reopt-passes", "N", Drift),
+    ("--monitor-window", "N", Monitor),
+    ("--monitor-every", "N", Monitor),
+    ("--state-dir", "DIR", StateDir),
+    ("--snapshot-every", "N", Durability),
+    ("--resume", "", Durability),
+    ("--verify", "", Verify),
+    ("--shards", "S", Shard),
+    ("--block", "B", Shard),
+    ("--listen", "ADDR", Serve),
+    ("--workers", "N", Serve),
+    ("--queue", "N", Serve),
+    ("--max-pending", "N", Serve),
+    ("--read-timeout-ms", "N", Serve),
+    ("--write-timeout-ms", "N", Serve),
+    ("--tenant", "NAME[=DIR]", Tenant),
+    ("--addr", "ADDR", Client),
+    ("--count", "N", Client),
+    ("--retries", "N", Client),
+    ("--backoff-ms", "N", Client),
+    ("--timeout-ms", "N", Client),
+];
+
+/// A subcommand: the groups of flags it takes, the flags it cannot run
+/// without, and the hint for its one operand (empty if it takes none).
+struct Command {
+    name: &'static str,
+    operand: &'static str,
+    required: &'static [&'static str],
+    groups: &'static [Group],
+    run: fn(&Args) -> Result<(), CliError>,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "cluster",
+        operand: "",
+        required: &["--input"],
+        groups: &[Input, Output, Threads, Seed, Model, Cluster],
+        run: run_cluster,
+    },
+    Command {
+        name: "stream",
+        operand: "",
+        required: &["--input"],
+        groups: &[
+            Input, Output, Threads, Seed, Model, Replay, Drift, Monitor, StateDir, Durability,
+        ],
+        run: run_stream,
+    },
+    Command {
+        name: "shard",
+        operand: "",
+        required: &["--input", "--shards"],
+        groups: &[Input, Output, Threads, Seed, Model, Replay, Drift, Shard],
+        run: run_shard,
+    },
+    Command {
+        name: "snapshot",
+        operand: "",
+        required: &["--state-dir"],
+        groups: &[Threads, StateDir],
+        run: run_snapshot,
+    },
+    Command {
+        name: "restore",
+        operand: "",
+        required: &["--state-dir"],
+        groups: &[Output, Threads, StateDir, Verify],
+        run: run_restore,
+    },
+    Command {
+        name: "serve",
+        operand: "",
+        required: &["--listen", "--tenant"],
+        groups: &[
+            Input, Threads, Seed, Model, Drift, Durability, Serve, Tenant,
+        ],
+        run: run_serve,
+    },
+    Command {
+        name: "client",
+        operand: "assign|ingest|evict-oldest|stats|snapshot",
+        required: &["--addr", "--tenant"],
+        groups: &[Input, Seed, Tenant, Client],
+        run: run_client,
+    },
+];
+
+/// What `fairkm --help` prints after the subcommands.
+const USAGE_NOTES: &str = "
+serve takes --tenant NAME=DIR, once per tenant; client takes --tenant NAME.
 input header cells must be role:kind:name (role: n|s|aux, kind: num|cat).
 
-durable-state failures exit with stable codes scripts can dispatch on:
-  3  journal write failed (stream wedged) — acked state is safe on disk; reopen with --resume
+exit codes scripts can dispatch on:
+  0  success
+  1  bad arguments (reported with this text) or any other failure
+  3  journal write failed (stream wedged) — acked state is safe on disk; reopen with --resume;
+     for client: the tenant is read-only or still shedding load after every retry
   4  operation committed, only the snapshot after it failed — do NOT retry the op
   5  state directory already holds a stream — pass --resume or pick an empty directory
   6  state directory unrecoverable (no verifying snapshot / corrupt journal / older format)";
 
-/// Flags shared verbatim by `cluster` and `stream`, parsed in one place so
-/// the two subcommands can never drift apart on them.
-struct CommonOptions {
-    input: String,
-    output: Option<String>,
-    k: usize,
-    lambda: Lambda,
-    normalization: Normalization,
-    seed: u64,
-    threads: Option<usize>,
-    objective: ObjectiveKind,
-    /// Explicit `--bounds LO,HI` multipliers, folded into the objective by
-    /// [`Self::require_input`] (so flag order doesn't matter).
-    bounds: Option<(f64, f64)>,
+/// The usage text, generated from [`COMMANDS`] and [`FLAGS`]: each
+/// subcommand with its operand, its required flags and then every other
+/// flag it takes, wrapped to 90 columns.
+fn usage() -> String {
+    const WIDTH: usize = 90;
+    let mut text = String::new();
+    for (i, command) in COMMANDS.iter().enumerate() {
+        let lead = if i == 0 { "usage:" } else { "" };
+        let mut line = format!("{lead:<6} fairkm {:<8}", command.name);
+        let indent = line.len();
+        let taken = FLAGS.iter().filter(|f| command.groups.contains(&f.2));
+        let (required, optional): (Vec<_>, Vec<_>) =
+            taken.partition(|f| command.required.contains(&f.0));
+        let word = |&(name, hint, _): &(&str, &str, Group)| format!("{name} {hint}");
+        let words = (!command.operand.is_empty())
+            .then(|| command.operand.to_string())
+            .into_iter()
+            .chain(required.into_iter().map(word))
+            .chain(
+                optional
+                    .into_iter()
+                    .map(|f| format!("[{}]", word(f).trim_end())),
+            );
+        for word in words {
+            let word = word.trim_end();
+            if line.len() + 1 + word.len() > WIDTH {
+                text.push_str(&line);
+                text.push('\n');
+                line = " ".repeat(indent);
+            }
+            line.push(' ');
+            line.push_str(word);
+        }
+        text.push_str(&line);
+        text.push('\n');
+    }
+    text + USAGE_NOTES
 }
 
-impl CommonOptions {
-    fn new() -> Self {
-        Self {
-            input: String::new(),
-            output: None,
-            k: 5,
-            lambda: Lambda::Heuristic,
-            normalization: Normalization::ZScore,
-            seed: 0,
-            threads: None,
-            objective: ObjectiveKind::Representativity,
-            bounds: None,
-        }
-    }
+/// A parsed command line: its subcommand, its flags in command-line order
+/// (values empty for switches), and its operand.
+struct Args {
+    command: &'static Command,
+    flags: Vec<(&'static str, String)>,
+    operand: Option<String>,
+}
 
-    /// Consume `flag` (pulling its value from `it`) if it is one of the
-    /// shared flags; `Ok(false)` hands it back to the subcommand parser.
-    fn try_parse(
-        &mut self,
-        flag: &str,
-        it: &mut std::slice::Iter<'_, String>,
-    ) -> Result<bool, String> {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
+impl Args {
+    /// Parse `argv` (the subcommand first) against [`COMMANDS`] and
+    /// [`FLAGS`], refusing every flag the subcommand does not take.
+    fn parse(argv: &[String]) -> Result<Args, CliError> {
+        let name = argv.first().map_or("", String::as_str);
+        let command = COMMANDS.iter().find(|c| c.name == name).ok_or_else(|| {
+            let names: Vec<String> = COMMANDS.iter().map(|c| format!("`{}`", c.name)).collect();
+            usage_error(format!("the supported commands are {}", names.join(", ")))
+        })?;
+        let mut args = Args {
+            command,
+            flags: Vec::new(),
+            operand: None,
         };
-        match flag {
-            "--input" => self.input = value()?,
-            "--output" => self.output = Some(value()?),
-            "--k" => self.k = value()?.parse().map_err(|_| "--k needs an integer")?,
-            "--seed" => self.seed = value()?.parse().map_err(|_| "--seed needs an integer")?,
-            "--threads" => {
-                let t: usize = value()?
-                    .parse()
-                    .map_err(|_| "--threads needs a positive integer")?;
-                if t == 0 {
-                    return Err("--threads needs a positive integer".into());
+        let mut it = argv[1..].iter();
+        while let Some(arg) = it.next() {
+            match FLAGS.iter().find(|(name, _, _)| name == arg) {
+                Some((_, _, group)) if !command.groups.contains(group) => {
+                    return Err(usage_error(format!(
+                        "{arg} is not supported by `fairkm {name}`"
+                    )))
                 }
-                self.threads = Some(t);
-            }
-            "--lambda" => {
-                let v = value()?;
-                self.lambda = if v == "heuristic" {
-                    Lambda::Heuristic
-                } else {
-                    Lambda::Fixed(
-                        v.parse()
-                            .map_err(|_| "--lambda needs a number or `heuristic`")?,
-                    )
-                };
-            }
-            "--normalization" => {
-                self.normalization = match value()?.as_str() {
-                    "zscore" => Normalization::ZScore,
-                    "minmax" => Normalization::MinMax,
-                    "none" => Normalization::None,
-                    other => return Err(format!("unknown normalization `{other}`")),
+                Some(&(flag, hint, _)) => {
+                    let value = match hint {
+                        "" => String::new(),
+                        _ => it
+                            .next()
+                            .cloned()
+                            .ok_or_else(|| usage_error(format!("{flag} needs a value")))?,
+                    };
+                    args.flags.push((flag, value));
                 }
-            }
-            "--objective" => {
-                self.objective = match value()?.as_str() {
-                    "representativity" => ObjectiveKind::Representativity,
-                    "bounded" => ObjectiveKind::bounded(),
-                    "utilitarian" => ObjectiveKind::Utilitarian,
-                    "egalitarian" => ObjectiveKind::Egalitarian,
-                    other => return Err(format!("unknown objective `{other}`")),
+                None if !command.operand.is_empty()
+                    && args.operand.is_none()
+                    && !arg.starts_with("--") =>
+                {
+                    args.operand = Some(arg.clone())
                 }
+                None => return Err(usage_error(format!("unknown flag `{arg}`"))),
             }
-            "--bounds" => {
-                let v = value()?;
-                let (lo, hi) = v
-                    .split_once(',')
-                    .ok_or("--bounds needs LO,HI (e.g. 0.8,1.25)")?;
-                let lower: f64 = lo
-                    .trim()
-                    .parse()
-                    .map_err(|_| "--bounds needs two numbers LO,HI")?;
-                let upper: f64 = hi
-                    .trim()
-                    .parse()
-                    .map_err(|_| "--bounds needs two numbers LO,HI")?;
-                self.bounds = Some((lower, upper));
-            }
-            _ => return Ok(false),
         }
-        Ok(true)
+        match command.required.iter().find(|flag| !args.has(flag)) {
+            Some(flag) => Err(usage_error(format!(
+                "{flag} is required for `fairkm {name}`"
+            ))),
+            None => Ok(args),
+        }
     }
 
-    fn require_input(mut self) -> Result<Self, String> {
-        if self.input.is_empty() {
-            return Err("--input is required".into());
-        }
-        if let Some((lower, upper)) = self.bounds {
-            match self.objective {
-                ObjectiveKind::BoundedRepresentation { .. } => {
-                    self.objective = ObjectiveKind::BoundedRepresentation { lower, upper };
-                }
-                _ => return Err("--bounds only applies to --objective bounded".into()),
-            }
-        }
-        Ok(self)
+    /// The last value given for `flag`.
+    fn value(&self, flag: &str) -> Option<&str> {
+        debug_assert!(
+            FLAGS
+                .iter()
+                .any(|(name, _, group)| *name == flag && self.command.groups.contains(group)),
+            "`fairkm {}` reads {flag}, which it does not take",
+            self.command.name
+        );
+        let mut values = self.flags.iter().filter(|(name, _)| *name == flag);
+        values.next_back().map(|(_, value)| value.as_str())
     }
 
-    /// Evaluator context matching the fit's worker choice: explicit
-    /// `--threads`, else auto-resolution (env var, then available
-    /// parallelism).
-    fn eval_context(&self) -> EvalContext {
-        match self.threads {
-            Some(threads) => EvalContext::new().with_threads(threads),
-            None => EvalContext::new(),
-        }
+    fn has(&self, flag: &str) -> bool {
+        self.value(flag).is_some()
+    }
+
+    /// The value of a flag in the subcommand's `required` list.
+    fn required(&self, flag: &str) -> &str {
+        self.value(flag).expect("Args::parse checks required flags")
+    }
+
+    /// The value of `flag`, if given, parsed as an integer.
+    fn integer<T: FromStr>(&self, flag: &str) -> Result<Option<T>, CliError> {
+        self.value(flag)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| usage_error(format!("{flag} needs an integer")))
+            })
+            .transpose()
+    }
+
+    /// The value of `flag`, if given, parsed as a positive integer.
+    fn positive(&self, flag: &str) -> Result<Option<usize>, CliError> {
+        self.value(flag)
+            .map(|v| match v.parse() {
+                Ok(n) if n > 0 => Ok(n),
+                _ => Err(usage_error(format!("{flag} needs a positive integer"))),
+            })
+            .transpose()
+    }
+
+    /// The value of `flag`, if given, read as an integer of milliseconds.
+    fn millis(&self, flag: &str) -> Result<Option<Duration>, CliError> {
+        Ok(self.integer(flag)?.map(Duration::from_millis))
+    }
+
+    /// `--drift`, if given: a finite, non-negative relative threshold.
+    fn drift(&self) -> Result<Option<f64>, CliError> {
+        self.value("--drift")
+            .map(|v| match v.parse::<f64>() {
+                Ok(d) if d.is_finite() && d >= 0.0 => Ok(d),
+                Ok(_) => Err(usage_error("--drift needs a non-negative number")),
+                Err(_) => Err(usage_error("--drift needs a number")),
+            })
+            .transpose()
     }
 }
 
-struct Options {
-    common: CommonOptions,
-    algorithm: Algorithm,
-    max_iters: usize,
-    minibatch: Option<Minibatch>,
-    fairlet_t: usize,
+/// The model configuration of the fitting subcommands: the library's
+/// defaults, `k = 5`, and the model flags given.
+fn fit_config(args: &Args) -> Result<FairKmConfig, CliError> {
+    let mut config = FairKmConfig::new(args.integer("--k")?.unwrap_or(5));
+    config.seed = args.integer("--seed")?.unwrap_or(config.seed);
+    config.threads = args.positive("--threads")?;
+    if let Some(lambda) = args.value("--lambda") {
+        config.lambda = match lambda {
+            "heuristic" => Lambda::Heuristic,
+            number => Lambda::Fixed(
+                number
+                    .parse()
+                    .map_err(|_| usage_error("--lambda needs a number or `heuristic`"))?,
+            ),
+        };
+    }
+    if let Some(normalization) = args.value("--normalization") {
+        config.normalization = match normalization {
+            "zscore" => Normalization::ZScore,
+            "minmax" => Normalization::MinMax,
+            "none" => Normalization::None,
+            other => return Err(usage_error(format!("unknown normalization `{other}`"))),
+        };
+    }
+    if let Some(objective) = args.value("--objective") {
+        config.objective = match objective {
+            "representativity" => ObjectiveKind::Representativity,
+            "bounded" => ObjectiveKind::bounded(),
+            "utilitarian" => ObjectiveKind::Utilitarian,
+            "egalitarian" => ObjectiveKind::Egalitarian,
+            other => return Err(usage_error(format!("unknown objective `{other}`"))),
+        };
+    }
+    if let Some(bounds) = args.value("--bounds") {
+        let (lo, hi) = bounds
+            .split_once(',')
+            .ok_or_else(|| usage_error("--bounds needs LO,HI (e.g. 0.8,1.25)"))?;
+        let number = |s: &str| {
+            s.trim()
+                .parse::<f64>()
+                .map_err(|_| usage_error("--bounds needs two numbers LO,HI"))
+        };
+        let (lower, upper) = (number(lo)?, number(hi)?);
+        match config.objective {
+            ObjectiveKind::BoundedRepresentation { .. } => {
+                config.objective = ObjectiveKind::BoundedRepresentation { lower, upper };
+            }
+            _ => return Err(usage_error("--bounds only applies to --objective bounded")),
+        }
+    }
+    Ok(config)
 }
 
-enum Minibatch {
-    Auto,
-    Size(usize),
+/// The engine configuration `stream`, `shard` and `serve` bootstrap with.
+fn stream_config(args: &Args) -> Result<StreamingConfig, CliError> {
+    let mut config = StreamingConfig::from_base(fit_config(args)?);
+    config.drift_threshold = args.drift()?.unwrap_or(config.drift_threshold);
+    config.reopt_passes = args
+        .integer("--reopt-passes")?
+        .unwrap_or(config.reopt_passes);
+    Ok(config)
 }
 
-#[derive(PartialEq)]
-enum Algorithm {
-    FairKm,
-    KMeans,
-    Fairlet,
+/// Evaluator context matching the fit's worker choice: explicit
+/// `--threads`, else auto-resolution (env var, then available
+/// parallelism).
+fn eval_context(threads: Option<usize>) -> EvalContext {
+    match threads {
+        Some(threads) => EvalContext::new().with_threads(threads),
+        None => EvalContext::new(),
+    }
 }
 
 /// The `--objective` spelling of a kind, for log lines.
@@ -299,24 +475,36 @@ const EXIT_UNRECOVERABLE: u8 = 6;
 /// A CLI failure: an actionable message plus a stable process exit code.
 /// Generic failures (bad flags, unreadable input, engine rejections) keep
 /// code 1; durable-state failures get the distinct codes above so retry
-/// scripts can tell "safe to rerun" from "already committed" apart.
+/// scripts can tell "safe to rerun" from "already committed" apart. Only
+/// command-line errors print the usage text.
 struct CliError {
     code: u8,
+    usage: bool,
     message: String,
+}
+
+/// A command-line error: exit code 1, printed with the usage text.
+fn usage_error(message: impl Into<String>) -> CliError {
+    CliError {
+        code: 1,
+        usage: true,
+        message: message.into(),
+    }
 }
 
 impl From<String> for CliError {
     fn from(message: String) -> Self {
-        CliError { code: 1, message }
+        CliError {
+            code: 1,
+            usage: false,
+            message,
+        }
     }
 }
 
 impl From<&str> for CliError {
     fn from(message: &str) -> Self {
-        CliError {
-            code: 1,
-            message: message.to_string(),
-        }
+        message.to_string().into()
     }
 }
 
@@ -359,36 +547,27 @@ fn persist_cli(context: &str, e: PersistError) -> CliError {
     };
     CliError {
         code,
+        usage: false,
         message: format!("{context}: {e}\n  hint: {hint}"),
     }
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if matches!(argv.first().map(String::as_str), Some("--help" | "help")) {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let result = Args::parse(&argv).and_then(|args| (args.command.run)(&args));
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {}", e.message);
-            if e.code == 1 {
-                eprintln!("{USAGE}");
+            if e.usage {
+                eprintln!("{}", usage());
             }
             ExitCode::from(e.code)
         }
-    }
-}
-
-fn run() -> Result<(), CliError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("cluster") => run_cluster(&args[1..]),
-        Some("stream") => run_stream(&args[1..]),
-        Some("shard") => run_shard(&args[1..]),
-        Some("snapshot") => run_snapshot(&args[1..]),
-        Some("restore") => run_restore(&args[1..]),
-        Some("serve") => run_serve(&args[1..]),
-        Some("client") => run_client(&args[1..]),
-        _ => Err("the supported commands are `cluster`, `stream`, `shard`, \
-             `snapshot`, `restore`, `serve`, and `client`"
-            .into()),
     }
 }
 
@@ -397,37 +576,68 @@ fn load(input: &str) -> Result<Dataset, String> {
     read_csv(file).map_err(|e| format!("cannot parse {input}: {e}"))
 }
 
-fn run_cluster(args: &[String]) -> Result<(), CliError> {
-    let opts = parse(args)?;
+/// The values of `dataset`'s `rows`, in order.
+fn row_values(dataset: &Dataset, rows: Range<usize>) -> Vec<Vec<Value>> {
+    rows.map(|r| dataset.row_values(r).expect("valid row"))
+        .collect()
+}
 
-    let dataset = load(&opts.common.input)?;
+fn run_cluster(args: &Args) -> Result<(), CliError> {
+    let input = args.required("--input");
+    let mut config = fit_config(args)?;
+    config.max_iters = args.integer("--max-iters")?.unwrap_or(config.max_iters);
+    let fairlet_t = args.positive("--fairlet-t")?.unwrap_or(2);
+    // `None`: per-move; `Some(None)`: an automatic window; `Some(Some(b))`.
+    let minibatch = match args.value("--minibatch") {
+        None => None,
+        Some("auto") => Some(None),
+        Some(size) => match size.parse() {
+            Ok(b) if b > 0 => Some(Some(b)),
+            _ => {
+                return Err(usage_error(
+                    "--minibatch needs a positive integer or `auto`",
+                ))
+            }
+        },
+    };
+    let algorithm = args.value("--algorithm").unwrap_or("fairkm");
+    if !matches!(algorithm, "fairkm" | "kmeans" | "fairlet") {
+        return Err(usage_error(format!("unknown algorithm `{algorithm}`")));
+    }
+    for (flag, applies_to) in [
+        ("--lambda", "fairkm"),
+        ("--objective", "fairkm"),
+        ("--max-iters", "fairkm"),
+        ("--minibatch", "fairkm"),
+        ("--fairlet-t", "fairlet"),
+    ] {
+        if args.has(flag) && algorithm != applies_to {
+            return Err(usage_error(format!(
+                "{flag} only applies to --algorithm {applies_to}"
+            )));
+        }
+    }
+
+    let dataset = load(input)?;
     eprintln!(
         "loaded {} rows, {} attributes from {}",
         dataset.n_rows(),
         dataset.schema().len(),
-        opts.common.input
+        input
     );
 
-    let partition = match opts.algorithm {
-        Algorithm::FairKm => {
-            let mut config = FairKmConfig::new(opts.common.k)
-                .with_lambda(opts.common.lambda)
-                .with_seed(opts.common.seed)
-                .with_max_iters(opts.max_iters)
-                .with_normalization(opts.common.normalization)
-                .with_objective(opts.common.objective);
-            if let Some(threads) = opts.common.threads {
-                config = config.with_threads(threads);
-            }
-            let model = match opts.minibatch {
-                None => FairKm::new(config).fit(&dataset),
-                Some(Minibatch::Auto) => MiniBatchFairKm::auto(config).fit(&dataset),
-                Some(Minibatch::Size(batch)) => MiniBatchFairKm::new(config, batch).fit(&dataset),
+    let partition = match algorithm {
+        "fairkm" => {
+            let fit = config.clone();
+            let model = match minibatch {
+                None => FairKm::new(fit).fit(&dataset),
+                Some(None) => MiniBatchFairKm::auto(fit).fit(&dataset),
+                Some(Some(batch)) => MiniBatchFairKm::new(fit, batch).fit(&dataset),
             }
             .map_err(|e: FairKmError| e.to_string())?;
             eprintln!(
                 "FairKM: objective = {}, lambda = {:.1}, iterations = {}, moves = {}, converged = {}",
-                objective_label(opts.common.objective),
+                objective_label(config.objective),
                 model.lambda(),
                 model.iterations(),
                 model.moves(),
@@ -435,143 +645,50 @@ fn run_cluster(args: &[String]) -> Result<(), CliError> {
             );
             model.partition().clone()
         }
-        Algorithm::Fairlet => {
+        "fairlet" => {
             let matrix = dataset
-                .task_matrix(opts.common.normalization)
+                .task_matrix(config.normalization)
                 .map_err(|e| e.to_string())?;
             let space = dataset.sensitive_space().map_err(|e| e.to_string())?;
             let attr = space
                 .categorical()
                 .first()
                 .ok_or("fairlet needs a categorical sensitive attribute")?;
-            let (partition, decomposition) =
-                FairletDecomposer::new(FairletConfig::new(opts.fairlet_t))
-                    .cluster(
-                        &matrix,
-                        attr,
-                        KMeansConfig::new(opts.common.k).with_seed(opts.common.seed),
-                    )
-                    .map_err(|e| e.to_string())?;
+            let (partition, decomposition) = FairletDecomposer::new(FairletConfig::new(fairlet_t))
+                .cluster(
+                    &matrix,
+                    attr,
+                    KMeansConfig::new(config.k).with_seed(config.seed),
+                )
+                .map_err(|e| e.to_string())?;
             eprintln!(
                 "fairlet: {} fairlets over `{}`, decomposition cost = {:.4}, balance >= 1/{}",
                 decomposition.fairlets.len(),
                 attr.name(),
                 decomposition.cost,
-                opts.fairlet_t
+                fairlet_t
             );
             partition
         }
-        Algorithm::KMeans => {
+        _ => {
             let matrix = dataset
-                .task_matrix(opts.common.normalization)
+                .task_matrix(config.normalization)
                 .map_err(|e| e.to_string())?;
-            KMeans::new(KMeansConfig::new(opts.common.k).with_seed(opts.common.seed))
+            KMeans::new(KMeansConfig::new(config.k).with_seed(config.seed))
                 .fit(&matrix)
                 .map_err(|e| e.to_string())?
                 .partition
         }
     };
 
-    report_metrics(&dataset, &partition, &opts)?;
-    let pairs = partition
-        .assignments()
-        .iter()
-        .enumerate()
-        .map(|(row, &cluster)| (row, cluster));
-    write_assignment_pairs(pairs, opts.common.output.as_deref(), "assignments")
-}
-
-struct StreamOptions {
-    common: CommonOptions,
-    bootstrap: Option<usize>,
-    batch: usize,
-    drift: f64,
-    reopt_passes: usize,
-    retain: Option<usize>,
-    monitor_window: usize,
-    monitor_every: usize,
-    state_dir: Option<String>,
-    snapshot_every: u64,
-    resume: bool,
+    report_metrics(&dataset, &partition, &config)?;
+    let pairs = partition.assignments().iter().copied().enumerate();
+    write_assignment_pairs(pairs, args.value("--output"), "assignments")
 }
 
 /// Default of `--snapshot-every` for `stream` and `serve`: operations
 /// between durable snapshots.
 const SNAPSHOT_EVERY: u64 = 8;
-
-/// The value after `flag`, parsed as a positive integer.
-fn positive(flag: &str, value: Option<&String>) -> Result<usize, String> {
-    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    match value.parse() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("{flag} needs a positive integer")),
-    }
-}
-
-/// The value after `flag`, parsed as an integer.
-fn integer<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
-    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    value
-        .parse()
-        .map_err(|_| format!("{flag} needs an integer"))
-}
-
-/// The value after `--drift`: a finite, non-negative relative threshold.
-fn drift(value: Option<&String>) -> Result<f64, String> {
-    let value = value.ok_or("--drift needs a value")?;
-    match value.parse::<f64>() {
-        Ok(d) if d.is_finite() && d >= 0.0 => Ok(d),
-        Ok(_) => Err("--drift needs a non-negative number".into()),
-        Err(_) => Err("--drift needs a number".into()),
-    }
-}
-
-fn parse_stream(args: &[String]) -> Result<StreamOptions, String> {
-    // Only the drift and re-optimization defaults are read.
-    let stream = StreamingConfig::new(1);
-    let mut opts = StreamOptions {
-        common: CommonOptions::new(),
-        bootstrap: None,
-        batch: 64,
-        drift: stream.drift_threshold,
-        reopt_passes: stream.reopt_passes,
-        retain: None,
-        monitor_window: 8,
-        monitor_every: 1,
-        state_dir: None,
-        snapshot_every: SNAPSHOT_EVERY,
-        resume: false,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if opts.common.try_parse(flag, &mut it)? {
-            continue;
-        }
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--bootstrap" => opts.bootstrap = Some(integer(flag, it.next())?),
-            "--batch" => opts.batch = positive(flag, it.next())?,
-            "--drift" => opts.drift = drift(it.next())?,
-            "--reopt-passes" => opts.reopt_passes = integer(flag, it.next())?,
-            "--retain" => opts.retain = Some(integer(flag, it.next())?),
-            "--monitor-window" => opts.monitor_window = integer(flag, it.next())?,
-            "--monitor-every" => opts.monitor_every = positive(flag, it.next())?,
-            "--state-dir" => opts.state_dir = Some(value()?),
-            "--snapshot-every" => opts.snapshot_every = positive(flag, it.next())? as u64,
-            "--resume" => opts.resume = true,
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    if opts.state_dir.is_none() && opts.resume {
-        return Err("--resume requires --state-dir".into());
-    }
-    opts.common = opts.common.require_input()?;
-    Ok(opts)
-}
 
 /// The `stream` engine behind either durability mode: mutations funnel
 /// through [`DurableStream`] when `--state-dir` is set (journal + fsync
@@ -634,47 +751,62 @@ fn report_recovery(report: &fairkm::core::persist::RecoveryReport) {
     }
 }
 
-/// The bootstrap row count and engine configuration a fresh `stream` or
-/// `shard` replay of `n` rows starts from. The default bootstrap is a
-/// quarter of the file, at least 8 points per cluster, clamped to the file
-/// (the core rejects k > bootstrap rows itself).
-fn stream_setup(opts: &StreamOptions, n: usize) -> Result<(usize, StreamingConfig), CliError> {
-    let bootstrap_rows = match opts.bootstrap {
+/// The rows a fresh `stream` or `shard` replay bootstraps from:
+/// `--bootstrap` rows, by default a quarter of the file and at least 8
+/// points per cluster, clamped to the file (the core rejects k >
+/// bootstrap rows itself).
+fn bootstrap_rows(dataset: &Dataset, rows: Option<usize>, k: usize) -> Result<Dataset, CliError> {
+    let n = dataset.n_rows();
+    let rows = match rows {
         Some(rows) if rows > n => {
             return Err(format!("--bootstrap {rows} exceeds the {n} rows available").into())
         }
         Some(rows) => rows,
-        None => (n / 4).max(opts.common.k * 8).min(n),
+        None => (n / 4).max(k * 8).min(n),
     };
-    let mut base = FairKmConfig::new(opts.common.k)
-        .with_lambda(opts.common.lambda)
-        .with_seed(opts.common.seed)
-        .with_normalization(opts.common.normalization)
-        .with_objective(opts.common.objective);
-    if let Some(threads) = opts.common.threads {
-        base = base.with_threads(threads);
-    }
-    let config = StreamingConfig::from_base(base)
-        .with_drift_threshold(opts.drift)
-        .with_reopt_passes(opts.reopt_passes);
-    Ok((bootstrap_rows, config))
+    let idx: Vec<usize> = (0..rows).collect();
+    Ok(dataset.select_rows(&idx).map_err(|e| e.to_string())?)
 }
 
-fn run_stream(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_stream(args)?;
-    let dataset = load(&opts.common.input)?;
+/// `(slot, cluster)` for each of the live `slots`.
+fn live_pairs(
+    slots: Vec<usize>,
+    cluster_of: impl Fn(usize) -> Option<usize>,
+) -> impl Iterator<Item = (usize, usize)> {
+    slots.into_iter().map(move |slot| {
+        let cluster = cluster_of(slot).expect("live slot has a cluster");
+        (slot, cluster)
+    })
+}
+
+fn run_stream(args: &Args) -> Result<(), CliError> {
+    let config = stream_config(args)?;
+    let bootstrap = args.integer("--bootstrap")?;
+    let batch = args.positive("--batch")?.unwrap_or(64);
+    let retain: Option<usize> = args.integer("--retain")?;
+    let monitor_window = args.positive("--monitor-window")?.unwrap_or(8);
+    let monitor_every = args.positive("--monitor-every")?.unwrap_or(1);
+    let snapshot_every = args
+        .positive("--snapshot-every")?
+        .map_or(SNAPSHOT_EVERY, |n| n as u64);
+    let state_dir = args.value("--state-dir");
+    let resume = args.has("--resume");
+    if resume && state_dir.is_none() {
+        return Err(usage_error("--resume requires --state-dir"));
+    }
+    let threads = config.base.threads;
+    let dataset = load(args.required("--input"))?;
     let n = dataset.n_rows();
 
     let mut engine;
     let start_row;
-    if opts.resume {
+    if resume {
         // Recover from the state directory; the frozen snapshot governs
         // the engine configuration, the CLI only picks the worker pool.
-        let dir = opts.state_dir.as_deref().expect("checked in parse_stream");
+        let dir = state_dir.expect("checked above");
         let backend = FsBackend::open(dir).map_err(|e| e.to_string())?;
-        let (durable, report) =
-            DurableStream::open(backend, opts.common.threads, Some(opts.snapshot_every))
-                .map_err(|e| persist_cli("cannot resume from the state directory", e))?;
+        let (durable, report) = DurableStream::open(backend, threads, Some(snapshot_every))
+            .map_err(|e| persist_cli("cannot resume from the state directory", e))?;
         report_recovery(&report);
         start_row = durable.stream().n_slots();
         if start_row > n {
@@ -692,26 +824,23 @@ fn run_stream(args: &[String]) -> Result<(), CliError> {
         );
         engine = StreamEngine::Durable(Box::new(durable));
     } else {
-        let (bootstrap_rows, config) = stream_setup(&opts, n)?;
-        let boot_idx: Vec<usize> = (0..bootstrap_rows).collect();
-        let boot = dataset.select_rows(&boot_idx).map_err(|e| e.to_string())?;
-        engine = match &opts.state_dir {
+        let boot = bootstrap_rows(&dataset, bootstrap, config.base.k)?;
+        start_row = boot.n_rows();
+        engine = match state_dir {
             None => StreamEngine::Volatile(Box::new(
                 StreamingFairKm::bootstrap(boot, config).map_err(|e| e.to_string())?,
             )),
             Some(dir) => {
                 let backend = FsBackend::open(dir).map_err(|e| e.to_string())?;
-                let durable =
-                    DurableStream::create(backend, boot, config, Some(opts.snapshot_every))
-                        .map_err(|e| persist_cli("cannot create the state directory", e))?;
+                let durable = DurableStream::create(backend, boot, config, Some(snapshot_every))
+                    .map_err(|e| persist_cli("cannot create the state directory", e))?;
                 StreamEngine::Durable(Box::new(durable))
             }
         };
-        start_row = bootstrap_rows;
         let stream = engine.stream();
         eprintln!(
             "bootstrap: {} rows, k = {}, lambda = {:.1}, fairness objective = {}, objective = {:.4}",
-            bootstrap_rows,
+            start_row,
             stream.k(),
             stream.lambda(),
             objective_label(stream.objective_kind()),
@@ -721,14 +850,12 @@ fn run_stream(args: &[String]) -> Result<(), CliError> {
     let fair_label = objective_label(engine.stream().objective_kind());
 
     // Replay the remaining rows as arrival batches.
-    let arrivals: Vec<Vec<Value>> = (start_row..n)
-        .map(|r| dataset.row_values(r).expect("valid row"))
-        .collect();
-    let mut monitor = WindowedFairnessMonitor::new(opts.monitor_window, opts.common.eval_context());
-    for (i, chunk) in arrivals.chunks(opts.batch).enumerate() {
+    let arrivals = row_values(&dataset, start_row..n);
+    let mut monitor = WindowedFairnessMonitor::new(monitor_window, eval_context(threads));
+    for (i, chunk) in arrivals.chunks(batch).enumerate() {
         let report = engine.ingest(chunk)?;
         let mut evicted = 0usize;
-        if let Some(cap) = opts.retain {
+        if let Some(cap) = retain {
             if engine.stream().live() > cap {
                 let drop = engine.stream().live() - cap;
                 evicted = engine.evict_oldest(drop)?.evicted;
@@ -753,7 +880,7 @@ fn run_stream(args: &[String]) -> Result<(), CliError> {
         // Full live-partition evaluation is O(live); --monitor-every bounds
         // it so monitoring can't dwarf the O(dim) delta ingest on big
         // streams.
-        if i.is_multiple_of(opts.monitor_every) {
+        if i.is_multiple_of(monitor_every) {
             let (matrix, space, partition, _) = stream.live_views().map_err(|e| e.to_string())?;
             // Record the active objective's own fairness value next to the
             // representativity report, so a non-default --objective is
@@ -783,6 +910,7 @@ fn run_stream(args: &[String]) -> Result<(), CliError> {
     if let StreamEngine::Durable(durable) = &mut engine {
         let seq = durable.snapshot_now().map_err(|e| CliError {
             code: EXIT_SNAPSHOT_DEFERRED,
+            usage: false,
             message: format!(
                 "sealing snapshot failed (every batch is already journaled; \
                  do not re-ingest): {e}\n  hint: run `fairkm snapshot` against \
@@ -792,7 +920,7 @@ fn run_stream(args: &[String]) -> Result<(), CliError> {
         eprintln!(
             "state sealed: snapshot seq {} in {}",
             seq,
-            opts.state_dir.as_deref().unwrap_or("?")
+            state_dir.unwrap_or("?")
         );
     }
     let stream = engine.stream();
@@ -807,55 +935,17 @@ fn run_stream(args: &[String]) -> Result<(), CliError> {
 
     // Live assignments, keyed by original input row (slot ids are input
     // rows as long as the stream is never compacted — this driver isn't).
-    let pairs = stream.live_slots().into_iter().map(|slot| {
-        let cluster = stream.assignment_of(slot).expect("live slot has a cluster");
-        (slot, cluster)
-    });
-    write_assignment_pairs(pairs, opts.common.output.as_deref(), "live assignments")
-}
-
-/// Flags of the `snapshot` and `restore` state-directory subcommands.
-struct StateDirOptions {
-    state_dir: String,
-    threads: Option<usize>,
-    verify: bool,
-    output: Option<String>,
-}
-
-fn parse_state_dir(args: &[String], allow_verify: bool) -> Result<StateDirOptions, String> {
-    let mut state_dir = None;
-    let mut threads = None;
-    let mut verify = false;
-    let mut output = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--state-dir" => state_dir = Some(value()?),
-            "--threads" => threads = Some(positive(flag, it.next())?),
-            "--verify" if allow_verify => verify = true,
-            "--output" => output = Some(value()?),
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    Ok(StateDirOptions {
-        state_dir: state_dir.ok_or("--state-dir is required")?,
-        threads,
-        verify,
-        output,
-    })
+    let pairs = live_pairs(stream.live_slots(), |slot| stream.assignment_of(slot));
+    write_assignment_pairs(pairs, args.value("--output"), "live assignments")
 }
 
 /// `fairkm snapshot`: recover the state directory and roll a fresh
 /// snapshot, bounding the next recovery's replay to zero entries.
-fn run_snapshot(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_state_dir(args, false)?;
-    let backend = FsBackend::open(&opts.state_dir).map_err(|e| e.to_string())?;
-    let (mut durable, report) = DurableStream::open(backend, opts.threads, None)
+fn run_snapshot(args: &Args) -> Result<(), CliError> {
+    let threads = args.positive("--threads")?;
+    let state_dir = args.required("--state-dir");
+    let backend = FsBackend::open(state_dir).map_err(|e| e.to_string())?;
+    let (mut durable, report) = DurableStream::open(backend, threads, None)
         .map_err(|e| persist_cli("cannot recover the state directory", e))?;
     report_recovery(&report);
     let seq = durable
@@ -864,7 +954,7 @@ fn run_snapshot(args: &[String]) -> Result<(), CliError> {
     eprintln!(
         "snapshot: seq {} written to {} (live = {}, objective = {:.4})",
         seq,
-        opts.state_dir,
+        state_dir,
         durable.stream().live(),
         durable.stream().objective()
     );
@@ -874,10 +964,10 @@ fn run_snapshot(args: &[String]) -> Result<(), CliError> {
 /// `fairkm restore`: recover the state directory (after an optional
 /// offline integrity pass over every file) and write the recovered live
 /// assignments.
-fn run_restore(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_state_dir(args, true)?;
-    let backend = FsBackend::open(&opts.state_dir).map_err(|e| e.to_string())?;
-    if opts.verify {
+fn run_restore(args: &Args) -> Result<(), CliError> {
+    let threads = args.positive("--threads")?;
+    let backend = FsBackend::open(args.required("--state-dir")).map_err(|e| e.to_string())?;
+    if args.has("--verify") {
         let report = DurableStore::verify(&backend).map_err(|e| e.to_string())?;
         for check in &report.checks {
             eprintln!(
@@ -903,7 +993,7 @@ fn run_restore(args: &[String]) -> Result<(), CliError> {
             }
         }
     }
-    let (durable, report) = DurableStream::open(backend, opts.threads, None)
+    let (durable, report) = DurableStream::open(backend, threads, None)
         .map_err(|e| persist_cli("cannot recover the state directory", e))?;
     report_recovery(&report);
     let stream = durable.stream();
@@ -916,44 +1006,28 @@ fn run_restore(args: &[String]) -> Result<(), CliError> {
         stream.reopts(),
         stream.objective()
     );
-    let pairs = stream.live_slots().into_iter().map(|slot| {
-        let cluster = stream.assignment_of(slot).expect("live slot has a cluster");
-        (slot, cluster)
-    });
-    write_assignment_pairs(pairs, opts.output.as_deref(), "recovered live assignments")
+    let pairs = live_pairs(stream.live_slots(), |slot| stream.assignment_of(slot));
+    write_assignment_pairs(pairs, args.value("--output"), "recovered live assignments")
 }
 
 /// `fairkm shard`: replay the `stream` workload through the sharded
 /// engine next to the single-node engine and report bitwise agreement.
-fn run_shard(args: &[String]) -> Result<(), CliError> {
-    use fairkm::shard::ShardedFairKm;
+fn run_shard(args: &Args) -> Result<(), CliError> {
+    use fairkm::shard::{ShardPlan, ShardedFairKm};
 
-    // Strip the shard-only flags, refuse the stream flags a shard replay
-    // does not implement, and hand everything else to the stream parser so
-    // the two replay modes can never drift apart on flags.
-    let mut shards: Option<usize> = None;
-    let mut block = fairkm::shard::ShardPlan::DEFAULT_BLOCK;
-    let mut rest: Vec<String> = Vec::with_capacity(args.len());
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--shards" => shards = Some(positive(flag, it.next())?),
-            "--block" => block = positive(flag, it.next())?,
-            "--state-dir" | "--snapshot-every" | "--resume" | "--monitor-window"
-            | "--monitor-every" => {
-                return Err(format!("{flag} is not supported by `fairkm shard`").into())
-            }
-            _ => rest.push(flag.clone()),
-        }
-    }
-    let shards = shards.ok_or("--shards is required for `fairkm shard`")?;
-    let opts = parse_stream(&rest)?;
+    let config = stream_config(args)?;
+    let bootstrap = args.integer("--bootstrap")?;
+    let batch = args.positive("--batch")?.unwrap_or(64);
+    let retain: Option<usize> = args.integer("--retain")?;
+    let shards = args.positive("--shards")?.expect("a required flag");
+    let block = args
+        .positive("--block")?
+        .unwrap_or(ShardPlan::DEFAULT_BLOCK);
 
-    let dataset = load(&opts.common.input)?;
+    let dataset = load(args.required("--input"))?;
     let n = dataset.n_rows();
-    let (bootstrap_rows, config) = stream_setup(&opts, n)?;
-    let boot_idx: Vec<usize> = (0..bootstrap_rows).collect();
-    let boot = dataset.select_rows(&boot_idx).map_err(|e| e.to_string())?;
+    let boot = bootstrap_rows(&dataset, bootstrap, config.base.k)?;
+    let bootstrap_rows = boot.n_rows();
     let mut single =
         StreamingFairKm::bootstrap(boot.clone(), config.clone()).map_err(|e| e.to_string())?;
     let mut sharded =
@@ -968,14 +1042,12 @@ fn run_shard(args: &[String]) -> Result<(), CliError> {
     );
 
     // Replay the identical workload through both engines.
-    let arrivals: Vec<Vec<Value>> = (bootstrap_rows..n)
-        .map(|r| dataset.row_values(r).expect("valid row"))
-        .collect();
-    for (i, chunk) in arrivals.chunks(opts.batch).enumerate() {
+    let arrivals = row_values(&dataset, bootstrap_rows..n);
+    for (i, chunk) in arrivals.chunks(batch).enumerate() {
         let report = sharded.ingest(chunk).map_err(|e| e.to_string())?;
         single.ingest(chunk).map_err(|e| e.to_string())?;
         let mut evicted = 0usize;
-        if let Some(cap) = opts.retain {
+        if let Some(cap) = retain {
             if sharded.live() > cap {
                 let drop = sharded.live() - cap;
                 evicted = sharded
@@ -1035,99 +1107,8 @@ fn run_shard(args: &[String]) -> Result<(), CliError> {
         return Err("sharded run diverged from the single-node engine".into());
     }
 
-    let pairs = sharded.live_slots().into_iter().map(|slot| {
-        let cluster = sharded
-            .assignment_of(slot)
-            .expect("live slot has a cluster");
-        (slot, cluster)
-    });
-    write_assignment_pairs(pairs, opts.common.output.as_deref(), "live assignments")
-}
-
-/// Flags of `fairkm serve`: the listen address, the tenant roster, and the
-/// admission/deadline knobs of the serving layer.
-struct ServeOptions {
-    common: CommonOptions,
-    listen: String,
-    /// `--tenant NAME=DIR` pairs, in command-line order.
-    tenants: Vec<(String, String)>,
-    resume: bool,
-    workers: usize,
-    queue: usize,
-    max_pending: usize,
-    read_timeout_ms: u64,
-    write_timeout_ms: u64,
-    snapshot_every: u64,
-    drift: f64,
-    reopt_passes: usize,
-}
-
-fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
-    let defaults = ServerConfig::default();
-    // Only the drift and re-optimization defaults are read.
-    let stream = StreamingConfig::new(1);
-    let mut opts = ServeOptions {
-        common: CommonOptions::new(),
-        listen: String::new(),
-        tenants: Vec::new(),
-        resume: false,
-        workers: defaults.workers,
-        queue: defaults.queue_depth,
-        max_pending: 8,
-        read_timeout_ms: defaults.read_timeout.as_millis() as u64,
-        write_timeout_ms: defaults.write_timeout.as_millis() as u64,
-        snapshot_every: SNAPSHOT_EVERY,
-        drift: stream.drift_threshold,
-        reopt_passes: stream.reopt_passes,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if opts.common.try_parse(flag, &mut it)? {
-            continue;
-        }
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--listen" => opts.listen = value()?,
-            "--tenant" => {
-                let v = value()?;
-                let (name, dir) = v
-                    .split_once('=')
-                    .ok_or("--tenant needs NAME=DIR (e.g. prod=/var/lib/fairkm/prod)")?;
-                if name.is_empty() || dir.is_empty() {
-                    return Err("--tenant needs NAME=DIR with both parts non-empty".into());
-                }
-                opts.tenants.push((name.to_string(), dir.to_string()));
-            }
-            "--resume" => opts.resume = true,
-            "--workers" => opts.workers = positive(flag, it.next())?,
-            "--queue" => opts.queue = positive(flag, it.next())?,
-            "--max-pending" => opts.max_pending = integer(flag, it.next())?,
-            "--read-timeout-ms" => opts.read_timeout_ms = integer(flag, it.next())?,
-            "--write-timeout-ms" => opts.write_timeout_ms = integer(flag, it.next())?,
-            "--snapshot-every" => opts.snapshot_every = positive(flag, it.next())? as u64,
-            "--drift" => opts.drift = drift(it.next())?,
-            "--reopt-passes" => opts.reopt_passes = integer(flag, it.next())?,
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    if opts.listen.is_empty() {
-        return Err("--listen is required for `fairkm serve`".into());
-    }
-    if opts.tenants.is_empty() {
-        return Err("at least one --tenant NAME=DIR is required".into());
-    }
-    if opts.resume {
-        if !opts.common.input.is_empty() {
-            return Err("--resume recovers tenants from their state dirs; drop --input".into());
-        }
-    } else {
-        opts.common = opts.common.require_input()?;
-    }
-    Ok(opts)
+    let pairs = live_pairs(sharded.live_slots(), |slot| sharded.assignment_of(slot));
+    write_assignment_pairs(pairs, args.value("--output"), "live assignments")
 }
 
 /// `fairkm serve`: host every `--tenant NAME=DIR` behind one hardened HTTP
@@ -1136,74 +1117,99 @@ fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
 /// directory instead (snapshot + WAL replay, bitwise). Runs until killed;
 /// every acked write is journaled first, so a kill is always safe —
 /// restart with `--resume` to continue.
-fn run_serve(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_serve(args)?;
-    let registry: Registry<FsBackend> = Registry::new(opts.max_pending.max(1));
-    if opts.resume {
-        for (name, dir) in &opts.tenants {
-            let backend = FsBackend::open(dir).map_err(|e| e.to_string())?;
-            let (durable, report) =
-                DurableStream::open(backend, opts.common.threads, Some(opts.snapshot_every))
-                    .map_err(|e| persist_cli(&format!("tenant `{name}`: cannot resume"), e))?;
-            report_recovery(&report);
-            eprintln!(
-                "tenant `{name}`: resumed from {dir} (live = {}, objective = {:.4})",
-                durable.stream().live(),
-                durable.stream().objective()
-            );
-            registry
-                .register(name, durable)
-                .map_err(|e| e.to_string())?;
+fn run_serve(args: &Args) -> Result<(), CliError> {
+    let listen = args.required("--listen");
+    let tenants = args
+        .flags
+        .iter()
+        .filter(|(flag, _)| *flag == "--tenant")
+        .map(|(_, tenant)| match tenant.split_once('=') {
+            None => Err(usage_error(
+                "--tenant needs NAME=DIR (e.g. prod=/var/lib/fairkm/prod)",
+            )),
+            Some(("", _) | (_, "")) => Err(usage_error(
+                "--tenant needs NAME=DIR with both parts non-empty",
+            )),
+            Some(pair) => Ok(pair),
+        })
+        .collect::<Result<Vec<(&str, &str)>, CliError>>()?;
+    // The CSV fresh tenants bootstrap from; none when they resume.
+    let input = match (args.has("--resume"), args.value("--input")) {
+        (false, Some(input)) => Some(input),
+        (true, None) => None,
+        (true, Some(_)) => {
+            return Err(usage_error(
+                "--resume recovers tenants from their state dirs; drop --input",
+            ))
         }
-    } else {
-        let dataset = load(&opts.common.input)?;
-        let mut base = FairKmConfig::new(opts.common.k)
-            .with_lambda(opts.common.lambda)
-            .with_seed(opts.common.seed)
-            .with_normalization(opts.common.normalization)
-            .with_objective(opts.common.objective);
-        if let Some(threads) = opts.common.threads {
-            base = base.with_threads(threads);
+        (false, None) => {
+            return Err(usage_error(
+                "--input is required for `fairkm serve` without --resume",
+            ))
         }
-        let config = StreamingConfig::from_base(base)
-            .with_drift_threshold(opts.drift)
-            .with_reopt_passes(opts.reopt_passes);
-        for (name, dir) in &opts.tenants {
-            let backend = FsBackend::open(dir).map_err(|e| e.to_string())?;
-            let durable = DurableStream::create(
-                backend,
-                dataset.clone(),
-                config.clone(),
-                Some(opts.snapshot_every),
-            )
-            .map_err(|e| persist_cli(&format!("tenant `{name}`: cannot bootstrap"), e))?;
-            eprintln!(
-                "tenant `{name}`: bootstrapped {} rows into {dir} (objective = {:.4})",
-                durable.stream().n_slots(),
-                durable.stream().objective()
-            );
-            registry
-                .register(name, durable)
-                .map_err(|e| e.to_string())?;
-        }
-    }
-    let config = ServerConfig {
-        workers: opts.workers,
-        queue_depth: opts.queue,
-        read_timeout: Duration::from_millis(opts.read_timeout_ms),
-        write_timeout: Duration::from_millis(opts.write_timeout_ms),
-        ..ServerConfig::default()
     };
-    let handle = fairkm::serve::serve(&opts.listen, config, Arc::new(registry))
-        .map_err(|e| format!("cannot listen on {}: {e}", opts.listen))?;
+    let config = stream_config(args)?;
+    let snapshot_every = args
+        .positive("--snapshot-every")?
+        .map_or(SNAPSHOT_EVERY, |n| n as u64);
+    let mut server = ServerConfig::default();
+    server.workers = args.positive("--workers")?.unwrap_or(server.workers);
+    server.queue_depth = args.positive("--queue")?.unwrap_or(server.queue_depth);
+    server.read_timeout = args
+        .millis("--read-timeout-ms")?
+        .unwrap_or(server.read_timeout);
+    server.write_timeout = args
+        .millis("--write-timeout-ms")?
+        .unwrap_or(server.write_timeout);
+    let registry: Registry<FsBackend> = Registry::new(args.positive("--max-pending")?.unwrap_or(8));
+    let dataset = input.map(load).transpose()?;
+    for &(name, dir) in &tenants {
+        let backend = FsBackend::open(dir).map_err(|e| e.to_string())?;
+        let durable = match &dataset {
+            None => {
+                let (durable, report) =
+                    DurableStream::open(backend, config.base.threads, Some(snapshot_every))
+                        .map_err(|e| persist_cli(&format!("tenant `{name}`: cannot resume"), e))?;
+                report_recovery(&report);
+                eprintln!(
+                    "tenant `{name}`: resumed from {dir} (live = {}, objective = {:.4})",
+                    durable.stream().live(),
+                    durable.stream().objective()
+                );
+                durable
+            }
+            Some(dataset) => {
+                let durable = DurableStream::create(
+                    backend,
+                    dataset.clone(),
+                    config.clone(),
+                    Some(snapshot_every),
+                )
+                .map_err(|e| persist_cli(&format!("tenant `{name}`: cannot bootstrap"), e))?;
+                eprintln!(
+                    "tenant `{name}`: bootstrapped {} rows into {dir} (objective = {:.4})",
+                    durable.stream().n_slots(),
+                    durable.stream().objective()
+                );
+                durable
+            }
+        };
+        registry
+            .register(name, durable)
+            .map_err(|e| e.to_string())?;
+    }
+    // Each tenant holds its own copy; the CSV is not kept while serving.
+    drop(dataset);
+    let handle = fairkm::serve::serve(listen, server, Arc::new(registry))
+        .map_err(|e| format!("cannot listen on {listen}: {e}"))?;
     // The test harness (and any supervisor) parses this line for the port.
     eprintln!("listening on {}", handle.addr());
     eprintln!(
         "serving {} tenant(s): {}",
-        opts.tenants.len(),
-        opts.tenants
+        tenants.len(),
+        tenants
             .iter()
-            .map(|(n, _)| n.as_str())
+            .map(|&(name, _)| name)
             .collect::<Vec<_>>()
             .join(", ")
     );
@@ -1214,142 +1220,60 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// Flags of `fairkm client`.
-struct ClientOptions {
-    addr: String,
-    tenant: String,
-    action: String,
-    input: Option<String>,
-    count: usize,
-    retries: u32,
-    backoff_ms: u64,
-    timeout_ms: u64,
-    seed: u64,
-}
-
-fn parse_client(args: &[String]) -> Result<ClientOptions, String> {
-    let defaults = ClientConfig::default();
-    let mut opts = ClientOptions {
-        addr: String::new(),
-        tenant: String::new(),
-        action: String::new(),
-        input: None,
-        count: 1,
-        retries: defaults.retries,
-        backoff_ms: defaults.backoff.as_millis() as u64,
-        timeout_ms: defaults.timeout.as_millis() as u64,
-        seed: 0,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--addr" => opts.addr = value()?,
-            "--tenant" => opts.tenant = value()?,
-            "--input" => opts.input = Some(value()?),
-            "--count" => opts.count = value()?.parse().map_err(|_| "--count needs an integer")?,
-            "--retries" => {
-                opts.retries = value()?.parse().map_err(|_| "--retries needs an integer")?
-            }
-            "--backoff-ms" => {
-                opts.backoff_ms = value()?
-                    .parse()
-                    .map_err(|_| "--backoff-ms needs an integer")?
-            }
-            "--timeout-ms" => {
-                opts.timeout_ms = value()?
-                    .parse()
-                    .map_err(|_| "--timeout-ms needs an integer")?
-            }
-            "--seed" => opts.seed = value()?.parse().map_err(|_| "--seed needs an integer")?,
-            action if !action.starts_with("--") && opts.action.is_empty() => {
-                opts.action = action.to_string();
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    if opts.addr.is_empty() {
-        return Err("--addr is required for `fairkm client`".into());
-    }
-    if opts.tenant.is_empty() {
-        return Err("--tenant is required for `fairkm client`".into());
-    }
-    match opts.action.as_str() {
-        "assign" | "ingest" | "evict-oldest" | "stats" | "snapshot" => {}
-        "" => {
-            return Err("client needs an action: assign|ingest|evict-oldest|stats|snapshot".into())
-        }
-        other => return Err(format!("unknown client action `{other}`")),
-    }
-    if matches!(opts.action.as_str(), "assign" | "ingest") && opts.input.is_none() {
-        return Err(format!("client {} needs --input CSV", opts.action));
-    }
-    Ok(opts)
-}
-
 /// `fairkm client`: one request against a `fairkm serve` endpoint, with
 /// the serving crate's seeded retry/backoff loop absorbing 429/503
 /// load-shedding. The response body goes to stdout untouched; a wedged
 /// tenant's read-only 503 maps to the wedge exit code.
-fn run_client(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_client(args)?;
-    let mut client = Client::new(
-        &opts.addr,
-        ClientConfig {
-            retries: opts.retries,
-            backoff: Duration::from_millis(opts.backoff_ms),
-            timeout: Duration::from_millis(opts.timeout_ms),
-            seed: opts.seed,
-            ..ClientConfig::default()
-        },
-    );
-    let rows_body = |path: &Option<String>| -> Result<Vec<u8>, CliError> {
-        let dataset = load(path.as_deref().expect("checked in parse_client"))?;
-        let rows: Vec<Vec<Value>> = (0..dataset.n_rows())
-            .map(|r| dataset.row_values(r).expect("valid row"))
-            .collect();
-        Ok(fairkm::serve::encode_rows(&rows))
+fn run_client(args: &Args) -> Result<(), CliError> {
+    let mut config = ClientConfig::default();
+    config.retries = args.integer("--retries")?.unwrap_or(config.retries);
+    config.seed = args.integer("--seed")?.unwrap_or(config.seed);
+    config.backoff = args.millis("--backoff-ms")?.unwrap_or(config.backoff);
+    config.timeout = args.millis("--timeout-ms")?.unwrap_or(config.timeout);
+    let count = args.integer("--count")?.unwrap_or(1);
+    let action = args.operand.as_deref().ok_or_else(|| {
+        usage_error("client needs an action: assign|ingest|evict-oldest|stats|snapshot")
+    })?;
+    let (method, route) = match action {
+        "assign" => ("POST", "assign"),
+        "ingest" => ("POST", "ingest"),
+        "evict-oldest" => ("POST", "evict_oldest"),
+        "stats" => ("GET", "stats"),
+        "snapshot" => ("POST", "snapshot"),
+        other => return Err(usage_error(format!("unknown client action `{other}`"))),
     };
-    let tenant = &opts.tenant;
-    let (method, path, body) = match opts.action.as_str() {
-        "assign" => (
-            "POST",
-            format!("/tenants/{tenant}/assign"),
-            rows_body(&opts.input)?,
-        ),
-        "ingest" => (
-            "POST",
-            format!("/tenants/{tenant}/ingest"),
-            rows_body(&opts.input)?,
-        ),
-        "evict-oldest" => {
-            let mut body = Vec::new();
-            fairkm::core::wire::put_usize(&mut body, opts.count);
-            ("POST", format!("/tenants/{tenant}/evict_oldest"), body)
+    let body = match (route, args.value("--input")) {
+        ("assign" | "ingest", None) => {
+            return Err(usage_error(format!("client {action} needs --input CSV")))
         }
-        "stats" => ("GET", format!("/tenants/{tenant}/stats"), Vec::new()),
-        "snapshot" => ("POST", format!("/tenants/{tenant}/snapshot"), Vec::new()),
-        _ => unreachable!("validated in parse_client"),
+        ("assign" | "ingest", Some(input)) => {
+            let dataset = load(input)?;
+            fairkm::serve::encode_rows(&row_values(&dataset, 0..dataset.n_rows()))
+        }
+        ("evict_oldest", _) => {
+            let mut body = Vec::new();
+            fairkm::core::wire::put_usize(&mut body, count);
+            body
+        }
+        _ => Vec::new(),
     };
+    let retries = config.retries;
+    let mut client = fairkm::serve::Client::new(args.required("--addr"), config);
+    let path = format!("/tenants/{}/{route}", args.required("--tenant"));
     let response = client.request(method, &path, &body).map_err(|e| match e {
         ClientError::Shed { status } => CliError {
             code: EXIT_WEDGED,
+            usage: false,
             message: format!(
-                "server still shedding load (HTTP {status}) after {} retries; \
-                 raise --retries/--backoff-ms or wait for the queue to drain",
-                opts.retries
+                "server still shedding load (HTTP {status}) after {retries} retries; \
+                 raise --retries/--backoff-ms or wait for the queue to drain"
             ),
         },
-        transport => CliError::from(format!("request failed: {transport}")),
+        transport => CliError::from(transport.to_string()),
     })?;
     let body_text = String::from_utf8_lossy(&response.body).into_owned();
     if response.status == 200 {
         print!("{body_text}");
-        use std::io::Write as _;
         std::io::stdout().flush().map_err(|e| e.to_string())?;
         if let Some(deferred) = response.header("x-snapshot-deferred") {
             eprintln!(
@@ -1364,91 +1288,25 @@ fn run_client(args: &[String]) -> Result<(), CliError> {
     let wedged = response.status == 503 && body_text.contains("degraded read-only");
     Err(CliError {
         code: if wedged { EXIT_WEDGED } else { 1 },
+        usage: false,
         message: format!("HTTP {}: {}", response.status, body_text.trim_end()),
     })
 }
 
-fn parse(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        common: CommonOptions::new(),
-        algorithm: Algorithm::FairKm,
-        max_iters: 30,
-        minibatch: None,
-        fairlet_t: 2,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if opts.common.try_parse(flag, &mut it)? {
-            continue;
-        }
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--max-iters" => {
-                opts.max_iters = value()?
-                    .parse()
-                    .map_err(|_| "--max-iters needs an integer")?
-            }
-            "--minibatch" => {
-                let v = value()?;
-                opts.minibatch = Some(if v == "auto" {
-                    Minibatch::Auto
-                } else {
-                    let size: usize = v
-                        .parse()
-                        .map_err(|_| "--minibatch needs a positive integer or `auto`")?;
-                    if size == 0 {
-                        return Err("--minibatch needs a positive integer or `auto`".into());
-                    }
-                    Minibatch::Size(size)
-                });
-            }
-            "--algorithm" => {
-                opts.algorithm = match value()?.as_str() {
-                    "fairkm" => Algorithm::FairKm,
-                    "kmeans" => Algorithm::KMeans,
-                    "fairlet" => Algorithm::Fairlet,
-                    other => return Err(format!("unknown algorithm `{other}`")),
-                }
-            }
-            "--fairlet-t" => {
-                let t: usize = value()?
-                    .parse()
-                    .map_err(|_| "--fairlet-t needs a positive integer")?;
-                if t == 0 {
-                    return Err("--fairlet-t needs a positive integer".into());
-                }
-                opts.fairlet_t = t;
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    opts.common = opts.common.require_input()?;
-    if opts.minibatch.is_some() && opts.algorithm != Algorithm::FairKm {
-        return Err("--minibatch only applies to --algorithm fairkm".into());
-    }
-    if opts.common.objective != ObjectiveKind::Representativity
-        && opts.algorithm != Algorithm::FairKm
-    {
-        return Err("--objective only applies to --algorithm fairkm".into());
-    }
-    Ok(opts)
-}
-
-fn report_metrics(dataset: &Dataset, partition: &Partition, opts: &Options) -> Result<(), String> {
+fn report_metrics(
+    dataset: &Dataset,
+    partition: &Partition,
+    config: &FairKmConfig,
+) -> Result<(), String> {
     let matrix = dataset
-        .task_matrix(opts.common.normalization)
+        .task_matrix(config.normalization)
         .map_err(|e| e.to_string())?;
     // Same worker choice as the fit: explicit --threads goes into the
     // evaluator context; without it the evaluators auto-resolve (env var,
     // then available parallelism).
-    let ctx = opts.common.eval_context();
+    let ctx = eval_context(config.threads);
     let co = clustering_objective_with(&matrix, partition, &ctx);
-    let sh =
-        fairkm_metrics::silhouette_sampled_with(&matrix, partition, 2_000, opts.common.seed, &ctx);
+    let sh = fairkm_metrics::silhouette_sampled_with(&matrix, partition, 2_000, config.seed, &ctx);
     eprintln!("clustering objective (CO) = {co:.4}, silhouette (SH) = {sh:.4}");
     match dataset.sensitive_space() {
         Ok(space) if space.n_attrs() > 0 => {
@@ -1471,7 +1329,7 @@ fn report_metrics(dataset: &Dataset, partition: &Partition, opts: &Options) -> R
 }
 
 /// Write `row,cluster` pairs to `--output` (or stdout): the one shared
-/// assignment-sink for both subcommands.
+/// assignment-sink for every subcommand that writes assignments.
 fn write_assignment_pairs(
     pairs: impl Iterator<Item = (usize, usize)>,
     output: Option<&str>,
@@ -1494,4 +1352,30 @@ fn write_assignment_pairs(
         eprintln!("wrote {count} {what} to {path}");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every flag is named once, sits in a group some subcommand takes,
+    /// and every required flag is one its subcommand takes.
+    #[test]
+    fn the_flag_table_is_consistent() {
+        for (i, &(name, _, group)) in FLAGS.iter().enumerate() {
+            assert!(name.starts_with("--"), "{name}");
+            assert!(FLAGS[i + 1..].iter().all(|f| f.0 != name), "{name} twice");
+            assert!(COMMANDS.iter().any(|c| c.groups.contains(&group)), "{name}");
+        }
+        for command in COMMANDS {
+            for flag in command.required {
+                let group = FLAGS.iter().find(|f| f.0 == *flag).map(|f| f.2);
+                assert!(
+                    group.is_some_and(|g| command.groups.contains(&g)),
+                    "{} requires {flag}",
+                    command.name
+                );
+            }
+        }
+    }
 }

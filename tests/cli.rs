@@ -1132,3 +1132,310 @@ fn serve_and_client_round_trip_and_recover_after_sigkill() {
     assert!(output.status.success());
     assert!(String::from_utf8_lossy(&output.stdout).starts_with("seq "));
 }
+
+#[test]
+fn help_prints_the_usage_and_exit_codes_on_stdout() {
+    for flag in ["--help", "help"] {
+        let output = cli().arg(flag).output().unwrap();
+        assert_eq!(output.status.code(), Some(0), "{flag}");
+        assert!(output.stderr.is_empty(), "{flag}");
+        let stdout = String::from_utf8(output.stdout).unwrap();
+        assert!(stdout.starts_with("usage: fairkm cluster"), "{stdout}");
+        for code in ["0", "1", "3", "4", "5", "6"] {
+            assert!(
+                stdout.contains(&format!("\n  {code}  ")),
+                "exit code {code}: {stdout}"
+            );
+        }
+    }
+}
+
+/// Flags a subcommand used to accept and then ignore or silently rewrite
+/// are refused as argument errors, before any file or directory is opened.
+#[test]
+fn ignored_or_rewritten_flags_are_refused() {
+    let dir = std::env::temp_dir().join("fairkm_cli_test_refused");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = sample_csv(&dir);
+    let input = input.to_str().unwrap();
+    let state = dir.join("state");
+    let tenant = format!("t={}", state.display());
+    let state_dir = state.to_str().unwrap();
+    // An unbindable listen address: were the flag accepted, `serve` would
+    // bootstrap its tenant and then fail instead of serving forever.
+    let serve = ["serve", "--listen", "127.0.0.1:99999", "--tenant", &tenant];
+    let cases: [(Vec<&str>, &str); 9] = [
+        (
+            [&serve[..], &["--input", input, "--output", "x.csv"]].concat(),
+            "--output is not supported by `fairkm serve`",
+        ),
+        (
+            vec!["snapshot", "--state-dir", state_dir, "--output", "x.csv"],
+            "--output is not supported by `fairkm snapshot`",
+        ),
+        (
+            vec![
+                "cluster",
+                "--input",
+                input,
+                "--algorithm",
+                "kmeans",
+                "--lambda",
+                "5",
+            ],
+            "--lambda only applies to --algorithm fairkm",
+        ),
+        (
+            vec![
+                "cluster",
+                "--input",
+                input,
+                "--algorithm",
+                "kmeans",
+                "--max-iters",
+                "2",
+            ],
+            "--max-iters only applies to --algorithm fairkm",
+        ),
+        (
+            vec![
+                "cluster",
+                "--input",
+                input,
+                "--algorithm",
+                "fairlet",
+                "--max-iters",
+                "2",
+            ],
+            "--max-iters only applies to --algorithm fairkm",
+        ),
+        (
+            vec!["cluster", "--input", input, "--fairlet-t", "5"],
+            "--fairlet-t only applies to --algorithm fairlet",
+        ),
+        (
+            vec![
+                "cluster",
+                "--input",
+                input,
+                "--algorithm",
+                "kmeans",
+                "--fairlet-t",
+                "5",
+            ],
+            "--fairlet-t only applies to --algorithm fairlet",
+        ),
+        (
+            vec![
+                "stream",
+                "--input",
+                input,
+                "--state-dir",
+                state_dir,
+                "--monitor-window",
+                "0",
+            ],
+            "--monitor-window needs a positive integer",
+        ),
+        (
+            [&serve[..], &["--input", input, "--max-pending", "0"]].concat(),
+            "--max-pending needs a positive integer",
+        ),
+    ];
+    for (args, message) in cases {
+        let output = cli().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{args:?} wrote assignments");
+        assert!(!state.exists(), "{args:?} created the state dir");
+    }
+}
+
+/// Runtime failures keep exit code 1 but print no usage text: it would
+/// only bury the message.
+#[test]
+fn runtime_failures_print_no_usage() {
+    let output = cli()
+        .args(["cluster", "--input", "/nonexistent.csv"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot open"), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+}
+
+#[test]
+fn client_reports_a_refused_connection_once() {
+    let port = {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.local_addr().unwrap().port()
+    };
+    let output = client_run(
+        &format!("127.0.0.1:{port}"),
+        "t",
+        &["stats", "--retries", "0"],
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.matches("request failed:").count(), 1, "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+}
+
+/// The subcommands and the flags each lists in `fairkm --help`.
+fn usage_surface() -> std::collections::BTreeMap<String, Vec<String>> {
+    let help = cli().arg("--help").output().unwrap().stdout;
+    let help = String::from_utf8(help).unwrap();
+    let mut surface = std::collections::BTreeMap::new();
+    let mut command: Option<String> = None;
+    for line in help.lines() {
+        let mut words = line.split_whitespace().peekable();
+        if words.peek() == Some(&"usage:") {
+            words.next();
+        }
+        if words.peek() == Some(&"fairkm") {
+            words.next();
+            command = words.next().map(str::to_string);
+        } else if !line.starts_with(' ') {
+            command = None;
+        }
+        if let Some(command) = &command {
+            let flags: &mut Vec<String> = surface.entry(command.clone()).or_default();
+            for word in words.map(|w| w.trim_matches(['[', ']'])) {
+                if word.starts_with("--") {
+                    flags.push(word.to_string());
+                }
+            }
+        }
+    }
+    surface
+}
+
+/// Every subcommand refuses, by name and before it opens any file or
+/// directory, each flag `fairkm --help` lists only for other subcommands.
+/// The surface itself is pinned, so taking a flag on is a deliberate change.
+#[test]
+fn every_subcommand_refuses_the_flags_it_does_not_take() {
+    let dir = std::env::temp_dir().join("fairkm_cli_test_surface");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = sample_csv(&dir);
+    let input = input.to_str().unwrap();
+    let state = dir.join("state");
+    let state_dir = state.to_str().unwrap();
+    let tenant = format!("t={state_dir}");
+
+    let surface = usage_surface();
+    let pinned = [
+        (
+            "client",
+            "--tenant --addr --input --seed --count --retries --backoff-ms --timeout-ms",
+        ),
+        (
+            "cluster",
+            "--input --output --threads --seed --k --lambda --normalization --objective \
+             --bounds --algorithm --fairlet-t --max-iters --minibatch",
+        ),
+        ("restore", "--state-dir --output --threads --verify"),
+        (
+            "serve",
+            "--listen --tenant --input --threads --seed --k --lambda --normalization \
+             --objective --bounds --drift --reopt-passes --snapshot-every --resume --workers \
+             --queue --max-pending --read-timeout-ms --write-timeout-ms",
+        ),
+        (
+            "shard",
+            "--input --shards --output --threads --seed --k --lambda --normalization \
+             --objective --bounds --bootstrap --batch --retain --drift --reopt-passes --block",
+        ),
+        ("snapshot", "--state-dir --threads"),
+        (
+            "stream",
+            "--input --output --threads --seed --k --lambda --normalization --objective \
+             --bounds --bootstrap --batch --retain --drift --reopt-passes --monitor-window \
+             --monitor-every --state-dir --snapshot-every --resume",
+        ),
+    ];
+    let sorted = |flags: Vec<&str>| {
+        let mut flags = flags;
+        flags.sort_unstable();
+        flags.join(" ")
+    };
+    let listed: Vec<(&str, String)> = surface
+        .iter()
+        .map(|(command, flags)| {
+            (
+                command.as_str(),
+                sorted(flags.iter().map(String::as_str).collect()),
+            )
+        })
+        .collect();
+    let pinned: Vec<(&str, String)> = pinned
+        .iter()
+        .map(|(command, flags)| (*command, sorted(flags.split_whitespace().collect())))
+        .collect();
+    assert_eq!(
+        listed, pinned,
+        "the flag surface in `fairkm --help` changed"
+    );
+
+    // A complete command line per subcommand, so that a flag it wrongly
+    // took would let it go on to open its input or state directory. The
+    // listen address cannot be bound, so a wrongly started `serve` exits.
+    let base = |command: &str| -> Vec<&str> {
+        match command {
+            "cluster" => vec!["--input", input],
+            "stream" => vec!["--input", input, "--state-dir", state_dir],
+            "shard" => vec!["--input", input, "--shards", "2"],
+            "snapshot" | "restore" => vec!["--state-dir", state_dir],
+            "serve" => vec![
+                "--listen",
+                "127.0.0.1:99999",
+                "--tenant",
+                &tenant,
+                "--input",
+                input,
+            ],
+            "client" => vec![
+                "--addr",
+                "127.0.0.1:1",
+                "--tenant",
+                "t",
+                "stats",
+                "--retries",
+                "0",
+            ],
+            other => panic!("no command line for `{other}`"),
+        }
+    };
+    let mut refused = 0;
+    for (command, flags) in &surface {
+        let foreign: std::collections::BTreeSet<&String> = surface
+            .values()
+            .flatten()
+            .filter(|flag| !flags.contains(flag))
+            .collect();
+        for flag in foreign {
+            let output = cli()
+                .arg(command)
+                .args(base(command))
+                .args([flag.as_str(), "1"])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(1), "{command} {flag}: {stderr}");
+            assert!(
+                stderr.contains(&format!(
+                    "error: {flag} is not supported by `fairkm {command}`"
+                )),
+                "{command} {flag}: {stderr}"
+            );
+            assert!(!state.exists(), "{command} {flag} created the state dir");
+            refused += 1;
+        }
+    }
+    assert!(refused > 100, "only {refused} refusals checked");
+}
