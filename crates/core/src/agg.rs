@@ -1,6 +1,7 @@
-//! Shard-support primitives: additive per-cluster aggregate deltas, the
-//! per-slot payloads the shard protocol moves around, the one wire form of
-//! a slot table, and the wire encoding of the objective kind.
+//! The row store and the shard-support primitives: additive per-cluster
+//! aggregate deltas, the per-slot payloads the shard protocol moves around,
+//! the one slot table every host keeps its rows in (and its wire form), and
+//! the wire encoding of the objective kind.
 //!
 //! The FairKM objective is a function of purely additive per-cluster
 //! aggregates — `Σx`, `Σ‖x‖²`, per-group member counts, numeric value sums
@@ -21,13 +22,16 @@
 //! ([`crate::ClusterModel`]), fed the [`SlotRow`]s carried inline in
 //! protocol messages, so a replica that applied the same ordered operation
 //! log holds the same bits. A shard that fell behind adopts the state of a
-//! newer log version instead (an in-memory transfer). Every durable layout
-//! stores slot rows as one [`SlotTable`], a bit-exact little-endian
-//! encoding (see [`crate::wire`]).
+//! newer log version instead (an in-memory transfer). Every host holds its
+//! slot rows in one [`SlotTable`], and every durable layout stores them in
+//! its bit-exact little-endian encoding (see [`crate::wire`]).
 
 use crate::config::ObjectiveKind;
-use crate::state::{slot_span, sqnorm, ClusterModel};
+use crate::machine::{improving, LogEntry};
+use crate::state::{sqnorm, ClusterModel, WindowMemo};
 use crate::wire::{self, Reader, WireError};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Acceptance threshold shared by every optimizer path: a staged move (or
 /// a whole window) must lower the objective by more than this to be kept
@@ -80,33 +84,31 @@ impl SlotRow {
             cluster: r.get_usize()?,
         })
     }
-
-    /// Whether this row passes the checks [`SlotTable::get`] runs on every
-    /// slot, with its cached `‖x‖²` equal to the recomputed one.
-    pub fn fits(&self, model: &ClusterModel) -> bool {
-        let one = SlotTable {
-            rows: self.row.clone(),
-            codes: self.cat.clone(),
-            values: self.num.clone(),
-            clusters: vec![self.cluster],
-            sqnorms: Vec::new(),
-        };
-        let norm = self.sqnorm.to_bits();
-        one.checked(model)
-            .is_ok_and(|t| t.sqnorms[0].to_bits() == norm)
-    }
 }
 
-/// The one wire form of slot rows, shared by the stream payload of both
-/// hosts and a shard's snapshot: the slot count `n`, then the task
-/// values, the categorical codes, the numeric values and the clusters,
-/// column by column and slot by slot within a column. Column widths are
-/// the model's, which every layout writes first. `‖x‖²` is not stored:
-/// [`Self::get`] recomputes it.
-#[derive(Debug)]
-pub struct SlotTable {
-    /// `n × dim` task values.
-    pub(crate) rows: Vec<f64>,
+/// The one store of slot rows, in memory and on the wire. Every host keeps
+/// its rows in one: the single-node [`crate::StreamingFairKm`] and a batch
+/// fit hold every slot, the shard coordinator too, and a shard the slots it
+/// owns, in ascending slot order beside a column of their ids. A position
+/// `x` is a slot id everywhere but on a shard.
+///
+/// The columns are the wire order of [`Self::put`], shared by the stream
+/// payload of both hosts and a shard's snapshot: the slot count `n`, then
+/// the task values, the categorical codes, the numeric values and the
+/// clusters, column by column and slot by slot within a column. Column
+/// widths are the model's, which every layout writes first. `‖x‖²` is not
+/// stored: [`Self::get`] recomputes it.
+///
+/// The per-row kernels are its methods, so every host runs the same code:
+/// the mutations ([`Self::push`], [`Self::insert`], [`Self::remove`],
+/// [`Self::move_slot`], and [`Self::apply`] for a log entry), the chunk
+/// fold ([`Self::fold`]), the memo-recording window scan
+/// ([`Self::propose_window`]) and the memo-backed descent step
+/// ([`Self::first_improving`]).
+#[derive(Clone, Debug)]
+pub struct SlotTable<'a> {
+    /// `n × dim` task values. A batch fit borrows its task matrix's.
+    pub(crate) rows: Cow<'a, [f64]>,
     /// `n × n_cat` categorical codes.
     pub(crate) codes: Vec<u32>,
     /// `n × n_num` numeric sensitive values.
@@ -115,51 +117,21 @@ pub struct SlotTable {
     pub(crate) clusters: Vec<usize>,
     /// `‖x‖²` per slot.
     pub(crate) sqnorms: Vec<f64>,
+    /// Task values, categorical codes and numeric values per slot.
+    pub(crate) widths: [usize; 3],
 }
 
-impl SlotTable {
-    /// Number of slots.
-    pub fn n_slots(&self) -> usize {
-        self.clusters.len()
-    }
-
-    /// Append `n` slots from their columns, each in slot order: the task
-    /// values, the codes, the numeric values and the clusters. One pass
-    /// per column, so a host keeping the columns contiguous writes each
-    /// straight from its array.
-    pub fn put<'a>(
-        out: &mut Vec<u8>,
-        n: usize,
-        rows: impl IntoIterator<Item = &'a f64>,
-        codes: impl IntoIterator<Item = &'a u32>,
-        values: impl IntoIterator<Item = &'a f64>,
-        clusters: impl IntoIterator<Item = &'a usize>,
-    ) {
-        wire::put_usize(out, n);
-        out.extend(rows.into_iter().flat_map(|v| v.to_le_bytes()));
-        out.extend(codes.into_iter().flat_map(|v| v.to_le_bytes()));
-        out.extend(values.into_iter().flat_map(|v| v.to_le_bytes()));
-        out.extend(clusters.into_iter().flat_map(|&c| (c as u64).to_le_bytes()));
-    }
-
-    /// [`Self::put`] for the slots `rows`, in slot order.
-    pub fn put_rows<'a, I>(out: &mut Vec<u8>, rows: I)
-    where
-        I: ExactSizeIterator<Item = &'a SlotRow> + Clone,
-    {
-        Self::put(
-            out,
-            rows.len(),
-            rows.clone().flat_map(|d| &d.row),
-            rows.clone().flat_map(|d| &d.cat),
-            rows.clone().flat_map(|d| &d.num),
-            rows.map(|d| &d.cluster),
-        );
-    }
-
-    /// The bytes [`Self::put`] appends for `n` slots of `model`.
-    pub fn encoded_len(model: &ClusterModel, n: usize) -> usize {
-        8 + n * (8 * (model.dim() + model.n_num() + 1) + 4 * model.cat.len())
+impl SlotTable<'static> {
+    /// An empty table of `model`'s slots.
+    pub fn new(model: &ClusterModel) -> Self {
+        Self {
+            rows: Cow::Owned(Vec::new()),
+            codes: Vec::new(),
+            values: Vec::new(),
+            clusters: Vec::new(),
+            sqnorms: Vec::new(),
+            widths: [model.dim(), model.cat.len(), model.n_num()],
+        }
     }
 
     /// Decode [`Self::put`] for `model`'s slots and check every slot, so
@@ -171,63 +143,289 @@ impl SlotTable {
     /// [`Self::check_counts`].
     pub fn get(r: &mut Reader<'_>, model: &ClusterModel) -> Result<Self, WireError> {
         let n = r.get_usize()?;
-        let table = Self {
-            rows: column(r, n, model.dim())?.map(f64::from_le_bytes).collect(),
-            codes: column(r, n, model.cat.len())?
-                .map(u32::from_le_bytes)
-                .collect(),
-            values: column(r, n, model.n_num())?
-                .map(f64::from_le_bytes)
-                .collect(),
-            // A cluster past `usize` maps to one past `k`, and is rejected.
-            clusters: column(r, n, 1)?
-                .map(|b| usize::try_from(u64::from_le_bytes(b)).unwrap_or(usize::MAX - 1))
-                .collect(),
-            sqnorms: Vec::new(),
-        };
-        table.checked(model)
+        let mut table = Self::new(model);
+        let [dim, n_cat, n_num] = table.widths;
+        table.rows = Cow::Owned(column(r, n, dim)?.map(f64::from_le_bytes).collect());
+        table.codes = column(r, n, n_cat)?.map(u32::from_le_bytes).collect();
+        table.values = column(r, n, n_num)?.map(f64::from_le_bytes).collect();
+        // A cluster past `usize` maps to one past `k`, and is rejected.
+        table.clusters = column(r, n, 1)?
+            .map(|b| usize::try_from(u64::from_le_bytes(b)).unwrap_or(usize::MAX - 1))
+            .collect();
+        table.sqnorms = Vec::with_capacity(n);
+        for x in 0..n {
+            let norm = slot_norm(model, table.row(x), table.cat(x), table.clusters[x])?;
+            table.sqnorms.push(norm);
+        }
+        Ok(table)
+    }
+}
+
+impl<'a> SlotTable<'a> {
+    /// Number of slots.
+    pub fn n_slots(&self) -> usize {
+        self.clusters.len()
     }
 
-    /// Check the columns' shapes, codes and clusters against `model`, and
-    /// derive each slot's `‖x‖²`.
-    fn checked(mut self, model: &ClusterModel) -> Result<Self, WireError> {
-        let invalid = |what: &'static str| Err(WireError::Invalid { what });
-        let (n, cat_ts) = (self.clusters.len(), model.cat_ts());
-        if Some(self.rows.len()) != n.checked_mul(model.dim())
-            || Some(self.codes.len()) != n.checked_mul(cat_ts.len())
-            || Some(self.values.len()) != n.checked_mul(model.n_num())
-        {
-            return invalid("slot table shape");
+    /// Slot `x`'s task row.
+    #[inline]
+    pub fn row(&self, x: usize) -> &[f64] {
+        span(&self.rows, self.widths[0], x)
+    }
+
+    /// Slot `x`'s categorical codes, by attribute position.
+    #[inline]
+    pub fn cat(&self, x: usize) -> &[u32] {
+        span(&self.codes, self.widths[1], x)
+    }
+
+    /// Slot `x`'s numeric sensitive values, by attribute position.
+    #[inline]
+    pub fn num(&self, x: usize) -> &[f64] {
+        span(&self.values, self.widths[2], x)
+    }
+
+    /// Slot `x`'s `‖x‖²`.
+    #[inline]
+    pub fn sqnorm(&self, x: usize) -> f64 {
+        self.sqnorms[x]
+    }
+
+    /// Slot `x`'s cluster, [`TOMBSTONE`] if dead.
+    #[inline]
+    pub fn cluster(&self, x: usize) -> usize {
+        self.clusters[x]
+    }
+
+    /// Every slot's cluster, in order.
+    pub fn clusters(&self) -> &[usize] {
+        &self.clusters
+    }
+
+    /// Slot `x` as a [`SlotRow`], the form a log entry carries.
+    pub fn slot_row(&self, x: usize) -> SlotRow {
+        SlotRow {
+            row: self.row(x).to_vec(),
+            cat: self.cat(x).to_vec(),
+            num: self.num(x).to_vec(),
+            sqnorm: self.sqnorms[x],
+            cluster: self.clusters[x],
         }
-        let mut codes = self.codes.iter().zip(cat_ts.iter().cycle());
-        if codes.any(|(&v, &t)| v as usize >= t) {
-            return invalid("slot code");
+    }
+
+    /// A table of the slots `xs`, in that order.
+    pub fn select(&self, xs: &[usize]) -> SlotTable<'static> {
+        SlotTable {
+            rows: Cow::Owned(xs.iter().flat_map(|&x| self.row(x)).copied().collect()),
+            codes: xs.iter().flat_map(|&x| self.cat(x)).copied().collect(),
+            values: xs.iter().flat_map(|&x| self.num(x)).copied().collect(),
+            clusters: xs.iter().map(|&x| self.clusters[x]).collect(),
+            sqnorms: xs.iter().map(|&x| self.sqnorms[x]).collect(),
+            widths: self.widths,
         }
-        if self
-            .clusters
-            .iter()
-            .any(|&c| c >= model.k() && c != TOMBSTONE)
-        {
-            return invalid("slot cluster");
+    }
+
+    /// Append `d`'s row (task values, codes, numeric values, `‖x‖²`) as a
+    /// new [`TOMBSTONE`] slot and return its position. Activate it with
+    /// [`Self::insert`] or [`Self::set_cluster`].
+    pub fn push(&mut self, d: &SlotRow) -> usize {
+        debug_assert_eq!([d.row.len(), d.cat.len(), d.num.len()], self.widths);
+        let x = self.n_slots();
+        self.rows.to_mut().extend_from_slice(&d.row);
+        self.codes.extend_from_slice(&d.cat);
+        self.values.extend_from_slice(&d.num);
+        self.sqnorms.push(d.sqnorm);
+        self.clusters.push(TOMBSTONE);
+        x
+    }
+
+    /// Set slot `x`'s cluster, touching no aggregate: a shard tracks the
+    /// clusters of its rows while its replica applies the log's rows.
+    pub fn set_cluster(&mut self, x: usize, c: usize) {
+        self.clusters[x] = c;
+    }
+
+    /// Insert the tombstoned slot `x` into cluster `c` of `model`
+    /// ([`ClusterModel::insert_row`]).
+    pub fn insert(&mut self, model: &mut ClusterModel, x: usize, c: usize) {
+        debug_assert_eq!(self.clusters[x], TOMBSTONE, "inserting a live point");
+        self.clusters[x] = c;
+        model.insert_row(c, self.row(x), self.cat(x), self.num(x), self.sqnorms[x]);
+    }
+
+    /// Remove the live slot `x` from its cluster of `model`
+    /// ([`ClusterModel::remove_row`]); the slot stays as a tombstone.
+    /// Returns the cluster it left.
+    pub fn remove(&mut self, model: &mut ClusterModel, x: usize) -> usize {
+        let c = self.clusters[x];
+        debug_assert_ne!(c, TOMBSTONE, "removing an unassigned point");
+        self.clusters[x] = TOMBSTONE;
+        model.remove_row(c, self.row(x), self.cat(x), self.num(x), self.sqnorms[x]);
+        c
+    }
+
+    /// Apply the move of slot `x`'s row `from → to` to `model` alone
+    /// ([`ClusterModel::move_row`]); the table keeps its cluster. A
+    /// window's trial runs on a scratch model this way.
+    pub fn move_row(&self, model: &mut ClusterModel, x: usize, from: usize, to: usize) {
+        model.move_row(
+            from,
+            to,
+            self.row(x),
+            self.cat(x),
+            self.num(x),
+            self.sqnorms[x],
+        );
+    }
+
+    /// Move slot `x` `from → to`, in the table and in `model`.
+    pub fn move_slot(&mut self, model: &mut ClusterModel, x: usize, from: usize, to: usize) {
+        self.clusters[x] = to;
+        self.move_row(model, x, from, to);
+    }
+
+    /// Apply one log entry to `model` and the table, where positions are
+    /// slot ids: an insert appends its row as the next slot.
+    pub fn apply<D>(&mut self, model: &mut ClusterModel, entry: LogEntry<D>) {
+        match entry {
+            LogEntry::Insert { data, .. } => {
+                let x = self.push(&data);
+                self.insert(model, x, data.cluster);
+            }
+            LogEntry::Remove { slot, .. } => {
+                self.remove(model, slot);
+            }
+            LogEntry::Move { slot, from, to, .. } => self.move_slot(model, slot, from, to),
+            LogEntry::Install { agg } => model.install(agg),
         }
-        self.sqnorms = (0..n).map(|x| sqnorm(self.spans(model, x).0)).collect();
-        if self.sqnorms.iter().any(|v| !v.is_finite()) {
-            return invalid("slot norm");
+    }
+
+    /// Fold the live slots of `range` into `acc` in order: one chunk of a
+    /// rebuild, or a shard's hop of a distributed one. Folded into a
+    /// zeroed delta and merged in chunk order, the chunks reproduce the
+    /// single-node aggregates bit for bit (module docs).
+    pub fn fold(&self, mut acc: AggregateDelta, range: Range<usize>) -> AggregateDelta {
+        for x in range {
+            let c = self.clusters[x];
+            if c != TOMBSTONE {
+                acc.add_row(c, self.row(x), self.cat(x), self.num(x), self.sqnorms[x]);
+            }
         }
-        Ok(self)
+        acc
+    }
+
+    /// The best move of slot `x`'s point by the incremental kernel
+    /// ([`ClusterModel::propose_move_row`]); `(TOMBSTONE, 0.0)` for a
+    /// dead slot.
+    pub fn propose(&self, model: &ClusterModel, x: usize, lambda: f64) -> (usize, f64) {
+        let from = self.clusters[x];
+        if from == TOMBSTONE {
+            return (from, 0.0);
+        }
+        let (row, sqnorm) = (self.row(x), self.sqnorms[x]);
+        model.propose_move_row(from, row, self.cat(x), self.num(x), sqnorm, lambda)
+    }
+
+    /// The improving moves `(x, to)` of the live slots in `range`, in
+    /// order, scored in parallel by the incremental kernel against
+    /// `model`'s fresh caches, with every slot's distances recorded in
+    /// `memo` for the descent that may follow.
+    pub fn propose_window(
+        &self,
+        model: &ClusterModel,
+        memo: &mut WindowMemo,
+        range: Range<usize>,
+        lambda: f64,
+        threads: usize,
+    ) -> Vec<(usize, usize)> {
+        let (start, len, k) = (range.start, range.len(), model.k());
+        let reach = memo.record(model, range);
+        let parts = fairkm_parallel::map_chunks_into(threads, len, reach, k, |r, out| {
+            let slots = r.map(|i| start + i).zip(out.chunks_exact_mut(k));
+            let proposals = slots.filter_map(|(x, reach)| {
+                let from = self.clusters[x];
+                let (row, sqnorm) = (self.row(x), self.sqnorms[x]);
+                let (cat, num) = (self.cat(x), self.num(x));
+                let best = model.propose_recording(from, row, cat, num, sqnorm, lambda, reach);
+                Some((x, improving(from, best)?))
+            });
+            proposals.collect::<Vec<_>>()
+        });
+        parts.concat()
+    }
+
+    /// The first live slot of `range`, in order, whose move by `score`
+    /// improves, and that move — one step of the per-move descent — plus
+    /// the number of slots scored. With a `memo` covering `range`, slots
+    /// it proves cannot move are skipped (same answer) and not counted.
+    pub fn first_improving(
+        &self,
+        model: &ClusterModel,
+        memo: Option<&mut WindowMemo>,
+        range: Range<usize>,
+        lambda: f64,
+        score: impl Fn(usize) -> (usize, f64),
+    ) -> (Option<(usize, usize)>, usize) {
+        let descent = memo.and_then(|memo| memo.descent(model, range.clone(), lambda));
+        let mut scored = 0;
+        let found = range.into_iter().find_map(|x| {
+            let from = self.clusters[x];
+            if from == TOMBSTONE {
+                return None;
+            }
+            let (cat, num, sqnorm) = (self.cat(x), self.num(x), self.sqnorms[x]);
+            if descent
+                .as_ref()
+                .is_some_and(|d| !d.may_improve(x, from, cat, num, sqnorm))
+            {
+                return None;
+            }
+            scored += 1;
+            Some((x, improving(from, score(x))?))
+        });
+        (found, scored)
+    }
+
+    /// Append the table in its wire form, each column straight from its
+    /// contiguous array.
+    pub fn put(&self, out: &mut Vec<u8>) {
+        wire::put_usize(out, self.n_slots());
+        out.extend(self.rows.iter().flat_map(|v| v.to_le_bytes()));
+        out.extend(self.codes.iter().flat_map(|v| v.to_le_bytes()));
+        out.extend(self.values.iter().flat_map(|v| v.to_le_bytes()));
+        out.extend(self.clusters.iter().flat_map(|&c| (c as u64).to_le_bytes()));
+    }
+
+    /// The bytes [`Self::put`] appends.
+    pub fn encoded_len(&self) -> usize {
+        let [dim, n_cat, n_num] = self.widths;
+        8 + self.n_slots() * (8 * (dim + n_num + 1) + 4 * n_cat)
+    }
+
+    /// Whether `d`, appended, would pass the checks [`Self::get`] runs on
+    /// every slot, with its cached `‖x‖²` equal to the recomputed one.
+    pub fn fits(&self, model: &ClusterModel, d: &SlotRow) -> bool {
+        [d.row.len(), d.cat.len(), d.num.len()] == self.widths
+            && slot_norm(model, &d.row, &d.cat, d.cluster)
+                .is_ok_and(|norm| norm.to_bits() == d.sqnorm.to_bits())
+    }
+
+    /// Whether slot `x` holds `d`'s point, bit for bit (clusters aside).
+    pub fn holds(&self, x: usize, d: &SlotRow) -> bool {
+        let same = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        same(self.row(x), &d.row)
+            && self.cat(x) == d.cat.as_slice()
+            && same(self.num(x), &d.num)
+            && self.sqnorms[x].to_bits() == d.sqnorm.to_bits()
     }
 
     /// Check that `model`'s member and categorical counts are exactly those
     /// of the live slots; the table must hold every slot. (Float sums have
     /// no exact check: delta-maintained ones differ from a rebuild.)
     pub fn check_counts(&self, model: &ClusterModel) -> Result<(), WireError> {
-        let mut fresh = model.zeroed_delta();
-        for (x, &c) in self.clusters.iter().enumerate() {
-            if c != TOMBSTONE {
-                let (row, cat, num) = self.spans(model, x);
-                fresh.add_row(c, row, cat, num, self.sqnorms[x]);
-            }
-        }
+        let fresh = self.fold(model.zeroed_delta(), 0..self.n_slots());
         if fresh.size != model.agg.size || fresh.cat_counts != model.agg.cat_counts {
             return Err(WireError::Invalid {
                 what: "aggregate counts vs slot table",
@@ -235,32 +433,39 @@ impl SlotTable {
         }
         Ok(())
     }
+}
 
-    /// The slots as [`SlotRow`]s of `model`, the model they were decoded
-    /// against, in order.
-    pub fn into_rows(self, model: &ClusterModel) -> Vec<SlotRow> {
-        (0..self.clusters.len())
-            .map(|x| {
-                let (row, cat, num) = self.spans(model, x);
-                SlotRow {
-                    row: row.to_vec(),
-                    cat: cat.to_vec(),
-                    num: num.to_vec(),
-                    sqnorm: self.sqnorms[x],
-                    cluster: self.clusters[x],
-                }
-            })
-            .collect()
-    }
+/// The slot range of `x` in a row-major array of `width` values per slot.
+#[inline]
+fn span<T>(values: &[T], width: usize, x: usize) -> &[T] {
+    &values[x * width..(x + 1) * width]
+}
 
-    /// Slot `x`'s task row, codes and values.
-    fn spans(&self, model: &ClusterModel, x: usize) -> (&[f64], &[u32], &[f64]) {
-        (
-            slot_span(&self.rows, model.dim(), x),
-            slot_span(&self.codes, model.cat.len(), x),
-            slot_span(&self.values, model.n_num(), x),
-        )
+/// The checks every slot of `model` passes: codes below their
+/// cardinalities, a cluster below `k` or [`TOMBSTONE`], and a finite
+/// `‖x‖²`, which is returned.
+fn slot_norm(
+    model: &ClusterModel,
+    row: &[f64],
+    cat: &[u32],
+    cluster: usize,
+) -> Result<f64, WireError> {
+    let invalid = |what: &'static str| Err(WireError::Invalid { what });
+    if cat
+        .iter()
+        .zip(&model.cat)
+        .any(|(&v, attr)| v as usize >= attr.t)
+    {
+        return invalid("slot code");
     }
+    if cluster >= model.k() && cluster != TOMBSTONE {
+        return invalid("slot cluster");
+    }
+    let norm = sqnorm(row);
+    if !norm.is_finite() {
+        return invalid("slot norm");
+    }
+    Ok(norm)
 }
 
 /// The `n × width` values of one column, `N` bytes each, taken whole: a
@@ -451,10 +656,10 @@ mod tests {
         table.clusters.iter().for_each(|&c| wire::put_usize(out, c));
     }
 
-    /// A state of `n` seeded slots (two task columns, two categorical and
+    /// A table of `n` seeded slots (two task columns, two categorical and
     /// one numeric sensitive attribute, `k = 3`) with every third slot
-    /// tombstoned.
-    fn seeded_state(seed: u64, n: usize) -> State<'static> {
+    /// tombstoned, and its model.
+    fn seeded_table(seed: u64, n: usize) -> (ClusterModel, SlotTable<'static>) {
         let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut next = move || {
             s ^= s << 13;
@@ -483,28 +688,31 @@ mod tests {
         let assignment = (0..n).map(|x| x % 3).collect();
         let mut st = State::new(&matrix, &space, &[1.0, 1.0, 1.0], 3, assignment);
         (0..n).step_by(3).for_each(|x| {
-            st.remove_point(x);
+            st.table.remove(&mut st.model, x);
         });
-        let (model, table) = st.into_table();
-        State::from_table(model, table, 1, 0)
+        let all: Vec<usize> = (0..n).collect();
+        (st.model, st.table.select(&all))
     }
 
     #[test]
     fn column_put_equals_the_per_element_oracle() {
         for (seed, n) in [(1, 1), (2, 2), (3, 17), (4, 200)] {
-            let st = seeded_state(seed, n);
-            let mut via_table = Vec::new();
-            st.put_table(&mut via_table);
-            let (model, table) = st.into_table();
+            let (model, table) = seeded_table(seed, n);
             assert!(table.clusters.contains(&TOMBSTONE));
+            let mut ours = Vec::new();
+            table.put(&mut ours);
             let mut oracle = Vec::new();
             put_per_element(&mut oracle, &table);
-            assert_eq!(via_table, oracle, "put_table, seed {seed}, n {n}");
-            assert_eq!(oracle.len(), SlotTable::encoded_len(&model, n));
-            let rows = table.into_rows(&model);
-            let mut via_rows = Vec::new();
-            SlotTable::put_rows(&mut via_rows, rows.iter());
-            assert_eq!(via_rows, oracle, "put_rows, seed {seed}, n {n}");
+            assert_eq!(ours, oracle, "seed {seed}, n {n}");
+            assert_eq!(oracle.len(), table.encoded_len());
+            // The decoded table holds the same bits, norms included.
+            let back = SlotTable::get(&mut Reader::new(&oracle), &model).unwrap();
+            let norms = |t: &SlotTable| t.sqnorms.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(norms(&back), norms(&table));
+            let mut again = Vec::new();
+            back.put(&mut again);
+            assert_eq!(again, oracle);
+            table.check_counts(&model).unwrap();
         }
     }
 }

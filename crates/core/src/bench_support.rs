@@ -91,7 +91,7 @@ impl<'a> ScoringFixture<'a> {
         let state = &self.state;
         (0..state.n())
             .map(|x| {
-                let from = state.assignment[x];
+                let from = state.table.cluster(x);
                 let mut best = 0.0f64;
                 for to in 0..state.model.k() {
                     if to == from {

@@ -265,7 +265,7 @@ impl FairKm {
         let kmeans_term = state.kmeans_term();
         let fairness_term = state.model.fairness_term();
         Ok(FairKmModel {
-            partition: Partition::new(state.assignment, k).expect("assignments < k"),
+            partition: Partition::new(state.table.clusters, k).expect("assignments < k"),
             prototypes,
             kmeans_term,
             fairness_term,
@@ -284,9 +284,8 @@ impl FairKm {
 /// `(best_to, best_delta)`; `best_to == from` when no candidate improves
 /// the objective.
 ///
-/// The incremental engine is [`crate::ClusterModel::propose_move_row`]
-/// over the slot's row slices — the hoisted hot loop every shard replica
-/// runs too. The literal engine scores each candidate with the paper's
+/// The incremental engine is [`crate::SlotTable::propose`], the hoisted
+/// hot loop over the slot's row slices that every shard runs too. The literal engine scores each candidate with the paper's
 /// Eqs. 11–14 K-Means delta plus the Eq. 19 fairness delta. With a fresh
 /// cache the latter recomputes exactly the bits `fair_cache` holds, so
 /// both engines share the fairness arithmetic bit for bit.
@@ -299,21 +298,14 @@ pub(crate) fn propose_move(
     lambda: f64,
     engine: DeltaEngine,
 ) -> (usize, f64) {
-    let from = state.assignment[x];
+    let from = state.table.cluster(x);
     if from == TOMBSTONE {
         // Tombstoned streaming slot: not part of the clustering, no move to
         // propose. Callers skip the slot because `best_to == from`.
         return (from, 0.0);
     }
     match engine {
-        DeltaEngine::Incremental => state.model.propose_move_row(
-            from,
-            state.matrix.row(x),
-            state.cat_row(x),
-            state.num_row(x),
-            state.point_sqnorm[x],
-            lambda,
-        ),
+        DeltaEngine::Incremental => state.table.propose(&state.model, x, lambda),
         DeltaEngine::Literal => {
             let mut best = (from, 0.0f64);
             for to in (0..state.model.k()).filter(|&to| to != from) {
@@ -658,10 +650,10 @@ mod tests {
             let mut staged: Vec<(usize, usize)> = Vec::new();
             for (offset, &proposal) in proposals.iter().enumerate() {
                 let x = start + offset;
-                let from = state.assignment[x];
+                let from = state.table.cluster(x);
                 if let Some(to) = crate::machine::improving(from, proposal) {
                     staged.push((x, from));
-                    state.assignment[x] = to;
+                    state.table.set_cluster(x, to);
                 }
             }
             if !staged.is_empty() {
@@ -672,7 +664,7 @@ mod tests {
                     current = after;
                 } else {
                     for &(x, from) in &staged {
-                        state.assignment[x] = from;
+                        state.table.set_cluster(x, from);
                     }
                     state.rebuild();
                     let per_move = UpdateSchedule::PerMove;
@@ -767,7 +759,7 @@ mod tests {
         // The cached delta engine reproduces the pre-cache schedule: same
         // clustering, same move count, same objective trace (up to float
         // noise between the cached O(k) objective and the full scan).
-        assert_eq!(cached.assignment, reference.assignment);
+        assert_eq!(cached.table.clusters, reference.table.clusters);
         assert_eq!(cached_moves, reference_moves);
         assert_eq!(cached_trace.len(), reference_trace.len());
         for (i, (a, b)) in cached_trace.iter().zip(&reference_trace).enumerate() {

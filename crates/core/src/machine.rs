@@ -43,7 +43,7 @@
 //!   chunk-index order from the zeroed identity — the left fold of the
 //!   single-node rebuild.
 
-use crate::agg::{AggregateDelta, SlotRow, MOVE_EPS, TOMBSTONE};
+use crate::agg::{AggregateDelta, SlotRow, SlotTable, MOVE_EPS, TOMBSTONE};
 use crate::config::{DeltaEngine, FairKmError, UpdateSchedule};
 use crate::fairkm::propose_move;
 use crate::state::{ClusterModel, State, WindowMemo};
@@ -169,37 +169,36 @@ impl LogEntry {
         })
     }
 
-    /// Check a decoded entry against `model` and the slot table `slots` it
+    /// Check a decoded entry against `model` and the slot table `table` it
     /// is about to be applied to, so that applying it cannot index out of
     /// range or underflow a count:
     ///
-    /// * `Insert`: the next slot, a row that [`SlotRow::fits`] the model, and a
-    ///   live cluster;
-    /// * `Remove`: a live slot, and `data` is its stored row;
+    /// * `Insert`: the next slot, a row that [`SlotTable::fits`] the model,
+    ///   and a live cluster;
+    /// * `Remove`: a live slot, and `data` is its stored row
+    ///   ([`SlotTable::holds`]);
     /// * `Move`: a live slot in cluster `from`, a different `to` below `k`,
     ///   and `data` is the stored row;
     /// * `Install`: the model's aggregate shape and its exact member and
     ///   categorical counts — a rebuild moves no point.
-    pub fn check(&self, model: &ClusterModel, slots: &[SlotRow]) -> Result<(), WireError> {
+    pub fn check(&self, model: &ClusterModel, table: &SlotTable<'_>) -> Result<(), WireError> {
         let stored = |slot: usize, data: &SlotRow| {
-            slots
-                .get(slot)
-                .filter(|d| d.cluster != TOMBSTONE && same_row(d, data))
+            (slot < table.n_slots() && table.holds(slot, data))
+                .then(|| table.cluster(slot))
+                .filter(|&c| c != TOMBSTONE)
         };
         let valid = match self {
             LogEntry::Insert { slot, data } => {
-                *slot == slots.len() && data.fits(model) && data.cluster != TOMBSTONE
+                *slot == table.n_slots() && table.fits(model, data) && data.cluster != TOMBSTONE
             }
-            LogEntry::Remove { slot, data } => {
-                stored(*slot, data).is_some_and(|d| d.cluster == data.cluster)
-            }
+            LogEntry::Remove { slot, data } => stored(*slot, data) == Some(data.cluster),
             LogEntry::Move {
                 slot,
                 from,
                 to,
                 data,
             } => {
-                stored(*slot, data).is_some_and(|d| d.cluster == *from)
+                stored(*slot, data) == Some(*from)
                     && to != from
                     && *to < model.k()
                     && data.cluster == *to
@@ -244,15 +243,6 @@ impl LogEntry {
     }
 }
 
-/// Whether two slot rows hold the same point, bit for bit (clusters aside).
-fn same_row(a: &SlotRow, b: &SlotRow) -> bool {
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    bits(&a.row) == bits(&b.row)
-        && a.cat == b.cat
-        && bits(&a.num) == bits(&b.num)
-        && a.sqnorm.to_bits() == b.sqnorm.to_bits()
-}
-
 /// What a [`Machine`] reads from its host and commits to it. Reads see the
 /// host's replica at the current log version; the scoring cache is fresh
 /// between steps.
@@ -261,13 +251,8 @@ pub trait Replica {
     fn lambda(&self) -> f64;
     /// The host's replica of the aggregate engine.
     fn model(&self) -> &ClusterModel;
-    /// Backing-store slots, tombstones included.
-    fn n_slots(&self) -> usize;
-    /// Cluster of a slot below [`Self::n_slots`] ([`TOMBSTONE`] if dead).
-    fn cluster(&self, slot: usize) -> usize;
-    /// Apply the move of `slot` (`from → to`) to `model`, a scratch copy
-    /// of [`Self::model`], with the slot's stored row.
-    fn trial_move(&self, model: &mut ClusterModel, slot: usize, from: usize, to: usize);
+    /// Every slot's row and cluster, tombstones included, by slot id.
+    fn table(&self) -> &SlotTable<'_>;
     /// Apply `entries` in order, draining them, and refresh the scoring
     /// cache. `false` means the host could not make them durable: the
     /// machine stops and the operation produces no outcome.
@@ -279,7 +264,8 @@ pub trait Replica {
 
     /// Whether `slot` holds a live point.
     fn is_live(&self, slot: usize) -> bool {
-        slot < self.n_slots() && self.cluster(slot) != TOMBSTONE
+        let table = self.table();
+        slot < table.n_slots() && table.cluster(slot) != TOMBSTONE
     }
 }
 
@@ -489,7 +475,7 @@ impl<'h> Machine<'h, EvictReport> {
     pub fn evict_oldest<R: Replica + 'h>(host: &Host<R>, count: usize) -> Self {
         let mut rep = host.borrow_mut();
         let from = rep.ledger().oldest();
-        let slots = (from..rep.n_slots())
+        let slots = (from..rep.table().n_slots())
             .filter(|&s| rep.is_live(s))
             .take(count)
             .collect();
@@ -569,7 +555,7 @@ impl<R: Replica> Body<R> {
     }
 
     async fn ingest(mut self) -> Option<IngestReport> {
-        let start = self.host.borrow().n_slots();
+        let start = self.host.borrow().table().n_slots();
         let mut clusters = Vec::new();
         let mut reopt = (false, 0);
         if !self.mail.arrivals.borrow().is_empty() {
@@ -617,7 +603,7 @@ impl<R: Replica> Body<R> {
         }
         let mut rep = self.host.borrow_mut();
         if oldest {
-            let (from, n) = (rep.ledger().oldest(), rep.n_slots());
+            let (from, n) = (rep.ledger().oldest(), rep.table().n_slots());
             let cursor = (from..n).find(|&s| rep.is_live(s)).unwrap_or(n);
             rep.ledger().set_oldest(cursor);
         }
@@ -660,7 +646,7 @@ impl<R: Replica> Body<R> {
         for _ in 0..max_passes {
             let (n, window) = {
                 let mut rep = self.host.borrow_mut();
-                let n = rep.n_slots();
+                let n = rep.table().n_slots();
                 (n, rep.ledger().window(n))
             };
             let (moved, after) = self
@@ -763,7 +749,7 @@ impl<R: Replica> Body<R> {
         let rep = self.host.borrow();
         let staged = proposals.iter().map(|&(slot, to)| LogEntry::Move {
             slot,
-            from: rep.cluster(slot),
+            from: rep.table().cluster(slot),
             to,
             data: (),
         });
@@ -780,7 +766,7 @@ impl<R: Replica> Body<R> {
         };
         for entry in &self.entries {
             if let LogEntry::Move { slot, from, to, .. } = *entry {
-                rep.trial_move(trial, slot, from, to);
+                rep.table().move_row(trial, slot, from, to);
             }
         }
         trial.refresh_cache();
@@ -796,7 +782,7 @@ impl<R: Replica> Body<R> {
                 panic!("a scan step answered with another kind");
             };
             let Some((slot, to)) = found else { break };
-            let from = self.host.borrow().cluster(slot);
+            let from = self.host.borrow().table().cluster(slot);
             self.entries.push(LogEntry::Move {
                 slot,
                 from,
@@ -882,22 +868,32 @@ impl Local<'_, '_> {
                 ))
             }
             Request::Window { start, end } if engine == DeltaEngine::Incremental => {
-                Answer::Proposals(state.propose_window(&mut self.memo, start..end, lambda))
+                let (model, table) = (&state.model, &state.table);
+                let window = start..end;
+                let proposals =
+                    table.propose_window(model, &mut self.memo, window, lambda, state.threads);
+                Answer::Proposals(proposals)
             }
             Request::Window { start, end } => {
                 let proposals = fairkm_parallel::map_indexed(state.threads, start..end, |x| {
                     let best = propose_move(state, x, lambda, engine);
-                    improving(state.assignment[x], best).map(|to| (x, to))
+                    improving(state.table.cluster(x), best).map(|to| (x, to))
                 });
                 Answer::Proposals(proposals.into_iter().flatten().collect())
             }
             Request::First { start, end } => {
                 let memo = (engine == DeltaEngine::Incremental).then_some(&mut self.memo);
-                Answer::First(self.state.first_improving(memo, start..end, lambda, engine))
+                let score = |x| propose_move(state, x, lambda, engine);
+                let (found, scored) =
+                    state
+                        .table
+                        .first_improving(&state.model, memo, start..end, lambda, score);
+                self.state.descent_scored += scored;
+                Answer::First(found)
             }
             Request::Rebuild => {
                 let chunks = fairkm_parallel::map_chunks(state.threads, state.n(), |r| {
-                    state.rebuild_partial(r)
+                    state.table.fold(state.model.zeroed_delta(), r)
                 });
                 Answer::Chunks(chunks.into_iter().enumerate().collect())
             }
@@ -934,18 +930,8 @@ impl Replica for Local<'_, '_> {
         &self.state.model
     }
 
-    fn n_slots(&self) -> usize {
-        self.state.n()
-    }
-
-    fn cluster(&self, slot: usize) -> usize {
-        self.state.assignment[slot]
-    }
-
-    fn trial_move(&self, model: &mut ClusterModel, slot: usize, from: usize, to: usize) {
-        let s = &self.state;
-        let (row, sqnorm) = (s.matrix.row(slot), s.point_sqnorm[slot]);
-        model.move_row(from, to, row, s.cat_row(slot), s.num_row(slot), sqnorm);
+    fn table(&self) -> &SlotTable<'_> {
+        &self.state.table
     }
 
     fn commit(&mut self, entries: &mut Vec<Entry>) -> bool {
@@ -1074,7 +1060,10 @@ mod tests {
         // The model bits and the assignment: what a commit changes.
         let bits = || {
             let local = host.borrow();
-            (local.state.model.to_bytes(), local.state.assignment.clone())
+            (
+                local.state.model.to_bytes(),
+                local.state.table.clusters.clone(),
+            )
         };
         let answer = |machine: &Machine<'_, ()>, request| {
             host.borrow_mut().answer(request, &machine.arrivals())

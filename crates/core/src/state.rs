@@ -16,12 +16,13 @@
 //!   It is the single implementation of that arithmetic: the batch and
 //!   streaming engine, every serving view, the shard coordinator and every
 //!   shard replica run this same code.
-//! * `State` is a `ClusterModel` plus the slot rows it is fed from: the
-//!   task matrix, the row-major sensitive codes and numeric values, the
-//!   assignment and the per-point `‖x‖²`. Its mutators resolve a slot to
-//!   its row slices and call the model. All of Eqs. 7, 11–19 and 22 are
-//!   evaluated against the model's running aggregates; a full
-//!   `State::rebuild` recomputes them from the assignment vector.
+//! * `State` is a `ClusterModel` plus the [`SlotTable`] it is fed from:
+//!   per slot the task row, the sensitive codes and numeric values, the
+//!   cluster and `‖x‖²`. The table's kernels resolve a slot to its row
+//!   slices and call the model, the same code the shard coordinator and
+//!   every shard run. All of Eqs. 7, 11–19 and 22 are evaluated against the
+//!   model's running aggregates; a full `State::rebuild` recomputes them
+//!   from the slot clusters.
 //!
 //! ## Scoring caches and invalidation
 //!
@@ -80,15 +81,13 @@
 //! chunks of rows build partial aggregates that are merged in chunk order,
 //! so the result is bitwise-identical for any thread count.
 
-use crate::agg::{decode_kind, encode_kind, AggregateDelta, SlotRow, SlotTable, TOMBSTONE};
-use crate::config::{DeltaEngine, FairnessNorm, ObjectiveKind};
-use crate::fairkm::propose_move;
-use crate::machine::{improving, Entry, LogEntry};
+use crate::agg::{decode_kind, encode_kind, AggregateDelta, SlotTable, TOMBSTONE};
+use crate::config::{FairnessNorm, ObjectiveKind};
+use crate::machine::{Entry, LogEntry};
 use crate::objective::{FairView, Objective, PointRef};
 use crate::wire::{self, Reader, WireError};
 use fairkm_data::{sq_euclidean, NumericMatrix, SensitiveSpace};
 use std::borrow::Cow;
-use std::ops::Range;
 
 mod memo;
 pub use memo::{Descent, WindowMemo};
@@ -1102,34 +1101,18 @@ pub(crate) fn sqnorm(row: &[f64]) -> f64 {
     row.iter().map(|v| v * v).sum::<f64>()
 }
 
-/// The slot range of `x` in a row-major array of `width` values per slot.
-#[inline]
-pub(crate) fn slot_span<T>(values: &[T], width: usize, x: usize) -> &[T] {
-    &values[x * width..(x + 1) * width]
-}
-
-/// The mutable fit state: a [`ClusterModel`] plus the slot rows it is fed
-/// from. Batch fits borrow the task matrix; the streaming driver owns a
-/// growable copy so rows can be appended ([`State::with_norm`]). Sensitive
-/// values are always owned, row-major copies, so a slot's codes are one
-/// contiguous slice.
+/// The mutable fit state: a [`ClusterModel`] plus the [`SlotTable`] it is
+/// fed from. Batch fits borrow the task matrix's values; the streaming
+/// driver owns them, so rows can be appended ([`SlotTable::push`]).
 #[derive(Clone)]
 pub(crate) struct State<'a> {
     /// The aggregate engine every mutation and score runs through.
     pub model: ClusterModel,
-    pub matrix: Cow<'a, NumericMatrix>,
-    /// Cluster per slot; [`TOMBSTONE`] marks slots outside the clustering
-    /// (never ingested into a cluster, or already evicted). Every scan
-    /// skips such slots; streaming insert/remove toggles slots between
-    /// live and tombstoned.
-    pub assignment: Vec<usize>,
-    /// Row-major categorical codes, one per categorical attribute per slot.
-    cat_codes: Vec<u32>,
-    /// Row-major numeric sensitive values, one per numeric attribute per
-    /// slot.
-    num_values: Vec<f64>,
-    /// Per-point `‖x_i‖²`, computed once per slot (points never change).
-    pub point_sqnorm: Vec<f64>,
+    /// Every slot's row and cluster; [`TOMBSTONE`] marks slots outside the
+    /// clustering (never ingested into a cluster, or already evicted).
+    /// Every scan skips such slots; streaming insert/remove toggles slots
+    /// between live and tombstoned.
+    pub table: SlotTable<'a>,
     /// Worker threads for rebuild / K-Means-term evaluation (≥ 1). The
     /// chunk layout is independent of this, so it never changes results.
     pub threads: usize,
@@ -1146,8 +1129,8 @@ pub(crate) struct State<'a> {
     /// aggregates (no rebuild).
     pub fallbacks: usize,
     /// Live slots the per-move descent scored with the exact kernel
-    /// ([`Self::first_improving`]); slots a [`WindowMemo`] proved cannot
-    /// move are not counted. Diagnostic and not persisted, like
+    /// ([`SlotTable::first_improving`]); slots a [`WindowMemo`] proved
+    /// cannot move are not counted. Diagnostic and not persisted, like
     /// [`Self::rebuilds`].
     pub descent_scored: usize,
 }
@@ -1180,7 +1163,7 @@ impl<'a> State<'a> {
     /// fairness objective, and worker-thread count. Batch fits borrow the
     /// task matrix; the streaming driver hands over an owned one
     /// (`'a = 'static`) so the state can outlive its construction site and
-    /// grow ([`Self::push_row`]).
+    /// grow.
     #[allow(clippy::too_many_arguments)]
     pub fn with_norm(
         matrix: Cow<'a, NumericMatrix>,
@@ -1216,30 +1199,37 @@ impl<'a> State<'a> {
                 weight: w,
             })
             .collect();
-        let cat_codes = (0..n)
+        let codes = (0..n)
             .flat_map(|i| space.categorical().iter().map(move |a| a.value(i)))
             .collect();
-        let num_values = (0..n)
+        let values = (0..n)
             .flat_map(|i| space.numeric().iter().map(move |a| a.value(i)))
             .collect();
         let threads = threads.max(1);
         // Point norms never change, so they are computed exactly once.
         // Per-point sums are sequential within the point, so the values are
         // independent of the thread count.
-        let point_sqnorm = fairkm_parallel::map_indexed(threads, 0..n, |i| sqnorm(matrix.row(i)));
+        let sqnorms = fairkm_parallel::map_indexed(threads, 0..n, |i| sqnorm(matrix.row(i)));
         let cat_ts: Vec<usize> = cat.iter().map(|a| a.t).collect();
         let zeroed = AggregateDelta::zeroed(k, dim, &cat_ts, num.len());
         // The objective is instantiated against the frozen sensitive
         // reference (dataset distributions/means inside the attributes).
         let model = ClusterModel::new(k, dim, cat, num, objective, zeroed)
             .expect("zeroed aggregates are shaped like the model");
+        let table = SlotTable {
+            rows: match matrix {
+                Cow::Borrowed(m) => Cow::Borrowed(m.as_slice()),
+                Cow::Owned(m) => Cow::Owned(m.into_data()),
+            },
+            codes,
+            values,
+            clusters: assignment,
+            sqnorms,
+            widths: [dim, model.cat.len(), model.num.len()],
+        };
         let mut state = Self {
             model,
-            matrix,
-            assignment,
-            cat_codes,
-            num_values,
-            point_sqnorm,
+            table,
             threads,
             rebuilds: 0,
             fallbacks: 0,
@@ -1252,53 +1242,21 @@ impl<'a> State<'a> {
     /// Backing-store slots (matrix rows), including unassigned ones.
     #[inline]
     pub fn n(&self) -> usize {
-        self.assignment.len()
+        self.table.n_slots()
     }
 
-    /// Slot `x`'s categorical codes, by attribute position.
-    #[inline]
-    pub fn cat_row(&self, x: usize) -> &[u32] {
-        slot_span(&self.cat_codes, self.model.cat.len(), x)
-    }
-
-    /// Slot `x`'s numeric sensitive values, by attribute position.
-    #[inline]
-    pub fn num_row(&self, x: usize) -> &[f64] {
-        slot_span(&self.num_values, self.model.num.len(), x)
-    }
-
-    /// Aggregate one chunk of rows into a fresh partial (steps of
-    /// [`Self::rebuild`], restricted to `range`). Pure in the chunk, so
-    /// chunks can be computed concurrently — and the same per-row fold a
-    /// shard replays over its owned slots during a distributed rebuild.
-    pub fn rebuild_partial(&self, range: std::ops::Range<usize>) -> AggregateDelta {
-        let mut part = self.model.zeroed_delta();
-        for i in range {
-            let c = self.assignment[i];
-            if c != TOMBSTONE {
-                part.add_row(
-                    c,
-                    self.matrix.row(i),
-                    self.cat_row(i),
-                    self.num_row(i),
-                    self.point_sqnorm[i],
-                );
-            }
-        }
-        part
-    }
-
-    /// Recompute every running aggregate from the assignment vector, then
+    /// Recompute every running aggregate from the slot clusters, then
     /// refresh the scoring cache of every cluster.
     ///
-    /// Chunks of rows are aggregated in parallel and merged in chunk order,
-    /// so the sums are bitwise-identical for any [`Self::threads`] value.
+    /// Chunks of rows are aggregated in parallel ([`SlotTable::fold`]) and
+    /// merged in chunk order, so the sums are bitwise-identical for any
+    /// [`Self::threads`] value.
     pub fn rebuild(&mut self) {
         let total = fairkm_parallel::fold_chunks(
             self.threads,
             self.n(),
             self.model.zeroed_delta(),
-            |range| self.rebuild_partial(range),
+            |range| self.table.fold(self.model.zeroed_delta(), range),
             AggregateDelta::merge,
         );
         self.model.install(total);
@@ -1310,20 +1268,10 @@ impl<'a> State<'a> {
     /// An install counts as a rebuild.
     pub fn commit(&mut self, entries: &mut Vec<Entry>) {
         for entry in entries.drain(..) {
-            match entry {
-                LogEntry::Insert { data, .. } => {
-                    let x = self.push_row(&data);
-                    self.insert_point(x, data.cluster);
-                }
-                LogEntry::Remove { slot, .. } => {
-                    self.remove_point(slot);
-                }
-                LogEntry::Move { slot, from, to, .. } => self.apply_move(slot, from, to),
-                LogEntry::Install { agg } => {
-                    self.model.install(agg);
-                    self.rebuilds += 1;
-                }
+            if let LogEntry::Install { .. } = entry {
+                self.rebuilds += 1;
             }
+            self.table.apply(&mut self.model, entry);
         }
         self.model.refresh_cache();
     }
@@ -1346,7 +1294,7 @@ impl<'a> State<'a> {
         let inv = 1.0 / s as f64;
         let dim = self.model.dim;
         let sums = &self.model.agg.centroid_sum[c * dim..(c + 1) * dim];
-        let row = self.matrix.row(x);
+        let row = self.table.row(x);
         let mut acc = 0.0;
         for (v, sum) in row.iter().zip(sums) {
             let d = v - sum * inv;
@@ -1362,7 +1310,7 @@ impl<'a> State<'a> {
         fairkm_parallel::sum_chunks(self.threads, self.n(), |range| {
             let mut total = 0.0;
             for i in range {
-                let c = self.assignment[i];
+                let c = self.table.cluster(i);
                 if c != TOMBSTONE && self.model.agg.size[c] > 0 {
                     total += self.sq_dist_to_prototype(i, c);
                 }
@@ -1377,7 +1325,7 @@ impl<'a> State<'a> {
         if from == to {
             return 0.0;
         }
-        let p = PointRef::Row(self.cat_row(x), self.num_row(x));
+        let p = PointRef::Row(self.table.cat(x), self.table.num(x));
         let out_new = self.model.contrib_adjusted(from, p, -1);
         let in_new = self.model.contrib_adjusted(to, p, 1);
         let out_old = self.model.fairness_contrib(from);
@@ -1398,7 +1346,7 @@ impl<'a> State<'a> {
         if from == to {
             return 0.0;
         }
-        let (row, sqnorm) = (self.matrix.row(x), self.point_sqnorm[x]);
+        let (row, sqnorm) = (self.table.row(x), self.table.sqnorm(x));
         let s_from = self.model.agg.size[from];
         let d_out = if s_from > 1 {
             let d = self.model.sq_dist_row_cached(row, sqnorm, from);
@@ -1428,7 +1376,7 @@ impl<'a> State<'a> {
         let mut mu_to_old = vec![0.0; dim];
         self.model.prototype_into(from, &mut mu_from_old);
         self.model.prototype_into(to, &mut mu_to_old);
-        let row_x = self.matrix.row(x);
+        let row_x = self.table.row(x);
 
         // Eq. 11: the origin prototype after excluding x.
         let s_from = self.model.agg.size[from] as f64;
@@ -1459,153 +1407,22 @@ impl<'a> State<'a> {
             if i == x {
                 continue;
             }
-            let c = self.assignment[i];
+            let c = self.table.cluster(i);
             if c == from {
-                let row = self.matrix.row(i);
+                let row = self.table.row(i);
                 d_out += sq_euclidean(row, &mu_from_new) - sq_euclidean(row, &mu_from_old);
             } else if c == to {
-                let row = self.matrix.row(i);
+                let row = self.table.row(i);
                 d_in += sq_euclidean(row, &mu_to_new) - sq_euclidean(row, &mu_to_old);
             }
         }
         d_out + d_in
     }
 
-    /// The improving moves `(slot, to)` of the live slots in `window`, in
-    /// slot order, scored in parallel by the incremental kernel against the
-    /// fresh caches, with every slot's distances recorded in `memo` for
-    /// the descent that may follow.
-    pub fn propose_window(
-        &self,
-        memo: &mut WindowMemo,
-        window: Range<usize>,
-        lambda: f64,
-    ) -> Vec<(usize, usize)> {
-        let (model, start, k) = (&self.model, window.start, self.model.k);
-        let len = window.len();
-        let reach = memo.record(model, window);
-        let parts = fairkm_parallel::map_chunks_into(self.threads, len, reach, k, |r, out| {
-            let slots = r.map(|i| start + i).zip(out.chunks_exact_mut(k));
-            let proposals = slots.filter_map(|(x, reach)| {
-                let from = self.assignment[x];
-                let (row, sqnorm) = (self.matrix.row(x), self.point_sqnorm[x]);
-                let (cat, num) = (self.cat_row(x), self.num_row(x));
-                let best = model.propose_recording(from, row, cat, num, sqnorm, lambda, reach);
-                Some((x, improving(from, best)?))
-            });
-            proposals.collect::<Vec<_>>()
-        });
-        parts.concat()
-    }
-
-    /// The first live slot of `range`, in slot order, with an improving
-    /// move, and that move: one step of the per-move descent. With a
-    /// `memo` covering `range`, slots it proves cannot move are skipped
-    /// (same answer); every slot scored is counted in
-    /// [`Self::descent_scored`].
-    pub fn first_improving(
-        &mut self,
-        memo: Option<&mut WindowMemo>,
-        range: Range<usize>,
-        lambda: f64,
-        engine: DeltaEngine,
-    ) -> Option<(usize, usize)> {
-        let descent = memo.and_then(|memo| memo.descent(&self.model, range.clone(), lambda));
-        let mut scored = 0;
-        let found = range.into_iter().find_map(|x| {
-            let from = self.assignment[x];
-            if from == TOMBSTONE {
-                return None;
-            }
-            let (cat, num, sqnorm) = (self.cat_row(x), self.num_row(x), self.point_sqnorm[x]);
-            if descent
-                .as_ref()
-                .is_some_and(|d| !d.may_improve(x, from, cat, num, sqnorm))
-            {
-                return None;
-            }
-            scored += 1;
-            Some((x, improving(from, propose_move(self, x, lambda, engine))?))
-        });
-        self.descent_scored += scored;
-        found
-    }
-
-    /// Apply the move `x: from → to` to the assignment and, through
-    /// [`ClusterModel::move_row`], to every running aggregate.
-    pub fn apply_move(&mut self, x: usize, from: usize, to: usize) {
-        self.assignment[x] = to;
-        let cat = slot_span(&self.cat_codes, self.model.cat.len(), x);
-        let num = slot_span(&self.num_values, self.model.num.len(), x);
-        self.model
-            .move_row(from, to, self.matrix.row(x), cat, num, self.point_sqnorm[x]);
-    }
-
-    /// Undo [`Self::apply_move`]`(x, from, to)`: restores the assignment
-    /// and every running aggregate by the inverse delta. Integer aggregates
-    /// (sizes, categorical counts) are restored exactly; float sums are
-    /// restored up to one rounding step per component ([`Self::rebuild`]
-    /// re-derives them exactly when needed). Marks both clusters dirty.
-    ///
-    /// The windowed pass never needs it: a window's trial runs on a
-    /// scratch copy of the model, so a failed window leaves nothing to
-    /// undo. This inverse is for callers running speculative move
-    /// sequences without paying O(n) — the move-sequence property tests
-    /// drive it.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn revert_move(&mut self, x: usize, from: usize, to: usize) {
-        debug_assert_eq!(self.assignment[x], to, "reverting a move never applied");
-        self.apply_move(x, to, from);
-    }
-
-    /// Append a backing-store slot for a new point: its task row,
-    /// sensitive values (categorical first, numeric second — the attribute
-    /// order of the construction-time space) and `‖x‖²`. The slot starts
-    /// [`TOMBSTONE`]; activate it with [`Self::insert_point`]. Returns the
-    /// slot index. Requires an owned matrix.
-    pub fn push_row(&mut self, point: &SlotRow) -> usize {
-        debug_assert_eq!(point.row.len(), self.model.dim);
-        debug_assert_eq!(point.cat.len(), self.model.cat.len());
-        debug_assert_eq!(point.num.len(), self.model.num.len());
-        let slot = self.n();
-        self.matrix.to_mut().push_row(&point.row);
-        self.point_sqnorm.push(point.sqnorm);
-        self.cat_codes.extend_from_slice(&point.cat);
-        self.num_values.extend_from_slice(&point.num);
-        self.assignment.push(TOMBSTONE);
-        slot
-    }
-
-    /// Insert the tombstoned point `x` into cluster `c` through
-    /// [`ClusterModel::insert_row`].
-    pub fn insert_point(&mut self, x: usize, c: usize) {
-        debug_assert_eq!(self.assignment[x], TOMBSTONE, "inserting a live point");
-        self.assignment[x] = c;
-        let cat = slot_span(&self.cat_codes, self.model.cat.len(), x);
-        let num = slot_span(&self.num_values, self.model.num.len(), x);
-        self.model
-            .insert_row(c, self.matrix.row(x), cat, num, self.point_sqnorm[x]);
-    }
-
-    /// Remove the live point `x` from its cluster (streaming eviction)
-    /// through [`ClusterModel::remove_row`]. The slot stays in the backing
-    /// store as a tombstone until [`Self::compact`]. Returns the cluster it
-    /// left.
-    pub fn remove_point(&mut self, x: usize) -> usize {
-        let c = self.assignment[x];
-        debug_assert_ne!(c, TOMBSTONE, "removing an unassigned point");
-        self.assignment[x] = TOMBSTONE;
-        let cat = slot_span(&self.cat_codes, self.model.cat.len(), x);
-        let num = slot_span(&self.num_values, self.model.num.len(), x);
-        self.model
-            .remove_row(c, self.matrix.row(x), cat, num, self.point_sqnorm[x]);
-        c
-    }
-
     /// Drop every tombstoned slot from the backing store, renumbering the
     /// survivors. Returns the old slot indices that were kept, in order
     /// (new slot `i` held old slot `kept[i]`) so callers can renumber
-    /// parallel stores. Requires an owned matrix.
+    /// parallel stores.
     ///
     /// The model — aggregates, caches and frozen reference — is preserved
     /// **verbatim**: it is cluster-indexed and references no slot ids, so
@@ -1616,25 +1433,12 @@ impl<'a> State<'a> {
     /// to the stream (pinned by `tests/compact_regression.rs`).
     pub fn compact(&mut self) -> Vec<usize> {
         let kept: Vec<usize> = (0..self.n())
-            .filter(|&i| self.assignment[i] != TOMBSTONE)
+            .filter(|&i| self.table.cluster(i) != TOMBSTONE)
             .collect();
         if kept.len() == self.n() {
             return kept;
         }
-        let compacted = self.matrix.select_rows(&kept);
-        *self.matrix.to_mut() = compacted;
-        self.point_sqnorm = kept.iter().map(|&i| self.point_sqnorm[i]).collect();
-        self.cat_codes = kept
-            .iter()
-            .flat_map(|&i| self.cat_row(i))
-            .copied()
-            .collect();
-        self.num_values = kept
-            .iter()
-            .flat_map(|&i| self.num_row(i))
-            .copied()
-            .collect();
-        self.assignment = kept.iter().map(|&i| self.assignment[i]).collect();
+        self.table = self.table.select(&kept);
         debug_assert_eq!(self.model.live, self.n(), "every surviving slot is live");
         kept
     }
@@ -1650,7 +1454,7 @@ impl<'a> State<'a> {
         {
             let m = &self.model;
             let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()));
-            let fresh = self.rebuild_partial(0..self.n());
+            let fresh = self.table.fold(m.zeroed_delta(), 0..self.n());
             assert_eq!(m.agg.size, fresh.size, "delta-maintained sizes diverged");
             assert_eq!(
                 m.live,
@@ -1683,51 +1487,6 @@ impl<'a> State<'a> {
             }
         }
         let _ = lambda;
-    }
-
-    /// A state from a decoded model and its checked slot table, with no
-    /// per-slot copy. Column names are blank: no stream path reads them,
-    /// so the wire form does not carry them. `threads` is the restoring
-    /// configuration's: the pool width never changes result bits.
-    pub fn from_table(
-        model: ClusterModel,
-        table: SlotTable,
-        threads: usize,
-        fallbacks: usize,
-    ) -> State<'static> {
-        let (n, dim) = (table.clusters.len(), model.dim);
-        let matrix = NumericMatrix::from_parts(table.rows, n, dim, vec![String::new(); dim]);
-        State {
-            model,
-            matrix: Cow::Owned(matrix),
-            assignment: table.clusters,
-            cat_codes: table.codes,
-            num_values: table.values,
-            point_sqnorm: table.sqnorms,
-            threads: threads.max(1),
-            rebuilds: 0,
-            fallbacks,
-            descent_scored: 0,
-        }
-    }
-
-    /// Append every slot as a [`SlotTable`], each column straight from its
-    /// contiguous array.
-    pub fn put_table(&self, out: &mut Vec<u8>) {
-        let (rows, codes, values) = (self.matrix.as_slice(), &self.cat_codes, &self.num_values);
-        SlotTable::put(out, self.n(), rows, codes, values, &self.assignment);
-    }
-
-    /// The inverse of [`Self::from_table`]: the model and every slot.
-    pub fn into_table(self) -> (ClusterModel, SlotTable) {
-        let table = SlotTable {
-            rows: self.matrix.as_slice().to_vec(),
-            codes: self.cat_codes,
-            values: self.num_values,
-            clusters: self.assignment,
-            sqnorms: self.point_sqnorm,
-        };
-        (self.model, table)
     }
 }
 
@@ -1773,8 +1532,8 @@ mod tests {
     fn rebuild_matches_incremental_updates() {
         let (m, s) = fixture();
         let mut st = state(&m, &s, vec![0, 0, 1, 1, 0, 1]);
-        st.apply_move(0, 0, 1);
-        st.apply_move(3, 1, 0);
+        st.table.move_slot(&mut st.model, 0, 0, 1);
+        st.table.move_slot(&mut st.model, 3, 1, 0);
         let sizes = st.model.agg.size.clone();
         let sums = st.model.agg.centroid_sum.clone();
         let cats = st.model.agg.cat_counts.clone();
@@ -1797,7 +1556,7 @@ mod tests {
         let (m, s) = fixture();
         let st = state(&m, &s, vec![0, 0, 1, 1, 0, 1]);
         for x in 0..6 {
-            let from = st.assignment[x];
+            let from = st.table.cluster(x);
             let to = 1 - from;
             let inc = st.delta_kmeans_incremental(x, from, to);
             let lit = st.delta_kmeans_literal(x, from, to);
@@ -1814,12 +1573,12 @@ mod tests {
         let lambda = 3.5;
         for x in 0..6 {
             let mut st = state(&m, &s, vec![0, 0, 1, 1, 0, 1]);
-            let from = st.assignment[x];
+            let from = st.table.cluster(x);
             let to = 1 - from;
             let before = objective_brute(&st, lambda);
             let predicted =
                 st.delta_kmeans_incremental(x, from, to) + lambda * st.delta_fairness(x, from, to);
-            st.apply_move(x, from, to);
+            st.table.move_slot(&mut st.model, x, from, to);
             let after = objective_brute(&st, lambda);
             assert!(
                 (after - before - predicted).abs() < 1e-9,
@@ -1838,7 +1597,7 @@ mod tests {
         let delta_fair = st.delta_fairness(0, 0, 1);
         assert!(delta_km.is_finite());
         assert!(delta_fair.is_finite());
-        st.apply_move(0, 0, 1);
+        st.table.move_slot(&mut st.model, 0, 0, 1);
         assert_eq!(st.model.agg.size[0], 0);
         assert_eq!(st.model.fairness_contrib(0), 0.0);
         assert!(st.kmeans_term().is_finite());
@@ -1906,10 +1665,10 @@ mod tests {
             ObjectiveKind::bounded(),
             1,
         );
-        st.remove_point(2);
+        st.table.remove(&mut st.model, 2);
         let mut out = Vec::new();
-        st.put_table(&mut out);
-        assert_eq!(out.len(), SlotTable::encoded_len(&st.model, st.n()));
+        st.table.put(&mut out);
+        assert_eq!(out.len(), st.table.encoded_len());
     }
 
     #[test]
@@ -1947,6 +1706,7 @@ mod proptests {
     //! arbitrary data, assignments and moves.
 
     use super::*;
+    use crate::machine::improving;
     use fairkm_data::{AttrId, SensitiveCat, SensitiveNum, SensitiveSpace};
     use proptest::prelude::*;
 
@@ -2008,9 +1768,9 @@ mod proptests {
     /// adjusted contributions computed by `contrib_adjusted`: the reference
     /// the move tables must reproduce bit for bit.
     fn propose_direct(st: &State<'_>, x: usize, lambda: f64) -> (usize, f64) {
-        let (m, from) = (&st.model, st.assignment[x]);
-        let (row, sqnorm) = (st.matrix.row(x), st.point_sqnorm[x]);
-        let p = PointRef::Row(st.cat_row(x), st.num_row(x));
+        let (m, from) = (&st.model, st.table.cluster(x));
+        let (row, sqnorm) = (st.table.row(x), st.table.sqnorm(x));
+        let p = PointRef::Row(st.table.cat(x), st.table.num(x));
         let s_from = m.agg.size[from];
         let d_out = if s_from > 1 {
             -(s_from as f64 / (s_from as f64 - 1.0)) * m.sq_dist_row_cached(row, sqnorm, from)
@@ -2040,9 +1800,9 @@ mod proptests {
     /// cluster it could join or the one it would leave, equal the direct
     /// computation bit for bit.
     fn check_tables(st: &State<'_>, lambda: f64) {
-        for x in (0..st.n()).filter(|&x| st.assignment[x] != TOMBSTONE) {
-            let from = st.assignment[x];
-            let (cat, num) = (st.cat_row(x), st.num_row(x));
+        for x in (0..st.n()).filter(|&x| st.table.cluster(x) != TOMBSTONE) {
+            let from = st.table.cluster(x);
+            let (cat, num) = (st.table.cat(x), st.table.num(x));
             for c in 0..st.model.k {
                 let deltas: &[i64] = if c == from { &[-1] } else { &[1] };
                 for &delta in deltas {
@@ -2060,10 +1820,10 @@ mod proptests {
                     );
                 }
             }
-            let row = st.matrix.row(x);
+            let row = st.table.row(x);
             let got = st
                 .model
-                .propose_move_row(from, row, cat, num, st.point_sqnorm[x], lambda);
+                .propose_move_row(from, row, cat, num, st.table.sqnorm(x), lambda);
             let want = propose_direct(st, x, lambda);
             prop_assert_eq!(got.0, want.0, "slot {}", x);
             prop_assert_eq!(got.1.to_bits(), want.1.to_bits(), "slot {}", x);
@@ -2077,7 +1837,7 @@ mod proptests {
         fn deltas_match_brute_force_objective_difference(inst in instance()) {
             let (matrix, space) = build(&inst);
             let mut st = State::new(&matrix, &space, &[1.0, 1.0], inst.k, inst.assignment.clone());
-            let from = st.assignment[inst.x];
+            let from = st.table.cluster(inst.x);
             prop_assume!(from != inst.to);
 
             let before = st.kmeans_term() + inst.lambda * st.model.fairness_term();
@@ -2089,7 +1849,7 @@ mod proptests {
             prop_assert!((d_inc - d_lit).abs() < 1e-6,
                 "incremental {d_inc} vs literal {d_lit}");
 
-            st.apply_move(inst.x, from, inst.to);
+            st.table.move_slot(&mut st.model, inst.x, from, inst.to);
             st.rebuild(); // brute-force ground truth uses fresh aggregates
             let after = st.kmeans_term() + inst.lambda * st.model.fairness_term();
 
@@ -2128,10 +1888,10 @@ mod proptests {
                     );
                     check_tables(&st, inst.lambda);
                     // Emptied origin, singleton target, then a live change.
-                    st.apply_move(x, inst.k, inst.k + 1);
+                    st.table.move_slot(&mut st.model, x, inst.k, inst.k + 1);
                     st.model.refresh_cache();
                     check_tables(&st, inst.lambda);
-                    st.remove_point((x + 1) % inst.n);
+                    st.table.remove(&mut st.model, (x + 1) % inst.n);
                     st.model.refresh_cache();
                     check_tables(&st, inst.lambda);
                 }
@@ -2176,14 +1936,14 @@ mod proptests {
                     FairnessNorm::DomainCardinality, kind, 1,
                 );
                 let mut memo = WindowMemo::default();
-                st.propose_window(&mut memo, window.clone(), inst.lambda);
+                st.table.propose_window(&st.model, &mut memo, window.clone(), inst.lambda, 1);
                 for &(xi, ti, op) in &ops {
                     let (y, to) = (xi % n, ti % k);
-                    let from = st.assignment[y];
+                    let from = st.table.cluster(y);
                     match op {
-                        0..=2 if from != TOMBSTONE && from != to => st.apply_move(y, from, to),
-                        3 if from != TOMBSTONE => drop(st.remove_point(y)),
-                        4 if from == TOMBSTONE => st.insert_point(y, to),
+                        0..=2 if from != TOMBSTONE && from != to => st.table.move_slot(&mut st.model, y, from, to),
+                        3 if from != TOMBSTONE => drop(st.table.remove(&mut st.model, y)),
+                        4 if from == TOMBSTONE => st.table.insert(&mut st.model, y, to),
                         5 => st.rebuild(),
                         _ => {}
                     }
@@ -2193,18 +1953,19 @@ mod proptests {
                     let (a, b) = (window.start + a % (window.len() + 1), window.start + b % (window.len() + 1));
                     let range = a.min(b)..a.max(b);
                     let plain = range.clone().find_map(|y| {
-                        let from = st.assignment[y];
+                        let from = st.table.cluster(y);
                         if from == TOMBSTONE {
                             return None;
                         }
-                        let (row, sqnorm) = (st.matrix.row(y), st.point_sqnorm[y]);
+                        let (row, sqnorm) = (st.table.row(y), st.table.sqnorm(y));
                         let best = st.model.propose_move_row(
-                            from, row, st.cat_row(y), st.num_row(y), sqnorm, inst.lambda,
+                            from, row, st.table.cat(y), st.table.num(y), sqnorm, inst.lambda,
                         );
                         Some((y, improving(from, best)?))
                     });
-                    let memo_backed = st.first_improving(
-                        Some(&mut memo), range.clone(), inst.lambda, DeltaEngine::Incremental,
+                    let (memo_backed, _) = st.table.first_improving(
+                        &st.model, Some(&mut memo), range.clone(), inst.lambda,
+                        |y| st.table.propose(&st.model, y, inst.lambda),
                     );
                     prop_assert_eq!(memo_backed, plain, "{:?} weights {:?} range {:?}", kind, w, range);
                 }
@@ -2217,9 +1978,9 @@ mod proptests {
             // after an arbitrary accepted move.
             let (matrix, space) = build(&inst);
             let mut st = State::new(&matrix, &space, &[1.0, 1.0], inst.k, inst.assignment.clone());
-            let from = st.assignment[inst.x];
+            let from = st.table.cluster(inst.x);
             prop_assume!(from != inst.to);
-            st.apply_move(inst.x, from, inst.to);
+            st.table.move_slot(&mut st.model, inst.x, from, inst.to);
 
             let counts = st.model.agg.cat_counts[0].clone();
             let sums = st.model.agg.num_sums[0].clone();
@@ -2235,7 +1996,7 @@ mod proptests {
             inst in instance(),
             ops in proptest::collection::vec((0usize..64, 0usize..8, 0usize..3), 1..24),
         ) {
-            // Random interleavings of apply_move / revert_move must leave
+            // Random interleavings of moves and their inverses must leave
             // every running aggregate and cache entry equal to a state
             // built from scratch over the final assignment: integer
             // aggregates exactly, float sums and the cached objective
@@ -2248,22 +2009,22 @@ mod proptests {
             for (xi, ti, kind) in ops {
                 if kind == 2 {
                     if let Some((x, from, to)) = undo.pop() {
-                        st.revert_move(x, from, to);
+                        st.table.move_slot(&mut st.model, x, to, from);
                     }
                     continue;
                 }
                 let x = xi % inst.n;
-                let from = st.assignment[x];
+                let from = st.table.cluster(x);
                 let to = ti % inst.k;
                 if to != from {
-                    st.apply_move(x, from, to);
+                    st.table.move_slot(&mut st.model, x, from, to);
                     undo.push((x, from, to));
                 }
             }
             st.model.refresh_cache();
             st.debug_validate_cache(inst.lambda);
 
-            let fresh = State::new(&matrix, &space, &[1.0, 1.0], inst.k, st.assignment.clone());
+            let fresh = State::new(&matrix, &space, &[1.0, 1.0], inst.k, st.table.clusters.clone());
             let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()));
             prop_assert_eq!(&st.model.agg.size, &fresh.model.agg.size);
             for (ours, theirs) in st.model.agg.cat_counts.iter().zip(&fresh.model.agg.cat_counts) {
@@ -2291,8 +2052,8 @@ mod proptests {
             inst in instance(),
             ops in proptest::collection::vec((0usize..64, 0usize..8, 0usize..5), 1..32),
         ) {
-            // Random interleavings of the three delta mutators — apply_move,
-            // remove_point (eviction), insert_point (re-ingestion) — must
+            // Random interleavings of the three delta mutators — a move,
+            // a removal (eviction), an insert (re-ingestion) — must
             // leave every running aggregate, the live count, and the cache
             // equal to a state rebuilt from scratch over the final
             // assignment (TOMBSTONE tombstones included): integers
@@ -2316,21 +2077,21 @@ mod proptests {
                 match kind {
                     // moves (2 in 5) on live points
                     0 | 1 => {
-                        let from = st.assignment[x];
+                        let from = st.table.cluster(x);
                         if from != TOMBSTONE && from != to {
-                            st.apply_move(x, from, to);
+                            st.table.move_slot(&mut st.model, x, from, to);
                         }
                     }
                     // eviction (2 in 5) of live points
                     2 | 3 => {
-                        if st.assignment[x] != TOMBSTONE {
-                            st.remove_point(x);
+                        if st.table.cluster(x) != TOMBSTONE {
+                            st.table.remove(&mut st.model, x);
                         }
                     }
                     // re-insertion of tombstoned points
                     _ => {
-                        if st.assignment[x] == TOMBSTONE {
-                            st.insert_point(x, to);
+                        if st.table.cluster(x) == TOMBSTONE {
+                            st.table.insert(&mut st.model, x, to);
                         }
                     }
                 }
@@ -2338,7 +2099,7 @@ mod proptests {
             st.model.refresh_cache();
             st.debug_validate_cache(inst.lambda);
 
-            let fresh = State::new(&matrix, &space, &[1.0, 1.0], inst.k, st.assignment.clone());
+            let fresh = State::new(&matrix, &space, &[1.0, 1.0], inst.k, st.table.clusters.clone());
             let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()));
             prop_assert_eq!(&st.model.agg.size, &fresh.model.agg.size);
             prop_assert_eq!(st.model.live, fresh.model.live);
@@ -2380,10 +2141,10 @@ mod proptests {
                 1,
             );
             let x = inst.x;
-            st.remove_point(x);
+            st.table.remove(&mut st.model, x);
             st.model.refresh_cache();
             let before = st.kmeans_term() + inst.lambda * st.model.fairness_term();
-            let row = st.matrix.row(x).to_vec();
+            let row = st.table.row(x).to_vec();
             let cat_vals = [inst.cat_values[x]];
             let num_vals = [inst.num_values[x]];
             let (best, best_delta) =
@@ -2394,10 +2155,10 @@ mod proptests {
                 .map(|c| st.model.insertion_delta(c, &row, &cat_vals, &num_vals, inst.lambda))
                 .collect();
             for (c, &predicted) in deltas.iter().enumerate() {
-                st.insert_point(x, c);
+                st.table.insert(&mut st.model, x, c);
                 st.rebuild();
                 let after = st.kmeans_term() + inst.lambda * st.model.fairness_term();
-                st.remove_point(x);
+                st.table.remove(&mut st.model, x);
                 st.rebuild();
                 let actual = after - before;
                 let tol = 1e-6 * (1.0 + before.abs() + after.abs());
@@ -2443,19 +2204,19 @@ mod proptests {
                     let to = ti % inst.k;
                     match op {
                         0 | 1 => {
-                            let from = st.assignment[x];
+                            let from = st.table.cluster(x);
                             if from != TOMBSTONE && from != to {
-                                st.apply_move(x, from, to);
+                                st.table.move_slot(&mut st.model, x, from, to);
                             }
                         }
                         2 | 3 => {
-                            if st.assignment[x] != TOMBSTONE {
-                                st.remove_point(x);
+                            if st.table.cluster(x) != TOMBSTONE {
+                                st.table.remove(&mut st.model, x);
                             }
                         }
                         _ => {
-                            if st.assignment[x] == TOMBSTONE {
-                                st.insert_point(x, to);
+                            if st.table.cluster(x) == TOMBSTONE {
+                                st.table.insert(&mut st.model, x, to);
                             }
                         }
                     }
@@ -2468,7 +2229,7 @@ mod proptests {
                     &space,
                     &[1.0, 1.0],
                     inst.k,
-                    st.assignment.clone(),
+                    st.table.clusters.clone(),
                     FairnessNorm::DomainCardinality,
                     kind,
                     1,
@@ -2515,20 +2276,20 @@ mod proptests {
                     1,
                 );
                 let x = inst.x;
-                st.remove_point(x);
+                st.table.remove(&mut st.model, x);
                 st.model.refresh_cache();
                 let before = st.kmeans_term() + inst.lambda * st.model.fairness_term();
-                let row = st.matrix.row(x).to_vec();
+                let row = st.table.row(x).to_vec();
                 let cat_vals = [inst.cat_values[x]];
                 let num_vals = [inst.num_values[x]];
                 let deltas: Vec<f64> = (0..inst.k)
                     .map(|c| st.model.insertion_delta(c, &row, &cat_vals, &num_vals, inst.lambda))
                     .collect();
                 for (c, &predicted) in deltas.iter().enumerate() {
-                    st.insert_point(x, c);
+                    st.table.insert(&mut st.model, x, c);
                     st.rebuild();
                     let after = st.kmeans_term() + inst.lambda * st.model.fairness_term();
-                    st.remove_point(x);
+                    st.table.remove(&mut st.model, x);
                     st.rebuild();
                     let actual = after - before;
                     let tol = 1e-6 * (1.0 + before.abs() + after.abs());

@@ -101,6 +101,11 @@ impl WindowMemo {
         &mut self.reach
     }
 
+    /// Distance bounds recorded: `k` per slot of the last window.
+    pub fn bounds(&self) -> usize {
+        self.reach.len()
+    }
+
     /// Forget the recorded window: the rows it covers were replaced.
     pub fn clear(&mut self) {
         self.window = 0..0;

@@ -578,23 +578,21 @@ pub struct StreamPayload {
     /// The aggregate engine, caches refreshed.
     pub model: ClusterModel,
     /// Every slot, tombstones included.
-    pub table: SlotTable,
+    pub table: SlotTable<'static>,
 }
 
 impl StreamPayload {
-    /// Append the payload of `n` slots, whose [`SlotTable`] `table`
-    /// appends. The buffer is sized once for the slot table: one grown by
-    /// doubling holds two allocations while it copies, a serving
-    /// process's peak memory at n=100k. A power-of-two capacity leaves
-    /// room to grow.
+    /// Append the payload. The buffer is sized once for the slot table:
+    /// one grown by doubling holds two allocations while it copies, a
+    /// serving process's peak memory at n=100k. A power-of-two capacity
+    /// leaves room to grow.
     pub fn put(
         out: &mut Vec<u8>,
         codec: &RowCodec,
         ledger: &DriverLedger,
         fallbacks: usize,
         model: &ClusterModel,
-        n: usize,
-        table: impl FnOnce(&mut Vec<u8>),
+        table: &SlotTable<'_>,
     ) {
         debug_assert!(model.cache_is_fresh(), "restore would refresh stale caches");
         wire::put_u64(out, SNAPSHOT_FORMAT);
@@ -602,11 +600,11 @@ impl StreamPayload {
         ledger.put(out);
         wire::put_usize(out, fallbacks);
         out.extend(model.to_bytes());
-        let len = SlotTable::encoded_len(model, n);
+        let len = table.encoded_len();
         if out.capacity() - out.len() < len {
             out.reserve_exact((out.len() + len).next_power_of_two() - out.len());
         }
-        table(out);
+        table.put(out);
     }
 
     /// Decode [`Self::put`] and check the whole: a payload that does not
@@ -871,7 +869,8 @@ impl StreamingFairKm {
         &self,
     ) -> Result<(NumericMatrix, SensitiveSpace, Partition, Vec<usize>), FairKmError> {
         let slots = self.live_slots();
-        let matrix = self.state.matrix.select_rows(&slots);
+        let table = self.state.table.select(&slots);
+        let dim = self.state.model.dim();
         let codec = &self.codec;
         let mut cat = Vec::with_capacity(codec.sens_cat_ids.len());
         for (a, &id) in codec.sens_cat_ids.iter().enumerate() {
@@ -879,7 +878,7 @@ impl StreamingFairKm {
             let AttrKind::Categorical { values: labels } = &attr.kind else {
                 unreachable!("categorical sensitive ids name categorical attributes");
             };
-            let codes = slots.iter().map(|&s| self.state.cat_row(s)[a]).collect();
+            let codes = (0..slots.len()).map(|x| table.cat(x)[a]).collect();
             cat.push(SensitiveCat::new(
                 id,
                 attr.name.clone(),
@@ -889,7 +888,7 @@ impl StreamingFairKm {
         }
         let mut num = Vec::with_capacity(codec.sens_num_ids.len());
         for (a, &id) in codec.sens_num_ids.iter().enumerate() {
-            let values = slots.iter().map(|&s| self.state.num_row(s)[a]).collect();
+            let values = (0..slots.len()).map(|x| table.num(x)[a]).collect();
             num.push(SensitiveNum::new(
                 id,
                 codec.schema.attr(id)?.name.clone(),
@@ -897,8 +896,9 @@ impl StreamingFairKm {
             ));
         }
         let space = SensitiveSpace::new(slots.len(), cat, num);
-        let clusters: Vec<usize> = slots.iter().map(|&s| self.state.assignment[s]).collect();
-        let partition = Partition::new(clusters, self.state.model.k())?;
+        let partition = Partition::new(table.clusters, self.state.model.k())?;
+        let names = vec![String::new(); dim];
+        let matrix = NumericMatrix::from_parts(table.rows.into_owned(), slots.len(), dim, names);
         Ok((matrix, space, partition, slots))
     }
 
@@ -914,13 +914,14 @@ impl StreamingFairKm {
 
     /// Whether a slot currently holds a live point.
     pub fn is_live(&self, slot: usize) -> bool {
-        slot < self.state.n() && self.state.assignment[slot] != TOMBSTONE
+        slot < self.state.n() && self.state.table.cluster(slot) != TOMBSTONE
     }
 
     /// Cluster of a slot, `None` for tombstones and out-of-range slots.
     pub fn assignment_of(&self, slot: usize) -> Option<usize> {
         self.state
-            .assignment
+            .table
+            .clusters
             .get(slot)
             .copied()
             .filter(|&c| c != TOMBSTONE)
@@ -1023,14 +1024,12 @@ impl StreamingFairKm {
     /// single-node engine left off.
     pub fn into_payload(mut self) -> StreamPayload {
         self.state.model.refresh_cache();
-        let fallbacks = self.state.fallbacks;
-        let (model, table) = self.state.into_table();
         StreamPayload {
             codec: self.codec,
             ledger: self.ledger,
-            fallbacks,
-            model,
-            table,
+            fallbacks: self.state.fallbacks,
+            model: self.state.model,
+            table: self.state.table,
         }
     }
 
@@ -1051,10 +1050,14 @@ impl StreamingFairKm {
     /// Append [`Self::to_snapshot_bytes`] to `out`.
     pub(crate) fn write_snapshot_bytes(&self, out: &mut Vec<u8>) {
         let s = &self.state;
-        let (ledger, fallbacks, model) = (&self.ledger, s.fallbacks, &s.model);
-        StreamPayload::put(out, &self.codec, ledger, fallbacks, model, s.n(), |out| {
-            s.put_table(out)
-        });
+        StreamPayload::put(
+            out,
+            &self.codec,
+            &self.ledger,
+            s.fallbacks,
+            &s.model,
+            &s.table,
+        );
     }
 
     /// Decode a driver serialized by [`Self::to_snapshot_bytes`]: the
@@ -1071,8 +1074,14 @@ impl StreamingFairKm {
         let mut r = Reader::new(bytes);
         let p = StreamPayload::get(&mut r)?;
         r.expect_empty()?;
-        let threads = fairkm_parallel::resolve_threads(threads);
-        let state = State::from_table(p.model, p.table, threads, p.fallbacks);
+        let state = State {
+            model: p.model,
+            table: p.table,
+            threads: fairkm_parallel::resolve_threads(threads),
+            rebuilds: 0,
+            fallbacks: p.fallbacks,
+            descent_scored: 0,
+        };
         Ok(Self {
             codec: p.codec,
             state,

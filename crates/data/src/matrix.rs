@@ -53,6 +53,11 @@ impl NumericMatrix {
         &self.data
     }
 
+    /// Take the backing buffer (row-major) without a copy.
+    pub fn into_data(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Names of the encoded columns (one-hot columns are `attr=value`).
     pub fn col_names(&self) -> &[String] {
         &self.col_names
@@ -85,25 +90,6 @@ impl NumericMatrix {
     #[inline]
     pub fn sq_dist_to(&self, i: usize, point: &[f64]) -> f64 {
         sq_euclidean(self.row(i), point)
-    }
-
-    /// Append one row. Panics if `row.len() != cols` — shape mismatches are
-    /// programming errors inside the workspace, exactly as in
-    /// [`Self::from_parts`].
-    pub fn push_row(&mut self, row: &[f64]) {
-        assert_eq!(row.len(), self.cols, "appended row length mismatch");
-        self.data.extend_from_slice(row);
-        self.rows += 1;
-    }
-
-    /// New matrix containing only the given rows, in the given order (same
-    /// columns). Panics on an out-of-range row index.
-    pub fn select_rows(&self, rows: &[usize]) -> NumericMatrix {
-        let mut data = Vec::with_capacity(rows.len() * self.cols);
-        for &r in rows {
-            data.extend_from_slice(self.row(r));
-        }
-        NumericMatrix::from_parts(data, rows.len(), self.cols, self.col_names.clone())
     }
 }
 

@@ -111,9 +111,9 @@ struct Replicated {
     /// The single-node driver's parameters and bookkeeping; λ is its.
     ledger: DriverLedger,
     model: ClusterModel,
-    /// Per-slot payloads; `cluster` is the current assignment
-    /// ([`TOMBSTONE`] for evicted slots) — the durable master copy.
-    slots: Vec<SlotRow>,
+    /// Every slot's row and cluster ([`TOMBSTONE`] for evicted slots) —
+    /// the durable master copy.
+    table: SlotTable<'static>,
     /// Log entries applied so far.
     version: u64,
     fallbacks: usize,
@@ -126,20 +126,6 @@ struct Replicated {
     sent: Outbox,
 }
 
-impl Replicated {
-    /// Apply one entry to the replica and the slot rows.
-    fn apply(&mut self, entry: LogEntry) {
-        entry.apply_to(&mut self.model);
-        match entry {
-            LogEntry::Insert { data, .. } => self.slots.push(data),
-            LogEntry::Remove { slot, .. } => self.slots[slot].cluster = TOMBSTONE,
-            LogEntry::Move { slot, to, .. } => self.slots[slot].cluster = to,
-            LogEntry::Install { .. } => {}
-        }
-        self.version += 1;
-    }
-}
-
 impl Replica for Replicated {
     fn lambda(&self) -> f64 {
         self.ledger.lambda()
@@ -149,17 +135,8 @@ impl Replica for Replicated {
         &self.model
     }
 
-    fn n_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn cluster(&self, slot: usize) -> usize {
-        self.slots[slot].cluster
-    }
-
-    fn trial_move(&self, model: &mut ClusterModel, slot: usize, from: usize, to: usize) {
-        let d = &self.slots[slot];
-        model.move_row(from, to, &d.row, &d.cat, &d.num, d.sqnorm);
+    fn table(&self) -> &SlotTable<'_> {
+        &self.table
     }
 
     /// Attach each entry's row, journal the batch durably, broadcast it to
@@ -170,14 +147,14 @@ impl Replica for Replicated {
     /// applied is always on the durable log — recovery never rolls
     /// replicas back. `false` means the write wedged the coordinator.
     fn commit(&mut self, entries: &mut Vec<Entry>) -> bool {
-        let slots = &self.slots;
+        let table = &self.table;
         let entries: Vec<LogEntry> = entries
             .drain(..)
             .map(|entry| match entry {
                 LogEntry::Insert { slot, data } => LogEntry::Insert { slot, data },
                 LogEntry::Remove { slot, .. } => LogEntry::Remove {
                     slot,
-                    data: slots[slot].clone(),
+                    data: table.slot_row(slot),
                 },
                 LogEntry::Move { slot, from, to, .. } => LogEntry::Move {
                     slot,
@@ -185,7 +162,7 @@ impl Replica for Replicated {
                     to,
                     data: SlotRow {
                         cluster: to,
-                        ..slots[slot].clone()
+                        ..table.slot_row(slot)
                     },
                 },
                 LogEntry::Install { agg } => LogEntry::Install { agg },
@@ -207,7 +184,8 @@ impl Replica for Replicated {
             self.sent.push((shard + 1, Msg::Log { first, entries }));
         }
         for entry in entries {
-            self.apply(entry);
+            self.table.apply(&mut self.model, entry);
+            self.version += 1;
         }
         self.model.refresh_cache();
         true
@@ -266,7 +244,7 @@ impl Coordinator {
             rep: Rc::new(RefCell::new(Replicated {
                 plan,
                 ledger: payload.ledger,
-                slots: payload.table.into_rows(&payload.model),
+                table: payload.table,
                 model: payload.model,
                 version: 0,
                 fallbacks: payload.fallbacks,
@@ -297,18 +275,15 @@ impl Coordinator {
     /// shard's state is built, at provisioning and at resync.
     pub(crate) fn shard_state(&self, shard: usize) -> ShardState {
         let rep = self.rep.borrow();
-        let owned = rep
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|&(slot, _)| rep.plan.owner(slot) == shard)
-            .map(|(slot, d)| (slot, d.clone()))
+        let slots: Vec<usize> = (0..rep.table.n_slots())
+            .filter(|&slot| rep.plan.owner(slot) == shard)
             .collect();
         ShardState {
             lambda: rep.ledger.lambda(),
             version: rep.version,
             model: rep.model.clone(),
-            owned,
+            table: rep.table.select(&slots),
+            slots,
         }
     }
 
@@ -629,8 +604,9 @@ impl Coordinator {
                 REC_ENTRIES => {
                     for _ in 0..r.get_len(1)? {
                         let entry = LogEntry::from_reader(&mut r)?;
-                        entry.check(&rep.model, &rep.slots)?;
-                        rep.apply(entry);
+                        entry.check(&rep.model, &rep.table)?;
+                        rep.table.apply(&mut rep.model, entry);
+                        rep.version += 1;
                         replayed_entries += 1;
                     }
                     r.expect_empty()?;
@@ -659,7 +635,7 @@ impl Coordinator {
         // Later entries only kill slots or append them, so the last
         // sealed cursor must still hold over the replayed slot rows.
         rep.ledger
-            .check_cursor(rep.slots.len(), |s| rep.is_live(s))?;
+            .check_cursor(rep.table.n_slots(), |s| rep.is_live(s))?;
         rep.model.refresh_cache();
         if interrupted {
             // The sealed bookkeeping predates the trailing batches; the
@@ -711,15 +687,14 @@ impl Coordinator {
     pub fn stream_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
         let rep = self.rep.borrow();
-        let (ledger, fallbacks, model) = (&rep.ledger, rep.fallbacks, &rep.model);
+        let (ledger, fallbacks) = (&rep.ledger, rep.fallbacks);
         StreamPayload::put(
             &mut out,
             &self.codec,
             ledger,
             fallbacks,
-            model,
-            rep.slots.len(),
-            |out| SlotTable::put_rows(out, rep.slots.iter()),
+            &rep.model,
+            &rep.table,
         );
         out
     }
@@ -798,7 +773,7 @@ impl Coordinator {
 
     /// Total backing-store slots, tombstones included.
     pub fn n_slots(&self) -> usize {
-        self.rep.borrow().slots.len()
+        self.rep.borrow().table.n_slots()
     }
 
     /// Whether `slot` holds a live point.
@@ -810,16 +785,19 @@ impl Coordinator {
     pub fn assignment_of(&self, slot: usize) -> Option<usize> {
         self.rep
             .borrow()
-            .slots
+            .table
+            .clusters()
             .get(slot)
-            .map(|d| d.cluster)
+            .copied()
             .filter(|&c| c != TOMBSTONE)
     }
 
     /// Live slot ids in ascending order.
     pub fn live_slots(&self) -> Vec<usize> {
         let rep = self.rep.borrow();
-        (0..rep.slots.len()).filter(|&s| rep.is_live(s)).collect()
+        (0..rep.table.n_slots())
+            .filter(|&s| rep.is_live(s))
+            .collect()
     }
 
     /// Cluster prototypes (means), zeros for empty clusters.

@@ -324,7 +324,7 @@ mod tests {
     // ---- coordinator durability ------------------------------------
 
     use crate::shard::Outbox;
-    use fairkm_core::{SlotTable, StreamPayload};
+    use fairkm_core::StreamPayload;
     use fairkm_store::{DurableStore, FaultPlan, SharedMemBackend, StoreError, TornWrite};
     use std::collections::VecDeque;
 
@@ -1063,7 +1063,7 @@ mod tests {
             let c = sharded.coordinator();
             let mut rows = Vec::new();
             for shard in 0..2 {
-                SlotTable::put_rows(&mut rows, c.shard_state(shard).owned.values());
+                c.shard_state(shard).table.put(&mut rows);
             }
             c.snapshot_bytes().len() - rows.len() - 8 * c.trace().len()
         };
@@ -1165,7 +1165,7 @@ mod tests {
         let disk = SharedMemBackend::new();
         let (mut c, mut s) =
             Coordinator::provision(parts(&data, 11), ShardPlan::new(2, 16).unwrap());
-        let mut row = c.shard_state(0).owned[&0].clone();
+        let mut row = c.shard_state(0).table.slot_row(0);
         c.make_durable(Box::new(disk.clone()), None).unwrap();
         run_op(&mut c, &mut s, Op::Ingest(arrivals)).unwrap();
         row.cluster = c.k();

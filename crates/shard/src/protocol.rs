@@ -14,10 +14,10 @@
 //! without affecting replica state.
 
 use fairkm_core::{
-    AggregateDelta, Answer, ClusterModel, EvictReport, FairKmError, IngestReport, LogEntry, SlotRow,
+    AggregateDelta, Answer, ClusterModel, EvictReport, FairKmError, IngestReport, LogEntry,
+    SlotRow, SlotTable,
 };
 use fairkm_data::Value;
-use std::collections::BTreeMap;
 
 /// A client operation posted to the coordinator — the message form of the
 /// single-node [`fairkm_core::StreamingFairKm`] mutation API.
@@ -113,7 +113,8 @@ pub enum Msg {
 }
 
 /// One shard's replica at one log version: λ, the model, and the slot
-/// rows the placement plan assigns to the shard (tombstones included).
+/// rows the placement plan assigns to the shard (tombstones included), as
+/// one [`SlotTable`] beside the column of their ascending slot ids.
 /// Replicas at one version are bitwise equal, so this is the state a
 /// shard reaches by applying the log up to `version`. Provisioning builds
 /// every shard from one, and a lagging shard resyncs by adopting one.
@@ -123,7 +124,11 @@ pub struct ShardState {
     /// Log entries applied so far.
     pub(crate) version: u64,
     pub(crate) model: ClusterModel,
-    pub(crate) owned: BTreeMap<usize, SlotRow>,
+    /// The owned slot ids, ascending: the slot at each position of
+    /// `table`. An insert appends the next slot, so they stay sorted.
+    pub(crate) slots: Vec<usize>,
+    /// The owned rows, in slot order.
+    pub(crate) table: SlotTable<'static>,
 }
 
 /// One shard's part of a machine [`fairkm_core::Request`].

@@ -1,11 +1,12 @@
-//! The shard node: a full replica of the aggregate engine plus the
-//! payloads of the slots this shard owns.
+//! The shard node: a full replica of the aggregate engine plus the rows of
+//! the slots this shard owns, in one [`SlotTable`].
 
 use crate::plan::ShardPlan;
 use crate::protocol::{Msg, Part, ShardState};
 use fairkm_core::wire::{self, Reader, WireError};
-use fairkm_core::{improving, Answer, ClusterModel, LogEntry, SlotTable, WindowMemo, TOMBSTONE};
+use fairkm_core::{Answer, ClusterModel, LogEntry, SlotTable, WindowMemo, TOMBSTONE};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Leading `u64` of every [`ShardNode::snapshot_bytes`] payload: the bytes
 /// `FKSHARD1`. Payloads written before the tag existed start with a shard
@@ -17,9 +18,10 @@ pub type Outbox = Vec<(usize, Msg)>;
 
 /// One shard: applies the coordinator's replicated log to a
 /// [`ClusterModel`] replica (so it can score and propose for **any** point)
-/// and stores the full payloads of the slots the placement plan assigns to
-/// it (so it can fold rebuild chunks and propose moves for its slice
-/// without the coordinator shipping rows). A shard that fell behind jumps
+/// and stores the rows of the slots the placement plan assigns to it in a
+/// [`SlotTable`] (so it can fold rebuild chunks and propose moves for its
+/// slice without the coordinator shipping rows, with the table kernels the
+/// single node runs). A shard that fell behind jumps
 /// ahead by adopting a newer state ([`Msg::Transfer`]).
 ///
 /// Every ask is a pure read of the replica at the ask's log version — it
@@ -39,8 +41,8 @@ pub struct ShardNode {
     /// arrival order.
     deferred: Vec<Msg>,
     /// The distance bounds of the owned slots of the last window this
-    /// shard answered, read by the descent steps that follow it. Dropped
-    /// when a transfer replaces the owned rows.
+    /// shard answered, by table position, read by the descent steps that
+    /// follow it. Dropped when a transfer replaces the owned rows.
     memo: WindowMemo,
 }
 
@@ -121,8 +123,8 @@ impl ShardNode {
     }
 
     /// Apply one log entry — the exact aggregate mutation the coordinator
-    /// (and the single-node engine) performed for it — and track the
-    /// cluster of an owned slot.
+    /// (and the single-node engine) performed for it — and track the row
+    /// and cluster of an owned slot.
     fn apply(&mut self, entry: LogEntry) {
         entry.apply_to(&mut self.state.model);
         let (slot, cluster) = match &entry {
@@ -134,18 +136,18 @@ impl ShardNode {
         if self.plan.owner(slot) != self.id {
             return;
         }
-        match entry {
+        let ShardState { slots, table, .. } = &mut self.state;
+        let x = match &entry {
             LogEntry::Insert { data, .. } => {
-                self.state.owned.insert(slot, data);
+                debug_assert!(slots.last() < Some(&slot), "inserts append the next slot");
+                slots.push(slot);
+                table.push(data)
             }
-            _ => {
-                self.state
-                    .owned
-                    .get_mut(&slot)
-                    .expect("a logged slot this shard never saw")
-                    .cluster = cluster
-            }
-        }
+            _ => slots
+                .binary_search(&slot)
+                .expect("a logged slot this shard never saw"),
+        };
+        table.set_cluster(x, cluster);
     }
 
     /// Retry deferred asks that the applied log has unblocked, in arrival
@@ -160,62 +162,50 @@ impl ShardNode {
     /// Answer an ask at its version (a pure read of the replica, which may
     /// record a window's distance bounds in the memo): to the coordinator, or —
     /// for a fold chain's inner hop — onward to the next segment's owner.
+    /// A slot range is answered by the table kernels over the positions of
+    /// the owned slots in it.
     fn answer(&mut self, req: u64, version: u64, part: Part) -> (usize, Msg) {
         let ShardState {
             lambda,
             model,
-            owned,
+            slots,
+            table,
             ..
         } = &self.state;
+        let (lambda, memo) = (*lambda, &mut self.memo);
         let answer = match part {
             Part::Score(items) => Answer::Scores(
                 items
                     .iter()
                     .map(|(slot, d)| {
-                        let scored = model.score_insertion(&d.row, &d.cat, &d.num, *lambda);
+                        let scored = model.score_insertion(&d.row, &d.cat, &d.num, lambda);
                         (*slot, scored.0)
                     })
                     .collect(),
             ),
             Part::Window { start, end } => {
-                let (k, reach) = (model.k(), self.memo.record(model, start..end));
-                let proposals = owned.range(start..end).filter_map(|(&slot, d)| {
-                    let reach = &mut reach[(slot - start) * k..(slot - start + 1) * k];
-                    let best = model.propose_recording(
-                        d.cluster, &d.row, &d.cat, &d.num, d.sqnorm, *lambda, reach,
-                    );
-                    Some((slot, improving(d.cluster, best)?))
-                });
-                Answer::Proposals(proposals.collect())
+                let proposals = table.propose_window(model, memo, at(slots, start..end), lambda, 1);
+                Answer::Proposals(
+                    proposals
+                        .into_iter()
+                        .map(|(x, to)| (slots[x], to))
+                        .collect(),
+                )
             }
             Part::First { start, end } => {
-                let descent = self.memo.descent(model, start..end, *lambda);
-                Answer::First(owned.range(start..end).find_map(|(&slot, d)| {
-                    if d.cluster == TOMBSTONE
-                        || descent.as_ref().is_some_and(|descent| {
-                            !descent.may_improve(slot, d.cluster, &d.cat, &d.num, d.sqnorm)
-                        })
-                    {
-                        return None;
-                    }
-                    let best = model
-                        .propose_move_row(d.cluster, &d.row, &d.cat, &d.num, d.sqnorm, *lambda);
-                    Some((slot, improving(d.cluster, best)?))
-                }))
+                let (range, score) = (at(slots, start..end), |x| table.propose(model, x, lambda));
+                let (found, _) = table.first_improving(model, Some(memo), range, lambda, score);
+                Answer::First(found.map(|(x, to)| (slots[x], to)))
             }
             Part::Fold {
                 chunk,
                 segments,
                 idx,
-                mut acc,
+                acc,
             } => {
                 let (owner, start, end) = segments[idx];
                 debug_assert_eq!(owner, self.id, "fold hop routed to the wrong shard");
-                for (_, d) in owned.range(start..end) {
-                    if d.cluster != TOMBSTONE {
-                        acc.add_row(d.cluster, &d.row, &d.cat, &d.num, d.sqnorm);
-                    }
-                }
+                let acc = table.fold(acc, at(slots, start..end));
                 if let Some(&(next, _, _)) = segments.get(idx + 1) {
                     let idx = idx + 1;
                     let part = Part::Fold {
@@ -246,9 +236,8 @@ impl ShardNode {
         wire::put_u64(&mut out, self.state.version);
         wire::put_f64(&mut out, self.state.lambda);
         out.extend(self.state.model.to_bytes());
-        let slots: Vec<usize> = self.state.owned.keys().copied().collect();
-        wire::put_usizes(&mut out, &slots);
-        SlotTable::put_rows(&mut out, self.state.owned.values());
+        wire::put_usizes(&mut out, &self.state.slots);
+        self.state.table.put(&mut out);
         out
     }
 
@@ -295,13 +284,102 @@ impl ShardNode {
         {
             return invalid("owned slot ids");
         }
-        let owned = slots.into_iter().zip(table.into_rows(&model)).collect();
         let state = ShardState {
             lambda,
             version,
             model,
-            owned,
+            slots,
+            table,
         };
         Ok(Self::provision(id, plan, state))
+    }
+}
+
+/// The positions in `slots`, an ascending column of slot ids, of the slots
+/// in `range`.
+fn at(slots: &[usize], range: Range<usize>) -> Range<usize> {
+    slots.partition_point(|&s| s < range.start)..slots.partition_point(|&s| s < range.end)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::coordinator::Coordinator;
+    use crate::protocol::Op;
+    use fairkm_core::{FairKmConfig, Lambda, StreamingConfig, StreamingFairKm, UpdateSchedule};
+    use fairkm_synth::planted::{PlantedConfig, PlantedGenerator};
+    use std::collections::VecDeque;
+
+    /// On 2 shards, a shard's window memo holds `k` bounds per owned slot
+    /// of the window, not per slot of it, and every descent step it backs
+    /// answers what a twin without a memo (the plain scan) answers.
+    #[test]
+    fn a_window_memo_holds_the_owned_slots_and_answers_like_the_plain_scan() {
+        let data = PlantedGenerator::new(PlantedConfig {
+            n_rows: 300,
+            n_blobs: 3,
+            dim: 4,
+            n_sensitive_attrs: 2,
+            cardinality: 3,
+            alignment: 0.8,
+            separation: 5.0,
+            spread: 1.0,
+            seed: 17,
+        })
+        .generate()
+        .dataset;
+        // An unoptimized start under a heavy λ: windows fail, so the
+        // shards answer descent steps.
+        let base = FairKmConfig::new(3)
+            .with_seed(11)
+            .with_max_iters(0)
+            .with_lambda(Lambda::Fixed(40000.0))
+            .with_schedule(UpdateSchedule::MiniBatch(64))
+            .with_threads(1);
+        let engine = StreamingFairKm::bootstrap(data, StreamingConfig::from_base(base)).unwrap();
+        let plan = ShardPlan::new(2, 16).unwrap();
+        let (mut c, mut shards) = Coordinator::provision(engine.into_payload(), plan);
+        let mut queue: VecDeque<(usize, Msg)> = VecDeque::new();
+        let mut out = Vec::new();
+        c.handle(Msg::Op(Op::Reoptimize), &mut out);
+        queue.extend(out);
+        let (mut windows, mut steps) = (0, 0);
+        while let Some((to, msg)) = queue.pop_front() {
+            let mut out = Vec::new();
+            if to == 0 {
+                c.handle(msg, &mut out);
+                queue.extend(out);
+                continue;
+            }
+            let shard = &mut shards[to - 1];
+            match &msg {
+                Msg::Ask {
+                    part: Part::Window { start, end },
+                    ..
+                } => {
+                    let (start, end) = (*start, *end);
+                    shard.handle(msg, &mut out);
+                    let owned = (start..end).filter(|&s| plan.owner(s) == shard.id).count();
+                    assert!(owned < end - start);
+                    assert_eq!(shard.memo.bounds(), owned * c.k(), "window {start}..{end}");
+                    windows += 1;
+                }
+                Msg::Ask {
+                    part: Part::First { .. },
+                    ..
+                } => {
+                    let mut twin = ShardNode::provision(shard.id, plan, shard.state.clone());
+                    let mut plain = Vec::new();
+                    twin.handle(msg.clone(), &mut plain);
+                    shard.handle(msg, &mut out);
+                    assert_eq!(format!("{out:?}"), format!("{plain:?}"));
+                    steps += 1;
+                }
+                _ => shard.handle(msg, &mut out),
+            }
+            queue.extend(out);
+        }
+        assert!(c.take_result().is_some());
+        assert!(windows > 0 && steps > 0, "{windows} windows, {steps} steps");
     }
 }

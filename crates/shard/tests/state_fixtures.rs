@@ -137,7 +137,10 @@ fn the_committed_coordinator_dir_recovers_to_its_payload() {
     // record kinds is replayed over it.
     let snapshot = stored.snapshot.expect("a snapshot");
     let decoded = Coordinator::decode_snapshot(&snapshot).unwrap();
-    assert!(decoded.snapshot_bytes() == snapshot, "re-encoded bytes differ");
+    assert!(
+        decoded.snapshot_bytes() == snapshot,
+        "re-encoded bytes differ"
+    );
     let tags: Vec<u8> = stored.entries.iter().map(|r| r[0]).collect();
     assert_eq!(tags, [0, 1], "one entry batch, then its operation record");
 

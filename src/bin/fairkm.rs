@@ -62,7 +62,9 @@ use fairkm::serve::{ClientConfig, ClientError, Registry, ServerConfig};
 use fairkm::store::{DurableStore, FsBackend};
 use fairkm_core::FairKmError;
 use fairkm_data::wire::WireError;
-use fairkm_data::{read_csv, Dataset, Normalization, Partition, Value};
+use fairkm_data::{
+    read_csv, Dataset, Normalization, NumericMatrix, Partition, SensitiveSpace, Value,
+};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::ops::Range;
@@ -365,6 +367,29 @@ impl Args {
         Ok(self.integer(flag)?.map(Duration::from_millis))
     }
 
+    /// Refuse the first of `flags` given: its value would be discarded,
+    /// for the reason `why`.
+    fn refuse(&self, flags: &[&str], why: &str) -> Result<(), CliError> {
+        match self.flags.iter().find(|(flag, _)| flags.contains(flag)) {
+            Some((flag, _)) => Err(usage_error(format!("{flag} {why}"))),
+            None => Ok(()),
+        }
+    }
+
+    /// With `--resume`, refuse the flags of the engine configuration the
+    /// state directory restores: the model, its seed, drift and the
+    /// bootstrap size.
+    fn refuse_on_resume(&self) -> Result<(), CliError> {
+        if !self.has("--resume") {
+            return Ok(());
+        }
+        let restored = FLAGS
+            .iter()
+            .filter(|f| matches!(f.2, Model | Seed | Drift) || f.0 == "--bootstrap");
+        let why = "is ignored by --resume: the engine configuration comes from the state directory";
+        self.refuse(&restored.map(|f| f.0).collect::<Vec<_>>(), why)
+    }
+
     /// `--drift`, if given: a finite, non-negative relative threshold.
     fn drift(&self) -> Result<Option<f64>, CliError> {
         self.value("--drift")
@@ -626,13 +651,22 @@ fn run_cluster(args: &Args) -> Result<(), CliError> {
         input
     );
 
+    // The task matrix and the sensitive space, built once for the fit and
+    // the metrics report.
+    let views = dataset
+        .task_matrix(config.normalization)
+        .and_then(|matrix| Ok((matrix, dataset.sensitive_space()?)));
+    let (matrix, space) = views.map_err(|e| match algorithm {
+        "fairkm" => FairKmError::from(e).to_string(),
+        _ => e.to_string(),
+    })?;
     let partition = match algorithm {
         "fairkm" => {
             let fit = config.clone();
             let model = match minibatch {
-                None => FairKm::new(fit).fit(&dataset),
-                Some(None) => MiniBatchFairKm::auto(fit).fit(&dataset),
-                Some(Some(batch)) => MiniBatchFairKm::new(fit, batch).fit(&dataset),
+                None => FairKm::new(fit).fit_views(&matrix, &space),
+                Some(None) => MiniBatchFairKm::auto(fit).fit_views(&matrix, &space),
+                Some(Some(batch)) => MiniBatchFairKm::new(fit, batch).fit_views(&matrix, &space),
             }
             .map_err(|e: FairKmError| e.to_string())?;
             eprintln!(
@@ -646,10 +680,6 @@ fn run_cluster(args: &Args) -> Result<(), CliError> {
             model.partition().clone()
         }
         "fairlet" => {
-            let matrix = dataset
-                .task_matrix(config.normalization)
-                .map_err(|e| e.to_string())?;
-            let space = dataset.sensitive_space().map_err(|e| e.to_string())?;
             let attr = space
                 .categorical()
                 .first()
@@ -671,9 +701,6 @@ fn run_cluster(args: &Args) -> Result<(), CliError> {
             partition
         }
         _ => {
-            let matrix = dataset
-                .task_matrix(config.normalization)
-                .map_err(|e| e.to_string())?;
             KMeans::new(KMeansConfig::new(config.k).with_seed(config.seed))
                 .fit(&matrix)
                 .map_err(|e| e.to_string())?
@@ -681,7 +708,7 @@ fn run_cluster(args: &Args) -> Result<(), CliError> {
         }
     };
 
-    report_metrics(&dataset, &partition, &config)?;
+    report_metrics(&matrix, &space, &partition, &config);
     let pairs = partition.assignments().iter().copied().enumerate();
     write_assignment_pairs(pairs, args.value("--output"), "assignments")
 }
@@ -780,6 +807,10 @@ fn live_pairs(
 }
 
 fn run_stream(args: &Args) -> Result<(), CliError> {
+    args.refuse_on_resume()?;
+    if !args.has("--state-dir") {
+        args.refuse(&["--snapshot-every"], "needs --state-dir")?;
+    }
     let config = stream_config(args)?;
     let bootstrap = args.integer("--bootstrap")?;
     let batch = args.positive("--batch")?.unwrap_or(64);
@@ -1118,6 +1149,7 @@ fn run_shard(args: &Args) -> Result<(), CliError> {
 /// every acked write is journaled first, so a kill is always safe —
 /// restart with `--resume` to continue.
 fn run_serve(args: &Args) -> Result<(), CliError> {
+    args.refuse_on_resume()?;
     let listen = args.required("--listen");
     let tenants = args
         .flags
@@ -1242,6 +1274,12 @@ fn run_client(args: &Args) -> Result<(), CliError> {
         "snapshot" => ("POST", "snapshot"),
         other => return Err(usage_error(format!("unknown client action `{other}`"))),
     };
+    if route != "evict_oldest" {
+        args.refuse(&["--count"], "only applies to evict-oldest")?;
+    }
+    if !matches!(route, "assign" | "ingest") {
+        args.refuse(&["--input"], "only applies to assign and ingest")?;
+    }
     let body = match (route, args.value("--input")) {
         ("assign" | "ingest", None) => {
             return Err(usage_error(format!("client {action} needs --input CSV")))
@@ -1294,23 +1332,22 @@ fn run_client(args: &Args) -> Result<(), CliError> {
 }
 
 fn report_metrics(
-    dataset: &Dataset,
+    matrix: &NumericMatrix,
+    space: &SensitiveSpace,
     partition: &Partition,
     config: &FairKmConfig,
-) -> Result<(), String> {
-    let matrix = dataset
-        .task_matrix(config.normalization)
-        .map_err(|e| e.to_string())?;
+) {
     // Same worker choice as the fit: explicit --threads goes into the
     // evaluator context; without it the evaluators auto-resolve (env var,
     // then available parallelism).
     let ctx = eval_context(config.threads);
-    let co = clustering_objective_with(&matrix, partition, &ctx);
-    let sh = fairkm_metrics::silhouette_sampled_with(&matrix, partition, 2_000, config.seed, &ctx);
+    let co = clustering_objective_with(matrix, partition, &ctx);
+    let sh = fairkm_metrics::silhouette_sampled_with(matrix, partition, 2_000, config.seed, &ctx);
     eprintln!("clustering objective (CO) = {co:.4}, silhouette (SH) = {sh:.4}");
-    match dataset.sensitive_space() {
-        Ok(space) if space.n_attrs() > 0 => {
-            let report = fairness_report(&space, partition);
+    match space.n_attrs() {
+        0 => eprintln!("no sensitive attributes declared; skipping fairness report"),
+        _ => {
+            let report = fairness_report(space, partition);
             eprintln!("fairness (lower = fairer):");
             for attr in report.categorical.iter().chain(&report.numeric) {
                 eprintln!(
@@ -1323,9 +1360,7 @@ fn report_metrics(
                 "mean", report.mean.ae, report.mean.aw, report.mean.me, report.mean.mw
             );
         }
-        _ => eprintln!("no sensitive attributes declared; skipping fairness report"),
     }
-    Ok(())
 }
 
 /// Write `row,cluster` pairs to `--output` (or stdout): the one shared

@@ -56,10 +56,16 @@ fn cluster_subcommand_produces_assignments() {
         assert_eq!(row.parse::<usize>().unwrap(), i);
         assert!(cluster.parse::<usize>().unwrap() < 4);
     }
-    // metrics land on stderr
+    // Metrics land on stderr, computed on the views the fit ran on.
     let stderr = String::from_utf8(output.stderr).unwrap();
-    assert!(stderr.contains("clustering objective"));
-    assert!(stderr.contains("fairness"));
+    let metrics = "\
+clustering objective (CO) = 13.2090, silhouette (SH) = 0.8662
+fairness (lower = fairer):
+  s_0                      AE = 0.6868  AW = 0.7672  ME = 0.9030  MW = 1.2231
+  s_1                      AE = 0.6425  AW = 0.7381  ME = 0.8823  MW = 1.2147
+  mean                     AE = 0.6646  AW = 0.7526  ME = 0.8927  MW = 1.2189
+";
+    assert!(stderr.ends_with(metrics), "stderr: {stderr}");
 }
 
 #[test]
@@ -413,6 +419,9 @@ fn kmeans_algorithm_flag_works() {
         .unwrap();
     assert!(output.status.success());
     assert_eq!(String::from_utf8_lossy(&output.stdout).lines().count(), 121);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let metrics = "clustering objective (CO) = 1.2495, silhouette (SH) = 0.8701\n";
+    assert!(stderr.contains(metrics), "stderr: {stderr}");
 }
 
 #[test]
@@ -1165,14 +1174,26 @@ fn ignored_or_rewritten_flags_are_refused() {
     // An unbindable listen address: were the flag accepted, `serve` would
     // bootstrap its tenant and then fail instead of serving forever.
     let serve = ["serve", "--listen", "127.0.0.1:99999", "--tenant", &tenant];
-    let cases: [(Vec<&str>, &str); 9] = [
+    let stream = [
+        "stream",
+        "--input",
+        input,
+        "--state-dir",
+        state_dir,
+        "--resume",
+    ];
+    // A closed port: were the flag accepted, the client would fail to
+    // connect instead.
+    let client = ["client", "--addr", "127.0.0.1:9", "--tenant", "t"];
+    let resumed = "is ignored by --resume: the engine configuration comes from the state directory";
+    let cases: [(Vec<&str>, String); 21] = [
         (
             [&serve[..], &["--input", input, "--output", "x.csv"]].concat(),
-            "--output is not supported by `fairkm serve`",
+            "--output is not supported by `fairkm serve`".to_string(),
         ),
         (
             vec!["snapshot", "--state-dir", state_dir, "--output", "x.csv"],
-            "--output is not supported by `fairkm snapshot`",
+            "--output is not supported by `fairkm snapshot`".to_string(),
         ),
         (
             vec![
@@ -1184,7 +1205,7 @@ fn ignored_or_rewritten_flags_are_refused() {
                 "--lambda",
                 "5",
             ],
-            "--lambda only applies to --algorithm fairkm",
+            "--lambda only applies to --algorithm fairkm".to_string(),
         ),
         (
             vec![
@@ -1196,7 +1217,7 @@ fn ignored_or_rewritten_flags_are_refused() {
                 "--max-iters",
                 "2",
             ],
-            "--max-iters only applies to --algorithm fairkm",
+            "--max-iters only applies to --algorithm fairkm".to_string(),
         ),
         (
             vec![
@@ -1208,11 +1229,11 @@ fn ignored_or_rewritten_flags_are_refused() {
                 "--max-iters",
                 "2",
             ],
-            "--max-iters only applies to --algorithm fairkm",
+            "--max-iters only applies to --algorithm fairkm".to_string(),
         ),
         (
             vec!["cluster", "--input", input, "--fairlet-t", "5"],
-            "--fairlet-t only applies to --algorithm fairlet",
+            "--fairlet-t only applies to --algorithm fairlet".to_string(),
         ),
         (
             vec![
@@ -1224,7 +1245,7 @@ fn ignored_or_rewritten_flags_are_refused() {
                 "--fairlet-t",
                 "5",
             ],
-            "--fairlet-t only applies to --algorithm fairlet",
+            "--fairlet-t only applies to --algorithm fairlet".to_string(),
         ),
         (
             vec![
@@ -1236,18 +1257,67 @@ fn ignored_or_rewritten_flags_are_refused() {
                 "--monitor-window",
                 "0",
             ],
-            "--monitor-window needs a positive integer",
+            "--monitor-window needs a positive integer".to_string(),
         ),
         (
             [&serve[..], &["--input", input, "--max-pending", "0"]].concat(),
-            "--max-pending needs a positive integer",
+            "--max-pending needs a positive integer".to_string(),
+        ),
+        (
+            [&stream[..], &["--k", "3"]].concat(),
+            format!("--k {resumed}"),
+        ),
+        (
+            [&stream[..], &["--objective", "utilitarian"]].concat(),
+            format!("--objective {resumed}"),
+        ),
+        (
+            [&stream[..], &["--seed", "4"]].concat(),
+            format!("--seed {resumed}"),
+        ),
+        (
+            [&stream[..], &["--drift", "0.5"]].concat(),
+            format!("--drift {resumed}"),
+        ),
+        (
+            [&stream[..], &["--reopt-passes", "2"]].concat(),
+            format!("--reopt-passes {resumed}"),
+        ),
+        (
+            [&stream[..], &["--bootstrap", "40"]].concat(),
+            format!("--bootstrap {resumed}"),
+        ),
+        (
+            [&serve[..], &["--resume", "--lambda", "3"]].concat(),
+            format!("--lambda {resumed}"),
+        ),
+        (
+            [&serve[..], &["--resume", "--seed", "4"]].concat(),
+            format!("--seed {resumed}"),
+        ),
+        (
+            vec!["stream", "--input", input, "--snapshot-every", "3"],
+            "--snapshot-every needs --state-dir".to_string(),
+        ),
+        (
+            [&client[..], &["stats", "--count", "2"]].concat(),
+            "--count only applies to evict-oldest".to_string(),
+        ),
+        (
+            [&client[..], &["snapshot", "--input", input]].concat(),
+            "--input only applies to assign and ingest".to_string(),
+        ),
+        (
+            [&client[..], &["evict-oldest", "--input", input]].concat(),
+            "--input only applies to assign and ingest".to_string(),
         ),
     ];
+
     for (args, message) in cases {
         let output = cli().args(&args).output().unwrap();
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
-        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(stderr.contains(&message), "{args:?}: {stderr}");
         assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
         assert!(output.stdout.is_empty(), "{args:?} wrote assignments");
         assert!(!state.exists(), "{args:?} created the state dir");
