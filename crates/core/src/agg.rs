@@ -185,21 +185,23 @@ impl<'a> SlotTable<'a> {
         span(&self.values, self.widths[2], x)
     }
 
-    /// Slot `x`'s `‖x‖²`.
-    #[inline]
-    pub fn sqnorm(&self, x: usize) -> f64 {
-        self.sqnorms[x]
-    }
-
     /// Slot `x`'s cluster, [`TOMBSTONE`] if dead.
     #[inline]
     pub fn cluster(&self, x: usize) -> usize {
         self.clusters[x]
     }
 
-    /// Every slot's cluster, in order.
-    pub fn clusters(&self) -> &[usize] {
-        &self.clusters
+    /// Slot `x`'s cluster if it holds a live point: `None` for a
+    /// tombstone or a slot past the table.
+    pub fn live(&self, x: usize) -> Option<usize> {
+        self.clusters.get(x).copied().filter(|&c| c != TOMBSTONE)
+    }
+
+    /// The live slots, in order.
+    pub fn live_slots(&self) -> Vec<usize> {
+        (0..self.n_slots())
+            .filter(|&x| self.live(x).is_some())
+            .collect()
     }
 
     /// Slot `x` as a [`SlotRow`], the form a log entry carries.

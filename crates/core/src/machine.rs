@@ -264,8 +264,7 @@ pub trait Replica {
 
     /// Whether `slot` holds a live point.
     fn is_live(&self, slot: usize) -> bool {
-        let table = self.table();
-        slot < table.n_slots() && table.cluster(slot) != TOMBSTONE
+        self.table().live(slot).is_some()
     }
 }
 
@@ -868,11 +867,9 @@ impl Local<'_, '_> {
                 ))
             }
             Request::Window { start, end } if engine == DeltaEngine::Incremental => {
-                let (model, table) = (&state.model, &state.table);
-                let window = start..end;
-                let proposals =
-                    table.propose_window(model, &mut self.memo, window, lambda, state.threads);
-                Answer::Proposals(proposals)
+                let (model, table, memo) = (&state.model, &state.table, &mut self.memo);
+                let threads = state.threads;
+                Answer::Proposals(table.propose_window(model, memo, start..end, lambda, threads))
             }
             Request::Window { start, end } => {
                 let proposals = fairkm_parallel::map_indexed(state.threads, start..end, |x| {
@@ -883,11 +880,9 @@ impl Local<'_, '_> {
             }
             Request::First { start, end } => {
                 let memo = (engine == DeltaEngine::Incremental).then_some(&mut self.memo);
+                let (model, table) = (&state.model, &state.table);
                 let score = |x| propose_move(state, x, lambda, engine);
-                let (found, scored) =
-                    state
-                        .table
-                        .first_improving(&state.model, memo, start..end, lambda, score);
+                let (found, scored) = table.first_improving(model, memo, start..end, lambda, score);
                 self.state.descent_scored += scored;
                 Answer::First(found)
             }

@@ -1239,7 +1239,7 @@ impl<'a> State<'a> {
         state
     }
 
-    /// Backing-store slots (matrix rows), including unassigned ones.
+    /// Backing-store slots, including unassigned ones.
     #[inline]
     pub fn n(&self) -> usize {
         self.table.n_slots()
@@ -1346,7 +1346,7 @@ impl<'a> State<'a> {
         if from == to {
             return 0.0;
         }
-        let (row, sqnorm) = (self.table.row(x), self.table.sqnorm(x));
+        let (row, sqnorm) = (self.table.row(x), self.table.sqnorms[x]);
         let s_from = self.model.agg.size[from];
         let d_out = if s_from > 1 {
             let d = self.model.sq_dist_row_cached(row, sqnorm, from);
@@ -1769,7 +1769,7 @@ mod proptests {
     /// the move tables must reproduce bit for bit.
     fn propose_direct(st: &State<'_>, x: usize, lambda: f64) -> (usize, f64) {
         let (m, from) = (&st.model, st.table.cluster(x));
-        let (row, sqnorm) = (st.table.row(x), st.table.sqnorm(x));
+        let (row, sqnorm) = (st.table.row(x), st.table.sqnorms[x]);
         let p = PointRef::Row(st.table.cat(x), st.table.num(x));
         let s_from = m.agg.size[from];
         let d_out = if s_from > 1 {
@@ -1823,7 +1823,7 @@ mod proptests {
             let row = st.table.row(x);
             let got = st
                 .model
-                .propose_move_row(from, row, cat, num, st.table.sqnorm(x), lambda);
+                .propose_move_row(from, row, cat, num, st.table.sqnorms[x], lambda);
             let want = propose_direct(st, x, lambda);
             prop_assert_eq!(got.0, want.0, "slot {}", x);
             prop_assert_eq!(got.1.to_bits(), want.1.to_bits(), "slot {}", x);
@@ -1957,7 +1957,7 @@ mod proptests {
                         if from == TOMBSTONE {
                             return None;
                         }
-                        let (row, sqnorm) = (st.table.row(y), st.table.sqnorm(y));
+                        let (row, sqnorm) = (st.table.row(y), st.table.sqnorms[y]);
                         let best = st.model.propose_move_row(
                             from, row, st.table.cat(y), st.table.num(y), sqnorm, inst.lambda,
                         );

@@ -629,8 +629,7 @@ impl StreamPayload {
         codec.check(&model)?;
         let table = SlotTable::get(r, &model)?;
         table.check_counts(&model)?;
-        let clusters = &table.clusters;
-        ledger.check_cursor(clusters.len(), |s| clusters[s] != TOMBSTONE)?;
+        ledger.check_cursor(table.n_slots(), |s| table.live(s).is_some())?;
         Ok(Self {
             codec,
             ledger,
@@ -914,22 +913,17 @@ impl StreamingFairKm {
 
     /// Whether a slot currently holds a live point.
     pub fn is_live(&self, slot: usize) -> bool {
-        slot < self.state.n() && self.state.table.cluster(slot) != TOMBSTONE
+        self.assignment_of(slot).is_some()
     }
 
     /// Cluster of a slot, `None` for tombstones and out-of-range slots.
     pub fn assignment_of(&self, slot: usize) -> Option<usize> {
-        self.state
-            .table
-            .clusters
-            .get(slot)
-            .copied()
-            .filter(|&c| c != TOMBSTONE)
+        self.state.table.live(slot)
     }
 
     /// Live slot ids in ascending (arrival) order.
     pub fn live_slots(&self) -> Vec<usize> {
-        (0..self.state.n()).filter(|&s| self.is_live(s)).collect()
+        self.state.table.live_slots()
     }
 
     /// Number of clusters `k`.
@@ -1049,15 +1043,8 @@ impl StreamingFairKm {
 
     /// Append [`Self::to_snapshot_bytes`] to `out`.
     pub(crate) fn write_snapshot_bytes(&self, out: &mut Vec<u8>) {
-        let s = &self.state;
-        StreamPayload::put(
-            out,
-            &self.codec,
-            &self.ledger,
-            s.fallbacks,
-            &s.model,
-            &s.table,
-        );
+        let (s, ledger) = (&self.state, &self.ledger);
+        StreamPayload::put(out, &self.codec, ledger, s.fallbacks, &s.model, &s.table);
     }
 
     /// Decode a driver serialized by [`Self::to_snapshot_bytes`]: the

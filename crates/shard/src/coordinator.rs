@@ -65,7 +65,7 @@ use fairkm_core::persist::{Journal, PersistError, RecoveryReport};
 use fairkm_core::wire::{self, Reader, WireError};
 use fairkm_core::{
     Answer, ClusterModel, DeltaEngine, DriverLedger, Entry, Host, LogEntry, Machine, Replica,
-    Request, RowCodec, SlotRow, SlotTable, Step, StreamPayload, Ticket, TOMBSTONE,
+    Request, RowCodec, SlotRow, SlotTable, Step, StreamPayload, Ticket,
 };
 use fairkm_store::StorageBackend;
 use std::cell::RefCell;
@@ -778,26 +778,17 @@ impl Coordinator {
 
     /// Whether `slot` holds a live point.
     pub fn is_live(&self, slot: usize) -> bool {
-        self.rep.borrow().is_live(slot)
+        self.assignment_of(slot).is_some()
     }
 
     /// Cluster of `slot`, `None` for tombstones and out-of-range slots.
     pub fn assignment_of(&self, slot: usize) -> Option<usize> {
-        self.rep
-            .borrow()
-            .table
-            .clusters()
-            .get(slot)
-            .copied()
-            .filter(|&c| c != TOMBSTONE)
+        self.rep.borrow().table.live(slot)
     }
 
     /// Live slot ids in ascending order.
     pub fn live_slots(&self) -> Vec<usize> {
-        let rep = self.rep.borrow();
-        (0..rep.table.n_slots())
-            .filter(|&s| rep.is_live(s))
-            .collect()
+        self.rep.borrow().table.live_slots()
     }
 
     /// Cluster prototypes (means), zeros for empty clusters.

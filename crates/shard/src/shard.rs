@@ -184,13 +184,8 @@ impl ShardNode {
                     .collect(),
             ),
             Part::Window { start, end } => {
-                let proposals = table.propose_window(model, memo, at(slots, start..end), lambda, 1);
-                Answer::Proposals(
-                    proposals
-                        .into_iter()
-                        .map(|(x, to)| (slots[x], to))
-                        .collect(),
-                )
+                let window = table.propose_window(model, memo, at(slots, start..end), lambda, 1);
+                Answer::Proposals(window.into_iter().map(|(x, to)| (slots[x], to)).collect())
             }
             Part::First { start, end } => {
                 let (range, score) = (at(slots, start..end), |x| table.propose(model, x, lambda));
