@@ -270,14 +270,8 @@ impl<'a> SlotTable<'a> {
     /// ([`ClusterModel::move_row`]); the table keeps its cluster. A
     /// window's trial runs on a scratch model this way.
     pub fn move_row(&self, model: &mut ClusterModel, x: usize, from: usize, to: usize) {
-        model.move_row(
-            from,
-            to,
-            self.row(x),
-            self.cat(x),
-            self.num(x),
-            self.sqnorms[x],
-        );
+        let (row, sqnorm) = (self.row(x), self.sqnorms[x]);
+        model.move_row(from, to, row, self.cat(x), self.num(x), sqnorm);
     }
 
     /// Move slot `x` `from → to`, in the table and in `model`.
